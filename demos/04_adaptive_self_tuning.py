@@ -14,7 +14,7 @@ honest run: alpha_t <= 1, eta_t never increases, and G_t >= g^2 t^{1/4}.
 
 import numpy as np
 
-from nigt_lab import RunConfig, adaptive_init, make_trig_bowl, run
+from nigt_lab import RunConfig, SelfTuning, make_trig_bowl, run
 
 T = 10_000
 
@@ -22,7 +22,7 @@ T = 10_000
 def main():
     for sigma in (0.0, 0.5):
         pb = make_trig_bowl(4, 1.0, 1.0, sigma)
-        init = adaptive_init(pb.w1, pb.g_bound)
+        init = SelfTuning(pb.g_bound)
         print(f"\nsigma = {sigma}: g_bound = {pb.g_bound:.4f}  "
               f"C = {init.C:.4f}  D = {init.D:.2f}  eta_0 = {init.eta_prev:.4f}")
         cfg = RunConfig(problem=pb, optimizer_id="nigt_adaptive", T=T, seeds=(3,))

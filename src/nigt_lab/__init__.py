@@ -8,7 +8,6 @@ from .core import (
     RngStream,
     StepLog,
     TrajectoryRecord,
-    axpy,
     gaussian_noise,
     normalize,
     pow_sevenths,
@@ -34,27 +33,19 @@ from .harness import (
     taylor_threshold,
 )
 from .optimizers import (
-    AdaptiveState,
     LayerPartition,
-    NigtState,
-    NsgdmState,
     Schedule,
-    adaptive_init,
-    adaptive_step,
+    SelfTuning,
+    StepState,
     apply_schedule,
+    blockwise_move,
     full_partition,
-    heavy_ball_step,
-    igt_extrapolate,
-    layerwise_init,
-    layerwise_step,
-    nigt_init,
-    nigt_step,
-    nsgdm_step,
-    sgd_step,
+    normalized_move,
+    plain_move,
+    transport_step,
 )
 from .problems import (
     CertReport,
-    OracleResponse,
     StochasticProblem,
     certify_constants,
     fd_slack,

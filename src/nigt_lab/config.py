@@ -37,7 +37,7 @@ from .problems import (
     make_trig_bowl,
     with_constants,
 )
-from .tuning import manual_params, nigt_params, nsgdm_params
+from .tuning import manual_params, nigt_bound, nigt_params, nsgdm_bound, nsgdm_params
 
 # value type codes: int / float / bool / str and list variants
 _SCHEMA: dict[str, dict[str, str]] = {
@@ -314,25 +314,21 @@ def resolve_params(exp: ExperimentFile, problem, T: int, require_eta: bool = Tru
     opt_id = op.get("id", "")
     if theorem is None and opt_id == "nigt_adaptive":
         theorem = "adaptive"
+    # a ceiling is only a guarantee for the method its theorem is about
+    paired_id = {"1": "nsgdm", "2": "nigt", "adaptive": "nigt_adaptive"}.get(theorem)
+    if paired_id is not None and opt_id != paired_id:
+        raise ConfigError(f"theorem = {theorem} requires optimizer.id = {paired_id}, got {opt_id!r}")
     try:
         if theorem == "1":
-            from .tuning import nsgdm_bound
-
             return (nsgdm_params(problem.R, problem.L, problem.sigma, T),
                     nsgdm_bound(problem.R, problem.L, problem.sigma, T))
         if theorem == "2":
-            from .tuning import nigt_bound
-
             return (nigt_params(problem.R, problem.L, problem.rho, problem.sigma, T),
                     nigt_bound(problem.R, problem.L, problem.rho, problem.sigma, T))
         if theorem == "adaptive":
-            if opt_id != "nigt_adaptive":
-                raise ConfigError("theorem = adaptive requires optimizer.id = nigt_adaptive")
             return None, None
         if theorem is not None:
             raise ConfigError(f"optimizer.theorem must be 1, 2, or adaptive, got {theorem!r}")
-        if opt_id == "nigt_adaptive":
-            return None, None
         if "eta" not in op and "eta0" not in exp.schedule:
             if require_eta:
                 raise ConfigError("manual runs need optimizer.eta (or schedule.eta0)")

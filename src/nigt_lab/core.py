@@ -10,7 +10,7 @@ streams of a single seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -47,15 +47,6 @@ def normalize(v, floor: float = 0.0) -> np.ndarray:
     if n <= floor:
         raise NormalizationSingularity(f"norm {n} <= floor {floor}")
     return v / n
-
-
-def axpy(a: float, x, y) -> np.ndarray:
-    """Componentwise ``a * x + y``."""
-    x = as_vector(x)
-    y = as_vector(y)
-    if x.shape != y.shape:
-        raise DimensionMismatch(f"axpy operands differ: {x.shape} vs {y.shape}")
-    return a * x + y
 
 
 def gaussian_noise(rng: "RngStream", d: int, sigma: float) -> np.ndarray:
@@ -131,7 +122,7 @@ class InvariantEvent:
     limit: float
 
     def to_dict(self) -> dict:
-        return {"kind": self.kind, "t": self.t, "value": self.value, "limit": self.limit}
+        return asdict(self)
 
 
 @dataclass(frozen=True)

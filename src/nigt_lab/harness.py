@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -24,24 +24,19 @@ from .errors import (
 )
 from .optimizers import (
     LayerPartition,
-    NsgdmState,
     Schedule,
-    adaptive_init,
-    adaptive_step,
+    SelfTuning,
+    StepState,
     apply_schedule,
+    blockwise_move,
     full_partition,
-    heavy_ball_step,
-    igt_extrapolate,
-    layerwise_init,
-    layerwise_step,
-    nigt_init,
-    nigt_step,
-    nsgdm_step,
-    sgd_step,
+    normalized_move,
+    plain_move,
+    transport_step,
 )
 from .problems import (
     StochasticProblem,
-    ball_point,
+    ball_pairs,
     certify_constants,
     fd_slack,
     make_noisy_quadratic,
@@ -95,7 +90,12 @@ def _resolve_eta_beta(cfg: RunConfig) -> tuple[float, float]:
         base_eta = cfg.eta
     else:
         raise InvalidInput(f"optimizer {cfg.optimizer_id!r} needs eta (manual, tuned, or schedule.eta0)")
-    beta = cfg.params.beta if cfg.params is not None else cfg.beta
+    if cfg.optimizer_id == "sgd":
+        beta = 0.0  # memoryless: the momentum is the latest sample
+    else:
+        beta = cfg.params.beta if cfg.params is not None else cfg.beta
+    if not (0.0 <= beta < 1.0):
+        raise InvalidInput(f"beta must lie in [0, 1), got {beta}")
     return base_eta, beta
 
 
@@ -137,110 +137,75 @@ def _make_log(
 
 
 def run_single(cfg: RunConfig, seed: int) -> TrajectoryRecord:
-    """Execute one seeded trajectory of ``cfg.T`` steps."""
+    """Execute one seeded trajectory of ``cfg.T`` steps.
+
+    Every optimizer is :func:`transport_step` with its own per-step
+    ``(eta_t, k_t, beta_t, alpha_t)`` and move (table in the optimizers
+    module); the self-tuning method adds a paired sample per step from
+    stream 1 of the seed.
+    """
     pb = cfg.problem
-    rng = RngStream(seed, 0)
-    rng_paired = RngStream(seed, 1)
+    opt = cfg.optimizer_id
+    sch = cfg.schedule
     T = cfg.T
-    rec = TrajectoryRecord(problem_id=pb.problem_id, optimizer_id=cfg.optimizer_id, seed=seed)
-    w1 = pb.w1
-    max_disp = 0.0
-
-    def track(*points):
-        nonlocal max_disp
-        for pt in points:
-            max_disp = max(max_disp, float(np.linalg.norm(pt - w1)))
-
-    if cfg.optimizer_id == "nigt_adaptive":
-        if cfg.schedule.kind != "constant" or cfg.schedule.eta0 is not None:
+    rng = RngStream(seed, 0)
+    tuner = None
+    if opt == "nigt_adaptive":
+        if sch.kind != "constant" or sch.eta0 is not None:
             raise InvalidInput("the self-tuning method sets its own step sizes; use a constant schedule")
-        g_bound = cfg.g_bound if cfg.g_bound is not None else pb.g_bound
-        state = adaptive_init(w1, g_bound)
-        for t in range(1, T + 1):
-            prev = state
-            state = adaptive_step(prev, pb, rng, rng_paired)
-            ratio = (1.0 - state.alpha_prev) / state.alpha_prev
-            track(state.w, prev.w + ratio * (prev.w - prev.w_prev))
-            rec.invariant_violations.extend(state.violations)
-            if state.no_move:
-                rec.no_move_steps.append(t)
-            rec.steps.append(
-                _make_log(pb, cfg.record_exact, t, state.eta_prev, state.alpha_prev,
-                          prev.w, state.m, state.w, state.no_move, normalized=True)
-            )
-        rec.max_displacement = max_disp
-        rec.final_w = state.w
-        return rec
-
-    base_eta, beta = _resolve_eta_beta(cfg)
-    wns = cfg.schedule.weight_norm_scaling
-
-    if cfg.optimizer_id in ("sgd", "heavy_ball", "nsgdm"):
-        normalized = cfg.optimizer_id == "nsgdm"
-        state = NsgdmState(w=w1, m=np.zeros(pb.dim), t=1)
-        for t in range(1, T + 1):
-            wnorm = float(np.linalg.norm(state.w)) if wns else None
-            eta_t = apply_schedule(cfg.schedule, t, T, base_eta, wnorm)
-            g = pb.sample_grad(state.w, rng).grad
-            beta_eff = 0.0 if t == 1 else beta  # first momentum is the first sample
-            prev = state
-            if cfg.optimizer_id == "sgd":
-                state = sgd_step(prev, g, eta_t)
-                alpha_log = 1.0
-            elif cfg.optimizer_id == "heavy_ball":
-                state = heavy_ball_step(prev, g, eta_t, beta_eff)
-                alpha_log = 1.0 - beta
-            else:
-                state = nsgdm_step(prev, g, eta_t, beta_eff)
-                alpha_log = 1.0 - beta
-            track(state.w)
-            if state.no_move:
-                rec.no_move_steps.append(t)
-            rec.steps.append(
-                _make_log(pb, cfg.record_exact, t, eta_t, alpha_log,
-                          prev.w, state.m, state.w, state.no_move, normalized)
-            )
-        rec.max_displacement = max_disp
-        rec.final_w = state.w
-        return rec
-
-    if cfg.optimizer_id in ("nigt", "nigt_layerwise"):
-        layered = cfg.optimizer_id == "nigt_layerwise"
+        tuner = SelfTuning(cfg.g_bound if cfg.g_bound is not None else pb.g_bound)
+        rng_paired = RngStream(seed, 1)
+    else:
+        base_eta, beta = _resolve_eta_beta(cfg)
+    transport = opt in ("nigt", "nigt_layerwise")
+    # per-layer norm scaling happens inside the blockwise move
+    scale_by_norm = sch.weight_norm_scaling and opt != "nigt_layerwise"
+    if opt in ("sgd", "heavy_ball"):
+        move = plain_move
+    elif opt == "nigt_layerwise":
         partition = cfg.partition if cfg.partition is not None else full_partition(pb.dim)
-        alpha_log = 1.0 - beta
-        for t in range(1, T + 1):
-            if t == 1:
-                w_before = w1
-                # per-layer norm scaling happens inside the blockwise move
-                wnorm = float(np.linalg.norm(w1)) if wns and not layered else None
-                eta_t = apply_schedule(cfg.schedule, 1, T, base_eta, wnorm)
-                if layered:
-                    state = layerwise_init(w1, pb, rng, eta_t, partition, weight_norm_scaling=wns)
-                else:
-                    state = nigt_init(w1, pb, rng, eta_t)
-                track(state.w)
-            else:
-                w_before = state.w
-                x = igt_extrapolate(state.w, state.w_prev, beta)
-                wnorm = float(np.linalg.norm(state.w)) if wns and not layered else None
-                eta_t = apply_schedule(cfg.schedule, t, T, base_eta, wnorm)
-                if layered:
-                    state = layerwise_step(state, pb, rng, eta_t, beta, partition,
-                                           weight_norm_scaling=wns)
-                else:
-                    state = nigt_step(state, pb, rng, eta_t, beta)
-                track(state.w, x)
-            if state.no_move:
-                rec.no_move_steps.append(t)
-            rec.steps.append(
-                _make_log(pb, cfg.record_exact, t, eta_t, alpha_log,
-                          w_before, state.m, state.w, state.no_move, normalized=not layered)
-            )
-        rec.max_displacement = max_disp
-        rec.final_w = state.w
-        return rec
+        partition.validate_cover(pb.dim)
+        move = blockwise_move(partition, sch.weight_norm_scaling)
+    else:
+        move = normalized_move
 
-    raise InvalidInput(f"unhandled optimizer {cfg.optimizer_id!r}")
+    rec = TrajectoryRecord(problem_id=pb.problem_id, optimizer_id=opt, seed=seed)
+    w1 = pb.w1
+    s = StepState(w=w1, w_prev=w1, m=np.zeros(pb.dim))
+    max_disp = 0.0
+    for t in range(1, T + 1):
+        if tuner is None:
+            wnorm = float(np.linalg.norm(s.w)) if scale_by_norm else None
+            eta_t = apply_schedule(sch, t, T, base_eta, wnorm)
+            beta_t = 0.0 if t == 1 else beta  # first momentum is the first sample
+            alpha_t = 1.0 - beta_t
+            k = beta_t / (1.0 - beta_t) if transport else 0.0
+            alpha_log = 1.0 - beta
+        else:
+            eta_t, alpha_t = tuner.rates(t)
+            # no domain check: a corrupted accumulator that pushes alpha_t
+            # above one keeps running and is recorded as an invariant event
+            beta_t = 1.0 - alpha_t
+            k = (1.0 - alpha_t) / alpha_t
+            alpha_log = alpha_t
+        w_before = s.w
+        s, x, g = transport_step(s, pb, rng, eta_t, k, beta_t, alpha_t, move)
+        if tuner is not None:
+            tuner.accumulate(t, g, pb.sample_grad(x, rng_paired))
+        max_disp = max(max_disp, float(np.linalg.norm(s.w - w1)))
+        if x is not w_before:
+            max_disp = max(max_disp, float(np.linalg.norm(x - w1)))
+        if s.no_move:
+            rec.no_move_steps.append(t)
+        rec.steps.append(
+            _make_log(pb, cfg.record_exact, t, eta_t, alpha_log,
+                      w_before, s.m, s.w, s.no_move, normalized=move is normalized_move)
+        )
+    if tuner is not None:
+        rec.invariant_violations = tuner.events
+    rec.max_displacement = max_disp
+    rec.final_w = s.w
+    return rec
 
 
 def _run_single_args(args) -> TrajectoryRecord:
@@ -270,15 +235,7 @@ class MomentCheckpoint:
     passed: bool
 
     def to_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "bias_norm": self.bias_norm,
-            "variance": self.variance,
-            "target_variance": self.target_variance,
-            "bias_limit": self.bias_limit,
-            "n_runs": self.n_runs,
-            "passed": self.passed,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -289,12 +246,7 @@ class MomentReport:
     passed: bool
 
     def to_dict(self) -> dict:
-        return {
-            "sigma": self.sigma,
-            "n_runs": self.n_runs,
-            "checkpoints": [c.to_dict() for c in self.checkpoints],
-            "passed": self.passed,
-        }
+        return asdict(self)
 
 
 def igt_moment_check(
@@ -338,15 +290,15 @@ def igt_moment_check(
     for k in range(1, ks[-1] + 1):
         if k == 1:
             X = W
-            M = problem.exact_grad_batch(X) + gaussian_noise_batch(rng, n_runs, problem.dim, sigma)
+            M = problem.exact_grad(X) + gaussian_noise_batch(rng, n_runs, problem.dim, sigma)
         else:
             mult = float(k - 1)
             X = W + mult * (W - W_prev)
-            G = problem.exact_grad_batch(X) + gaussian_noise_batch(rng, n_runs, problem.dim, sigma)
+            G = problem.exact_grad(X) + gaussian_noise_batch(rng, n_runs, problem.dim, sigma)
             M = (mult / k) * M + (1.0 / k) * G
 
         if k in ks:
-            E = M - problem.exact_grad_batch(W)
+            E = M - problem.exact_grad(W)
             mean_err = E.mean(axis=0)
             bias = float(np.linalg.norm(mean_err))
             var = float(np.mean(np.sum((E - mean_err) ** 2, axis=1)))
@@ -436,16 +388,8 @@ def taylor_remainder_check(
     """
     if rng is None:
         rng = RngStream(0, 23)
-    min_sep = 1e-6 * radius
     worst = 0.0
-    done = 0
-    while done < n_pairs:
-        x = ball_point(rng, problem.w1, radius)
-        y = ball_point(rng, problem.w1, radius)
-        sep = float(np.linalg.norm(x - y))
-        if sep < min_sep:
-            continue
-        done += 1
+    for x, y, sep in ball_pairs(rng, problem.w1, radius, n_pairs):
         worst = max(worst, float(np.linalg.norm(taylor_remainder(problem, x, y))) / sep**2)
     return worst
 
@@ -466,13 +410,7 @@ class BoundRow:
     passed: bool
 
     def to_dict(self) -> dict:
-        return {
-            "T": self.T,
-            "mean_avg_grad_norm": self.mean_avg_grad_norm,
-            "stderr": self.stderr,
-            "bound": self.bound,
-            "passed": self.passed,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -485,14 +423,7 @@ class BoundReport:
     passed: bool
 
     def to_dict(self) -> dict:
-        return {
-            "problem_id": self.problem_id,
-            "optimizer_id": self.optimizer_id,
-            "rows": [r.to_dict() for r in self.rows],
-            "max_displacement": self.max_displacement,
-            "cert_radius": self.cert_radius,
-            "passed": self.passed,
-        }
+        return asdict(self)
 
 
 def bound_acceptance(
@@ -581,7 +512,7 @@ class SweepRow:
     final_grad_norm: float  # ||gradF(w_T)||, averaged over seeds
 
     def to_dict(self) -> dict:
-        return {"eta0": self.eta0, "final_grad_norm": self.final_grad_norm}
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -590,7 +521,7 @@ class SweepReport:
     best_eta0: float
 
     def to_dict(self) -> dict:
-        return {"rows": [r.to_dict() for r in self.rows], "best_eta0": self.best_eta0}
+        return asdict(self)
 
 
 def grid_sweep(base: RunConfig, eta0_grid=None, jobs: int = 1) -> SweepReport:

@@ -1,24 +1,33 @@
-"""Step rules: normalized SGD with momentum, its gradient-transport variant,
-the self-tuning variant, unnormalized baselines, learning-rate schedules, and
-a per-layer wrapper.
+"""Step rules: one transport step shared by every method, its three moves,
+the self-tuning accumulator, learning-rate schedules and layer partitions.
 
-All step functions are pure state transitions: state in, state out. The
-normalized family moves exactly ``eta`` per step,
+Every method in the package is one recurrence,
 
-    m_t = beta * m_{t-1} + (1 - beta) * g_t
-    w_{t+1} = w_t - eta_t * m_t / ||m_t||,
+    x_t     = w_t + k_t (w_t - w_{t-1})          (query point)
+    m_t     = beta_t m_{t-1} + alpha_t g(x_t)     (momentum)
+    w_{t+1} = w_t - eta_t * move(m_t),
 
-and when ``||m_t||`` falls at or below the norm floor the step is a recorded
-no-move (the direction is undefined there; substituting a random one would
-break replay determinism).
+and the methods differ only in the coefficients and the move:
 
-The gradient-transport variant samples the gradient at the extrapolated point
+    id              k_t            beta_t     alpha_t    move
+    sgd             0              0          1          plain
+    heavy_ball      0              beta       1 - beta   plain
+    nsgdm           0              beta       1 - beta   normalized
+    nigt            beta/(1-beta)  beta       1 - beta   normalized
+    nigt_layerwise  beta/(1-beta)  beta       1 - beta   blockwise
+    nigt_adaptive   (1-a_t)/a_t    1 - a_t    a_t        normalized
 
-    x_t = w_t + (beta / (1 - beta)) * (w_t - w_{t-1})
+with beta_1 = 0 for the fixed-beta methods, so the first momentum is the
+first sample, and (eta_t, a_t) read from :class:`SelfTuning` for the
+adaptive one.
 
-instead of at w_t, which keeps the momentum average an unbiased estimate of
-the current gradient whenever the Hessian is constant, and nearly unbiased
-when the Hessian drifts slowly.
+The transport point k = beta / (1 - beta) (implicit gradient transport)
+keeps the momentum average an unbiased estimate of the current gradient
+whenever the Hessian is constant, and nearly unbiased when it drifts
+slowly. The normalized moves travel exactly eta per step; when ``||m||``
+falls at or below the norm floor the step is a recorded no-move (the
+direction is undefined there; substituting a random one would break replay
+determinism).
 """
 
 from __future__ import annotations
@@ -54,108 +63,88 @@ def _check_grad(grad: np.ndarray) -> np.ndarray:
     return grad
 
 
-def _check_step_args(eta: float, beta: float) -> None:
+# -- the transport step --------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class StepState:
+    w: np.ndarray
+    w_prev: np.ndarray  # iterate before w; equal to w at the start
+    m: np.ndarray
+    t: int = 1  # index of the next step
+    no_move: bool = False  # whether the step that produced this state skipped a move
+
+
+def transport_step(
+    s: StepState,
+    problem: StochasticProblem,
+    rng: RngStream,
+    eta: float,
+    k: float,
+    beta: float,
+    alpha: float,
+    move,
+):
+    """One step of the shared recurrence; returns (new state, x, g).
+
+    Samples g at x = w + k (w - w_prev), sets m = beta m + alpha g and moves
+    w by eta along m. With k == 0 the query point is w itself (the returned
+    x *is* ``s.w``). The two momentum weights are passed separately because
+    in float64 ``1 - (1 - alpha)`` is not always ``alpha``; their domain is
+    the caller's to check (once per run for a fixed beta).
+    """
     if not (eta >= 0.0 and math.isfinite(eta)):
         raise InvalidInput(f"eta must be finite and >= 0, got {eta}")
-    if not (0.0 <= beta < 1.0):
-        raise InvalidInput(f"beta must lie in [0, 1), got {beta}")
+    x = s.w if k == 0.0 else s.w + k * (s.w - s.w_prev)
+    g = _check_grad(problem.sample_grad(x, rng))
+    m = beta * s.m + alpha * g
+    w, moved = move(s.w, m, eta)
+    return StepState(w=w, w_prev=s.w, m=m, t=s.t + 1, no_move=not moved), x, g
 
 
-def _normalized_move(w: np.ndarray, m: np.ndarray, eta: float, floor: float):
-    """Move ``eta`` along m / ||m||; returns (new_w, moved)."""
+def plain_move(w: np.ndarray, m: np.ndarray, eta: float):
+    """w - eta m; always moves. Returns (new_w, moved)."""
+    return w - eta * m, True
+
+
+def normalized_move(w: np.ndarray, m: np.ndarray, eta: float):
+    """Move ``eta`` along m / ||m||, or stay put at or below the norm floor."""
     try:
-        unit = normalize(m, floor)
+        unit = normalize(m, NORM_FLOOR)
     except NormalizationSingularity:
         return w, False
     return w - eta * unit, True
 
 
-# -- normalized SGD with momentum -------------------------------------------
+def blockwise_move(partition: LayerPartition, weight_norm_scaling: bool = False):
+    """Normalized move per index range: each range travels its own scaled
+    rate (times its weight norm, when enabled) and no-moves on its own; the
+    step counts as a no-move when any range does. On a single unscaled
+    range this is :func:`normalized_move`."""
+
+    def move(w: np.ndarray, m: np.ndarray, eta: float):
+        w_new = w.copy()
+        moved_all = True
+        for (lo, hi), scale in zip(partition.ranges, partition.lr_scale):
+            eta_layer = eta * scale
+            if weight_norm_scaling:
+                eta_layer *= max(float(np.linalg.norm(w[lo:hi])), WEIGHT_NORM_FLOOR)
+            w_new[lo:hi], moved = normalized_move(w[lo:hi], m[lo:hi], eta_layer)
+            moved_all = moved_all and moved
+        return w_new, moved_all
+
+    return move
 
 
-@dataclass(frozen=True)
-class NsgdmState:
-    w: np.ndarray
-    m: np.ndarray
-    t: int  # index of the next step
-    no_move: bool = False
+# -- self-tuning rates ----------------------------------------------------------
 
 
-def nsgdm_step(s: NsgdmState, grad, eta: float, beta: float, floor: float = NORM_FLOOR) -> NsgdmState:
-    """One momentum update followed by a unit-length move.
-
-    The state at t = 1 must have been initialized with m equal to the first
-    gradient sample; the runner realizes that by passing beta = 0 on the
-    first call.
-    """
-    grad = _check_grad(grad)
-    _check_step_args(eta, beta)
-    m = beta * s.m + (1.0 - beta) * grad
-    w, moved = _normalized_move(s.w, m, eta, floor)
-    return NsgdmState(w=w, m=m, t=s.t + 1, no_move=not moved)
-
-
-# -- gradient-transport variant ----------------------------------------------
-
-
-@dataclass(frozen=True)
-class NigtState:
-    w: np.ndarray
-    w_prev: np.ndarray
-    m: np.ndarray
-    t: int  # index of the next step
-    no_move: bool = False
-
-
-def igt_extrapolate(w, w_prev, beta: float) -> np.ndarray:
-    """x = w + (beta / (1 - beta)) * (w - w_prev).
-
-    With the schedule beta_t = t / (t + 1) the multiplier equals t, which is
-    the classical transport point for constant-Hessian objectives.
-    """
-    if not (0.0 <= beta < 1.0):
-        raise InvalidInput(f"beta must lie in [0, 1), got {beta}")
-    w = as_vector(w)
-    w_prev = as_vector(w_prev)
-    return w + (beta / (1.0 - beta)) * (w - w_prev)
-
-
-def nigt_init(w1, problem: StochasticProblem, rng: RngStream, eta: float, floor: float = NORM_FLOOR) -> NigtState:
-    """Sample once at w1, set m to it, and take the first unit-length move."""
-    _check_step_args(eta, 0.0)
-    w1 = as_vector(w1)
-    m = _check_grad(problem.sample_grad(w1, rng).grad)
-    w, moved = _normalized_move(w1, m, eta, floor)
-    return NigtState(w=w, w_prev=w1, m=m, t=2, no_move=not moved)
-
-
-def nigt_step(
-    s: NigtState,
-    problem: StochasticProblem,
-    rng: RngStream,
-    eta: float,
-    beta: float,
-    floor: float = NORM_FLOOR,
-) -> NigtState:
-    """Extrapolate, sample there, update momentum, move one unit step."""
-    _check_step_args(eta, beta)
-    x = igt_extrapolate(s.w, s.w_prev, beta)
-    g = _check_grad(problem.sample_grad(x, rng).grad)
-    m = beta * s.m + (1.0 - beta) * g
-    w, moved = _normalized_move(s.w, m, eta, floor)
-    return NigtState(w=w, w_prev=s.w, m=m, t=s.t + 1, no_move=not moved)
-
-
-# -- self-tuning variant -------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class AdaptiveState:
-    """State of the self-tuning normalized method.
+class SelfTuning:
+    """Accumulator and rates of the self-tuning normalized method.
 
     ``G`` accumulates squared paired-sample gradient differences plus a
-    deterministic drift term; the step size and momentum weight are derived
-    from it each step:
+    deterministic drift term; the step size and momentum weight of step t
+    are derived from it:
 
         eta_t   = C / (G_t^2 (t+1)^3)^{1/7}
         alpha_t = 1 / (t * eta_{t-1}^2 * G_{t-1})
@@ -164,129 +153,56 @@ class AdaptiveState:
     G_1 = 3 g_bound^2 + D, and eta_0 = C / D^{2/7}. These choices make
     alpha_1 = 1 exactly and keep alpha_t <= 1 and eta_t non-increasing for
     every realization, provided g_bound truly dominates the sampled
-    gradient norms.
+    gradient norms. Invariant violations are appended to ``events`` rather
+    than silently corrected.
     """
 
-    w: np.ndarray
-    w_prev: np.ndarray
-    m: np.ndarray
-    G: float  # accumulator G_t feeding eta_t of the upcoming step t
-    G_prev: float  # G_{t-1}, feeding alpha_t
-    eta_prev: float  # eta_{t-1}
-    t: int  # upcoming step index
-    C: float
-    D: float
-    g_bound: float
-    alpha_prev: float = math.nan  # alpha used by the step that produced this state
-    delta_prev: float = math.nan  # accumulator increment added by that step
-    no_move: bool = False
-    violations: tuple[InvariantEvent, ...] = ()
+    def __init__(self, g_bound: float):
+        if not (g_bound > 0.0 and math.isfinite(g_bound)):
+            raise InvalidGBound(f"g_bound must be finite and positive, got {g_bound}")
+        self.g_bound = g_bound
+        self.C = math.sqrt(7.0 / (26.0 * pow_sevenths(g_bound, 6)))
+        self.D = self.C ** (-14.0 / 3.0)
+        self.G = 3.0 * g_bound**2 + self.D  # G_t, feeding eta_t of the upcoming step
+        self.G_prev = self.D  # G_{t-1}, feeding alpha_t
+        self.eta_prev = self.C / pow_sevenths(self.D, 2)  # eta of the latest step
+        self.delta = math.nan  # accumulator increment of the latest step
+        self.events: list[InvariantEvent] = []
 
+    def rates(self, t: int) -> tuple[float, float]:
+        """(eta_t, alpha_t) of step t; checks the invariants they must meet."""
+        gb2 = self.g_bound * self.g_bound
+        eta_t = self.C / pow_sevenths(self.G * self.G * float(t + 1) ** 3, 1)
+        alpha_t = 1.0 / (t * self.eta_prev * self.eta_prev * self.G_prev)
+        if alpha_t > 1.0 + _INV_REL_TOL:
+            self.events.append(InvariantEvent("alpha_above_one", t, alpha_t, 1.0))
+        if eta_t > self.eta_prev * (1.0 + _INV_REL_TOL):
+            self.events.append(InvariantEvent("eta_increased", t, eta_t, self.eta_prev))
+        g_floor = gb2 * float(t) ** 0.25
+        if self.G < g_floor * (1.0 - _INV_REL_TOL):
+            self.events.append(InvariantEvent("g_below_floor", t, self.G, g_floor))
+        self.eta_prev = eta_t
+        return eta_t, alpha_t
 
-def adaptive_init(w1, g_bound: float) -> AdaptiveState:
-    if not (g_bound > 0.0 and math.isfinite(g_bound)):
-        raise InvalidGBound(f"g_bound must be finite and positive, got {g_bound}")
-    w1 = as_vector(w1)
-    C = math.sqrt(7.0 / (26.0 * pow_sevenths(g_bound, 6)))
-    D = C ** (-14.0 / 3.0)
-    return AdaptiveState(
-        w=w1,
-        w_prev=w1,
-        m=np.zeros(w1.size),
-        G=3.0 * g_bound**2 + D,
-        G_prev=D,
-        eta_prev=C / pow_sevenths(D, 2),
-        t=1,
-        C=C,
-        D=D,
-        g_bound=g_bound,
-    )
+    def accumulate(self, t: int, g: np.ndarray, g_paired: np.ndarray) -> None:
+        """Add step t's squared paired-sample difference plus drift to G.
 
-
-def adaptive_step(
-    s: AdaptiveState,
-    problem: StochasticProblem,
-    rng: RngStream,
-    rng_paired: RngStream,
-    floor: float = NORM_FLOOR,
-) -> AdaptiveState:
-    """One self-tuning step.
-
-    Two independent gradient samples are drawn at the extrapolated point
-    (from the two distinct streams); only the first feeds the momentum, and
-    their squared difference feeds the accumulator. Invariant violations are
-    recorded on the returned state rather than silently corrected.
-    """
-    t = s.t
-    gb2 = s.g_bound * s.g_bound
-    eta_t = s.C / pow_sevenths(s.G * s.G * float(t + 1) ** 3, 1)
-    alpha_t = 1.0 / (t * s.eta_prev * s.eta_prev * s.G_prev)
-    beta_t = 1.0 - alpha_t
-
-    events = []
-    if alpha_t > 1.0 + _INV_REL_TOL:
-        events.append(InvariantEvent("alpha_above_one", t, alpha_t, 1.0))
-    if eta_t > s.eta_prev * (1.0 + _INV_REL_TOL):
-        events.append(InvariantEvent("eta_increased", t, eta_t, s.eta_prev))
-    g_floor = gb2 * float(t) ** 0.25
-    if s.G < g_floor * (1.0 - _INV_REL_TOL):
-        events.append(InvariantEvent("g_below_floor", t, s.G, g_floor))
-
-    # beta_t / (1 - beta_t) written as (1 - alpha_t) / alpha_t: exact, and it
-    # keeps executing (rather than failing a domain check) when a corrupted
-    # state pushes alpha_t outside (0, 1] -- the violation is recorded above.
-    x = s.w + ((1.0 - alpha_t) / alpha_t) * (s.w - s.w_prev)
-    g = _check_grad(problem.sample_grad(x, rng).grad)
-    g_paired = _check_grad(problem.sample_grad(x, rng_paired).grad)
-    m = beta_t * s.m + alpha_t * g
-
-    drift = gb2 * (float(t + 1) ** 0.25 - float(t) ** 0.25)
-    diff = g - g_paired
-    delta = float(diff @ diff) + drift
-    G_next = s.G + delta
-    if G_next < s.G:
-        events.append(InvariantEvent("g_decreased", t, G_next, s.G))
-    delta_cap = 4.0 * gb2 + drift
-    if delta > delta_cap * (1.0 + _INV_REL_TOL):
-        events.append(InvariantEvent("g_increment_above_bound", t, delta, delta_cap))
-    if delta < drift * (1.0 - _INV_REL_TOL):
-        events.append(InvariantEvent("g_increment_below_drift", t, delta, drift))
-
-    w, moved = _normalized_move(s.w, m, eta_t, floor)
-    return AdaptiveState(
-        w=w,
-        w_prev=s.w,
-        m=m,
-        G=G_next,
-        G_prev=s.G,
-        eta_prev=eta_t,
-        t=t + 1,
-        C=s.C,
-        D=s.D,
-        g_bound=s.g_bound,
-        alpha_prev=alpha_t,
-        delta_prev=delta,
-        no_move=not moved,
-        violations=tuple(events),
-    )
-
-
-# -- unnormalized baselines ---------------------------------------------------
-
-
-def sgd_step(s: NsgdmState, grad, eta: float) -> NsgdmState:
-    """Plain stochastic gradient step, no normalization, no memory."""
-    grad = _check_grad(grad)
-    _check_step_args(eta, 0.0)
-    return NsgdmState(w=s.w - eta * grad, m=grad, t=s.t + 1)
-
-
-def heavy_ball_step(s: NsgdmState, grad, eta: float, beta: float) -> NsgdmState:
-    """Exponential-average momentum without normalization."""
-    grad = _check_grad(grad)
-    _check_step_args(eta, beta)
-    m = beta * s.m + (1.0 - beta) * grad
-    return NsgdmState(w=s.w - eta * m, m=m, t=s.t + 1)
+        ``g`` fed the momentum; ``g_paired`` is an independent sample at the
+        same query point from a distinct stream.
+        """
+        gb2 = self.g_bound * self.g_bound
+        drift = gb2 * (float(t + 1) ** 0.25 - float(t) ** 0.25)
+        diff = g - _check_grad(g_paired)
+        delta = float(diff @ diff) + drift
+        G_next = self.G + delta
+        if G_next < self.G:
+            self.events.append(InvariantEvent("g_decreased", t, G_next, self.G))
+        delta_cap = 4.0 * gb2 + drift
+        if delta > delta_cap * (1.0 + _INV_REL_TOL):
+            self.events.append(InvariantEvent("g_increment_above_bound", t, delta, delta_cap))
+        if delta < drift * (1.0 - _INV_REL_TOL):
+            self.events.append(InvariantEvent("g_increment_below_drift", t, delta, drift))
+        self.G_prev, self.G, self.delta = self.G, G_next, delta
 
 
 # -- learning-rate schedules ----------------------------------------------------
@@ -342,7 +258,7 @@ def apply_schedule(sch: Schedule, t: int, T: int, base_eta: float, w_layer_norm:
     return eta
 
 
-# -- per-layer variant -----------------------------------------------------------
+# -- layer partitions ------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -379,66 +295,3 @@ class LayerPartition:
 
 def full_partition(dim: int) -> LayerPartition:
     return LayerPartition(ranges=((0, dim),), lr_scale=(1.0,))
-
-
-def _blockwise_move(
-    w: np.ndarray,
-    m: np.ndarray,
-    eta: float,
-    partition: LayerPartition,
-    weight_norm_scaling: bool,
-    floor: float,
-):
-    """Per-range normalized moves; returns (new_w, any_block_skipped)."""
-    w_new = w.copy()
-    skipped = False
-    for (lo, hi), scale in zip(partition.ranges, partition.lr_scale):
-        block = m[lo:hi]
-        eta_layer = eta * scale
-        if weight_norm_scaling:
-            eta_layer *= max(float(np.linalg.norm(w[lo:hi])), WEIGHT_NORM_FLOOR)
-        try:
-            unit = normalize(block, floor)
-        except NormalizationSingularity:
-            skipped = True
-            continue
-        w_new[lo:hi] = w[lo:hi] - eta_layer * unit
-    return w_new, skipped
-
-
-def layerwise_init(
-    w1,
-    problem: StochasticProblem,
-    rng: RngStream,
-    eta: float,
-    partition: LayerPartition,
-    weight_norm_scaling: bool = False,
-    floor: float = NORM_FLOOR,
-) -> NigtState:
-    w1 = as_vector(w1)
-    partition.validate_cover(w1.size)
-    m = _check_grad(problem.sample_grad(w1, rng).grad)
-    w, skipped = _blockwise_move(w1, m, eta, partition, weight_norm_scaling, floor)
-    return NigtState(w=w, w_prev=w1, m=m, t=2, no_move=skipped)
-
-
-def layerwise_step(
-    s: NigtState,
-    problem: StochasticProblem,
-    rng: RngStream,
-    eta: float,
-    beta: float,
-    partition: LayerPartition,
-    weight_norm_scaling: bool = False,
-    floor: float = NORM_FLOOR,
-) -> NigtState:
-    """Gradient-transport step with one global momentum vector but per-layer
-    normalization: each index range moves exactly its own scaled rate, and
-    singular ranges no-move independently."""
-    _check_step_args(eta, beta)
-    partition.validate_cover(s.w.size)
-    x = igt_extrapolate(s.w, s.w_prev, beta)
-    g = _check_grad(problem.sample_grad(x, rng).grad)
-    m = beta * s.m + (1.0 - beta) * g
-    w, skipped = _blockwise_move(s.w, m, eta, partition, weight_norm_scaling, floor)
-    return NigtState(w=w, w_prev=s.w, m=m, t=s.t + 1, no_move=skipped)

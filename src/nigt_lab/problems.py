@@ -17,7 +17,7 @@ fails loudly if any declared value is contradicted.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -36,13 +36,6 @@ TRIG_BOWL = "trig_bowl"
 STREAMING_LEAST_SQUARES = "streaming_least_squares"
 
 PROBLEM_KINDS = (NOISY_QUADRATIC, SIGN_NOISE, TRIG_BOWL, STREAMING_LEAST_SQUARES)
-
-
-@dataclass(frozen=True)
-class OracleResponse:
-    """One stochastic gradient sample."""
-
-    grad: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,29 +94,21 @@ class StochasticProblem:
         return float(0.5 * (np.sum(self.cov_eigs * delta * delta) + self.label_noise**2))
 
     def exact_grad(self, w) -> np.ndarray:
-        w = as_vector(w)
+        """Exact gradient at ``w``, or at each row of an ``(n, dim)`` array."""
+        w = np.asarray(w, dtype=np.float64)
+        if w.ndim == 0:
+            w = w.reshape(1)
         if self.kind == NOISY_QUADRATIC:
             return self.eigs * w
         if self.kind == SIGN_NOISE:
-            return np.zeros(1)
+            return np.zeros_like(w)
         if self.kind == TRIG_BOWL:
             return self.a * self.b * np.sin(self.b * w)
         return self.cov_eigs * (w - self.w_star)
 
-    def exact_grad_batch(self, W: np.ndarray) -> np.ndarray:
-        """Exact gradients for each row of an ``(n, dim)`` array."""
-        W = np.asarray(W, dtype=np.float64)
-        if self.kind == NOISY_QUADRATIC:
-            return self.eigs * W
-        if self.kind == SIGN_NOISE:
-            return np.zeros_like(W)
-        if self.kind == TRIG_BOWL:
-            return self.a * self.b * np.sin(self.b * W)
-        return self.cov_eigs * (W - self.w_star)
-
     # -- stochastic oracle -------------------------------------------------
 
-    def sample_grad(self, w, rng: RngStream) -> OracleResponse:
+    def sample_grad(self, w, rng: RngStream) -> np.ndarray:
         """One unbiased gradient sample; draws are consumed deterministically."""
         w = as_vector(w)
         if self.kind == NOISY_QUADRATIC:
@@ -145,7 +130,7 @@ class StochasticProblem:
             if self.label_noise > 0.0:
                 y += self.label_noise * rng.generator.normal()
             g = x * (float(x @ w) - y)
-        return OracleResponse(grad=g)
+        return g
 
 
 # -- constructors ----------------------------------------------------------
@@ -334,6 +319,21 @@ def ball_point(rng: RngStream, center: np.ndarray, radius: float) -> np.ndarray:
     return center + (r / n) * v
 
 
+def ball_pairs(rng: RngStream, center: np.ndarray, radius: float, n_pairs: int):
+    """Yield ``n_pairs`` triples (x, y, ||x - y||) of ball draws, skipping
+    pairs closer than 1e-6 * radius (their ratios are rounding noise)."""
+    min_sep = 1e-6 * radius
+    done = 0
+    while done < n_pairs:
+        x = ball_point(rng, center, radius)
+        y = ball_point(rng, center, radius)
+        sep = float(np.linalg.norm(x - y))
+        if sep < min_sep:
+            continue
+        done += 1
+        yield x, y, sep
+
+
 @dataclass(frozen=True)
 class CertReport:
     problem_id: str
@@ -352,22 +352,7 @@ class CertReport:
     failures: tuple[str, ...]
 
     def to_dict(self) -> dict:
-        return {
-            "problem_id": self.problem_id,
-            "L_hat": self.L_hat,
-            "rho_hat": self.rho_hat,
-            "sigma_hat": self.sigma_hat,
-            "L_declared": self.L_declared,
-            "rho_declared": self.rho_declared,
-            "sigma_declared": self.sigma_declared,
-            "tol": self.tol,
-            "fd_slack": self.fd_slack,
-            "radius": self.radius,
-            "n_pairs": self.n_pairs,
-            "n_sigma": self.n_sigma,
-            "passed": self.passed,
-            "failures": list(self.failures),
-        }
+        return asdict(self)
 
 
 def certify_constants(
@@ -392,18 +377,10 @@ def certify_constants(
     if rng is None:
         rng = RngStream(0, 17)
     slack = fd_slack(problem, radius)
-    min_sep = 1e-6 * radius
 
     L_hat = 0.0
     rho_hat = 0.0
-    pairs_done = 0
-    while pairs_done < n_pairs:
-        x = ball_point(rng, problem.w1, radius)
-        y = ball_point(rng, problem.w1, radius)
-        sep = float(np.linalg.norm(x - y))
-        if sep < min_sep:
-            continue
-        pairs_done += 1
+    for x, y, sep in ball_pairs(rng, problem.w1, radius, n_pairs):
         L_hat = max(L_hat, float(np.linalg.norm(problem.exact_grad(x) - problem.exact_grad(y))) / sep)
         rho_hat = max(rho_hat, float(np.linalg.norm(taylor_remainder(problem, x, y))) / sep**2)
 
@@ -418,8 +395,7 @@ def certify_constants(
     for pt in points:
         g_exact = problem.exact_grad(pt)
         for _ in range(per_point):
-            g = problem.sample_grad(pt, rng).grad
-            e = g - g_exact
+            e = problem.sample_grad(pt, rng) - g_exact
             sq_err_sum += float(e @ e)
             n_draws += 1
     sigma_hat = math.sqrt(sq_err_sum / n_draws)

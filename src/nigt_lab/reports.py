@@ -65,10 +65,17 @@ def json_dumps(obj) -> str:
 def write_text_atomic(path, text: str) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    # a fresh name per call, so neither a concurrent writer nor a leftover
+    # file or directory can collide with it ("x" refuses to reuse one)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.{os.urandom(6).hex()}.tmp")
+    fh = open(tmp, "x", encoding="utf-8", newline="\n")
+    try:
+        with fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def seed_csv_name(seed: int) -> str:

@@ -86,6 +86,26 @@ class TestRunCommand:
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
 
 
+    @pytest.mark.parametrize("theorem,opt", [("2", "sgd"), ("1", "nigt"), ("2", "nsgdm"), ("1", "heavy_ball")])
+    def test_theorem_needs_its_own_optimizer(self, tmp_path, capsys, theorem, opt):
+        # a tuned ceiling is only a guarantee for the method it was proved for
+        text = BASE_RUN.replace("optimizer.id = nsgdm", f"optimizer.id = {opt}")
+        cfg = write(tmp_path / "mismatch.cfg", text + f"optimizer.theorem = {theorem}\n")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+        assert "theorem" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_leftover_temp_directory_does_not_break_outputs(self, tmp_path):
+        cfg = write(tmp_path / "run.cfg", BASE_RUN)
+        ref, out = tmp_path / "ref", tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(ref)]) == 0
+        (out / "summary.json.tmp").mkdir(parents=True)
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        assert (out / "summary.json").read_bytes() == (ref / "summary.json").read_bytes()
+        assert sorted(p.name for p in out.iterdir()) == ["seed_1.csv", "summary.json", "summary.json.tmp"]
+
+
 class TestOverridesAndJobs:
     def test_seed_count_and_master_overrides(self, tmp_path):
         text = BASE_RUN.replace("run.seeds = 1", "run.n_seeds = 1\nrun.master_seed = 0")

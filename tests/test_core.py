@@ -7,13 +7,11 @@ from nigt_lab.core import (
     RngStream,
     StepLog,
     TrajectoryRecord,
-    axpy,
     gaussian_noise,
     normalize,
     pow_sevenths,
 )
 from nigt_lab.errors import (
-    DimensionMismatch,
     InvalidInput,
     NormalizationSingularity,
 )
@@ -49,21 +47,6 @@ class TestNormalize:
             normalize([1.0], floor=-1.0)
         with pytest.raises(InvalidInput):
             normalize([np.inf, 0.0])
-
-
-class TestAxpy:
-    def test_basic(self):
-        np.testing.assert_array_equal(axpy(2.0, [1.0, 1.0], [0.0, 3.0]), [2.0, 5.0])
-
-    def test_zero_scale_is_identity(self):
-        np.testing.assert_array_equal(axpy(0.0, [7.0, 7.0], [1.0, 2.0]), [1.0, 2.0])
-
-    def test_cancellation(self):
-        np.testing.assert_array_equal(axpy(-1.0, [1.0, 2.0], [1.0, 2.0]), [0.0, 0.0])
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            axpy(1.0, [1.0, 2.0], [1.0, 2.0, 3.0])
 
 
 class TestGaussianNoise:

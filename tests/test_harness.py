@@ -21,7 +21,7 @@ from nigt_lab.harness import (
     taylor_remainder_check,
     taylor_threshold,
 )
-from nigt_lab.optimizers import Schedule, nigt_init, nigt_step
+from nigt_lab.optimizers import Schedule, StepState, normalized_move, transport_step
 from nigt_lab.problems import (
     make_noisy_quadratic,
     make_sign_noise,
@@ -104,11 +104,12 @@ class TestRunSemantics:
         rec = run(cfg)[0]
 
         rng = RngStream(seed, 0)
-        s = nigt_init(pb.w1, pb, rng, eta)
+        s = StepState(w=pb.w1, w_prev=pb.w1, m=np.zeros(pb.dim))
+        s, _, _ = transport_step(s, pb, rng, eta, 0.0, 0.0, 1.0, normalized_move)
         w_seq = [pb.w1, s.w]
         m_seq = [s.m]
         for _ in range(T - 1):
-            s = nigt_step(s, pb, rng, eta, beta)
+            s, _, _ = transport_step(s, pb, rng, eta, beta / (1.0 - beta), beta, 1.0 - beta, normalized_move)
             w_seq.append(s.w)
             m_seq.append(s.m)
         for i, step in enumerate(rec.steps):

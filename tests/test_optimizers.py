@@ -11,23 +11,18 @@ from nigt_lab.errors import (
     NonFiniteGradient,
     PartitionMismatch,
 )
+from nigt_lab.harness import RunConfig, run_single
 from nigt_lab.optimizers import (
     LayerPartition,
-    NigtState,
-    NsgdmState,
     Schedule,
-    adaptive_init,
-    adaptive_step,
+    SelfTuning,
+    StepState,
     apply_schedule,
+    blockwise_move,
     full_partition,
-    heavy_ball_step,
-    igt_extrapolate,
-    layerwise_init,
-    layerwise_step,
-    nigt_init,
-    nigt_step,
-    nsgdm_step,
-    sgd_step,
+    normalized_move,
+    plain_move,
+    transport_step,
 )
 from nigt_lab.problems import (
     make_noisy_quadratic,
@@ -39,6 +34,36 @@ from nigt_lab.problems import (
 QUAD_11 = make_noisy_quadratic(2, [1.0, 1.0], 0.0, w1=[1.0, 0.0])
 
 
+class FixedGrad:
+    """Oracle stub that returns one fixed sample wherever it is queried."""
+
+    def __init__(self, g):
+        self.g = np.asarray(g, dtype=np.float64)
+
+    def sample_grad(self, w, rng):
+        return self.g
+
+
+def start(w1, m=None) -> StepState:
+    w1 = np.asarray(w1, dtype=np.float64)
+    return StepState(w=w1, w_prev=w1, m=np.zeros(w1.size) if m is None else m)
+
+
+def transport(s, pb, rng, eta, beta, move=normalized_move) -> StepState:
+    """The nigt coefficients: k = beta/(1-beta), alpha = 1 - beta; the
+    first step passes beta = 0, which makes m the first sample."""
+    return transport_step(s, pb, rng, eta, beta / (1.0 - beta), beta, 1.0 - beta, move)[0]
+
+
+def self_tuning_step(s, tuner, pb, rng, rng_paired):
+    """One step of the self-tuning method, composed as the runner does;
+    returns the new state and the step's alpha."""
+    eta, alpha = tuner.rates(s.t)
+    out, x, g = transport_step(s, pb, rng, eta, (1.0 - alpha) / alpha, 1.0 - alpha, alpha, normalized_move)
+    tuner.accumulate(s.t, g, pb.sample_grad(x, rng_paired))
+    return out, alpha
+
+
 def step_length_tol(w, eta):
     # ulp budget at the iterate's own scale: the stored w_{t+1} quantizes at
     # spacing(||w||), which dominates spacing(eta) whenever ||w|| >> eta
@@ -48,52 +73,59 @@ def step_length_tol(w, eta):
 
 class TestNsgdmStep:
     def test_no_momentum_reduces_to_normalized_sgd(self):
-        s = NsgdmState(w=np.zeros(2), m=np.array([9.0, -9.0]), t=1)
-        out = nsgdm_step(s, np.array([3.0, 4.0]), eta=0.1, beta=0.0)
+        s = StepState(w=np.zeros(2), w_prev=np.zeros(2), m=np.array([9.0, -9.0]))
+        out, _, _ = transport_step(s, FixedGrad([3.0, 4.0]), None, 0.1, 0.0, 0.0, 1.0, normalized_move)
         np.testing.assert_allclose(out.w, [-0.06, -0.08], rtol=0, atol=1e-16)
         np.testing.assert_array_equal(out.m, [3.0, 4.0])  # beta=0 keeps the sample exactly
 
     def test_collinear_step_length_exact(self):
-        s = NsgdmState(w=np.array([1.0, 0.0]), m=np.array([1.0, 0.0]), t=3)
-        out = nsgdm_step(s, np.array([1.0, 0.0]), eta=0.5, beta=0.7)
+        s = StepState(w=np.array([1.0, 0.0]), w_prev=np.array([1.0, 0.0]), m=np.array([1.0, 0.0]), t=3)
+        out, _, _ = transport_step(s, FixedGrad([1.0, 0.0]), None, 0.5, 0.0, 0.7, 1.0 - 0.7, normalized_move)
         np.testing.assert_array_equal(out.w, [0.5, 0.0])
         assert float(np.linalg.norm(out.w - s.w)) == 0.5
 
     def test_singular_momentum_is_no_move(self):
-        s = NsgdmState(w=np.array([1.0, 2.0]), m=np.zeros(2), t=1)
-        out = nsgdm_step(s, np.zeros(2), eta=0.1, beta=0.5)
+        s = start([1.0, 2.0])
+        out, _, _ = transport_step(s, FixedGrad([0.0, 0.0]), None, 0.1, 0.0, 0.5, 0.5, normalized_move)
         assert out.no_move
         np.testing.assert_array_equal(out.w, s.w)
 
     def test_rejects_nonfinite_gradient(self):
-        s = NsgdmState(w=np.zeros(2), m=np.zeros(2), t=1)
+        s = start(np.zeros(2))
         with pytest.raises(NonFiniteGradient):
-            nsgdm_step(s, np.array([np.nan, 0.0]), eta=0.1, beta=0.0)
+            transport_step(s, FixedGrad([np.nan, 0.0]), None, 0.1, 0.0, 0.0, 1.0, normalized_move)
 
     def test_rejects_bad_beta(self):
-        s = NsgdmState(w=np.zeros(1), m=np.ones(1), t=1)
+        cfg = RunConfig(problem=make_sign_noise(0.25), optimizer_id="nsgdm", T=1, seeds=(1,), eta=0.1, beta=1.0)
         with pytest.raises(InvalidInput):
-            nsgdm_step(s, np.ones(1), eta=0.1, beta=1.0)
+            run_single(cfg, 1)
 
 
 class TestIgtExtrapolate:
+    @staticmethod
+    def query_point(w, w_prev, beta):
+        s = StepState(w=np.asarray(w, dtype=np.float64), w_prev=np.asarray(w_prev, dtype=np.float64),
+                      m=np.zeros(len(w)))
+        return transport_step(s, FixedGrad(np.ones(len(w))), None, 0.0, beta / (1.0 - beta),
+                              beta, 1.0 - beta, plain_move)[1]
+
     def test_beta_09(self):
-        assert igt_extrapolate([1.0], [0.0], 0.9)[0] == pytest.approx(10.0, rel=1e-12)
+        assert self.query_point([1.0], [0.0], 0.9)[0] == pytest.approx(10.0, rel=1e-12)
 
     def test_beta_zero_is_identity(self):
-        np.testing.assert_array_equal(igt_extrapolate([2.0, 3.0], [0.0, 0.0], 0.0), [2.0, 3.0])
+        np.testing.assert_array_equal(self.query_point([2.0, 3.0], [0.0, 0.0], 0.0), [2.0, 3.0])
 
     def test_sample_count_schedule_multiplier(self):
         # beta_t = t/(t+1) at t=3 gives multiplier 3: x = 2 + 3*(2-1) = 5
         t = 3
         beta_t = t / (t + 1)
-        assert igt_extrapolate([2.0], [1.0], beta_t)[0] == pytest.approx(5.0, rel=1e-12)
+        assert self.query_point([2.0], [1.0], beta_t)[0] == pytest.approx(5.0, rel=1e-12)
 
 
 class TestNigt:
     def test_init_hand_values(self):
         pb = make_noisy_quadratic(1, [1.0], 0.0, w1=[2.0])
-        s = nigt_init(pb.w1, pb, RngStream(0), eta=0.5)
+        s = transport(start(pb.w1), pb, RngStream(0), 0.5, 0.0)
         np.testing.assert_array_equal(s.m, [2.0])
         np.testing.assert_array_equal(s.w, [1.5])
         np.testing.assert_array_equal(s.w_prev, [2.0])
@@ -101,25 +133,25 @@ class TestNigt:
 
     def test_init_at_critical_point_logs_no_move(self):
         pb = make_trig_bowl(1, 1.0, 1.0, 0.0, w1=[0.0])  # gradient sin(0) = 0
-        s = nigt_init(pb.w1, pb, RngStream(0), eta=0.1)
+        s = transport(start(pb.w1), pb, RngStream(0), 0.1, 0.0)
         assert s.no_move
         np.testing.assert_array_equal(s.w, [0.0])
 
     def test_one_step_after_init_moves_exactly_eta(self):
-        s = nigt_init(QUAD_11.w1, QUAD_11, RngStream(0), eta=0.1)
+        s = transport(start(QUAD_11.w1), QUAD_11, RngStream(0), 0.1, 0.0)
         np.testing.assert_allclose(s.w, [0.9, 0.0], atol=1e-16)
-        out = nigt_step(s, QUAD_11, RngStream(0), eta=0.1, beta=0.5)
+        out = transport(s, QUAD_11, RngStream(0), 0.1, 0.5)
         np.testing.assert_allclose(out.w, [0.8, 0.0], atol=1e-15)
         assert abs(np.linalg.norm(out.w - s.w) - 0.1) <= step_length_tol(s.w, 0.1)
 
     def test_unit_step_length_generic(self):
         pb = make_trig_bowl(4, 1.0, 1.0, 0.5)
         rng = RngStream(5)
-        s = nigt_init(pb.w1, pb, rng, eta=0.05)
+        s = transport(start(pb.w1), pb, rng, 0.05, 0.0)
         prev_w = pb.w1
         for _ in range(200):
             prev_w = s.w
-            s = nigt_step(s, pb, rng, eta=0.05, beta=0.9)
+            s = transport(s, pb, rng, 0.05, 0.9)
             if not s.no_move:
                 assert abs(np.linalg.norm(s.w - prev_w) - 0.05) <= step_length_tol(prev_w, 0.05)
 
@@ -131,19 +163,16 @@ class TestNigt:
         beta = 0.9
         alpha = 1.0 - beta
         eta = 0.05
-        s = nigt_init(pb.w1, pb, rng, eta=eta)
+        s = transport(start(pb.w1), pb, rng, eta, 0.0)
         err = s.m - pb.exact_grad(s.w_prev)  # m_1 - gradF(w_1)
         for _ in range(100):
-            x_next = igt_extrapolate(s.w, s.w_prev, beta)
-            g = pb.sample_grad(x_next, rng).grad
-            m = beta * s.m + (1.0 - beta) * g
+            nxt, x_next, g = transport_step(s, pb, rng, eta, beta / (1.0 - beta), beta, alpha, normalized_move)
             eps_next = g - pb.exact_grad(x_next)
             predicted = (1.0 - alpha) * err + alpha * eps_next
-            w_next, _ = s.w - eta * m / np.linalg.norm(m), None
-            actual = m - pb.exact_grad(s.w)  # anchored at the pre-move iterate
+            actual = nxt.m - pb.exact_grad(s.w)  # anchored at the pre-move iterate
             np.testing.assert_allclose(actual, predicted, atol=1e-10)
             err = actual
-            s = NigtState(w=w_next, w_prev=s.w, m=m, t=s.t + 1)
+            s = nxt
 
     def test_momentum_error_recursion_with_curvature_terms(self):
         # slowly drifting Hessian: same identity plus two second-order
@@ -153,28 +182,25 @@ class TestNigt:
         beta = 0.8
         alpha = 1.0 - beta
         eta = 0.02
-        s = nigt_init(pb.w1, pb, rng, eta=eta)
+        s = transport(start(pb.w1), pb, rng, eta, 0.0)
         err = s.m - pb.exact_grad(s.w_prev)  # anchored at the pre-move iterate
         for _ in range(60):
-            x_t = igt_extrapolate(s.w, s.w_prev, beta)
-            g = pb.sample_grad(x_t, rng).grad
-            m = beta * s.m + (1.0 - beta) * g
+            nxt, x_t, g = transport_step(s, pb, rng, eta, beta / (1.0 - beta), beta, alpha, normalized_move)
             eps_t = g - pb.exact_grad(x_t)
             z_step = taylor_remainder(pb, s.w_prev, s.w)
             z_extrap = taylor_remainder(pb, x_t, s.w)
             predicted = (1.0 - alpha) * (err + z_step) + alpha * (z_extrap + eps_t)
-            actual = m - pb.exact_grad(s.w)
+            actual = nxt.m - pb.exact_grad(s.w)
             np.testing.assert_allclose(actual, predicted, atol=1e-8)
             err = actual
-            w_next = s.w - eta * m / np.linalg.norm(m)
-            s = NigtState(w=w_next, w_prev=s.w, m=m, t=s.t + 1)
+            s = nxt
 
 
 class TestAdaptive:
     def test_constants_for_unit_bound(self):
         # re-derived from the closed forms: C = sqrt(7/26), D = C^{-14/3},
         # G_1 = 3 + D, eta_0 = C / D^{2/7}
-        s = adaptive_init(np.ones(2), 1.0)
+        s = SelfTuning(1.0)
         assert s.C == pytest.approx(0.5188745216627708, rel=1e-12)
         assert s.D == pytest.approx(21.365302783188163, rel=1e-12)
         assert s.G == pytest.approx(24.365302783188163, rel=1e-12)
@@ -186,7 +212,7 @@ class TestAdaptive:
 
     def test_defining_identities_within_ulps(self):
         for gb in (1.0, 0.5, 2.8660254037844384):
-            s = adaptive_init(np.ones(1), gb)
+            s = SelfTuning(gb)
             lhs = s.C**2 * gb ** (6.0 / 7.0)
             assert abs(lhs - 7.0 / 26.0) <= 4 * np.spacing(7.0 / 26.0)
             # D^{3/7} = C^{-2}, the identity that pins alpha_1 = 1
@@ -195,92 +221,96 @@ class TestAdaptive:
     def test_invalid_g_bound(self):
         for bad in (0.0, -1.0, math.inf, math.nan):
             with pytest.raises(InvalidGBound):
-                adaptive_init(np.ones(1), bad)
+                SelfTuning(bad)
 
     def test_first_alpha_is_one(self):
         pb = make_trig_bowl(2, 1.0, 1.0, 0.5)
-        s0 = adaptive_init(pb.w1, pb.g_bound)
-        s1 = adaptive_step(s0, pb, RngStream(1, 0), RngStream(1, 1))
-        assert s1.alpha_prev == pytest.approx(1.0, abs=1e-12)
-        assert not s1.violations
+        tuner = SelfTuning(pb.g_bound)
+        _, alpha = self_tuning_step(start(pb.w1), tuner, pb, RngStream(1, 0), RngStream(1, 1))
+        assert alpha == pytest.approx(1.0, abs=1e-12)
+        assert not tuner.events
 
     def test_zero_noise_increments_equal_drift(self):
         pb = make_trig_bowl(2, 1.0, 1.0, 0.0)
-        s = adaptive_init(pb.w1, pb.g_bound)
+        tuner = SelfTuning(pb.g_bound)
+        s = start(pb.w1)
         gb2 = pb.g_bound**2
         for t in range(1, 50):
-            s = adaptive_step(s, pb, RngStream(2, 0), RngStream(2, 1))
+            s, _ = self_tuning_step(s, tuner, pb, RngStream(2, 0), RngStream(2, 1))
             drift = gb2 * ((t + 1) ** 0.25 - t**0.25)
-            assert s.delta_prev == pytest.approx(drift, rel=1e-12)
-            assert not s.violations
+            assert tuner.delta == pytest.approx(drift, rel=1e-12)
+            assert not tuner.events
 
     def test_accounting_identity(self):
         # G_{T+1} = D + 2 g^2 + g^2 (T+1)^{1/4} + sum of squared paired diffs
         pb = make_trig_bowl(2, 1.0, 1.0, 0.4)
-        s = adaptive_init(pb.w1, pb.g_bound)
+        tuner = SelfTuning(pb.g_bound)
+        s = start(pb.w1)
         rng, rng2 = RngStream(3, 0), RngStream(3, 1)
         sum_sq = 0.0
         T = 200
         for t in range(1, T + 1):
-            before = s.G
+            before = tuner.G
             drift = pb.g_bound**2 * ((t + 1) ** 0.25 - t**0.25)
-            s = adaptive_step(s, pb, rng, rng2)
-            sum_sq += (s.G - before) - drift
-        expected = s.D + 2 * pb.g_bound**2 + pb.g_bound**2 * (T + 1) ** 0.25 + sum_sq
-        assert s.G == pytest.approx(expected, rel=1e-10)
+            s, _ = self_tuning_step(s, tuner, pb, rng, rng2)
+            sum_sq += (tuner.G - before) - drift
+        expected = tuner.D + 2 * pb.g_bound**2 + pb.g_bound**2 * (T + 1) ** 0.25 + sum_sq
+        assert tuner.G == pytest.approx(expected, rel=1e-10)
 
     def test_invariants_hold_over_long_run(self):
         pb = make_trig_bowl(2, 1.0, 1.0, 0.5)
-        s = adaptive_init(pb.w1, pb.g_bound)
+        tuner = SelfTuning(pb.g_bound)
+        s = start(pb.w1)
         rng, rng2 = RngStream(4, 0), RngStream(4, 1)
         for t in range(1, 500):
-            prev_eta = s.eta_prev
-            prev_G = s.G
-            s = adaptive_step(s, pb, rng, rng2)
-            assert not s.violations
-            assert s.alpha_prev <= 1.0 + 1e-12
-            assert s.eta_prev <= prev_eta * (1 + 1e-12)
-            assert s.G >= prev_G
-            assert s.G_prev >= pb.g_bound**2 * t**0.25 * (1 - 1e-12)
+            prev_eta = tuner.eta_prev
+            prev_G = tuner.G
+            s, alpha = self_tuning_step(s, tuner, pb, rng, rng2)
+            assert not tuner.events
+            assert alpha <= 1.0 + 1e-12
+            assert tuner.eta_prev <= prev_eta * (1 + 1e-12)
+            assert tuner.G >= prev_G
+            assert tuner.G_prev >= pb.g_bound**2 * t**0.25 * (1 - 1e-12)
 
     def test_corrupted_accumulator_trips_alpha_violation(self):
         pb = make_trig_bowl(2, 1.0, 1.0, 0.5)
-        s = adaptive_init(pb.w1, pb.g_bound)
-        corrupted = dataclasses.replace(s, G_prev=s.D / 1000.0)
-        out = adaptive_step(corrupted, pb, RngStream(5, 0), RngStream(5, 1))
-        kinds = {e.kind for e in out.violations}
+        tuner = SelfTuning(pb.g_bound)
+        tuner.G_prev = tuner.D / 1000.0
+        self_tuning_step(start(pb.w1), tuner, pb, RngStream(5, 0), RngStream(5, 1))
+        kinds = {e.kind for e in tuner.events}
         assert "alpha_above_one" in kinds
-        assert out.violations[0].t == 1
+        assert tuner.events[0].t == 1
 
     def test_understated_g_bound_trips_increment_cap(self):
         # declared bound far below the true gradient scale: the paired-sample
         # squared difference exceeds 4 g^2 + drift
         pb = make_trig_bowl(2, 1.0, 1.0, 0.5)
-        s = adaptive_init(pb.w1, 0.01)
+        tuner = SelfTuning(0.01)
+        s = start(pb.w1)
         rng, rng2 = RngStream(6, 0), RngStream(6, 1)
         kinds = set()
         for _ in range(50):
-            s = adaptive_step(s, pb, rng, rng2)
-            kinds |= {e.kind for e in s.violations}
+            s, _ = self_tuning_step(s, tuner, pb, rng, rng2)
+            kinds |= {e.kind for e in tuner.events}
         assert "g_increment_above_bound" in kinds
 
 
 class TestBaselines:
     def test_sgd_step(self):
-        s = NsgdmState(w=np.zeros(2), m=np.zeros(2), t=1)
-        out = sgd_step(s, np.array([1.0, 0.0]), eta=0.1)
+        s = start(np.zeros(2))
+        out, _, _ = transport_step(s, FixedGrad([1.0, 0.0]), None, 0.1, 0.0, 0.0, 1.0, plain_move)
         np.testing.assert_allclose(out.w, [-0.1, 0.0], atol=1e-16)
 
     def test_heavy_ball_beta_zero_equals_sgd(self):
-        s = NsgdmState(w=np.array([1.0, 1.0]), m=np.array([5.0, 5.0]), t=2)
+        s = StepState(w=np.array([1.0, 1.0]), w_prev=np.array([1.0, 1.0]), m=np.array([5.0, 5.0]), t=2)
         g = np.array([0.5, -0.25])
         np.testing.assert_array_equal(
-            heavy_ball_step(s, g, 0.2, 0.0).w, sgd_step(s, g, 0.2).w
+            transport_step(s, FixedGrad(g), None, 0.2, 0.0, 0.0, 1.0, plain_move)[0].w, s.w - 0.2 * g
         )
 
     def test_heavy_ball_pure_momentum(self):
-        s = NsgdmState(w=np.zeros(2), m=np.array([1.0, 0.0]), t=2)
-        out = heavy_ball_step(s, np.zeros(2), eta=1.0, beta=0.5)
+        s = StepState(w=np.zeros(2), w_prev=np.zeros(2), m=np.array([1.0, 0.0]), t=2)
+        out, _, _ = transport_step(s, FixedGrad([0.0, 0.0]), None, 1.0, 0.0, 0.5, 0.5, plain_move)
         np.testing.assert_allclose(out.w, [-0.5, 0.0], atol=1e-16)
 
 
@@ -288,11 +318,10 @@ class TestMomentumHull:
     def test_sign_noise_momentum_stays_in_sample_hull(self):
         pb = make_sign_noise(0.25)
         rng = RngStream(31)
-        m = pb.sample_grad(pb.w1, rng).grad
-        s = NsgdmState(w=pb.w1, m=m, t=2)
+        m = pb.sample_grad(pb.w1, rng)
+        s = StepState(w=pb.w1, w_prev=pb.w1, m=m, t=2)
         for _ in range(2000):
-            g = pb.sample_grad(s.w, rng).grad
-            s = nsgdm_step(s, g, eta=0.01, beta=0.9)
+            s, _, _ = transport_step(s, pb, rng, 0.01, 0.0, 0.9, 1.0 - 0.9, normalized_move)
             assert -0.75 <= s.m[0] <= 0.25
 
 
@@ -351,13 +380,13 @@ class TestLayerwise:
 
     def test_single_layer_matches_global_step(self):
         pb = make_trig_bowl(4, 1.0, 1.0, 0.5)
-        part = full_partition(4)
-        a = nigt_init(pb.w1, pb, RngStream(40), eta=0.05)
-        b = layerwise_init(pb.w1, pb, RngStream(40), eta=0.05, partition=part)
+        blocks = blockwise_move(full_partition(4))
+        a = transport(start(pb.w1), pb, RngStream(40), 0.05, 0.0)
+        b = transport(start(pb.w1), pb, RngStream(40), 0.05, 0.0, blocks)
         np.testing.assert_array_equal(a.w, b.w)
         for _ in range(20):
-            a = nigt_step(a, pb, RngStream(41, a.t), eta=0.05, beta=0.9)
-            b = layerwise_step(b, pb, RngStream(41, b.t), eta=0.05, beta=0.9, partition=part)
+            a = transport(a, pb, RngStream(41, a.t), 0.05, 0.9)
+            b = transport(b, pb, RngStream(41, b.t), 0.05, 0.9, blocks)
             np.testing.assert_array_equal(a.w, b.w)
             np.testing.assert_array_equal(a.m, b.m)
 
@@ -365,7 +394,7 @@ class TestLayerwise:
         # gradient lives in block 1 only: block 2 no-moves, block 1 moves eta
         pb = make_noisy_quadratic(4, [1.0, 1.0, 1.0, 1.0], 0.0, w1=[1.0, 0.5, 0.0, 0.0])
         part = LayerPartition(ranges=((0, 2), (2, 4)), lr_scale=(1.0, 1.0))
-        s = layerwise_init(pb.w1, pb, RngStream(42), eta=0.05, partition=part)
+        s = transport(start(pb.w1), pb, RngStream(42), 0.05, 0.0, blockwise_move(part))
         assert s.no_move  # block 2 had zero gradient
         np.testing.assert_array_equal(s.w[2:], [0.0, 0.0])
         assert np.linalg.norm(s.w[:2] - pb.w1[:2]) == pytest.approx(0.05, abs=1e-15)
@@ -373,10 +402,11 @@ class TestLayerwise:
     def test_per_layer_step_lengths_and_scales(self):
         pb = make_trig_bowl(4, 1.0, 1.0, 0.3)
         part = LayerPartition(ranges=((0, 2), (2, 4)), lr_scale=(1.0, 3.0))
-        s = layerwise_init(pb.w1, pb, RngStream(43), eta=0.02, partition=part)
+        blocks = blockwise_move(part)
+        s = transport(start(pb.w1), pb, RngStream(43), 0.02, 0.0, blocks)
         for _ in range(30):
             prev = s.w
-            s = layerwise_step(s, pb, RngStream(44, s.t), eta=0.02, beta=0.9, partition=part)
+            s = transport(s, pb, RngStream(44, s.t), 0.02, 0.9, blocks)
             if s.no_move:
                 continue
             for (lo, hi), scale in zip(part.ranges, part.lr_scale):
@@ -395,25 +425,24 @@ class TestBetaZeroDegeneracy:
         w_ref = [pb.w1]
         w = pb.w1
         for _ in range(T):
-            g = pb.sample_grad(w, rng).grad
+            g = pb.sample_grad(w, rng)
             w = w - eta * (g / np.linalg.norm(g))
             w_ref.append(w)
 
         # momentum method with beta = 0 (first step uses the sample as m_1)
         rng = RngStream(99, 0)
-        s = NsgdmState(w=pb.w1, m=np.zeros(3), t=1)
+        s = start(pb.w1)
         w_nsgdm = [pb.w1]
         for _ in range(T):
-            g = pb.sample_grad(s.w, rng).grad
-            s = nsgdm_step(s, g, eta, beta=0.0)
+            s, _, _ = transport_step(s, pb, rng, eta, 0.0, 0.0, 1.0, normalized_move)
             w_nsgdm.append(s.w)
 
         # transport method with beta = 0 (extrapolation collapses to w)
         rng = RngStream(99, 0)
-        st = nigt_init(pb.w1, pb, rng, eta)
+        st = transport(start(pb.w1), pb, rng, eta, 0.0)
         w_nigt = [pb.w1, st.w]
         for _ in range(T - 1):
-            st = nigt_step(st, pb, rng, eta, beta=0.0)
+            st = transport(st, pb, rng, eta, 0.0)
             w_nigt.append(st.w)
 
         for a, b, c in zip(w_ref, w_nsgdm, w_nigt):
