@@ -7,7 +7,7 @@ the CURRENT gradient, with total variance sigma^2 / k: the estimator gets
 better every step even though the iterate keeps moving.
 """
 
-from nigt_lab import igt_moment_check
+from nigt_lab import igt_moment_check, make_noisy_quadratic
 
 D = 4
 EIGS = [0.5, 1.0, 2.0, 4.0]
@@ -16,7 +16,7 @@ SIGMA = 1.0
 
 def main():
     report = igt_moment_check(
-        d=D, eigs=EIGS, sigma=SIGMA,
+        make_noisy_quadratic(D, EIGS, SIGMA),
         checkpoints=[1, 2, 5, 10, 25, 50, 100],
         n_runs=10_000, seed=7,
     )

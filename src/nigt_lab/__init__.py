@@ -45,8 +45,13 @@ from .optimizers import (
     transport_step,
 )
 from .problems import (
+    PROBLEM_KINDS,
     CertReport,
+    NoisyQuadratic,
+    SignNoise,
     StochasticProblem,
+    StreamingLeastSquares,
+    TrigBowl,
     certify_constants,
     fd_slack,
     make_noisy_quadratic,

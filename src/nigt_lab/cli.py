@@ -1,7 +1,8 @@
 """Batch front door: parse an experiment file, dispatch, emit results.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 a check failed
-(bound exceeded, invariant violated, certification contradicted).
+(bound exceeded, invariant violated, certification contradicted, run
+diverged).
 """
 
 from __future__ import annotations
@@ -9,6 +10,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -19,7 +21,7 @@ from .config import (
     output_settings,
     resolve_seeds,
 )
-from .errors import CertificationFailure, ConfigError, NigtLabError, NoResults
+from .errors import CertificationFailure, ConfigError, Diverged, NigtLabError, NoResults
 from .harness import (
     DEFAULT_ETA_GRID,
     bound_acceptance,
@@ -28,7 +30,7 @@ from .harness import (
     rate_diagnostic,
     run,
 )
-from .problems import NOISY_QUADRATIC, certify_constants
+from .problems import NoisyQuadratic, certify_constants
 from .core import RngStream
 from .reports import format_num, json_dumps, plot_results_dir, write_run_outputs, write_text_atomic
 
@@ -85,7 +87,7 @@ def cmd_run(args) -> int:
     records = run(cfg, jobs=_jobs(args))
 
     no_move_count = sum(len(r.no_move_steps) for r in records)
-    violations = [dict(e.to_dict(), seed=r.seed) for r in records for e in r.invariant_violations]
+    violations = [dict(asdict(e), seed=r.seed) for r in records for e in r.invariant_violations]
     avg = stderr = None
     if cfg.record_exact:
         per_seed = np.array([r.avg_grad_norm() for r in records])
@@ -124,7 +126,7 @@ def cmd_certify(args) -> int:
     except CertificationFailure as e:
         report = e.report
         failed = True
-    text = json_dumps(report.to_dict())
+    text = json_dumps(asdict(report))
     sys.stdout.write(text)
     write_text_atomic(os.path.join(out_dir, "certify.json"), text)
     return EXIT_CHECK_FAILED if failed else EXIT_OK
@@ -134,14 +136,13 @@ def cmd_igt_check(args) -> int:
     exp = load_experiment(args.config)
     out_dir, _ = output_settings(exp, args.out)
     problem = build_problem(exp)
-    if problem.kind != NOISY_QUADRATIC:
-        raise ConfigError("igt-check needs a noisy_quadratic problem (constant Hessian)")
+    if not isinstance(problem, NoisyQuadratic):
+        raise ConfigError(f"igt-check needs a {NoisyQuadratic.kind} problem (constant Hessian)")
     checkpoints = exp.igt_check.get("checkpoints", [1, 10, 100])
     n_runs = exp.igt_check.get("n_runs", 10_000)
     master = exp.run.get("master_seed", 0)
-    report = igt_moment_check(problem.dim, problem.eigs, problem.sigma,
-                              checkpoints, n_runs, master, problem=problem)
-    write_text_atomic(os.path.join(out_dir, "igt_check.json"), json_dumps(report.to_dict()))
+    report = igt_moment_check(problem, checkpoints, n_runs, master)
+    write_text_atomic(os.path.join(out_dir, "igt_check.json"), json_dumps(asdict(report)))
     rows = [[c.k, c.bias_norm, c.variance, c.target_variance, c.bias_limit, c.n_runs, c.passed]
             for c in report.checkpoints]
     write_text_atomic(
@@ -158,7 +159,7 @@ def cmd_sweep(args) -> int:
     cfg, _ = build_run_config(exp, seeds=seeds, require_eta=False)
     grid = exp.sweep.get("eta_grid", list(DEFAULT_ETA_GRID))
     report = grid_sweep(cfg, grid, jobs=_jobs(args))
-    write_text_atomic(os.path.join(out_dir, "sweep.json"), json_dumps(report.to_dict()))
+    write_text_atomic(os.path.join(out_dir, "sweep.json"), json_dumps(asdict(report)))
     rows = [[r.eta0, r.final_grad_norm] for r in report.rows]
     write_text_atomic(os.path.join(out_dir, "sweep.csv"),
                       _rows_to_csv("eta0,final_grad_norm", rows))
@@ -181,7 +182,7 @@ def cmd_bounds(args) -> int:
     except CertificationFailure as e:
         sys.stderr.write(f"containment certification failed: {e}\n")
         return EXIT_CHECK_FAILED
-    payload = report.to_dict()
+    payload = asdict(report)
     try:
         payload["loglog_slope"] = rate_diagnostic(report)
     except NigtLabError:
@@ -252,6 +253,9 @@ def main(argv=None) -> int:
     except (ConfigError, NoResults) as e:
         sys.stderr.write(f"config error: {e}\n")
         return EXIT_USAGE
+    except Diverged as e:
+        sys.stderr.write(f"error: {e}\n")
+        return EXIT_CHECK_FAILED
     except NigtLabError as e:
         sys.stderr.write(f"error: {e}\n")
         return EXIT_USAGE

@@ -20,23 +20,13 @@ output dir "results", formats csv,json.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
 from .harness import OPTIMIZER_IDS, RunConfig
 from .optimizers import LayerPartition, Schedule
-from .problems import (
-    NOISY_QUADRATIC,
-    PROBLEM_KINDS,
-    SIGN_NOISE,
-    STREAMING_LEAST_SQUARES,
-    TRIG_BOWL,
-    make_noisy_quadratic,
-    make_sign_noise,
-    make_streaming_least_squares,
-    make_trig_bowl,
-    with_constants,
-)
+from .problems import PROBLEM_KINDS, with_constants
 from .tuning import manual_params, nigt_bound, nigt_params, nsgdm_bound, nsgdm_params
 
 # value type codes: int / float / bool / str and list variants
@@ -214,13 +204,8 @@ def _require(store: dict, key: str, section: str):
     return store[key]
 
 
-# generative keys meaningful per problem kind (constant overrides are global)
-_KIND_KEYS = {
-    NOISY_QUADRATIC: {"dim", "eigs", "sigma", "w1"},
-    SIGN_NOISE: {"p"},
-    TRIG_BOWL: {"dim", "a", "b", "sigma", "w1"},
-    STREAMING_LEAST_SQUARES: {"dim", "cov_eigs", "label_noise", "w1", "w_star"},
-}
+# declared-constant overrides, valid for every kind; the generative keys of
+# a kind are the parameters of its constructor
 _OVERRIDE_KEYS = {"L", "rho", "g_bound", "R", "M"}
 
 
@@ -228,28 +213,17 @@ def build_problem(exp: ExperimentFile):
     pr = exp.problem
     kind = _require(pr, "kind", "problem")
     if kind not in PROBLEM_KINDS:
-        raise ConfigError(f"unknown problem kind {kind!r}; known: {PROBLEM_KINDS}")
-    stray = set(pr) - {"kind"} - _KIND_KEYS[kind] - _OVERRIDE_KEYS
+        raise ConfigError(f"unknown problem kind {kind!r}; known: {tuple(PROBLEM_KINDS)}")
+    make = PROBLEM_KINDS[kind]
+    params = inspect.signature(make).parameters
+    stray = set(pr) - {"kind"} - set(params) - _OVERRIDE_KEYS
     if stray:
         raise ConfigError(f"keys {sorted(stray)} do not apply to problem kind {kind!r}")
+    for name, param in params.items():
+        if param.default is param.empty:
+            _require(pr, name, "problem")
     try:
-        if kind == NOISY_QUADRATIC:
-            d = _require(pr, "dim", "problem")
-            problem = make_noisy_quadratic(d, _require(pr, "eigs", "problem"),
-                                           pr.get("sigma", 0.0), pr.get("w1"))
-        elif kind == SIGN_NOISE:
-            problem = make_sign_noise(_require(pr, "p", "problem"))
-        elif kind == TRIG_BOWL:
-            d = _require(pr, "dim", "problem")
-            problem = make_trig_bowl(d, _require(pr, "a", "problem"), _require(pr, "b", "problem"),
-                                     pr.get("sigma", 0.0), pr.get("w1"))
-        else:
-            d = _require(pr, "dim", "problem")
-            problem = make_streaming_least_squares(d, _require(pr, "cov_eigs", "problem"),
-                                                   pr.get("label_noise", 0.0),
-                                                   pr.get("w1"), pr.get("w_star"))
-    except ConfigError:
-        raise
+        problem = make(**{name: pr[name] for name in params if name in pr})
     except Exception as e:  # constructor validation errors become config errors
         raise ConfigError(f"invalid problem section: {e}") from e
     overrides = {k: pr[k] for k in sorted(_OVERRIDE_KEYS) if k in pr}

@@ -10,7 +10,7 @@ streams of a single seed.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -42,6 +42,19 @@ def normalize(v, floor: float = 0.0) -> np.ndarray:
         raise InvalidInput(f"floor must be >= 0, got {floor}")
     v = as_vector(v)
     n = float(np.linalg.norm(v))
+    if not (1e-150 < n < 1e150):
+        big = float(np.max(np.abs(v)))
+        if 0.0 < big < math.inf:
+            # v.v left the normal range (subnormal squares lose digits, large
+            # ones overflow): rescale by a power of two, which is exact
+            e = math.frexp(big)[1]
+            u = np.ldexp(v, -e)
+            n_u = float(np.linalg.norm(u))
+            with np.errstate(over="ignore"):
+                n = float(np.ldexp(n_u, e))
+            if n <= floor:
+                raise NormalizationSingularity(f"norm {n} <= floor {floor}")
+            return u / n_u
     if not math.isfinite(n):
         raise InvalidInput("cannot normalize a non-finite vector")
     if n <= floor:
@@ -49,27 +62,23 @@ def normalize(v, floor: float = 0.0) -> np.ndarray:
     return v / n
 
 
-def gaussian_noise(rng: "RngStream", d: int, sigma: float) -> np.ndarray:
-    """Isotropic Gaussian noise with total expected squared norm ``sigma**2``.
+def gaussian_noise(rng: "RngStream", shape, sigma: float) -> np.ndarray:
+    """Isotropic Gaussian noise with total expected squared norm ``sigma**2``
+    per vector.
 
-    Components are i.i.d. zero-mean with per-component standard deviation
-    ``sigma / sqrt(d)``. A zero ``sigma`` returns zeros without consuming
-    any draws.
+    ``shape`` is the vector dimension d, or a tuple ending in d (``(n, d)``
+    for n vectors in one draw). Components are i.i.d. zero-mean with
+    per-component standard deviation ``sigma / sqrt(d)``. A zero ``sigma``
+    returns zeros without consuming any draws.
     """
+    d = shape if isinstance(shape, (int, np.integer)) else shape[-1]
     if d < 1:
         raise InvalidInput(f"dimension must be >= 1, got {d}")
     if sigma < 0.0:
         raise InvalidInput(f"sigma must be >= 0, got {sigma}")
     if sigma == 0.0:
-        return np.zeros(d)
-    return rng.generator.normal(0.0, sigma / math.sqrt(d), size=d)
-
-
-def gaussian_noise_batch(rng: "RngStream", n: int, d: int, sigma: float) -> np.ndarray:
-    """Batched version of :func:`gaussian_noise`: an ``(n, d)`` array of draws."""
-    if sigma == 0.0:
-        return np.zeros((n, d))
-    return rng.generator.normal(0.0, sigma / math.sqrt(d), size=(n, d))
+        return np.zeros(shape)
+    return rng.generator.normal(0.0, sigma / math.sqrt(d), size=shape)
 
 
 def pow_sevenths(x: float, k: int) -> float:
@@ -121,9 +130,6 @@ class InvariantEvent:
     value: float
     limit: float
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass(frozen=True)
 class StepLog:
@@ -152,16 +158,6 @@ class TrajectoryRecord:
     invariant_violations: list[InvariantEvent] = field(default_factory=list)
     max_displacement: float = 0.0
     final_w: np.ndarray | None = None  # iterate after the last step
-
-    def validate(self) -> None:
-        """Check step ordering and sign constraints; raises on violation."""
-        for i, s in enumerate(self.steps):
-            if s.t != i + 1:
-                raise InvalidInput(f"steps not contiguous from 1: index {i} has t={s.t}")
-            if s.eta < 0.0:
-                raise InvalidInput(f"step {s.t}: eta {s.eta} < 0")
-            if s.grad_norm is not None and s.grad_norm < 0.0:
-                raise InvalidInput(f"step {s.t}: grad_norm {s.grad_norm} < 0")
 
     def avg_grad_norm(self) -> float:
         """Time average of the exact gradient norm over the trajectory."""

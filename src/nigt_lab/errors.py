@@ -17,6 +17,18 @@ class NonFiniteGradient(NigtLabError):
     """A gradient sample contained NaN or Inf."""
 
 
+class Diverged(NigtLabError):
+    """A run's gradient samples went non-finite at ``step`` (kept in
+    ``args`` too, so it survives pickling from a worker process)."""
+
+    def __init__(self, message, step):
+        super().__init__(message, step)
+        self.step = step
+
+    def __str__(self):
+        return self.args[0]
+
+
 class InvalidSpectrum(NigtLabError):
     """Eigenvalue list is empty, mismatched, or contains non-positive entries."""
 

@@ -11,16 +11,18 @@ from __future__ import annotations
 
 import concurrent.futures
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import RngStream, StepLog, TrajectoryRecord, gaussian_noise_batch
+from .core import RngStream, StepLog, TrajectoryRecord, gaussian_noise
 from .errors import (
+    Diverged,
     InsufficientGrid,
     InvalidInput,
     MissingExactOracle,
     NonConstantHessian,
+    NonFiniteGradient,
 )
 from .optimizers import (
     LayerPartition,
@@ -39,7 +41,6 @@ from .problems import (
     ball_pairs,
     certify_constants,
     fd_slack,
-    make_noisy_quadratic,
     taylor_remainder,
 )
 from .tuning import TunedParams, nigt_bound, nigt_params, nsgdm_bound, nsgdm_params
@@ -142,7 +143,8 @@ def run_single(cfg: RunConfig, seed: int) -> TrajectoryRecord:
     Every optimizer is :func:`transport_step` with its own per-step
     ``(eta_t, k_t, beta_t, alpha_t)`` and move (table in the optimizers
     module); the self-tuning method adds a paired sample per step from
-    stream 1 of the seed.
+    stream 1 of the seed. A non-finite gradient sample raises
+    :class:`Diverged` naming the step.
     """
     pb = cfg.problem
     opt = cfg.optimizer_id
@@ -189,9 +191,12 @@ def run_single(cfg: RunConfig, seed: int) -> TrajectoryRecord:
             k = (1.0 - alpha_t) / alpha_t
             alpha_log = alpha_t
         w_before = s.w
-        s, x, g = transport_step(s, pb, rng, eta_t, k, beta_t, alpha_t, move)
-        if tuner is not None:
-            tuner.accumulate(t, g, pb.sample_grad(x, rng_paired))
+        try:
+            s, x, g = transport_step(s, pb, rng, eta_t, k, beta_t, alpha_t, move)
+            if tuner is not None:
+                tuner.accumulate(t, g, pb.sample_grad(x, rng_paired))
+        except NonFiniteGradient as e:
+            raise Diverged(f"seed {seed} diverged at step {t}: {e}", t) from None
         max_disp = max(max_disp, float(np.linalg.norm(s.w - w1)))
         if x is not w_before:
             max_disp = max(max_disp, float(np.linalg.norm(x - w1)))
@@ -234,9 +239,6 @@ class MomentCheckpoint:
     n_runs: int
     passed: bool
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass(frozen=True)
 class MomentReport:
@@ -245,19 +247,13 @@ class MomentReport:
     checkpoints: tuple[MomentCheckpoint, ...]
     passed: bool
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 def igt_moment_check(
-    d: int,
-    eigs,
-    sigma: float,
+    problem: StochasticProblem,
     checkpoints,
     n_runs: int,
     seed: int,
     eta: float = 0.01,
-    problem: StochasticProblem | None = None,
 ) -> MomentReport:
     """Verify that the transported momentum is unbiased with variance sigma^2/k.
 
@@ -265,13 +261,11 @@ def igt_moment_check(
     recursion (m after k samples uses weight 1/k on the fresh sample and is
     anchored at the extrapolated point with multiplier k-1), driven by the
     normalized update. The oracle is the problem's exact gradient field plus
-    isotropic Gaussian noise of total scale ``sigma``. On a constant-Hessian
-    problem the estimator after k samples is exactly unbiased for the
-    gradient at the current iterate with total variance sigma^2 / k; each
-    checkpoint asserts both moments.
+    isotropic Gaussian noise of total scale ``problem.sigma``. On a
+    constant-Hessian problem the estimator after k samples is exactly
+    unbiased for the gradient at the current iterate with total variance
+    sigma^2 / k; each checkpoint asserts both moments.
     """
-    if problem is None:
-        problem = make_noisy_quadratic(d, eigs, sigma)
     if problem.rho != 0.0:
         raise NonConstantHessian(
             f"moment identity requires a constant Hessian; {problem.problem_id} declares rho={problem.rho}"
@@ -282,6 +276,7 @@ def igt_moment_check(
     if not ks or ks[0] < 1:
         raise InvalidInput(f"checkpoints must be positive sample counts, got {checkpoints}")
 
+    sigma = problem.sigma
     rng = RngStream(seed, 0)
     W = np.tile(problem.w1, (n_runs, 1))
     W_prev = W.copy()
@@ -290,11 +285,11 @@ def igt_moment_check(
     for k in range(1, ks[-1] + 1):
         if k == 1:
             X = W
-            M = problem.exact_grad(X) + gaussian_noise_batch(rng, n_runs, problem.dim, sigma)
+            M = problem.exact_grad(X) + gaussian_noise(rng, (n_runs, problem.dim), sigma)
         else:
             mult = float(k - 1)
             X = W + mult * (W - W_prev)
-            G = problem.exact_grad(X) + gaussian_noise_batch(rng, n_runs, problem.dim, sigma)
+            G = problem.exact_grad(X) + gaussian_noise(rng, (n_runs, problem.dim), sigma)
             M = (mult / k) * M + (1.0 / k) * G
 
         if k in ks:
@@ -409,9 +404,6 @@ class BoundRow:
     bound: float
     passed: bool
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass(frozen=True)
 class BoundReport:
@@ -421,9 +413,6 @@ class BoundReport:
     max_displacement: float
     cert_radius: float
     passed: bool
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def bound_acceptance(
@@ -509,26 +498,23 @@ def rate_diagnostic(rows) -> float:
 @dataclass(frozen=True)
 class SweepRow:
     eta0: float
-    final_grad_norm: float  # ||gradF(w_T)||, averaged over seeds
-
-    def to_dict(self) -> dict:
-        return asdict(self)
+    final_grad_norm: float | None  # ||gradF(w_T)||, averaged over seeds
+    diverged_at: int | None = None  # step of the first diverging seed
 
 
 @dataclass(frozen=True)
 class SweepReport:
     rows: tuple[SweepRow, ...]  # ranked, best first
-    best_eta0: float
-
-    def to_dict(self) -> dict:
-        return asdict(self)
+    best_eta0: float | None  # None when every rate diverged
 
 
 def grid_sweep(base: RunConfig, eta0_grid=None, jobs: int = 1) -> SweepReport:
     """Run each base rate and rank by the final exact gradient norm,
     averaged over seeds (an over-large rate keeps oscillating and ends far
-    from critical). Ties break toward the smaller rate. Seeds are shared
-    across grid points so comparisons see identical noise realizations.
+    from critical). Ties break toward the smaller rate. A rate at which a
+    seed diverges is recorded with the step where the first such seed (in
+    seed order) did, and ranked last. Seeds are shared across grid points
+    so comparisons see identical noise realizations.
     """
     if base.optimizer_id == "nigt_adaptive":
         raise InvalidInput("the self-tuning method has no base rate to sweep")
@@ -540,11 +526,14 @@ def grid_sweep(base: RunConfig, eta0_grid=None, jobs: int = 1) -> SweepReport:
     rows = []
     for eta0 in grid:
         cfg = replace(base, params=None, eta=None, schedule=replace(base.schedule, eta0=eta0))
-        recs = run(cfg, jobs=jobs)
-        finals = [r.steps[-1].grad_norm for r in recs]
-        if any(v is None for v in finals):
-            raise InvalidInput("grid sweep needs exact gradient logging")
-        metric = float(np.mean(finals))
+        try:
+            recs = run(cfg, jobs=jobs)
+        except Diverged as e:
+            rows.append(SweepRow(eta0=eta0, final_grad_norm=None, diverged_at=e.step))
+            continue
+        metric = float(np.mean([r.steps[-1].grad_norm for r in recs]))
         rows.append(SweepRow(eta0=eta0, final_grad_norm=metric))
-    rows.sort(key=lambda r: (r.final_grad_norm, r.eta0))
-    return SweepReport(rows=tuple(rows), best_eta0=rows[0].eta0)
+    # diverged rates have no norm: they go last, in rate order
+    rows.sort(key=lambda r: (r.diverged_at is not None, r.final_grad_norm or 0.0, r.eta0))
+    best = rows[0]
+    return SweepReport(rows=tuple(rows), best_eta0=None if best.diverged_at is not None else best.eta0)

@@ -1,7 +1,8 @@
 """Synthetic stochastic problems with analytically certified constants.
 
-Each problem ships a closed-form population objective F and gradient, a
-sampling gradient oracle, and declared constants:
+Each problem kind is a frozen subclass of :class:`StochasticProblem` holding
+only its own parameters. It ships a closed-form population objective F and
+gradient, a sampling gradient oracle, and declared constants:
 
     L        gradient Lipschitz constant,
     rho      Hessian Lipschitz constant,
@@ -10,6 +11,9 @@ sampling gradient oracle, and declared constants:
     R        upper bound on F at the start point (we declare F(w1) exactly),
     M        upper bound on F everywhere (may be +inf).
 
+The ``make_*`` constructors validate their arguments and derive the
+constants; :data:`PROBLEM_KINDS` maps each kind name to its constructor,
+whose parameter names are the experiment-file keys of that kind.
 :func:`certify_constants` re-measures L, rho, and sigma empirically and
 fails loudly if any declared value is contradicted.
 """
@@ -17,7 +21,8 @@ fails loudly if any declared value is contradicted.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
+from typing import ClassVar
 
 import numpy as np
 
@@ -30,17 +35,19 @@ from .errors import (
     InvalidSpectrum,
 )
 
-NOISY_QUADRATIC = "noisy_quadratic"
-SIGN_NOISE = "sign_noise"
-TRIG_BOWL = "trig_bowl"
-STREAMING_LEAST_SQUARES = "streaming_least_squares"
-
-PROBLEM_KINDS = (NOISY_QUADRATIC, SIGN_NOISE, TRIG_BOWL, STREAMING_LEAST_SQUARES)
-
 
 @dataclass(frozen=True, eq=False)
 class StochasticProblem:
-    kind: str
+    """Declared constants shared by every kind; the oracles dispatch to the
+    kind's ``_value``, ``_grad`` and ``_sample`` hooks."""
+
+    kind: ClassVar[str]
+    # sigma certified at w1 only (true for streaming least squares, whose
+    # oracle variance depends on the query point)
+    sigma_at_w1_only: ClassVar[bool] = False
+    # parameters printed by problem_id, in order
+    id_params: ClassVar[tuple[str, ...]]
+
     dim: int
     w1: np.ndarray
     L: float
@@ -49,122 +56,152 @@ class StochasticProblem:
     g_bound: float
     R: float
     M: float
-    # sigma certified at w1 only (true for streaming least squares, whose
-    # oracle variance depends on the query point)
-    sigma_at_w1_only: bool = False
-    # generative noise amplitude for the additive-noise oracles; kept separate
-    # from the declared sigma so a mis-declared constant can actually be
-    # caught by certification
-    noise_scale: float = 0.0
-    # kind-specific parameters; unused ones stay None
-    eigs: np.ndarray | None = None
-    p: float | None = None
-    a: float | None = None
-    b: float | None = None
-    cov_eigs: np.ndarray | None = None
-    label_noise: float | None = None
-    w_star: np.ndarray | None = None
 
     @property
     def problem_id(self) -> str:
-        if self.kind == NOISY_QUADRATIC:
-            spec = f"eigs=[{';'.join(repr(float(e)) for e in self.eigs)}],sigma={self.sigma!r}"
-        elif self.kind == SIGN_NOISE:
-            spec = f"p={self.p!r}"
-        elif self.kind == TRIG_BOWL:
-            spec = f"a={self.a!r},b={self.b!r},sigma={self.sigma!r}"
-        else:
-            spec = (
-                f"cov_eigs=[{';'.join(repr(float(e)) for e in self.cov_eigs)}],"
-                f"label_noise={self.label_noise!r}"
-            )
+        def fmt(v):
+            return f"[{';'.join(repr(float(e)) for e in v)}]" if isinstance(v, np.ndarray) else repr(v)
+
+        spec = ",".join(f"{name}={fmt(getattr(self, name))}" for name in self.id_params)
         return f"{self.kind}(d={self.dim},{spec})"
 
     # -- exact population quantities -------------------------------------
 
     def exact_value(self, w) -> float:
-        w = as_vector(w)
-        if self.kind == NOISY_QUADRATIC:
-            return float(0.5 * np.sum(self.eigs * w * w))
-        if self.kind == SIGN_NOISE:
-            return 1.0
-        if self.kind == TRIG_BOWL:
-            return float(self.a * np.sum(1.0 - np.cos(self.b * w)))
-        delta = w - self.w_star
-        return float(0.5 * (np.sum(self.cov_eigs * delta * delta) + self.label_noise**2))
+        return self._value(as_vector(w))
 
     def exact_grad(self, w) -> np.ndarray:
         """Exact gradient at ``w``, or at each row of an ``(n, dim)`` array."""
         w = np.asarray(w, dtype=np.float64)
         if w.ndim == 0:
             w = w.reshape(1)
-        if self.kind == NOISY_QUADRATIC:
-            return self.eigs * w
-        if self.kind == SIGN_NOISE:
-            return np.zeros_like(w)
-        if self.kind == TRIG_BOWL:
-            return self.a * self.b * np.sin(self.b * w)
-        return self.cov_eigs * (w - self.w_star)
+        return self._grad(w)
 
     # -- stochastic oracle -------------------------------------------------
 
     def sample_grad(self, w, rng: RngStream) -> np.ndarray:
         """One unbiased gradient sample; draws are consumed deterministically."""
-        w = as_vector(w)
-        if self.kind == NOISY_QUADRATIC:
-            g = self.eigs * w + gaussian_noise(rng, self.dim, self.noise_scale)
-        elif self.kind == SIGN_NOISE:
-            u = rng.generator.random()
-            g = np.array([self.p - 1.0 if u < self.p else self.p])
-        elif self.kind == TRIG_BOWL:
-            g = self.a * self.b * np.sin(self.b * w)
-            if self.noise_scale > 0.0:
-                # bounded noise keeps the a.s. gradient bound finite:
-                # per-component uniform on [-c, c] with c = sigma*sqrt(3/d)
-                # gives E||zeta||^2 = sigma^2 and ||zeta|| <= sqrt(3)*sigma
-                c = self.noise_scale * math.sqrt(3.0 / self.dim)
-                g = g + rng.generator.uniform(-c, c, size=self.dim)
-        else:
-            x = rng.generator.normal(size=self.dim) * np.sqrt(self.cov_eigs)
-            y = float(x @ self.w_star)
-            if self.label_noise > 0.0:
-                y += self.label_noise * rng.generator.normal()
-            g = x * (float(x @ w) - y)
+        return self._sample(as_vector(w), rng)
+
+
+@dataclass(frozen=True, eq=False)
+class NoisyQuadratic(StochasticProblem):
+    """F(w) = (1/2) sum_i eigs_i w_i^2, Gaussian oracle noise; see :func:`make_noisy_quadratic`."""
+
+    kind: ClassVar[str] = "noisy_quadratic"
+    id_params: ClassVar[tuple[str, ...]] = ("eigs", "sigma")
+
+    eigs: np.ndarray
+    # generative noise amplitude; kept separate from the declared sigma so a
+    # mis-declared constant can actually be caught by certification
+    noise_scale: float
+
+    def _value(self, w):
+        return float(0.5 * np.sum(self.eigs * w * w))
+
+    def _grad(self, w):
+        return self.eigs * w
+
+    def _sample(self, w, rng):
+        return self._grad(w) + gaussian_noise(rng, self.dim, self.noise_scale)
+
+
+@dataclass(frozen=True, eq=False)
+class SignNoise(StochasticProblem):
+    """Flat F = 1, oracle p w.p. 1-p and p-1 w.p. p; see :func:`make_sign_noise`."""
+
+    kind: ClassVar[str] = "sign_noise"
+    id_params: ClassVar[tuple[str, ...]] = ("p",)
+
+    p: float
+
+    def _value(self, w):
+        return 1.0
+
+    def _grad(self, w):
+        return np.zeros_like(w)
+
+    def _sample(self, w, rng):
+        u = rng.generator.random()
+        return np.array([self.p - 1.0 if u < self.p else self.p])
+
+
+@dataclass(frozen=True, eq=False)
+class TrigBowl(StochasticProblem):
+    """F(w) = sum_i a (1 - cos(b w_i)), bounded uniform noise; see :func:`make_trig_bowl`."""
+
+    kind: ClassVar[str] = "trig_bowl"
+    id_params: ClassVar[tuple[str, ...]] = ("a", "b", "sigma")
+
+    a: float
+    b: float
+    noise_scale: float  # as in NoisyQuadratic
+
+    def _value(self, w):
+        return float(self.a * np.sum(1.0 - np.cos(self.b * w)))
+
+    def _grad(self, w):
+        return self.a * self.b * np.sin(self.b * w)
+
+    def _sample(self, w, rng):
+        g = self._grad(w)
+        if self.noise_scale > 0.0:
+            # bounded noise keeps the a.s. gradient bound finite:
+            # per-component uniform on [-c, c] with c = sigma*sqrt(3/d)
+            # gives E||zeta||^2 = sigma^2 and ||zeta|| <= sqrt(3)*sigma
+            c = self.noise_scale * math.sqrt(3.0 / self.dim)
+            g = g + rng.generator.uniform(-c, c, size=self.dim)
         return g
+
+
+@dataclass(frozen=True, eq=False)
+class StreamingLeastSquares(StochasticProblem):
+    """Streaming linear regression; see :func:`make_streaming_least_squares`."""
+
+    kind: ClassVar[str] = "streaming_least_squares"
+    sigma_at_w1_only: ClassVar[bool] = True
+    id_params: ClassVar[tuple[str, ...]] = ("cov_eigs", "label_noise")
+
+    cov_eigs: np.ndarray
+    label_noise: float
+    w_star: np.ndarray
+
+    def _value(self, w):
+        delta = w - self.w_star
+        return float(0.5 * (np.sum(self.cov_eigs * delta * delta) + self.label_noise**2))
+
+    def _grad(self, w):
+        return self.cov_eigs * (w - self.w_star)
+
+    def _sample(self, w, rng):
+        x = rng.generator.normal(size=self.dim) * np.sqrt(self.cov_eigs)
+        y = float(x @ self.w_star)
+        if self.label_noise > 0.0:
+            y += self.label_noise * rng.generator.normal()
+        return x * (float(x @ w) - y)
 
 
 # -- constructors ----------------------------------------------------------
 
 
-def make_noisy_quadratic(d: int, eigs, sigma: float, w1=None) -> StochasticProblem:
+def make_noisy_quadratic(dim: int, eigs, sigma: float = 0.0, w1=None) -> NoisyQuadratic:
     """Quadratic bowl F(w) = (1/2) sum_i eigs_i w_i^2 with Gaussian oracle noise."""
     eigs = np.asarray(eigs, dtype=np.float64)
-    if eigs.ndim != 1 or eigs.size != d:
-        raise DimensionMismatch(f"expected {d} eigenvalues, got shape {eigs.shape}")
+    if eigs.ndim != 1 or eigs.size != dim:
+        raise DimensionMismatch(f"expected {dim} eigenvalues, got shape {eigs.shape}")
     if np.any(eigs <= 0.0):
         raise InvalidSpectrum(f"eigenvalues must be positive, got {list(eigs)}")
     if sigma < 0.0:
         raise InvalidInput(f"sigma must be >= 0, got {sigma}")
-    w1 = np.ones(d) if w1 is None else as_vector(w1)
-    if w1.size != d:
-        raise DimensionMismatch(f"w1 has dim {w1.size}, expected {d}")
+    w1 = np.ones(dim) if w1 is None else as_vector(w1)
+    if w1.size != dim:
+        raise DimensionMismatch(f"w1 has dim {w1.size}, expected {dim}")
     R = float(0.5 * np.sum(eigs * w1 * w1))
-    return StochasticProblem(
-        kind=NOISY_QUADRATIC,
-        dim=d,
-        w1=w1,
-        L=float(np.max(eigs)),
-        rho=0.0,
-        sigma=float(sigma),
-        g_bound=math.inf,
-        R=R,
-        M=math.inf,
-        noise_scale=float(sigma),
-        eigs=eigs,
-    )
+    return NoisyQuadratic(dim=dim, w1=w1, L=float(np.max(eigs)), rho=0.0, sigma=float(sigma),
+                          g_bound=math.inf, R=R, M=math.inf, eigs=eigs, noise_scale=float(sigma))
 
 
-def make_sign_noise(p: float) -> StochasticProblem:
+def make_sign_noise(p: float) -> SignNoise:
     """Flat 1-D objective whose oracle returns p w.p. 1-p and p-1 w.p. p.
 
     The population gradient is identically zero, yet the normalized sample
@@ -173,21 +210,11 @@ def make_sign_noise(p: float) -> StochasticProblem:
     """
     if not (0.0 < p < 0.5):
         raise InvalidProbability(f"p must lie in (0, 1/2), got {p}")
-    return StochasticProblem(
-        kind=SIGN_NOISE,
-        dim=1,
-        w1=np.zeros(1),
-        L=0.0,
-        rho=0.0,
-        sigma=math.sqrt(p * (1.0 - p)),
-        g_bound=max(p, 1.0 - p),
-        R=1.0,
-        M=1.0,
-        p=float(p),
-    )
+    return SignNoise(dim=1, w1=np.zeros(1), L=0.0, rho=0.0, sigma=math.sqrt(p * (1.0 - p)),
+                     g_bound=max(p, 1.0 - p), R=1.0, M=1.0, p=float(p))
 
 
-def make_trig_bowl(d: int, a: float, b: float, sigma: float, w1=None) -> StochasticProblem:
+def make_trig_bowl(dim: int, a: float, b: float, sigma: float = 0.0, w1=None) -> TrigBowl:
     """Separable non-convex bowl F(w) = sum_i a (1 - cos(b w_i)).
 
     All second and third derivatives are bounded (L = a b^2, rho = a b^3),
@@ -200,49 +227,38 @@ def make_trig_bowl(d: int, a: float, b: float, sigma: float, w1=None) -> Stochas
         raise InvalidInput(f"a and b must be positive, got a={a}, b={b}")
     if sigma < 0.0:
         raise InvalidInput(f"sigma must be >= 0, got {sigma}")
-    if d < 1:
-        raise InvalidInput(f"dimension must be >= 1, got {d}")
-    w1 = np.full(d, 2.0 / b) if w1 is None else as_vector(w1)
-    if w1.size != d:
-        raise DimensionMismatch(f"w1 has dim {w1.size}, expected {d}")
+    if dim < 1:
+        raise InvalidInput(f"dimension must be >= 1, got {dim}")
+    w1 = np.full(dim, 2.0 / b) if w1 is None else as_vector(w1)
+    if w1.size != dim:
+        raise DimensionMismatch(f"w1 has dim {w1.size}, expected {dim}")
     R = float(a * np.sum(1.0 - np.cos(b * w1)))
-    return StochasticProblem(
-        kind=TRIG_BOWL,
-        dim=d,
-        w1=w1,
-        L=a * b * b,
-        rho=a * b**3,
-        sigma=float(sigma),
-        g_bound=a * b * math.sqrt(d) + math.sqrt(3.0) * sigma,
-        R=R,
-        M=2.0 * a * d,
-        noise_scale=float(sigma),
-        a=float(a),
-        b=float(b),
-    )
+    return TrigBowl(dim=dim, w1=w1, L=a * b * b, rho=a * b**3, sigma=float(sigma),
+                    g_bound=a * b * math.sqrt(dim) + math.sqrt(3.0) * sigma, R=R, M=2.0 * a * dim,
+                    a=float(a), b=float(b), noise_scale=float(sigma))
 
 
 def make_streaming_least_squares(
-    d: int, cov_eigs, label_noise: float, w1=None, w_star=None
-) -> StochasticProblem:
+    dim: int, cov_eigs, label_noise: float = 0.0, w1=None, w_star=None
+) -> StreamingLeastSquares:
     """Linear regression in the streaming oracle model.
 
     Each sample is (x, y) with x Gaussian (diagonal covariance cov_eigs) and
     y = <x, w_star> + label_noise * N(0,1); the per-sample loss is
     (1/2)(<x, w> - y)^2. The population Hessian is constant, but the oracle
     variance grows with the distance from w_star, so sigma is declared (and
-    certified) at w1 only; the problem is flagged accordingly.
+    certified) at w1 only; the class is flagged accordingly.
     """
     cov_eigs = np.asarray(cov_eigs, dtype=np.float64)
-    if cov_eigs.ndim != 1 or cov_eigs.size != d:
-        raise DimensionMismatch(f"expected {d} covariance eigenvalues, got shape {cov_eigs.shape}")
+    if cov_eigs.ndim != 1 or cov_eigs.size != dim:
+        raise DimensionMismatch(f"expected {dim} covariance eigenvalues, got shape {cov_eigs.shape}")
     if np.any(cov_eigs <= 0.0):
         raise InvalidSpectrum(f"covariance eigenvalues must be positive, got {list(cov_eigs)}")
     if label_noise < 0.0:
         raise InvalidInput(f"label_noise must be >= 0, got {label_noise}")
-    w1 = np.ones(d) if w1 is None else as_vector(w1)
-    w_star = np.zeros(d) if w_star is None else as_vector(w_star)
-    if w1.size != d or w_star.size != d:
+    w1 = np.ones(dim) if w1 is None else as_vector(w1)
+    w_star = np.zeros(dim) if w_star is None else as_vector(w_star)
+    if w1.size != dim or w_star.size != dim:
         raise DimensionMismatch("w1 / w_star dimension mismatch")
     delta = w1 - w_star
     # E||grad sample - grad||^2 at w1 for Gaussian features:
@@ -254,21 +270,19 @@ def make_streaming_least_squares(
         + label_noise**2 * np.sum(cov_eigs)
     )
     R = float(0.5 * (np.sum(cov_eigs * delta * delta) + label_noise**2))
-    return StochasticProblem(
-        kind=STREAMING_LEAST_SQUARES,
-        dim=d,
-        w1=w1,
-        L=float(np.max(cov_eigs)),
-        rho=0.0,
-        sigma=math.sqrt(sig2),
-        g_bound=math.inf,
-        R=R,
-        M=math.inf,
-        sigma_at_w1_only=True,
-        cov_eigs=cov_eigs,
-        label_noise=float(label_noise),
-        w_star=w_star,
-    )
+    return StreamingLeastSquares(dim=dim, w1=w1, L=float(np.max(cov_eigs)), rho=0.0,
+                                 sigma=math.sqrt(sig2), g_bound=math.inf, R=R, M=math.inf,
+                                 cov_eigs=cov_eigs, label_noise=float(label_noise), w_star=w_star)
+
+
+# kind name -> validated constructor; its parameters are the kind's
+# experiment-file keys
+PROBLEM_KINDS = {
+    NoisyQuadratic.kind: make_noisy_quadratic,
+    SignNoise.kind: make_sign_noise,
+    TrigBowl.kind: make_trig_bowl,
+    StreamingLeastSquares.kind: make_streaming_least_squares,
+}
 
 
 # -- finite differences and certification ----------------------------------
@@ -350,9 +364,6 @@ class CertReport:
     n_sigma: int
     passed: bool
     failures: tuple[str, ...]
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def certify_constants(

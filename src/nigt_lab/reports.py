@@ -84,13 +84,18 @@ def seed_csv_name(seed: int) -> str:
 
 def write_run_outputs(records, out_dir, formats, summary: dict) -> None:
     out_dir = Path(out_dir)
-    if "csv" in formats:
+    csv_texts = []  # kept for the charts only
+    if "csv" in formats or "svg" in formats:
         for rec in records:
-            write_text_atomic(out_dir / seed_csv_name(rec.seed), record_to_csv(rec))
+            text = record_to_csv(rec)
+            if "csv" in formats:
+                write_text_atomic(out_dir / seed_csv_name(rec.seed), text)
+            if "svg" in formats:
+                csv_texts.append(text)
     if "json" in formats:
         write_text_atomic(out_dir / "summary.json", json_dumps(summary))
     if "svg" in formats:
-        write_plots(out_dir, [record_to_csv(r) for r in records])
+        write_plots(out_dir, csv_texts)
 
 
 # -- SVG charts ---------------------------------------------------------------

@@ -65,7 +65,7 @@ class TestCriterion1VarianceIdentity:
     def test_transported_momentum_moments(self):
         n_runs = 10_000
         rep = igt_moment_check(
-            d=4, eigs=[0.5, 1.0, 2.0, 4.0], sigma=1.0,
+            make_noisy_quadratic(4, [0.5, 1.0, 2.0, 4.0], 1.0),
             checkpoints=[1, 10, 100], n_runs=n_runs, seed=2024,
         )
         for c in rep.checkpoints:

@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -53,6 +54,12 @@ class TestRunCommand:
         assert main(["run", "--config", str(cfg)]) == 1
         err = capsys.readouterr().err
         assert "momentun" in err
+
+    def test_diverging_run_exits_two_and_names_the_step(self, tmp_path, capsys):
+        cfg = write(tmp_path / "run.cfg", DIVERGING_SGD + "optimizer.eta = 1.0\n")
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert re.search(r"seed 1 diverged at step \d+: gradient sample contains NaN or Inf",
+                         capsys.readouterr().err)
 
     def test_missing_config_exits_one(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "absent.cfg")]) == 1
@@ -189,7 +196,33 @@ class TestIgtCheckCommand:
         assert main(["igt-check", "--config", str(cfg)]) == 1
 
 
+DIVERGING_SGD = """\
+problem.kind = noisy_quadratic
+problem.dim = 2
+problem.eigs = 1.0,4.0
+problem.sigma = 0.1
+optimizer.id = sgd
+run.T = 1000
+run.seeds = 1,2
+"""
+
+
 class TestSweepCommand:
+    def test_diverging_rate_is_recorded_and_ranked_last(self, tmp_path):
+        # at eta0 = 1 the iterate grows like 3^t on the eigenvalue-4 axis
+        cfg = write(tmp_path / "s.cfg", DIVERGING_SGD)
+        out = tmp_path / "o"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+        rows = (out / "sweep.csv").read_text().strip().split("\n")
+        assert rows[0] == "eta0,final_grad_norm"
+        assert len(rows) == 7 and rows[-1] == "1,"
+        payload = json.loads((out / "sweep.json").read_text())
+        last = payload["rows"][-1]
+        assert last["eta0"] == 1.0 and last["final_grad_norm"] is None
+        assert 1 < last["diverged_at"] <= 1000
+        assert all(r["diverged_at"] is None for r in payload["rows"][:-1])
+        assert payload["best_eta0"] == payload["rows"][0]["eta0"] != 1.0
+
     def test_paper_default_grid_emits_six_rows(self, tmp_path):
         text = (
             "problem.kind = noisy_quadratic\nproblem.dim = 2\nproblem.eigs = 1.0,1.0\n"

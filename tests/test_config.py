@@ -1,6 +1,12 @@
+import string
+
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nigt_lab.config import (
+    _SCHEMA,
     ExperimentFile,
     build_problem,
     build_run_config,
@@ -10,6 +16,65 @@ from nigt_lab.config import (
     serialize_experiment,
 )
 from nigt_lab.errors import ConfigError
+from nigt_lab.problems import (
+    make_noisy_quadratic,
+    make_sign_noise,
+    make_streaming_least_squares,
+    make_trig_bowl,
+)
+
+# fixed example sequence and no example database: the suite stays
+# deterministic and leaves no files behind
+PROPERTY = settings(deadline=None, derandomize=True, database=None, max_examples=150)
+
+
+_SCALARS = {
+    "int": st.integers(-(10**12), 10**12),
+    "float": st.floats(allow_nan=False),
+    "bool": st.booleans(),
+    # bare strings: no separators, no surrounding blanks
+    "str": st.text(string.ascii_letters + string.digits + "_-./:", min_size=1, max_size=12),
+}
+
+
+def _values(typ: str):
+    if typ.endswith("_list"):
+        return st.lists(_SCALARS[typ[: -len("_list")]], min_size=1, max_size=5)
+    return _SCALARS[typ]
+
+
+_POSITIVE = st.floats(1e-3, 1e3)
+
+
+@st.composite
+def problem_sections(draw):
+    """(kind, constructor, experiment keys) for one problem of each kind."""
+    kind = draw(st.sampled_from(
+        ["noisy_quadratic", "sign_noise", "trig_bowl", "streaming_least_squares"]))
+    if kind == "sign_noise":
+        p = draw(st.floats(0.0, 0.5, exclude_min=True, exclude_max=True))
+        return kind, make_sign_noise, {"p": p}
+    dim = draw(st.integers(1, 5))
+    vec = st.lists(st.floats(-10.0, 10.0), min_size=dim, max_size=dim)
+    keys = {"dim": dim}
+    optional = {"w1": vec}
+    if kind == "noisy_quadratic":
+        make = make_noisy_quadratic
+        keys["eigs"] = draw(st.lists(_POSITIVE, min_size=dim, max_size=dim))
+        optional["sigma"] = st.floats(0.0, 10.0)
+    elif kind == "trig_bowl":
+        make = make_trig_bowl
+        keys["a"] = draw(st.floats(1e-2, 10.0))
+        keys["b"] = draw(st.floats(1e-2, 10.0))
+        optional["sigma"] = st.floats(0.0, 10.0)
+    else:
+        make = make_streaming_least_squares
+        keys["cov_eigs"] = draw(st.lists(_POSITIVE, min_size=dim, max_size=dim))
+        optional["label_noise"] = st.floats(0.0, 10.0)
+        optional["w_star"] = vec
+    keys.update(draw(st.fixed_dictionaries({}, optional=optional)))
+    return kind, make, keys
+
 
 VALID = """\
 # a full experiment
@@ -93,6 +158,18 @@ class TestRoundTrip:
         exp = parse_experiment(VALID)
         assert serialize_experiment(exp) == serialize_experiment(parse_experiment(serialize_experiment(exp)))
 
+    @PROPERTY
+    @given(st.builds(ExperimentFile, **{
+        section: st.fixed_dictionaries({}, optional={k: _values(t) for k, t in keys.items()})
+        for section, keys in _SCHEMA.items()
+    }))
+    def test_parse_serialize_parse_identity_property(self, exp):
+        text = serialize_experiment(exp)
+        parsed = parse_experiment(text)
+        assert parsed == exp
+        assert serialize_experiment(parsed) == text
+
+
 
 class TestBuilders:
     def test_build_problem_each_kind(self):
@@ -108,6 +185,19 @@ class TestBuilders:
             "problem.kind = streaming_least_squares\nproblem.dim = 2\n"
             "problem.cov_eigs = 1.0,2.0\nproblem.label_noise = 0.5\n"))
         assert ls.sigma_at_w1_only
+
+    @PROPERTY
+    @given(problem_sections())
+    def test_build_problem_matches_the_constructor(self, case):
+        kind, make, keys = case
+        text = serialize_experiment(ExperimentFile(problem={"kind": kind, **keys}))
+        built = build_problem(parse_experiment(text))
+        direct = make(**keys)
+        assert type(built) is type(direct) and built.kind == kind
+        assert built.problem_id == direct.problem_id
+        for name in ("dim", "L", "rho", "sigma", "g_bound", "R", "M"):
+            assert getattr(built, name) == getattr(direct, name), name
+        np.testing.assert_array_equal(built.w1, direct.w1)
 
     def test_constant_overrides_are_applied(self):
         exp = parse_experiment(

@@ -5,8 +5,6 @@ import pytest
 
 from nigt_lab.core import (
     RngStream,
-    StepLog,
-    TrajectoryRecord,
     gaussian_noise,
     normalize,
     pow_sevenths,
@@ -41,6 +39,14 @@ class TestNormalize:
                 continue
             recon = normalize(v) * np.linalg.norm(v)
             assert np.all(np.abs(recon - v) <= 4.0 * np.spacing(np.abs(v)))
+
+    @pytest.mark.parametrize("scale", [1e-157, 1e-200, 1e-310, 1e200])
+    def test_unit_length_outside_the_squarable_range(self, scale):
+        # the squares of these entries are subnormal or overflow (at 1e-310
+        # the entries themselves are subnormal, so the direction is inexact)
+        u = normalize(np.array([3.0, 4.0]) * scale, floor=1e-320)
+        np.testing.assert_allclose(u, [0.6, 0.8], rtol=1e-13)
+        assert float(np.linalg.norm(u)) == pytest.approx(1.0, rel=1e-15)
 
     def test_rejects_negative_floor_and_nonfinite(self):
         with pytest.raises(InvalidInput):
@@ -81,6 +87,16 @@ class TestGaussianNoise:
             gaussian_noise(RngStream(0), 0, 1.0)
         with pytest.raises(InvalidInput):
             gaussian_noise(RngStream(0), 2, -1.0)
+        with pytest.raises(InvalidInput):
+            gaussian_noise(RngStream(0), (5, 0), 1.0)
+
+    def test_batch_rows_equal_successive_draws(self):
+        # one (n, d) draw consumes the stream exactly as n draws of d
+        batch = gaussian_noise(RngStream(6), (4, 3), 0.7)
+        rng = RngStream(6)
+        rows = np.stack([gaussian_noise(rng, 3, 0.7) for _ in range(4)])
+        np.testing.assert_array_equal(batch, rows)
+        np.testing.assert_array_equal(gaussian_noise(RngStream(6), (4, 3), 0.0), np.zeros((4, 3)))
 
 
 class TestRngStream:
@@ -115,22 +131,3 @@ class TestPowSevenths:
     def test_rejects_nonpositive(self):
         with pytest.raises(InvalidInput):
             pow_sevenths(0.0, 2)
-
-
-class TestTrajectoryRecord:
-    def _step(self, t, eta=0.1):
-        return StepLog(t=t, eta=eta, alpha=0.5, m_norm=1.0)
-
-    def test_validate_accepts_contiguous(self):
-        rec = TrajectoryRecord("p", "nsgdm", 0, steps=[self._step(1), self._step(2)])
-        rec.validate()
-
-    def test_validate_rejects_gap(self):
-        rec = TrajectoryRecord("p", "nsgdm", 0, steps=[self._step(1), self._step(3)])
-        with pytest.raises(InvalidInput):
-            rec.validate()
-
-    def test_validate_rejects_negative_eta(self):
-        rec = TrajectoryRecord("p", "nsgdm", 0, steps=[self._step(1, eta=-0.1)])
-        with pytest.raises(InvalidInput):
-            rec.validate()

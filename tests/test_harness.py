@@ -1,8 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from nigt_lab.core import RngStream
 from nigt_lab.errors import (
+    Diverged,
     InsufficientGrid,
     InvalidInput,
     MissingExactOracle,
@@ -142,7 +145,7 @@ class TestRunSemantics:
 
 class TestMomentCheck:
     def test_noise_free_is_exactly_zero(self):
-        rep = igt_moment_check(3, [1.0, 2.0, 3.0], 0.0, [1, 5, 20], n_runs=1000, seed=0)
+        rep = igt_moment_check(make_noisy_quadratic(3, [1.0, 2.0, 3.0], 0.0), [1, 5, 20], n_runs=1000, seed=0)
         assert rep.passed
         for c in rep.checkpoints:
             # identical runs: variance is exactly zero; the bias is zero up
@@ -152,25 +155,26 @@ class TestMomentCheck:
         assert rep.checkpoints[0].bias_norm == 0.0  # first sample is literal
 
     def test_unit_noise_matches_one_over_k(self):
-        rep = igt_moment_check(4, [0.5, 1.0, 2.0, 4.0], 1.0, [1, 10, 100], n_runs=4000, seed=1)
+        rep = igt_moment_check(make_noisy_quadratic(4, [0.5, 1.0, 2.0, 4.0], 1.0), [1, 10, 100], n_runs=4000,
+                               seed=1)
         targets = {c.k: c.target_variance for c in rep.checkpoints}
         assert targets[1] == 1.0 and targets[10] == pytest.approx(0.1) and targets[100] == pytest.approx(0.01)
         assert rep.passed
 
     def test_pass_fail_stable_across_master_seeds(self):
         outcomes = {
-            igt_moment_check(2, [1.0, 2.0], 0.7, [1, 10], n_runs=3000, seed=s).passed
+            igt_moment_check(make_noisy_quadratic(2, [1.0, 2.0], 0.7), [1, 10], n_runs=3000, seed=s).passed
             for s in (10, 20, 30)
         }
         assert outcomes == {True}
 
     def test_rejects_curved_problems(self):
         with pytest.raises(NonConstantHessian):
-            igt_moment_check(2, [1.0, 1.0], 0.1, [1], n_runs=1000, seed=0, problem=TRIG)
+            igt_moment_check(TRIG, [1], n_runs=1000, seed=0)
 
     def test_rejects_small_run_counts(self):
         with pytest.raises(InvalidInput):
-            igt_moment_check(2, [1.0, 1.0], 0.1, [1], n_runs=10, seed=0)
+            igt_moment_check(make_noisy_quadratic(2, [1.0, 1.0], 0.1), [1], n_runs=10, seed=0)
 
 
 class TestDescentCheck:
@@ -267,6 +271,20 @@ class TestGridSweep:
         with pytest.raises(InvalidInput):
             grid_sweep(cfg, [0.1])
 
+    def test_all_rates_diverged_leaves_no_best_rate(self):
+        # plain steps of 1 and 2 on eigenvalue 4 grow like 3^t and 7^t
+        pb = make_noisy_quadratic(2, [1.0, 4.0], 0.0)
+        cfg = RunConfig(problem=pb, optimizer_id="sgd", T=1000, seeds=(1, 2))
+        rep = grid_sweep(cfg, [2.0, 1.0], jobs=2)
+        assert rep.best_eta0 is None
+        assert [r.eta0 for r in rep.rows] == [1.0, 2.0]
+        steps = {r.eta0: r.diverged_at for r in rep.rows}
+        assert steps[2.0] < steps[1.0]
+        with pytest.raises(Diverged) as exc:
+            run_single(replace(cfg, eta=1.0), 1)
+        assert exc.value.step == steps[1.0]
+        assert f"diverged at step {steps[1.0]}:" in str(exc.value)
+
 
 class TestBoundAcceptanceSmoke:
     def test_small_grid_passes_and_reports(self):
@@ -288,7 +306,8 @@ class TestBoundAcceptanceSmoke:
     def test_records_pass_structural_validation(self):
         cfg = RunConfig(problem=TRIG, optimizer_id="nigt_adaptive", T=30, seeds=(1, 2))
         for rec in run(cfg):
-            rec.validate()
+            assert [s.t for s in rec.steps] == list(range(1, 31))
+            assert all(s.eta >= 0.0 and s.grad_norm >= 0.0 for s in rec.steps)
 
     def test_rejects_point_certified_sigma(self):
         from nigt_lab.problems import make_streaming_least_squares

@@ -3,8 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from nigt_lab.core import RngStream
+from nigt_lab.core import NORM_FLOOR, RngStream
 from nigt_lab.errors import (
     InvalidGBound,
     InvalidInput,
@@ -83,6 +85,19 @@ class TestNsgdmStep:
         out, _, _ = transport_step(s, FixedGrad([1.0, 0.0]), None, 0.5, 0.0, 0.7, 1.0 - 0.7, normalized_move)
         np.testing.assert_array_equal(out.w, [0.5, 0.0])
         assert float(np.linalg.norm(out.w - s.w)) == 0.5
+
+    @settings(deadline=None, derandomize=True, database=None, max_examples=150)
+    @given(st.integers(1, 8).flatmap(lambda d: st.tuples(
+        *(st.lists(st.floats(-b, b), min_size=d, max_size=d).map(np.array) for b in (100.0, 1e3, 1e3)),
+        st.floats(1e-6, 10.0), st.floats(0.0, 0.99))))
+    def test_every_normalized_step_has_length_eta(self, case):
+        w, m, g, eta, beta = case
+        out, _, _ = transport_step(StepState(w, w, m), FixedGrad(g), None,
+                                   eta, 0.0, beta, 1.0 - beta, normalized_move)
+        assume(np.linalg.norm(out.m) > NORM_FLOOR)  # else a recorded no-move
+        assert not out.no_move
+        length = float(np.linalg.norm(out.w - w))
+        assert length == pytest.approx(eta, rel=1e-12, abs=1e-13 * float(np.linalg.norm(w)))
 
     def test_singular_momentum_is_no_move(self):
         s = start([1.0, 2.0])
