@@ -29,12 +29,10 @@ def main():
         rec = run(cfg)[0]
         print(f"{'t':>7} {'eta_t':>10} {'alpha_t':>10} {'|gradF|':>9}")
         for t in (1, 10, 100, 1000, 10_000):
-            s = rec.steps[t - 1]
-            print(f"{t:>7d} {s.eta:>10.5f} {s.alpha:>10.5f} {s.grad_norm:>9.4f}")
-        etas = [s.eta for s in rec.steps]
+            print(f"{t:>7d} {rec.eta[t - 1]:>10.5f} {rec.alpha[t - 1]:>10.5f} {rec.grad_norm[t - 1]:>9.4f}")
         print(f"invariant violations: {len(rec.invariant_violations)}; "
-              f"eta monotone: {all(a <= b for a, b in zip(etas[1:], etas[:-1]))}; "
-              f"avg |gradF| = {np.mean([s.grad_norm for s in rec.steps]):.4f}")
+              f"eta monotone: {bool(np.all(rec.eta[1:] <= rec.eta[:-1]))}; "
+              f"avg |gradF| = {rec.avg_grad_norm():.4f}")
 
 
 if __name__ == "__main__":

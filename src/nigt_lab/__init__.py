@@ -6,11 +6,12 @@ from .core import (
     NORM_FLOOR,
     InvariantEvent,
     RngStream,
-    StepLog,
     TrajectoryRecord,
     gaussian_noise,
     normalize,
     pow_sevenths,
+    rowdot,
+    rownorm,
 )
 from .harness import (
     OPTIMIZER_IDS,
@@ -28,7 +29,6 @@ from .harness import (
     igt_moment_check,
     rate_diagnostic,
     run,
-    run_single,
     taylor_remainder_check,
     taylor_threshold,
 )

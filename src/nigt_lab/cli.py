@@ -86,7 +86,7 @@ def cmd_run(args) -> int:
         raise ConfigError("bound checking needs run.record_exact = true")
     records = run(cfg, jobs=_jobs(args))
 
-    no_move_count = sum(len(r.no_move_steps) for r in records)
+    no_move_count = sum(int(r.no_move.sum()) for r in records)
     violations = [dict(asdict(e), seed=r.seed) for r in records for e in r.invariant_violations]
     avg = stderr = None
     if cfg.record_exact:

@@ -1,10 +1,11 @@
 """Dense-vector primitives, deterministic random streams, and trajectory records.
 
-Vectors throughout the package are plain 1-D float64 numpy arrays. All
-randomness flows through :class:`RngStream`, a counter-based generator keyed
-by ``(seed, stream_id)`` so that replays are bit-identical and paired draws
-(two independent gradients at one point) come from provably independent
-streams of a single seed.
+Vectors are float64 numpy arrays: one vector, or one per row of an
+``(S, d)`` batch, with row reductions that round every row exactly as the
+vector alone. All randomness flows through :class:`RngStream`, a
+counter-based generator keyed by ``(seed, stream_id)`` so that replays are
+bit-identical and paired draws (two independent gradients at one point)
+come from provably independent streams of a single seed.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidInput, NormalizationSingularity
+from .errors import DimensionMismatch, InvalidInput
 
 # Norm floor used by optimizer steps. The update direction m / ||m|| is left
 # undefined at m = 0; a hard floor keeps behavior deterministic and guards
@@ -32,34 +33,55 @@ def as_vector(x) -> np.ndarray:
     return v
 
 
-def normalize(v, floor: float = 0.0) -> np.ndarray:
-    """Return ``v / ||v||``, or signal that the direction is undefined.
+def rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot product of matching rows (last axis) of ``a`` and ``b``.
 
-    Raises :class:`NormalizationSingularity` when ``||v|| <= floor``; the
-    optimizer steps catch this and treat the step as a no-move.
+    Computed as a stack of 1 x d by d x 1 products, which numpy hands to the
+    same ``dot`` that ``a @ b`` and ``np.linalg.norm`` use on one vector,
+    so every row rounds exactly as it would alone (``einsum`` and
+    ``norm(axis=-1)`` sum in other orders and differ in the last ulp).
+    """
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def rownorm(a: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row, bit-identical to ``np.linalg.norm`` of that row."""
+    return np.sqrt(rowdot(a, a))
+
+
+def normalize(v, floor: float = 0.0):
+    """Each row of ``v`` scaled to unit length: returns ``(unit, ok)``.
+
+    ``ok`` is False for rows with ``||v|| <= floor``, whose direction is
+    undefined (their ``unit`` row is meaningless); the optimizer moves treat
+    them as no-moves. A 1-D ``v`` is one row, with a 0-d ``ok``. Raises
+    :class:`InvalidInput` when a row is not finite.
     """
     if floor < 0.0:
         raise InvalidInput(f"floor must be >= 0, got {floor}")
-    v = as_vector(v)
-    n = float(np.linalg.norm(v))
-    if not (1e-150 < n < 1e150):
-        big = float(np.max(np.abs(v)))
-        if 0.0 < big < math.inf:
-            # v.v left the normal range (subnormal squares lose digits, large
-            # ones overflow): rescale by a power of two, which is exact
-            e = math.frexp(big)[1]
-            u = np.ldexp(v, -e)
-            n_u = float(np.linalg.norm(u))
-            with np.errstate(over="ignore"):
-                n = float(np.ldexp(n_u, e))
-            if n <= floor:
-                raise NormalizationSingularity(f"norm {n} <= floor {floor}")
-            return u / n_u
-    if not math.isfinite(n):
-        raise InvalidInput("cannot normalize a non-finite vector")
-    if n <= floor:
-        raise NormalizationSingularity(f"norm {n} <= floor {floor}")
-    return v / n
+    v = np.asarray(v, dtype=np.float64)
+    rows = v.reshape(-1, v.shape[-1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        n = rownorm(rows)
+    num, den = rows, n
+    in_range = (n > 1e-150) & (n < 1e150)
+    if not in_range.all():
+        num, den = rows.copy(), n.copy()
+        for i in np.flatnonzero(~in_range):
+            big = float(np.max(np.abs(rows[i])))
+            if 0.0 < big < math.inf:
+                # v.v left the normal range (subnormal squares lose digits,
+                # large ones overflow): rescale by a power of two, which is exact
+                e = math.frexp(big)[1]
+                num[i] = np.ldexp(rows[i], -e)
+                den[i] = n_u = float(rownorm(num[i]))
+                with np.errstate(over="ignore"):
+                    n[i] = np.ldexp(n_u, e)
+            elif not math.isfinite(n[i]):
+                raise InvalidInput("cannot normalize a non-finite vector")
+    ok = n > floor
+    unit = num / (den if ok.all() else np.where(ok, den, 1.0))[:, None]
+    return unit.reshape(v.shape), ok.reshape(v.shape[:-1])
 
 
 def gaussian_noise(rng: "RngStream", shape, sigma: float) -> np.ndarray:
@@ -131,39 +153,37 @@ class InvariantEvent:
     limit: float
 
 
-@dataclass(frozen=True)
-class StepLog:
-    """Per-step log entry. Exact-oracle fields are None when not recorded."""
-
-    t: int
-    eta: float
-    alpha: float
-    m_norm: float
-    f_val: float | None = None
-    grad_norm: float | None = None
-    mhat_err: float | None = None
-    descent_residual: float | None = None
-    no_move: bool = False
-
-
-@dataclass
+@dataclass(eq=False)
 class TrajectoryRecord:
-    """Full log of one seeded run: one :class:`StepLog` per step."""
+    """Log of one seeded run as per-step float64 columns.
+
+    Entry ``i`` of a column belongs to step ``i + 1``. The exact-oracle
+    columns are None when the run did not record them, and
+    ``descent_residual`` is None for runs whose move is not the plain
+    normalized one.
+    """
+
+    COLUMNS = ("eta", "alpha", "m_norm", "f_val", "grad_norm", "mhat_err", "descent_residual")
 
     problem_id: str
     optimizer_id: str
     seed: int
-    steps: list[StepLog] = field(default_factory=list)
-    no_move_steps: list[int] = field(default_factory=list)
+    eta: np.ndarray
+    alpha: np.ndarray
+    m_norm: np.ndarray
+    no_move: np.ndarray  # bool per step
+    f_val: np.ndarray | None = None
+    grad_norm: np.ndarray | None = None
+    mhat_err: np.ndarray | None = None
+    descent_residual: np.ndarray | None = None
     invariant_violations: list[InvariantEvent] = field(default_factory=list)
     max_displacement: float = 0.0
     final_w: np.ndarray | None = None  # iterate after the last step
 
     def avg_grad_norm(self) -> float:
         """Time average of the exact gradient norm over the trajectory."""
-        vals = [s.grad_norm for s in self.steps]
-        if any(v is None for v in vals):
+        if self.grad_norm is None:
             from .errors import MissingExactOracle
 
             raise MissingExactOracle("run was recorded without exact gradient norms")
-        return float(np.mean(vals))
+        return float(np.mean(self.grad_norm))

@@ -9,11 +9,16 @@ class DimensionMismatch(NigtLabError):
     """Vector operands have incompatible shapes."""
 
 
-class NormalizationSingularity(NigtLabError):
-    """Vector norm at or below the floor; direction is undefined."""
+class _RowError(NigtLabError):
+    """A failure confined to some rows (seeds) of a batched step; ``row``
+    is the first of them, so the caller can keep running the rows before."""
+
+    def __init__(self, message, row=0):
+        super().__init__(message)
+        self.row = row
 
 
-class NonFiniteGradient(NigtLabError):
+class NonFiniteGradient(_RowError):
     """A gradient sample contained NaN or Inf."""
 
 
@@ -47,6 +52,10 @@ class PartitionMismatch(NigtLabError):
 
 class InvalidInput(NigtLabError):
     """Scalar argument outside its documented domain."""
+
+
+class InvalidRate(_RowError, InvalidInput):
+    """A step size that is negative or not finite."""
 
 
 class NonConstantHessian(NigtLabError):

@@ -4,7 +4,9 @@ Everything here is deterministic given the configuration: each seed drives a
 counter-based stream (stream 0 for the oracle, stream 1 for the paired
 samples of the self-tuning method), so reruns are bit-identical and runs
 across seeds or grid points can execute in parallel without changing any
-result.
+result. The seeds of a run step in lockstep as ``(S, d)`` arrays, their
+noise drawn ahead in bounded blocks, and each seed's record is the one it
+would get alone.
 """
 
 from __future__ import annotations
@@ -15,11 +17,12 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import RngStream, StepLog, TrajectoryRecord, gaussian_noise
+from .core import RngStream, TrajectoryRecord, gaussian_noise, rownorm
 from .errors import (
     Diverged,
     InsufficientGrid,
     InvalidInput,
+    InvalidRate,
     MissingExactOracle,
     NonConstantHessian,
     NonFiniteGradient,
@@ -31,6 +34,7 @@ from .optimizers import (
     StepState,
     apply_schedule,
     blockwise_move,
+    check_finite_rows,
     full_partition,
     normalized_move,
     plain_move,
@@ -53,6 +57,10 @@ DESCENT_TOL = 1e-9
 
 DEFAULT_ETA_GRID = (1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0)
 DEFAULT_CERT_RADIUS = 10.0
+
+# Oracle noise is drawn ahead in blocks of at most this many bytes per
+# stream (one stream per seed, two for the self-tuning method).
+NOISE_BLOCK_BYTES = 256 * 1024
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,63 +108,79 @@ def _resolve_eta_beta(cfg: RunConfig) -> tuple[float, float]:
     return base_eta, beta
 
 
-def _make_log(
-    pb: StochasticProblem,
-    record_exact: bool,
-    t: int,
-    eta_t: float,
-    alpha: float,
-    w_before: np.ndarray,
-    m: np.ndarray,
-    w_after: np.ndarray,
-    no_move: bool,
-    normalized: bool,
-) -> StepLog:
-    m_norm = float(np.linalg.norm(m))
-    if not record_exact:
-        return StepLog(t=t, eta=eta_t, alpha=alpha, m_norm=m_norm, no_move=no_move)
-    f_val = pb.exact_value(w_before)
-    g_exact = pb.exact_grad(w_before)
-    grad_norm = float(np.linalg.norm(g_exact))
-    mhat_err = float(np.linalg.norm(m - g_exact))
-    residual = None
-    if normalized:
-        lhs = pb.exact_value(w_after) - f_val
-        rhs = -eta_t / 3.0 * grad_norm + (8.0 * eta_t / 3.0) * mhat_err + 0.5 * pb.L * eta_t * eta_t
-        residual = rhs - lhs
-    return StepLog(
-        t=t,
-        eta=eta_t,
-        alpha=alpha,
-        m_norm=m_norm,
-        f_val=f_val,
-        grad_norm=grad_norm,
-        mhat_err=mhat_err,
-        descent_residual=residual,
-        no_move=no_move,
-    )
+class _NoiseTape:
+    """Oracle randomness of the given streams of every seed, drawn ahead in
+    blocks.
 
-
-def run_single(cfg: RunConfig, seed: int) -> TrajectoryRecord:
-    """Execute one seeded trajectory of ``cfg.T`` steps.
-
-    Every optimizer is :func:`transport_step` with its own per-step
-    ``(eta_t, k_t, beta_t, alpha_t)`` and move (table in the optimizers
-    module); the self-tuning method adds a paired sample per step from
-    stream 1 of the seed. A non-finite gradient sample raises
-    :class:`Diverged` naming the step.
+    Each block holds the next rows of every stream, at most
+    :data:`NOISE_BLOCK_BYTES` per stream, so memory stays bounded whatever
+    the horizon. The streams are counter-based, so a block holds exactly
+    the numbers one draw per step would have produced.
     """
+
+    def __init__(self, problem: StochasticProblem, seeds, stream_ids, T: int):
+        self.problem = problem
+        self.streams = [[RngStream(seed, sid) for seed in seeds] for sid in stream_ids]
+        self.left = T
+        row_bytes = 8 * problem.noise_width
+        rows = min(T, max(1, NOISE_BLOCK_BYTES // row_bytes)) if row_bytes else T
+        self.block = np.empty((rows, len(stream_ids), len(seeds), problem.noise_width))  # refilled in place
+        self.size = self.pos = 0
+
+    def next(self, n: int) -> np.ndarray:
+        """The noise of the next step, ``(streams, n, noise_width)``, for the first n seeds."""
+        if self.pos == self.size:
+            self.size = min(len(self.block), self.left)
+            for j, streams in enumerate(self.streams):
+                for i, rng in enumerate(streams[:n]):
+                    self.block[:self.size, j, i] = self.problem.sample_noise(rng, self.size)
+            self.left -= self.size
+            self.pos = 0
+        self.pos += 1
+        return self.block[self.pos - 1, :, :n]
+
+
+def _make_log(pb, log, i, eta, alpha, w, m, w_next, f_w):
+    """Write the log row of step ``i + 1`` for the rows of ``w`` (the
+    iterates the step started from) and return F(w_next), the next step's
+    f_val, when the run records exact values."""
+    n = len(w)
+    eta, alpha = _column(eta), _column(alpha)
+    log["eta"][i, :n] = eta
+    log["alpha"][i, :n] = alpha
+    log["m_norm"][i, :n] = rownorm(m)
+    if "f_val" not in log:
+        return None
+    g = pb.exact_grad(w)
+    grad_norm = rownorm(g)
+    mhat_err = rownorm(m - g)
+    f_next = pb.exact_value(w_next)
+    log["f_val"][i, :n] = f_w
+    log["grad_norm"][i, :n] = grad_norm
+    log["mhat_err"][i, :n] = mhat_err
+    if "descent_residual" in log:
+        rhs = -eta / 3.0 * grad_norm + (8.0 * eta / 3.0) * mhat_err + 0.5 * pb.L * eta * eta
+        log["descent_residual"][i, :n] = rhs - (f_next - f_w)
+    return f_next
+
+
+def _column(v):
+    """A per-row ``(S, 1)`` coefficient as one value per row; a scalar as is."""
+    return v[:, 0] if isinstance(v, np.ndarray) else v
+
+
+def _run_batch(cfg: RunConfig, seeds: tuple[int, ...]) -> list[TrajectoryRecord]:
+    """Run ``seeds`` of ``cfg`` in lockstep as ``(S, d)`` arrays; one record
+    per seed, each bit-identical to a run of that seed alone."""
     pb = cfg.problem
     opt = cfg.optimizer_id
     sch = cfg.schedule
     T = cfg.T
-    rng = RngStream(seed, 0)
-    tuner = None
+    tuners = []
     if opt == "nigt_adaptive":
         if sch.kind != "constant" or sch.eta0 is not None:
             raise InvalidInput("the self-tuning method sets its own step sizes; use a constant schedule")
-        tuner = SelfTuning(cfg.g_bound if cfg.g_bound is not None else pb.g_bound)
-        rng_paired = RngStream(seed, 1)
+        tuners = [SelfTuning(cfg.g_bound if cfg.g_bound is not None else pb.g_bound) for _ in seeds]
     else:
         base_eta, beta = _resolve_eta_beta(cfg)
     transport = opt in ("nigt", "nigt_layerwise")
@@ -171,59 +195,105 @@ def run_single(cfg: RunConfig, seed: int) -> TrajectoryRecord:
     else:
         move = normalized_move
 
-    rec = TrajectoryRecord(problem_id=pb.problem_id, optimizer_id=opt, seed=seed)
+    S = len(seeds)
+    # stream 0 feeds the momentum; stream 1 the paired samples of the self-tuning method
+    tape = _NoiseTape(pb, seeds, (0, 1) if tuners else (0,), T)
+    names = ["eta", "alpha", "m_norm"]
+    if cfg.record_exact:
+        names += ["f_val", "grad_norm", "mhat_err"] + (["descent_residual"] if move is normalized_move else [])
+    log = {name: np.empty((T, S)) for name in names}
+    no_move = np.zeros((T, S), dtype=bool)
     w1 = pb.w1
-    s = StepState(w=w1, w_prev=w1, m=np.zeros(pb.dim))
-    max_disp = 0.0
-    for t in range(1, T + 1):
-        if tuner is None:
-            wnorm = float(np.linalg.norm(s.w)) if scale_by_norm else None
-            eta_t = apply_schedule(sch, t, T, base_eta, wnorm)
-            beta_t = 0.0 if t == 1 else beta  # first momentum is the first sample
-            alpha_t = 1.0 - beta_t
-            k = beta_t / (1.0 - beta_t) if transport else 0.0
-            alpha_log = 1.0 - beta
-        else:
-            eta_t, alpha_t = tuner.rates(t)
-            # no domain check: a corrupted accumulator that pushes alpha_t
-            # above one keeps running and is recorded as an invariant event
-            beta_t = 1.0 - alpha_t
-            k = (1.0 - alpha_t) / alpha_t
-            alpha_log = alpha_t
-        w_before = s.w
-        try:
-            s, x, g = transport_step(s, pb, rng, eta_t, k, beta_t, alpha_t, move)
-            if tuner is not None:
-                tuner.accumulate(t, g, pb.sample_grad(x, rng_paired))
-        except NonFiniteGradient as e:
-            raise Diverged(f"seed {seed} diverged at step {t}: {e}", t) from None
-        max_disp = max(max_disp, float(np.linalg.norm(s.w - w1)))
-        if x is not w_before:
-            max_disp = max(max_disp, float(np.linalg.norm(x - w1)))
-        if s.no_move:
-            rec.no_move_steps.append(t)
-        rec.steps.append(
-            _make_log(pb, cfg.record_exact, t, eta_t, alpha_log,
-                      w_before, s.m, s.w, s.no_move, normalized=move is normalized_move)
+    W = np.tile(w1, (S, 1))
+    s = StepState(w=W, w_prev=W, m=np.zeros((S, pb.dim)))
+    max_disp = np.zeros(S)
+    f_w = pb.exact_value(W) if cfg.record_exact else None
+    n = S  # rows still running: the seeds before the first one that failed
+    failure = None
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(1, T + 1):
+            if tuners:
+                rates = np.array([tuner.rates(t) for tuner in tuners[:n]])
+                eta_t, alpha_t = rates[:, :1], rates[:, 1:]
+                # no domain check: a corrupted accumulator that pushes alpha_t
+                # above one keeps running and is recorded as an invariant event
+                beta_t = 1.0 - alpha_t
+                k = (1.0 - alpha_t) / alpha_t
+                alpha_log = alpha_t
+            else:
+                eta_t = apply_schedule(sch, t, T, base_eta, rownorm(s.w)[:, None] if scale_by_norm else None)
+                beta_t = 0.0 if t == 1 else beta  # first momentum is the first sample
+                alpha_t = 1.0 - beta_t
+                k = beta_t / (1.0 - beta_t) if transport else 0.0
+                alpha_log = 1.0 - beta
+            z = tape.next(n)
+            samples = []  # one sample per stream at the query point, from one gradient evaluation
+
+            def sample(x):
+                samples[:] = pb.noisy_grad(x, z[:, :len(x)])
+                return samples[0]
+
+            while True:
+                try:
+                    s_next, x, g = transport_step(s, sample, eta_t, k, beta_t, alpha_t, move)
+                    if tuners:
+                        check_finite_rows(samples[1])
+                    break
+                except (NonFiniteGradient, InvalidRate) as e:
+                    # a seed fails as it would alone; the seeds after it no
+                    # longer matter, the ones before it run on
+                    n = e.row
+                    failure = (Diverged(f"seed {seeds[n]} diverged at step {t}: {e}", t)
+                               if isinstance(e, NonFiniteGradient) else InvalidInput(str(e)))
+                    if n == 0:
+                        raise failure from None
+                    s = s.head(n)
+                    eta_t, k, beta_t, alpha_t, alpha_log = (
+                        v[:n] if isinstance(v, np.ndarray) else v for v in (eta_t, k, beta_t, alpha_t, alpha_log))
+            for tuner, g_row, g_paired_row in zip(tuners, g, samples[1] if tuners else ()):
+                tuner.accumulate(t, g_row, g_paired_row)
+            f_w = _make_log(pb, log, t - 1, eta_t, alpha_log, s.w, s_next.m, s_next.w,
+                            None if f_w is None else f_w[:n])
+            no_move[t - 1, :n] = s_next.no_move
+            disp = rownorm(s_next.w - w1)
+            if x is not s.w:
+                disp = np.fmax(disp, rownorm(x - w1))
+            max_disp[:n] = np.fmax(max_disp[:n], disp)
+            s = s_next
+    if failure is not None:
+        raise failure
+
+    # one contiguous column per seed, so per-seed reductions see the same
+    # memory layout as a run of that seed alone
+    cols = {name: np.ascontiguousarray(a.T) for name, a in log.items()}
+    no_move = np.ascontiguousarray(no_move.T)
+    return [
+        TrajectoryRecord(
+            problem_id=pb.problem_id, optimizer_id=opt, seed=seed,
+            no_move=no_move[i], **{name: c[i] for name, c in cols.items()},
+            invariant_violations=tuners[i].events if tuners else [],
+            max_displacement=float(max_disp[i]), final_w=s.w[i],
         )
-    if tuner is not None:
-        rec.invariant_violations = tuner.events
-    rec.max_displacement = max_disp
-    rec.final_w = s.w
-    return rec
-
-
-def _run_single_args(args) -> TrajectoryRecord:
-    cfg, seed = args
-    return run_single(cfg, seed)
+        for i, seed in enumerate(seeds)
+    ]
 
 
 def run(cfg: RunConfig, jobs: int = 1) -> list[TrajectoryRecord]:
-    """One record per seed, in seed order regardless of completion order."""
-    if jobs <= 1 or len(cfg.seeds) == 1:
-        return [run_single(cfg, s) for s in cfg.seeds]
+    """One record per seed, in seed order.
+
+    The seeds run in lockstep (:func:`_run_batch`); with ``jobs`` > 1 they
+    are split into that many contiguous chunks, each batched in a worker
+    process. A non-finite gradient sample raises :class:`Diverged` naming
+    the first seed, in seed order, that diverged, and its step, as running
+    the seeds one after another would.
+    """
+    seeds = cfg.seeds
+    jobs = min(jobs, len(seeds))
+    if jobs <= 1:
+        return _run_batch(cfg, seeds)
+    chunks = [seeds[len(seeds) * i // jobs:len(seeds) * (i + 1) // jobs] for i in range(jobs)]
     with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as ex:
-        return list(ex.map(_run_single_args, [(cfg, s) for s in cfg.seeds]))
+        return [rec for part in ex.map(_run_batch, [cfg] * jobs, chunks) for rec in part]
 
 
 # -- gradient-transport moment check -----------------------------------------
@@ -340,20 +410,14 @@ def descent_check(problem: StochasticProblem, record: TrajectoryRecord) -> Desce
     is validated as logged. A residual may not fall below
     -1e-9 (1 + |objective decrease|).
     """
-    steps = record.steps
-    if not steps:
-        raise MissingExactOracle("record contains no steps")
-    for s in steps:
-        if s.f_val is None or s.grad_norm is None or s.mhat_err is None or s.descent_residual is None:
-            raise MissingExactOracle(
-                "descent audit needs exact logging on a normalized-update run "
-                f"(step {s.t} lacks it in {record.optimizer_id})"
-            )
-    res = np.array([s.descent_residual for s in steps])
-    rhs = np.array(
-        [-s.eta / 3.0 * s.grad_norm + (8.0 * s.eta / 3.0) * s.mhat_err + 0.5 * problem.L * s.eta * s.eta for s in steps]
-    )
-    f = np.array([s.f_val for s in steps])
+    res = record.descent_residual
+    if res is None:
+        raise MissingExactOracle(
+            f"descent audit needs exact logging on a normalized-update run ({record.optimizer_id} lacks it)"
+        )
+    eta = record.eta
+    rhs = -eta / 3.0 * record.grad_norm + (8.0 * eta / 3.0) * record.mhat_err + 0.5 * problem.L * eta * eta
+    f = record.f_val
     lhs = rhs - res  # exact for every step, including the last
     # recompute the first T-1 residuals offline from the objective chain
     recomputed = rhs[:-1] - (f[1:] - f[:-1])
@@ -361,7 +425,7 @@ def descent_check(problem: StochasticProblem, record: TrajectoryRecord) -> Desce
     if np.any(drift > 1e-12 * (1.0 + np.abs(res[:-1]))):
         raise InvalidInput("logged residuals disagree with the logged objective chain")
     tol = -DESCENT_TOL * (1.0 + np.abs(lhs))
-    bad = tuple(int(steps[i].t) for i in np.nonzero(res < tol)[0])
+    bad = tuple(int(i) + 1 for i in np.flatnonzero(res < tol))
     return DescentAudit(residuals=res, lhs=lhs, violations=bad, passed=not bad)
 
 
@@ -531,7 +595,7 @@ def grid_sweep(base: RunConfig, eta0_grid=None, jobs: int = 1) -> SweepReport:
         except Diverged as e:
             rows.append(SweepRow(eta0=eta0, final_grad_norm=None, diverged_at=e.step))
             continue
-        metric = float(np.mean([r.steps[-1].grad_norm for r in recs]))
+        metric = float(np.mean([r.grad_norm[-1] for r in recs]))
         rows.append(SweepRow(eta0=eta0, final_grad_norm=metric))
     # diverged rates have no norm: they go last, in rate order
     rows.sort(key=lambda r: (r.diverged_at is not None, r.final_grad_norm or 0.0, r.eta0))

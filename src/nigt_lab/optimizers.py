@@ -28,6 +28,11 @@ slowly. The normalized moves travel exactly eta per step; when ``||m||``
 falls at or below the norm floor the step is a recorded no-move (the
 direction is undefined there; substituting a random one would break replay
 determinism).
+
+The step and the moves act on the last axis: a state holds one vector per
+row, so the runner steps every seed of a run at once as ``(S, d)`` arrays,
+with a coefficient that differs per seed given as an ``(S, 1)`` column.
+Each row rounds exactly as it would on its own.
 """
 
 from __future__ import annotations
@@ -37,15 +42,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import NORM_FLOOR, InvariantEvent, RngStream, as_vector, normalize, pow_sevenths
+from .core import NORM_FLOOR, InvariantEvent, normalize, pow_sevenths, rownorm
 from .errors import (
     InvalidGBound,
     InvalidInput,
+    InvalidRate,
     NonFiniteGradient,
-    NormalizationSingularity,
     PartitionMismatch,
 )
-from .problems import StochasticProblem
 
 # Floor applied when a learning rate is scaled by a weight norm, so layers
 # that start at zero still move.
@@ -56,11 +60,12 @@ WEIGHT_NORM_FLOOR = 1e-8
 _INV_REL_TOL = 1e-12
 
 
-def _check_grad(grad: np.ndarray) -> np.ndarray:
-    grad = as_vector(grad)
-    if not np.all(np.isfinite(grad)):
-        raise NonFiniteGradient("gradient sample contains NaN or Inf")
-    return grad
+def check_finite_rows(g: np.ndarray) -> None:
+    """Raise :class:`NonFiniteGradient` naming the first row of gradient
+    samples that holds a NaN or Inf."""
+    bad = ~np.isfinite(g).all(axis=-1)
+    if bad.any():
+        raise NonFiniteGradient("gradient sample contains NaN or Inf", int(np.flatnonzero(bad)[0]))
 
 
 # -- the transport step --------------------------------------------------------
@@ -72,48 +77,53 @@ class StepState:
     w_prev: np.ndarray  # iterate before w; equal to w at the start
     m: np.ndarray
     t: int = 1  # index of the next step
-    no_move: bool = False  # whether the step that produced this state skipped a move
+    no_move: np.ndarray | bool = False  # per row: the step that produced this state skipped its move
+
+    def head(self, n: int) -> "StepState":
+        """The state of the first n rows."""
+        return StepState(self.w[:n], self.w_prev[:n], self.m[:n], self.t, np.asarray(self.no_move)[:n])
 
 
-def transport_step(
-    s: StepState,
-    problem: StochasticProblem,
-    rng: RngStream,
-    eta: float,
-    k: float,
-    beta: float,
-    alpha: float,
-    move,
-):
+def transport_step(s: StepState, sample, eta, k, beta, alpha, move):
     """One step of the shared recurrence; returns (new state, x, g).
 
-    Samples g at x = w + k (w - w_prev), sets m = beta m + alpha g and moves
-    w by eta along m. With k == 0 the query point is w itself (the returned
-    x *is* ``s.w``). The two momentum weights are passed separately because
-    in float64 ``1 - (1 - alpha)`` is not always ``alpha``; their domain is
-    the caller's to check (once per run for a fixed beta).
+    Samples g = sample(x) at x = w + k (w - w_prev), sets
+    m = beta m + alpha g and moves w by eta along m. Rows with k == 0 query
+    w itself (when every row does, the returned x *is* ``s.w``). The two
+    momentum weights are passed separately because in float64
+    ``1 - (1 - alpha)`` is not always ``alpha``; their domain is the
+    caller's to check (once per run for a fixed beta). A negative or
+    non-finite eta raises :class:`InvalidRate`, a non-finite sample
+    :class:`NonFiniteGradient`, each naming the first such row.
     """
-    if not (eta >= 0.0 and math.isfinite(eta)):
-        raise InvalidInput(f"eta must be finite and >= 0, got {eta}")
-    x = s.w if k == 0.0 else s.w + k * (s.w - s.w_prev)
-    g = _check_grad(problem.sample_grad(x, rng))
+    bad = ~(np.greater_equal(eta, 0.0) & np.isfinite(eta))
+    if bad.any():
+        row = int(np.flatnonzero(bad)[0])
+        raise InvalidRate(f"eta must be finite and >= 0, got {float(np.ravel(eta)[row])}", row)
+    at_w = np.equal(k, 0.0)
+    if at_w.all():
+        x = s.w
+    else:
+        x = s.w + k * (s.w - s.w_prev)
+        if at_w.any():
+            x = np.where(at_w, s.w, x)
+    g = sample(x)
+    check_finite_rows(g)
     m = beta * s.m + alpha * g
     w, moved = move(s.w, m, eta)
-    return StepState(w=w, w_prev=s.w, m=m, t=s.t + 1, no_move=not moved), x, g
+    return StepState(w=w, w_prev=s.w, m=m, t=s.t + 1, no_move=~moved), x, g
 
 
-def plain_move(w: np.ndarray, m: np.ndarray, eta: float):
-    """w - eta m; always moves. Returns (new_w, moved)."""
-    return w - eta * m, True
+def plain_move(w: np.ndarray, m: np.ndarray, eta):
+    """w - eta m; always moves. Returns (new_w, moved per row)."""
+    return w - eta * m, np.ones(w.shape[:-1], dtype=bool)
 
 
-def normalized_move(w: np.ndarray, m: np.ndarray, eta: float):
-    """Move ``eta`` along m / ||m||, or stay put at or below the norm floor."""
-    try:
-        unit = normalize(m, NORM_FLOOR)
-    except NormalizationSingularity:
-        return w, False
-    return w - eta * unit, True
+def normalized_move(w: np.ndarray, m: np.ndarray, eta):
+    """Move each row ``eta`` along m / ||m||, or leave it at or below the norm floor."""
+    unit, moved = normalize(m, NORM_FLOOR)
+    w_new = w - eta * unit
+    return (w_new if moved.all() else np.where(moved[..., None], w_new, w)), moved
 
 
 def blockwise_move(partition: LayerPartition, weight_norm_scaling: bool = False):
@@ -122,15 +132,15 @@ def blockwise_move(partition: LayerPartition, weight_norm_scaling: bool = False)
     step counts as a no-move when any range does. On a single unscaled
     range this is :func:`normalized_move`."""
 
-    def move(w: np.ndarray, m: np.ndarray, eta: float):
+    def move(w: np.ndarray, m: np.ndarray, eta):
         w_new = w.copy()
-        moved_all = True
+        moved_all = np.ones(w.shape[:-1], dtype=bool)
         for (lo, hi), scale in zip(partition.ranges, partition.lr_scale):
             eta_layer = eta * scale
             if weight_norm_scaling:
-                eta_layer *= max(float(np.linalg.norm(w[lo:hi])), WEIGHT_NORM_FLOOR)
-            w_new[lo:hi], moved = normalized_move(w[lo:hi], m[lo:hi], eta_layer)
-            moved_all = moved_all and moved
+                eta_layer = eta_layer * np.maximum(rownorm(w[..., lo:hi]), WEIGHT_NORM_FLOOR)[..., None]
+            w_new[..., lo:hi], moved = normalized_move(w[..., lo:hi], m[..., lo:hi], eta_layer)
+            moved_all &= moved
         return w_new, moved_all
 
     return move
@@ -188,11 +198,11 @@ class SelfTuning:
         """Add step t's squared paired-sample difference plus drift to G.
 
         ``g`` fed the momentum; ``g_paired`` is an independent sample at the
-        same query point from a distinct stream.
+        same query point from a distinct stream (finite: the caller checks).
         """
         gb2 = self.g_bound * self.g_bound
         drift = gb2 * (float(t + 1) ** 0.25 - float(t) ** 0.25)
-        diff = g - _check_grad(g_paired)
+        diff = g - g_paired
         delta = float(diff @ diff) + drift
         G_next = self.G + delta
         if G_next < self.G:
@@ -230,7 +240,7 @@ class Schedule:
             raise InvalidInput(f"eta0 must be positive, got {self.eta0}")
 
 
-def apply_schedule(sch: Schedule, t: int, T: int, base_eta: float, w_layer_norm: float | None = None) -> float:
+def apply_schedule(sch: Schedule, t: int, T: int, base_eta: float, w_layer_norm=None):
     """Learning rate for step t of T.
 
     Linear ramp over the warmup steps, then polynomial decay measured from
@@ -240,7 +250,7 @@ def apply_schedule(sch: Schedule, t: int, T: int, base_eta: float, w_layer_norm:
         t >  warmup:  base * ((T - t) / (T - warmup))^power
 
     With weight-norm scaling enabled and a norm supplied, the result is
-    multiplied by max(norm, 1e-8).
+    multiplied by max(norm, 1e-8) (elementwise for an array of norms).
     """
     if not (1 <= t <= T):
         raise InvalidInput(f"step {t} outside [1, {T}]")
@@ -254,7 +264,7 @@ def apply_schedule(sch: Schedule, t: int, T: int, base_eta: float, w_layer_norm:
         else:
             eta = base_eta * ((T - t) / (T - sch.warmup_steps)) ** sch.power
     if sch.weight_norm_scaling and w_layer_norm is not None:
-        eta *= max(w_layer_norm, WEIGHT_NORM_FLOOR)
+        eta = eta * np.maximum(w_layer_norm, WEIGHT_NORM_FLOOR)
     return eta
 
 

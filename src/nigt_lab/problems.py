@@ -11,6 +11,13 @@ gradient, a sampling gradient oracle, and declared constants:
     R        upper bound on F at the start point (we declare F(w1) exactly),
     M        upper bound on F everywhere (may be +inf).
 
+Every oracle sample is a deterministic function of the query point and a
+row of randomness, so the randomness of many samples can be drawn from a
+stream in one block (:meth:`StochasticProblem.sample_noise`) and turned
+into samples later (:meth:`StochasticProblem.noisy_grad`); the stream is
+counter-based, so a block holds exactly the numbers that one draw per
+sample would have produced.
+
 The ``make_*`` constructors validate their arguments and derive the
 constants; :data:`PROBLEM_KINDS` maps each kind name to its constructor,
 whose parameter names are the experiment-file keys of that kind.
@@ -26,7 +33,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .core import RngStream, as_vector, gaussian_noise
+from .core import RngStream, as_vector, gaussian_noise, rowdot
 from .errors import (
     CertificationFailure,
     DimensionMismatch,
@@ -39,7 +46,8 @@ from .errors import (
 @dataclass(frozen=True, eq=False)
 class StochasticProblem:
     """Declared constants shared by every kind; the oracles dispatch to the
-    kind's ``_value``, ``_grad`` and ``_sample`` hooks."""
+    kind's ``_value``, ``_grad``, ``_draw`` and ``_sample`` hooks, which
+    act on the last axis and so take one point or a stack of them."""
 
     kind: ClassVar[str]
     # sigma certified at w1 only (true for streaming least squares, whose
@@ -67,21 +75,44 @@ class StochasticProblem:
 
     # -- exact population quantities -------------------------------------
 
-    def exact_value(self, w) -> float:
-        return self._value(as_vector(w))
+    def exact_value(self, w):
+        """F at ``w`` (a float), or at each row of an ``(n, dim)`` array."""
+        w = _points(w)
+        v = self._value(w)
+        return float(v) if w.ndim == 1 else v
 
     def exact_grad(self, w) -> np.ndarray:
         """Exact gradient at ``w``, or at each row of an ``(n, dim)`` array."""
-        w = np.asarray(w, dtype=np.float64)
-        if w.ndim == 0:
-            w = w.reshape(1)
-        return self._grad(w)
+        return self._grad(_points(w))
 
     # -- stochastic oracle -------------------------------------------------
 
+    noise_width: ClassVar[int]  # randomness per sample: columns of a sample_noise block
+
+    def sample_noise(self, rng: RngStream, n: int) -> np.ndarray:
+        """The randomness of the next ``n`` samples from ``rng``, as an
+        ``(n, noise_width)`` block whose row i feeds sample i."""
+        return self._draw(rng, n)
+
+    def noisy_grad(self, w, noise: np.ndarray) -> np.ndarray:
+        """The samples at ``w`` given their rows of :meth:`sample_noise`.
+
+        The points (the rows of ``w``, or one point) broadcast against the
+        leading axes of ``noise``: one point with n noise rows gives n
+        samples there, and ``(k, S, width)`` noise at S points gives k
+        samples at each, with a single gradient evaluation.
+        """
+        return self._sample(_points(w), noise)
+
     def sample_grad(self, w, rng: RngStream) -> np.ndarray:
-        """One unbiased gradient sample; draws are consumed deterministically."""
-        return self._sample(as_vector(w), rng)
+        """One unbiased gradient sample at the vector ``w``: the one-row
+        case of :meth:`sample_noise` and :meth:`noisy_grad`."""
+        return self.noisy_grad(as_vector(w), self.sample_noise(rng, 1)[0])
+
+
+def _points(w) -> np.ndarray:
+    w = np.asarray(w, dtype=np.float64)
+    return w.reshape(1) if w.ndim == 0 else w
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,14 +127,21 @@ class NoisyQuadratic(StochasticProblem):
     # mis-declared constant can actually be caught by certification
     noise_scale: float
 
+    @property
+    def noise_width(self):
+        return self.dim
+
     def _value(self, w):
-        return float(0.5 * np.sum(self.eigs * w * w))
+        return 0.5 * np.sum(self.eigs * w * w, axis=-1)
 
     def _grad(self, w):
         return self.eigs * w
 
-    def _sample(self, w, rng):
-        return self._grad(w) + gaussian_noise(rng, self.dim, self.noise_scale)
+    def _draw(self, rng, n):
+        return gaussian_noise(rng, (n, self.dim), self.noise_scale)
+
+    def _sample(self, w, z):
+        return self._grad(w) + z
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,15 +153,19 @@ class SignNoise(StochasticProblem):
 
     p: float
 
+    noise_width: ClassVar[int] = 1
+
     def _value(self, w):
-        return 1.0
+        return np.ones(w.shape[:-1])
 
     def _grad(self, w):
         return np.zeros_like(w)
 
-    def _sample(self, w, rng):
-        u = rng.generator.random()
-        return np.array([self.p - 1.0 if u < self.p else self.p])
+    def _draw(self, rng, n):
+        return rng.generator.random((n, 1))
+
+    def _sample(self, w, u):
+        return np.where(u < self.p, self.p - 1.0, self.p)
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,21 +179,30 @@ class TrigBowl(StochasticProblem):
     b: float
     noise_scale: float  # as in NoisyQuadratic
 
+    @property
+    def noise_width(self):
+        return self.dim if self.noise_scale > 0.0 else 0
+
     def _value(self, w):
-        return float(self.a * np.sum(1.0 - np.cos(self.b * w)))
+        return self.a * np.sum(1.0 - np.cos(self.b * w), axis=-1)
 
     def _grad(self, w):
         return self.a * self.b * np.sin(self.b * w)
 
-    def _sample(self, w, rng):
+    def _draw(self, rng, n):
+        if self.noise_scale == 0.0:
+            return np.zeros((n, 0))
+        # bounded noise keeps the a.s. gradient bound finite:
+        # per-component uniform on [-c, c] with c = sigma*sqrt(3/d)
+        # gives E||zeta||^2 = sigma^2 and ||zeta|| <= sqrt(3)*sigma
+        c = self.noise_scale * math.sqrt(3.0 / self.dim)
+        return rng.generator.uniform(-c, c, size=(n, self.dim))
+
+    def _sample(self, w, z):
         g = self._grad(w)
-        if self.noise_scale > 0.0:
-            # bounded noise keeps the a.s. gradient bound finite:
-            # per-component uniform on [-c, c] with c = sigma*sqrt(3/d)
-            # gives E||zeta||^2 = sigma^2 and ||zeta|| <= sqrt(3)*sigma
-            c = self.noise_scale * math.sqrt(3.0 / self.dim)
-            g = g + rng.generator.uniform(-c, c, size=self.dim)
-        return g
+        if self.noise_scale == 0.0:  # nothing drawn: the exact gradient, once per noise row
+            return np.broadcast_to(g, np.broadcast_shapes(g.shape, z.shape[:-1] + (self.dim,)))
+        return g + z
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,19 +217,27 @@ class StreamingLeastSquares(StochasticProblem):
     label_noise: float
     w_star: np.ndarray
 
+    @property
+    def noise_width(self):
+        # standard normal features, then the label noise when there is any
+        return self.dim + (self.label_noise > 0.0)
+
     def _value(self, w):
         delta = w - self.w_star
-        return float(0.5 * (np.sum(self.cov_eigs * delta * delta) + self.label_noise**2))
+        return 0.5 * (np.sum(self.cov_eigs * delta * delta, axis=-1) + self.label_noise**2)
 
     def _grad(self, w):
         return self.cov_eigs * (w - self.w_star)
 
-    def _sample(self, w, rng):
-        x = rng.generator.normal(size=self.dim) * np.sqrt(self.cov_eigs)
-        y = float(x @ self.w_star)
+    def _draw(self, rng, n):
+        return rng.generator.normal(size=(n, self.noise_width))
+
+    def _sample(self, w, z):
+        x = z[..., :self.dim] * np.sqrt(self.cov_eigs)
+        y = rowdot(x, self.w_star)
         if self.label_noise > 0.0:
-            y += self.label_noise * rng.generator.normal()
-        return x * (float(x @ w) - y)
+            y = y + self.label_noise * z[..., self.dim]
+        return x * (rowdot(x, w) - y)[..., None]
 
 
 # -- constructors ----------------------------------------------------------
@@ -402,13 +461,11 @@ def certify_constants(
         points = [problem.w1] + [ball_point(rng, problem.w1, radius) for _ in range(19)]
     per_point = max(1, n_sigma // len(points))
     sq_err_sum = 0.0
-    n_draws = 0
     for pt in points:
-        g_exact = problem.exact_grad(pt)
-        for _ in range(per_point):
-            e = problem.sample_grad(pt, rng) - g_exact
-            sq_err_sum += float(e @ e)
-            n_draws += 1
+        e = problem.noisy_grad(pt, problem.sample_noise(rng, per_point)) - problem.exact_grad(pt)
+        for sq in rowdot(e, e).tolist():
+            sq_err_sum += sq  # in draw order, as one sample at a time would
+    n_draws = per_point * len(points)
     sigma_hat = math.sqrt(sq_err_sum / n_draws)
 
     failures = []

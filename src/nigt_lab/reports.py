@@ -32,11 +32,12 @@ def format_num(x: float | None) -> str:
 
 
 def record_to_csv(record: TrajectoryRecord) -> str:
-    lines = [CSV_HEADER]
-    for s in record.steps:
-        cells = [str(s.t)] + [format_num(getattr(s, f)) for f in _CSV_FIELDS]
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    """One row per step; a column the run did not record is empty cells.
+    ``"%.17g" %`` formats exactly as :func:`format_num`."""
+    cols = [getattr(record, f) for f in _CSV_FIELDS]
+    row = ",".join(["%d"] + ["" if c is None else "%.17g" for c in cols]) + "\n"
+    data = [range(1, len(record.eta) + 1)] + [c.tolist() for c in cols if c is not None]
+    return CSV_HEADER + "\n" + "".join(map(row.__mod__, zip(*data)))
 
 
 def parse_run_csv(text: str) -> dict[str, list]:
@@ -84,18 +85,19 @@ def seed_csv_name(seed: int) -> str:
 
 def write_run_outputs(records, out_dir, formats, summary: dict) -> None:
     out_dir = Path(out_dir)
-    csv_texts = []  # kept for the charts only
-    if "csv" in formats or "svg" in formats:
+    if "csv" in formats:
         for rec in records:
-            text = record_to_csv(rec)
-            if "csv" in formats:
-                write_text_atomic(out_dir / seed_csv_name(rec.seed), text)
-            if "svg" in formats:
-                csv_texts.append(text)
+            write_text_atomic(out_dir / seed_csv_name(rec.seed), record_to_csv(rec))
     if "json" in formats:
         write_text_atomic(out_dir / "summary.json", json_dumps(summary))
     if "svg" in formats:
-        write_plots(out_dir, csv_texts)
+        write_plots(out_dir, [_chart_columns(rec) for rec in records])
+
+
+def _chart_columns(record: TrajectoryRecord) -> dict:
+    cols = {name: getattr(record, name) for name, _, _, _ in _METRICS}
+    cols["t"] = np.arange(1, len(record.eta) + 1)
+    return cols
 
 
 # -- SVG charts ---------------------------------------------------------------
@@ -128,16 +130,16 @@ def svg_line_chart(series, title: str, xlabel: str, ylabel: str,
                    xlog: bool = False, ylog: bool = False) -> str:
     """Multi-polyline chart; ``series`` is a list of (xs, ys, style) triples.
 
-    Points with missing or (on log axes) non-positive coordinates are
-    dropped. Purely textual output: same input, same bytes.
+    Points with missing (None or NaN) or (on log axes) non-positive
+    coordinates are dropped. Purely textual output: same input, same bytes.
     """
     import math
 
     cleaned = []
     for xs, ys, style in series:
         pts = []
-        for x, y in zip(xs, ys):
-            if x is None or y is None:
+        for x, y in zip(_values(xs), _values(ys)):
+            if x is None or y is None or x != x or y != y:
                 continue
             if (xlog and x <= 0.0) or (ylog and y <= 0.0):
                 continue
@@ -222,26 +224,36 @@ _METRICS = (
 )
 
 
-def write_plots(out_dir, csv_texts: list[str]) -> list[Path]:
-    """One chart per metric; every seed as a gray polyline plus a dark mean line."""
+def _values(seq) -> list:
+    """Plain Python numbers of a column (None for an unrecorded one)."""
+    if seq is None:
+        return []
+    return seq.tolist() if isinstance(seq, np.ndarray) else seq
+
+
+def _mean_line(columns, n: int) -> np.ndarray:
+    """Mean over runs at each of the first n steps, NaN unless every run
+    has a value there. Each step's values are one contiguous row, reduced
+    exactly as ``np.mean`` of that list of values."""
+    stack = np.full((n, len(columns)), np.nan)
+    for j, col in enumerate(columns):
+        if col is not None:
+            vals = np.array(col[:n], dtype=np.float64)  # None cells become NaN
+            stack[:len(vals), j] = vals
+    return stack.mean(axis=1)
+
+
+def write_plots(out_dir, runs: list[dict]) -> list[Path]:
+    """One chart per metric; every run as a gray polyline plus a dark mean
+    line. Each run is a dict of columns: ``t`` and the charted metrics."""
     out_dir = Path(out_dir)
-    if not csv_texts:
+    if not runs:
         raise NoResults("no run CSVs to plot")
-    runs = [parse_run_csv(t) for t in csv_texts]
     written = []
     for column, fname, xlog, ylog in _METRICS:
-        series = []
-        for cols in runs:
-            series.append((cols["t"], cols[column], _SEED_STYLE))
-        # mean across runs at each t (only where every run has a value)
+        series = [(cols["t"], cols[column], _SEED_STYLE) for cols in runs]
         t_common = runs[0]["t"]
-        means = []
-        for i, t in enumerate(t_common):
-            vals = [cols[column][i] for cols in runs if i < len(cols[column])]
-            if any(v is None for v in vals) or not vals:
-                means.append(None)
-            else:
-                means.append(float(np.mean(vals)))
+        means = _mean_line([cols[column] for cols in runs], len(t_common))
         series.append((t_common, means, _MEAN_STYLE))
         name = {"grad_norm": "exact gradient norm", "f_val": "objective value",
                 "eta": "step size"}[column]
@@ -257,5 +269,5 @@ def plot_results_dir(results_dir, out_dir=None) -> list[Path]:
     paths = sorted(results_dir.glob("seed_*.csv"))
     if not paths:
         raise NoResults(f"no seed_*.csv files in {results_dir}")
-    texts = [p.read_text(encoding="utf-8") for p in paths]
-    return write_plots(out_dir if out_dir is not None else results_dir, texts)
+    runs = [parse_run_csv(p.read_text(encoding="utf-8")) for p in paths]
+    return write_plots(out_dir if out_dir is not None else results_dir, runs)

@@ -9,26 +9,23 @@ from nigt_lab.core import (
     normalize,
     pow_sevenths,
 )
-from nigt_lab.errors import (
-    InvalidInput,
-    NormalizationSingularity,
-)
+from nigt_lab.errors import InvalidInput
 
 
 class TestNormalize:
     def test_three_four_five(self):
-        np.testing.assert_allclose(normalize([3.0, 4.0]), [0.6, 0.8], rtol=0, atol=1e-16)
+        unit, ok = normalize([3.0, 4.0])
+        np.testing.assert_allclose(unit, [0.6, 0.8], rtol=0, atol=1e-16)
+        assert ok
 
     def test_zero_vector_is_singular(self):
-        with pytest.raises(NormalizationSingularity):
-            normalize([0.0, 0.0])
+        assert not normalize([0.0, 0.0])[1]
 
     def test_axis_vector_with_floor(self):
-        np.testing.assert_array_equal(normalize([-2.0, 0.0, 0.0], floor=1e-12), [-1.0, 0.0, 0.0])
+        np.testing.assert_array_equal(normalize([-2.0, 0.0, 0.0], floor=1e-12)[0], [-1.0, 0.0, 0.0])
 
     def test_norm_below_floor_is_singular(self):
-        with pytest.raises(NormalizationSingularity):
-            normalize([1e-13, 0.0], floor=1e-12)
+        assert not normalize([1e-13, 0.0], floor=1e-12)[1]
 
     def test_reconstruction_within_four_ulps(self):
         rng = np.random.default_rng(7)
@@ -37,16 +34,28 @@ class TestNormalize:
             v = rng.normal(scale=10.0 ** rng.integers(-3, 4), size=d)
             if np.linalg.norm(v) == 0.0:
                 continue
-            recon = normalize(v) * np.linalg.norm(v)
+            recon = normalize(v)[0] * np.linalg.norm(v)
             assert np.all(np.abs(recon - v) <= 4.0 * np.spacing(np.abs(v)))
 
     @pytest.mark.parametrize("scale", [1e-157, 1e-200, 1e-310, 1e200])
     def test_unit_length_outside_the_squarable_range(self, scale):
         # the squares of these entries are subnormal or overflow (at 1e-310
         # the entries themselves are subnormal, so the direction is inexact)
-        u = normalize(np.array([3.0, 4.0]) * scale, floor=1e-320)
+        u, ok = normalize(np.array([3.0, 4.0]) * scale, floor=1e-320)
+        assert ok
         np.testing.assert_allclose(u, [0.6, 0.8], rtol=1e-13)
         assert float(np.linalg.norm(u)) == pytest.approx(1.0, rel=1e-15)
+
+    def test_batch_rows_equal_rows_alone(self):
+        # rows inside and outside the squarable range, and a singular one
+        v = np.array([[3.0, 4.0], [3e-157, 4e-157], [0.0, 0.0], [3e200, -4e200], [1e-13, 0.0]])
+        unit, ok = normalize(v, floor=1e-12)
+        np.testing.assert_array_equal(ok, [True, False, False, True, False])
+        for row, u_row, ok_row in zip(v, unit, ok):
+            u_alone, ok_alone = normalize(row, floor=1e-12)
+            assert ok_alone == ok_row
+            if ok_row:
+                assert u_row.tobytes() == u_alone.tobytes()
 
     def test_rejects_negative_floor_and_nonfinite(self):
         with pytest.raises(InvalidInput):

@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from nigt_lab.core import RngStream
+from nigt_lab.core import RngStream, TrajectoryRecord
 from nigt_lab.errors import (
     Diverged,
     InsufficientGrid,
@@ -20,7 +20,6 @@ from nigt_lab.harness import (
     igt_moment_check,
     rate_diagnostic,
     run,
-    run_single,
     taylor_remainder_check,
     taylor_threshold,
 )
@@ -35,14 +34,12 @@ TRIG = make_trig_bowl(4, 1.0, 1.0, 0.5)
 
 
 def _records_equal(a, b):
-    if len(a.steps) != len(b.steps):
-        return False
-    for sa, sb in zip(a.steps, b.steps):
-        if sa != sb:  # StepLog is a frozen dataclass of floats: exact equality
+    for name in TrajectoryRecord.COLUMNS + ("no_move",):
+        ca, cb = getattr(a, name), getattr(b, name)
+        if (ca is None) != (cb is None) or (ca is not None and not np.array_equal(ca, cb)):
             return False
     return (
-        a.no_move_steps == b.no_move_steps
-        and a.max_displacement == b.max_displacement
+        a.max_displacement == b.max_displacement
         and a.invariant_violations == b.invariant_violations
     )
 
@@ -71,7 +68,7 @@ class TestRunDeterminism:
         with pytest.raises(InvalidInput):
             RunConfig(problem=TRIG, optimizer_id="nigt", T=10, seeds=(1, 1), eta=0.1)
         with pytest.raises(InvalidInput):
-            run_single(RunConfig(problem=TRIG, optimizer_id="nigt", T=10, seeds=(1,)), 1)
+            run(RunConfig(problem=TRIG, optimizer_id="nigt", T=10, seeds=(1,)))
 
     def test_adaptive_rejects_decay_schedule(self):
         cfg = RunConfig(
@@ -82,7 +79,7 @@ class TestRunDeterminism:
             schedule=Schedule(kind="warmup_poly_decay", power=1),
         )
         with pytest.raises(InvalidInput):
-            run_single(cfg, 1)
+            run(cfg)
 
 
 class TestRunSemantics:
@@ -90,11 +87,10 @@ class TestRunSemantics:
         pb = make_noisy_quadratic(2, [1.0, 1.0], 0.0, w1=[3.0, 4.0])
         cfg = RunConfig(problem=pb, optimizer_id="nigt", T=100, seeds=(0,), eta=0.05, beta=0.9)
         rec = run(cfg)[0]
-        assert not rec.no_move_steps
-        gn = [s.grad_norm for s in rec.steps]
+        assert not rec.no_move.any()
+        gn = rec.grad_norm
         # strictly positive until the iterate is within one step of the origin
-        for s in rec.steps:
-            assert s.grad_norm > 0.0 or s.f_val <= 0.5 * 0.05**2
+        assert np.all((gn > 0.0) | (rec.f_val <= 0.5 * 0.05**2))
         # monotone approach in the far field: ||w||=5 start, step 0.05
         assert gn[0] == pytest.approx(5.0, rel=1e-12)
         assert min(gn) < 0.2
@@ -108,35 +104,36 @@ class TestRunSemantics:
 
         rng = RngStream(seed, 0)
         s = StepState(w=pb.w1, w_prev=pb.w1, m=np.zeros(pb.dim))
-        s, _, _ = transport_step(s, pb, rng, eta, 0.0, 0.0, 1.0, normalized_move)
+        sample = lambda x: pb.sample_grad(x, rng)
+        s, _, _ = transport_step(s, sample, eta, 0.0, 0.0, 1.0, normalized_move)
         w_seq = [pb.w1, s.w]
         m_seq = [s.m]
         for _ in range(T - 1):
-            s, _, _ = transport_step(s, pb, rng, eta, beta / (1.0 - beta), beta, 1.0 - beta, normalized_move)
+            s, _, _ = transport_step(s, sample, eta, beta / (1.0 - beta), beta, 1.0 - beta, normalized_move)
             w_seq.append(s.w)
             m_seq.append(s.m)
-        for i, step in enumerate(rec.steps):
+        assert len(rec.eta) == T
+        for i in range(T):
             g_exact = pb.exact_grad(w_seq[i])
-            assert step.f_val == pb.exact_value(w_seq[i])
-            assert step.grad_norm == float(np.linalg.norm(g_exact))
-            assert step.m_norm == float(np.linalg.norm(m_seq[i]))
-            assert step.mhat_err == float(np.linalg.norm(m_seq[i] - g_exact))
+            assert rec.f_val[i] == pb.exact_value(w_seq[i])
+            assert rec.grad_norm[i] == float(np.linalg.norm(g_exact))
+            assert rec.m_norm[i] == float(np.linalg.norm(m_seq[i]))
+            assert rec.mhat_err[i] == float(np.linalg.norm(m_seq[i] - g_exact))
 
     def test_record_exact_off_leaves_fields_empty(self):
         cfg = RunConfig(problem=TRIG, optimizer_id="nsgdm", T=10, seeds=(1,), eta=0.05,
                         record_exact=False)
         rec = run(cfg)[0]
-        for s in rec.steps:
-            assert s.f_val is None and s.grad_norm is None
-            assert s.mhat_err is None and s.descent_residual is None
-            assert s.m_norm >= 0.0 and s.eta == 0.05
+        assert rec.f_val is None and rec.grad_norm is None
+        assert rec.mhat_err is None and rec.descent_residual is None
+        assert np.all(rec.m_norm >= 0.0) and np.all(rec.eta == 0.05)
 
     def test_schedule_is_applied(self):
         sch = Schedule(kind="warmup_poly_decay", warmup_steps=5, power=1)
         cfg = RunConfig(problem=TRIG, optimizer_id="nsgdm", T=20, seeds=(1,), eta=0.1,
                         schedule=sch)
         rec = run(cfg)[0]
-        etas = [s.eta for s in rec.steps]
+        etas = rec.eta
         assert etas[0] == pytest.approx(0.1 / 5)
         assert etas[4] == pytest.approx(0.1)
         assert etas[-1] == pytest.approx(0.0, abs=1e-18)  # full decay at t = T
@@ -281,9 +278,49 @@ class TestGridSweep:
         steps = {r.eta0: r.diverged_at for r in rep.rows}
         assert steps[2.0] < steps[1.0]
         with pytest.raises(Diverged) as exc:
-            run_single(replace(cfg, eta=1.0), 1)
+            run(replace(cfg, eta=1.0, seeds=(1,)))
         assert exc.value.step == steps[1.0]
         assert f"diverged at step {steps[1.0]}:" in str(exc.value)
+
+
+class TestDivergenceOrder:
+    # plain steps of 0.6 on eigenvalue 4 grow like 1.4^t; the noise decides
+    # at which step each seed overflows
+    CFG = RunConfig(problem=make_noisy_quadratic(2, [1.0, 4.0], 1.0), optimizer_id="sgd", T=2200,
+                    seeds=(1, 2, 3, 4), eta=0.6)
+
+    def test_first_diverging_seed_in_seed_order_is_named(self):
+        alone = {}
+        for seed in self.CFG.seeds:
+            with pytest.raises(Diverged) as exc:
+                run(replace(self.CFG, seeds=(seed,)))
+            alone[seed] = exc.value.step
+        assert alone[2] < alone[1]  # a later seed diverges first
+        for jobs in (1, 2):
+            with pytest.raises(Diverged) as exc:
+                run(self.CFG, jobs=jobs)
+            assert exc.value.step == alone[1] == 2106
+            assert str(exc.value) == "seed 1 diverged at step 2106: gradient sample contains NaN or Inf"
+
+    def test_order_of_the_seeds_decides_which_failure_is_named(self):
+        # seed 2 alone diverges at 2105 and seed 1 at 2106: listed as (2, 1)
+        # the batch names seed 2, listed as (1, 2) it names seed 1
+        with pytest.raises(Diverged) as exc:
+            run(replace(self.CFG, seeds=(2, 1)))
+        assert (exc.value.step, str(exc.value).split(" diverged")[0]) == (2105, "seed 2")
+
+    def test_runaway_weight_norm_rate_is_refused_as_alone(self):
+        # weight-norm scaling with eta0 = 1 lets |w| grow until the rate
+        # overflows: seed 3 alone fails at step 577, seed 1 at 587, so the
+        # batch drops seed 3, runs seeds 1 and 2 on with their own rates,
+        # and fails with seed 1's error
+        cfg = RunConfig(problem=make_trig_bowl(2, 1.0, 1.0, 0.5), optimizer_id="nsgdm", T=3000,
+                        seeds=(1, 2, 3), eta=1.0, schedule=Schedule(weight_norm_scaling=True))
+        with pytest.raises(InvalidInput) as alone:
+            run(replace(cfg, seeds=(1,)))
+        with pytest.raises(InvalidInput) as batch:
+            run(cfg)
+        assert str(batch.value) == str(alone.value) == "eta must be finite and >= 0, got inf"
 
 
 class TestBoundAcceptanceSmoke:
@@ -306,8 +343,8 @@ class TestBoundAcceptanceSmoke:
     def test_records_pass_structural_validation(self):
         cfg = RunConfig(problem=TRIG, optimizer_id="nigt_adaptive", T=30, seeds=(1, 2))
         for rec in run(cfg):
-            assert [s.t for s in rec.steps] == list(range(1, 31))
-            assert all(s.eta >= 0.0 and s.grad_norm >= 0.0 for s in rec.steps)
+            assert all(len(getattr(rec, c)) == 30 for c in TrajectoryRecord.COLUMNS if c != "descent_residual")
+            assert np.all(rec.eta >= 0.0) and np.all(rec.grad_norm >= 0.0)
 
     def test_rejects_point_certified_sigma(self):
         from nigt_lab.problems import make_streaming_least_squares

@@ -6,14 +6,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from nigt_lab.core import NORM_FLOOR, RngStream
+from nigt_lab.core import NORM_FLOOR, RngStream, TrajectoryRecord
 from nigt_lab.errors import (
     InvalidGBound,
     InvalidInput,
     NonFiniteGradient,
     PartitionMismatch,
 )
-from nigt_lab.harness import RunConfig, run_single
+from nigt_lab.harness import RunConfig, run
 from nigt_lab.optimizers import (
     LayerPartition,
     Schedule,
@@ -29,6 +29,7 @@ from nigt_lab.optimizers import (
 from nigt_lab.problems import (
     make_noisy_quadratic,
     make_sign_noise,
+    make_streaming_least_squares,
     make_trig_bowl,
     taylor_remainder,
 )
@@ -36,14 +37,15 @@ from nigt_lab.problems import (
 QUAD_11 = make_noisy_quadratic(2, [1.0, 1.0], 0.0, w1=[1.0, 0.0])
 
 
-class FixedGrad:
+def fixed(g):
     """Oracle stub that returns one fixed sample wherever it is queried."""
+    g = np.asarray(g, dtype=np.float64)
+    return lambda x: g
 
-    def __init__(self, g):
-        self.g = np.asarray(g, dtype=np.float64)
 
-    def sample_grad(self, w, rng):
-        return self.g
+def oracle(pb, rng):
+    """The problem's sampling oracle on one stream."""
+    return lambda x: pb.sample_grad(x, rng)
 
 
 def start(w1, m=None) -> StepState:
@@ -54,14 +56,14 @@ def start(w1, m=None) -> StepState:
 def transport(s, pb, rng, eta, beta, move=normalized_move) -> StepState:
     """The nigt coefficients: k = beta/(1-beta), alpha = 1 - beta; the
     first step passes beta = 0, which makes m the first sample."""
-    return transport_step(s, pb, rng, eta, beta / (1.0 - beta), beta, 1.0 - beta, move)[0]
+    return transport_step(s, oracle(pb, rng), eta, beta / (1.0 - beta), beta, 1.0 - beta, move)[0]
 
 
 def self_tuning_step(s, tuner, pb, rng, rng_paired):
     """One step of the self-tuning method, composed as the runner does;
     returns the new state and the step's alpha."""
     eta, alpha = tuner.rates(s.t)
-    out, x, g = transport_step(s, pb, rng, eta, (1.0 - alpha) / alpha, 1.0 - alpha, alpha, normalized_move)
+    out, x, g = transport_step(s, oracle(pb, rng), eta, (1.0 - alpha) / alpha, 1.0 - alpha, alpha, normalized_move)
     tuner.accumulate(s.t, g, pb.sample_grad(x, rng_paired))
     return out, alpha
 
@@ -76,13 +78,13 @@ def step_length_tol(w, eta):
 class TestNsgdmStep:
     def test_no_momentum_reduces_to_normalized_sgd(self):
         s = StepState(w=np.zeros(2), w_prev=np.zeros(2), m=np.array([9.0, -9.0]))
-        out, _, _ = transport_step(s, FixedGrad([3.0, 4.0]), None, 0.1, 0.0, 0.0, 1.0, normalized_move)
+        out, _, _ = transport_step(s, fixed([3.0, 4.0]), 0.1, 0.0, 0.0, 1.0, normalized_move)
         np.testing.assert_allclose(out.w, [-0.06, -0.08], rtol=0, atol=1e-16)
         np.testing.assert_array_equal(out.m, [3.0, 4.0])  # beta=0 keeps the sample exactly
 
     def test_collinear_step_length_exact(self):
         s = StepState(w=np.array([1.0, 0.0]), w_prev=np.array([1.0, 0.0]), m=np.array([1.0, 0.0]), t=3)
-        out, _, _ = transport_step(s, FixedGrad([1.0, 0.0]), None, 0.5, 0.0, 0.7, 1.0 - 0.7, normalized_move)
+        out, _, _ = transport_step(s, fixed([1.0, 0.0]), 0.5, 0.0, 0.7, 1.0 - 0.7, normalized_move)
         np.testing.assert_array_equal(out.w, [0.5, 0.0])
         assert float(np.linalg.norm(out.w - s.w)) == 0.5
 
@@ -92,28 +94,48 @@ class TestNsgdmStep:
         st.floats(1e-6, 10.0), st.floats(0.0, 0.99))))
     def test_every_normalized_step_has_length_eta(self, case):
         w, m, g, eta, beta = case
-        out, _, _ = transport_step(StepState(w, w, m), FixedGrad(g), None,
+        out, _, _ = transport_step(StepState(w, w, m), fixed(g),
                                    eta, 0.0, beta, 1.0 - beta, normalized_move)
         assume(np.linalg.norm(out.m) > NORM_FLOOR)  # else a recorded no-move
         assert not out.no_move
         length = float(np.linalg.norm(out.w - w))
         assert length == pytest.approx(eta, rel=1e-12, abs=1e-13 * float(np.linalg.norm(w)))
 
+    @settings(deadline=None, derandomize=True, database=None, max_examples=100)
+    @given(st.integers(1, 6).flatmap(lambda d: st.lists(st.tuples(
+        *(st.lists(st.floats(-b, b), min_size=d, max_size=d) for b in (100.0, 1e3, 1e3)),
+        st.sampled_from([0, -160, -200, 160, 200]), st.floats(1e-6, 10.0)), min_size=1, max_size=5)),
+        st.floats(0.0, 0.99))
+    def test_every_row_of_a_batch_moves_eta(self, rows, beta):
+        # momenta inside and outside the squarable range (1e-150, 1e150) in one batch
+        w, m, g = (np.array([r[i] for r in rows]) for i in range(3))
+        scale = np.array([[10.0 ** r[3]] for r in rows])
+        m, g = m * scale, g * scale
+        eta = np.array([[r[4]] for r in rows])
+        out, _, _ = transport_step(StepState(w, w, m), fixed(g), eta, 0.0, beta, 1.0 - beta, normalized_move)
+        for i in range(len(rows)):
+            alone, _, _ = transport_step(StepState(w[i], w[i], m[i]), fixed(g[i]), eta[i, 0], 0.0, beta, 1.0 - beta,
+                                         normalized_move)
+            assert out.w[i].tobytes() == alone.w.tobytes() and bool(out.no_move[i]) == bool(alone.no_move)
+            if not out.no_move[i]:
+                length = float(np.linalg.norm(out.w[i] - w[i]))
+                assert length == pytest.approx(eta[i, 0], rel=1e-12, abs=1e-13 * float(np.linalg.norm(w[i])))
+
     def test_singular_momentum_is_no_move(self):
         s = start([1.0, 2.0])
-        out, _, _ = transport_step(s, FixedGrad([0.0, 0.0]), None, 0.1, 0.0, 0.5, 0.5, normalized_move)
+        out, _, _ = transport_step(s, fixed([0.0, 0.0]), 0.1, 0.0, 0.5, 0.5, normalized_move)
         assert out.no_move
         np.testing.assert_array_equal(out.w, s.w)
 
     def test_rejects_nonfinite_gradient(self):
         s = start(np.zeros(2))
         with pytest.raises(NonFiniteGradient):
-            transport_step(s, FixedGrad([np.nan, 0.0]), None, 0.1, 0.0, 0.0, 1.0, normalized_move)
+            transport_step(s, fixed([np.nan, 0.0]), 0.1, 0.0, 0.0, 1.0, normalized_move)
 
     def test_rejects_bad_beta(self):
         cfg = RunConfig(problem=make_sign_noise(0.25), optimizer_id="nsgdm", T=1, seeds=(1,), eta=0.1, beta=1.0)
         with pytest.raises(InvalidInput):
-            run_single(cfg, 1)
+            run(cfg)
 
 
 class TestIgtExtrapolate:
@@ -121,7 +143,7 @@ class TestIgtExtrapolate:
     def query_point(w, w_prev, beta):
         s = StepState(w=np.asarray(w, dtype=np.float64), w_prev=np.asarray(w_prev, dtype=np.float64),
                       m=np.zeros(len(w)))
-        return transport_step(s, FixedGrad(np.ones(len(w))), None, 0.0, beta / (1.0 - beta),
+        return transport_step(s, fixed(np.ones(len(w))), 0.0, beta / (1.0 - beta),
                               beta, 1.0 - beta, plain_move)[1]
 
     def test_beta_09(self):
@@ -181,7 +203,7 @@ class TestNigt:
         s = transport(start(pb.w1), pb, rng, eta, 0.0)
         err = s.m - pb.exact_grad(s.w_prev)  # m_1 - gradF(w_1)
         for _ in range(100):
-            nxt, x_next, g = transport_step(s, pb, rng, eta, beta / (1.0 - beta), beta, alpha, normalized_move)
+            nxt, x_next, g = transport_step(s, oracle(pb, rng), eta, beta / (1.0 - beta), beta, alpha, normalized_move)
             eps_next = g - pb.exact_grad(x_next)
             predicted = (1.0 - alpha) * err + alpha * eps_next
             actual = nxt.m - pb.exact_grad(s.w)  # anchored at the pre-move iterate
@@ -200,7 +222,7 @@ class TestNigt:
         s = transport(start(pb.w1), pb, rng, eta, 0.0)
         err = s.m - pb.exact_grad(s.w_prev)  # anchored at the pre-move iterate
         for _ in range(60):
-            nxt, x_t, g = transport_step(s, pb, rng, eta, beta / (1.0 - beta), beta, alpha, normalized_move)
+            nxt, x_t, g = transport_step(s, oracle(pb, rng), eta, beta / (1.0 - beta), beta, alpha, normalized_move)
             eps_t = g - pb.exact_grad(x_t)
             z_step = taylor_remainder(pb, s.w_prev, s.w)
             z_extrap = taylor_remainder(pb, x_t, s.w)
@@ -313,19 +335,19 @@ class TestAdaptive:
 class TestBaselines:
     def test_sgd_step(self):
         s = start(np.zeros(2))
-        out, _, _ = transport_step(s, FixedGrad([1.0, 0.0]), None, 0.1, 0.0, 0.0, 1.0, plain_move)
+        out, _, _ = transport_step(s, fixed([1.0, 0.0]), 0.1, 0.0, 0.0, 1.0, plain_move)
         np.testing.assert_allclose(out.w, [-0.1, 0.0], atol=1e-16)
 
     def test_heavy_ball_beta_zero_equals_sgd(self):
         s = StepState(w=np.array([1.0, 1.0]), w_prev=np.array([1.0, 1.0]), m=np.array([5.0, 5.0]), t=2)
         g = np.array([0.5, -0.25])
         np.testing.assert_array_equal(
-            transport_step(s, FixedGrad(g), None, 0.2, 0.0, 0.0, 1.0, plain_move)[0].w, s.w - 0.2 * g
+            transport_step(s, fixed(g), 0.2, 0.0, 0.0, 1.0, plain_move)[0].w, s.w - 0.2 * g
         )
 
     def test_heavy_ball_pure_momentum(self):
         s = StepState(w=np.zeros(2), w_prev=np.zeros(2), m=np.array([1.0, 0.0]), t=2)
-        out, _, _ = transport_step(s, FixedGrad([0.0, 0.0]), None, 1.0, 0.0, 0.5, 0.5, plain_move)
+        out, _, _ = transport_step(s, fixed([0.0, 0.0]), 1.0, 0.0, 0.5, 0.5, plain_move)
         np.testing.assert_allclose(out.w, [-0.5, 0.0], atol=1e-16)
 
 
@@ -336,7 +358,7 @@ class TestMomentumHull:
         m = pb.sample_grad(pb.w1, rng)
         s = StepState(w=pb.w1, w_prev=pb.w1, m=m, t=2)
         for _ in range(2000):
-            s, _, _ = transport_step(s, pb, rng, 0.01, 0.0, 0.9, 1.0 - 0.9, normalized_move)
+            s, _, _ = transport_step(s, oracle(pb, rng), 0.01, 0.0, 0.9, 1.0 - 0.9, normalized_move)
             assert -0.75 <= s.m[0] <= 0.25
 
 
@@ -431,6 +453,27 @@ class TestLayerwise:
 
 
 class TestBetaZeroDegeneracy:
+    @settings(deadline=None, derandomize=True, database=None, max_examples=25)
+    @given(st.sampled_from(["noisy_quadratic", "sign_noise", "trig_bowl", "streaming_least_squares"]),
+           st.lists(st.integers(0, 2**32), min_size=1, max_size=3, unique=True),
+           st.floats(1e-4, 0.5), st.integers(1, 40))
+    def test_momentum_methods_at_beta_zero_are_memoryless_property(self, kind, seeds, eta, T):
+        # with beta = 0 the momentum is the latest sample and the transport
+        # point is w itself: nsgdm and nigt are the same run, heavy ball is sgd
+        pb = {"noisy_quadratic": lambda: make_noisy_quadratic(3, [1.0, 2.0, 3.0], 0.5),
+              "sign_noise": lambda: make_sign_noise(0.25),
+              "trig_bowl": lambda: make_trig_bowl(3, 1.0, 1.0, 0.5),
+              "streaming_least_squares": lambda: make_streaming_least_squares(3, [1.0, 2.0, 3.0], 0.5)}[kind]()
+        for a_id, b_id in (("nsgdm", "nigt"), ("heavy_ball", "sgd")):
+            a, b = (run(RunConfig(problem=pb, optimizer_id=o, T=T, seeds=tuple(seeds), eta=eta, beta=0.0))
+                    for o in (a_id, b_id))
+            for ra, rb in zip(a, b):
+                for name in TrajectoryRecord.COLUMNS + ("no_move", "final_w"):
+                    ca, cb = getattr(ra, name), getattr(rb, name)
+                    assert (ca is None and cb is None) or ca.tobytes() == cb.tobytes(), (a_id, name)
+                assert ra.max_displacement == rb.max_displacement
+
+
     def test_nsgdm_nigt_and_reference_agree_bitwise(self):
         pb = make_trig_bowl(3, 1.0, 1.0, 0.5)
         eta, T = 0.04, 60
@@ -449,7 +492,7 @@ class TestBetaZeroDegeneracy:
         s = start(pb.w1)
         w_nsgdm = [pb.w1]
         for _ in range(T):
-            s, _, _ = transport_step(s, pb, rng, eta, 0.0, 0.0, 1.0, normalized_move)
+            s, _, _ = transport_step(s, oracle(pb, rng), eta, 0.0, 0.0, 1.0, normalized_move)
             w_nsgdm.append(s.w)
 
         # transport method with beta = 0 (extrapolation collapses to w)

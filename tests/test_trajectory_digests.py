@@ -2,26 +2,31 @@
 
 Each case runs one optimizer on one problem under one schedule for three
 seeds with noise on, and hashes everything a run records (every float64
-field of every step log, the final iterate, the no-move steps, the
+log column at every step, the final iterate, the no-move steps, the
 invariant events and the maximal displacement). The digests in
 ``golden/trajectory_digests.json`` pin the stochastic dynamics bit for bit,
 so a refactor of the step rules or the runner that changes any rounding
 fails here. The JSON file is never regenerated to make this test pass.
+The digests hash the three seeds run together; a second test checks that
+each seed of that batch equals the seed run alone.
 
 To print the digests of the current code (for inspection only):
 
     PYTHONPATH=src python tests/test_trajectory_digests.py
 """
 
+import dataclasses
 import hashlib
 import json
 import math
 import struct
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from nigt_lab.harness import RunConfig, run_single
+from nigt_lab.core import TrajectoryRecord
+from nigt_lab.harness import RunConfig, run
 from nigt_lab.optimizers import LayerPartition, Schedule
 from nigt_lab.problems import (
     make_noisy_quadratic,
@@ -86,14 +91,15 @@ def _f64(h, x) -> None:
 
 def record_digest(rec) -> str:
     h = hashlib.sha256()
-    for s in rec.steps:
-        h.update(struct.pack("<q?", s.t, s.no_move))
-        for x in (s.eta, s.alpha, s.m_norm, s.f_val, s.grad_norm, s.mhat_err, s.descent_residual):
-            _f64(h, x)
+    cols = [getattr(rec, name) for name in TrajectoryRecord.COLUMNS]
+    for i in range(len(rec.eta)):
+        h.update(struct.pack("<q?", i + 1, bool(rec.no_move[i])))
+        for col in cols:
+            _f64(h, None if col is None else col[i])
     h.update(b"|final_w|")
     for x in rec.final_w:
         _f64(h, x)
-    h.update(b"|no_move|" + ",".join(str(t) for t in rec.no_move_steps).encode())
+    h.update(b"|no_move|" + ",".join(str(i + 1) for i in np.flatnonzero(rec.no_move)).encode())
     h.update(b"|violations|")
     for e in rec.invariant_violations:
         h.update(f"{e.kind}:{e.t}:".encode())
@@ -105,8 +111,7 @@ def record_digest(rec) -> str:
 
 
 def case_digests(kind: str, opt: str, sch: str) -> dict:
-    cfg = _config(kind, opt, sch)
-    return {str(seed): record_digest(run_single(cfg, seed)) for seed in cfg.seeds}
+    return {str(rec.seed): record_digest(rec) for rec in run(_config(kind, opt, sch))}
 
 
 def case_key(kind: str, opt: str, sch: str) -> str:
@@ -125,6 +130,28 @@ def test_golden_covers_every_case(golden):
 @pytest.mark.parametrize("kind,opt,sch", CASES, ids=[case_key(*c) for c in CASES])
 def test_trajectory_digest(golden, kind, opt, sch):
     assert case_digests(kind, opt, sch) == golden[case_key(kind, opt, sch)]
+
+
+def records_identical(a, b) -> bool:
+    """Bit-for-bit equality of everything two records hold."""
+    def same(x, y):
+        if x is None or y is None:
+            return x is None and y is None
+        return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+    return (
+        all(same(getattr(a, name), getattr(b, name)) for name in TrajectoryRecord.COLUMNS + ("no_move", "final_w"))
+        and a.invariant_violations == b.invariant_violations
+        and a.max_displacement == b.max_displacement
+    )
+
+
+@pytest.mark.parametrize("kind,opt,sch", CASES, ids=[case_key(*c) for c in CASES])
+def test_batch_equals_seeds_alone(kind, opt, sch):
+    cfg = _config(kind, opt, sch)
+    for rec in run(cfg):
+        alone = run(dataclasses.replace(cfg, seeds=(rec.seed,)))[0]
+        assert records_identical(rec, alone)
 
 
 if __name__ == "__main__":
