@@ -22,8 +22,6 @@ from nigt_lab import (
     make_streaming_least_squares,
     make_trig_bowl,
     run,
-    taylor_remainder_check,
-    taylor_threshold,
 )
 from nigt_lab.core import RngStream
 
@@ -43,9 +41,10 @@ def main():
         print(f"{pb.problem_id:<55} {l_ratio:>8.3f} {rep.rho_hat:>9.2e} {sig_err:>10.2%}")
 
     bowl = problems[2]
-    worst = taylor_remainder_check(bowl, n_pairs=200, rng=RngStream(2, 3))
-    print(f"\ncurvature remainder ratio on the bowl: {worst:.3f} "
-          f"(ceiling {taylor_threshold(bowl):.3f}, declared rho {bowl.rho})")
+    curv = certify_constants(bowl, n_pairs=200, rng=RngStream(2, 3))
+    ceiling = curv.rho_declared * (1.0 + curv.tol) + curv.fd_slack
+    print(f"\ncurvature remainder ratio on the bowl: {curv.rho_hat:.3f} "
+          f"(ceiling {ceiling:.3f}, declared rho {bowl.rho})")
 
     cfg = RunConfig(problem=bowl, optimizer_id="nigt", T=2000, seeds=(1, 2, 3), eta=0.01)
     worst_resid = np.inf

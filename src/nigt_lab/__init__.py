@@ -29,8 +29,6 @@ from .harness import (
     igt_moment_check,
     rate_diagnostic,
     run,
-    taylor_remainder_check,
-    taylor_threshold,
 )
 from .optimizers import (
     LayerPartition,

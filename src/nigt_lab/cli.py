@@ -65,18 +65,6 @@ def _rows_to_csv(header: str, rows: list[list]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _jobs(args) -> int:
-    if args.jobs is not None:
-        return max(1, args.jobs)
-    env = os.environ.get("NIGT_LAB_JOBS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ConfigError(f"NIGT_LAB_JOBS must be an integer, got {env!r}") from None
-    return 1
-
-
 def cmd_run(args) -> int:
     exp = load_experiment(args.config)
     out_dir, formats = output_settings(exp, args.out)
@@ -84,7 +72,7 @@ def cmd_run(args) -> int:
     cfg, bound = build_run_config(exp, seeds=seeds)
     if bound is not None and not cfg.record_exact:
         raise ConfigError("bound checking needs run.record_exact = true")
-    records = run(cfg, jobs=_jobs(args))
+    records = run(cfg)
 
     no_move_count = sum(int(r.no_move.sum()) for r in records)
     violations = [dict(asdict(e), seed=r.seed) for r in records for e in r.invariant_violations]
@@ -158,7 +146,7 @@ def cmd_sweep(args) -> int:
     seeds = resolve_seeds(exp, args.seeds, args.master_seed)
     cfg, _ = build_run_config(exp, seeds=seeds, require_eta=False)
     grid = exp.sweep.get("eta_grid", list(DEFAULT_ETA_GRID))
-    report = grid_sweep(cfg, grid, jobs=_jobs(args))
+    report = grid_sweep(cfg, grid)
     write_text_atomic(os.path.join(out_dir, "sweep.json"), json_dumps(asdict(report)))
     rows = [[r.eta0, r.final_grad_norm] for r in report.rows]
     write_text_atomic(os.path.join(out_dir, "sweep.csv"),
@@ -176,9 +164,8 @@ def cmd_bounds(args) -> int:
     if "T_grid" not in exp.run:
         raise ConfigError("bounds needs run.T_grid")
     seeds = resolve_seeds(exp, args.seeds, args.master_seed)
-    failed = False
     try:
-        report = bound_acceptance(problem, opt_id, exp.run["T_grid"], seeds, jobs=_jobs(args))
+        report = bound_acceptance(problem, opt_id, exp.run["T_grid"], seeds)
     except CertificationFailure as e:
         sys.stderr.write(f"containment certification failed: {e}\n")
         return EXIT_CHECK_FAILED
@@ -191,8 +178,7 @@ def cmd_bounds(args) -> int:
     rows = [[r.T, r.mean_avg_grad_norm, r.stderr, r.bound, r.passed] for r in report.rows]
     write_text_atomic(os.path.join(out_dir, "bounds.csv"),
                       _rows_to_csv("T,mean_avg_grad_norm,stderr,bound,passed", rows))
-    failed = not report.passed
-    return EXIT_CHECK_FAILED if failed else EXIT_OK
+    return EXIT_OK if report.passed else EXIT_CHECK_FAILED
 
 
 def cmd_plot(args) -> int:
@@ -212,7 +198,7 @@ def build_parser() -> _Parser:
         sp.add_argument("--master-seed", type=int, default=None, dest="master_seed",
                         help="base seed (overrides run.master_seed)")
         sp.add_argument("--jobs", type=int, default=None,
-                        help="parallel workers across seeds/grid points (env NIGT_LAB_JOBS)")
+                        help="accepted for compatibility; no effect (the seeds of a run step together)")
 
     sp = sub.add_parser("run", help="execute a seeded run and emit CSV/JSON/SVG")
     common(sp)

@@ -9,29 +9,23 @@ class DimensionMismatch(NigtLabError):
     """Vector operands have incompatible shapes."""
 
 
-class _RowError(NigtLabError):
-    """A failure confined to some rows (seeds) of a batched step; ``row``
-    is the first of them, so the caller can keep running the rows before."""
+class NonFiniteGradient(NigtLabError):
+    """A row (seed) of a batched step went out of range: its gradient
+    sample held NaN or Inf, or its step size was not finite and >= 0.
+    ``row`` is the first such row, so the caller can keep running the rows
+    before."""
 
     def __init__(self, message, row=0):
         super().__init__(message)
         self.row = row
 
 
-class NonFiniteGradient(_RowError):
-    """A gradient sample contained NaN or Inf."""
-
-
 class Diverged(NigtLabError):
-    """A run's gradient samples went non-finite at ``step`` (kept in
-    ``args`` too, so it survives pickling from a worker process)."""
+    """A run's gradient samples or step sizes went non-finite at ``step``."""
 
     def __init__(self, message, step):
-        super().__init__(message, step)
+        super().__init__(message)
         self.step = step
-
-    def __str__(self):
-        return self.args[0]
 
 
 class InvalidSpectrum(NigtLabError):
@@ -52,10 +46,6 @@ class PartitionMismatch(NigtLabError):
 
 class InvalidInput(NigtLabError):
     """Scalar argument outside its documented domain."""
-
-
-class InvalidRate(_RowError, InvalidInput):
-    """A step size that is negative or not finite."""
 
 
 class NonConstantHessian(NigtLabError):

@@ -2,16 +2,14 @@
 
 Everything here is deterministic given the configuration: each seed drives a
 counter-based stream (stream 0 for the oracle, stream 1 for the paired
-samples of the self-tuning method), so reruns are bit-identical and runs
-across seeds or grid points can execute in parallel without changing any
-result. The seeds of a run step in lockstep as ``(S, d)`` arrays, their
-noise drawn ahead in bounded blocks, and each seed's record is the one it
-would get alone.
+samples of the self-tuning method), so reruns are bit-identical. The seeds
+of a run step in lockstep as ``(S, d)`` arrays in one process, their noise
+drawn ahead in bounded blocks, and each seed's record is the one it would
+get alone.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import math
 from dataclasses import dataclass, field, replace
 
@@ -22,7 +20,6 @@ from .errors import (
     Diverged,
     InsufficientGrid,
     InvalidInput,
-    InvalidRate,
     MissingExactOracle,
     NonConstantHessian,
     NonFiniteGradient,
@@ -40,13 +37,7 @@ from .optimizers import (
     plain_move,
     transport_step,
 )
-from .problems import (
-    StochasticProblem,
-    ball_pairs,
-    certify_constants,
-    fd_slack,
-    taylor_remainder,
-)
+from .problems import StochasticProblem, certify_constants
 from .tuning import TunedParams, nigt_bound, nigt_params, nsgdm_bound, nsgdm_params
 
 OPTIMIZER_IDS = ("sgd", "heavy_ball", "nsgdm", "nigt", "nigt_adaptive", "nigt_layerwise")
@@ -105,6 +96,8 @@ def _resolve_eta_beta(cfg: RunConfig) -> tuple[float, float]:
         beta = cfg.params.beta if cfg.params is not None else cfg.beta
     if not (0.0 <= beta < 1.0):
         raise InvalidInput(f"beta must lie in [0, 1), got {beta}")
+    if not (0.0 <= base_eta < math.inf):
+        raise InvalidInput(f"eta must be finite and >= 0, got {float(base_eta)}")
     return base_eta, beta
 
 
@@ -169,10 +162,17 @@ def _column(v):
     return v[:, 0] if isinstance(v, np.ndarray) else v
 
 
-def _run_batch(cfg: RunConfig, seeds: tuple[int, ...]) -> list[TrajectoryRecord]:
-    """Run ``seeds`` of ``cfg`` in lockstep as ``(S, d)`` arrays; one record
-    per seed, each bit-identical to a run of that seed alone."""
+def run(cfg: RunConfig) -> list[TrajectoryRecord]:
+    """One record per seed, in seed order.
+
+    The seeds step in lockstep as ``(S, d)`` arrays, and each record is
+    bit-identical to a run of that seed alone. A non-finite gradient
+    sample or step size raises :class:`Diverged` naming the first seed, in
+    seed order, that diverged, and its step, as running the seeds one
+    after another would.
+    """
     pb = cfg.problem
+    seeds = cfg.seeds
     opt = cfg.optimizer_id
     sch = cfg.schedule
     T = cfg.T
@@ -239,12 +239,11 @@ def _run_batch(cfg: RunConfig, seeds: tuple[int, ...]) -> list[TrajectoryRecord]
                     if tuners:
                         check_finite_rows(samples[1])
                     break
-                except (NonFiniteGradient, InvalidRate) as e:
+                except NonFiniteGradient as e:
                     # a seed fails as it would alone; the seeds after it no
                     # longer matter, the ones before it run on
                     n = e.row
-                    failure = (Diverged(f"seed {seeds[n]} diverged at step {t}: {e}", t)
-                               if isinstance(e, NonFiniteGradient) else InvalidInput(str(e)))
+                    failure = Diverged(f"seed {seeds[n]} diverged at step {t}: {e}", t)
                     if n == 0:
                         raise failure from None
                     s = s.head(n)
@@ -276,24 +275,6 @@ def _run_batch(cfg: RunConfig, seeds: tuple[int, ...]) -> list[TrajectoryRecord]
         )
         for i, seed in enumerate(seeds)
     ]
-
-
-def run(cfg: RunConfig, jobs: int = 1) -> list[TrajectoryRecord]:
-    """One record per seed, in seed order.
-
-    The seeds run in lockstep (:func:`_run_batch`); with ``jobs`` > 1 they
-    are split into that many contiguous chunks, each batched in a worker
-    process. A non-finite gradient sample raises :class:`Diverged` naming
-    the first seed, in seed order, that diverged, and its step, as running
-    the seeds one after another would.
-    """
-    seeds = cfg.seeds
-    jobs = min(jobs, len(seeds))
-    if jobs <= 1:
-        return _run_batch(cfg, seeds)
-    chunks = [seeds[len(seeds) * i // jobs:len(seeds) * (i + 1) // jobs] for i in range(jobs)]
-    with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as ex:
-        return [rec for part in ex.map(_run_batch, [cfg] * jobs, chunks) for rec in part]
 
 
 # -- gradient-transport moment check -----------------------------------------
@@ -429,34 +410,6 @@ def descent_check(problem: StochasticProblem, record: TrajectoryRecord) -> Desce
     return DescentAudit(residuals=res, lhs=lhs, violations=bad, passed=not bad)
 
 
-# -- curvature remainder check -------------------------------------------------
-
-
-def taylor_remainder_check(
-    problem: StochasticProblem,
-    n_pairs: int = 200,
-    radius: float = DEFAULT_CERT_RADIUS,
-    rng: RngStream | None = None,
-) -> float:
-    """Largest ||remainder|| / ||a-b||^2 over sampled pairs.
-
-    The remainder is the exact gradient difference minus a finite-difference
-    Hessian-vector product, so the ratio is bounded by the declared rho up
-    to finite-difference slack; compare against
-    ``problem.rho * 1.05 + fd_slack(problem, radius)``.
-    """
-    if rng is None:
-        rng = RngStream(0, 23)
-    worst = 0.0
-    for x, y, sep in ball_pairs(rng, problem.w1, radius, n_pairs):
-        worst = max(worst, float(np.linalg.norm(taylor_remainder(problem, x, y))) / sep**2)
-    return worst
-
-
-def taylor_threshold(problem: StochasticProblem, radius: float = DEFAULT_CERT_RADIUS) -> float:
-    return problem.rho * 1.05 + fd_slack(problem, radius)
-
-
 # -- one-sided bound acceptance --------------------------------------------------
 
 
@@ -484,7 +437,6 @@ def bound_acceptance(
     optimizer_id: str,
     T_grid,
     seeds,
-    jobs: int = 1,
     records_out: list | None = None,
 ) -> BoundReport:
     """Run the tuned optimizer over a horizon grid and compare the measured
@@ -513,7 +465,7 @@ def bound_acceptance(
             params = nigt_params(problem.R, problem.L, problem.rho, problem.sigma, T)
             bound = nigt_bound(problem.R, problem.L, problem.rho, problem.sigma, T)
         cfg = RunConfig(problem=problem, optimizer_id=optimizer_id, T=T, seeds=seeds, params=params)
-        recs = run(cfg, jobs=jobs)
+        recs = run(cfg)
         if records_out is not None:
             records_out.extend(recs)
         avgs = np.array([r.avg_grad_norm() for r in recs])
@@ -572,7 +524,7 @@ class SweepReport:
     best_eta0: float | None  # None when every rate diverged
 
 
-def grid_sweep(base: RunConfig, eta0_grid=None, jobs: int = 1) -> SweepReport:
+def grid_sweep(base: RunConfig, eta0_grid=None) -> SweepReport:
     """Run each base rate and rank by the final exact gradient norm,
     averaged over seeds (an over-large rate keeps oscillating and ends far
     from critical). Ties break toward the smaller rate. A rate at which a
@@ -591,7 +543,7 @@ def grid_sweep(base: RunConfig, eta0_grid=None, jobs: int = 1) -> SweepReport:
     for eta0 in grid:
         cfg = replace(base, params=None, eta=None, schedule=replace(base.schedule, eta0=eta0))
         try:
-            recs = run(cfg, jobs=jobs)
+            recs = run(cfg)
         except Diverged as e:
             rows.append(SweepRow(eta0=eta0, final_grad_norm=None, diverged_at=e.step))
             continue

@@ -46,7 +46,6 @@ from .core import NORM_FLOOR, InvariantEvent, normalize, pow_sevenths, rownorm
 from .errors import (
     InvalidGBound,
     InvalidInput,
-    InvalidRate,
     NonFiniteGradient,
     PartitionMismatch,
 )
@@ -93,13 +92,13 @@ def transport_step(s: StepState, sample, eta, k, beta, alpha, move):
     momentum weights are passed separately because in float64
     ``1 - (1 - alpha)`` is not always ``alpha``; their domain is the
     caller's to check (once per run for a fixed beta). A negative or
-    non-finite eta raises :class:`InvalidRate`, a non-finite sample
-    :class:`NonFiniteGradient`, each naming the first such row.
+    non-finite eta, like a non-finite sample, raises
+    :class:`NonFiniteGradient` naming the first such row.
     """
     bad = ~(np.greater_equal(eta, 0.0) & np.isfinite(eta))
     if bad.any():
         row = int(np.flatnonzero(bad)[0])
-        raise InvalidRate(f"eta must be finite and >= 0, got {float(np.ravel(eta)[row])}", row)
+        raise NonFiniteGradient(f"eta must be finite and >= 0, got {float(np.ravel(eta)[row])}", row)
     at_w = np.equal(k, 0.0)
     if at_w.all():
         x = s.w

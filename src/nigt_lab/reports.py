@@ -149,8 +149,8 @@ def svg_line_chart(series, title: str, xlabel: str, ylabel: str,
 
     all_x = [p[0] for pts, _ in cleaned for p in pts]
     all_y = [p[1] for pts, _ in cleaned for p in pts]
-    if not all_x:
-        all_x, all_y = [1.0, 10.0], [0.0, 1.0]
+    if not all_x:  # nothing to draw: a unit range, one decade on a log axis
+        all_x, all_y = [1.0, 10.0], [1.0, 10.0] if ylog else [0.0, 1.0]
     x_lo, x_hi = min(all_x), max(all_x)
     y_lo, y_hi = min(all_y), max(all_y)
     if xlog:

@@ -19,8 +19,6 @@ from nigt_lab.harness import (
     descent_check,
     igt_moment_check,
     run,
-    taylor_remainder_check,
-    taylor_threshold,
 )
 from nigt_lab.optimizers import SelfTuning, StepState, normalized_move, transport_step
 from nigt_lab.problems import (
@@ -206,14 +204,16 @@ class TestCriterion7Certification:
             report = certify_constants(pb, n_pairs=300, radius=10.0, rng=RngStream(3, 2))
             assert report.passed, pb.problem_id
 
-        quad = problems[0]
-        worst_quad = taylor_remainder_check(quad, n_pairs=150, rng=RngStream(4, 3))
-        assert worst_quad <= taylor_threshold(quad)  # rho = 0: slack only
-        worst_bowl = taylor_remainder_check(bowl, n_pairs=150, rng=RngStream(5, 3))
-        assert worst_bowl <= taylor_threshold(bowl)  # rho 1.05 + slack
+        def ceiling(rep):  # declared rho * (1 + tol) + finite-difference slack
+            return rep.rho_declared * (1.0 + rep.tol) + rep.fd_slack
+
+        quad_rep = certify_constants(problems[0], n_pairs=150, rng=RngStream(4, 3))
+        assert quad_rep.rho_hat <= ceiling(quad_rep)  # rho = 0: slack only
+        bowl_rep = certify_constants(bowl, n_pairs=150, rng=RngStream(5, 3))
+        assert bowl_rep.rho_hat <= ceiling(bowl_rep)  # rho 1.05 + slack
         _report(7, True,
-                f"4 problems certified; remainder ratios quad={worst_quad:.2e} "
-                f"bowl={worst_bowl:.3f} <= {taylor_threshold(bowl):.3f}")
+                f"4 problems certified; remainder ratios quad={quad_rep.rho_hat:.2e} "
+                f"bowl={bowl_rep.rho_hat:.3f} <= {ceiling(bowl_rep):.3f}")
 
 
 class TestCriterion8MechanicalInvariants:

@@ -1,5 +1,6 @@
 import json
 import re
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
@@ -103,6 +104,28 @@ class TestRunCommand:
         assert "theorem" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_runaway_weight_norm_rate_exits_two_and_names_the_step(self, tmp_path, capsys):
+        cfg = write(tmp_path / "run.cfg", RUNAWAY_RATE + "optimizer.eta = 1.0\n")
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            "error: seed 1 diverged at step 587: eta must be finite and >= 0, got inf\n")
+
+    def test_charts_of_a_run_with_a_zero_gradient_norm(self, tmp_path):
+        # the exact gradient of the flat sign-noise objective is 0 at every
+        # step, so the log-scale gradient-norm chart has no point to draw
+        text = (
+            "problem.kind = sign_noise\nproblem.p = 0.25\noptimizer.id = heavy_ball\n"
+            "optimizer.eta = 0.01\noptimizer.beta = 0.9\nrun.T = 300\nrun.seeds = 1,2,3\n"
+            "output.formats = csv,json,svg\n"
+        )
+        cfg = write(tmp_path / "run.cfg", text)
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        charts = sorted(out.glob("*.svg"))
+        assert [p.name for p in charts] == ["eta.svg", "f_val.svg", "grad_norm.svg"]
+        for chart in charts:
+            assert ET.parse(chart).getroot().tag == "{http://www.w3.org/2000/svg}svg"
+
     def test_leftover_temp_directory_does_not_break_outputs(self, tmp_path):
         cfg = write(tmp_path / "run.cfg", BASE_RUN)
         ref, out = tmp_path / "ref", tmp_path / "out"
@@ -131,13 +154,6 @@ class TestOverridesAndJobs:
         assert main(["run", "--config", str(cfg), "--out", str(b), "--jobs", "2"]) == 0
         for name in ("seed_1.csv", "seed_2.csv", "seed_3.csv", "summary.json"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
-
-    def test_jobs_env_fallback(self, tmp_path, monkeypatch):
-        cfg = write(tmp_path / "run.cfg", BASE_RUN)
-        monkeypatch.setenv("NIGT_LAB_JOBS", "2")
-        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
-        monkeypatch.setenv("NIGT_LAB_JOBS", "lots")
-        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "p")]) == 1
 
 
 class TestCertifyCommand:
@@ -207,6 +223,21 @@ run.seeds = 1,2
 """
 
 
+# weight-norm scaling at a base rate of 1 lets |w| grow until the rate
+# overflows: seed 1 diverges at step 587
+RUNAWAY_RATE = """\
+problem.kind = trig_bowl
+problem.dim = 2
+problem.a = 1.0
+problem.b = 1.0
+problem.sigma = 0.5
+optimizer.id = nsgdm
+schedule.weight_norm_scaling = true
+run.T = 3000
+run.seeds = 1
+"""
+
+
 class TestSweepCommand:
     def test_diverging_rate_is_recorded_and_ranked_last(self, tmp_path):
         # at eta0 = 1 the iterate grows like 3^t on the eigenvalue-4 axis
@@ -222,6 +253,15 @@ class TestSweepCommand:
         assert 1 < last["diverged_at"] <= 1000
         assert all(r["diverged_at"] is None for r in payload["rows"][:-1])
         assert payload["best_eta0"] == payload["rows"][0]["eta0"] != 1.0
+
+    def test_runaway_weight_norm_rate_is_recorded(self, tmp_path):
+        cfg = write(tmp_path / "s.cfg", RUNAWAY_RATE + "sweep.eta_grid = 0.01,1\n")
+        out = tmp_path / "o"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+        payload = json.loads((out / "sweep.json").read_text())
+        assert [(r["eta0"], r["diverged_at"]) for r in payload["rows"]] == [(0.01, None), (1.0, 587)]
+        assert payload["best_eta0"] == 0.01
+        assert (out / "sweep.csv").read_text().endswith("\n1,\n")
 
     def test_paper_default_grid_emits_six_rows(self, tmp_path):
         text = (
