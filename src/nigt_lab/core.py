@@ -135,10 +135,6 @@ class RngStream:
         key = np.array([seed, stream_id], dtype=np.uint64)
         self.generator = np.random.Generator(np.random.Philox(key=key))
 
-    def derive(self, stream_id: int) -> "RngStream":
-        """A fresh stream with the same seed and a different stream id."""
-        return RngStream(self.seed, stream_id)
-
     def __repr__(self):
         return f"RngStream(seed={self.seed}, stream_id={self.stream_id})"
 

@@ -50,8 +50,9 @@ DEFAULT_ETA_GRID = (1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0)
 DEFAULT_CERT_RADIUS = 10.0
 
 # Oracle noise is drawn ahead in blocks of at most this many bytes per
-# stream (one stream per seed, two for the self-tuning method).
-NOISE_BLOCK_BYTES = 256 * 1024
+# stream (one stream per seed, two for the self-tuning method). Steps are
+# logged in blocks whose w, x and m arrays, kept by reference, fit in as many.
+BLOCK_BYTES = 256 * 1024
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,7 +107,7 @@ class _NoiseTape:
     blocks.
 
     Each block holds the next rows of every stream, at most
-    :data:`NOISE_BLOCK_BYTES` per stream, so memory stays bounded whatever
+    :data:`BLOCK_BYTES` per stream, so memory stays bounded whatever
     the horizon. The streams are counter-based, so a block holds exactly
     the numbers one draw per step would have produced.
     """
@@ -116,7 +117,7 @@ class _NoiseTape:
         self.streams = [[RngStream(seed, sid) for seed in seeds] for sid in stream_ids]
         self.left = T
         row_bytes = 8 * problem.noise_width
-        rows = min(T, max(1, NOISE_BLOCK_BYTES // row_bytes)) if row_bytes else T
+        rows = min(T, max(1, BLOCK_BYTES // row_bytes)) if row_bytes else T
         self.block = np.empty((rows, len(stream_ids), len(seeds), problem.noise_width))  # refilled in place
         self.size = self.pos = 0
 
@@ -133,33 +134,43 @@ class _NoiseTape:
         return self.block[self.pos - 1, :, :n]
 
 
-def _make_log(pb, log, i, eta, alpha, w, m, w_next, f_w):
-    """Write the log row of step ``i + 1`` for the rows of ``w`` (the
-    iterates the step started from) and return F(w_next), the next step's
-    f_val, when the run records exact values."""
-    n = len(w)
-    eta, alpha = _column(eta), _column(alpha)
-    log["eta"][i, :n] = eta
-    log["alpha"][i, :n] = alpha
-    log["m_norm"][i, :n] = rownorm(m)
-    if "f_val" not in log:
-        return None
-    g = pb.exact_grad(w)
-    grad_norm = rownorm(g)
-    mhat_err = rownorm(m - g)
-    f_next = pb.exact_value(w_next)
-    log["f_val"][i, :n] = f_w
-    log["grad_norm"][i, :n] = grad_norm
-    log["mhat_err"][i, :n] = mhat_err
-    if "descent_residual" in log:
-        rhs = -eta / 3.0 * grad_norm + (8.0 * eta / 3.0) * mhat_err + 0.5 * pb.L * eta * eta
-        log["descent_residual"][i, :n] = rhs - (f_next - f_w)
-    return f_next
+def _make_log(pb, log, i, ws, xs, ms, max_disp, f_w):
+    """Log the steps from ``i + 1`` on from their new momenta ``ms``, the
+    iterates ``ws`` (each step's start, then the last one's end) and the
+    query points ``xs`` that were not the iterate. Returns F(ws[-1]) or None."""
+    M = _stack(ms)
+    rows = slice(i, i + len(M))
+    log["m_norm"][rows] = rownorm(M)
+    W = _stack(ws[1:])
+    _fold_distance(max_disp, W, pb.w1)
+    if xs:
+        _fold_distance(max_disp, _stack(xs), pb.w1)
+    if "f_val" in log:  # exact values
+        g = pb.exact_grad(_stack(ws[:-1]))
+        f_next = pb.exact_value(W)
+        log["f_val"][rows] = np.concatenate((f_w[None], f_next[:-1]))
+        log["grad_norm"][rows] = rownorm(g)
+        log["mhat_err"][rows] = rownorm(M - g)
+        if "descent_residual" in log:
+            rhs = _descent_bound(log["eta"][rows], log["grad_norm"][rows], log["mhat_err"][rows], pb.L)
+            log["descent_residual"][rows] = rhs - (f_next - log["f_val"][rows])
+        return f_next[-1]
 
 
-def _column(v):
-    """A per-row ``(S, 1)`` coefficient as one value per row; a scalar as is."""
-    return v[:, 0] if isinstance(v, np.ndarray) else v
+def _fold_distance(max_disp, P, w1):
+    """Raise each seed's ``max_disp`` to its largest distance from w1 in ``P``."""
+    d = rownorm(P - w1)
+    np.fmax(max_disp, d[0] if len(d) == 1 else np.fmax.reduce(d, axis=0), out=max_disp)
+
+
+def _stack(arrays):
+    """The arrays as one block along a new first axis; one array as a view."""
+    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
+
+
+def _descent_bound(eta, grad_norm, mhat_err, L):
+    """Right side of F(w_{t+1}) - F(w_t) <= -eta/3 ||gradF|| + 8 eta/3 ||err|| + L eta^2 / 2."""
+    return -eta / 3.0 * grad_norm + (8.0 * eta / 3.0) * mhat_err + 0.5 * L * eta * eta
 
 
 def run(cfg: RunConfig) -> list[TrajectoryRecord]:
@@ -203,11 +214,12 @@ def run(cfg: RunConfig) -> list[TrajectoryRecord]:
         names += ["f_val", "grad_norm", "mhat_err"] + (["descent_residual"] if move is normalized_move else [])
     log = {name: np.empty((T, S)) for name in names}
     no_move = np.zeros((T, S), dtype=bool)
-    w1 = pb.w1
-    W = np.tile(w1, (S, 1))
+    W = np.tile(pb.w1, (S, 1))
     s = StepState(w=W, w_prev=W, m=np.zeros((S, pb.dim)))
     max_disp = np.zeros(S)
     f_w = pb.exact_value(W) if cfg.record_exact else None
+    block = max(1, BLOCK_BYTES // (3 * 8 * S * pb.dim))  # w, x and m per step
+    ws, xs, ms = [W], [], []
     n = S  # rows still running: the seeds before the first one that failed
     failure = None
     with np.errstate(over="ignore", invalid="ignore"):
@@ -247,17 +259,21 @@ def run(cfg: RunConfig) -> list[TrajectoryRecord]:
                     if n == 0:
                         raise failure from None
                     s = s.head(n)
-                    eta_t, k, beta_t, alpha_t, alpha_log = (
-                        v[:n] if isinstance(v, np.ndarray) else v for v in (eta_t, k, beta_t, alpha_t, alpha_log))
+                    eta_t, k, beta_t, alpha_t = (
+                        v[:n] if isinstance(v, np.ndarray) else v for v in (eta_t, k, beta_t, alpha_t))
             for tuner, g_row, g_paired_row in zip(tuners, g, samples[1] if tuners else ()):
                 tuner.accumulate(t, g_row, g_paired_row)
-            f_w = _make_log(pb, log, t - 1, eta_t, alpha_log, s.w, s_next.m, s_next.w,
-                            None if f_w is None else f_w[:n])
-            no_move[t - 1, :n] = s_next.no_move
-            disp = rownorm(s_next.w - w1)
-            if x is not s.w:
-                disp = np.fmax(disp, rownorm(x - w1))
-            max_disp[:n] = np.fmax(max_disp[:n], disp)
+            if failure is None:  # a failing run returns no record: nothing to log
+                log["eta"][t - 1, :, None] = eta_t  # a scalar or an (S, 1) column
+                log["alpha"][t - 1, :, None] = alpha_log
+                no_move[t - 1] = s_next.no_move
+                ws.append(s_next.w)
+                ms.append(s_next.m)
+                if x is not s.w:
+                    xs.append(x)
+                if len(ms) == block or t == T:
+                    f_w = _make_log(pb, log, t - len(ms), ws, xs, ms, max_disp, f_w)
+                    ws, xs, ms = [s_next.w], [], []
             s = s_next
     if failure is not None:
         raise failure
@@ -396,8 +412,7 @@ def descent_check(problem: StochasticProblem, record: TrajectoryRecord) -> Desce
         raise MissingExactOracle(
             f"descent audit needs exact logging on a normalized-update run ({record.optimizer_id} lacks it)"
         )
-    eta = record.eta
-    rhs = -eta / 3.0 * record.grad_norm + (8.0 * eta / 3.0) * record.mhat_err + 0.5 * problem.L * eta * eta
+    rhs = _descent_bound(record.eta, record.grad_norm, record.mhat_err, problem.L)
     f = record.f_val
     lhs = rhs - res  # exact for every step, including the last
     # recompute the first T-1 residuals offline from the objective chain

@@ -9,6 +9,7 @@ atomically (temp file in the target directory, then rename).
 from __future__ import annotations
 
 import json
+import math
 import os
 from pathlib import Path
 
@@ -40,23 +41,19 @@ def record_to_csv(record: TrajectoryRecord) -> str:
     return CSV_HEADER + "\n" + "".join(map(row.__mod__, zip(*data)))
 
 
-def parse_run_csv(text: str) -> dict[str, list]:
-    """Columns of one run CSV; empty cells become None."""
+def parse_run_csv(text: str) -> dict[str, np.ndarray]:
+    """Columns of one run CSV as float64 arrays; an empty cell is NaN."""
     lines = text.strip("\n").split("\n")
-    if not lines or lines[0] != CSV_HEADER:
-        raise NoResults(f"unexpected CSV header: {lines[0] if lines else '(empty)'}")
-    cols: dict[str, list] = {name: [] for name in CSV_HEADER.split(",")}
+    if lines[0] != CSV_HEADER:
+        raise NoResults(f"unexpected CSV header: {lines[0] or '(empty)'}")
     names = CSV_HEADER.split(",")
-    for line in lines[1:]:
-        cells = line.split(",")
+    rows = [line.split(",") for line in lines[1:]]
+    for line, cells in zip(lines[1:], rows):
         if len(cells) != len(names):
             raise NoResults(f"malformed CSV row: {line!r}")
-        for name, cell in zip(names, cells):
-            if name == "t":
-                cols[name].append(int(cell))
-            else:
-                cols[name].append(float(cell) if cell != "" else None)
-    return cols
+    cells = np.array(rows, dtype=str).reshape(-1, len(names))
+    cells[cells == ""] = "nan"
+    return dict(zip(names, cells.T.astype(np.float64)))
 
 
 def json_dumps(obj) -> str:
@@ -95,8 +92,11 @@ def write_run_outputs(records, out_dir, formats, summary: dict) -> None:
 
 
 def _chart_columns(record: TrajectoryRecord) -> dict:
-    cols = {name: getattr(record, name) for name, _, _, _ in _METRICS}
-    cols["t"] = np.arange(1, len(record.eta) + 1)
+    """The charted columns as :func:`parse_run_csv` reads them back."""
+    n = len(record.eta)
+    cols = {name: np.full(n, np.nan) if getattr(record, name) is None else getattr(record, name)
+            for name, _, _, _ in _METRICS}
+    cols["t"] = np.arange(1.0, n + 1)
     return cols
 
 
@@ -119,48 +119,41 @@ def _ticks_linear(lo: float, hi: float, n: int = 5):
 
 
 def _ticks_log(lo: float, hi: float):
-    import math
-
     lo_e = math.floor(math.log10(lo))
     hi_e = math.ceil(math.log10(hi))
     return [10.0**e for e in range(int(lo_e), int(hi_e) + 1)]
 
 
+def _log10(v: np.ndarray) -> np.ndarray:
+    """``math.log10`` of each entry (``np.log10`` differs in the last ulp)."""
+    return np.fromiter(map(math.log10, v.tolist()), np.float64, len(v))
+
+
 def svg_line_chart(series, title: str, xlabel: str, ylabel: str,
                    xlog: bool = False, ylog: bool = False) -> str:
-    """Multi-polyline chart; ``series`` is a list of (xs, ys, style) triples.
+    """Multi-polyline chart; ``series`` is a list of (xs, ys, style) triples
+    of float arrays.
 
-    Points with missing (None or NaN) or (on log axes) non-positive
-    coordinates are dropped. Purely textual output: same input, same bytes.
+    Points with a NaN or (on log axes) non-positive coordinate are
+    dropped. Purely textual output: same input, same bytes.
     """
-    import math
-
     cleaned = []
     for xs, ys, style in series:
-        pts = []
-        for x, y in zip(_values(xs), _values(ys)):
-            if x is None or y is None or x != x or y != y:
-                continue
-            if (xlog and x <= 0.0) or (ylog and y <= 0.0):
-                continue
-            pts.append((float(x), float(y)))
-        if pts:
-            cleaned.append((pts, style))
+        keep = ~(np.isnan(xs) | np.isnan(ys))
+        if xlog:
+            keep &= xs > 0.0
+        if ylog:
+            keep &= ys > 0.0
+        if keep.any():
+            cleaned.append((xs[keep], ys[keep], style))
 
-    all_x = [p[0] for pts, _ in cleaned for p in pts]
-    all_y = [p[1] for pts, _ in cleaned for p in pts]
-    if not all_x:  # nothing to draw: a unit range, one decade on a log axis
-        all_x, all_y = [1.0, 10.0], [1.0, 10.0] if ylog else [0.0, 1.0]
-    x_lo, x_hi = min(all_x), max(all_x)
-    y_lo, y_hi = min(all_y), max(all_y)
-    if xlog:
-        tx = lambda v: math.log10(v)
-    else:
-        tx = lambda v: v
-    if ylog:
-        ty = lambda v: math.log10(v)
-    else:
-        ty = lambda v: v
+    # with nothing to draw: x over [1, 10], y over one decade or over [0, 1]
+    all_x = np.concatenate([xs for xs, _, _ in cleaned] or [[1.0, 10.0]])
+    all_y = np.concatenate([ys for _, ys, _ in cleaned] or [[1.0, 10.0] if ylog else [0.0, 1.0]])
+    x_lo, x_hi = float(all_x.min()), float(all_x.max())
+    y_lo, y_hi = float(all_y.min()), float(all_y.max())
+    tx = math.log10 if xlog else float
+    ty = math.log10 if ylog else float
     ax_lo, ax_hi = tx(x_lo), tx(x_hi)
     ay_lo, ay_hi = ty(y_lo), ty(y_hi)
     if ax_hi == ax_lo:
@@ -171,8 +164,9 @@ def svg_line_chart(series, title: str, xlabel: str, ylabel: str,
     ay_lo -= pad_y
     ay_hi += pad_y
 
-    px = lambda v: _ML + (tx(v) - ax_lo) / (ax_hi - ax_lo) * (_W - _ML - _MR)
-    py = lambda v: _H - _MB - (ty(v) - ay_lo) / (ay_hi - ay_lo) * (_H - _MT - _MB)
+    # pixels of axis values (logarithms on a log axis), of floats or arrays
+    px = lambda a: _ML + (a - ax_lo) / (ax_hi - ax_lo) * (_W - _ML - _MR)
+    py = lambda a: _H - _MB - (a - ay_lo) / (ay_hi - ay_lo) * (_H - _MT - _MB)
 
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{int(_W)}" height="{int(_H)}" '
@@ -192,7 +186,7 @@ def svg_line_chart(series, title: str, xlabel: str, ylabel: str,
     for v in x_ticks:
         if tx(v) < ax_lo - 1e-12 or tx(v) > ax_hi + 1e-12:
             continue
-        X = px(v)
+        X = px(tx(v))
         out.append(f'<line x1="{_fmt(X)}" y1="{_fmt(_H - _MB)}" x2="{_fmt(X)}" '
                    f'y2="{_fmt(_H - _MB + 5)}" stroke="#444444" stroke-width="1"/>')
         out.append(f'<text x="{_fmt(X)}" y="{_fmt(_H - _MB + 18)}" font-family="monospace" '
@@ -203,14 +197,18 @@ def svg_line_chart(series, title: str, xlabel: str, ylabel: str,
     for v in y_ticks:
         if ty(v) < ay_lo - 1e-12 or ty(v) > ay_hi + 1e-12:
             continue
-        Y = py(v)
+        Y = py(ty(v))
         out.append(f'<line x1="{_fmt(_ML - 5)}" y1="{_fmt(Y)}" x2="{_fmt(_ML)}" '
                    f'y2="{_fmt(Y)}" stroke="#444444" stroke-width="1"/>')
         out.append(f'<text x="{_fmt(_ML - 8)}" y="{_fmt(Y + 3)}" font-family="monospace" '
                    f'font-size="10" text-anchor="end">{v:.4g}</text>')
 
-    for pts, style in cleaned:
-        coords = " ".join(f"{_fmt(px(x))},{_fmt(py(y))}" for x, y in pts)
+    for xs, ys, style in cleaned:
+        pts = np.empty((len(xs), 2))
+        pts[:, 0] = px(_log10(xs) if xlog else xs)
+        pts[:, 1] = py(_log10(ys) if ylog else ys)
+        # "%.2f" formats a float exactly as _fmt does
+        coords = " ".join(["%.2f,%.2f"] * len(pts)) % tuple(pts.ravel().tolist())
         out.append(f'<polyline {style} points="{coords}"/>')
 
     out.append("</svg>")
@@ -224,22 +222,13 @@ _METRICS = (
 )
 
 
-def _values(seq) -> list:
-    """Plain Python numbers of a column (None for an unrecorded one)."""
-    if seq is None:
-        return []
-    return seq.tolist() if isinstance(seq, np.ndarray) else seq
-
-
 def _mean_line(columns, n: int) -> np.ndarray:
     """Mean over runs at each of the first n steps, NaN unless every run
     has a value there. Each step's values are one contiguous row, reduced
     exactly as ``np.mean`` of that list of values."""
     stack = np.full((n, len(columns)), np.nan)
     for j, col in enumerate(columns):
-        if col is not None:
-            vals = np.array(col[:n], dtype=np.float64)  # None cells become NaN
-            stack[:len(vals), j] = vals
+        stack[:len(col[:n]), j] = col[:n]
     return stack.mean(axis=1)
 
 

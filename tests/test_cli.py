@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 import xml.etree.ElementTree as ET
@@ -381,3 +382,69 @@ class TestGoldenFiles:
     def test_grad_norm_svg_bytes(self, tmp_path):
         out = self._regen(tmp_path)
         assert (out / "grad_norm.svg").read_bytes() == (GOLDEN / "golden_grad_norm.svg").read_bytes()
+
+
+TRIG_RUN = """\
+problem.kind = trig_bowl
+problem.dim = 4
+problem.a = 1.0
+problem.b = 1.0
+problem.sigma = 0.5
+optimizer.id = nigt
+run.T = 1000
+run.seeds = 1,2,3
+output.formats = csv,json,svg
+"""
+EXACT = "optimizer.theorem = 2\n"
+NOT_EXACT = "optimizer.eta = 0.01\noptimizer.beta = 0.9\nrun.record_exact = false\n"
+SIGN_RUN = (
+    "problem.kind = sign_noise\nproblem.p = 0.25\noptimizer.id = heavy_ball\n"
+    "optimizer.eta = 0.01\noptimizer.beta = 0.9\nrun.T = 300\nrun.seeds = 1,2,3\n"
+    "output.formats = csv,json,svg\n"
+)
+EMPTY_LOG_CHART = "1f01eee988b2011c5f92ed094714aac4ef8b144679adf4e59252ec8e7cdc3c56"
+
+
+class TestChartBytes:
+    """SHA-256 pins of whole charts, taken from the point-by-point emitter
+    that the array emitter replaced: every byte must stay."""
+
+    CASES = {
+        "trig_bowl": (TRIG_RUN + EXACT, {
+            "grad_norm.svg": "0f469adf7a5decbec29aeab171b8df51e6b524c7eca8e3b0a7772220bfca27f3",
+            "f_val.svg": "15e977a6fe0b2d4658b64ad5a36ea7bb3577184edd230e99a31cc8496775007d",
+            "eta.svg": "aff03f7011854600947d985f99e6bd0489e67a2b8cfad70c39b9a14ac56bb1aa",
+        }),
+        "trig_bowl_no_exact_log": (TRIG_RUN + NOT_EXACT, {
+            "grad_norm.svg": EMPTY_LOG_CHART,
+            "f_val.svg": "3160d0e18d3516f4b4fe7de9e00287e9a6373ee76064623dbb024f681d58c11d",
+            "eta.svg": "51957c6ae479683be93a04214cbe8cff4516eedf5b69d5b9f717b3cc0576cc42",
+        }),
+        # a flat objective: no positive gradient norm for the log chart
+        "sign_noise": (SIGN_RUN, {
+            "grad_norm.svg": EMPTY_LOG_CHART,
+            "f_val.svg": "dd4ef35edf84132a6fd3df5820c02b0eb5be858d15e6884980a5064f71f4d749",
+            "eta.svg": "1141269e0da0682545bf90a6a79ca0712edfa43f7e6799c1ffdf94e67491a19a",
+        }),
+    }
+
+    @staticmethod
+    def _charts(out: Path) -> dict:
+        return {name: (out / name).read_bytes() for name in ("grad_norm.svg", "f_val.svg", "eta.svg")}
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_chart_digests(self, tmp_path, case):
+        text, digests = self.CASES[case]
+        cfg = write(tmp_path / "run.cfg", text)
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+        got = {name: hashlib.sha256(b).hexdigest() for name, b in self._charts(tmp_path / "o").items()}
+        assert got == digests
+
+    @pytest.mark.parametrize("extra", [EXACT, NOT_EXACT], ids=["exact", "not_exact"])
+    def test_plot_rewrites_the_charts_of_a_run(self, tmp_path, extra):
+        cfg = write(tmp_path / "run.cfg", TRIG_RUN + extra)
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        written = self._charts(out)
+        assert main(["plot", str(out), "--out", str(tmp_path / "p")]) == 0
+        assert self._charts(tmp_path / "p") == written

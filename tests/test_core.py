@@ -119,11 +119,6 @@ class TestRngStream:
         b = RngStream(123, 1).generator.integers(0, 2**63, size=64)
         assert not np.array_equal(a, b)
 
-    def test_derive_matches_fresh_stream(self):
-        a = RngStream(9, 0).derive(7).generator.integers(0, 2**63, size=8)
-        b = RngStream(9, 7).generator.integers(0, 2**63, size=8)
-        np.testing.assert_array_equal(a, b)
-
     def test_seed_range_validation(self):
         with pytest.raises(InvalidInput):
             RngStream(-1)

@@ -328,6 +328,40 @@ class TestDivergenceOrder:
                 run(RunConfig(problem=TRIG, optimizer_id="nsgdm", T=5, seeds=(1,), eta=eta))
 
 
+class TestLogBlocks:
+    """Steps are logged in blocks; where the blocks end must not show."""
+
+    @staticmethod
+    def _block_of(monkeypatch, cfg, steps):
+        # a block holds w, x and m of each step: 3 float64 (S, d) arrays
+        monkeypatch.setattr("nigt_lab.harness.BLOCK_BYTES", steps * 3 * 8 * len(cfg.seeds) * cfg.problem.dim)
+
+    @pytest.mark.parametrize("record_exact", [True, False])
+    @pytest.mark.parametrize("opt", ["nigt", "nsgdm", "nigt_adaptive"])
+    @pytest.mark.parametrize("steps", [1, 3, 7])
+    def test_block_size_does_not_change_the_records(self, monkeypatch, steps, opt, record_exact):
+        cfg = RunConfig(problem=TRIG, optimizer_id=opt, T=20, seeds=(1, 2, 3), eta=0.05, beta=0.9,
+                        record_exact=record_exact)
+        default = run(cfg)
+        self._block_of(monkeypatch, cfg, steps)
+        for a, b in zip(default, run(cfg), strict=True):
+            assert _records_equal(a, b)
+            assert np.array_equal(a.final_w, b.final_w)
+
+    @pytest.mark.parametrize("steps", [1, 3, 7])
+    def test_a_later_seed_diverging_mid_block_names_the_same_failure(self, monkeypatch, steps):
+        # seed 3 diverges first, at step 577, then seed 1 at step 587
+        cfg = RunConfig(problem=make_trig_bowl(2, 1.0, 1.0, 0.5), optimizer_id="nsgdm", T=3000,
+                        seeds=(1, 2, 3), eta=1.0, schedule=Schedule(weight_norm_scaling=True))
+        with pytest.raises(Diverged) as default:
+            run(cfg)
+        self._block_of(monkeypatch, cfg, steps)
+        with pytest.raises(Diverged) as blocked:
+            run(cfg)
+        assert (str(blocked.value), blocked.value.step) == (str(default.value), default.value.step)
+        assert default.value.step == 587
+
+
 class TestBoundAcceptanceSmoke:
     def test_small_grid_passes_and_reports(self):
         pb = make_trig_bowl(2, 1.0, 1.0, 0.3)
