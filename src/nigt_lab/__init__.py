@@ -61,7 +61,6 @@ from .problems import (
 )
 from .tuning import (
     TunedParams,
-    manual_params,
     nigt_bound,
     nigt_params,
     nsgdm_bound,

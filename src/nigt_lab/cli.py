@@ -33,6 +33,7 @@ from .harness import (
 from .problems import NoisyQuadratic, certify_constants
 from .core import RngStream
 from .reports import format_num, json_dumps, plot_results_dir, write_run_outputs, write_text_atomic
+from .tuning import bound_check
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -76,14 +77,9 @@ def cmd_run(args) -> int:
 
     no_move_count = sum(int(r.no_move.sum()) for r in records)
     violations = [dict(asdict(e), seed=r.seed) for r in records for e in r.invariant_violations]
-    avg = stderr = None
-    if cfg.record_exact:
-        per_seed = np.array([r.avg_grad_norm() for r in records])
-        avg = float(per_seed.mean())
-        stderr = float(per_seed.std(ddof=1) / np.sqrt(len(per_seed))) if len(per_seed) > 1 else 0.0
-    passed = not violations
-    if bound is not None:
-        passed = passed and (avg + 3.0 * stderr <= bound)
+    avg, stderr, within_bound = (bound_check([r.avg_grad_norm() for r in records], bound)
+                                 if cfg.record_exact else (None, None, True))
+    passed = not violations and within_bound
     summary = {
         "problem": cfg.problem.problem_id,
         "optimizer": cfg.optimizer_id,

@@ -23,11 +23,11 @@ from __future__ import annotations
 import inspect
 from dataclasses import dataclass, field
 
-from .errors import ConfigError
+from .errors import ConfigError, InvalidInput
 from .harness import OPTIMIZER_IDS, RunConfig
 from .optimizers import LayerPartition, Schedule
 from .problems import PROBLEM_KINDS, with_constants
-from .tuning import manual_params, nigt_bound, nigt_params, nsgdm_bound, nsgdm_params
+from .tuning import THEOREM_METHODS, tuned
 
 # value type codes: int / float / bool / str and list variants
 _SCHEMA: dict[str, dict[str, str]] = {
@@ -238,7 +238,6 @@ def build_schedule(exp: ExperimentFile) -> Schedule:
     try:
         return Schedule(
             kind=kind,
-            eta0=sc.get("eta0"),
             warmup_steps=sc.get("warmup_steps", 0),
             power=sc.get("power", 1),
             weight_norm_scaling=sc.get("weight_norm_scaling", False),
@@ -276,44 +275,42 @@ def resolve_seeds(exp: ExperimentFile, n_seeds_override: int | None = None,
     return tuple(master + i for i in range(n))
 
 
-def resolve_params(exp: ExperimentFile, problem, T: int, require_eta: bool = True):
-    """Tuned or manual hyperparameters for one horizon.
-
-    Returns (params, bound) where bound is the guaranteed ceiling when a
-    tuned rule was selected, else None. With ``require_eta`` false a missing
-    base rate is allowed (the sweep supplies it per grid point).
-    """
+def resolve_rate(exp: ExperimentFile, problem, T: int, require_eta: bool = True):
+    """(eta, beta, bound) for one horizon: schedule.eta0, else the theorem's
+    eta, else optimizer.eta; the theorem's beta, else optimizer.beta (0.9);
+    the theorem's ceiling, else None. With ``require_eta`` false the rate may
+    be missing and the tuning goes unused: a sweep sets the rate itself."""
     op = exp.optimizer
-    theorem = op.get("theorem")
     opt_id = op.get("id", "")
-    if theorem is None and opt_id == "nigt_adaptive":
-        theorem = "adaptive"
+    theorem = op.get("theorem", "adaptive" if opt_id == "nigt_adaptive" else None)
+    eta0 = exp.schedule.get("eta0")
+    if eta0 is not None and eta0 <= 0.0:
+        raise ConfigError(f"invalid schedule section: eta0 must be positive, got {eta0}")
+    paired_id = THEOREM_METHODS.get(theorem)
+    if theorem is not None and paired_id is None:
+        raise ConfigError(f"optimizer.theorem must be 1, 2, or adaptive, got {theorem!r}")
     # a ceiling is only a guarantee for the method its theorem is about
-    paired_id = {"1": "nsgdm", "2": "nigt", "adaptive": "nigt_adaptive"}.get(theorem)
     if paired_id is not None and opt_id != paired_id:
         raise ConfigError(f"theorem = {theorem} requires optimizer.id = {paired_id}, got {opt_id!r}")
-    try:
-        if theorem == "1":
-            return (nsgdm_params(problem.R, problem.L, problem.sigma, T),
-                    nsgdm_bound(problem.R, problem.L, problem.sigma, T))
-        if theorem == "2":
-            return (nigt_params(problem.R, problem.L, problem.rho, problem.sigma, T),
-                    nigt_bound(problem.R, problem.L, problem.rho, problem.sigma, T))
-        if theorem == "adaptive":
-            return None, None
-        if theorem is not None:
-            raise ConfigError(f"optimizer.theorem must be 1, 2, or adaptive, got {theorem!r}")
-        if "eta" not in op and "eta0" not in exp.schedule:
-            if require_eta:
-                raise ConfigError("manual runs need optimizer.eta (or schedule.eta0)")
-            return None, None
-        if "eta" in op:
-            return manual_params(op["eta"], op.get("beta", 0.9)), None
-        return None, None  # base rate comes from schedule.eta0
-    except ConfigError:
-        raise
-    except Exception as e:
-        raise ConfigError(f"invalid hyperparameters: {e}") from e
+    params = bound = None
+    if theorem == "adaptive":
+        if eta0 is not None:
+            raise ConfigError("the self-tuning method sets its own step sizes; use a constant schedule")
+    elif theorem is not None:
+        try:
+            params, bound = tuned(opt_id, problem, T)
+        except (InvalidInput, ArithmeticError) as e:  # constants outside a rule's domain
+            raise ConfigError(f"invalid hyperparameters: {e}") from e
+    elif "eta" not in op and eta0 is None and require_eta:
+        raise ConfigError("manual runs need optimizer.eta (or schedule.eta0)")
+    elif "eta" in op and not (op["eta"] > 0.0 and 0.0 <= op.get("beta", 0.9) < 1.0):
+        raise ConfigError("invalid hyperparameters: need eta > 0 and beta in [0, 1), "
+                          f"got eta = {op['eta']}, beta = {op.get('beta', 0.9)}")
+    if not require_eta:
+        params = None
+    eta = params.eta if params is not None else op.get("eta")
+    beta = params.beta if params is not None else op.get("beta", 0.9)
+    return (eta0 if eta0 is not None else eta), beta, bound
 
 
 def build_run_config(exp: ExperimentFile, T: int | None = None,
@@ -330,16 +327,15 @@ def build_run_config(exp: ExperimentFile, T: int | None = None,
     if seeds is None:
         seeds = resolve_seeds(exp)
     schedule = build_schedule(exp)
-    params, bound = resolve_params(exp, problem, T, require_eta=require_eta)
+    eta, beta, bound = resolve_rate(exp, problem, T, require_eta)
     try:
         cfg = RunConfig(
             problem=problem,
             optimizer_id=opt_id,
             T=T,
             seeds=seeds,
-            eta=op.get("eta"),
-            beta=op.get("beta", 0.9),
-            params=params,
+            eta=eta,
+            beta=beta,
             schedule=schedule,
             record_exact=exp.run.get("record_exact", True),
             g_bound=op.get("g_bound"),

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import RngStream, TrajectoryRecord, gaussian_noise, rownorm
+from .core import RngStream, TrajectoryRecord, rownorm
 from .errors import (
     Diverged,
     InsufficientGrid,
@@ -38,7 +38,7 @@ from .optimizers import (
     transport_step,
 )
 from .problems import StochasticProblem, certify_constants
-from .tuning import TunedParams, nigt_bound, nigt_params, nsgdm_bound, nsgdm_params
+from .tuning import bound_check, tuned
 
 OPTIMIZER_IDS = ("sgd", "heavy_ball", "nsgdm", "nigt", "nigt_adaptive", "nigt_layerwise")
 
@@ -61,9 +61,8 @@ class RunConfig:
     optimizer_id: str
     T: int
     seeds: tuple[int, ...]
-    eta: float | None = None
+    eta: float | None = None  # base rate, before the schedule
     beta: float = 0.9
-    params: TunedParams | None = None
     schedule: Schedule = field(default_factory=Schedule)
     record_exact: bool = True
     g_bound: float | None = None  # override for the self-tuning method
@@ -80,26 +79,6 @@ class RunConfig:
         if len(set(seeds)) != len(seeds):
             raise InvalidInput("seeds must be distinct")
         object.__setattr__(self, "seeds", seeds)
-
-
-def _resolve_eta_beta(cfg: RunConfig) -> tuple[float, float]:
-    if cfg.schedule.eta0 is not None:
-        base_eta = cfg.schedule.eta0
-    elif cfg.params is not None:
-        base_eta = cfg.params.eta
-    elif cfg.eta is not None:
-        base_eta = cfg.eta
-    else:
-        raise InvalidInput(f"optimizer {cfg.optimizer_id!r} needs eta (manual, tuned, or schedule.eta0)")
-    if cfg.optimizer_id == "sgd":
-        beta = 0.0  # memoryless: the momentum is the latest sample
-    else:
-        beta = cfg.params.beta if cfg.params is not None else cfg.beta
-    if not (0.0 <= beta < 1.0):
-        raise InvalidInput(f"beta must lie in [0, 1), got {beta}")
-    if not (0.0 <= base_eta < math.inf):
-        raise InvalidInput(f"eta must be finite and >= 0, got {float(base_eta)}")
-    return base_eta, beta
 
 
 class _NoiseTape:
@@ -189,11 +168,16 @@ def run(cfg: RunConfig) -> list[TrajectoryRecord]:
     T = cfg.T
     tuners = []
     if opt == "nigt_adaptive":
-        if sch.kind != "constant" or sch.eta0 is not None:
+        if sch.kind != "constant":
             raise InvalidInput("the self-tuning method sets its own step sizes; use a constant schedule")
         tuners = [SelfTuning(cfg.g_bound if cfg.g_bound is not None else pb.g_bound) for _ in seeds]
     else:
-        base_eta, beta = _resolve_eta_beta(cfg)
+        base_eta = cfg.eta
+        if base_eta is None or not (0.0 <= base_eta < math.inf):
+            raise InvalidInput(f"{opt} needs a base rate: eta must be finite and >= 0, got {base_eta}")
+        beta = 0.0 if opt == "sgd" else cfg.beta  # sgd is memoryless: the momentum is the latest sample
+        if not (0.0 <= beta < 1.0):
+            raise InvalidInput(f"beta must lie in [0, 1), got {beta}")
     transport = opt in ("nigt", "nigt_layerwise")
     # per-layer norm scaling happens inside the blockwise move
     scale_by_norm = sch.weight_norm_scaling and opt != "nigt_layerwise"
@@ -324,14 +308,14 @@ def igt_moment_check(
 ) -> MomentReport:
     """Verify that the transported momentum is unbiased with variance sigma^2/k.
 
-    Runs ``n_runs`` independent trajectories of the sample-count-indexed
-    recursion (m after k samples uses weight 1/k on the fresh sample and is
-    anchored at the extrapolated point with multiplier k-1), driven by the
-    normalized update. The oracle is the problem's exact gradient field plus
-    isotropic Gaussian noise of total scale ``problem.sigma``. On a
-    constant-Hessian problem the estimator after k samples is exactly
+    Runs ``n_runs`` independent trajectories of the transport step indexed
+    by sample count: step k queries the extrapolated point with k_t = k-1,
+    weighs the fresh sample by alpha_t = 1/k (beta_t = (k-1)/k) and takes
+    the normalized move. The samples come from the problem's own oracle.
+    On a constant-Hessian problem the estimator after k samples is exactly
     unbiased for the gradient at the current iterate with total variance
-    sigma^2 / k; each checkpoint asserts both moments.
+    sigma^2 / k; each checkpoint asserts both moments against the declared
+    sigma, so a sigma that misstates the oracle's noise fails the check.
     """
     if problem.rho != 0.0:
         raise NonConstantHessian(
@@ -346,21 +330,14 @@ def igt_moment_check(
     sigma = problem.sigma
     rng = RngStream(seed, 0)
     W = np.tile(problem.w1, (n_runs, 1))
-    W_prev = W.copy()
-    M = np.zeros_like(W)
+    s = StepState(w=W, w_prev=W, m=np.zeros_like(W))
     out = []
     for k in range(1, ks[-1] + 1):
-        if k == 1:
-            X = W
-            M = problem.exact_grad(X) + gaussian_noise(rng, (n_runs, problem.dim), sigma)
-        else:
-            mult = float(k - 1)
-            X = W + mult * (W - W_prev)
-            G = problem.exact_grad(X) + gaussian_noise(rng, (n_runs, problem.dim), sigma)
-            M = (mult / k) * M + (1.0 / k) * G
-
+        noise = problem.sample_noise(rng, n_runs)
+        s_next, _, _ = transport_step(s, lambda x: problem.noisy_grad(x, noise), eta,
+                                      k - 1.0, (k - 1.0) / k, 1.0 / k, normalized_move)
         if k in ks:
-            E = M - problem.exact_grad(W)
+            E = s_next.m - problem.exact_grad(s.w)
             mean_err = E.mean(axis=0)
             bias = float(np.linalg.norm(mean_err))
             var = float(np.mean(np.sum((E - mean_err) ** 2, axis=1)))
@@ -375,13 +352,7 @@ def igt_moment_check(
                 limit = 4.0 * math.sqrt(target / n_runs)
                 ok = bias <= limit and 0.9 * target <= var <= 1.1 * target
             out.append(MomentCheckpoint(k, bias, var, target, limit, n_runs, ok))
-
-        # normalized move to the next iterate
-        norms = np.linalg.norm(M, axis=1, keepdims=True)
-        safe = norms > 1e-300
-        step = np.where(safe, eta * M / np.where(safe, norms, 1.0), 0.0)
-        W_prev = W
-        W = W - step
+        s = s_next
 
     return MomentReport(sigma=sigma, n_runs=n_runs, checkpoints=tuple(out), passed=all(c.passed for c in out))
 
@@ -473,22 +444,14 @@ def bound_acceptance(
     rows = []
     max_disp = 0.0
     for T in sorted(int(t) for t in T_grid):
-        if optimizer_id == "nsgdm":
-            params = nsgdm_params(problem.R, problem.L, problem.sigma, T)
-            bound = nsgdm_bound(problem.R, problem.L, problem.sigma, T)
-        else:
-            params = nigt_params(problem.R, problem.L, problem.rho, problem.sigma, T)
-            bound = nigt_bound(problem.R, problem.L, problem.rho, problem.sigma, T)
-        cfg = RunConfig(problem=problem, optimizer_id=optimizer_id, T=T, seeds=seeds, params=params)
-        recs = run(cfg)
+        params, bound = tuned(optimizer_id, problem, T)
+        recs = run(RunConfig(problem=problem, optimizer_id=optimizer_id, T=T, seeds=seeds,
+                             eta=params.eta, beta=params.beta))
         if records_out is not None:
             records_out.extend(recs)
-        avgs = np.array([r.avg_grad_norm() for r in recs])
         max_disp = max(max_disp, max(r.max_displacement for r in recs))
-        mean = float(avgs.mean())
-        stderr = float(avgs.std(ddof=1) / math.sqrt(len(avgs))) if len(avgs) > 1 else 0.0
-        rows.append(BoundRow(T=T, mean_avg_grad_norm=mean, stderr=stderr, bound=bound,
-                             passed=mean + 3.0 * stderr <= bound))
+        mean, stderr, passed = bound_check([r.avg_grad_norm() for r in recs], bound)
+        rows.append(BoundRow(T=T, mean_avg_grad_norm=mean, stderr=stderr, bound=bound, passed=passed))
 
     cert_radius = max(DEFAULT_CERT_RADIUS, 1.05 * max_disp)
     certify_constants(problem, n_pairs=300, radius=cert_radius, rng=RngStream(seeds[0], 101))
@@ -556,9 +519,8 @@ def grid_sweep(base: RunConfig, eta0_grid=None) -> SweepReport:
         raise InvalidInput("eta0 grid must be non-empty")
     rows = []
     for eta0 in grid:
-        cfg = replace(base, params=None, eta=None, schedule=replace(base.schedule, eta0=eta0))
         try:
-            recs = run(cfg)
+            recs = run(replace(base, eta=eta0))
         except Diverged as e:
             rows.append(SweepRow(eta0=eta0, final_grad_norm=None, diverged_at=e.step))
             continue

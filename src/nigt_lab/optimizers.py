@@ -223,7 +223,6 @@ SCHEDULE_WARMUP_POLY = "warmup_poly_decay"
 @dataclass(frozen=True)
 class Schedule:
     kind: str = SCHEDULE_CONSTANT
-    eta0: float | None = None  # optional base-rate override
     warmup_steps: int = 0
     power: int = 1
     weight_norm_scaling: bool = False
@@ -235,8 +234,6 @@ class Schedule:
             raise InvalidInput(f"decay power must be 1 or 2, got {self.power}")
         if self.warmup_steps < 0:
             raise InvalidInput(f"warmup_steps must be >= 0, got {self.warmup_steps}")
-        if self.eta0 is not None and self.eta0 <= 0.0:
-            raise InvalidInput(f"eta0 must be positive, got {self.eta0}")
 
 
 def apply_schedule(sch: Schedule, t: int, T: int, base_eta: float, w_layer_norm=None):

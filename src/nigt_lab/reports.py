@@ -252,10 +252,17 @@ def write_plots(out_dir, runs: list[dict]) -> list[Path]:
     return written
 
 
+def _csv_seed(path: Path) -> int:
+    try:
+        return int(path.stem[len("seed_"):])
+    except ValueError:
+        raise NoResults(f"{path}: expected seed_<integer>.csv") from None
+
+
 def plot_results_dir(results_dir, out_dir=None) -> list[Path]:
-    """Charts for every seed CSV found in ``results_dir``."""
+    """Charts for every seed CSV found in ``results_dir``, in seed order."""
     results_dir = Path(results_dir)
-    paths = sorted(results_dir.glob("seed_*.csv"))
+    paths = sorted(results_dir.glob("seed_*.csv"), key=_csv_seed)
     if not paths:
         raise NoResults(f"no seed_*.csv files in {results_dir}")
     runs = [parse_run_csv(p.read_text(encoding="utf-8")) for p in paths]

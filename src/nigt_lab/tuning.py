@@ -16,19 +16,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .core import pow_sevenths
 from .errors import InvalidInput
 
-PROVENANCE_NSGDM = "nsgdm"
-PROVENANCE_NIGT = "nigt"
-PROVENANCE_MANUAL = "manual"
+# theorem -> the one method it tunes (the self-tuning one tunes itself as it runs)
+THEOREM_METHODS = {"1": "nsgdm", "2": "nigt", "adaptive": "nigt_adaptive"}
 
 
 @dataclass(frozen=True)
 class TunedParams:
     alpha: float  # momentum weight on the fresh sample, in (0, 1]
     eta: float
-    provenance: str
 
     @property
     def beta(self) -> float:
@@ -56,7 +56,7 @@ def nsgdm_params(R: float, L: float, sigma: float, T: int) -> TunedParams:
     else:
         alpha = min(math.sqrt(R * L) / (sigma * math.sqrt(T)), 1.0)
     eta = math.sqrt(R * alpha) / math.sqrt(T * L)
-    return TunedParams(alpha=alpha, eta=eta, provenance=PROVENANCE_NSGDM)
+    return TunedParams(alpha=alpha, eta=eta)
 
 
 def nsgdm_bound(R: float, L: float, sigma: float, T: int) -> float:
@@ -85,7 +85,7 @@ def nigt_params(R: float, L: float, rho: float, sigma: float, T: int) -> TunedPa
     _validate(R, L, T, sigma, rho)
     eta_smooth = math.sqrt(R / (T * L))
     if sigma == 0.0:
-        return TunedParams(alpha=1.0, eta=eta_smooth, provenance=PROVENANCE_NIGT)
+        return TunedParams(alpha=1.0, eta=eta_smooth)
     if rho == 0.0:
         raise InvalidInput(
             "this tuning rule needs rho > 0 when sigma > 0 (alpha would degenerate to 0); "
@@ -93,7 +93,7 @@ def nigt_params(R: float, L: float, rho: float, sigma: float, T: int) -> TunedPa
         )
     eta_noise = pow_sevenths(R, 5) / (pow_sevenths(T, 5) * pow_sevenths(rho, 1) * pow_sevenths(sigma, 4))
     alpha = min(pow_sevenths(R, 4) * pow_sevenths(rho, 2) / (pow_sevenths(T, 4) * pow_sevenths(sigma, 6)), 1.0)
-    return TunedParams(alpha=alpha, eta=min(eta_noise, eta_smooth), provenance=PROVENANCE_NIGT)
+    return TunedParams(alpha=alpha, eta=min(eta_noise, eta_smooth))
 
 
 def nigt_bound(R: float, L: float, rho: float, sigma: float, T: int) -> float:
@@ -116,10 +116,21 @@ def nigt_bound(R: float, L: float, rho: float, sigma: float, T: int) -> float:
     return val
 
 
-def manual_params(eta: float, beta: float) -> TunedParams:
-    """Wrap a hand-picked (eta, beta) pair in the provenance-carrying type."""
-    if eta <= 0.0:
-        raise InvalidInput(f"eta must be positive, got {eta}")
-    if not (0.0 <= beta < 1.0):
-        raise InvalidInput(f"beta must lie in [0, 1), got {beta}")
-    return TunedParams(alpha=1.0 - beta, eta=eta, provenance=PROVENANCE_MANUAL)
+def tuned(optimizer_id: str, problem, T: int) -> tuple[TunedParams, float]:
+    """The tuning of ``optimizer_id`` on ``problem`` for horizon T, and its ceiling."""
+    R, L, rho, sigma = problem.R, problem.L, problem.rho, problem.sigma
+    if optimizer_id == "nsgdm":
+        return nsgdm_params(R, L, sigma, T), nsgdm_bound(R, L, sigma, T)
+    if optimizer_id == "nigt":
+        return nigt_params(R, L, rho, sigma, T), nigt_bound(R, L, rho, sigma, T)
+    raise InvalidInput(f"no closed-form tuning for {optimizer_id!r}")
+
+
+def bound_check(avgs, bound: float | None) -> tuple[float, float, bool]:
+    """(mean, stderr, passed) of per-seed average gradient norms: passed
+    when mean + 3 stderr (the seed allowance) is at or below the ceiling,
+    or when there is no ceiling."""
+    avgs = np.asarray(avgs)
+    mean = float(avgs.mean())
+    stderr = float(avgs.std(ddof=1) / math.sqrt(len(avgs))) if len(avgs) > 1 else 0.0
+    return mean, stderr, bound is None or mean + 3.0 * stderr <= bound

@@ -355,6 +355,12 @@ class TestPlotCommand:
         empty.mkdir()
         assert main(["plot", str(empty)]) == 1
 
+    def test_seed_csv_without_an_integer_seed_exits_one(self, tmp_path, capsys):
+        out = self._make_results(tmp_path, 2)
+        (out / "seed_1.csv").rename(out / "seed_one.csv")
+        assert main(["plot", str(out)]) == 1
+        assert "seed_one.csv" in capsys.readouterr().err
+
 
 class TestGoldenFiles:
     """Byte-exact format pins: header, number formatting, SVG primitives."""
@@ -440,11 +446,14 @@ class TestChartBytes:
         got = {name: hashlib.sha256(b).hexdigest() for name, b in self._charts(tmp_path / "o").items()}
         assert got == digests
 
-    @pytest.mark.parametrize("extra", [EXACT, NOT_EXACT], ids=["exact", "not_exact"])
-    def test_plot_rewrites_the_charts_of_a_run(self, tmp_path, extra):
+    # twelve seeds (0..11): seed_10.csv sorts before seed_2.csv by name, and
+    # the mean line is summed in seed order, so plot must read them by number
+    @pytest.mark.parametrize("extra, seeds", [(EXACT, []), (NOT_EXACT, []), (EXACT, ["--seeds", "12"])],
+                             ids=["exact", "not_exact", "twelve_seeds"])
+    def test_plot_rewrites_the_charts_of_a_run(self, tmp_path, extra, seeds):
         cfg = write(tmp_path / "run.cfg", TRIG_RUN + extra)
         out = tmp_path / "o"
-        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        assert main(["run", "--config", str(cfg), "--out", str(out), *seeds]) == 0
         written = self._charts(out)
         assert main(["plot", str(out), "--out", str(tmp_path / "p")]) == 0
         assert self._charts(tmp_path / "p") == written

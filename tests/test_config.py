@@ -15,6 +15,7 @@ from nigt_lab.config import (
     resolve_seeds,
     serialize_experiment,
 )
+from nigt_lab.cli import main
 from nigt_lab.errors import ConfigError
 from nigt_lab.problems import (
     make_noisy_quadratic,
@@ -22,6 +23,7 @@ from nigt_lab.problems import (
     make_streaming_least_squares,
     make_trig_bowl,
 )
+from nigt_lab.tuning import nsgdm_params
 
 # fixed example sequence and no example database: the suite stays
 # deterministic and leaves no files behind
@@ -233,7 +235,8 @@ class TestBuilders:
 
     def test_build_run_config_with_tuned_params(self):
         cfg, bound = build_run_config(parse_experiment(VALID))
-        assert cfg.params is not None and cfg.params.provenance == "nsgdm"
+        params = nsgdm_params(cfg.problem.R, cfg.problem.L, cfg.problem.sigma, 100)
+        assert (cfg.eta, cfg.beta) == (params.eta, params.beta)
         assert bound is not None and bound > 0
         assert cfg.T == 100 and cfg.seeds == (7, 8, 9)
 
@@ -242,7 +245,7 @@ class TestBuilders:
         with pytest.raises(ConfigError):
             build_run_config(parse_experiment(text))
         cfg, bound = build_run_config(parse_experiment(text), require_eta=False)
-        assert cfg.params is None and bound is None
+        assert cfg.eta is None and bound is None
 
     def test_adaptive_needs_matching_id(self):
         text = VALID.replace("optimizer.theorem = 1", "optimizer.theorem = adaptive")
@@ -265,3 +268,46 @@ class TestBuilders:
 
     def test_empty_experiment_file_type(self):
         assert parse_experiment("") == ExperimentFile()
+
+
+MANUAL = VALID.replace("optimizer.theorem = 1\n", "")
+_BOWL = make_trig_bowl(4, 1.0, 1.0, 0.5)  # the problem of VALID
+TUNED = nsgdm_params(_BOWL.R, _BOWL.L, _BOWL.sigma, 100)
+
+
+class TestBaseRate:
+    """schedule.eta0, else the theorem's eta, else optimizer.eta; beta is
+    the theorem's, else optimizer.beta (0.9 by default)."""
+
+    @pytest.mark.parametrize("text, eta, beta", [
+        (VALID, TUNED.eta, TUNED.beta),
+        (VALID + "optimizer.eta = 0.5\noptimizer.beta = 0.5\n", TUNED.eta, TUNED.beta),
+        (VALID + "schedule.eta0 = 0.03\n", 0.03, TUNED.beta),
+        (MANUAL + "optimizer.eta = 0.5\n", 0.5, 0.9),
+        (MANUAL + "schedule.eta0 = 0.03\noptimizer.beta = 0.7\n", 0.03, 0.7),
+        (MANUAL + "schedule.eta0 = 0.03\noptimizer.eta = 0.5\noptimizer.beta = 0.7\n", 0.03, 0.7),
+    ], ids=["theorem", "theorem_over_manual", "theorem_eta0", "manual", "eta0", "eta0_over_manual"])
+    def test_precedence(self, text, eta, beta):
+        cfg, _ = build_run_config(parse_experiment(text))
+        assert (cfg.eta, cfg.beta) == (eta, beta)
+
+    def test_sweep_leaves_the_tuning_unused(self):
+        cfg, bound = build_run_config(parse_experiment(VALID + "optimizer.beta = 0.7\n"), require_eta=False)
+        assert (cfg.eta, cfg.beta) == (None, 0.7) and bound is not None
+
+    @pytest.mark.parametrize("extra", ["optimizer.eta = 0\n", "optimizer.eta = 0.1\noptimizer.beta = 1.0\n"],
+                             ids=["eta_zero", "beta_one"])
+    def test_manual_domain(self, extra):
+        with pytest.raises(ConfigError):
+            build_run_config(parse_experiment(MANUAL + extra))
+
+    @pytest.mark.parametrize("text, message", [
+        ("problem.kind = trig_bowl\nproblem.dim = 2\nproblem.a = 1.0\nproblem.b = 1.0\n"
+         "optimizer.id = nigt_adaptive\nschedule.eta0 = 0.1\nrun.T = 10\n", "sets its own step sizes"),
+        (MANUAL + "schedule.eta0 = 0\n", "eta0 must be positive"),
+    ], ids=["adaptive_eta0", "eta0_zero"])
+    def test_eta0_usage_errors_exit_one(self, tmp_path, capsys, text, message):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text, encoding="utf-8")
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        assert message in capsys.readouterr().err

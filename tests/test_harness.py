@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from nigt_lab.core import RngStream, TrajectoryRecord
+from nigt_lab.core import RngStream, TrajectoryRecord, gaussian_noise
 from nigt_lab.errors import (
     Diverged,
     InsufficientGrid,
@@ -28,6 +28,7 @@ from nigt_lab.problems import (
     make_noisy_quadratic,
     make_sign_noise,
     make_trig_bowl,
+    with_constants,
 )
 
 TRIG = make_trig_bowl(4, 1.0, 1.0, 0.5)
@@ -165,6 +166,63 @@ class TestMomentCheck:
     def test_rejects_small_run_counts(self):
         with pytest.raises(InvalidInput):
             igt_moment_check(make_noisy_quadratic(2, [1.0, 1.0], 0.1), [1], n_runs=10, seed=0)
+
+    @pytest.mark.parametrize("sigma", [0.0, 1.0])
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_matches_the_hand_coded_recurrence(self, sigma, seed):
+        pb = make_noisy_quadratic(3, [1.0, 2.0, 3.0], sigma)
+        got = igt_moment_check(pb, [1, 2, 10, 50], n_runs=1000, seed=seed).checkpoints
+        want = _moment_reference(pb, [1, 2, 10, 50], 1000, seed)
+        assert [(c.k, c.target_variance, c.bias_limit, c.passed) for c in got] == [w[:4] for w in want]
+        for c, w in zip(got, want):
+            assert c.bias_norm == pytest.approx(w[4], rel=1e-12)
+            assert c.variance == pytest.approx(w[5], rel=1e-12)
+
+    def test_samples_the_oracle_not_the_declared_sigma(self):
+        # the oracle's noise has scale 1; a declared sigma of 2 claims four
+        # times the variance it has, so the check must fail
+        pb = with_constants(make_noisy_quadratic(2, [1.0, 2.0], 1.0), sigma=2.0)
+        rep = igt_moment_check(pb, [1, 10], n_runs=4000, seed=3)
+        assert not rep.passed
+        for c in rep.checkpoints:
+            assert c.variance / c.target_variance == pytest.approx(0.25, rel=0.1)
+
+
+def _moment_reference(problem, ks, n_runs, seed, eta=0.01):
+    """The moment check as a hand-coded recurrence, independent of the
+    transport step: (k, target, limit, passed, bias, variance) per checkpoint."""
+    sigma = problem.sigma
+    rng = RngStream(seed, 0)
+    W = np.tile(problem.w1, (n_runs, 1))
+    W_prev = W.copy()
+    M = np.zeros_like(W)
+    out = []
+    for k in range(1, max(ks) + 1):
+        if k == 1:
+            M = problem.exact_grad(W) + gaussian_noise(rng, (n_runs, problem.dim), sigma)
+        else:
+            mult = float(k - 1)
+            X = W + mult * (W - W_prev)
+            G = problem.exact_grad(X) + gaussian_noise(rng, (n_runs, problem.dim), sigma)
+            M = (mult / k) * M + (1.0 / k) * G
+        if k in ks:
+            E = M - problem.exact_grad(W)
+            mean_err = E.mean(axis=0)
+            bias = float(np.linalg.norm(mean_err))
+            var = float(np.mean(np.sum((E - mean_err) ** 2, axis=1)))
+            target = sigma * sigma / k
+            if sigma == 0.0:
+                limit, ok = 1e-12, bias <= 1e-12 and var == 0.0
+            else:
+                limit = 4.0 * math.sqrt(target / n_runs)
+                ok = bias <= limit and 0.9 * target <= var <= 1.1 * target
+            out.append((k, target, limit, ok, bias, var))
+        norms = np.linalg.norm(M, axis=1, keepdims=True)
+        safe = norms > 1e-300
+        step = np.where(safe, eta * M / np.where(safe, norms, 1.0), 0.0)
+        W_prev = W
+        W = W - step
+    return out
 
 
 class TestDescentCheck:

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from nigt_lab.errors import InvalidInput
+from nigt_lab.problems import make_noisy_quadratic, make_trig_bowl
 from nigt_lab.tuning import (
-    manual_params,
+    bound_check,
     nigt_bound,
     nigt_params,
     nsgdm_bound,
     nsgdm_params,
+    tuned,
 )
 
 
@@ -139,13 +141,27 @@ class TestNigtBound:
             nigt_bound(1.0, 1.0, 0.0, 1.0, 100)
 
 
-class TestManualParams:
-    def test_roundtrip(self):
-        p = manual_params(0.05, 0.9)
-        assert p.eta == 0.05 and p.beta == pytest.approx(0.9) and p.provenance == "manual"
+class TestTheoremTable:
+    def test_tuned_is_the_closed_form_pair(self):
+        pb = make_trig_bowl(4, 1.0, 1.0, 0.5)
+        assert tuned("nsgdm", pb, 100) == (nsgdm_params(pb.R, pb.L, pb.sigma, 100),
+                                           nsgdm_bound(pb.R, pb.L, pb.sigma, 100))
+        assert tuned("nigt", pb, 100) == (nigt_params(pb.R, pb.L, pb.rho, pb.sigma, 100),
+                                          nigt_bound(pb.R, pb.L, pb.rho, pb.sigma, 100))
 
-    def test_validation(self):
+    def test_no_tuning_for_other_methods(self):
         with pytest.raises(InvalidInput):
-            manual_params(0.0, 0.9)
-        with pytest.raises(InvalidInput):
-            manual_params(0.1, 1.0)
+            tuned("nigt_adaptive", make_noisy_quadratic(2, [1.0, 2.0], 0.5), 100)
+
+
+class TestBoundCheck:
+    def test_mean_plus_three_standard_errors(self):
+        mean, stderr, passed = bound_check([1.0, 2.0, 3.0], bound=10.0)
+        assert mean == 2.0 and stderr == pytest.approx(1.0 / math.sqrt(3.0), rel=1e-15) and passed
+        assert not bound_check([1.0, 2.0, 3.0], bound=2.0 + 3.0 * stderr - 1e-9)[2]
+
+    def test_one_seed_has_no_allowance(self):
+        assert bound_check([0.5], bound=0.5) == (0.5, 0.0, True)
+
+    def test_no_ceiling_passes(self):
+        assert bound_check([0.5, 7.0], bound=None)[2]
