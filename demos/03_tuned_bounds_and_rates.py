@@ -22,7 +22,8 @@ def show(report):
             f"{r.mean_avg_grad_norm + 3 * r.stderr:>8.4f} {r.bound:>9.4f} "
             f"{'yes' if r.passed else 'NO':>4}"
         )
-    print(f"measured log-log slope: {rate_diagnostic(report):+.4f}")
+    slope = rate_diagnostic([(r.T, r.mean_avg_grad_norm) for r in report.rows])
+    print(f"measured log-log slope: {slope:+.4f}")
     print(f"iterates stayed within {report.max_displacement:.2f} of the start; "
           f"constants re-certified on radius {report.cert_radius:.1f}")
 

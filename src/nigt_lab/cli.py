@@ -12,8 +12,6 @@ import os
 import sys
 from dataclasses import asdict
 
-import numpy as np
-
 from .config import (
     build_problem,
     build_run_config,
@@ -32,7 +30,7 @@ from .harness import (
 )
 from .problems import NoisyQuadratic, certify_constants
 from .core import RngStream
-from .reports import format_num, json_dumps, plot_results_dir, write_run_outputs, write_text_atomic
+from .reports import json_dumps, plot_results_dir, rows_to_csv, write_run_outputs, write_text_atomic
 from .tuning import bound_check
 
 EXIT_OK = 0
@@ -49,21 +47,6 @@ class _Parser(argparse.ArgumentParser):
     # reserves 2 for failed checks, so route usage errors to 1 instead.
     def error(self, message):
         raise _UsageError(message)
-
-
-def _rows_to_csv(header: str, rows: list[list]) -> str:
-    lines = [header]
-    for row in rows:
-        cells = []
-        for v in row:
-            if isinstance(v, bool):
-                cells.append("true" if v else "false")
-            elif isinstance(v, (int, np.integer)):
-                cells.append(str(int(v)))
-            else:
-                cells.append(format_num(v))
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
 
 
 def cmd_run(args) -> int:
@@ -131,7 +114,7 @@ def cmd_igt_check(args) -> int:
             for c in report.checkpoints]
     write_text_atomic(
         os.path.join(out_dir, "igt_check.csv"),
-        _rows_to_csv("k,bias_norm,variance,target_variance,bias_limit,n_runs,passed", rows),
+        rows_to_csv("k,bias_norm,variance,target_variance,bias_limit,n_runs,passed", rows),
     )
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED
 
@@ -146,7 +129,7 @@ def cmd_sweep(args) -> int:
     write_text_atomic(os.path.join(out_dir, "sweep.json"), json_dumps(asdict(report)))
     rows = [[r.eta0, r.final_grad_norm] for r in report.rows]
     write_text_atomic(os.path.join(out_dir, "sweep.csv"),
-                      _rows_to_csv("eta0,final_grad_norm", rows))
+                      rows_to_csv("eta0,final_grad_norm", rows))
     return EXIT_OK
 
 
@@ -154,26 +137,23 @@ def cmd_bounds(args) -> int:
     exp = load_experiment(args.config)
     out_dir, _ = output_settings(exp, args.out)
     problem = build_problem(exp)
-    opt_id = exp.optimizer.get("id")
-    if opt_id not in ("nsgdm", "nigt"):
-        raise ConfigError(f"bounds needs optimizer.id nsgdm or nigt, got {opt_id!r}")
     if "T_grid" not in exp.run:
         raise ConfigError("bounds needs run.T_grid")
     seeds = resolve_seeds(exp, args.seeds, args.master_seed)
     try:
-        report = bound_acceptance(problem, opt_id, exp.run["T_grid"], seeds)
+        report = bound_acceptance(problem, exp.optimizer.get("id"), exp.run["T_grid"], seeds)
     except CertificationFailure as e:
         sys.stderr.write(f"containment certification failed: {e}\n")
         return EXIT_CHECK_FAILED
+    rows = [[r.T, r.mean_avg_grad_norm, r.stderr, r.bound, r.passed] for r in report.rows]
     payload = asdict(report)
     try:
-        payload["loglog_slope"] = rate_diagnostic(report)
+        payload["loglog_slope"] = rate_diagnostic([row[:2] for row in rows])
     except NigtLabError:
         payload["loglog_slope"] = None
     write_text_atomic(os.path.join(out_dir, "bounds.json"), json_dumps(payload))
-    rows = [[r.T, r.mean_avg_grad_norm, r.stderr, r.bound, r.passed] for r in report.rows]
     write_text_atomic(os.path.join(out_dir, "bounds.csv"),
-                      _rows_to_csv("T,mean_avg_grad_norm,stderr,bound,passed", rows))
+                      rows_to_csv("T,mean_avg_grad_norm,stderr,bound,passed", rows))
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED
 
 

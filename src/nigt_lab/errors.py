@@ -12,8 +12,7 @@ class DimensionMismatch(NigtLabError):
 class NonFiniteGradient(NigtLabError):
     """A row (seed) of a batched step went out of range: its gradient
     sample held NaN or Inf, or its step size was not finite and >= 0.
-    ``row`` is the first such row, so the caller can keep running the rows
-    before."""
+    ``row`` is the first such row."""
 
     def __init__(self, message, row=0):
         super().__init__(message)

@@ -100,17 +100,17 @@ class _NoiseTape:
         self.block = np.empty((rows, len(stream_ids), len(seeds), problem.noise_width))  # refilled in place
         self.size = self.pos = 0
 
-    def next(self, n: int) -> np.ndarray:
-        """The noise of the next step, ``(streams, n, noise_width)``, for the first n seeds."""
+    def next(self) -> np.ndarray:
+        """The noise of the next step, ``(streams, seeds, noise_width)``."""
         if self.pos == self.size:
             self.size = min(len(self.block), self.left)
             for j, streams in enumerate(self.streams):
-                for i, rng in enumerate(streams[:n]):
+                for i, rng in enumerate(streams):
                     self.block[:self.size, j, i] = self.problem.sample_noise(rng, self.size)
             self.left -= self.size
             self.pos = 0
         self.pos += 1
-        return self.block[self.pos - 1, :, :n]
+        return self.block[self.pos - 1]
 
 
 def _make_log(pb, log, i, ws, xs, ms, max_disp, f_w):
@@ -159,7 +159,8 @@ def run(cfg: RunConfig) -> list[TrajectoryRecord]:
     bit-identical to a run of that seed alone. A non-finite gradient
     sample or step size raises :class:`Diverged` naming the first seed, in
     seed order, that diverged, and its step, as running the seeds one
-    after another would.
+    after another would: the seeds before a failing one are run again on
+    their own, and the first of them to diverge later is named instead.
     """
     pb = cfg.problem
     seeds = cfg.seeds
@@ -204,12 +205,10 @@ def run(cfg: RunConfig) -> list[TrajectoryRecord]:
     f_w = pb.exact_value(W) if cfg.record_exact else None
     block = max(1, BLOCK_BYTES // (3 * 8 * S * pb.dim))  # w, x and m per step
     ws, xs, ms = [W], [], []
-    n = S  # rows still running: the seeds before the first one that failed
-    failure = None
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(1, T + 1):
             if tuners:
-                rates = np.array([tuner.rates(t) for tuner in tuners[:n]])
+                rates = np.array([tuner.rates(t) for tuner in tuners])
                 eta_t, alpha_t = rates[:, :1], rates[:, 1:]
                 # no domain check: a corrupted accumulator that pushes alpha_t
                 # above one keeps running and is recorded as an invariant event
@@ -222,45 +221,34 @@ def run(cfg: RunConfig) -> list[TrajectoryRecord]:
                 alpha_t = 1.0 - beta_t
                 k = beta_t / (1.0 - beta_t) if transport else 0.0
                 alpha_log = 1.0 - beta
-            z = tape.next(n)
+            z = tape.next()
             samples = []  # one sample per stream at the query point, from one gradient evaluation
 
             def sample(x):
-                samples[:] = pb.noisy_grad(x, z[:, :len(x)])
+                samples[:] = pb.noisy_grad(x, z)
                 return samples[0]
 
-            while True:
-                try:
-                    s_next, x, g = transport_step(s, sample, eta_t, k, beta_t, alpha_t, move)
-                    if tuners:
-                        check_finite_rows(samples[1])
-                    break
-                except NonFiniteGradient as e:
-                    # a seed fails as it would alone; the seeds after it no
-                    # longer matter, the ones before it run on
-                    n = e.row
-                    failure = Diverged(f"seed {seeds[n]} diverged at step {t}: {e}", t)
-                    if n == 0:
-                        raise failure from None
-                    s = s.head(n)
-                    eta_t, k, beta_t, alpha_t = (
-                        v[:n] if isinstance(v, np.ndarray) else v for v in (eta_t, k, beta_t, alpha_t))
+            try:
+                s_next, x, g = transport_step(s, sample, eta_t, k, beta_t, alpha_t, move)
+                if tuners:
+                    check_finite_rows(samples[1])
+            except NonFiniteGradient as e:
+                if e.row:  # raises the error of an earlier seed that diverges later
+                    run(replace(cfg, seeds=seeds[:e.row]))
+                raise Diverged(f"seed {seeds[e.row]} diverged at step {t}: {e}", t) from None
             for tuner, g_row, g_paired_row in zip(tuners, g, samples[1] if tuners else ()):
                 tuner.accumulate(t, g_row, g_paired_row)
-            if failure is None:  # a failing run returns no record: nothing to log
-                log["eta"][t - 1, :, None] = eta_t  # a scalar or an (S, 1) column
-                log["alpha"][t - 1, :, None] = alpha_log
-                no_move[t - 1] = s_next.no_move
-                ws.append(s_next.w)
-                ms.append(s_next.m)
-                if x is not s.w:
-                    xs.append(x)
-                if len(ms) == block or t == T:
-                    f_w = _make_log(pb, log, t - len(ms), ws, xs, ms, max_disp, f_w)
-                    ws, xs, ms = [s_next.w], [], []
+            log["eta"][t - 1, :, None] = eta_t  # a scalar or an (S, 1) column
+            log["alpha"][t - 1, :, None] = alpha_log
+            no_move[t - 1] = s_next.no_move
+            ws.append(s_next.w)
+            ms.append(s_next.m)
+            if x is not s.w:
+                xs.append(x)
+            if len(ms) == block or t == T:
+                f_w = _make_log(pb, log, t - len(ms), ws, xs, ms, max_disp, f_w)
+                ws, xs, ms = [s_next.w], [], []
             s = s_next
-    if failure is not None:
-        raise failure
 
     # one contiguous column per seed, so per-seed reductions see the same
     # memory layout as a run of that seed alone
@@ -465,19 +453,17 @@ def bound_acceptance(
     )
 
 
-def rate_diagnostic(rows) -> float:
-    """Least-squares slope of log(mean avg gradient norm) against log T.
+def rate_diagnostic(points) -> float:
+    """Least-squares slope of log(mean avg gradient norm) against log T,
+    over ``(T, mean)`` pairs.
 
     Purely informational: the ceilings are upper bounds, so no pass/fail is
     attached. Needs at least three horizons spanning two decades.
     """
-    if isinstance(rows, BoundReport):
-        rows = rows.rows
-    pts = [(r.T, r.mean_avg_grad_norm) if isinstance(r, BoundRow) else (r[0], r[1]) for r in rows]
-    if len(pts) < 3:
-        raise InsufficientGrid(f"need >= 3 horizons, got {len(pts)}")
-    Ts = np.array([p[0] for p in pts], dtype=float)
-    vals = np.array([p[1] for p in pts], dtype=float)
+    if len(points) < 3:
+        raise InsufficientGrid(f"need >= 3 horizons, got {len(points)}")
+    Ts = np.array([p[0] for p in points], dtype=float)
+    vals = np.array([p[1] for p in points], dtype=float)
     if Ts.max() / Ts.min() < 100.0:
         raise InsufficientGrid("horizon grid must span at least two decades")
     if np.any(vals <= 0.0):

@@ -75,12 +75,7 @@ class StepState:
     w: np.ndarray
     w_prev: np.ndarray  # iterate before w; equal to w at the start
     m: np.ndarray
-    t: int = 1  # index of the next step
     no_move: np.ndarray | bool = False  # per row: the step that produced this state skipped its move
-
-    def head(self, n: int) -> "StepState":
-        """The state of the first n rows."""
-        return StepState(self.w[:n], self.w_prev[:n], self.m[:n], self.t, np.asarray(self.no_move)[:n])
 
 
 def transport_step(s: StepState, sample, eta, k, beta, alpha, move):
@@ -110,7 +105,7 @@ def transport_step(s: StepState, sample, eta, k, beta, alpha, move):
     check_finite_rows(g)
     m = beta * s.m + alpha * g
     w, moved = move(s.w, m, eta)
-    return StepState(w=w, w_prev=s.w, m=m, t=s.t + 1, no_move=~moved), x, g
+    return StepState(w=w, w_prev=s.w, m=m, no_move=~moved), x, g
 
 
 def plain_move(w: np.ndarray, m: np.ndarray, eta):

@@ -25,20 +25,28 @@ CSV_HEADER = "t,f_val,grad_norm,eta,alpha,m_norm,mhat_err,lemma1_residual"
 _CSV_FIELDS = ("f_val", "grad_norm", "eta", "alpha", "m_norm", "mhat_err", "descent_residual")
 
 
-def format_num(x: float | None) -> str:
-    """17-significant-digit decimal; empty string for a missing value."""
-    if x is None:
-        return ""
-    return format(float(x), ".17g")
-
-
 def record_to_csv(record: TrajectoryRecord) -> str:
-    """One row per step; a column the run did not record is empty cells.
-    ``"%.17g" %`` formats exactly as :func:`format_num`."""
+    """One row per step; a column the run did not record is empty cells."""
     cols = [getattr(record, f) for f in _CSV_FIELDS]
     row = ",".join(["%d"] + ["" if c is None else "%.17g" for c in cols]) + "\n"
     data = [range(1, len(record.eta) + 1)] + [c.tolist() for c in cols if c is not None]
     return CSV_HEADER + "\n" + "".join(map(row.__mod__, zip(*data)))
+
+
+def _cell(v) -> str:
+    if v is None:
+        return ""
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    return "%.17g" % v
+
+
+def rows_to_csv(header: str, rows) -> str:
+    """A table under ``header``: booleans as true/false, integers as they
+    are, None as an empty cell and other numbers as in :func:`record_to_csv`."""
+    return header + "\n" + "".join(",".join(map(_cell, row)) + "\n" for row in rows)
 
 
 def parse_run_csv(text: str) -> dict[str, np.ndarray]:
@@ -87,8 +95,8 @@ def write_run_outputs(records, out_dir, formats, summary: dict) -> None:
             write_text_atomic(out_dir / seed_csv_name(rec.seed), record_to_csv(rec))
     if "json" in formats:
         write_text_atomic(out_dir / "summary.json", json_dumps(summary))
-    if "svg" in formats:
-        write_plots(out_dir, [_chart_columns(rec) for rec in records])
+    if "svg" in formats:  # in seed order, as plot reads the CSVs back
+        write_plots(out_dir, [_chart_columns(rec) for rec in sorted(records, key=lambda r: r.seed)])
 
 
 def _chart_columns(record: TrajectoryRecord) -> dict:

@@ -447,13 +447,18 @@ class TestChartBytes:
         assert got == digests
 
     # twelve seeds (0..11): seed_10.csv sorts before seed_2.csv by name, and
-    # the mean line is summed in seed order, so plot must read them by number
-    @pytest.mark.parametrize("extra, seeds", [(EXACT, []), (NOT_EXACT, []), (EXACT, ["--seeds", "12"])],
-                             ids=["exact", "not_exact", "twelve_seeds"])
-    def test_plot_rewrites_the_charts_of_a_run(self, tmp_path, extra, seeds):
-        cfg = write(tmp_path / "run.cfg", TRIG_RUN + extra)
+    # the mean line is summed in seed order, so plot must read them by number;
+    # seeds listed as 3,1,2 are drawn by number too
+    @pytest.mark.parametrize("text, args", [
+        (TRIG_RUN + EXACT, []),
+        (TRIG_RUN + NOT_EXACT, []),
+        (TRIG_RUN + EXACT, ["--seeds", "12"]),
+        (TRIG_RUN.replace("run.seeds = 1,2,3", "run.seeds = 3,1,2") + EXACT, []),
+    ], ids=["exact", "not_exact", "twelve_seeds", "unsorted_seeds"])
+    def test_plot_rewrites_the_charts_of_a_run(self, tmp_path, text, args):
+        cfg = write(tmp_path / "run.cfg", text)
         out = tmp_path / "o"
-        assert main(["run", "--config", str(cfg), "--out", str(out), *seeds]) == 0
+        assert main(["run", "--config", str(cfg), "--out", str(out), *args]) == 0
         written = self._charts(out)
         assert main(["plot", str(out), "--out", str(tmp_path / "p")]) == 0
         assert self._charts(tmp_path / "p") == written

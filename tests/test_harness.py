@@ -366,13 +366,50 @@ class TestDivergenceOrder:
             run(replace(self.CFG, seeds=(2, 1)))
         assert (exc.value.step, str(exc.value).split(" diverged")[0]) == (2105, "seed 2")
 
+    # CFG's seeds 1, 3 and 4 all diverge alone at step 2106, so no order of
+    # them needs a re-run of a re-run. Here weight-norm scaling with eta0 = 1
+    # lets |w| grow until the rate overflows, which is divergence; alone,
+    # seeds 1, 2, 3 and 4 diverge at steps 587, 597, 577 and 638
+    RUNAWAY = RunConfig(problem=make_trig_bowl(2, 1.0, 1.0, 0.5), optimizer_id="nsgdm", T=3000,
+                        seeds=(1, 2, 3, 4), eta=1.0, schedule=Schedule(weight_norm_scaling=True))
+
+    @pytest.fixture(scope="class")
+    def alone(self):
+        """The (step, message) of each seed of RUNAWAY run alone."""
+        out = {}
+        for seed in self.RUNAWAY.seeds:
+            with pytest.raises(Diverged) as exc:
+                run(replace(self.RUNAWAY, seeds=(seed,)))
+            out[seed] = (exc.value.step, str(exc.value))
+        return out
+
+    # each case lists the seeds of every run it takes, the first as listed:
+    # when a seed diverges first, the seeds listed before it run again, so
+    # (2, 1, 3, 4) needs a re-run of a re-run and (4, 2, 1, 3) one more
+    @pytest.mark.parametrize("runs", [
+        [(3, 1, 2, 4)],
+        [(1, 2, 3, 4), (1, 2)],
+        [(2, 1, 3, 4), (2, 1), (2,)],
+        [(4, 2, 1, 3), (4, 2, 1), (4, 2), (4,)],
+    ], ids=lambda runs: "-".join(map(str, runs[0])))
+    def test_every_listed_order_names_its_first_seed(self, monkeypatch, alone, runs):
+        assert {seed: step for seed, (step, _) in alone.items()} == {1: 587, 2: 597, 3: 577, 4: 638}
+        seen = []
+
+        def counted(cfg):
+            seen.append(cfg.seeds)
+            return run(cfg)
+
+        monkeypatch.setattr("nigt_lab.harness.run", counted)
+        with pytest.raises(Diverged) as exc:
+            counted(replace(self.RUNAWAY, seeds=runs[0]))
+        assert (exc.value.step, str(exc.value)) == alone[runs[0][0]]
+        assert seen == runs
+
     def test_runaway_weight_norm_rate_is_refused_as_alone(self):
-        # weight-norm scaling with eta0 = 1 lets |w| grow until the rate
-        # overflows, which is divergence: seed 3 alone diverges at step 577,
-        # seed 1 at 587, so the batch drops seed 3, runs seeds 1 and 2 on
-        # with their own rates, and fails with seed 1's error
-        cfg = RunConfig(problem=make_trig_bowl(2, 1.0, 1.0, 0.5), optimizer_id="nsgdm", T=3000,
-                        seeds=(1, 2, 3), eta=1.0, schedule=Schedule(weight_norm_scaling=True))
+        # seed 3 alone diverges at step 577, seed 1 at 587, so the batch
+        # runs seeds 1 and 2 again on their own and fails with seed 1's error
+        cfg = replace(self.RUNAWAY, seeds=(1, 2, 3))
         with pytest.raises(Diverged) as alone:
             run(replace(cfg, seeds=(1,)))
         with pytest.raises(Diverged) as batch:

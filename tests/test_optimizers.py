@@ -59,12 +59,12 @@ def transport(s, pb, rng, eta, beta, move=normalized_move) -> StepState:
     return transport_step(s, oracle(pb, rng), eta, beta / (1.0 - beta), beta, 1.0 - beta, move)[0]
 
 
-def self_tuning_step(s, tuner, pb, rng, rng_paired):
-    """One step of the self-tuning method, composed as the runner does;
+def self_tuning_step(s, tuner, t, pb, rng, rng_paired):
+    """Step t of the self-tuning method, composed as the runner does;
     returns the new state and the step's alpha."""
-    eta, alpha = tuner.rates(s.t)
+    eta, alpha = tuner.rates(t)
     out, x, g = transport_step(s, oracle(pb, rng), eta, (1.0 - alpha) / alpha, 1.0 - alpha, alpha, normalized_move)
-    tuner.accumulate(s.t, g, pb.sample_grad(x, rng_paired))
+    tuner.accumulate(t, g, pb.sample_grad(x, rng_paired))
     return out, alpha
 
 
@@ -83,7 +83,7 @@ class TestNsgdmStep:
         np.testing.assert_array_equal(out.m, [3.0, 4.0])  # beta=0 keeps the sample exactly
 
     def test_collinear_step_length_exact(self):
-        s = StepState(w=np.array([1.0, 0.0]), w_prev=np.array([1.0, 0.0]), m=np.array([1.0, 0.0]), t=3)
+        s = StepState(w=np.array([1.0, 0.0]), w_prev=np.array([1.0, 0.0]), m=np.array([1.0, 0.0]))
         out, _, _ = transport_step(s, fixed([1.0, 0.0]), 0.5, 0.0, 0.7, 1.0 - 0.7, normalized_move)
         np.testing.assert_array_equal(out.w, [0.5, 0.0])
         assert float(np.linalg.norm(out.w - s.w)) == 0.5
@@ -166,7 +166,7 @@ class TestNigt:
         np.testing.assert_array_equal(s.m, [2.0])
         np.testing.assert_array_equal(s.w, [1.5])
         np.testing.assert_array_equal(s.w_prev, [2.0])
-        assert s.t == 2 and not s.no_move
+        assert not s.no_move
 
     def test_init_at_critical_point_logs_no_move(self):
         pb = make_trig_bowl(1, 1.0, 1.0, 0.0, w1=[0.0])  # gradient sin(0) = 0
@@ -263,7 +263,7 @@ class TestAdaptive:
     def test_first_alpha_is_one(self):
         pb = make_trig_bowl(2, 1.0, 1.0, 0.5)
         tuner = SelfTuning(pb.g_bound)
-        _, alpha = self_tuning_step(start(pb.w1), tuner, pb, RngStream(1, 0), RngStream(1, 1))
+        _, alpha = self_tuning_step(start(pb.w1), tuner, 1, pb, RngStream(1, 0), RngStream(1, 1))
         assert alpha == pytest.approx(1.0, abs=1e-12)
         assert not tuner.events
 
@@ -273,7 +273,7 @@ class TestAdaptive:
         s = start(pb.w1)
         gb2 = pb.g_bound**2
         for t in range(1, 50):
-            s, _ = self_tuning_step(s, tuner, pb, RngStream(2, 0), RngStream(2, 1))
+            s, _ = self_tuning_step(s, tuner, t, pb, RngStream(2, 0), RngStream(2, 1))
             drift = gb2 * ((t + 1) ** 0.25 - t**0.25)
             assert tuner.delta == pytest.approx(drift, rel=1e-12)
             assert not tuner.events
@@ -289,7 +289,7 @@ class TestAdaptive:
         for t in range(1, T + 1):
             before = tuner.G
             drift = pb.g_bound**2 * ((t + 1) ** 0.25 - t**0.25)
-            s, _ = self_tuning_step(s, tuner, pb, rng, rng2)
+            s, _ = self_tuning_step(s, tuner, t, pb, rng, rng2)
             sum_sq += (tuner.G - before) - drift
         expected = tuner.D + 2 * pb.g_bound**2 + pb.g_bound**2 * (T + 1) ** 0.25 + sum_sq
         assert tuner.G == pytest.approx(expected, rel=1e-10)
@@ -302,7 +302,7 @@ class TestAdaptive:
         for t in range(1, 500):
             prev_eta = tuner.eta_prev
             prev_G = tuner.G
-            s, alpha = self_tuning_step(s, tuner, pb, rng, rng2)
+            s, alpha = self_tuning_step(s, tuner, t, pb, rng, rng2)
             assert not tuner.events
             assert alpha <= 1.0 + 1e-12
             assert tuner.eta_prev <= prev_eta * (1 + 1e-12)
@@ -313,7 +313,7 @@ class TestAdaptive:
         pb = make_trig_bowl(2, 1.0, 1.0, 0.5)
         tuner = SelfTuning(pb.g_bound)
         tuner.G_prev = tuner.D / 1000.0
-        self_tuning_step(start(pb.w1), tuner, pb, RngStream(5, 0), RngStream(5, 1))
+        self_tuning_step(start(pb.w1), tuner, 1, pb, RngStream(5, 0), RngStream(5, 1))
         kinds = {e.kind for e in tuner.events}
         assert "alpha_above_one" in kinds
         assert tuner.events[0].t == 1
@@ -326,8 +326,8 @@ class TestAdaptive:
         s = start(pb.w1)
         rng, rng2 = RngStream(6, 0), RngStream(6, 1)
         kinds = set()
-        for _ in range(50):
-            s, _ = self_tuning_step(s, tuner, pb, rng, rng2)
+        for t in range(1, 51):
+            s, _ = self_tuning_step(s, tuner, t, pb, rng, rng2)
             kinds |= {e.kind for e in tuner.events}
         assert "g_increment_above_bound" in kinds
 
@@ -339,14 +339,14 @@ class TestBaselines:
         np.testing.assert_allclose(out.w, [-0.1, 0.0], atol=1e-16)
 
     def test_heavy_ball_beta_zero_equals_sgd(self):
-        s = StepState(w=np.array([1.0, 1.0]), w_prev=np.array([1.0, 1.0]), m=np.array([5.0, 5.0]), t=2)
+        s = StepState(w=np.array([1.0, 1.0]), w_prev=np.array([1.0, 1.0]), m=np.array([5.0, 5.0]))
         g = np.array([0.5, -0.25])
         np.testing.assert_array_equal(
             transport_step(s, fixed(g), 0.2, 0.0, 0.0, 1.0, plain_move)[0].w, s.w - 0.2 * g
         )
 
     def test_heavy_ball_pure_momentum(self):
-        s = StepState(w=np.zeros(2), w_prev=np.zeros(2), m=np.array([1.0, 0.0]), t=2)
+        s = StepState(w=np.zeros(2), w_prev=np.zeros(2), m=np.array([1.0, 0.0]))
         out, _, _ = transport_step(s, fixed([0.0, 0.0]), 1.0, 0.0, 0.5, 0.5, plain_move)
         np.testing.assert_allclose(out.w, [-0.5, 0.0], atol=1e-16)
 
@@ -356,7 +356,7 @@ class TestMomentumHull:
         pb = make_sign_noise(0.25)
         rng = RngStream(31)
         m = pb.sample_grad(pb.w1, rng)
-        s = StepState(w=pb.w1, w_prev=pb.w1, m=m, t=2)
+        s = StepState(w=pb.w1, w_prev=pb.w1, m=m)
         for _ in range(2000):
             s, _, _ = transport_step(s, oracle(pb, rng), 0.01, 0.0, 0.9, 1.0 - 0.9, normalized_move)
             assert -0.75 <= s.m[0] <= 0.25
@@ -421,9 +421,9 @@ class TestLayerwise:
         a = transport(start(pb.w1), pb, RngStream(40), 0.05, 0.0)
         b = transport(start(pb.w1), pb, RngStream(40), 0.05, 0.0, blocks)
         np.testing.assert_array_equal(a.w, b.w)
-        for _ in range(20):
-            a = transport(a, pb, RngStream(41, a.t), 0.05, 0.9)
-            b = transport(b, pb, RngStream(41, b.t), 0.05, 0.9, blocks)
+        for t in range(2, 22):  # the step each state is about to take
+            a = transport(a, pb, RngStream(41, t), 0.05, 0.9)
+            b = transport(b, pb, RngStream(41, t), 0.05, 0.9, blocks)
             np.testing.assert_array_equal(a.w, b.w)
             np.testing.assert_array_equal(a.m, b.m)
 
@@ -441,9 +441,9 @@ class TestLayerwise:
         part = LayerPartition(ranges=((0, 2), (2, 4)), lr_scale=(1.0, 3.0))
         blocks = blockwise_move(part)
         s = transport(start(pb.w1), pb, RngStream(43), 0.02, 0.0, blocks)
-        for _ in range(30):
+        for t in range(2, 32):  # the step the state is about to take
             prev = s.w
-            s = transport(s, pb, RngStream(44, s.t), 0.02, 0.9, blocks)
+            s = transport(s, pb, RngStream(44, t), 0.02, 0.9, blocks)
             if s.no_move:
                 continue
             for (lo, hi), scale in zip(part.ranges, part.lr_scale):
