@@ -16,6 +16,7 @@ from .config import (
     build_problem,
     build_run_config,
     load_experiment,
+    master_seed,
     output_settings,
     resolve_seeds,
 )
@@ -52,10 +53,7 @@ class _Parser(argparse.ArgumentParser):
 def cmd_run(args) -> int:
     exp = load_experiment(args.config)
     out_dir, formats = output_settings(exp, args.out)
-    seeds = resolve_seeds(exp, args.seeds, args.master_seed)
-    cfg, bound = build_run_config(exp, seeds=seeds)
-    if bound is not None and not cfg.record_exact:
-        raise ConfigError("bound checking needs run.record_exact = true")
+    cfg, bound = build_run_config(exp, args.seeds, args.master_seed)
     records = run(cfg)
 
     no_move_count = sum(int(r.no_move.sum()) for r in records)
@@ -85,11 +83,10 @@ def cmd_certify(args) -> int:
     problem = build_problem(exp)
     n_pairs = exp.certify.get("n_pairs", 400)
     radius = exp.certify.get("radius", 10.0)
-    master = exp.run.get("master_seed", 0)
     failed = False
     try:
         report = certify_constants(problem, n_pairs=n_pairs, radius=radius,
-                                   rng=RngStream(master, 17))
+                                   rng=RngStream(master_seed(exp, args.master_seed), 17))
     except CertificationFailure as e:
         report = e.report
         failed = True
@@ -107,8 +104,7 @@ def cmd_igt_check(args) -> int:
         raise ConfigError(f"igt-check needs a {NoisyQuadratic.kind} problem (constant Hessian)")
     checkpoints = exp.igt_check.get("checkpoints", [1, 10, 100])
     n_runs = exp.igt_check.get("n_runs", 10_000)
-    master = exp.run.get("master_seed", 0)
-    report = igt_moment_check(problem, checkpoints, n_runs, master)
+    report = igt_moment_check(problem, checkpoints, n_runs, master_seed(exp, args.master_seed))
     write_text_atomic(os.path.join(out_dir, "igt_check.json"), json_dumps(asdict(report)))
     rows = [[c.k, c.bias_norm, c.variance, c.target_variance, c.bias_limit, c.n_runs, c.passed]
             for c in report.checkpoints]
@@ -122,8 +118,7 @@ def cmd_igt_check(args) -> int:
 def cmd_sweep(args) -> int:
     exp = load_experiment(args.config)
     out_dir, _ = output_settings(exp, args.out)
-    seeds = resolve_seeds(exp, args.seeds, args.master_seed)
-    cfg, _ = build_run_config(exp, seeds=seeds, require_eta=False)
+    cfg, _ = build_run_config(exp, args.seeds, args.master_seed, require_eta=False)
     grid = exp.sweep.get("eta_grid", list(DEFAULT_ETA_GRID))
     report = grid_sweep(cfg, grid)
     write_text_atomic(os.path.join(out_dir, "sweep.json"), json_dumps(asdict(report)))
@@ -166,35 +161,22 @@ def build_parser() -> _Parser:
     p = _Parser(prog="nigt-lab", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, config=True):
-        if config:
-            sp.add_argument("--config", required=True, help="experiment file path")
+    # certify and igt-check draw from the master seed alone: no seed count
+    for name, func, seed_count, text in (
+        ("run", cmd_run, True, "execute a seeded run and emit CSV/JSON/SVG"),
+        ("certify", cmd_certify, False, "validate declared problem constants"),
+        ("igt-check", cmd_igt_check, False, "gradient-transport moment verification"),
+        ("sweep", cmd_sweep, True, "base-rate grid sweep"),
+        ("bounds", cmd_bounds, True, "one-sided average-gradient bound table"),
+    ):
+        sp = sub.add_parser(name, help=text)
+        sp.add_argument("--config", required=True, help="experiment file path")
         sp.add_argument("--out", default=None, help="output directory (overrides output.dir)")
-        sp.add_argument("--seeds", type=int, default=None, help="number of seeds (overrides run.n_seeds)")
+        if seed_count:
+            sp.add_argument("--seeds", type=int, default=None, help="number of seeds (overrides run.n_seeds)")
         sp.add_argument("--master-seed", type=int, default=None, dest="master_seed",
                         help="base seed (overrides run.master_seed)")
-        sp.add_argument("--jobs", type=int, default=None,
-                        help="accepted for compatibility; no effect (the seeds of a run step together)")
-
-    sp = sub.add_parser("run", help="execute a seeded run and emit CSV/JSON/SVG")
-    common(sp)
-    sp.set_defaults(func=cmd_run)
-
-    sp = sub.add_parser("certify", help="validate declared problem constants")
-    common(sp)
-    sp.set_defaults(func=cmd_certify)
-
-    sp = sub.add_parser("igt-check", help="gradient-transport moment verification")
-    common(sp)
-    sp.set_defaults(func=cmd_igt_check)
-
-    sp = sub.add_parser("sweep", help="base-rate grid sweep")
-    common(sp)
-    sp.set_defaults(func=cmd_sweep)
-
-    sp = sub.add_parser("bounds", help="one-sided average-gradient bound table")
-    common(sp)
-    sp.set_defaults(func=cmd_bounds)
+        sp.set_defaults(func=func)
 
     sp = sub.add_parser("plot", help="SVG charts from a results directory")
     sp.add_argument("results_dir", help="directory containing seed_*.csv files")

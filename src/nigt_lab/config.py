@@ -8,7 +8,8 @@ Grammar (one statement per line):
     value    := int | float | bool ('true'/'false') | bare string
               | comma-separated list of the above
 
-Unknown sections or keys are rejected with a line/column diagnostic.
+Unknown sections or keys are rejected with a line/column diagnostic, and
+at build time so is a key the chosen problem, method or schedule never reads.
 Parsing preserves exactly what was written (no defaults are injected), so
 parse -> serialize -> parse is the identity; defaults are applied when an
 :class:`ExperimentFile` is turned into runnable objects.
@@ -55,13 +56,11 @@ _SCHEMA: dict[str, dict[str, str]] = {
         "eta": "float",
         "beta": "float",
         "theorem": "str",  # "1" | "2" | "adaptive"
-        "g_bound": "float",
         "layers": "int_list",  # block boundaries, e.g. 0,2,4
         "lr_scale": "float_list",
     },
     "schedule": {
         "kind": "str",
-        "eta0": "float",
         "warmup_steps": "int",
         "power": "int",
         "weight_norm_scaling": "bool",
@@ -208,6 +207,17 @@ def _require(store: dict, key: str, section: str):
 # a kind are the parameters of its constructor
 _OVERRIDE_KEYS = {"L", "rho", "g_bound", "R", "M"}
 
+# the optimizer keys each method reads besides id and theorem (eta and beta
+# when not listed); lr_scale scales the layers, so it is read only with them
+_METHOD_KEYS = {"sgd": {"eta"}, "nigt_layerwise": {"eta", "beta", "layers", "lr_scale"}, "nigt_adaptive": set()}
+
+
+def _refuse_stray(store: dict, read: set, owner: str) -> None:
+    """Refuse the keys of a section that ``owner`` never reads."""
+    stray = set(store) - read
+    if stray:
+        raise ConfigError(f"keys {sorted(stray)} do not apply to {owner}")
+
 
 def build_problem(exp: ExperimentFile):
     pr = exp.problem
@@ -216,9 +226,7 @@ def build_problem(exp: ExperimentFile):
         raise ConfigError(f"unknown problem kind {kind!r}; known: {tuple(PROBLEM_KINDS)}")
     make = PROBLEM_KINDS[kind]
     params = inspect.signature(make).parameters
-    stray = set(pr) - {"kind"} - set(params) - _OVERRIDE_KEYS
-    if stray:
-        raise ConfigError(f"keys {sorted(stray)} do not apply to problem kind {kind!r}")
+    _refuse_stray(pr, {"kind"} | set(params) | _OVERRIDE_KEYS, f"problem kind {kind!r}")
     for name, param in params.items():
         if param.default is param.empty:
             _require(pr, name, "problem")
@@ -233,16 +241,10 @@ def build_problem(exp: ExperimentFile):
 
 
 def build_schedule(exp: ExperimentFile) -> Schedule:
-    sc = exp.schedule
-    kind = sc.get("kind", "constant")
+    # the section's keys are the fields of Schedule, with the same defaults
     try:
-        return Schedule(
-            kind=kind,
-            warmup_steps=sc.get("warmup_steps", 0),
-            power=sc.get("power", 1),
-            weight_norm_scaling=sc.get("weight_norm_scaling", False),
-        )
-    except Exception as e:
+        return Schedule(**exp.schedule)
+    except InvalidInput as e:
         raise ConfigError(f"invalid schedule section: {e}") from e
 
 
@@ -263,29 +265,30 @@ def build_partition(exp: ExperimentFile, dim: int) -> LayerPartition | None:
     return part
 
 
+def master_seed(exp: ExperimentFile, override: int | None = None) -> int:
+    """run.master_seed (0 by default), or the command line's override of it."""
+    return override if override is not None else exp.run.get("master_seed", 0)
+
+
 def resolve_seeds(exp: ExperimentFile, n_seeds_override: int | None = None,
                   master_seed_override: int | None = None) -> tuple[int, ...]:
     rn = exp.run
     if "seeds" in rn and n_seeds_override is None and master_seed_override is None:
         return tuple(rn["seeds"])
-    master = master_seed_override if master_seed_override is not None else rn.get("master_seed", 0)
+    master = master_seed(exp, master_seed_override)
     n = n_seeds_override if n_seeds_override is not None else rn.get("n_seeds", 1)
     if n < 1:
         raise ConfigError(f"n_seeds must be >= 1, got {n}")
     return tuple(master + i for i in range(n))
 
 
-def resolve_rate(exp: ExperimentFile, problem, T: int, require_eta: bool = True):
-    """(eta, beta, bound) for one horizon: schedule.eta0, else the theorem's
+def resolve_rate(exp: ExperimentFile, opt_id: str, problem, T: int, require_eta: bool = True):
+    """(eta, beta, bound) of method ``opt_id`` for one horizon: the theorem's
     eta, else optimizer.eta; the theorem's beta, else optimizer.beta (0.9);
     the theorem's ceiling, else None. With ``require_eta`` false the rate may
     be missing and the tuning goes unused: a sweep sets the rate itself."""
     op = exp.optimizer
-    opt_id = op.get("id", "")
     theorem = op.get("theorem", "adaptive" if opt_id == "nigt_adaptive" else None)
-    eta0 = exp.schedule.get("eta0")
-    if eta0 is not None and eta0 <= 0.0:
-        raise ConfigError(f"invalid schedule section: eta0 must be positive, got {eta0}")
     paired_id = THEOREM_METHODS.get(theorem)
     if theorem is not None and paired_id is None:
         raise ConfigError(f"optimizer.theorem must be 1, 2, or adaptive, got {theorem!r}")
@@ -293,28 +296,23 @@ def resolve_rate(exp: ExperimentFile, problem, T: int, require_eta: bool = True)
     if paired_id is not None and opt_id != paired_id:
         raise ConfigError(f"theorem = {theorem} requires optimizer.id = {paired_id}, got {opt_id!r}")
     params = bound = None
-    if theorem == "adaptive":
-        if eta0 is not None:
-            raise ConfigError("the self-tuning method sets its own step sizes; use a constant schedule")
-    elif theorem is not None:
+    if theorem in ("1", "2"):
         try:
             params, bound = tuned(opt_id, problem, T)
         except (InvalidInput, ArithmeticError) as e:  # constants outside a rule's domain
             raise ConfigError(f"invalid hyperparameters: {e}") from e
-    elif "eta" not in op and eta0 is None and require_eta:
-        raise ConfigError("manual runs need optimizer.eta (or schedule.eta0)")
-    elif "eta" in op and not (op["eta"] > 0.0 and 0.0 <= op.get("beta", 0.9) < 1.0):
+    elif theorem is None and "eta" not in op and require_eta:
+        raise ConfigError("manual runs need optimizer.eta")
+    elif theorem is None and "eta" in op and not (op["eta"] > 0.0 and 0.0 <= op.get("beta", 0.9) < 1.0):
         raise ConfigError("invalid hyperparameters: need eta > 0 and beta in [0, 1), "
                           f"got eta = {op['eta']}, beta = {op.get('beta', 0.9)}")
-    if not require_eta:
-        params = None
-    eta = params.eta if params is not None else op.get("eta")
-    beta = params.beta if params is not None else op.get("beta", 0.9)
-    return (eta0 if eta0 is not None else eta), beta, bound
+    if params is None or not require_eta:
+        return op.get("eta"), op.get("beta", 0.9), bound
+    return params.eta, params.beta, bound
 
 
-def build_run_config(exp: ExperimentFile, T: int | None = None,
-                     seeds: tuple[int, ...] | None = None,
+def build_run_config(exp: ExperimentFile, n_seeds_override: int | None = None,
+                     master_seed_override: int | None = None,
                      require_eta: bool = True) -> tuple[RunConfig, float | None]:
     """Assemble the runnable configuration (and the bound, when tuned)."""
     problem = build_problem(exp)
@@ -322,12 +320,16 @@ def build_run_config(exp: ExperimentFile, T: int | None = None,
     opt_id = _require(op, "id", "optimizer")
     if opt_id not in OPTIMIZER_IDS:
         raise ConfigError(f"unknown optimizer id {opt_id!r}; known: {OPTIMIZER_IDS}")
-    if T is None:
-        T = _require(exp.run, "T", "run")
-    if seeds is None:
-        seeds = resolve_seeds(exp)
+    T = _require(exp.run, "T", "run")
+    seeds = resolve_seeds(exp, n_seeds_override, master_seed_override)
     schedule = build_schedule(exp)
-    eta, beta, bound = resolve_rate(exp, problem, T, require_eta)
+    eta, beta, bound = resolve_rate(exp, opt_id, problem, T, require_eta)
+    # a key that the method or its schedule never reads is refused, not ignored
+    read = {"id", "theorem"} | _METHOD_KEYS.get(opt_id, {"eta", "beta"})
+    _refuse_stray(op, read if "layers" in op else read - {"lr_scale"}, f"optimizer {opt_id!r}")
+    read = {"kind"} if opt_id == "nigt_adaptive" else {"kind", "weight_norm_scaling"}
+    _refuse_stray(exp.schedule, read if schedule.kind == "constant" else read | {"warmup_steps", "power"},
+                  f"the {schedule.kind} schedule of optimizer {opt_id!r}")
     try:
         cfg = RunConfig(
             problem=problem,
@@ -338,13 +340,15 @@ def build_run_config(exp: ExperimentFile, T: int | None = None,
             beta=beta,
             schedule=schedule,
             record_exact=exp.run.get("record_exact", True),
-            g_bound=op.get("g_bound"),
             partition=build_partition(exp, problem.dim),
         )
-    except ConfigError:
-        raise
-    except Exception as e:
+    except InvalidInput as e:
         raise ConfigError(f"invalid run configuration: {e}") from e
+    # a ceiling is checked on exact logs of the run its theorem is about: a
+    # constant rate on unscaled weights
+    if bound is not None and (schedule != Schedule() or not cfg.record_exact):
+        raise ConfigError(f"theorem = {op['theorem']} is checked on exact logs of a constant rate: it requires "
+                          "schedule.kind = constant, schedule.weight_norm_scaling = false, run.record_exact = true")
     return cfg, bound
 
 

@@ -65,7 +65,6 @@ class RunConfig:
     beta: float = 0.9
     schedule: Schedule = field(default_factory=Schedule)
     record_exact: bool = True
-    g_bound: float | None = None  # override for the self-tuning method
     partition: LayerPartition | None = None
 
     def __post_init__(self):
@@ -171,7 +170,7 @@ def run(cfg: RunConfig) -> list[TrajectoryRecord]:
     if opt == "nigt_adaptive":
         if sch.kind != "constant":
             raise InvalidInput("the self-tuning method sets its own step sizes; use a constant schedule")
-        tuners = [SelfTuning(cfg.g_bound if cfg.g_bound is not None else pb.g_bound) for _ in seeds]
+        tuners = [SelfTuning(pb.g_bound) for _ in seeds]
     else:
         base_eta = cfg.eta
         if base_eta is None or not (0.0 <= base_eta < math.inf):
@@ -207,20 +206,6 @@ def run(cfg: RunConfig) -> list[TrajectoryRecord]:
     ws, xs, ms = [W], [], []
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(1, T + 1):
-            if tuners:
-                rates = np.array([tuner.rates(t) for tuner in tuners])
-                eta_t, alpha_t = rates[:, :1], rates[:, 1:]
-                # no domain check: a corrupted accumulator that pushes alpha_t
-                # above one keeps running and is recorded as an invariant event
-                beta_t = 1.0 - alpha_t
-                k = (1.0 - alpha_t) / alpha_t
-                alpha_log = alpha_t
-            else:
-                eta_t = apply_schedule(sch, t, T, base_eta, rownorm(s.w)[:, None] if scale_by_norm else None)
-                beta_t = 0.0 if t == 1 else beta  # first momentum is the first sample
-                alpha_t = 1.0 - beta_t
-                k = beta_t / (1.0 - beta_t) if transport else 0.0
-                alpha_log = 1.0 - beta
             z = tape.next()
             samples = []  # one sample per stream at the query point, from one gradient evaluation
 
@@ -229,6 +214,25 @@ def run(cfg: RunConfig) -> list[TrajectoryRecord]:
                 return samples[0]
 
             try:
+                if tuners:
+                    rates = np.empty((S, 2))
+                    for row, tuner in enumerate(tuners):
+                        try:
+                            rates[row] = tuner.rates(t)
+                        except OverflowError as e:  # the accumulator outgrew the floats
+                            raise NonFiniteGradient(str(e), row) from None
+                    eta_t, alpha_t = rates[:, :1], rates[:, 1:]
+                    # no domain check: a corrupted accumulator that pushes alpha_t
+                    # above one keeps running and is recorded as an invariant event
+                    beta_t = 1.0 - alpha_t
+                    k = (1.0 - alpha_t) / alpha_t
+                    alpha_log = alpha_t
+                else:
+                    eta_t = apply_schedule(sch, t, T, base_eta, rownorm(s.w)[:, None] if scale_by_norm else None)
+                    beta_t = 0.0 if t == 1 else beta  # first momentum is the first sample
+                    alpha_t = 1.0 - beta_t
+                    k = beta_t / (1.0 - beta_t) if transport else 0.0
+                    alpha_log = 1.0 - beta
                 s_next, x, g = transport_step(s, sample, eta_t, k, beta_t, alpha_t, move)
                 if tuners:
                     check_finite_rows(samples[1])

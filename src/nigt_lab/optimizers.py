@@ -38,6 +38,7 @@ Each row rounds exactly as it would on its own.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -162,21 +163,29 @@ class SelfTuning:
     """
 
     def __init__(self, g_bound: float):
-        if not (g_bound > 0.0 and math.isfinite(g_bound)):
-            raise InvalidGBound(f"g_bound must be finite and positive, got {g_bound}")
+        if not (0.0 < g_bound < 1e150):  # C and D overflow past 1e150
+            raise InvalidGBound(f"g_bound must be positive and below 1e150, got {g_bound}")
         self.g_bound = g_bound
         self.C = math.sqrt(7.0 / (26.0 * pow_sevenths(g_bound, 6)))
         self.D = self.C ** (-14.0 / 3.0)
         self.G = 3.0 * g_bound**2 + self.D  # G_t, feeding eta_t of the upcoming step
+        # eta_t divides by (G_t^2 (t+1)^3)^{1/7}, which needs G_1^2 in the normal floats
+        if not (sys.float_info.min <= self.G * self.G < math.inf):
+            raise InvalidGBound(f"g_bound = {g_bound} is out of range for the self-tuning rates: "
+                                f"G_1^2 = {self.G * self.G} is not a positive normal float")
         self.G_prev = self.D  # G_{t-1}, feeding alpha_t
         self.eta_prev = self.C / pow_sevenths(self.D, 2)  # eta of the latest step
         self.delta = math.nan  # accumulator increment of the latest step
         self.events: list[InvariantEvent] = []
 
     def rates(self, t: int) -> tuple[float, float]:
-        """(eta_t, alpha_t) of step t; checks the invariants they must meet."""
+        """(eta_t, alpha_t) of step t; checks the invariants they must meet.
+        Raises OverflowError where eta_t would round to zero."""
         gb2 = self.g_bound * self.g_bound
-        eta_t = self.C / pow_sevenths(self.G * self.G * float(t + 1) ** 3, 1)
+        scale = self.G * self.G * float(t + 1) ** 3
+        if scale == math.inf:
+            raise OverflowError(f"self-tuning rate overflows: G_t^2 (t+1)^3 is inf at G_t = {self.G:.6g}")
+        eta_t = self.C / pow_sevenths(scale, 1)
         alpha_t = 1.0 / (t * self.eta_prev * self.eta_prev * self.G_prev)
         if alpha_t > 1.0 + _INV_REL_TOL:
             self.events.append(InvariantEvent("alpha_above_one", t, alpha_t, 1.0))

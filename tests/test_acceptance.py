@@ -309,7 +309,7 @@ class TestCriterion9ToolingContract:
         corrupt = tmp_path / "corrupt.cfg"
         corrupt.write_text(
             "problem.kind = trig_bowl\nproblem.dim = 2\nproblem.a = 1.0\nproblem.b = 1.0\n"
-            "problem.sigma = 0.5\noptimizer.id = nigt_adaptive\noptimizer.g_bound = 0.01\n"
+            "problem.sigma = 0.5\nproblem.g_bound = 0.01\noptimizer.id = nigt_adaptive\n"
             "run.T = 40\nrun.seeds = 2\n"
         )
         out2 = tmp_path / "y"

@@ -32,6 +32,18 @@ output.formats = csv,json
 """
 
 
+ADAPTIVE_RUN = """\
+problem.kind = trig_bowl
+problem.dim = 2
+problem.a = 1.0
+problem.b = 1.0
+problem.sigma = 0.5
+optimizer.id = nigt_adaptive
+run.T = 50
+run.seeds = 3
+"""
+
+
 class TestRunCommand:
     def test_row_count_matches_horizon(self, tmp_path):
         cfg = write(tmp_path / "run.cfg", BASE_RUN)
@@ -74,7 +86,7 @@ class TestRunCommand:
         # increment cap is violated and the run must fail loudly
         text = (
             "problem.kind = trig_bowl\nproblem.dim = 2\nproblem.a = 1.0\nproblem.b = 1.0\n"
-            "problem.sigma = 0.5\noptimizer.id = nigt_adaptive\noptimizer.g_bound = 0.01\n"
+            "problem.sigma = 0.5\nproblem.g_bound = 0.01\noptimizer.id = nigt_adaptive\n"
             "run.T = 50\nrun.seeds = 3\n"
         )
         cfg = write(tmp_path / "adaptive.cfg", text)
@@ -87,12 +99,29 @@ class TestRunCommand:
         assert first["kind"] == "g_increment_above_bound" and first["t"] >= 1
 
     def test_honest_adaptive_run_exits_zero(self, tmp_path):
-        text = (
-            "problem.kind = trig_bowl\nproblem.dim = 2\nproblem.a = 1.0\nproblem.b = 1.0\n"
-            "problem.sigma = 0.5\noptimizer.id = nigt_adaptive\nrun.T = 50\nrun.seeds = 3\n"
-        )
-        cfg = write(tmp_path / "adaptive.cfg", text)
+        cfg = write(tmp_path / "adaptive.cfg", ADAPTIVE_RUN)
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+
+    # the self-tuning rates divide by (G_t^2 (t+1)^3)^{1/7}: a bound whose
+    # G_1^2 is not a positive normal float is refused, and an accumulator
+    # that overflows later is a diverged run
+    @pytest.mark.parametrize("g_bound, code, message", [
+        ("1e-100", 1, "error: g_bound = 1e-100 is out of range for the self-tuning rates: "
+                      "G_1^2 = 0.0 is not a positive normal float\n"),
+        ("1e80", 1, "error: g_bound = 1e+80 is out of range for the self-tuning rates: "
+                    "G_1^2 = inf is not a positive normal float\n"),
+        ("1e76", 2, "error: seed 1 diverged at step 3: self-tuning rate overflows: "
+                    "G_t^2 (t+1)^3 is inf at G_t = 2.46814e+153\n"),
+        ("1e75", 2, "error: seed 1 diverged at step 64: self-tuning rate overflows: "
+                    "G_t^2 (t+1)^3 is inf at G_t = 2.61937e+151\n"),
+    ], ids=["1e-100", "1e80", "1e76", "1e75"])
+    def test_self_tuning_bound_out_of_range(self, tmp_path, capsys, g_bound, code, message):
+        text = ADAPTIVE_RUN.replace("run.T = 50\nrun.seeds = 3", "run.T = 100\nrun.seeds = 1,2")
+        cfg = write(tmp_path / "adaptive.cfg", text + f"problem.g_bound = {g_bound}\n")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == code
+        assert capsys.readouterr().err == message
+        assert not out.exists()
 
 
     @pytest.mark.parametrize("theorem,opt", [("2", "sgd"), ("1", "nigt"), ("2", "nsgdm"), ("1", "heavy_ball")])
@@ -147,14 +176,45 @@ class TestOverridesAndJobs:
         names = sorted(p.name for p in out.glob("seed_*.csv"))
         assert names == ["seed_10.csv", "seed_11.csv", "seed_12.csv"]
 
-    def test_jobs_flag_gives_identical_bytes(self, tmp_path):
-        text = BASE_RUN.replace("run.seeds = 1", "run.n_seeds = 3\nrun.master_seed = 1")
+    # flags that did nothing: --jobs everywhere, --seeds on the commands
+    # that draw from one master seed
+    @pytest.mark.parametrize("command, flag", [
+        ("run", "--jobs"), ("bounds", "--jobs"), ("certify", "--seeds"), ("igt-check", "--seeds"),
+    ])
+    def test_deleted_flags_exit_one(self, tmp_path, capsys, command, flag):
+        cfg = write(tmp_path / "run.cfg", BASE_RUN)
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out), flag, "2"]) == 1
+        assert capsys.readouterr().err == f"usage error: unrecognized arguments: {flag} 2\n"
+        assert not out.exists()
+
+
+# one small experiment per subcommand that takes --master-seed
+SEEDED = {
+    "run": BASE_RUN.replace("problem.sigma = 0.0", "problem.sigma = 0.5").replace("run.seeds = 1", "run.n_seeds = 2"),
+    "certify": "problem.kind = noisy_quadratic\nproblem.dim = 2\nproblem.eigs = 1.0,4.0\n"
+               "problem.sigma = 1.0\ncertify.n_pairs = 100\n",
+    "igt-check": "problem.kind = noisy_quadratic\nproblem.dim = 2\nproblem.eigs = 1.0,4.0\n"
+                 "problem.sigma = 1.0\nigt_check.checkpoints = 1,4\nigt_check.n_runs = 1000\n",
+    "sweep": BASE_RUN.replace("problem.sigma = 0.0", "problem.sigma = 0.5").replace("run.seeds = 1", "run.n_seeds = 2")
+             + "sweep.eta_grid = 0.01,0.1\n",
+    "bounds": "problem.kind = trig_bowl\nproblem.dim = 2\nproblem.a = 1.0\nproblem.b = 1.0\n"
+              "problem.sigma = 0.5\noptimizer.id = nsgdm\nrun.T_grid = 20\nrun.n_seeds = 2\n",
+}
+
+
+@pytest.mark.parametrize("command", SEEDED)
+def test_master_seed_flag_takes_effect(tmp_path, capsys, command):
+    def outputs(text, *flags):
         cfg = write(tmp_path / "run.cfg", text)
-        a, b = tmp_path / "a", tmp_path / "b"
-        assert main(["run", "--config", str(cfg), "--out", str(a)]) == 0
-        assert main(["run", "--config", str(cfg), "--out", str(b), "--jobs", "2"]) == 0
-        for name in ("seed_1.csv", "seed_2.csv", "seed_3.csv", "summary.json"):
-            assert (a / name).read_bytes() == (b / name).read_bytes()
+        out = tmp_path / f"out{len(list(tmp_path.iterdir()))}"
+        code = main([command, "--config", str(cfg), "--out", str(out), *flags])
+        return code, capsys.readouterr().out, {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+    text = SEEDED[command]
+    at_five = outputs(text, "--master-seed", "5")
+    assert outputs(text, "--master-seed", "0") != at_five
+    assert outputs(text + "run.master_seed = 5\n") == at_five
 
 
 class TestCertifyCommand:

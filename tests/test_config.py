@@ -275,18 +275,24 @@ _BOWL = make_trig_bowl(4, 1.0, 1.0, 0.5)  # the problem of VALID
 TUNED = nsgdm_params(_BOWL.R, _BOWL.L, _BOWL.sigma, 100)
 
 
+def _exit_code_and_error(tmp_path, capsys, text):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text, encoding="utf-8")
+    out = tmp_path / "o"
+    code = main(["run", "--config", str(cfg), "--out", str(out)])
+    assert not out.exists()
+    return code, capsys.readouterr().err
+
+
 class TestBaseRate:
-    """schedule.eta0, else the theorem's eta, else optimizer.eta; beta is
-    the theorem's, else optimizer.beta (0.9 by default)."""
+    """The theorem's eta, else optimizer.eta; beta is the theorem's, else
+    optimizer.beta (0.9 by default)."""
 
     @pytest.mark.parametrize("text, eta, beta", [
         (VALID, TUNED.eta, TUNED.beta),
         (VALID + "optimizer.eta = 0.5\noptimizer.beta = 0.5\n", TUNED.eta, TUNED.beta),
-        (VALID + "schedule.eta0 = 0.03\n", 0.03, TUNED.beta),
         (MANUAL + "optimizer.eta = 0.5\n", 0.5, 0.9),
-        (MANUAL + "schedule.eta0 = 0.03\noptimizer.beta = 0.7\n", 0.03, 0.7),
-        (MANUAL + "schedule.eta0 = 0.03\noptimizer.eta = 0.5\noptimizer.beta = 0.7\n", 0.03, 0.7),
-    ], ids=["theorem", "theorem_over_manual", "theorem_eta0", "manual", "eta0", "eta0_over_manual"])
+    ], ids=["theorem", "theorem_over_manual", "manual"])
     def test_precedence(self, text, eta, beta):
         cfg, _ = build_run_config(parse_experiment(text))
         assert (cfg.eta, cfg.beta) == (eta, beta)
@@ -301,13 +307,83 @@ class TestBaseRate:
         with pytest.raises(ConfigError):
             build_run_config(parse_experiment(MANUAL + extra))
 
-    @pytest.mark.parametrize("text, message", [
-        ("problem.kind = trig_bowl\nproblem.dim = 2\nproblem.a = 1.0\nproblem.b = 1.0\n"
-         "optimizer.id = nigt_adaptive\nschedule.eta0 = 0.1\nrun.T = 10\n", "sets its own step sizes"),
-        (MANUAL + "schedule.eta0 = 0\n", "eta0 must be positive"),
-    ], ids=["adaptive_eta0", "eta0_zero"])
-    def test_eta0_usage_errors_exit_one(self, tmp_path, capsys, text, message):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(text, encoding="utf-8")
-        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
-        assert message in capsys.readouterr().err
+    # each repeated a key that sets the same value: the base rate, and the
+    # self-tuning method's bound (problem.g_bound)
+    @pytest.mark.parametrize("extra, message", [
+        ("schedule.eta0 = 0.03\n", "unknown key 'eta0' in section 'schedule'"),
+        ("optimizer.g_bound = 3.0\n", "unknown key 'g_bound' in section 'optimizer'"),
+    ], ids=["eta0", "optimizer_g_bound"])
+    def test_deleted_keys_exit_one(self, tmp_path, capsys, extra, message):
+        code, err = _exit_code_and_error(tmp_path, capsys, MANUAL + "optimizer.eta = 0.5\n" + extra)
+        assert code == 1 and message in err
+
+
+THEOREM_RUNS = {
+    "1": VALID,
+    "2": VALID.replace("optimizer.id = nsgdm\noptimizer.theorem = 1", "optimizer.id = nigt\noptimizer.theorem = 2"),
+}
+
+
+_NOT_COVERED = "theorem = {theorem} is checked on exact logs of a constant rate"
+
+
+class TestTheoremRuns:
+    """A theorem's ceiling is reported only for the run it covers: its
+    method at the rate it tunes, on a constant schedule without weight-norm
+    scaling, checked on exact logs."""
+
+    @pytest.mark.parametrize("theorem", THEOREM_RUNS)
+    @pytest.mark.parametrize("extra, message", [
+        ("schedule.eta0 = 0.3\n", "unknown key 'eta0' in section 'schedule'"),
+        ("schedule.kind = warmup_poly_decay\nschedule.warmup_steps = 100\n", _NOT_COVERED),
+        ("schedule.weight_norm_scaling = true\n", _NOT_COVERED),
+        ("run.record_exact = false\n", _NOT_COVERED),
+    ], ids=["eta0", "warmup_poly_decay", "weight_norm_scaling", "record_exact_false"])
+    def test_runs_the_theorem_does_not_cover_exit_one(self, tmp_path, capsys, theorem, extra, message):
+        text = THEOREM_RUNS[theorem].replace("run.T = 100", "run.T = 1000")
+        for default in ("schedule.kind = constant\n", "run.record_exact = true\n"):
+            text = text.replace(default, "")
+        code, err = _exit_code_and_error(tmp_path, capsys, text + extra)
+        assert code == 1 and message.format(theorem=theorem) in err
+
+    @pytest.mark.parametrize("theorem", THEOREM_RUNS)
+    def test_constant_unscaled_schedule_runs(self, theorem):
+        text = THEOREM_RUNS[theorem] + "schedule.weight_norm_scaling = false\n"
+        _, bound = build_run_config(parse_experiment(text))
+        assert bound is not None
+
+
+_LAYERS = "optimizer.layers = 0,2,4\n"
+
+
+class TestStrayKeys:
+    """A key that the chosen method or schedule never reads is refused."""
+
+    @pytest.mark.parametrize("opt, extra, key", [
+        ("nigt", _LAYERS, "layers"),
+        ("nsgdm", "optimizer.lr_scale = 1.0\n", "lr_scale"),
+        ("nigt_layerwise", "optimizer.lr_scale = 1.0\n", "lr_scale"),  # without layers
+        ("sgd", "optimizer.beta = 0.5\n", "beta"),
+        ("nigt_adaptive", "optimizer.eta = 0.5\n", "eta"),
+        ("nigt_adaptive", "optimizer.beta = 0.5\n", "beta"),
+        ("nigt_adaptive", "schedule.weight_norm_scaling = true\n", "weight_norm_scaling"),
+        ("nsgdm", "schedule.warmup_steps = 10\n", "warmup_steps"),
+        ("nsgdm", "schedule.power = 2\n", "power"),
+    ], ids=["layers_nigt", "lr_scale_nsgdm", "lr_scale_without_layers", "beta_sgd", "eta_adaptive",
+            "beta_adaptive", "weight_norm_adaptive", "warmup_steps_constant", "power_constant"])
+    def test_stray_key_exits_one(self, tmp_path, capsys, opt, extra, key):
+        rate = "" if opt == "nigt_adaptive" else "optimizer.eta = 0.01\n"
+        text = MANUAL.replace("optimizer.id = nsgdm", f"optimizer.id = {opt}") + rate + extra
+        code, err = _exit_code_and_error(tmp_path, capsys, text)
+        assert code == 1 and f"keys [{key!r}] do not apply to" in err
+
+    @pytest.mark.parametrize("opt, extra", [
+        ("nigt_layerwise", _LAYERS + "optimizer.lr_scale = 1.0,2.0\n"),
+        ("heavy_ball", "optimizer.beta = 0.5\n"),
+        ("nsgdm", "schedule.kind = warmup_poly_decay\nschedule.warmup_steps = 10\nschedule.power = 2\n"),
+        ("nsgdm", "schedule.kind = constant\nschedule.weight_norm_scaling = true\n"),
+    ], ids=["layerwise", "heavy_ball_beta", "warmup", "weight_norm"])
+    def test_keys_the_method_reads_are_accepted(self, opt, extra):
+        text = MANUAL.replace("optimizer.id = nsgdm", f"optimizer.id = {opt}").replace(
+            "schedule.kind = constant\n", "")
+        build_run_config(parse_experiment(text + "optimizer.eta = 0.01\n" + extra))

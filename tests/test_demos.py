@@ -1,5 +1,4 @@
-"""The demos that cover the moment check, certification and the command
-line, each run as its own process the way a reader would run it."""
+"""Every demo, each run as its own process the way a reader would run it."""
 
 import os
 import subprocess
@@ -19,6 +18,7 @@ def _run_demo(name: str, cwd: Path) -> subprocess.CompletedProcess:
 
 
 @pytest.mark.parametrize("name, expected", [
+    ("01_sign_noise_rescue.py", "momentum cut the runaway drift"),
     ("02_variance_reduction.py", "all checkpoints within [0.9, 1.1] of target: True"),
     ("05_certification_and_audits.py", ""),
     ("06_cli_pipeline.py", "run exited 0"),
@@ -27,3 +27,17 @@ def test_demo_exits_zero(tmp_path, name, expected):
     proc = _run_demo(name, tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert expected in proc.stdout
+
+
+def test_tuned_bounds_demo_meets_every_ceiling(tmp_path):
+    proc = _run_demo("03_tuned_bounds_and_rates.py", tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    # one row per horizon of each method's table, whose last cell is "ok"
+    rows = [line.split() for line in proc.stdout.splitlines() if line.split()[:1] in (["100"], ["1000"], ["10000"])]
+    assert len(rows) == 6 and all(row[-1] == "yes" for row in rows)
+
+
+def test_self_tuning_demo_keeps_its_invariants(tmp_path):
+    proc = _run_demo("04_adaptive_self_tuning.py", tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.count("invariant violations: 0; eta monotone: True") == 2

@@ -256,9 +256,17 @@ class TestAdaptive:
             assert abs(s.D ** (3.0 / 7.0) - s.C**-2) <= 4 * np.spacing(s.C**-2)
 
     def test_invalid_g_bound(self):
-        for bad in (0.0, -1.0, math.inf, math.nan):
+        # past about 1e-77 and 2e76, G_1^2 = (3 g^2 + D)^2 is not a positive normal float
+        for bad in (0.0, -1.0, math.inf, math.nan, 1e-300, 1e-100, 1e-80, 1e80, 1e300):
             with pytest.raises(InvalidGBound):
                 SelfTuning(bad)
+
+    def test_rate_overflow_raises(self):
+        tuner = SelfTuning(1e76)  # G_1^2 is normal, but G^2 (t+1)^3 overflows at t = 3
+        tuner.rates(1)
+        tuner.rates(2)
+        with pytest.raises(OverflowError, match="self-tuning rate overflows"):
+            tuner.rates(3)
 
     def test_first_alpha_is_one(self):
         pb = make_trig_bowl(2, 1.0, 1.0, 0.5)

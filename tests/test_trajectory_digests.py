@@ -33,6 +33,7 @@ from nigt_lab.problems import (
     make_sign_noise,
     make_streaming_least_squares,
     make_trig_bowl,
+    with_constants,
 )
 
 GOLDEN = Path(__file__).parent / "golden" / "trajectory_digests.json"
@@ -71,7 +72,7 @@ def _config(kind: str, opt: str, sch: str) -> RunConfig:
     pb = PROBLEMS[kind]()
     extra = {}
     if opt == "nigt_adaptive" and math.isinf(pb.g_bound):
-        extra["g_bound"] = ADAPTIVE_G_BOUND
+        pb = with_constants(pb, g_bound=ADAPTIVE_G_BOUND)
     if opt == "nigt_layerwise":
         if pb.dim >= 2:
             half = pb.dim // 2
