@@ -13,12 +13,12 @@ import sys
 from dataclasses import asdict
 
 from .config import (
+    bounds_settings,
     build_problem,
     build_run_config,
     load_experiment,
     master_seed,
     output_settings,
-    resolve_seeds,
 )
 from .errors import CertificationFailure, ConfigError, Diverged, NigtLabError, NoResults
 from .harness import (
@@ -131,12 +131,9 @@ def cmd_sweep(args) -> int:
 def cmd_bounds(args) -> int:
     exp = load_experiment(args.config)
     out_dir, _ = output_settings(exp, args.out)
-    problem = build_problem(exp)
-    if "T_grid" not in exp.run:
-        raise ConfigError("bounds needs run.T_grid")
-    seeds = resolve_seeds(exp, args.seeds, args.master_seed)
+    problem, opt_id, T_grid, seeds = bounds_settings(exp, args.seeds, args.master_seed)
     try:
-        report = bound_acceptance(problem, exp.optimizer.get("id"), exp.run["T_grid"], seeds)
+        report = bound_acceptance(problem, opt_id, T_grid, seeds)
     except CertificationFailure as e:
         sys.stderr.write(f"containment certification failed: {e}\n")
         return EXIT_CHECK_FAILED

@@ -55,7 +55,7 @@ _SCHEMA: dict[str, dict[str, str]] = {
         "id": "str",
         "eta": "float",
         "beta": "float",
-        "theorem": "str",  # "1" | "2" | "adaptive"
+        "theorem": "str",  # "1" | "2"
         "layers": "int_list",  # block boundaries, e.g. 0,2,4
         "lr_scale": "float_list",
     },
@@ -207,9 +207,10 @@ def _require(store: dict, key: str, section: str):
 # a kind are the parameters of its constructor
 _OVERRIDE_KEYS = {"L", "rho", "g_bound", "R", "M"}
 
-# the optimizer keys each method reads besides id and theorem (eta and beta
+# the optimizer keys each method reads besides id (theorem, eta and beta
 # when not listed); lr_scale scales the layers, so it is read only with them
-_METHOD_KEYS = {"sgd": {"eta"}, "nigt_layerwise": {"eta", "beta", "layers", "lr_scale"}, "nigt_adaptive": set()}
+_METHOD_KEYS = {"sgd": {"theorem", "eta"}, "nigt_layerwise": {"theorem", "eta", "beta", "layers", "lr_scale"},
+                "nigt_adaptive": set()}
 
 
 def _refuse_stray(store: dict, read: set, owner: str) -> None:
@@ -288,15 +289,17 @@ def resolve_rate(exp: ExperimentFile, opt_id: str, problem, T: int, require_eta:
     the theorem's ceiling, else None. With ``require_eta`` false the rate may
     be missing and the tuning goes unused: a sweep sets the rate itself."""
     op = exp.optimizer
-    theorem = op.get("theorem", "adaptive" if opt_id == "nigt_adaptive" else None)
+    if opt_id == "nigt_adaptive":  # sets its own rates as it runs
+        return None, 0.9, None
+    theorem = op.get("theorem")
     paired_id = THEOREM_METHODS.get(theorem)
     if theorem is not None and paired_id is None:
-        raise ConfigError(f"optimizer.theorem must be 1, 2, or adaptive, got {theorem!r}")
+        raise ConfigError(f"optimizer.theorem must be 1 or 2, got {theorem!r}")
     # a ceiling is only a guarantee for the method its theorem is about
     if paired_id is not None and opt_id != paired_id:
         raise ConfigError(f"theorem = {theorem} requires optimizer.id = {paired_id}, got {opt_id!r}")
     params = bound = None
-    if theorem in ("1", "2"):
+    if paired_id is not None:
         try:
             params, bound = tuned(opt_id, problem, T)
         except (InvalidInput, ArithmeticError) as e:  # constants outside a rule's domain
@@ -325,7 +328,7 @@ def build_run_config(exp: ExperimentFile, n_seeds_override: int | None = None,
     schedule = build_schedule(exp)
     eta, beta, bound = resolve_rate(exp, opt_id, problem, T, require_eta)
     # a key that the method or its schedule never reads is refused, not ignored
-    read = {"id", "theorem"} | _METHOD_KEYS.get(opt_id, {"eta", "beta"})
+    read = {"id"} | _METHOD_KEYS.get(opt_id, {"theorem", "eta", "beta"})
     _refuse_stray(op, read if "layers" in op else read - {"lr_scale"}, f"optimizer {opt_id!r}")
     read = {"kind"} if opt_id == "nigt_adaptive" else {"kind", "weight_norm_scaling"}
     _refuse_stray(exp.schedule, read if schedule.kind == "constant" else read | {"warmup_steps", "power"},
@@ -350,6 +353,21 @@ def build_run_config(exp: ExperimentFile, n_seeds_override: int | None = None,
         raise ConfigError(f"theorem = {op['theorem']} is checked on exact logs of a constant rate: it requires "
                           "schedule.kind = constant, schedule.weight_norm_scaling = false, run.record_exact = true")
     return cfg, bound
+
+
+def bounds_settings(exp: ExperimentFile, n_seeds_override: int | None = None,
+                    master_seed_override: int | None = None):
+    """(problem, optimizer id, T grid, seeds) of ``bounds``. It runs the
+    method at its own theorem's tuning for each horizon of the grid, so any
+    other optimizer, schedule or run key is refused, not ignored."""
+    problem = build_problem(exp)
+    if "T_grid" not in exp.run:
+        raise ConfigError("bounds needs run.T_grid")
+    for section, read in (("optimizer", {"id"}), ("schedule", set()),
+                          ("run", {"T_grid", "seeds", "n_seeds", "master_seed"})):
+        _refuse_stray(exp.section(section), read, f"bounds (section {section!r})")
+    seeds = resolve_seeds(exp, n_seeds_override, master_seed_override)
+    return problem, exp.optimizer.get("id"), exp.run["T_grid"], seeds
 
 
 def output_settings(exp: ExperimentFile, out_override: str | None = None) -> tuple[str, tuple[str, ...]]:

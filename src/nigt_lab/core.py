@@ -49,24 +49,29 @@ def rownorm(a: np.ndarray) -> np.ndarray:
     return np.sqrt(rowdot(a, a))
 
 
-def normalize(v, floor: float = 0.0):
+def normalize(v, floor: float = 0.0, n=None):
     """Each row of ``v`` scaled to unit length: returns ``(unit, ok)``.
 
     ``ok`` is False for rows with ``||v|| <= floor``, whose direction is
     undefined (their ``unit`` row is meaningless); the optimizer moves treat
-    them as no-moves. A 1-D ``v`` is one row, with a 0-d ``ok``. Raises
-    :class:`InvalidInput` when a row is not finite.
+    them as no-moves. A 1-D ``v`` is one row, with a 0-d ``ok``. ``n`` is
+    ``rownorm(v)``, when the caller has it. Raises :class:`InvalidInput`
+    when a row is not finite.
     """
     if floor < 0.0:
         raise InvalidInput(f"floor must be >= 0, got {floor}")
     v = np.asarray(v, dtype=np.float64)
     rows = v.reshape(-1, v.shape[-1])
-    with np.errstate(over="ignore", invalid="ignore"):
-        n = rownorm(rows)
+    if n is None:
+        with np.errstate(over="ignore", invalid="ignore"):
+            n = rownorm(rows)
+    else:
+        n = n.reshape(-1)
     num, den = rows, n
-    in_range = (n > 1e-150) & (n < 1e150)
-    if not in_range.all():
-        num, den = rows.copy(), n.copy()
+    lo = n.min(initial=math.inf)  # an empty batch takes the direct path
+    if not (lo > 1e-150 and n.max(initial=0.0) < 1e150):  # NaN fails too
+        in_range = (n > 1e-150) & (n < 1e150)
+        num, den, n = rows.copy(), n.copy(), n.copy()
         for i in np.flatnonzero(~in_range):
             big = float(np.max(np.abs(rows[i])))
             if 0.0 < big < math.inf:
@@ -79,8 +84,9 @@ def normalize(v, floor: float = 0.0):
                     n[i] = np.ldexp(n_u, e)
             elif not math.isfinite(n[i]):
                 raise InvalidInput("cannot normalize a non-finite vector")
+        lo = n.min(initial=math.inf)
     ok = n > floor
-    unit = num / (den if ok.all() else np.where(ok, den, 1.0))[:, None]
+    unit = num / (den if lo > floor else np.where(ok, den, 1.0))[:, None]
     return unit.reshape(v.shape), ok.reshape(v.shape[:-1])
 
 

@@ -31,9 +31,9 @@ from .optimizers import (
     StepState,
     apply_schedule,
     blockwise_move,
-    check_finite_rows,
     full_partition,
     normalized_move,
+    paired_sq_diff,
     plain_move,
     transport_step,
 )
@@ -116,9 +116,7 @@ def _make_log(pb, log, i, ws, xs, ms, max_disp, f_w):
     """Log the steps from ``i + 1`` on from their new momenta ``ms``, the
     iterates ``ws`` (each step's start, then the last one's end) and the
     query points ``xs`` that were not the iterate. Returns F(ws[-1]) or None."""
-    M = _stack(ms)
-    rows = slice(i, i + len(M))
-    log["m_norm"][rows] = rownorm(M)
+    rows = slice(i, i + len(ms))
     W = _stack(ws[1:])
     _fold_distance(max_disp, W, pb.w1)
     if xs:
@@ -128,7 +126,7 @@ def _make_log(pb, log, i, ws, xs, ms, max_disp, f_w):
         f_next = pb.exact_value(W)
         log["f_val"][rows] = np.concatenate((f_w[None], f_next[:-1]))
         log["grad_norm"][rows] = rownorm(g)
-        log["mhat_err"][rows] = rownorm(M - g)
+        log["mhat_err"][rows] = rownorm(_stack(ms) - g)
         if "descent_residual" in log:
             rhs = _descent_bound(log["eta"][rows], log["grad_norm"][rows], log["mhat_err"][rows], pb.L)
             log["descent_residual"][rows] = rhs - (f_next - log["f_val"][rows])
@@ -235,15 +233,17 @@ def run(cfg: RunConfig) -> list[TrajectoryRecord]:
                     alpha_log = 1.0 - beta
                 s_next, x, g = transport_step(s, sample, eta_t, k, beta_t, alpha_t, move)
                 if tuners:
-                    check_finite_rows(samples[1])
+                    sq_diff = paired_sq_diff(g, samples[1])
             except NonFiniteGradient as e:
                 if e.row:  # raises the error of an earlier seed that diverges later
                     run(replace(cfg, seeds=seeds[:e.row]))
                 raise Diverged(f"seed {seeds[e.row]} diverged at step {t}: {e}", t) from None
-            for tuner, g_row, g_paired_row in zip(tuners, g, samples[1] if tuners else ()):
-                tuner.accumulate(t, g_row, g_paired_row)
+            if tuners:
+                for tuner, sq in zip(tuners, sq_diff.tolist()):
+                    tuner.accumulate(t, sq)
             log["eta"][t - 1, :, None] = eta_t  # a scalar or an (S, 1) column
             log["alpha"][t - 1, :, None] = alpha_log
+            log["m_norm"][t - 1] = s_next.m_norm
             no_move[t - 1] = s_next.no_move
             ws.append(s_next.w)
             ms.append(s_next.m)

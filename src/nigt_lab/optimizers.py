@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import NORM_FLOOR, InvariantEvent, normalize, pow_sevenths, rownorm
+from .core import NORM_FLOOR, InvariantEvent, normalize, pow_sevenths, rowdot, rownorm
 from .errors import (
     InvalidGBound,
     InvalidInput,
@@ -68,6 +68,17 @@ def check_finite_rows(g: np.ndarray) -> None:
         raise NonFiniteGradient("gradient sample contains NaN or Inf", int(np.flatnonzero(bad)[0]))
 
 
+def paired_sq_diff(g: np.ndarray, g_paired: np.ndarray) -> np.ndarray:
+    """``||g - g_paired||^2`` per row, for :meth:`SelfTuning.accumulate`.
+    With ``g`` finite, a finite sum proves its row of ``g_paired`` finite,
+    so only a non-finite sum sends ``g_paired`` to :func:`check_finite_rows`."""
+    diff = g - g_paired
+    sq = rowdot(diff, diff)
+    if not sq.max(initial=0.0) < math.inf:  # NaN fails too
+        check_finite_rows(g_paired)
+    return sq
+
+
 # -- the transport step --------------------------------------------------------
 
 
@@ -77,6 +88,7 @@ class StepState:
     w_prev: np.ndarray  # iterate before w; equal to w at the start
     m: np.ndarray
     no_move: np.ndarray | bool = False  # per row: the step that produced this state skipped its move
+    m_norm: np.ndarray | None = None  # per row: ||m||, from the step that produced this state
 
 
 def transport_step(s: StepState, sample, eta, k, beta, alpha, move):
@@ -90,33 +102,49 @@ def transport_step(s: StepState, sample, eta, k, beta, alpha, move):
     caller's to check (once per run for a fixed beta). A negative or
     non-finite eta, like a non-finite sample, raises
     :class:`NonFiniteGradient` naming the first such row.
+
+    The row norms of m are taken once: the move and the new state's
+    ``m_norm`` read them, and a finite norm proves its row of g finite
+    (a non-finite entry of g makes that row of m non-finite), so only a
+    non-finite norm sends g through :func:`check_finite_rows`.
     """
-    bad = ~(np.greater_equal(eta, 0.0) & np.isfinite(eta))
-    if bad.any():
-        row = int(np.flatnonzero(bad)[0])
-        raise NonFiniteGradient(f"eta must be finite and >= 0, got {float(np.ravel(eta)[row])}", row)
-    at_w = np.equal(k, 0.0)
-    if at_w.all():
-        x = s.w
+    if isinstance(eta, (int, float)):
+        if not 0.0 <= eta < math.inf:
+            raise NonFiniteGradient(f"eta must be finite and >= 0, got {float(eta)}", 0)
     else:
-        x = s.w + k * (s.w - s.w_prev)
-        if at_w.any():
-            x = np.where(at_w, s.w, x)
+        bad = ~(np.greater_equal(eta, 0.0) & np.isfinite(eta))
+        if bad.any():
+            row = int(np.flatnonzero(bad)[0])
+            raise NonFiniteGradient(f"eta must be finite and >= 0, got {float(np.ravel(eta)[row])}", row)
+    if isinstance(k, (int, float)):
+        x = s.w if k == 0.0 else s.w + k * (s.w - s.w_prev)
+    else:
+        at_w = np.equal(k, 0.0)
+        if at_w.all():
+            x = s.w
+        else:
+            x = s.w + k * (s.w - s.w_prev)
+            if at_w.any():
+                x = np.where(at_w, s.w, x)
     g = sample(x)
-    check_finite_rows(g)
-    m = beta * s.m + alpha * g
-    w, moved = move(s.w, m, eta)
-    return StepState(w=w, w_prev=s.w, m=m, no_move=~moved), x, g
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite g is refused below
+        m = beta * s.m + alpha * g
+        n = rownorm(m)
+    if not n.max(initial=0.0) < math.inf:  # NaN fails too
+        check_finite_rows(g)
+    w, moved = move(s.w, m, eta, n)
+    return StepState(w=w, w_prev=s.w, m=m, no_move=~moved, m_norm=n), x, g
 
 
-def plain_move(w: np.ndarray, m: np.ndarray, eta):
+def plain_move(w: np.ndarray, m: np.ndarray, eta, n):
     """w - eta m; always moves. Returns (new_w, moved per row)."""
     return w - eta * m, np.ones(w.shape[:-1], dtype=bool)
 
 
-def normalized_move(w: np.ndarray, m: np.ndarray, eta):
-    """Move each row ``eta`` along m / ||m||, or leave it at or below the norm floor."""
-    unit, moved = normalize(m, NORM_FLOOR)
+def normalized_move(w: np.ndarray, m: np.ndarray, eta, n=None):
+    """Move each row ``eta`` along m / ||m||, or leave it at or below the
+    norm floor; ``n`` is ``rownorm(m)``, when the caller has it."""
+    unit, moved = normalize(m, NORM_FLOOR, n)
     w_new = w - eta * unit
     return (w_new if moved.all() else np.where(moved[..., None], w_new, w)), moved
 
@@ -127,7 +155,7 @@ def blockwise_move(partition: LayerPartition, weight_norm_scaling: bool = False)
     step counts as a no-move when any range does. On a single unscaled
     range this is :func:`normalized_move`."""
 
-    def move(w: np.ndarray, m: np.ndarray, eta):
+    def move(w: np.ndarray, m: np.ndarray, eta, n):
         w_new = w.copy()
         moved_all = np.ones(w.shape[:-1], dtype=bool)
         for (lo, hi), scale in zip(partition.ranges, partition.lr_scale):
@@ -197,16 +225,16 @@ class SelfTuning:
         self.eta_prev = eta_t
         return eta_t, alpha_t
 
-    def accumulate(self, t: int, g: np.ndarray, g_paired: np.ndarray) -> None:
-        """Add step t's squared paired-sample difference plus drift to G.
+    def accumulate(self, t: int, sq_diff: float) -> None:
+        """Add step t's squared paired-sample difference ``||g - g'||^2``
+        plus drift to G.
 
-        ``g`` fed the momentum; ``g_paired`` is an independent sample at the
-        same query point from a distinct stream (finite: the caller checks).
+        ``g`` fed the momentum; ``g'`` is an independent sample at the same
+        query point from a distinct stream.
         """
         gb2 = self.g_bound * self.g_bound
         drift = gb2 * (float(t + 1) ** 0.25 - float(t) ** 0.25)
-        diff = g - g_paired
-        delta = float(diff @ diff) + drift
+        delta = sq_diff + drift
         G_next = self.G + delta
         if G_next < self.G:
             self.events.append(InvariantEvent("g_decreased", t, G_next, self.G))

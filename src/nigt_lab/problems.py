@@ -33,7 +33,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .core import RngStream, as_vector, gaussian_noise, rowdot
+from .core import RngStream, as_vector, gaussian_noise, rowdot, rownorm
 from .errors import (
     CertificationFailure,
     DimensionMismatch,
@@ -347,8 +347,9 @@ PROBLEM_KINDS = {
 # -- finite differences and certification ----------------------------------
 
 
-def fd_step(point_norm: float) -> float:
-    """Central-difference step for Hessian-vector products: 1e-5 * (1 + |w|)."""
+def fd_step(point_norm):
+    """Central-difference step for Hessian-vector products: 1e-5 * (1 + |w|),
+    for one norm or an array of them."""
     return 1e-5 * (1.0 + point_norm)
 
 
@@ -363,29 +364,29 @@ def fd_slack(problem: StochasticProblem, radius: float) -> float:
 
 
 def taylor_remainder(problem: StochasticProblem, x, y) -> np.ndarray:
-    """Second-order remainder gradF(x) - gradF(y) - H(y)(x - y).
+    """Second-order remainder gradF(x) - gradF(y) - H(y)(x - y), at one pair
+    of points or at each pair of rows of two ``(n, dim)`` stacks; zero where
+    x = y.
 
     The Hessian-vector product is formed by central differences of the exact
     gradient, so this stays an independent measurement of curvature drift
     even on problems whose Hessian we never write down.
     """
-    x = as_vector(x)
-    y = as_vector(y)
+    x = _points(x)
+    y = _points(y)
     v = x - y
-    sep = float(np.linalg.norm(v))
-    if sep == 0.0:
-        return np.zeros(problem.dim)
-    u = v / sep
-    h = fd_step(float(np.linalg.norm(y)))
+    sep = rownorm(v)[..., None]
+    h = fd_step(rownorm(y))[..., None]
+    u = v / np.where(sep == 0.0, 1.0, sep)
     hvp = (problem.exact_grad(y + h * u) - problem.exact_grad(y - h * u)) / (2.0 * h) * sep
-    return problem.exact_grad(x) - problem.exact_grad(y) - hvp
+    return np.where(sep == 0.0, 0.0, problem.exact_grad(x) - problem.exact_grad(y) - hvp)
 
 
 def ball_point(rng: RngStream, center: np.ndarray, radius: float) -> np.ndarray:
     """Uniform draw from the ball of given radius around ``center``."""
     d = center.size
     v = rng.generator.normal(size=d)
-    n = float(np.linalg.norm(v))
+    n = math.sqrt(v.dot(v))  # np.linalg.norm(v), without its dispatch
     if n == 0.0:
         return center.copy()
     r = radius * float(rng.generator.random()) ** (1.0 / d)
@@ -400,7 +401,8 @@ def ball_pairs(rng: RngStream, center: np.ndarray, radius: float, n_pairs: int):
     while done < n_pairs:
         x = ball_point(rng, center, radius)
         y = ball_point(rng, center, radius)
-        sep = float(np.linalg.norm(x - y))
+        diff = x - y
+        sep = math.sqrt(diff.dot(diff))
         if sep < min_sep:
             continue
         done += 1
@@ -448,11 +450,12 @@ def certify_constants(
         rng = RngStream(0, 17)
     slack = fd_slack(problem, radius)
 
-    L_hat = 0.0
-    rho_hat = 0.0
-    for x, y, sep in ball_pairs(rng, problem.w1, radius, n_pairs):
-        L_hat = max(L_hat, float(np.linalg.norm(problem.exact_grad(x) - problem.exact_grad(y))) / sep)
-        rho_hat = max(rho_hat, float(np.linalg.norm(taylor_remainder(problem, x, y))) / sep**2)
+    X, Y, sep = (np.array(c) for c in zip(*ball_pairs(rng, problem.w1, radius, n_pairs)))
+    # squared one at a time: Python's pow rounds a few squares unlike sep * sep
+    sep2 = np.array([s**2 for s in sep.tolist()])
+    # fmax skips a NaN ratio, as a running max() over the pairs did
+    L_hat = float(np.fmax.reduce(rownorm(problem.exact_grad(X) - problem.exact_grad(Y)) / sep, initial=0.0))
+    rho_hat = float(np.fmax.reduce(rownorm(taylor_remainder(problem, X, Y)) / sep2, initial=0.0))
 
     # sigma: RMS oracle error, at w1 only when variance is point-dependent
     if problem.sigma_at_w1_only:
@@ -460,11 +463,12 @@ def certify_constants(
     else:
         points = [problem.w1] + [ball_point(rng, problem.w1, radius) for _ in range(19)]
     per_point = max(1, n_sigma // len(points))
-    sq_err_sum = 0.0
+    sq_err = []
     for pt in points:
         e = problem.noisy_grad(pt, problem.sample_noise(rng, per_point)) - problem.exact_grad(pt)
-        for sq in rowdot(e, e).tolist():
-            sq_err_sum += sq  # in draw order, as one sample at a time would
+        sq_err.append(rowdot(e, e))
+    # a running sum in draw order, as one sample at a time would add them
+    sq_err_sum = float(np.add.accumulate(np.concatenate(sq_err))[-1])
     n_draws = per_point * len(points)
     sigma_hat = math.sqrt(sq_err_sum / n_draws)
 

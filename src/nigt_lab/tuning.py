@@ -21,8 +21,9 @@ import numpy as np
 from .core import pow_sevenths
 from .errors import InvalidInput
 
-# theorem -> the one method it tunes (the self-tuning one tunes itself as it runs)
-THEOREM_METHODS = {"1": "nsgdm", "2": "nigt", "adaptive": "nigt_adaptive"}
+# theorem -> the one method it tunes (the self-tuning method takes no
+# theorem: it tunes itself as it runs)
+THEOREM_METHODS = {"1": "nsgdm", "2": "nigt"}
 
 
 @dataclass(frozen=True)

@@ -165,7 +165,8 @@ class TestCriterion6AdaptiveInvariants:
             eta, alpha = tuner.rates(t)
             s, x, g = transport_step(s, lambda x: pb.sample_grad(x, rng), eta, (1.0 - alpha) / alpha,
                                      1.0 - alpha, alpha, normalized_move)
-            tuner.accumulate(t, g, pb.sample_grad(x, rng2))
+            diff = g - pb.sample_grad(x, rng2)
+            tuner.accumulate(t, float(diff @ diff))
             assert not tuner.events
             drift = gb2 * ((t + 1) ** 0.25 - t**0.25)
             # the paired samples coincide, so the added increment IS the drift
@@ -262,7 +263,8 @@ class TestCriterion8MechanicalInvariants:
             eta_t, alpha = tuner.rates(t)
             sa, x, g = transport_step(sa, lambda x: bowl.sample_grad(x, rng), eta_t, (1.0 - alpha) / alpha,
                                       1.0 - alpha, alpha, normalized_move)
-            tuner.accumulate(t, g, bowl.sample_grad(x, rng2))
+            diff = g - bowl.sample_grad(x, rng2)
+            tuner.accumulate(t, float(diff @ diff))
             if not sa.no_move:
                 err = abs(float(np.linalg.norm(sa.w - prev)) - tuner.eta_prev)
                 assert err <= self._len_tol(prev, tuner.eta_prev)

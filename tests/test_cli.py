@@ -388,6 +388,38 @@ class TestBoundsCommand:
         assert "certification failed" in capsys.readouterr().err
 
 
+BOUNDS_GATE = Path(__file__).parent.parent / "perfbench" / "workloads" / "bounds_gate.cfg"
+
+
+class TestBoundsKeys:
+    """``bounds`` reads problem.*, optimizer.id, run.T_grid and the seeds; it
+    refuses every other optimizer, schedule and run key, each of which it
+    once accepted and ignored with byte-identical outputs."""
+
+    @pytest.mark.parametrize("extra, message", [
+        ("optimizer.eta = 0.5\noptimizer.theorem = 2\nschedule.kind = warmup_poly_decay\n"
+         "schedule.warmup_steps = 5\nrun.record_exact = false\nrun.T = 7\n",
+         "config error: keys ['eta', 'theorem'] do not apply to bounds (section 'optimizer')\n"),
+        ("optimizer.beta = 0.5\n", "config error: keys ['beta'] do not apply to bounds (section 'optimizer')\n"),
+        ("optimizer.theorem = 1\n", "config error: keys ['theorem'] do not apply to bounds (section 'optimizer')\n"),
+        ("schedule.kind = constant\n", "config error: keys ['kind'] do not apply to bounds (section 'schedule')\n"),
+        ("run.record_exact = true\nrun.T = 7\n",
+         "config error: keys ['T', 'record_exact'] do not apply to bounds (section 'run')\n"),
+    ], ids=["ignored_at_the_parent", "beta", "theorem", "schedule_kind", "run_keys"])
+    def test_key_bounds_never_reads_exits_one(self, tmp_path, capsys, extra, message):
+        cfg = write(tmp_path / "b.cfg", BOUNDS_GATE.read_text() + extra)
+        out = tmp_path / "o"
+        assert main(["bounds", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == message
+        assert not out.exists()
+
+    def test_benchmark_file_writes_its_pinned_bytes(self, tmp_path):
+        pinned = json.loads((BOUNDS_GATE.parent.parent / "digests.json").read_text())["bounds_gate"]
+        out = tmp_path / "o"
+        assert main(["bounds", "--config", str(BOUNDS_GATE), "--out", str(out)]) == 0
+        assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()} == pinned
+
+
 class TestPlotCommand:
     def _make_results(self, tmp_path, n_seeds):
         text = BASE_RUN.replace("run.seeds = 1", "run.n_seeds = %d\nrun.master_seed = 1" % n_seeds)

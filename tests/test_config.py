@@ -377,6 +377,18 @@ class TestStrayKeys:
         code, err = _exit_code_and_error(tmp_path, capsys, text)
         assert code == 1 and f"keys [{key!r}] do not apply to" in err
 
+    @pytest.mark.parametrize("opt", ["nigt_adaptive", "nsgdm", "sgd"])
+    def test_theorem_adaptive_is_refused(self, tmp_path, capsys, opt):
+        # the self-tuning method tunes itself: optimizer.theorem = adaptive set
+        # nothing (an adaptive run wrote the same bytes with or without it)
+        rate = "" if opt == "nigt_adaptive" else "optimizer.eta = 0.01\n"
+        text = MANUAL.replace("optimizer.id = nsgdm", f"optimizer.id = {opt}") + rate
+        code, err = _exit_code_and_error(tmp_path, capsys, text + "optimizer.theorem = adaptive\n")
+        assert code == 1
+        assert err == ("config error: keys ['theorem'] do not apply to optimizer 'nigt_adaptive'\n"
+                       if opt == "nigt_adaptive" else "config error: optimizer.theorem must be 1 or 2, got 'adaptive'\n")
+        build_run_config(parse_experiment(text))  # accepted without the line
+
     @pytest.mark.parametrize("opt, extra", [
         ("nigt_layerwise", _LAYERS + "optimizer.lr_scale = 1.0,2.0\n"),
         ("heavy_ball", "optimizer.beta = 0.5\n"),

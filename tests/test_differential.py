@@ -1,0 +1,435 @@
+"""Differential tests of the transport step and of certification against
+frozen copies of their earlier per-call forms.
+
+The step takes the row norms of the momentum once and reads them three
+times (the move, the non-finite-sample check, the logged ``m_norm``);
+certification computes its L and rho ratios for all pairs at once. The
+``ref_*`` functions below are the code they replaced, kept verbatim as the
+reference: every state byte, every exception (type, row and text) and
+every certification report must match it.
+"""
+
+import json
+import math
+import warnings
+from dataclasses import asdict
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from nigt_lab.cli import main
+from nigt_lab.core import NORM_FLOOR, InvariantEvent, RngStream, normalize, rowdot, rownorm
+from nigt_lab.errors import CertificationFailure, InvalidInput, NonFiniteGradient
+from nigt_lab.optimizers import (
+    _INV_REL_TOL,
+    SelfTuning,
+    StepState,
+    normalized_move,
+    paired_sq_diff,
+    plain_move,
+    transport_step,
+)
+from nigt_lab.problems import (
+    CertReport,
+    certify_constants,
+    fd_slack,
+    fd_step,
+    make_noisy_quadratic,
+    make_sign_noise,
+    make_streaming_least_squares,
+    make_trig_bowl,
+    taylor_remainder,
+    with_constants,
+)
+from nigt_lab.reports import json_dumps
+
+# -- the reference: the per-call forms, verbatim --------------------------------
+
+
+def ref_normalize(v, floor: float = 0.0):
+    if floor < 0.0:
+        raise InvalidInput(f"floor must be >= 0, got {floor}")
+    v = np.asarray(v, dtype=np.float64)
+    rows = v.reshape(-1, v.shape[-1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        n = rownorm(rows)
+    num, den = rows, n
+    in_range = (n > 1e-150) & (n < 1e150)
+    if not in_range.all():
+        num, den = rows.copy(), n.copy()
+        for i in np.flatnonzero(~in_range):
+            big = float(np.max(np.abs(rows[i])))
+            if 0.0 < big < math.inf:
+                e = math.frexp(big)[1]
+                num[i] = np.ldexp(rows[i], -e)
+                den[i] = n_u = float(rownorm(num[i]))
+                with np.errstate(over="ignore"):
+                    n[i] = np.ldexp(n_u, e)
+            elif not math.isfinite(n[i]):
+                raise InvalidInput("cannot normalize a non-finite vector")
+    ok = n > floor
+    unit = num / (den if ok.all() else np.where(ok, den, 1.0))[:, None]
+    return unit.reshape(v.shape), ok.reshape(v.shape[:-1])
+
+
+def ref_check_finite_rows(g):
+    bad = ~np.isfinite(g).all(axis=-1)
+    if bad.any():
+        raise NonFiniteGradient("gradient sample contains NaN or Inf", int(np.flatnonzero(bad)[0]))
+
+
+def ref_transport_step(s, sample, eta, k, beta, alpha, move):
+    bad = ~(np.greater_equal(eta, 0.0) & np.isfinite(eta))
+    if bad.any():
+        row = int(np.flatnonzero(bad)[0])
+        raise NonFiniteGradient(f"eta must be finite and >= 0, got {float(np.ravel(eta)[row])}", row)
+    at_w = np.equal(k, 0.0)
+    if at_w.all():
+        x = s.w
+    else:
+        x = s.w + k * (s.w - s.w_prev)
+        if at_w.any():
+            x = np.where(at_w, s.w, x)
+    g = sample(x)
+    ref_check_finite_rows(g)
+    m = beta * s.m + alpha * g
+    w, moved = move(s.w, m, eta)
+    return StepState(w=w, w_prev=s.w, m=m, no_move=~moved), x, g
+
+
+def ref_plain_move(w, m, eta):
+    return w - eta * m, np.ones(w.shape[:-1], dtype=bool)
+
+
+def ref_normalized_move(w, m, eta):
+    unit, moved = ref_normalize(m, NORM_FLOOR)
+    w_new = w - eta * unit
+    return (w_new if moved.all() else np.where(moved[..., None], w_new, w)), moved
+
+
+def ref_accumulate(self, t, g, g_paired):
+    gb2 = self.g_bound * self.g_bound
+    drift = gb2 * (float(t + 1) ** 0.25 - float(t) ** 0.25)
+    diff = g - g_paired
+    delta = float(diff @ diff) + drift
+    G_next = self.G + delta
+    if G_next < self.G:
+        self.events.append(InvariantEvent("g_decreased", t, G_next, self.G))
+    delta_cap = 4.0 * gb2 + drift
+    if delta > delta_cap * (1.0 + _INV_REL_TOL):
+        self.events.append(InvariantEvent("g_increment_above_bound", t, delta, delta_cap))
+    if delta < drift * (1.0 - _INV_REL_TOL):
+        self.events.append(InvariantEvent("g_increment_below_drift", t, delta, drift))
+    self.G_prev, self.G, self.delta = self.G, G_next, delta
+
+
+def ref_taylor_remainder(problem, x, y):
+    v = x - y
+    sep = float(np.linalg.norm(v))
+    if sep == 0.0:
+        return np.zeros(problem.dim)
+    u = v / sep
+    h = fd_step(float(np.linalg.norm(y)))
+    hvp = (problem.exact_grad(y + h * u) - problem.exact_grad(y - h * u)) / (2.0 * h) * sep
+    return problem.exact_grad(x) - problem.exact_grad(y) - hvp
+
+
+def ref_ball_point(rng, center, radius):
+    d = center.size
+    v = rng.generator.normal(size=d)
+    n = float(np.linalg.norm(v))
+    if n == 0.0:
+        return center.copy()
+    r = radius * float(rng.generator.random()) ** (1.0 / d)
+    return center + (r / n) * v
+
+
+def ref_ball_pairs(rng, center, radius, n_pairs):
+    min_sep = 1e-6 * radius
+    done = 0
+    while done < n_pairs:
+        x = ref_ball_point(rng, center, radius)
+        y = ref_ball_point(rng, center, radius)
+        sep = float(np.linalg.norm(x - y))
+        if sep < min_sep:
+            continue
+        done += 1
+        yield x, y, sep
+
+
+def ref_certify_constants(problem, n_pairs=400, radius=10.0, rng=None, tol=0.05, n_sigma=20_000):
+    if n_pairs < 100:
+        raise InvalidInput(f"n_pairs must be >= 100, got {n_pairs}")
+    if rng is None:
+        rng = RngStream(0, 17)
+    slack = fd_slack(problem, radius)
+
+    L_hat = 0.0
+    rho_hat = 0.0
+    for x, y, sep in ref_ball_pairs(rng, problem.w1, radius, n_pairs):
+        L_hat = max(L_hat, float(np.linalg.norm(problem.exact_grad(x) - problem.exact_grad(y))) / sep)
+        rho_hat = max(rho_hat, float(np.linalg.norm(ref_taylor_remainder(problem, x, y))) / sep**2)
+
+    if problem.sigma_at_w1_only:
+        points = [problem.w1]
+    else:
+        points = [problem.w1] + [ref_ball_point(rng, problem.w1, radius) for _ in range(19)]
+    per_point = max(1, n_sigma // len(points))
+    sq_err_sum = 0.0
+    for pt in points:
+        e = problem.noisy_grad(pt, problem.sample_noise(rng, per_point)) - problem.exact_grad(pt)
+        for sq in rowdot(e, e).tolist():
+            sq_err_sum += sq
+    n_draws = per_point * len(points)
+    sigma_hat = math.sqrt(sq_err_sum / n_draws)
+
+    failures = []
+    if L_hat > problem.L * (1.0 + tol):
+        failures.append(f"L_hat {L_hat:.6g} exceeds declared L {problem.L:.6g} * (1+tol)")
+    if rho_hat > problem.rho * (1.0 + tol) + slack:
+        failures.append(f"rho_hat {rho_hat:.6g} exceeds declared rho {problem.rho:.6g} * (1+tol) + fd_slack")
+    if not (problem.sigma * (1.0 - tol) <= sigma_hat <= problem.sigma * (1.0 + tol)):
+        failures.append(
+            f"sigma_hat {sigma_hat:.6g} outside [{problem.sigma * (1 - tol):.6g}, {problem.sigma * (1 + tol):.6g}]"
+        )
+    report = CertReport(
+        problem_id=problem.problem_id, L_hat=L_hat, rho_hat=rho_hat, sigma_hat=sigma_hat,
+        L_declared=problem.L, rho_declared=problem.rho, sigma_declared=problem.sigma, tol=tol,
+        fd_slack=slack, radius=radius, n_pairs=n_pairs, n_sigma=n_draws, passed=not failures,
+        failures=tuple(failures),
+    )
+    if failures:
+        raise CertificationFailure("; ".join(failures), report=report)
+    return report
+
+
+# -- inputs -----------------------------------------------------------------------
+
+# powers of ten that put row norms inside (1e-150, 1e150), below it, above it,
+# at the 1e-300 norm floor and among the subnormals
+SCALES = (0, -140, -155, -160, -200, -300, -310, 140, 155, 160, 200, 300, 307)
+# rows whose norm sits on either side of the norm floor, or is zero
+FLOOR_ROWS = (1e-300, 1e-300 * (1.0 + 2.0**-52), 1e-300 * (1.0 - 2.0**-53), 5e-324, 0.0)
+
+
+@st.composite
+def rows(draw, S, d, nonfinite=False):
+    """``(S, d)``: each row [-10, 10] entries at its own power-of-ten scale, or
+    a row whose norm is at the floor; with ``nonfinite`` some rows hold a
+    NaN or an infinity."""
+    out = []
+    for _ in range(S):
+        if draw(st.integers(0, 5)) == 0:
+            row = np.zeros(d)
+            row[draw(st.integers(0, d - 1))] = draw(st.sampled_from(FLOOR_ROWS))
+        else:
+            row = np.array(draw(st.lists(st.floats(-10.0, 10.0), min_size=d, max_size=d)))
+            row = row * 10.0 ** draw(st.sampled_from(SCALES))
+        if nonfinite and draw(st.booleans()):
+            row[draw(st.integers(0, d - 1))] = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+        out.append(row)
+    return np.array(out)
+
+
+def coefficient(values, S):
+    """A scalar or an ``(S, 1)`` column of ``values``."""
+    return st.one_of(values, st.lists(values, min_size=S, max_size=S).map(lambda v: np.array(v)[:, None]))
+
+
+ETAS = st.one_of(st.floats(0.0, 10.0), st.sampled_from([0.0, -0.0, -1.0, -1e-300, math.nan, math.inf]))
+KS = st.one_of(st.just(0.0), st.floats(-10.0, 10.0))
+
+
+@st.composite
+def step_inputs(draw):
+    S, d = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    w = np.array(draw(st.lists(st.floats(-1e3, 1e3), min_size=S * d, max_size=S * d))).reshape(S, d)
+    w_prev = np.array(draw(st.lists(st.floats(-1e3, 1e3), min_size=S * d, max_size=S * d))).reshape(S, d)
+    m, g = draw(rows(S, d)), draw(rows(S, d, nonfinite=True))
+    eta, k = draw(coefficient(ETAS, S)), draw(coefficient(KS, S))
+    beta = draw(st.one_of(st.sampled_from([0.0, 0.5, 0.9]), st.floats(0.0, 1.0)))
+    # alpha above one (a corrupted self-tuning weight) lets a finite g overflow m
+    alpha = draw(st.sampled_from([1.0 - beta, 1.0, 2.0]))
+    if S == 1 and draw(st.booleans()):  # one vector, not a batch
+        w, w_prev, m, g = w[0], w_prev[0], m[0], g[0]
+        eta, k = (float(np.ravel(c)[0]) for c in (eta, k))
+    return StepState(w=w, w_prev=w_prev, m=m), g, eta, k, beta, alpha
+
+
+def outcome(step, args):
+    """What ``step(*args)`` returns, or the type, text and row of what it raises."""
+    try:
+        return step(*args)
+    except (NonFiniteGradient, InvalidInput) as e:
+        return "raised", type(e).__name__, str(e), getattr(e, "row", None)
+
+
+def raised(out) -> bool:
+    return isinstance(out[0], str)
+
+
+def state_bytes(out):
+    s, x, g = out
+    return [np.asarray(a).tobytes() for a in (s.w, s.w_prev, s.m, s.no_move, x, g)]
+
+
+class TestTransportStep:
+    @settings(deadline=None, derandomize=True, database=None, max_examples=600)
+    @given(step_inputs(), st.sampled_from(["normalized", "plain"]))
+    def test_step_matches_the_per_call_step(self, inputs, kind):
+        s, g, eta, k, beta, alpha = inputs
+        move, ref_move = {"normalized": (normalized_move, ref_normalized_move),
+                          "plain": (plain_move, ref_plain_move)}[kind]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            ref = outcome(ref_transport_step, (s, lambda x: g, eta, k, beta, alpha, ref_move))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            try:
+                new = outcome(transport_step, (s, lambda x: g, eta, k, beta, alpha, move))
+            except RuntimeWarning as w:
+                # only the plain move can overflow (eta m) or meet 0 * inf, as it always could
+                assert kind == "plain", w
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error", RuntimeWarning)
+                    with pytest.raises(RuntimeWarning, match=str(w)):
+                        ref_transport_step(s, lambda x: g, eta, k, beta, alpha, ref_move)
+                return
+        if raised(ref):
+            assert new == ref
+            return
+        assert state_bytes(new) == state_bytes(ref)
+        # the m_norm column was rownorm of a block of stacked momenta
+        with np.errstate(over="ignore", invalid="ignore"):
+            logged = rownorm(np.stack([ref[0].m, ref[0].m]))[0]
+        assert new[0].m_norm.tobytes() == logged.tobytes()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_sample_is_refused_without_a_warning(self, bad):
+        g = np.array([[1.0, 2.0], [3.0, bad], [bad, 0.0]])
+        s = StepState(w=np.zeros((3, 2)), w_prev=np.zeros((3, 2)), m=np.full((3, 2), 1e300))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for alpha in (0.0, 1.0):  # 0 * inf and inf - inf are invalid operations
+                with pytest.raises(NonFiniteGradient) as e:
+                    transport_step(s, lambda x: g, 0.1, 0.0, 1.0, alpha, normalized_move)
+                assert (e.value.row, str(e.value)) == (1, "gradient sample contains NaN or Inf")
+
+    @pytest.mark.parametrize("kind", ["normalized", "plain"])
+    def test_an_empty_batch_steps_as_before(self, kind):
+        move, ref_move = {"normalized": (normalized_move, ref_normalized_move),
+                          "plain": (plain_move, ref_plain_move)}[kind]
+        s = StepState(w=np.empty((0, 3)), w_prev=np.empty((0, 3)), m=np.empty((0, 3)))
+        args = (s, lambda x: x, 0.1, 0.0, 0.9, 0.1)
+        assert state_bytes(transport_step(*args, move)) == state_bytes(ref_transport_step(*args, ref_move))
+        assert [a.shape for a in normalize(s.m)] == [a.shape for a in ref_normalize(s.m)] == [(0, 3), (0,)]
+        assert paired_sq_diff(s.m, s.m).shape == (0,)
+
+    @settings(deadline=None, derandomize=True, database=None, max_examples=300)
+    @given(st.integers(1, 4).flatmap(lambda S: st.integers(1, 4).flatmap(lambda d: rows(S, d, nonfinite=True))),
+           st.sampled_from([0.0, 1e-300, 1e-12]), st.booleans())
+    def test_normalize_matches_the_per_call_normalize(self, v, floor, given_norms):
+        with np.errstate(over="ignore", invalid="ignore"):
+            n = rownorm(v) if given_norms else None
+        kept = None if n is None else n.copy()
+        ref, new = outcome(ref_normalize, (v, floor)), outcome(normalize, (v, floor, n))
+        if raised(ref):
+            assert new == ref
+        else:
+            assert [a.tobytes() for a in new] == [a.tobytes() for a in ref]
+        if n is not None:  # the caller's norms (the logged m_norm) are left as they were
+            assert n.tobytes() == kept.tobytes()
+
+
+@st.composite
+def paired_samples(draw):
+    S, d = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    g = draw(rows(S, d))  # the momentum's sample passed the step's check
+    return g, draw(rows(S, d, nonfinite=True))
+
+
+class TestSelfTuningFeed:
+    @settings(deadline=None, derandomize=True, database=None, max_examples=300)
+    @given(paired_samples(), st.sampled_from([1e-3, 1.0, 3.0, 1e3]), st.integers(1, 10**6))
+    def test_one_rowdot_feeds_every_seed_as_the_per_row_loop(self, pair, g_bound, t):
+        g, g_paired = pair
+        ref_tuners = [SelfTuning(g_bound) for _ in g]
+        new_tuners = [SelfTuning(g_bound) for _ in g]
+        with np.errstate(over="ignore", invalid="ignore"):  # as inside the runner
+            def ref_feed():
+                ref_check_finite_rows(g_paired)
+                for tuner, row, paired_row in zip(ref_tuners, g, g_paired):
+                    ref_accumulate(tuner, t, row, paired_row)
+
+            def new_feed():
+                for tuner, sq in zip(new_tuners, paired_sq_diff(g, g_paired).tolist()):
+                    tuner.accumulate(t, sq)
+
+            assert outcome(new_feed, ()) == outcome(ref_feed, ())
+        state = lambda tuner: repr((tuner.G, tuner.G_prev, tuner.delta, tuner.events))
+        assert [state(u) for u in new_tuners] == [state(u) for u in ref_tuners]
+
+
+# -- certification -------------------------------------------------------------------
+
+PROBLEMS = {
+    "noisy_quadratic": make_noisy_quadratic(3, [1.0, 2.0, 4.0], 0.5),
+    "sign_noise": make_sign_noise(0.25),
+    "trig_bowl": make_trig_bowl(4, 1.0, 2.0, 0.5),
+    "streaming_least_squares": make_streaming_least_squares(3, [1.0, 0.5, 2.0], 0.3),
+    "trig_bowl_underdeclared": with_constants(make_trig_bowl(2, 1.0, 1.0, 0.3), L=0.2, rho=0.1),
+}
+
+
+def certify_outcome(certify, problem, radius, seed):
+    try:
+        return certify(problem, n_pairs=300, radius=radius, rng=RngStream(seed, 101))
+    except CertificationFailure as e:
+        return str(e), e.report
+
+
+class TestCertification:
+    @pytest.mark.parametrize("seed", [0, 7])
+    @pytest.mark.parametrize("radius", [0.5, 10.0, 1e3])
+    @pytest.mark.parametrize("kind", PROBLEMS)
+    def test_report_matches_the_per_pair_loop(self, kind, radius, seed):
+        pb = PROBLEMS[kind]
+        # repr prints every float exactly, so equal reprs are equal bits
+        assert repr(certify_outcome(certify_constants, pb, radius, seed)) == \
+            repr(certify_outcome(ref_certify_constants, pb, radius, seed))
+
+    def test_nan_ratios_are_skipped_as_the_running_max_skipped_them(self):
+        # gradients of 1e160 x overflow on this ball: every rho ratio is NaN
+        pb = make_noisy_quadratic(2, [1e160, 1.0], 0.5)
+        with np.errstate(all="ignore"):
+            new, ref = (certify_outcome(c, pb, 1e150, 0) for c in (certify_constants, ref_certify_constants))
+        assert new[1].rho_hat == 0.0 and repr(new) == repr(ref)
+
+    @pytest.mark.parametrize("kind", PROBLEMS)
+    def test_taylor_remainder_rows_match_pairs(self, kind):
+        pb = PROBLEMS[kind]
+        rng = np.random.default_rng(3)
+        X = pb.w1 + rng.normal(scale=5.0, size=(50, pb.dim))
+        Y = pb.w1 + rng.normal(scale=5.0, size=(50, pb.dim))
+        Y[::7] = X[::7]  # coincident pairs have no direction: zero remainder
+        X[1::7], Y[1::7] = 0.0, 0.0
+        X[1::7, 0] = 1e-170  # so have pairs whose separation squares to zero
+        rows = taylor_remainder(pb, X, Y)
+        for x, y, row in zip(X, Y, rows):
+            assert row.tobytes() == ref_taylor_remainder(pb, x, y).tobytes()
+            assert taylor_remainder(pb, x, y).tobytes() == row.tobytes()
+
+    @pytest.mark.parametrize("master", [0, 5])
+    def test_certify_command_writes_the_reference_report(self, tmp_path, capsys, master):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("problem.kind = trig_bowl\nproblem.dim = 3\nproblem.a = 1.0\nproblem.b = 2.0\n"
+                       "problem.sigma = 0.5\ncertify.n_pairs = 250\ncertify.radius = 4.0\n")
+        out = tmp_path / "o"
+        assert main(["certify", "--config", str(cfg), "--out", str(out), "--master-seed", str(master)]) == 0
+        ref = ref_certify_constants(make_trig_bowl(3, 1.0, 2.0, 0.5), n_pairs=250, radius=4.0,
+                                    rng=RngStream(master, 17))
+        text = json_dumps(asdict(ref))
+        assert (out / "certify.json").read_text() == text == capsys.readouterr().out
+        assert json.loads(text)["passed"] is True

@@ -64,7 +64,8 @@ def self_tuning_step(s, tuner, t, pb, rng, rng_paired):
     returns the new state and the step's alpha."""
     eta, alpha = tuner.rates(t)
     out, x, g = transport_step(s, oracle(pb, rng), eta, (1.0 - alpha) / alpha, 1.0 - alpha, alpha, normalized_move)
-    tuner.accumulate(t, g, pb.sample_grad(x, rng_paired))
+    diff = g - pb.sample_grad(x, rng_paired)
+    tuner.accumulate(t, float(diff @ diff))
     return out, alpha
 
 
