@@ -231,13 +231,13 @@ def build_problem(exp: ExperimentFile):
     for name, param in params.items():
         if param.default is param.empty:
             _require(pr, name, "problem")
+    overrides = {k: pr[k] for k in sorted(_OVERRIDE_KEYS) if k in pr}
     try:
         problem = make(**{name: pr[name] for name in params if name in pr})
-    except Exception as e:  # constructor validation errors become config errors
+        if overrides:
+            problem = with_constants(problem, **overrides)
+    except Exception as e:  # constructor and constant validation errors become config errors
         raise ConfigError(f"invalid problem section: {e}") from e
-    overrides = {k: pr[k] for k in sorted(_OVERRIDE_KEYS) if k in pr}
-    if overrides:
-        problem = with_constants(problem, **overrides)
     return problem
 
 

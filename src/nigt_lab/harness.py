@@ -3,9 +3,9 @@
 Everything here is deterministic given the configuration: each seed drives a
 counter-based stream (stream 0 for the oracle, stream 1 for the paired
 samples of the self-tuning method), so reruns are bit-identical. The seeds
-of a run step in lockstep as ``(S, d)`` arrays in one process, their noise
-drawn ahead in bounded blocks, and each seed's record is the one it would
-get alone.
+of a run step in lockstep as ``(S, d)`` arrays in one process, in blocks of
+steps: each block draws its noise when it starts and is logged when it
+ends. Each seed's record is the one it would get alone.
 """
 
 from __future__ import annotations
@@ -49,9 +49,9 @@ DESCENT_TOL = 1e-9
 DEFAULT_ETA_GRID = (1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0)
 DEFAULT_CERT_RADIUS = 10.0
 
-# Oracle noise is drawn ahead in blocks of at most this many bytes per
-# stream (one stream per seed, two for the self-tuning method). Steps are
-# logged in blocks whose w, x and m arrays, kept by reference, fit in as many.
+# Runs step in blocks whose w, x and m arrays, kept by reference until the
+# block is logged, fit in this many bytes. Each block's oracle noise, drawn
+# when the block starts, is at most 4/3 as large.
 BLOCK_BYTES = 256 * 1024
 
 
@@ -78,38 +78,6 @@ class RunConfig:
         if len(set(seeds)) != len(seeds):
             raise InvalidInput("seeds must be distinct")
         object.__setattr__(self, "seeds", seeds)
-
-
-class _NoiseTape:
-    """Oracle randomness of the given streams of every seed, drawn ahead in
-    blocks.
-
-    Each block holds the next rows of every stream, at most
-    :data:`BLOCK_BYTES` per stream, so memory stays bounded whatever
-    the horizon. The streams are counter-based, so a block holds exactly
-    the numbers one draw per step would have produced.
-    """
-
-    def __init__(self, problem: StochasticProblem, seeds, stream_ids, T: int):
-        self.problem = problem
-        self.streams = [[RngStream(seed, sid) for seed in seeds] for sid in stream_ids]
-        self.left = T
-        row_bytes = 8 * problem.noise_width
-        rows = min(T, max(1, BLOCK_BYTES // row_bytes)) if row_bytes else T
-        self.block = np.empty((rows, len(stream_ids), len(seeds), problem.noise_width))  # refilled in place
-        self.size = self.pos = 0
-
-    def next(self) -> np.ndarray:
-        """The noise of the next step, ``(streams, seeds, noise_width)``."""
-        if self.pos == self.size:
-            self.size = min(len(self.block), self.left)
-            for j, streams in enumerate(self.streams):
-                for i, rng in enumerate(streams):
-                    self.block[:self.size, j, i] = self.problem.sample_noise(rng, self.size)
-            self.left -= self.size
-            self.pos = 0
-        self.pos += 1
-        return self.block[self.pos - 1]
 
 
 def _make_log(pb, log, i, ws, xs, ms, max_disp, f_w):
@@ -190,7 +158,7 @@ def run(cfg: RunConfig) -> list[TrajectoryRecord]:
 
     S = len(seeds)
     # stream 0 feeds the momentum; stream 1 the paired samples of the self-tuning method
-    tape = _NoiseTape(pb, seeds, (0, 1) if tuners else (0,), T)
+    rngs = [RngStream(seed, sid) for sid in ((0, 1) if tuners else (0,)) for seed in seeds]
     names = ["eta", "alpha", "m_norm"]
     if cfg.record_exact:
         names += ["f_val", "grad_norm", "mhat_err"] + (["descent_residual"] if move is normalized_move else [])
@@ -201,58 +169,63 @@ def run(cfg: RunConfig) -> list[TrajectoryRecord]:
     max_disp = np.zeros(S)
     f_w = pb.exact_value(W) if cfg.record_exact else None
     block = max(1, BLOCK_BYTES // (3 * 8 * S * pb.dim))  # w, x and m per step
-    ws, xs, ms = [W], [], []
+    # a block's noise, (step, stream, seed, noise_width), refilled in place (no
+    # sample is a view of it); the streams are counter-based, so it holds
+    # exactly what one draw per step would give
+    Z = np.empty((min(block, T), len(rngs) // S, S, pb.noise_width))
     with np.errstate(over="ignore", invalid="ignore"):
-        for t in range(1, T + 1):
-            z = tape.next()
-            samples = []  # one sample per stream at the query point, from one gradient evaluation
+        for t0 in range(0, T, block):
+            n = min(block, T - t0)
+            for j, rng in enumerate(rngs):
+                Z[:n, j // S, j % S] = pb.sample_noise(rng, n)
+            ws, xs, ms = [s.w], [], []
+            for t, z in enumerate(Z[:n], t0 + 1):
+                samples = []  # one sample per stream at the query point, from one gradient evaluation
 
-            def sample(x):
-                samples[:] = pb.noisy_grad(x, z)
-                return samples[0]
+                def sample(x):
+                    samples[:] = pb.noisy_grad(x, z)
+                    return samples[0]
 
-            try:
+                try:
+                    if tuners:
+                        rates = np.empty((S, 2))
+                        for row, tuner in enumerate(tuners):
+                            try:
+                                rates[row] = tuner.rates(t)
+                            except OverflowError as e:  # the accumulator outgrew the floats
+                                raise NonFiniteGradient(str(e), row) from None
+                        eta_t, alpha_t = rates[:, :1], rates[:, 1:]
+                        # no domain check: a corrupted accumulator that pushes alpha_t
+                        # above one keeps running and is recorded as an invariant event
+                        beta_t = 1.0 - alpha_t
+                        k = (1.0 - alpha_t) / alpha_t
+                        alpha_log = alpha_t
+                    else:
+                        eta_t = apply_schedule(sch, t, T, base_eta, rownorm(s.w)[:, None] if scale_by_norm else None)
+                        beta_t = 0.0 if t == 1 else beta  # first momentum is the first sample
+                        alpha_t = 1.0 - beta_t
+                        k = beta_t / (1.0 - beta_t) if transport else 0.0
+                        alpha_log = 1.0 - beta
+                    s_next, x, g = transport_step(s, sample, eta_t, k, beta_t, alpha_t, move)
+                    if tuners:
+                        sq_diff = paired_sq_diff(g, samples[1])
+                except NonFiniteGradient as e:
+                    if e.row:  # raises the error of an earlier seed that diverges later
+                        run(replace(cfg, seeds=seeds[:e.row]))
+                    raise Diverged(f"seed {seeds[e.row]} diverged at step {t}: {e}", t) from None
                 if tuners:
-                    rates = np.empty((S, 2))
-                    for row, tuner in enumerate(tuners):
-                        try:
-                            rates[row] = tuner.rates(t)
-                        except OverflowError as e:  # the accumulator outgrew the floats
-                            raise NonFiniteGradient(str(e), row) from None
-                    eta_t, alpha_t = rates[:, :1], rates[:, 1:]
-                    # no domain check: a corrupted accumulator that pushes alpha_t
-                    # above one keeps running and is recorded as an invariant event
-                    beta_t = 1.0 - alpha_t
-                    k = (1.0 - alpha_t) / alpha_t
-                    alpha_log = alpha_t
-                else:
-                    eta_t = apply_schedule(sch, t, T, base_eta, rownorm(s.w)[:, None] if scale_by_norm else None)
-                    beta_t = 0.0 if t == 1 else beta  # first momentum is the first sample
-                    alpha_t = 1.0 - beta_t
-                    k = beta_t / (1.0 - beta_t) if transport else 0.0
-                    alpha_log = 1.0 - beta
-                s_next, x, g = transport_step(s, sample, eta_t, k, beta_t, alpha_t, move)
-                if tuners:
-                    sq_diff = paired_sq_diff(g, samples[1])
-            except NonFiniteGradient as e:
-                if e.row:  # raises the error of an earlier seed that diverges later
-                    run(replace(cfg, seeds=seeds[:e.row]))
-                raise Diverged(f"seed {seeds[e.row]} diverged at step {t}: {e}", t) from None
-            if tuners:
-                for tuner, sq in zip(tuners, sq_diff.tolist()):
-                    tuner.accumulate(t, sq)
-            log["eta"][t - 1, :, None] = eta_t  # a scalar or an (S, 1) column
-            log["alpha"][t - 1, :, None] = alpha_log
-            log["m_norm"][t - 1] = s_next.m_norm
-            no_move[t - 1] = s_next.no_move
-            ws.append(s_next.w)
-            ms.append(s_next.m)
-            if x is not s.w:
-                xs.append(x)
-            if len(ms) == block or t == T:
-                f_w = _make_log(pb, log, t - len(ms), ws, xs, ms, max_disp, f_w)
-                ws, xs, ms = [s_next.w], [], []
-            s = s_next
+                    for tuner, sq in zip(tuners, sq_diff.tolist()):
+                        tuner.accumulate(t, sq)
+                log["eta"][t - 1, :, None] = eta_t  # a scalar or an (S, 1) column
+                log["alpha"][t - 1, :, None] = alpha_log
+                log["m_norm"][t - 1] = s_next.m_norm
+                no_move[t - 1] = s_next.no_move
+                ws.append(s_next.w)
+                ms.append(s_next.m)
+                if x is not s.w:
+                    xs.append(x)
+                s = s_next
+            f_w = _make_log(pb, log, t0, ws, xs, ms, max_disp, f_w)
 
     # one contiguous column per seed, so per-seed reductions see the same
     # memory layout as a run of that seed alone

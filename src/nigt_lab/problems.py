@@ -19,7 +19,8 @@ counter-based, so a block holds exactly the numbers that one draw per
 sample would have produced.
 
 The ``make_*`` constructors validate their arguments and derive the
-constants; :data:`PROBLEM_KINDS` maps each kind name to its constructor,
+constants, and every problem refuses a NaN or out-of-domain constant when
+it is created or overridden; :data:`PROBLEM_KINDS` maps each kind name to its constructor,
 whose parameter names are the experiment-file keys of that kind.
 :func:`certify_constants` re-measures L, rho, and sigma empirically and
 fails loudly if any declared value is contradicted.
@@ -64,6 +65,19 @@ class StochasticProblem:
     g_bound: float
     R: float
     M: float
+
+    def __post_init__(self):
+        # one domain rule per declared constant, each false for NaN
+        for name, ok, rule in (
+            ("L", 0.0 <= self.L < math.inf, "finite and >= 0"),
+            ("rho", 0.0 <= self.rho < math.inf, "finite and >= 0"),
+            ("sigma", 0.0 <= self.sigma < math.inf, "finite and >= 0"),
+            ("g_bound", 0.0 < self.g_bound <= math.inf, "in (0, +inf]"),
+            ("R", -math.inf < self.R < math.inf, "finite"),
+            ("M", 0.0 < self.M <= math.inf, "in (0, +inf]"),
+        ):
+            if not ok:
+                raise InvalidInput(f"{name} must be {rule}, got {getattr(self, name)}")
 
     @property
     def problem_id(self) -> str:
@@ -248,10 +262,8 @@ def make_noisy_quadratic(dim: int, eigs, sigma: float = 0.0, w1=None) -> NoisyQu
     eigs = np.asarray(eigs, dtype=np.float64)
     if eigs.ndim != 1 or eigs.size != dim:
         raise DimensionMismatch(f"expected {dim} eigenvalues, got shape {eigs.shape}")
-    if np.any(eigs <= 0.0):
-        raise InvalidSpectrum(f"eigenvalues must be positive, got {list(eigs)}")
-    if sigma < 0.0:
-        raise InvalidInput(f"sigma must be >= 0, got {sigma}")
+    if not np.all((0.0 < eigs) & (eigs < math.inf)):
+        raise InvalidSpectrum(f"eigenvalues must be positive and finite, got {eigs.tolist()}")
     w1 = np.ones(dim) if w1 is None else as_vector(w1)
     if w1.size != dim:
         raise DimensionMismatch(f"w1 has dim {w1.size}, expected {dim}")
@@ -282,10 +294,8 @@ def make_trig_bowl(dim: int, a: float, b: float, sigma: float = 0.0, w1=None) ->
     is finite. This is the workhorse for step-size rules that need every
     constant finite.
     """
-    if a <= 0.0 or b <= 0.0:
-        raise InvalidInput(f"a and b must be positive, got a={a}, b={b}")
-    if sigma < 0.0:
-        raise InvalidInput(f"sigma must be >= 0, got {sigma}")
+    if not (0.0 < a < math.inf and 0.0 < b < math.inf):
+        raise InvalidInput(f"a and b must be positive and finite, got a={a}, b={b}")
     if dim < 1:
         raise InvalidInput(f"dimension must be >= 1, got {dim}")
     w1 = np.full(dim, 2.0 / b) if w1 is None else as_vector(w1)
@@ -311,10 +321,10 @@ def make_streaming_least_squares(
     cov_eigs = np.asarray(cov_eigs, dtype=np.float64)
     if cov_eigs.ndim != 1 or cov_eigs.size != dim:
         raise DimensionMismatch(f"expected {dim} covariance eigenvalues, got shape {cov_eigs.shape}")
-    if np.any(cov_eigs <= 0.0):
-        raise InvalidSpectrum(f"covariance eigenvalues must be positive, got {list(cov_eigs)}")
-    if label_noise < 0.0:
-        raise InvalidInput(f"label_noise must be >= 0, got {label_noise}")
+    if not np.all((0.0 < cov_eigs) & (cov_eigs < math.inf)):
+        raise InvalidSpectrum(f"covariance eigenvalues must be positive and finite, got {cov_eigs.tolist()}")
+    if not (0.0 <= label_noise < math.inf):
+        raise InvalidInput(f"label_noise must be finite and >= 0, got {label_noise}")
     w1 = np.ones(dim) if w1 is None else as_vector(w1)
     w_star = np.zeros(dim) if w_star is None else as_vector(w_star)
     if w1.size != dim or w_star.size != dim:

@@ -189,6 +189,47 @@ class TestOverridesAndJobs:
         assert not out.exists()
 
 
+# problem sections of three kinds; each probe sets one key to a NaN or inf
+TRIG_KEYS = {"kind": "trig_bowl", "dim": "2", "a": "1.0", "b": "1.0", "sigma": "0.5"}
+LS_KEYS = {"kind": "streaming_least_squares", "dim": "2", "cov_eigs": "1.0,2.0", "label_noise": "0.5"}
+QUAD_KEYS = {"kind": "noisy_quadratic", "dim": "2", "eigs": "1.0,2.0", "sigma": "0.5"}
+RUN_KEYS = "optimizer.id = nigt\noptimizer.eta = 0.01\nrun.T = 10\nrun.n_seeds = 2\n"
+
+# (command, problem section, key, value, what stderr names)
+NONFINITE_PROBES = [
+    ("run", TRIG_KEYS, "sigma", "nan", "sigma must be finite and >= 0, got nan"),
+    ("certify", TRIG_KEYS, "sigma", "nan", "sigma must be finite and >= 0, got nan"),
+    ("run", TRIG_KEYS, "L", "nan", "L must be finite and >= 0, got nan"),
+    ("certify", TRIG_KEYS, "L", "nan", "L must be finite and >= 0, got nan"),
+    ("certify", TRIG_KEYS, "R", "nan", "R must be finite, got nan"),
+    ("certify", TRIG_KEYS, "rho", "inf", "rho must be finite and >= 0, got inf"),
+    ("run", TRIG_KEYS, "g_bound", "nan", "g_bound must be in (0, +inf], got nan"),
+    ("run", TRIG_KEYS, "M", "nan", "M must be in (0, +inf], got nan"),
+    ("run", LS_KEYS, "label_noise", "nan", "label_noise must be finite and >= 0, got nan"),
+    ("run", TRIG_KEYS, "a", "inf", "a and b must be positive and finite, got a=inf, b=1.0"),
+    ("run", TRIG_KEYS, "a", "nan", "a and b must be positive and finite, got a=nan, b=1.0"),
+    ("run", QUAD_KEYS, "eigs", "1.0,nan", "eigenvalues must be positive and finite, got [1.0, nan]"),
+    ("run", QUAD_KEYS, "eigs", "1.0,inf", "eigenvalues must be positive and finite, got [1.0, inf]"),
+]
+
+
+class TestNonFiniteValues:
+    """A NaN or inf parameter or constant is a config error: once a NaN
+    constant passed certification (every ``x > nan`` is False), a NaN sigma
+    crashed the uniform draw, and NaN or inf parameters ran to a NaN
+    objective or to a divergence at step 1."""
+
+    @pytest.mark.parametrize("command, keys, key, value, message", NONFINITE_PROBES,
+                             ids=[f"{p[0]}-{p[2]}={p[3]}" for p in NONFINITE_PROBES])
+    def test_exits_one_naming_the_value(self, tmp_path, capsys, command, keys, key, value, message):
+        problem = "".join(f"problem.{k} = {v}\n" for k, v in {**keys, key: value}.items())
+        cfg = write(tmp_path / "p.cfg", problem + (RUN_KEYS if command == "run" else ""))
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"config error: invalid problem section: {message}\n"
+        assert not out.exists()
+
+
 # one small experiment per subcommand that takes --master-seed
 SEEDED = {
     "run": BASE_RUN.replace("problem.sigma = 0.0", "problem.sigma = 0.5").replace("run.seeds = 1", "run.n_seeds = 2"),

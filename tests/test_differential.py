@@ -1,16 +1,19 @@
-"""Differential tests of the transport step and of certification against
-frozen copies of their earlier per-call forms.
+"""Differential tests of the transport step, of certification and of the
+runner's oracle noise against frozen copies of their earlier forms.
 
 The step takes the row norms of the momentum once and reads them three
 times (the move, the non-finite-sample check, the logged ``m_norm``);
-certification computes its L and rho ratios for all pairs at once. The
-``ref_*`` functions below are the code they replaced, kept verbatim as the
-reference: every state byte, every exception (type, row and text) and
-every certification report must match it.
+certification computes its L and rho ratios for all pairs at once; the
+runner draws each block's noise when the block starts, where a tape once
+drew it ahead on a cadence of its own. The ``ref_*`` code below is the
+code they replaced, kept verbatim as the reference: every state byte,
+every exception (type, row and text), every certification report and
+every noise row a step reads must match it.
 """
 
 import json
 import math
+import sys
 import warnings
 from dataclasses import asdict
 
@@ -19,6 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nigt_lab import harness
 from nigt_lab.cli import main
 from nigt_lab.core import NORM_FLOOR, InvariantEvent, RngStream, normalize, rowdot, rownorm
 from nigt_lab.errors import CertificationFailure, InvalidInput, NonFiniteGradient
@@ -33,6 +37,7 @@ from nigt_lab.optimizers import (
 )
 from nigt_lab.problems import (
     CertReport,
+    StochasticProblem,
     certify_constants,
     fd_slack,
     fd_step,
@@ -46,6 +51,40 @@ from nigt_lab.problems import (
 from nigt_lab.reports import json_dumps
 
 # -- the reference: the per-call forms, verbatim --------------------------------
+
+BLOCK_BYTES = 256 * 1024  # read by ref_NoiseTape; the tests set it with the runner's
+
+
+class ref_NoiseTape:
+    """Oracle randomness of the given streams of every seed, drawn ahead in
+    blocks.
+
+    Each block holds the next rows of every stream, at most
+    :data:`BLOCK_BYTES` per stream, so memory stays bounded whatever
+    the horizon. The streams are counter-based, so a block holds exactly
+    the numbers one draw per step would have produced.
+    """
+
+    def __init__(self, problem: StochasticProblem, seeds, stream_ids, T: int):
+        self.problem = problem
+        self.streams = [[RngStream(seed, sid) for seed in seeds] for sid in stream_ids]
+        self.left = T
+        row_bytes = 8 * problem.noise_width
+        rows = min(T, max(1, BLOCK_BYTES // row_bytes)) if row_bytes else T
+        self.block = np.empty((rows, len(stream_ids), len(seeds), problem.noise_width))  # refilled in place
+        self.size = self.pos = 0
+
+    def next(self) -> np.ndarray:
+        """The noise of the next step, ``(streams, seeds, noise_width)``."""
+        if self.pos == self.size:
+            self.size = min(len(self.block), self.left)
+            for j, streams in enumerate(self.streams):
+                for i, rng in enumerate(streams):
+                    self.block[:self.size, j, i] = self.problem.sample_noise(rng, self.size)
+            self.left -= self.size
+            self.pos = 0
+        self.pos += 1
+        return self.block[self.pos - 1]
 
 
 def ref_normalize(v, floor: float = 0.0):
@@ -433,3 +472,41 @@ class TestCertification:
         text = json_dumps(asdict(ref))
         assert (out / "certify.json").read_text() == text == capsys.readouterr().out
         assert json.loads(text)["passed"] is True
+
+
+# noise widths d, 1, d + 1, d and 0; the self-tuning method needs a finite g_bound
+NOISE_PROBLEMS = {
+    "noisy_quadratic": with_constants(make_noisy_quadratic(3, [1.0, 2.0, 4.0], 0.5), g_bound=50.0),
+    "sign_noise": make_sign_noise(0.25),
+    "streaming_least_squares": with_constants(make_streaming_least_squares(3, [1.0, 0.5, 2.0], 0.3),
+                                              g_bound=50.0),
+    "trig_bowl": make_trig_bowl(4, 1.0, 2.0, 0.5),
+    "trig_bowl_noise_free": make_trig_bowl(2, 1.0, 1.0, 0.0),
+}
+
+
+class TestBlockNoise:
+    # 1 byte makes every block one step; 256 KiB holds every T here in one
+    @pytest.mark.parametrize("block_bytes", [1, 200, 2000, 256 * 1024])
+    @pytest.mark.parametrize("S, T", [(1, 1), (2, 9), (3, 40)])
+    @pytest.mark.parametrize("opt, stream_ids", [("nsgdm", (0,)), ("nigt_adaptive", (0, 1))])
+    @pytest.mark.parametrize("kind", NOISE_PROBLEMS)
+    def test_each_step_reads_the_noise_the_tape_gave(self, monkeypatch, kind, opt, stream_ids, S, T, block_bytes):
+        pb = NOISE_PROBLEMS[kind]
+        seeds = tuple(range(5, 5 + S))
+        monkeypatch.setattr(harness, "BLOCK_BYTES", block_bytes)
+        monkeypatch.setattr(sys.modules[__name__], "BLOCK_BYTES", block_bytes)
+        read = []
+        noisy_grad = type(pb).noisy_grad
+
+        def spy(self, w, noise):  # the runner samples once per step
+            read.append(noise.copy())
+            return noisy_grad(self, w, noise)
+
+        monkeypatch.setattr(type(pb), "noisy_grad", spy)
+        harness.run(harness.RunConfig(problem=pb, optimizer_id=opt, T=T, seeds=seeds, eta=0.05))
+        tape = ref_NoiseTape(pb, seeds, stream_ids, T)
+        assert len(read) == T
+        for z in read:
+            ref = tape.next()
+            assert (z.shape, z.dtype, z.tobytes()) == (ref.shape, ref.dtype, ref.tobytes())

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -13,6 +14,7 @@ from nigt_lab.errors import (
     NonConstantHessian,
 )
 from nigt_lab.harness import (
+    BLOCK_BYTES,
     DEFAULT_ETA_GRID,
     RunConfig,
     bound_acceptance,
@@ -27,6 +29,7 @@ from nigt_lab.problems import (
     certify_constants,
     make_noisy_quadratic,
     make_sign_noise,
+    make_streaming_least_squares,
     make_trig_bowl,
     with_constants,
 )
@@ -431,17 +434,37 @@ class TestLogBlocks:
         # a block holds w, x and m of each step: 3 float64 (S, d) arrays
         monkeypatch.setattr("nigt_lab.harness.BLOCK_BYTES", steps * 3 * 8 * len(cfg.seeds) * cfg.problem.dim)
 
+    @classmethod
+    def _check_block_sizes(cls, monkeypatch, pb, steps, opt, record_exact):
+        cfg = RunConfig(problem=pb, optimizer_id=opt, T=20, seeds=(1, 2, 3), eta=0.05, beta=0.9,
+                        record_exact=record_exact)
+        default = run(cfg)
+        cls._block_of(monkeypatch, cfg, steps)
+        for a, b in zip(default, run(cfg), strict=True):
+            assert _records_equal(a, b)
+            assert np.array_equal(a.final_w, b.final_w)
+
     @pytest.mark.parametrize("record_exact", [True, False])
     @pytest.mark.parametrize("opt", ["nigt", "nsgdm", "nigt_adaptive"])
     @pytest.mark.parametrize("steps", [1, 3, 7])
     def test_block_size_does_not_change_the_records(self, monkeypatch, steps, opt, record_exact):
-        cfg = RunConfig(problem=TRIG, optimizer_id=opt, T=20, seeds=(1, 2, 3), eta=0.05, beta=0.9,
-                        record_exact=record_exact)
-        default = run(cfg)
-        self._block_of(monkeypatch, cfg, steps)
-        for a, b in zip(default, run(cfg), strict=True):
-            assert _records_equal(a, b)
-            assert np.array_equal(a.final_w, b.final_w)
+        self._check_block_sizes(monkeypatch, TRIG, steps, opt, record_exact)
+
+    # noise widths 1, d + 1 and 0 (TRIG's is d); the self-tuning method needs a finite g_bound
+    OTHER_WIDTHS = {
+        "sign_noise": make_sign_noise(0.3),
+        "streaming_least_squares": with_constants(make_streaming_least_squares(3, [1.0, 0.5, 2.0], 0.3),
+                                                  g_bound=50.0),
+        "trig_bowl_noise_free": make_trig_bowl(3, 1.0, 1.0, 0.0),
+    }
+
+    @pytest.mark.parametrize("record_exact", [True, False])
+    @pytest.mark.parametrize("opt", ["nigt", "nsgdm", "nigt_adaptive"])
+    @pytest.mark.parametrize("steps", [1, 3, 7])
+    @pytest.mark.parametrize("kind", OTHER_WIDTHS)
+    def test_block_size_does_not_change_the_records_at_other_noise_widths(self, monkeypatch, kind, steps, opt,
+                                                                           record_exact):
+        self._check_block_sizes(monkeypatch, self.OTHER_WIDTHS[kind], steps, opt, record_exact)
 
     @pytest.mark.parametrize("steps", [1, 3, 7])
     def test_a_later_seed_diverging_mid_block_names_the_same_failure(self, monkeypatch, steps):
@@ -455,6 +478,21 @@ class TestLogBlocks:
             run(cfg)
         assert (str(blocked.value), blocked.value.step) == (str(default.value), default.value.step)
         assert default.value.step == 587
+
+    def test_a_run_holds_its_log_and_about_one_block(self):
+        # the reference run: besides its log, a run holds one block of steps
+        # and that block's noise, not a tape of noise per seed and stream
+        T, S = 10_000, 20
+        cfg = RunConfig(problem=TRIG, optimizer_id="nigt", T=T, seeds=tuple(range(S)), eta=0.01, beta=0.9)
+        tracemalloc.start()
+        try:
+            recs = run(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        n_cols = sum(getattr(recs[0], name) is not None for name in TrajectoryRecord.COLUMNS)
+        log_bytes = n_cols * T * S * 8  # held twice: by step, then one column per seed
+        assert (peak - 2 * log_bytes - T * S) / BLOCK_BYTES < 8  # T * S: the no_move flags
 
 
 class TestBoundAcceptanceSmoke:

@@ -283,6 +283,21 @@ class TestSharedInvariants:
         with pytest.raises(CertificationFailure):
             certify_constants(pb, n_pairs=100, rng=RngStream(11, 2))
 
+    @pytest.mark.parametrize("name, value", [
+        ("L", math.nan), ("L", math.inf), ("L", -1.0), ("rho", math.nan), ("rho", math.inf),
+        ("sigma", math.nan), ("sigma", -0.5), ("g_bound", math.nan), ("g_bound", 0.0),
+        ("g_bound", -math.inf), ("R", math.nan), ("R", math.inf), ("R", -math.inf),
+        ("M", math.nan), ("M", 0.0),
+    ])
+    def test_each_constant_refuses_a_value_outside_its_domain(self, name, value):
+        with pytest.raises(InvalidInput, match=f"^{name} must be "):
+            with_constants(make_trig_bowl(2, 1.0, 1.0, 0.5), **{name: value})
+
+    def test_domain_edges_are_accepted(self):
+        pb = with_constants(make_trig_bowl(2, 1.0, 1.0, 0.5), L=0.0, rho=0.0, g_bound=math.inf,
+                            R=-1.0, M=math.inf)
+        assert (pb.L, pb.g_bound, pb.R, pb.M) == (0.0, math.inf, -1.0, math.inf)
+
     def test_taylor_remainder_zero_at_equal_points(self):
         pb = make_trig_bowl(2, 1.0, 1.0, 0.0)
         np.testing.assert_array_equal(taylor_remainder(pb, pb.w1, pb.w1), np.zeros(2))
