@@ -165,8 +165,6 @@ class TrajectoryRecord:
     normalized one.
     """
 
-    COLUMNS = ("eta", "alpha", "m_norm", "f_val", "grad_norm", "mhat_err", "descent_residual")
-
     problem_id: str
     optimizer_id: str
     seed: int

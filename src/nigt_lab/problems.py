@@ -301,8 +301,15 @@ def make_trig_bowl(dim: int, a: float, b: float, sigma: float = 0.0, w1=None) ->
     w1 = np.full(dim, 2.0 / b) if w1 is None else as_vector(w1)
     if w1.size != dim:
         raise DimensionMismatch(f"w1 has dim {w1.size}, expected {dim}")
-    R = float(a * np.sum(1.0 - np.cos(b * w1)))
-    return TrigBowl(dim=dim, w1=w1, L=a * b * b, rho=a * b**3, sigma=float(sigma),
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite R is refused below
+        R = float(a * np.sum(1.0 - np.cos(b * w1)))
+    try:  # float ** raises where * rounds to inf
+        L, rho = a * b * b, a * b**3
+    except OverflowError:
+        L = rho = math.inf
+    if not (L < math.inf and rho < math.inf and R < math.inf):
+        raise InvalidInput(f"a b^2, a b^3 and a sum(1 - cos(b w1)) must be finite, got a={a}, b={b}")
+    return TrigBowl(dim=dim, w1=w1, L=L, rho=rho, sigma=float(sigma),
                     g_bound=a * b * math.sqrt(dim) + math.sqrt(3.0) * sigma, R=R, M=2.0 * a * dim,
                     a=float(a), b=float(b), noise_scale=float(sigma))
 
@@ -330,15 +337,23 @@ def make_streaming_least_squares(
     if w1.size != dim or w_star.size != dim:
         raise DimensionMismatch("w1 / w_star dimension mismatch")
     delta = w1 - w_star
+    try:  # float ** raises where * rounds to inf
+        noise2 = label_noise**2
+    except OverflowError:
+        noise2 = math.inf
     # E||grad sample - grad||^2 at w1 for Gaussian features:
     #   sum_i lam_i^2 delta_i^2 + (sum_i lam_i)(sum_i lam_i delta_i^2)
     #   + label_noise^2 sum_i lam_i
-    sig2 = float(
-        np.sum(cov_eigs**2 * delta**2)
-        + np.sum(cov_eigs) * np.sum(cov_eigs * delta**2)
-        + label_noise**2 * np.sum(cov_eigs)
-    )
-    R = float(0.5 * (np.sum(cov_eigs * delta * delta) + label_noise**2))
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite sum is refused below
+        sig2 = float(
+            np.sum(cov_eigs**2 * delta**2)
+            + np.sum(cov_eigs) * np.sum(cov_eigs * delta**2)
+            + noise2 * np.sum(cov_eigs)
+        )
+        R = float(0.5 * (np.sum(cov_eigs * delta * delta) + noise2))
+    if not (sig2 < math.inf and R < math.inf):
+        raise InvalidInput(f"sigma^2 and R at w1 must be finite, got cov_eigs={cov_eigs.tolist()}, "
+                           f"label_noise={label_noise}")
     return StreamingLeastSquares(dim=dim, w1=w1, L=float(np.max(cov_eigs)), rho=0.0,
                                  sigma=math.sqrt(sig2), g_bound=math.inf, R=R, M=math.inf,
                                  cov_eigs=cov_eigs, label_noise=float(label_noise), w_star=w_star)
@@ -463,20 +478,22 @@ def certify_constants(
     X, Y, sep = (np.array(c) for c in zip(*ball_pairs(rng, problem.w1, radius, n_pairs)))
     # squared one at a time: Python's pow rounds a few squares unlike sep * sep
     sep2 = np.array([s**2 for s in sep.tolist()])
-    # fmax skips a NaN ratio, as a running max() over the pairs did
-    L_hat = float(np.fmax.reduce(rownorm(problem.exact_grad(X) - problem.exact_grad(Y)) / sep, initial=0.0))
-    rho_hat = float(np.fmax.reduce(rownorm(taylor_remainder(problem, X, Y)) / sep2, initial=0.0))
+    # gradients that overflow give inf or NaN estimates, which the checks
+    # below refuse; fmax skips a NaN ratio, as a running max() over the pairs did
+    with np.errstate(over="ignore", invalid="ignore"):
+        L_hat = float(np.fmax.reduce(rownorm(problem.exact_grad(X) - problem.exact_grad(Y)) / sep, initial=0.0))
+        rho_hat = float(np.fmax.reduce(rownorm(taylor_remainder(problem, X, Y)) / sep2, initial=0.0))
 
-    # sigma: RMS oracle error, at w1 only when variance is point-dependent
-    if problem.sigma_at_w1_only:
-        points = [problem.w1]
-    else:
-        points = [problem.w1] + [ball_point(rng, problem.w1, radius) for _ in range(19)]
-    per_point = max(1, n_sigma // len(points))
-    sq_err = []
-    for pt in points:
-        e = problem.noisy_grad(pt, problem.sample_noise(rng, per_point)) - problem.exact_grad(pt)
-        sq_err.append(rowdot(e, e))
+        # sigma: RMS oracle error, at w1 only when variance is point-dependent
+        if problem.sigma_at_w1_only:
+            points = [problem.w1]
+        else:
+            points = [problem.w1] + [ball_point(rng, problem.w1, radius) for _ in range(19)]
+        per_point = max(1, n_sigma // len(points))
+        sq_err = []
+        for pt in points:
+            e = problem.noisy_grad(pt, problem.sample_noise(rng, per_point)) - problem.exact_grad(pt)
+            sq_err.append(rowdot(e, e))
     # a running sum in draw order, as one sample at a time would add them
     sq_err_sum = float(np.add.accumulate(np.concatenate(sq_err))[-1])
     n_draws = per_point * len(points)

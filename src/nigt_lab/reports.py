@@ -26,10 +26,21 @@ _CSV_FIELDS = ("f_val", "grad_norm", "eta", "alpha", "m_norm", "mhat_err", "desc
 
 
 def record_to_csv(record: TrajectoryRecord) -> str:
-    """One row per step; a column the run did not record is empty cells."""
-    cols = [getattr(record, f) for f in _CSV_FIELDS]
-    row = ",".join(["%d"] + ["" if c is None else "%.17g" for c in cols]) + "\n"
-    data = [range(1, len(record.eta) + 1)] + [c.tolist() for c in cols if c is not None]
+    """One row per step; a column the run did not record is empty cells.
+
+    A column of one bit pattern (the rate of a constant-rate run) is
+    formatted once, into the row template: no formatted float holds a "%".
+    """
+    cells, data = ["%d"], [range(1, len(record.eta) + 1)]
+    for c in (getattr(record, f) for f in _CSV_FIELDS):
+        if c is None:
+            cells.append("")
+        elif len(c) and (c.view(np.int64) == c.view(np.int64)[0]).all():
+            cells.append("%.17g" % c[0])
+        else:
+            cells.append("%.17g")
+            data.append(c.tolist())
+    row = ",".join(cells) + "\n"
     return CSV_HEADER + "\n" + "".join(map(row.__mod__, zip(*data)))
 
 
@@ -137,6 +148,11 @@ def _log10(v: np.ndarray) -> np.ndarray:
     return np.fromiter(map(math.log10, v.tolist()), np.float64, len(v))
 
 
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Equal float64 bit patterns, where ``==`` would take -0.0 for 0.0."""
+    return a.shape == b.shape and bool((a.view(np.int64) == b.view(np.int64)).all())
+
+
 def svg_line_chart(series, title: str, xlabel: str, ylabel: str,
                    xlog: bool = False, ylog: bool = False) -> str:
     """Multi-polyline chart; ``series`` is a list of (xs, ys, style) triples
@@ -211,12 +227,16 @@ def svg_line_chart(series, title: str, xlabel: str, ylabel: str,
         out.append(f'<text x="{_fmt(_ML - 8)}" y="{_fmt(Y + 3)}" font-family="monospace" '
                    f'font-size="10" text-anchor="end">{v:.4g}</text>')
 
+    # a polyline whose xs (and ys) are those of the one before reuses its
+    # x text (and its points); "%.2f" formats a float exactly as _fmt does
+    last_xs = last_ys = None
     for xs, ys, style in cleaned:
-        pts = np.empty((len(xs), 2))
-        pts[:, 0] = px(_log10(xs) if xlog else xs)
-        pts[:, 1] = py(_log10(ys) if ylog else ys)
-        # "%.2f" formats a float exactly as _fmt does
-        coords = " ".join(["%.2f,%.2f"] * len(pts)) % tuple(pts.ravel().tolist())
+        same_x = last_xs is not None and _same_bits(xs, last_xs)
+        if not (same_x and _same_bits(ys, last_ys)):
+            if not same_x:  # the x text goes into the template, the y text is left for each line
+                line = " ".join(["%.2f,%%.2f"] * len(xs)) % tuple(px(_log10(xs) if xlog else xs).tolist())
+            coords = line % tuple(py(_log10(ys) if ylog else ys).tolist())
+        last_xs, last_ys = xs, ys
         out.append(f'<polyline {style} points="{coords}"/>')
 
     out.append("</svg>")

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from nigt_lab.cli import main
-from nigt_lab.core import RngStream, TrajectoryRecord
+from nigt_lab.core import RngStream
 from nigt_lab.harness import (
     RunConfig,
     bound_acceptance,
@@ -31,13 +31,15 @@ from nigt_lab.problems import (
 from nigt_lab.reports import CSV_HEADER
 from nigt_lab.tuning import nsgdm_params
 
+from test_trajectory_digests import RECORD_COLUMNS
+
 SEEDS_20 = tuple(range(1, 21))
 T_GRID = (100, 1000, 10_000)
 
 
 def _same_columns(a, b) -> bool:
     """Every log column of two records equal (a column absent from both counts as equal)."""
-    for name in TrajectoryRecord.COLUMNS + ("no_move",):
+    for name in RECORD_COLUMNS + ("no_move",):
         ca, cb = getattr(a, name), getattr(b, name)
         if (ca is None) != (cb is None) or (ca is not None and not np.array_equal(ca, cb)):
             return False

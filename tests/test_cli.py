@@ -189,11 +189,13 @@ class TestOverridesAndJobs:
         assert not out.exists()
 
 
-# problem sections of three kinds; each probe sets one key to a NaN or inf
+# problem sections of three kinds; each probe sets one key to a NaN or inf,
+# or to a finite value whose declared constants overflow
 TRIG_KEYS = {"kind": "trig_bowl", "dim": "2", "a": "1.0", "b": "1.0", "sigma": "0.5"}
 LS_KEYS = {"kind": "streaming_least_squares", "dim": "2", "cov_eigs": "1.0,2.0", "label_noise": "0.5"}
 QUAD_KEYS = {"kind": "noisy_quadratic", "dim": "2", "eigs": "1.0,2.0", "sigma": "0.5"}
 RUN_KEYS = "optimizer.id = nigt\noptimizer.eta = 0.01\nrun.T = 10\nrun.n_seeds = 2\n"
+TRIG_OVERFLOW = "a b^2, a b^3 and a sum(1 - cos(b w1)) must be finite, got "
 
 # (command, problem section, key, value, what stderr names)
 NONFINITE_PROBES = [
@@ -210,6 +212,13 @@ NONFINITE_PROBES = [
     ("run", TRIG_KEYS, "a", "nan", "a and b must be positive and finite, got a=nan, b=1.0"),
     ("run", QUAD_KEYS, "eigs", "1.0,nan", "eigenvalues must be positive and finite, got [1.0, nan]"),
     ("run", QUAD_KEYS, "eigs", "1.0,inf", "eigenvalues must be positive and finite, got [1.0, inf]"),
+    ("run", TRIG_KEYS, "b", "1e200", TRIG_OVERFLOW + "a=1.0, b=1e+200"),
+    ("certify", TRIG_KEYS, "b", "1e200", TRIG_OVERFLOW + "a=1.0, b=1e+200"),
+    ("run", TRIG_KEYS, "a", "1e308", TRIG_OVERFLOW + "a=1e+308, b=1.0"),
+    ("run", LS_KEYS, "label_noise", "1e200",
+     "sigma^2 and R at w1 must be finite, got cov_eigs=[1.0, 2.0], label_noise=1e+200"),
+    ("run", LS_KEYS, "label_noise", "1e154",
+     "sigma^2 and R at w1 must be finite, got cov_eigs=[1.0, 2.0], label_noise=1e+154"),
 ]
 
 
@@ -217,7 +226,8 @@ class TestNonFiniteValues:
     """A NaN or inf parameter or constant is a config error: once a NaN
     constant passed certification (every ``x > nan`` is False), a NaN sigma
     crashed the uniform draw, and NaN or inf parameters ran to a NaN
-    objective or to a divergence at step 1."""
+    objective or to a divergence at step 1. So is a huge parameter whose
+    constants overflow, which once printed Python's bare overflow text."""
 
     @pytest.mark.parametrize("command, keys, key, value, message", NONFINITE_PROBES,
                              ids=[f"{p[0]}-{p[2]}={p[3]}" for p in NONFINITE_PROBES])

@@ -1,14 +1,17 @@
-"""Differential tests of the transport step, of certification and of the
-runner's oracle noise against frozen copies of their earlier forms.
+"""Differential tests of the transport step, of certification, of the
+runner's oracle noise and of the output layer against frozen copies of
+their earlier forms.
 
 The step takes the row norms of the momentum once and reads them three
 times (the move, the non-finite-sample check, the logged ``m_norm``);
 certification computes its L and rho ratios for all pairs at once; the
 runner draws each block's noise when the block starts, where a tape once
-drew it ahead on a cadence of its own. The ``ref_*`` code below is the
-code they replaced, kept verbatim as the reference: every state byte,
-every exception (type, row and text), every certification report and
-every noise row a step reads must match it.
+drew it ahead on a cadence of its own; the CSV writer formats a constant
+column once and a chart reuses the text of a repeated axis or line. The
+``ref_*`` code below is the code they replaced, kept verbatim as the
+reference: every state byte, every exception (type, row and text), every
+certification report, every noise row a step reads and every output
+string must match it.
 """
 
 import json
@@ -24,7 +27,7 @@ from hypothesis import strategies as st
 
 from nigt_lab import harness
 from nigt_lab.cli import main
-from nigt_lab.core import NORM_FLOOR, InvariantEvent, RngStream, normalize, rowdot, rownorm
+from nigt_lab.core import NORM_FLOOR, InvariantEvent, RngStream, TrajectoryRecord, normalize, rowdot, rownorm
 from nigt_lab.errors import CertificationFailure, InvalidInput, NonFiniteGradient
 from nigt_lab.optimizers import (
     _INV_REL_TOL,
@@ -48,7 +51,23 @@ from nigt_lab.problems import (
     taylor_remainder,
     with_constants,
 )
-from nigt_lab.reports import json_dumps
+from nigt_lab.reports import (
+    _CSV_FIELDS,
+    _H,
+    _MB,
+    _ML,
+    _MR,
+    _MT,
+    _W,
+    CSV_HEADER,
+    _fmt,
+    _log10,
+    _ticks_linear,
+    _ticks_log,
+    json_dumps,
+    record_to_csv,
+    svg_line_chart,
+)
 
 # -- the reference: the per-call forms, verbatim --------------------------------
 
@@ -242,6 +261,100 @@ def ref_certify_constants(problem, n_pairs=400, radius=10.0, rng=None, tol=0.05,
     if failures:
         raise CertificationFailure("; ".join(failures), report=report)
     return report
+
+
+def ref_record_to_csv(record: TrajectoryRecord) -> str:
+    """One row per step; a column the run did not record is empty cells."""
+    cols = [getattr(record, f) for f in _CSV_FIELDS]
+    row = ",".join(["%d"] + ["" if c is None else "%.17g" for c in cols]) + "\n"
+    data = [range(1, len(record.eta) + 1)] + [c.tolist() for c in cols if c is not None]
+    return CSV_HEADER + "\n" + "".join(map(row.__mod__, zip(*data)))
+
+
+def ref_svg_line_chart(series, title: str, xlabel: str, ylabel: str,
+                   xlog: bool = False, ylog: bool = False) -> str:
+    """Multi-polyline chart; ``series`` is a list of (xs, ys, style) triples
+    of float arrays.
+
+    Points with a NaN or (on log axes) non-positive coordinate are
+    dropped. Purely textual output: same input, same bytes.
+    """
+    cleaned = []
+    for xs, ys, style in series:
+        keep = ~(np.isnan(xs) | np.isnan(ys))
+        if xlog:
+            keep &= xs > 0.0
+        if ylog:
+            keep &= ys > 0.0
+        if keep.any():
+            cleaned.append((xs[keep], ys[keep], style))
+
+    # with nothing to draw: x over [1, 10], y over one decade or over [0, 1]
+    all_x = np.concatenate([xs for xs, _, _ in cleaned] or [[1.0, 10.0]])
+    all_y = np.concatenate([ys for _, ys, _ in cleaned] or [[1.0, 10.0] if ylog else [0.0, 1.0]])
+    x_lo, x_hi = float(all_x.min()), float(all_x.max())
+    y_lo, y_hi = float(all_y.min()), float(all_y.max())
+    tx = math.log10 if xlog else float
+    ty = math.log10 if ylog else float
+    ax_lo, ax_hi = tx(x_lo), tx(x_hi)
+    ay_lo, ay_hi = ty(y_lo), ty(y_hi)
+    if ax_hi == ax_lo:
+        ax_hi = ax_lo + 1.0
+    if ay_hi == ay_lo:
+        ay_hi = ay_lo + 1.0
+    pad_y = 0.05 * (ay_hi - ay_lo)
+    ay_lo -= pad_y
+    ay_hi += pad_y
+
+    # pixels of axis values (logarithms on a log axis), of floats or arrays
+    px = lambda a: _ML + (a - ax_lo) / (ax_hi - ax_lo) * (_W - _ML - _MR)
+    py = lambda a: _H - _MB - (a - ay_lo) / (ay_hi - ay_lo) * (_H - _MT - _MB)
+
+    out = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{int(_W)}" height="{int(_H)}" '
+        f'viewBox="0 0 {int(_W)} {int(_H)}">',
+        f'<rect x="0" y="0" width="{int(_W)}" height="{int(_H)}" fill="#ffffff"/>',
+        f'<rect x="{_fmt(_ML)}" y="{_fmt(_MT)}" width="{_fmt(_W - _ML - _MR)}" '
+        f'height="{_fmt(_H - _MT - _MB)}" fill="none" stroke="#444444" stroke-width="1"/>',
+        f'<text x="{_fmt(_W / 2)}" y="22" font-family="monospace" font-size="14" '
+        f'text-anchor="middle">{title}</text>',
+        f'<text x="{_fmt(_W / 2)}" y="{_fmt(_H - 10)}" font-family="monospace" font-size="12" '
+        f'text-anchor="middle">{xlabel}</text>',
+        f'<text x="16" y="{_fmt(_H / 2)}" font-family="monospace" font-size="12" '
+        f'text-anchor="middle" transform="rotate(-90 16 {_fmt(_H / 2)})">{ylabel}</text>',
+    ]
+
+    x_ticks = _ticks_log(x_lo, x_hi) if xlog else _ticks_linear(x_lo, x_hi)
+    for v in x_ticks:
+        if tx(v) < ax_lo - 1e-12 or tx(v) > ax_hi + 1e-12:
+            continue
+        X = px(tx(v))
+        out.append(f'<line x1="{_fmt(X)}" y1="{_fmt(_H - _MB)}" x2="{_fmt(X)}" '
+                   f'y2="{_fmt(_H - _MB + 5)}" stroke="#444444" stroke-width="1"/>')
+        out.append(f'<text x="{_fmt(X)}" y="{_fmt(_H - _MB + 18)}" font-family="monospace" '
+                   f'font-size="10" text-anchor="middle">{v:.4g}</text>')
+    y_lo_t = 10.0 ** ay_lo if ylog else ay_lo
+    y_hi_t = 10.0 ** ay_hi if ylog else ay_hi
+    y_ticks = _ticks_log(max(y_lo_t, 1e-300), y_hi_t) if ylog else _ticks_linear(y_lo_t, y_hi_t)
+    for v in y_ticks:
+        if ty(v) < ay_lo - 1e-12 or ty(v) > ay_hi + 1e-12:
+            continue
+        Y = py(ty(v))
+        out.append(f'<line x1="{_fmt(_ML - 5)}" y1="{_fmt(Y)}" x2="{_fmt(_ML)}" '
+                   f'y2="{_fmt(Y)}" stroke="#444444" stroke-width="1"/>')
+        out.append(f'<text x="{_fmt(_ML - 8)}" y="{_fmt(Y + 3)}" font-family="monospace" '
+                   f'font-size="10" text-anchor="end">{v:.4g}</text>')
+
+    for xs, ys, style in cleaned:
+        pts = np.empty((len(xs), 2))
+        pts[:, 0] = px(_log10(xs) if xlog else xs)
+        pts[:, 1] = py(_log10(ys) if ylog else ys)
+        # "%.2f" formats a float exactly as _fmt does
+        coords = " ".join(["%.2f,%.2f"] * len(pts)) % tuple(pts.ravel().tolist())
+        out.append(f'<polyline {style} points="{coords}"/>')
+
+    out.append("</svg>")
+    return "\n".join(out) + "\n"
 
 
 # -- inputs -----------------------------------------------------------------------
@@ -474,6 +587,21 @@ class TestCertification:
         assert json.loads(text)["passed"] is True
 
 
+    def test_overflowing_gradients_fail_without_a_warning(self, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("problem.kind = trig_bowl\nproblem.dim = 2\nproblem.a = 1e300\nproblem.b = 1.0\n"
+                       "problem.sigma = 0.5\n")
+        out = tmp_path / "o"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["certify", "--config", str(cfg), "--out", str(out)]) == 2
+        with np.errstate(all="ignore"), pytest.raises(CertificationFailure) as e:
+            ref_certify_constants(make_trig_bowl(2, 1e300, 1.0, 0.5), rng=RngStream(0, 17))
+        text = json_dumps(asdict(e.value.report))
+        assert (out / "certify.json").read_text() == text
+        assert capsys.readouterr() == (text, "")
+
+
 # noise widths d, 1, d + 1, d and 0; the self-tuning method needs a finite g_bound
 NOISE_PROBLEMS = {
     "noisy_quadratic": with_constants(make_noisy_quadratic(3, [1.0, 2.0, 4.0], 0.5), g_bound=50.0),
@@ -510,3 +638,85 @@ class TestBlockNoise:
         for z in read:
             ref = tape.next()
             assert (z.shape, z.dtype, z.tobytes()) == (ref.shape, ref.dtype, ref.tobytes())
+
+
+# -- output layer ------------------------------------------------------------------
+
+# a NaN whose payload differs from the default NaN's; "%.17g" prints both as nan
+NAN_PAYLOAD = float(np.array([0x7FF8000000000001], dtype=np.uint64).view(np.float64)[0])
+CELLS = st.one_of(st.floats(), st.sampled_from([0.0, -0.0, math.nan, NAN_PAYLOAD, math.inf, -math.inf]))
+
+
+@st.composite
+def log_column(draw, T):
+    """A float64 column of T cells: one repeated value, signed zeros, or any
+    cells; sometimes a strided view, as a column of a wider log is."""
+    kind = draw(st.sampled_from(["constant", "signed_zeros", "any"]))
+    if kind == "constant":
+        cells = [draw(CELLS)] * T
+    else:
+        cells = draw(st.lists(st.sampled_from([0.0, -0.0]) if kind == "signed_zeros" else CELLS,
+                              min_size=T, max_size=T))
+    if draw(st.booleans()):
+        return np.array(cells)
+    wide = np.zeros((T, 2))
+    wide[:, 1] = cells
+    return wide[:, 1]
+
+
+@st.composite
+def records(draw):
+    T = draw(st.integers(1, 12))
+    optional = st.one_of(st.none(), log_column(T))
+    return TrajectoryRecord(
+        problem_id="p", optimizer_id="o", seed=1, eta=draw(log_column(T)), alpha=draw(log_column(T)),
+        m_norm=draw(log_column(T)), no_move=np.zeros(T, dtype=bool), f_val=draw(optional),
+        grad_norm=draw(optional), mhat_err=draw(optional), descent_residual=draw(optional))
+
+
+POINTS = st.one_of(st.floats(-1e6, 1e6), st.sampled_from([0.0, -0.0, math.nan, 1e-300, 5e-324]))
+
+
+@st.composite
+def chart_series(draw):
+    """Polylines over a shared t axis, each a copy of the line before, the
+    same xs with other ys, xs and ys of its own, or all NaN; NaN and
+    non-positive points leave lines of different lengths once dropped."""
+    n = draw(st.integers(1, 8))
+    t = np.arange(1.0, n + 1)
+    series = []
+    for _ in range(draw(st.integers(1, 5))):
+        kind = draw(st.sampled_from(["copy", "same_x", "own", "nan"] if series else ["same_x", "own", "nan"]))
+        if kind == "copy":
+            xs, ys = series[-1][0].copy(), series[-1][1].copy()
+        elif kind == "nan":
+            xs, ys = t.copy(), np.full(n, math.nan)
+        else:
+            xs = t.copy() if kind == "same_x" else np.array(draw(st.lists(POINTS, min_size=n, max_size=n)))
+            ys = np.array(draw(st.lists(POINTS, min_size=n, max_size=n)))
+        series.append((xs, ys, draw(st.sampled_from(['stroke="a"', 'stroke="b"']))))
+    return series
+
+
+def chart_outcome(chart, series, xlog, ylog):
+    """The chart, or the type and text of what drawing it raises."""
+    try:
+        return chart(series, "title", "t", "y", xlog=xlog, ylog=ylog)
+    except (ValueError, OverflowError) as e:
+        return type(e).__name__, str(e)
+
+
+class TestOutputLayer:
+    """A constant column goes into the CSV row template, and a polyline
+    reuses the text of the one before: the bytes must be the old ones."""
+
+    @settings(deadline=None, derandomize=True, database=None, max_examples=500)
+    @given(records())
+    def test_csv_matches_the_per_cell_csv(self, rec):
+        assert record_to_csv(rec) == ref_record_to_csv(rec)
+
+    @settings(deadline=None, derandomize=True, database=None, max_examples=400)
+    @given(chart_series(), st.booleans(), st.booleans())
+    def test_chart_matches_the_per_line_chart(self, series, xlog, ylog):
+        new, ref = (chart_outcome(chart, series, xlog, ylog) for chart in (svg_line_chart, ref_svg_line_chart))
+        assert new == ref

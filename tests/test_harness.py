@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from nigt_lab.core import RngStream, TrajectoryRecord, gaussian_noise
+from nigt_lab.core import RngStream, gaussian_noise
 from nigt_lab.errors import (
     Diverged,
     InsufficientGrid,
@@ -34,11 +34,13 @@ from nigt_lab.problems import (
     with_constants,
 )
 
+from test_trajectory_digests import RECORD_COLUMNS
+
 TRIG = make_trig_bowl(4, 1.0, 1.0, 0.5)
 
 
 def _records_equal(a, b):
-    for name in TrajectoryRecord.COLUMNS + ("no_move",):
+    for name in RECORD_COLUMNS + ("no_move",):
         ca, cb = getattr(a, name), getattr(b, name)
         if (ca is None) != (cb is None) or (ca is not None and not np.array_equal(ca, cb)):
             return False
@@ -490,7 +492,7 @@ class TestLogBlocks:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        n_cols = sum(getattr(recs[0], name) is not None for name in TrajectoryRecord.COLUMNS)
+        n_cols = sum(getattr(recs[0], name) is not None for name in RECORD_COLUMNS)
         log_bytes = n_cols * T * S * 8  # held twice: by step, then one column per seed
         assert (peak - 2 * log_bytes - T * S) / BLOCK_BYTES < 8  # T * S: the no_move flags
 
@@ -515,7 +517,7 @@ class TestBoundAcceptanceSmoke:
     def test_records_pass_structural_validation(self):
         cfg = RunConfig(problem=TRIG, optimizer_id="nigt_adaptive", T=30, seeds=(1, 2))
         for rec in run(cfg):
-            assert all(len(getattr(rec, c)) == 30 for c in TrajectoryRecord.COLUMNS if c != "descent_residual")
+            assert all(len(getattr(rec, c)) == 30 for c in RECORD_COLUMNS if c != "descent_residual")
             assert np.all(rec.eta >= 0.0) and np.all(rec.grad_norm >= 0.0)
 
     def test_rejects_point_certified_sigma(self):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from nigt_lab.core import NORM_FLOOR, RngStream, TrajectoryRecord
+from nigt_lab.core import NORM_FLOOR, RngStream
 from nigt_lab.errors import (
     InvalidGBound,
     InvalidInput,
@@ -33,6 +33,8 @@ from nigt_lab.problems import (
     make_trig_bowl,
     taylor_remainder,
 )
+
+from test_trajectory_digests import RECORD_COLUMNS
 
 QUAD_11 = make_noisy_quadratic(2, [1.0, 1.0], 0.0, w1=[1.0, 0.0])
 
@@ -477,7 +479,7 @@ class TestBetaZeroDegeneracy:
             a, b = (run(RunConfig(problem=pb, optimizer_id=o, T=T, seeds=tuple(seeds), eta=eta, beta=0.0))
                     for o in (a_id, b_id))
             for ra, rb in zip(a, b):
-                for name in TrajectoryRecord.COLUMNS + ("no_move", "final_w"):
+                for name in RECORD_COLUMNS + ("no_move", "final_w"):
                     ca, cb = getattr(ra, name), getattr(rb, name)
                     assert (ca is None and cb is None) or ca.tobytes() == cb.tobytes(), (a_id, name)
                 assert ra.max_displacement == rb.max_displacement

@@ -25,7 +25,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nigt_lab.core import TrajectoryRecord
 from nigt_lab.harness import RunConfig, run
 from nigt_lab.optimizers import LayerPartition, Schedule
 from nigt_lab.problems import (
@@ -57,6 +56,9 @@ SCHEDULES = {
 }
 
 OPTIMIZERS = ("sgd", "heavy_ball", "nsgdm", "nigt", "nigt_adaptive", "nigt_layerwise")
+
+# the float64 log columns of a TrajectoryRecord, in the order the digests hash them
+RECORD_COLUMNS = ("eta", "alpha", "m_norm", "f_val", "grad_norm", "mhat_err", "descent_residual")
 
 # the self-tuning method sets its own rates, so it runs the constant schedule only
 CASES = [
@@ -92,7 +94,7 @@ def _f64(h, x) -> None:
 
 def record_digest(rec) -> str:
     h = hashlib.sha256()
-    cols = [getattr(rec, name) for name in TrajectoryRecord.COLUMNS]
+    cols = [getattr(rec, name) for name in RECORD_COLUMNS]
     for i in range(len(rec.eta)):
         h.update(struct.pack("<q?", i + 1, bool(rec.no_move[i])))
         for col in cols:
@@ -141,7 +143,7 @@ def records_identical(a, b) -> bool:
         return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
 
     return (
-        all(same(getattr(a, name), getattr(b, name)) for name in TrajectoryRecord.COLUMNS + ("no_move", "final_w"))
+        all(same(getattr(a, name), getattr(b, name)) for name in RECORD_COLUMNS + ("no_move", "final_w"))
         and a.invariant_violations == b.invariant_violations
         and a.max_displacement == b.max_displacement
     )
