@@ -271,15 +271,32 @@ def master_seed(exp: ExperimentFile, override: int | None = None) -> int:
     return override if override is not None else exp.run.get("master_seed", 0)
 
 
+# size limits, checked before a run builds its seeds or allocates its log:
+# the seed count, and the log cells (steps times seeds) of its longest run
+MAX_SEEDS = 10**5
+MAX_LOG_CELLS = 10**8
+
+
 def resolve_seeds(exp: ExperimentFile, n_seeds_override: int | None = None,
                   master_seed_override: int | None = None) -> tuple[int, ...]:
     rn = exp.run
-    if "seeds" in rn and n_seeds_override is None and master_seed_override is None:
-        return tuple(rn["seeds"])
-    master = master_seed(exp, master_seed_override)
-    n = n_seeds_override if n_seeds_override is not None else rn.get("n_seeds", 1)
+    listed = "seeds" in rn and n_seeds_override is None and master_seed_override is None
+    if listed:
+        key, n = "run.seeds", len(rn["seeds"])
+    elif n_seeds_override is not None:
+        key, n = "--seeds", n_seeds_override
+    else:
+        key, n = "run.n_seeds", rn.get("n_seeds", 1)
     if n < 1:
         raise ConfigError(f"n_seeds must be >= 1, got {n}")
+    if n > MAX_SEEDS:
+        raise ConfigError(f"{key} asks for {n} seeds, above the limit of {MAX_SEEDS}")
+    T_key, T = ("run.T", rn["T"]) if "T" in rn else ("max(run.T_grid)", max(rn.get("T_grid", [0])))
+    if T * n > MAX_LOG_CELLS:
+        raise ConfigError(f"{T_key} = {T} over {n} seeds is {T * n} log cells, above the limit of {MAX_LOG_CELLS}")
+    if listed:
+        return tuple(rn["seeds"])
+    master = master_seed(exp, master_seed_override)
     return tuple(master + i for i in range(n))
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidInput
+from .errors import InvalidInput
 
 # Norm floor used by optimizer steps. The update direction m / ||m|| is left
 # undefined at m = 0; a hard floor keeps behavior deterministic and guards
@@ -29,7 +29,7 @@ def as_vector(x) -> np.ndarray:
     if v.ndim == 0:
         v = v.reshape(1)
     if v.ndim != 1:
-        raise DimensionMismatch(f"expected a 1-D vector, got shape {v.shape}")
+        raise InvalidInput(f"expected a 1-D vector, got shape {v.shape}")
     return v
 
 
@@ -183,7 +183,5 @@ class TrajectoryRecord:
     def avg_grad_norm(self) -> float:
         """Time average of the exact gradient norm over the trajectory."""
         if self.grad_norm is None:
-            from .errors import MissingExactOracle
-
-            raise MissingExactOracle("run was recorded without exact gradient norms")
+            raise InvalidInput("run was recorded without exact gradient norms")
         return float(np.mean(self.grad_norm))

@@ -5,8 +5,9 @@ class NigtLabError(Exception):
     """Base class for all package errors."""
 
 
-class DimensionMismatch(NigtLabError):
-    """Vector operands have incompatible shapes."""
+class InvalidInput(NigtLabError):
+    """An argument outside its documented domain: a value, shape, layer
+    partition, problem or record that the operation does not accept."""
 
 
 class NonFiniteGradient(NigtLabError):
@@ -25,38 +26,6 @@ class Diverged(NigtLabError):
     def __init__(self, message, step):
         super().__init__(message)
         self.step = step
-
-
-class InvalidSpectrum(NigtLabError):
-    """Eigenvalue list is empty, mismatched, or contains non-positive entries."""
-
-
-class InvalidProbability(NigtLabError):
-    """Flip probability outside (0, 1/2)."""
-
-
-class InvalidGBound(NigtLabError):
-    """Gradient-norm bound must be finite and positive."""
-
-
-class PartitionMismatch(NigtLabError):
-    """Layer ranges do not tile the coordinate index set."""
-
-
-class InvalidInput(NigtLabError):
-    """Scalar argument outside its documented domain."""
-
-
-class NonConstantHessian(NigtLabError):
-    """Operation requires a problem with identically zero curvature drift."""
-
-
-class MissingExactOracle(NigtLabError):
-    """Trajectory lacks the exact-value logs this check needs."""
-
-
-class InsufficientGrid(NigtLabError):
-    """Not enough grid points (or span) for a meaningful fit."""
 
 
 class CertificationFailure(NigtLabError):

@@ -16,14 +16,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .core import RngStream, TrajectoryRecord, rownorm
-from .errors import (
-    Diverged,
-    InsufficientGrid,
-    InvalidInput,
-    MissingExactOracle,
-    NonConstantHessian,
-    NonFiniteGradient,
-)
+from .errors import Diverged, InvalidInput, NonFiniteGradient
 from .optimizers import (
     LayerPartition,
     Schedule,
@@ -244,6 +237,10 @@ def run(cfg: RunConfig) -> list[TrajectoryRecord]:
 
 # -- gradient-transport moment check -----------------------------------------
 
+# step size of the moment check's moves; on a constant Hessian the moments
+# do not depend on it
+IGT_CHECK_ETA = 0.01
+
 
 @dataclass(frozen=True)
 class MomentCheckpoint:
@@ -264,26 +261,21 @@ class MomentReport:
     passed: bool
 
 
-def igt_moment_check(
-    problem: StochasticProblem,
-    checkpoints,
-    n_runs: int,
-    seed: int,
-    eta: float = 0.01,
-) -> MomentReport:
+def igt_moment_check(problem: StochasticProblem, checkpoints, n_runs: int, seed: int) -> MomentReport:
     """Verify that the transported momentum is unbiased with variance sigma^2/k.
 
     Runs ``n_runs`` independent trajectories of the transport step indexed
     by sample count: step k queries the extrapolated point with k_t = k-1,
     weighs the fresh sample by alpha_t = 1/k (beta_t = (k-1)/k) and takes
-    the normalized move. The samples come from the problem's own oracle.
-    On a constant-Hessian problem the estimator after k samples is exactly
-    unbiased for the gradient at the current iterate with total variance
-    sigma^2 / k; each checkpoint asserts both moments against the declared
-    sigma, so a sigma that misstates the oracle's noise fails the check.
+    the normalized move of length :data:`IGT_CHECK_ETA`. The samples come
+    from the problem's own oracle. On a constant-Hessian problem the
+    estimator after k samples is exactly unbiased for the gradient at the
+    current iterate with total variance sigma^2 / k; each checkpoint asserts
+    both moments against the declared sigma, so a sigma that misstates the
+    oracle's noise fails the check.
     """
     if problem.rho != 0.0:
-        raise NonConstantHessian(
+        raise InvalidInput(
             f"moment identity requires a constant Hessian; {problem.problem_id} declares rho={problem.rho}"
         )
     if n_runs < 1000:
@@ -299,7 +291,7 @@ def igt_moment_check(
     out = []
     for k in range(1, ks[-1] + 1):
         noise = problem.sample_noise(rng, n_runs)
-        s_next, _, _ = transport_step(s, lambda x: problem.noisy_grad(x, noise), eta,
+        s_next, _, _ = transport_step(s, lambda x: problem.noisy_grad(x, noise), IGT_CHECK_ETA,
                                       k - 1.0, (k - 1.0) / k, 1.0 / k, normalized_move)
         if k in ks:
             E = s_next.m - problem.exact_grad(s.w)
@@ -345,7 +337,7 @@ def descent_check(problem: StochasticProblem, record: TrajectoryRecord) -> Desce
     """
     res = record.descent_residual
     if res is None:
-        raise MissingExactOracle(
+        raise InvalidInput(
             f"descent audit needs exact logging on a normalized-update run ({record.optimizer_id} lacks it)"
         )
     rhs = _descent_bound(record.eta, record.grad_norm, record.mhat_err, problem.L)
@@ -438,13 +430,13 @@ def rate_diagnostic(points) -> float:
     attached. Needs at least three horizons spanning two decades.
     """
     if len(points) < 3:
-        raise InsufficientGrid(f"need >= 3 horizons, got {len(points)}")
+        raise InvalidInput(f"need >= 3 horizons, got {len(points)}")
     Ts = np.array([p[0] for p in points], dtype=float)
     vals = np.array([p[1] for p in points], dtype=float)
     if Ts.max() / Ts.min() < 100.0:
-        raise InsufficientGrid("horizon grid must span at least two decades")
+        raise InvalidInput("horizon grid must span at least two decades")
     if np.any(vals <= 0.0):
-        raise InsufficientGrid("gradient-norm averages must be positive for a log-log fit")
+        raise InvalidInput("gradient-norm averages must be positive for a log-log fit")
     slope = np.polyfit(np.log(Ts), np.log(vals), 1)[0]
     return float(slope)
 

@@ -44,12 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import NORM_FLOOR, InvariantEvent, normalize, pow_sevenths, rowdot, rownorm
-from .errors import (
-    InvalidGBound,
-    InvalidInput,
-    NonFiniteGradient,
-    PartitionMismatch,
-)
+from .errors import InvalidInput, NonFiniteGradient
 
 # Floor applied when a learning rate is scaled by a weight norm, so layers
 # that start at zero still move.
@@ -192,15 +187,15 @@ class SelfTuning:
 
     def __init__(self, g_bound: float):
         if not (0.0 < g_bound < 1e150):  # C and D overflow past 1e150
-            raise InvalidGBound(f"g_bound must be positive and below 1e150, got {g_bound}")
+            raise InvalidInput(f"g_bound must be positive and below 1e150, got {g_bound}")
         self.g_bound = g_bound
         self.C = math.sqrt(7.0 / (26.0 * pow_sevenths(g_bound, 6)))
         self.D = self.C ** (-14.0 / 3.0)
         self.G = 3.0 * g_bound**2 + self.D  # G_t, feeding eta_t of the upcoming step
         # eta_t divides by (G_t^2 (t+1)^3)^{1/7}, which needs G_1^2 in the normal floats
         if not (sys.float_info.min <= self.G * self.G < math.inf):
-            raise InvalidGBound(f"g_bound = {g_bound} is out of range for the self-tuning rates: "
-                                f"G_1^2 = {self.G * self.G} is not a positive normal float")
+            raise InvalidInput(f"g_bound = {g_bound} is out of range for the self-tuning rates: "
+                               f"G_1^2 = {self.G * self.G} is not a positive normal float")
         self.G_prev = self.D  # G_{t-1}, feeding alpha_t
         self.eta_prev = self.C / pow_sevenths(self.D, 2)  # eta of the latest step
         self.delta = math.nan  # accumulator increment of the latest step
@@ -308,27 +303,25 @@ class LayerPartition:
 
     def __post_init__(self):
         if len(self.ranges) != len(self.lr_scale):
-            raise PartitionMismatch(
-                f"{len(self.ranges)} ranges but {len(self.lr_scale)} scale factors"
-            )
+            raise InvalidInput(f"{len(self.ranges)} ranges but {len(self.lr_scale)} scale factors")
         if not self.ranges:
-            raise PartitionMismatch("partition must contain at least one range")
+            raise InvalidInput("partition must contain at least one range")
         for lo, hi in self.ranges:
             if not (0 <= lo < hi):
-                raise PartitionMismatch(f"bad range ({lo}, {hi})")
+                raise InvalidInput(f"bad range ({lo}, {hi})")
         for sc in self.lr_scale:
             if sc <= 0.0:
-                raise PartitionMismatch(f"lr scale must be positive, got {sc}")
+                raise InvalidInput(f"lr scale must be positive, got {sc}")
 
     def validate_cover(self, dim: int) -> None:
         covered = sorted(self.ranges)
         pos = 0
         for lo, hi in covered:
             if lo != pos:
-                raise PartitionMismatch(f"ranges leave a gap or overlap at index {pos}")
+                raise InvalidInput(f"ranges leave a gap or overlap at index {pos}")
             pos = hi
         if pos != dim:
-            raise PartitionMismatch(f"ranges cover [0, {pos}) but dim is {dim}")
+            raise InvalidInput(f"ranges cover [0, {pos}) but dim is {dim}")
 
 
 def full_partition(dim: int) -> LayerPartition:

@@ -35,13 +35,7 @@ from typing import ClassVar
 import numpy as np
 
 from .core import RngStream, as_vector, gaussian_noise, rowdot, rownorm
-from .errors import (
-    CertificationFailure,
-    DimensionMismatch,
-    InvalidInput,
-    InvalidProbability,
-    InvalidSpectrum,
-)
+from .errors import CertificationFailure, InvalidInput
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,11 +111,6 @@ class StochasticProblem:
         samples at each, with a single gradient evaluation.
         """
         return self._sample(_points(w), noise)
-
-    def sample_grad(self, w, rng: RngStream) -> np.ndarray:
-        """One unbiased gradient sample at the vector ``w``: the one-row
-        case of :meth:`sample_noise` and :meth:`noisy_grad`."""
-        return self.noisy_grad(as_vector(w), self.sample_noise(rng, 1)[0])
 
 
 def _points(w) -> np.ndarray:
@@ -261,13 +250,17 @@ def make_noisy_quadratic(dim: int, eigs, sigma: float = 0.0, w1=None) -> NoisyQu
     """Quadratic bowl F(w) = (1/2) sum_i eigs_i w_i^2 with Gaussian oracle noise."""
     eigs = np.asarray(eigs, dtype=np.float64)
     if eigs.ndim != 1 or eigs.size != dim:
-        raise DimensionMismatch(f"expected {dim} eigenvalues, got shape {eigs.shape}")
+        raise InvalidInput(f"expected {dim} eigenvalues, got shape {eigs.shape}")
     if not np.all((0.0 < eigs) & (eigs < math.inf)):
-        raise InvalidSpectrum(f"eigenvalues must be positive and finite, got {eigs.tolist()}")
+        raise InvalidInput(f"eigenvalues must be positive and finite, got {eigs.tolist()}")
     w1 = np.ones(dim) if w1 is None else as_vector(w1)
     if w1.size != dim:
-        raise DimensionMismatch(f"w1 has dim {w1.size}, expected {dim}")
-    R = float(0.5 * np.sum(eigs * w1 * w1))
+        raise InvalidInput(f"w1 has dim {w1.size}, expected {dim}")
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite R is refused below
+        R = float(0.5 * np.sum(eigs * w1 * w1))
+    if not R < math.inf:
+        raise InvalidInput(f"R = sum(eigs w1^2) / 2 must be finite, got eigs={eigs.tolist()}, "
+                           f"w1={w1.tolist()}")
     return NoisyQuadratic(dim=dim, w1=w1, L=float(np.max(eigs)), rho=0.0, sigma=float(sigma),
                           g_bound=math.inf, R=R, M=math.inf, eigs=eigs, noise_scale=float(sigma))
 
@@ -280,7 +273,7 @@ def make_sign_noise(p: float) -> SignNoise:
     the critical point. F is set to the constant 1 so that R = M = 1.
     """
     if not (0.0 < p < 0.5):
-        raise InvalidProbability(f"p must lie in (0, 1/2), got {p}")
+        raise InvalidInput(f"p must lie in (0, 1/2), got {p}")
     return SignNoise(dim=1, w1=np.zeros(1), L=0.0, rho=0.0, sigma=math.sqrt(p * (1.0 - p)),
                      g_bound=max(p, 1.0 - p), R=1.0, M=1.0, p=float(p))
 
@@ -300,7 +293,7 @@ def make_trig_bowl(dim: int, a: float, b: float, sigma: float = 0.0, w1=None) ->
         raise InvalidInput(f"dimension must be >= 1, got {dim}")
     w1 = np.full(dim, 2.0 / b) if w1 is None else as_vector(w1)
     if w1.size != dim:
-        raise DimensionMismatch(f"w1 has dim {w1.size}, expected {dim}")
+        raise InvalidInput(f"w1 has dim {w1.size}, expected {dim}")
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite R is refused below
         R = float(a * np.sum(1.0 - np.cos(b * w1)))
     try:  # float ** raises where * rounds to inf
@@ -327,15 +320,15 @@ def make_streaming_least_squares(
     """
     cov_eigs = np.asarray(cov_eigs, dtype=np.float64)
     if cov_eigs.ndim != 1 or cov_eigs.size != dim:
-        raise DimensionMismatch(f"expected {dim} covariance eigenvalues, got shape {cov_eigs.shape}")
+        raise InvalidInput(f"expected {dim} covariance eigenvalues, got shape {cov_eigs.shape}")
     if not np.all((0.0 < cov_eigs) & (cov_eigs < math.inf)):
-        raise InvalidSpectrum(f"covariance eigenvalues must be positive and finite, got {cov_eigs.tolist()}")
+        raise InvalidInput(f"covariance eigenvalues must be positive and finite, got {cov_eigs.tolist()}")
     if not (0.0 <= label_noise < math.inf):
         raise InvalidInput(f"label_noise must be finite and >= 0, got {label_noise}")
     w1 = np.ones(dim) if w1 is None else as_vector(w1)
     w_star = np.zeros(dim) if w_star is None else as_vector(w_star)
     if w1.size != dim or w_star.size != dim:
-        raise DimensionMismatch("w1 / w_star dimension mismatch")
+        raise InvalidInput("w1 / w_star dimension mismatch")
     delta = w1 - w_star
     try:  # float ** raises where * rounds to inf
         noise2 = label_noise**2
@@ -370,6 +363,11 @@ PROBLEM_KINDS = {
 
 
 # -- finite differences and certification ----------------------------------
+
+# relative tolerance on each declared constant, and the number of oracle
+# samples behind sigma_hat (split evenly over its points)
+CERT_TOL = 0.05
+CERT_N_SIGMA = 20_000
 
 
 def fd_step(point_norm):
@@ -452,22 +450,17 @@ class CertReport:
     failures: tuple[str, ...]
 
 
-def certify_constants(
-    problem: StochasticProblem,
-    n_pairs: int = 400,
-    radius: float = 10.0,
-    rng: RngStream | None = None,
-    tol: float = 0.05,
-    n_sigma: int = 20_000,
-) -> CertReport:
+def certify_constants(problem: StochasticProblem, n_pairs: int = 400, radius: float = 10.0,
+                      rng: RngStream | None = None) -> CertReport:
     """Empirically validate the declared constants L, rho, and sigma.
 
     L_hat is the largest gradient-difference ratio over sampled pairs,
     rho_hat the largest Taylor-remainder ratio (finite-difference curvature),
     and sigma_hat the root mean squared oracle error. The check is one-sided
     for L and rho (declared values must not be exceeded) and two-sided for
-    sigma. Raises :class:`CertificationFailure` with the report attached if
-    any declared constant is contradicted.
+    sigma, each within the relative :data:`CERT_TOL`. Raises
+    :class:`CertificationFailure` with the report attached if any declared
+    constant is contradicted.
     """
     if n_pairs < 100:
         raise InvalidInput(f"n_pairs must be >= 100, got {n_pairs}")
@@ -489,7 +482,7 @@ def certify_constants(
             points = [problem.w1]
         else:
             points = [problem.w1] + [ball_point(rng, problem.w1, radius) for _ in range(19)]
-        per_point = max(1, n_sigma // len(points))
+        per_point = max(1, CERT_N_SIGMA // len(points))
         sq_err = []
         for pt in points:
             e = problem.noisy_grad(pt, problem.sample_noise(rng, per_point)) - problem.exact_grad(pt)
@@ -500,14 +493,13 @@ def certify_constants(
     sigma_hat = math.sqrt(sq_err_sum / n_draws)
 
     failures = []
-    if L_hat > problem.L * (1.0 + tol):
+    if L_hat > problem.L * (1.0 + CERT_TOL):
         failures.append(f"L_hat {L_hat:.6g} exceeds declared L {problem.L:.6g} * (1+tol)")
-    if rho_hat > problem.rho * (1.0 + tol) + slack:
+    if rho_hat > problem.rho * (1.0 + CERT_TOL) + slack:
         failures.append(f"rho_hat {rho_hat:.6g} exceeds declared rho {problem.rho:.6g} * (1+tol) + fd_slack")
-    if not (problem.sigma * (1.0 - tol) <= sigma_hat <= problem.sigma * (1.0 + tol)):
-        failures.append(
-            f"sigma_hat {sigma_hat:.6g} outside [{problem.sigma * (1 - tol):.6g}, {problem.sigma * (1 + tol):.6g}]"
-        )
+    lo, hi = problem.sigma * (1.0 - CERT_TOL), problem.sigma * (1.0 + CERT_TOL)
+    if not (lo <= sigma_hat <= hi):
+        failures.append(f"sigma_hat {sigma_hat:.6g} outside [{lo:.6g}, {hi:.6g}]")
 
     report = CertReport(
         problem_id=problem.problem_id,
@@ -517,7 +509,7 @@ def certify_constants(
         L_declared=problem.L,
         rho_declared=problem.rho,
         sigma_declared=problem.sigma,
-        tol=tol,
+        tol=CERT_TOL,
         fd_slack=slack,
         radius=radius,
         n_pairs=n_pairs,

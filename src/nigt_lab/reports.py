@@ -206,7 +206,8 @@ def svg_line_chart(series, title: str, xlabel: str, ylabel: str,
         f'text-anchor="middle" transform="rotate(-90 16 {_fmt(_H / 2)})">{ylabel}</text>',
     ]
 
-    x_ticks = _ticks_log(x_lo, x_hi) if xlog else _ticks_linear(x_lo, x_hi)
+    # log ticks start at 1e-300 at the lowest: 10.0**-324 would round to 0
+    x_ticks = _ticks_log(max(x_lo, 1e-300), x_hi) if xlog else _ticks_linear(x_lo, x_hi)
     for v in x_ticks:
         if tx(v) < ax_lo - 1e-12 or tx(v) > ax_hi + 1e-12:
             continue

@@ -165,9 +165,9 @@ class TestCriterion6AdaptiveInvariants:
         worst = 0.0
         for t in range(1, 10_001):
             eta, alpha = tuner.rates(t)
-            s, x, g = transport_step(s, lambda x: pb.sample_grad(x, rng), eta, (1.0 - alpha) / alpha,
-                                     1.0 - alpha, alpha, normalized_move)
-            diff = g - pb.sample_grad(x, rng2)
+            s, x, g = transport_step(s, lambda x: pb.noisy_grad(x, pb.sample_noise(rng, 1)[0]), eta,
+                                     (1.0 - alpha) / alpha, 1.0 - alpha, alpha, normalized_move)
+            diff = g - pb.noisy_grad(x, pb.sample_noise(rng2, 1)[0])
             tuner.accumulate(t, float(diff @ diff))
             assert not tuner.events
             drift = gb2 * ((t + 1) ** 0.25 - t**0.25)
@@ -235,8 +235,8 @@ class TestCriterion8MechanicalInvariants:
         for t in range(1, 501):
             prev = s.w
             beta = 0.0 if t == 1 else 0.9
-            s, _, _ = transport_step(s, lambda x: bowl.sample_grad(x, rng), eta, 0.0, beta, 1.0 - beta,
-                                     normalized_move)
+            s, _, _ = transport_step(s, lambda x: bowl.noisy_grad(x, bowl.sample_noise(rng, 1)[0]), eta, 0.0,
+                                     beta, 1.0 - beta, normalized_move)
             if not s.no_move:
                 err = abs(float(np.linalg.norm(s.w - prev)) - eta)
                 assert err <= self._len_tol(prev, eta)
@@ -245,7 +245,7 @@ class TestCriterion8MechanicalInvariants:
         # transport method
         rng = RngStream(9, 0)
         st = StepState(w=bowl.w1, w_prev=bowl.w1, m=np.zeros(4))
-        sample = lambda x: bowl.sample_grad(x, rng)
+        sample = lambda x: bowl.noisy_grad(x, bowl.sample_noise(rng, 1)[0])
         st, _, _ = transport_step(st, sample, eta, 0.0, 0.0, 1.0, normalized_move)
         prev = bowl.w1
         for _ in range(500):
@@ -263,9 +263,9 @@ class TestCriterion8MechanicalInvariants:
         for t in range(1, 501):
             prev = sa.w
             eta_t, alpha = tuner.rates(t)
-            sa, x, g = transport_step(sa, lambda x: bowl.sample_grad(x, rng), eta_t, (1.0 - alpha) / alpha,
-                                      1.0 - alpha, alpha, normalized_move)
-            diff = g - bowl.sample_grad(x, rng2)
+            sa, x, g = transport_step(sa, lambda x: bowl.noisy_grad(x, bowl.sample_noise(rng, 1)[0]), eta_t,
+                                      (1.0 - alpha) / alpha, 1.0 - alpha, alpha, normalized_move)
+            diff = g - bowl.noisy_grad(x, bowl.sample_noise(rng2, 1)[0])
             tuner.accumulate(t, float(diff @ diff))
             if not sa.no_move:
                 err = abs(float(np.linalg.norm(sa.w - prev)) - tuner.eta_prev)

@@ -6,7 +6,9 @@ from pathlib import Path
 
 import pytest
 
+from nigt_lab import cli, harness
 from nigt_lab.cli import main
+from nigt_lab.config import MAX_LOG_CELLS, MAX_SEEDS
 from nigt_lab.reports import CSV_HEADER
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -219,6 +221,8 @@ NONFINITE_PROBES = [
      "sigma^2 and R at w1 must be finite, got cov_eigs=[1.0, 2.0], label_noise=1e+200"),
     ("run", LS_KEYS, "label_noise", "1e154",
      "sigma^2 and R at w1 must be finite, got cov_eigs=[1.0, 2.0], label_noise=1e+154"),
+    ("run", {**QUAD_KEYS, "w1": "10.0,1.0"}, "eigs", "1e308,1.0",
+     "R = sum(eigs w1^2) / 2 must be finite, got eigs=[1e+308, 1.0], w1=[10.0, 1.0]"),
 ]
 
 
@@ -266,6 +270,80 @@ def test_master_seed_flag_takes_effect(tmp_path, capsys, command):
     at_five = outputs(text, "--master-seed", "5")
     assert outputs(text, "--master-seed", "0") != at_five
     assert outputs(text + "run.master_seed = 5\n") == at_five
+
+
+# one refusal per merged error type, each with the stderr and exit code it
+# had when every check raised its own exception class (the self-tuning
+# bound is pinned in TestRunCommand.test_self_tuning_bound_out_of_range)
+MERGED_CHECKS = [
+    ("run", {**QUAD_KEYS, "eigs": "1.0,2.0,3.0"}, RUN_KEYS,
+     "config error: invalid problem section: expected 2 eigenvalues, got shape (3,)\n"),
+    ("run", {**QUAD_KEYS, "eigs": "1.0,-2.0"}, RUN_KEYS,
+     "config error: invalid problem section: eigenvalues must be positive and finite, got [1.0, -2.0]\n"),
+    ("run", {"kind": "sign_noise", "p": "0.7"}, RUN_KEYS,
+     "config error: invalid problem section: p must lie in (0, 1/2), got 0.7\n"),
+    ("run", {**TRIG_KEYS, "dim": "4"}, RUN_KEYS.replace("nigt", "nigt_layerwise") + "optimizer.layers = 0,2,3\n",
+     "config error: invalid layer partition: ranges cover [0, 3) but dim is 4\n"),
+    ("run", TRIG_KEYS, RUN_KEYS.replace("nigt", "nigt_layerwise") + "optimizer.layers = 0,1,2\n"
+     "optimizer.lr_scale = 1.0,-1.0\n", "config error: invalid layer partition: lr scale must be positive, got -1.0\n"),
+    ("igt-check", {**QUAD_KEYS, "rho": "1.0"}, "igt_check.n_runs = 1000\n",
+     "error: moment identity requires a constant Hessian; noisy_quadratic(d=2,eigs=[1.0;2.0],sigma=0.5) "
+     "declares rho=1.0\n"),
+]
+
+
+@pytest.mark.parametrize("command, keys, rest, message", MERGED_CHECKS,
+                         ids=["three_eigs", "negative_eig", "sign_p", "layers", "lr_scale", "igt_rho"])
+def test_merged_checks_keep_their_stderr(tmp_path, capsys, command, keys, rest, message):
+    problem = "".join(f"problem.{k} = {v}\n" for k, v in keys.items())
+    cfg = write(tmp_path / "p.cfg", problem + rest)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == message
+    assert not out.exists()
+
+
+class TestSizeLimits:
+    """A run whose seed count or log (steps times seeds) is over its limit
+    is refused before the seeds are built; the runner is never reached."""
+
+    @pytest.fixture
+    def runner(self, monkeypatch):
+        def reached(*args, **kwargs):
+            raise AssertionError("the runner was reached")
+
+        for module in (cli, harness):
+            monkeypatch.setattr(module, "run", reached)
+
+    SEEDS = f"seeds, above the limit of {MAX_SEEDS}"
+    CELLS = f"log cells, above the limit of {MAX_LOG_CELLS}"
+
+    @pytest.mark.parametrize("command, rest, flags, message", [
+        ("run", f"run.T = {MAX_LOG_CELLS + 1}\nrun.n_seeds = 1\n", [],
+         f"run.T = {MAX_LOG_CELLS + 1} over 1 seeds is {MAX_LOG_CELLS + 1} {CELLS}"),
+        ("run", f"run.T = 1\nrun.n_seeds = {MAX_SEEDS + 1}\n", [], f"run.n_seeds asks for {MAX_SEEDS + 1} {SEEDS}"),
+        ("sweep", "run.T = 1\n", ["--seeds", str(MAX_SEEDS + 1)], f"--seeds asks for {MAX_SEEDS + 1} {SEEDS}"),
+        ("sweep", f"run.T = {MAX_LOG_CELLS // 2}\nrun.seeds = 1,2,3\n", [],
+         f"run.T = {MAX_LOG_CELLS // 2} over 3 seeds is {MAX_LOG_CELLS // 2 * 3} {CELLS}"),
+        ("bounds", f"run.T_grid = 10,{MAX_LOG_CELLS // 2 + 1}\nrun.n_seeds = 2\n", [],
+         f"max(run.T_grid) = {MAX_LOG_CELLS // 2 + 1} over 2 seeds is {MAX_LOG_CELLS + 2} {CELLS}"),
+    ], ids=["run_T", "run_n_seeds", "seeds_flag", "seed_list", "bounds_T_grid"])
+    def test_one_above_the_limit_exits_one(self, tmp_path, capsys, runner, command, rest, flags, message):
+        problem = "".join(f"problem.{k} = {v}\n" for k, v in TRIG_KEYS.items())
+        opt = "optimizer.id = nsgdm\n" + ("" if command == "bounds" else "optimizer.eta = 0.01\n")
+        cfg = write(tmp_path / "p.cfg", problem + opt + rest)
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out), *flags]) == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("rest", [f"run.T = {MAX_LOG_CELLS}\nrun.n_seeds = 1\n",
+                                      f"run.T = 1\nrun.n_seeds = {MAX_SEEDS}\n"], ids=["T", "n_seeds"])
+    def test_at_the_limit_runs(self, tmp_path, runner, rest):
+        problem = "".join(f"problem.{k} = {v}\n" for k, v in TRIG_KEYS.items())
+        cfg = write(tmp_path / "p.cfg", problem + "optimizer.id = nsgdm\noptimizer.eta = 0.01\n" + rest)
+        with pytest.raises(AssertionError, match="the runner was reached"):
+            main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
 
 
 class TestCertifyCommand:
@@ -404,7 +482,7 @@ class TestSweepCommand:
 
 
 class TestBoundsCommand:
-    def test_two_row_table_passes(self, tmp_path):
+    def test_two_row_table_passes(self, tmp_path, capsys):
         text = (
             "problem.kind = trig_bowl\nproblem.dim = 2\nproblem.a = 1.0\nproblem.b = 1.0\n"
             "problem.sigma = 0.3\noptimizer.id = nsgdm\nrun.T_grid = 50,100\n"
@@ -417,6 +495,9 @@ class TestBoundsCommand:
         assert rows[0] == "T,mean_avg_grad_norm,stderr,bound,passed"
         assert len(rows) == 3
         assert all(r.endswith("true") for r in rows[1:])
+        # the log-log fit needs three horizons: its refusal is recorded, not printed
+        assert capsys.readouterr().err == ""
+        assert json.loads((out / "bounds.json").read_text())["loglog_slope"] is None
 
     def test_needs_t_grid(self, tmp_path):
         text = (
@@ -503,6 +584,16 @@ class TestPlotCommand:
         (out / "seed_1.csv").rename(out / "seed_one.csv")
         assert main(["plot", str(out)]) == 1
         assert "seed_one.csv" in capsys.readouterr().err
+
+    def test_subnormal_step_axis_draws(self, tmp_path, capsys):
+        # the log x axis once took 10.0**-324 = 0 as its first tick and
+        # crashed in math.log10
+        out = tmp_path / "res"
+        out.mkdir()
+        write(out / "seed_1.csv", CSV_HEADER + "\n5e-324,1,1,0.1,0.5,1,0,0\n1,1,0.5,0.1,0.5,1,0,0\n")
+        assert main(["plot", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        assert sorted(p.name for p in out.glob("*.svg")) == ["eta.svg", "f_val.svg", "grad_norm.svg"]
 
 
 class TestGoldenFiles:

@@ -719,4 +719,9 @@ class TestOutputLayer:
     @given(chart_series(), st.booleans(), st.booleans())
     def test_chart_matches_the_per_line_chart(self, series, xlog, ylog):
         new, ref = (chart_outcome(chart, series, xlog, ylog) for chart in (svg_line_chart, ref_svg_line_chart))
-        assert new == ref
+        if xlog and ref == ("ValueError", "math domain error"):
+            # below x = 1e-323 the old first log x tick, 10.0**-324, rounded
+            # to 0; the x ticks now start at 1e-300, as the y ticks do
+            assert isinstance(new, str) and new.startswith("<svg")
+        else:
+            assert new == ref

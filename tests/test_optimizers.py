@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,12 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from nigt_lab.core import NORM_FLOOR, RngStream
-from nigt_lab.errors import (
-    InvalidGBound,
-    InvalidInput,
-    NonFiniteGradient,
-    PartitionMismatch,
-)
+from nigt_lab.errors import InvalidInput, NonFiniteGradient
 from nigt_lab.harness import RunConfig, run
 from nigt_lab.optimizers import (
     LayerPartition,
@@ -47,7 +43,7 @@ def fixed(g):
 
 def oracle(pb, rng):
     """The problem's sampling oracle on one stream."""
-    return lambda x: pb.sample_grad(x, rng)
+    return lambda x: pb.noisy_grad(x, pb.sample_noise(rng, 1)[0])
 
 
 def start(w1, m=None) -> StepState:
@@ -66,7 +62,7 @@ def self_tuning_step(s, tuner, t, pb, rng, rng_paired):
     returns the new state and the step's alpha."""
     eta, alpha = tuner.rates(t)
     out, x, g = transport_step(s, oracle(pb, rng), eta, (1.0 - alpha) / alpha, 1.0 - alpha, alpha, normalized_move)
-    diff = g - pb.sample_grad(x, rng_paired)
+    diff = g - pb.noisy_grad(x, pb.sample_noise(rng_paired, 1)[0])
     tuner.accumulate(t, float(diff @ diff))
     return out, alpha
 
@@ -260,8 +256,13 @@ class TestAdaptive:
 
     def test_invalid_g_bound(self):
         # past about 1e-77 and 2e76, G_1^2 = (3 g^2 + D)^2 is not a positive normal float
-        for bad in (0.0, -1.0, math.inf, math.nan, 1e-300, 1e-100, 1e-80, 1e80, 1e300):
-            with pytest.raises(InvalidGBound):
+        for bad in (0.0, -1.0, math.inf, math.nan, 1e300):
+            with pytest.raises(InvalidInput, match=re.escape(f"g_bound must be positive and below 1e150, "
+                                                             f"got {bad}")):
+                SelfTuning(bad)
+        for bad in (1e-300, 1e-100, 1e-80, 1e80):
+            with pytest.raises(InvalidInput, match=re.escape(f"g_bound = {bad} is out of range for the self-tuning "
+                                                             "rates: G_1^2 = ")):
                 SelfTuning(bad)
 
     def test_rate_overflow_raises(self):
@@ -366,7 +367,7 @@ class TestMomentumHull:
     def test_sign_noise_momentum_stays_in_sample_hull(self):
         pb = make_sign_noise(0.25)
         rng = RngStream(31)
-        m = pb.sample_grad(pb.w1, rng)
+        m = pb.noisy_grad(pb.w1, pb.sample_noise(rng, 1)[0])
         s = StepState(w=pb.w1, w_prev=pb.w1, m=m)
         for _ in range(2000):
             s, _, _ = transport_step(s, oracle(pb, rng), 0.01, 0.0, 0.9, 1.0 - 0.9, normalized_move)
@@ -418,11 +419,11 @@ class TestSchedules:
 
 class TestLayerwise:
     def test_partition_validation(self):
-        with pytest.raises(PartitionMismatch):
+        with pytest.raises(InvalidInput, match=r"^ranges leave a gap or overlap at index 2$"):
             LayerPartition(ranges=((0, 2), (3, 4)), lr_scale=(1.0, 1.0)).validate_cover(4)
-        with pytest.raises(PartitionMismatch):
+        with pytest.raises(InvalidInput, match=r"^ranges cover \[0, 2\) but dim is 4$"):
             LayerPartition(ranges=((0, 2),), lr_scale=(1.0,)).validate_cover(4)
-        with pytest.raises(PartitionMismatch):
+        with pytest.raises(InvalidInput, match=r"^2 ranges but 1 scale factors$"):
             LayerPartition(ranges=((0, 2), (2, 4)), lr_scale=(1.0,))
         LayerPartition(ranges=((0, 2), (2, 4)), lr_scale=(1.0, 2.0)).validate_cover(4)
 
@@ -494,7 +495,7 @@ class TestBetaZeroDegeneracy:
         w_ref = [pb.w1]
         w = pb.w1
         for _ in range(T):
-            g = pb.sample_grad(w, rng)
+            g = pb.noisy_grad(w, pb.sample_noise(rng, 1)[0])
             w = w - eta * (g / np.linalg.norm(g))
             w_ref.append(w)
 

@@ -1,16 +1,11 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from nigt_lab.core import RngStream
-from nigt_lab.errors import (
-    CertificationFailure,
-    DimensionMismatch,
-    InvalidInput,
-    InvalidProbability,
-    InvalidSpectrum,
-)
+from nigt_lab.errors import CertificationFailure, InvalidInput
 from nigt_lab.problems import (
     certify_constants,
     fd_slack,
@@ -72,7 +67,7 @@ class TestNoisyQuadratic:
         pb = make_noisy_quadratic(1, [1.0], 0.0)
         rng = RngStream(0)
         w = np.array([3.0])
-        np.testing.assert_array_equal(pb.sample_grad(w, rng), pb.exact_grad(w))
+        np.testing.assert_array_equal(pb.noisy_grad(w, pb.sample_noise(rng, 1)[0]), pb.exact_grad(w))
 
     def test_certified_constants_by_fd_sweep(self):
         # independent oracle: value-based FD Hessian at random points
@@ -101,13 +96,13 @@ class TestNoisyQuadratic:
         pb = make_noisy_quadratic(2, [1.0, 4.0], 1.0)
         rng = RngStream(21)
         w = np.zeros(2)
-        sq = [float(np.sum(pb.sample_grad(w, rng) ** 2)) for _ in range(100_000)]
+        sq = [float(np.sum(pb.noisy_grad(w, pb.sample_noise(rng, 1)[0]) ** 2)) for _ in range(100_000)]
         assert abs(np.mean(sq) - 1.0) <= 0.05
 
     def test_validation(self):
-        with pytest.raises(InvalidSpectrum):
+        with pytest.raises(InvalidInput, match=r"^eigenvalues must be positive and finite, got \[1\.0, -1\.0\]$"):
             make_noisy_quadratic(2, [1.0, -1.0], 0.0)
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(InvalidInput, match=r"^expected 3 eigenvalues, got shape \(2,\)$"):
             make_noisy_quadratic(3, [1.0, 2.0], 0.0)
 
 
@@ -123,7 +118,7 @@ class TestSignNoise:
     def test_oracle_law(self):
         pb = make_sign_noise(0.25)
         rng = RngStream(17)
-        draws = np.array([pb.sample_grad(pb.w1, rng)[0] for _ in range(100_000)])
+        draws = np.array([pb.noisy_grad(pb.w1, pb.sample_noise(rng, 1)[0])[0] for _ in range(100_000)])
         values = set(np.unique(draws))
         assert values == {0.25, -0.75}
         # unbiased: CLT radius 3 sqrt(sigma^2 / n)
@@ -133,7 +128,7 @@ class TestSignNoise:
 
     def test_validation(self):
         for bad in (0.0, 0.5, 0.75, -0.1):
-            with pytest.raises(InvalidProbability):
+            with pytest.raises(InvalidInput, match=re.escape(f"p must lie in (0, 1/2), got {bad}")):
                 make_sign_noise(bad)
 
 
@@ -176,7 +171,7 @@ class TestTrigBowl:
         w = pb.w1
         g_exact = pb.exact_grad(w)
         errs = np.array(
-            [np.linalg.norm(pb.sample_grad(w, rng) - g_exact) for _ in range(20_000)]
+            [np.linalg.norm(pb.noisy_grad(w, pb.sample_noise(rng, 1)[0]) - g_exact) for _ in range(20_000)]
         )
         assert errs.max() <= math.sqrt(3.0) * 0.5 + 1e-12  # a.s. bound
         assert np.mean(errs**2) == pytest.approx(0.25, rel=0.05)  # E||zeta||^2 = sigma^2
@@ -188,7 +183,7 @@ class TestTrigBowl:
         rnd = np.random.default_rng(0)
         for _ in range(5000):
             w = rnd.uniform(-10, 10, size=4)
-            worst = max(worst, float(np.linalg.norm(pb.sample_grad(w, rng))))
+            worst = max(worst, float(np.linalg.norm(pb.noisy_grad(w, pb.sample_noise(rng, 1)[0]))))
         assert worst <= pb.g_bound + 1e-12
 
 
@@ -198,7 +193,7 @@ class TestStreamingLeastSquares:
         rng = RngStream(4)
         np.testing.assert_array_equal(pb.exact_grad(pb.w_star), [0.0, 0.0])
         for _ in range(50):
-            np.testing.assert_allclose(pb.sample_grad(pb.w_star, rng), 0.0, atol=1e-16)
+            np.testing.assert_allclose(pb.noisy_grad(pb.w_star, pb.sample_noise(rng, 1)[0]), 0.0, atol=1e-16)
 
     def test_one_dim_gradient(self):
         pb = make_streaming_least_squares(1, [1.0], 0.0, w1=[1.0], w_star=[0.0])
@@ -221,7 +216,7 @@ class TestStreamingLeastSquares:
         rng = RngStream(13)
         g_exact = pb.exact_grad(pb.w1)
         sq = [
-            float(np.sum((pb.sample_grad(pb.w1, rng) - g_exact) ** 2))
+            float(np.sum((pb.noisy_grad(pb.w1, pb.sample_noise(rng, 1)[0]) - g_exact) ** 2))
             for _ in range(40_000)
         ]
         assert math.sqrt(np.mean(sq)) == pytest.approx(pb.sigma, rel=0.05)
@@ -248,7 +243,7 @@ class TestSharedInvariants:
         w = pb.w1 if pb.sigma_at_w1_only else pb.w1 + 0.3
         g_exact = pb.exact_grad(w)
         n = 10_000
-        errs = np.array([pb.sample_grad(w, rng) - g_exact for _ in range(n)])
+        errs = np.array([pb.noisy_grad(w, pb.sample_noise(rng, 1)[0]) - g_exact for _ in range(n)])
         mean = errs.mean(axis=0)
         se = errs.std(axis=0, ddof=1) / math.sqrt(n)
         assert np.all(np.abs(mean) <= 4.0 * np.maximum(se, 1e-300))
