@@ -1,5 +1,8 @@
 """Batch front door: parse an experiment file, dispatch, emit results.
 
+The certify, igt_check and sweep sections pass straight through to the
+function that reads them: their keys and defaults are its parameters.
+
 Exit codes: 0 success, 1 usage or configuration error, 2 a check failed
 (bound exceeded, invariant violated, certification contradicted, run
 diverged).
@@ -8,7 +11,6 @@ diverged).
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from dataclasses import asdict
 
@@ -22,7 +24,6 @@ from .config import (
 )
 from .errors import CertificationFailure, ConfigError, Diverged, NigtLabError, NoResults
 from .harness import (
-    DEFAULT_ETA_GRID,
     bound_acceptance,
     grid_sweep,
     igt_moment_check,
@@ -31,7 +32,7 @@ from .harness import (
 )
 from .problems import NoisyQuadratic, certify_constants
 from .core import RngStream
-from .reports import json_dumps, plot_results_dir, rows_to_csv, write_run_outputs, write_text_atomic
+from .reports import json_dumps, plot_results_dir, write_report, write_run_outputs
 from .tuning import bound_check
 
 EXIT_OK = 0
@@ -50,9 +51,7 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def cmd_run(args) -> int:
-    exp = load_experiment(args.config)
-    out_dir, formats = output_settings(exp, args.out)
+def cmd_run(exp, args, out_dir, formats) -> int:
     cfg, bound = build_run_config(exp, args.seeds, args.master_seed)
     records = run(cfg)
 
@@ -77,60 +76,40 @@ def cmd_run(args) -> int:
     return EXIT_OK if passed else EXIT_CHECK_FAILED
 
 
-def cmd_certify(args) -> int:
-    exp = load_experiment(args.config)
-    out_dir, _ = output_settings(exp, args.out)
+def cmd_certify(exp, args, out_dir, formats) -> int:
     problem = build_problem(exp)
-    n_pairs = exp.certify.get("n_pairs", 400)
-    radius = exp.certify.get("radius", 10.0)
-    failed = False
     try:
-        report = certify_constants(problem, n_pairs=n_pairs, radius=radius,
-                                   rng=RngStream(master_seed(exp, args.master_seed), 17))
+        report, code = certify_constants(problem, rng=RngStream(master_seed(exp, args.master_seed), 17),
+                                         **exp.certify), EXIT_OK
     except CertificationFailure as e:
-        report = e.report
-        failed = True
-    text = json_dumps(asdict(report))
-    sys.stdout.write(text)
-    write_text_atomic(os.path.join(out_dir, "certify.json"), text)
-    return EXIT_CHECK_FAILED if failed else EXIT_OK
+        report, code = e.report, EXIT_CHECK_FAILED
+    payload = asdict(report)
+    sys.stdout.write(json_dumps(payload))
+    write_report(out_dir, "certify", payload)
+    return code
 
 
-def cmd_igt_check(args) -> int:
-    exp = load_experiment(args.config)
-    out_dir, _ = output_settings(exp, args.out)
+def cmd_igt_check(exp, args, out_dir, formats) -> int:
     problem = build_problem(exp)
     if not isinstance(problem, NoisyQuadratic):
         raise ConfigError(f"igt-check needs a {NoisyQuadratic.kind} problem (constant Hessian)")
-    checkpoints = exp.igt_check.get("checkpoints", [1, 10, 100])
-    n_runs = exp.igt_check.get("n_runs", 10_000)
-    report = igt_moment_check(problem, checkpoints, n_runs, master_seed(exp, args.master_seed))
-    write_text_atomic(os.path.join(out_dir, "igt_check.json"), json_dumps(asdict(report)))
+    report = igt_moment_check(problem, seed=master_seed(exp, args.master_seed), **exp.igt_check)
     rows = [[c.k, c.bias_norm, c.variance, c.target_variance, c.bias_limit, c.n_runs, c.passed]
             for c in report.checkpoints]
-    write_text_atomic(
-        os.path.join(out_dir, "igt_check.csv"),
-        rows_to_csv("k,bias_norm,variance,target_variance,bias_limit,n_runs,passed", rows),
-    )
+    write_report(out_dir, "igt_check", asdict(report),
+                 "k,bias_norm,variance,target_variance,bias_limit,n_runs,passed", rows)
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED
 
 
-def cmd_sweep(args) -> int:
-    exp = load_experiment(args.config)
-    out_dir, _ = output_settings(exp, args.out)
+def cmd_sweep(exp, args, out_dir, formats) -> int:
     cfg, _ = build_run_config(exp, args.seeds, args.master_seed, require_eta=False)
-    grid = exp.sweep.get("eta_grid", list(DEFAULT_ETA_GRID))
-    report = grid_sweep(cfg, grid)
-    write_text_atomic(os.path.join(out_dir, "sweep.json"), json_dumps(asdict(report)))
-    rows = [[r.eta0, r.final_grad_norm] for r in report.rows]
-    write_text_atomic(os.path.join(out_dir, "sweep.csv"),
-                      rows_to_csv("eta0,final_grad_norm", rows))
+    report = grid_sweep(cfg, **exp.sweep)
+    write_report(out_dir, "sweep", asdict(report), "eta0,final_grad_norm",
+                 [[r.eta0, r.final_grad_norm] for r in report.rows])
     return EXIT_OK
 
 
-def cmd_bounds(args) -> int:
-    exp = load_experiment(args.config)
-    out_dir, _ = output_settings(exp, args.out)
+def cmd_bounds(exp, args, out_dir, formats) -> int:
     problem, opt_id, T_grid, seeds = bounds_settings(exp, args.seeds, args.master_seed)
     try:
         report = bound_acceptance(problem, opt_id, T_grid, seeds)
@@ -143,15 +122,8 @@ def cmd_bounds(args) -> int:
         payload["loglog_slope"] = rate_diagnostic([row[:2] for row in rows])
     except NigtLabError:
         payload["loglog_slope"] = None
-    write_text_atomic(os.path.join(out_dir, "bounds.json"), json_dumps(payload))
-    write_text_atomic(os.path.join(out_dir, "bounds.csv"),
-                      rows_to_csv("T,mean_avg_grad_norm,stderr,bound,passed", rows))
+    write_report(out_dir, "bounds", payload, "T,mean_avg_grad_norm,stderr,bound,passed", rows)
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED
-
-
-def cmd_plot(args) -> int:
-    plot_results_dir(args.results_dir, args.out)
-    return EXIT_OK
 
 
 def build_parser() -> _Parser:
@@ -178,7 +150,6 @@ def build_parser() -> _Parser:
     sp = sub.add_parser("plot", help="SVG charts from a results directory")
     sp.add_argument("results_dir", help="directory containing seed_*.csv files")
     sp.add_argument("--out", default=None, help="chart output directory (default: results_dir)")
-    sp.set_defaults(func=cmd_plot)
 
     return p
 
@@ -187,7 +158,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        if args.command == "plot":
+            plot_results_dir(args.results_dir, args.out)
+            return EXIT_OK
+        exp = load_experiment(args.config)
+        return args.func(exp, args, *output_settings(exp, args.out))
     except _UsageError as e:
         sys.stderr.write(f"usage error: {e}\n")
         return EXIT_USAGE

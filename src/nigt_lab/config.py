@@ -24,6 +24,7 @@ from __future__ import annotations
 import inspect
 from dataclasses import dataclass, field
 
+from .core import MAX_LOG_CELLS, MAX_SEEDS
 from .errors import ConfigError, InvalidInput
 from .harness import OPTIMIZER_IDS, RunConfig
 from .optimizers import LayerPartition, Schedule
@@ -231,6 +232,8 @@ def build_problem(exp: ExperimentFile):
     for name, param in params.items():
         if param.default is param.empty:
             _require(pr, name, "problem")
+    if pr.get("dim", 1) > MAX_LOG_CELLS:
+        raise ConfigError(f"problem.dim = {pr['dim']} is above the limit of {MAX_LOG_CELLS}")
     overrides = {k: pr[k] for k in sorted(_OVERRIDE_KEYS) if k in pr}
     try:
         problem = make(**{name: pr[name] for name in params if name in pr})
@@ -271,14 +274,12 @@ def master_seed(exp: ExperimentFile, override: int | None = None) -> int:
     return override if override is not None else exp.run.get("master_seed", 0)
 
 
-# size limits, checked before a run builds its seeds or allocates its log:
-# the seed count, and the log cells (steps times seeds) of its longest run
-MAX_SEEDS = 10**5
-MAX_LOG_CELLS = 10**8
-
-
 def resolve_seeds(exp: ExperimentFile, n_seeds_override: int | None = None,
-                  master_seed_override: int | None = None) -> tuple[int, ...]:
+                  master_seed_override: int | None = None, dim: int = 1) -> tuple[int, ...]:
+    """The seeds of a run, checked before they are built: at most
+    :data:`MAX_SEEDS` of them, and at most :data:`MAX_LOG_CELLS` log cells
+    (steps of its longest run times seeds) and state cells (seeds times the
+    problem's ``dim``)."""
     rn = exp.run
     listed = "seeds" in rn and n_seeds_override is None and master_seed_override is None
     if listed:
@@ -294,6 +295,9 @@ def resolve_seeds(exp: ExperimentFile, n_seeds_override: int | None = None,
     T_key, T = ("run.T", rn["T"]) if "T" in rn else ("max(run.T_grid)", max(rn.get("T_grid", [0])))
     if T * n > MAX_LOG_CELLS:
         raise ConfigError(f"{T_key} = {T} over {n} seeds is {T * n} log cells, above the limit of {MAX_LOG_CELLS}")
+    if n * dim > MAX_LOG_CELLS:
+        raise ConfigError(f"{key} asks for {n} seeds of problem.dim = {dim}, {n * dim} state cells, "
+                          f"above the limit of {MAX_LOG_CELLS}")
     if listed:
         return tuple(rn["seeds"])
     master = master_seed(exp, master_seed_override)
@@ -341,7 +345,7 @@ def build_run_config(exp: ExperimentFile, n_seeds_override: int | None = None,
     if opt_id not in OPTIMIZER_IDS:
         raise ConfigError(f"unknown optimizer id {opt_id!r}; known: {OPTIMIZER_IDS}")
     T = _require(exp.run, "T", "run")
-    seeds = resolve_seeds(exp, n_seeds_override, master_seed_override)
+    seeds = resolve_seeds(exp, n_seeds_override, master_seed_override, problem.dim)
     schedule = build_schedule(exp)
     eta, beta, bound = resolve_rate(exp, opt_id, problem, T, require_eta)
     # a key that the method or its schedule never reads is refused, not ignored
@@ -383,7 +387,7 @@ def bounds_settings(exp: ExperimentFile, n_seeds_override: int | None = None,
     for section, read in (("optimizer", {"id"}), ("schedule", set()),
                           ("run", {"T_grid", "seeds", "n_seeds", "master_seed"})):
         _refuse_stray(exp.section(section), read, f"bounds (section {section!r})")
-    seeds = resolve_seeds(exp, n_seeds_override, master_seed_override)
+    seeds = resolve_seeds(exp, n_seeds_override, master_seed_override, problem.dim)
     return problem, exp.optimizer.get("id"), exp.run["T_grid"], seeds
 
 

@@ -22,6 +22,12 @@ from .errors import InvalidInput
 # against overflow on subnormal norms.
 NORM_FLOOR = 1e-300
 
+# Size limits on what an input may ask for, checked before anything is
+# allocated or drawn: a count (of seeds, runs or pairs), and the cells (a
+# count times a length: steps, dimension or sample count) it sizes.
+MAX_SEEDS = 10**5
+MAX_LOG_CELLS = 10**8
+
 
 def as_vector(x) -> np.ndarray:
     """Coerce ``x`` to a 1-D float64 array."""

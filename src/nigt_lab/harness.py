@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import RngStream, TrajectoryRecord, rownorm
+from .core import MAX_LOG_CELLS, MAX_SEEDS, RngStream, TrajectoryRecord, rownorm
 from .errors import Diverged, InvalidInput, NonFiniteGradient
 from .optimizers import (
     LayerPartition,
@@ -261,7 +261,8 @@ class MomentReport:
     passed: bool
 
 
-def igt_moment_check(problem: StochasticProblem, checkpoints, n_runs: int, seed: int) -> MomentReport:
+def igt_moment_check(problem: StochasticProblem, checkpoints=(1, 10, 100), n_runs: int = 10_000, *,
+                     seed: int) -> MomentReport:
     """Verify that the transported momentum is unbiased with variance sigma^2/k.
 
     Runs ``n_runs`` independent trajectories of the transport step indexed
@@ -280,9 +281,16 @@ def igt_moment_check(problem: StochasticProblem, checkpoints, n_runs: int, seed:
         )
     if n_runs < 1000:
         raise InvalidInput(f"n_runs must be >= 1000 for a meaningful check, got {n_runs}")
+    if n_runs > MAX_SEEDS:
+        raise InvalidInput(f"n_runs = {n_runs} is above the limit of {MAX_SEEDS}")
     ks = sorted(set(int(k) for k in checkpoints))
     if not ks or ks[0] < 1:
         raise InvalidInput(f"checkpoints must be positive sample counts, got {checkpoints}")
+    # the state is n_runs rows of dim cells, and the samples n_runs per step
+    for name, size in (("dim", problem.dim), ("max(checkpoints)", ks[-1])):
+        if n_runs * size > MAX_LOG_CELLS:
+            raise InvalidInput(f"n_runs = {n_runs} times {name} = {size} is {n_runs * size} cells, "
+                               f"above the limit of {MAX_LOG_CELLS}")
 
     sigma = problem.sigma
     rng = RngStream(seed, 0)
@@ -457,7 +465,7 @@ class SweepReport:
     best_eta0: float | None  # None when every rate diverged
 
 
-def grid_sweep(base: RunConfig, eta0_grid=None) -> SweepReport:
+def grid_sweep(base: RunConfig, eta_grid=DEFAULT_ETA_GRID) -> SweepReport:
     """Run each base rate and rank by the final exact gradient norm,
     averaged over seeds (an over-large rate keeps oscillating and ends far
     from critical). Ties break toward the smaller rate. A rate at which a
@@ -469,9 +477,9 @@ def grid_sweep(base: RunConfig, eta0_grid=None) -> SweepReport:
         raise InvalidInput("the self-tuning method has no base rate to sweep")
     if not base.record_exact:
         raise InvalidInput("grid sweep ranks by exact gradient norms; set record_exact")
-    grid = tuple(float(e) for e in (DEFAULT_ETA_GRID if eta0_grid is None else eta0_grid))
+    grid = tuple(float(e) for e in eta_grid)
     if not grid:
-        raise InvalidInput("eta0 grid must be non-empty")
+        raise InvalidInput("eta_grid must be non-empty")
     rows = []
     for eta0 in grid:
         try:

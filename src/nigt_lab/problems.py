@@ -29,12 +29,13 @@ fails loudly if any declared value is contradicted.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from typing import ClassVar
 
 import numpy as np
 
-from .core import RngStream, as_vector, gaussian_noise, rowdot, rownorm
+from .core import MAX_LOG_CELLS, MAX_SEEDS, RngStream, as_vector, gaussian_noise, rowdot, rownorm
 from .errors import CertificationFailure, InvalidInput
 
 
@@ -329,7 +330,6 @@ def make_streaming_least_squares(
     w_star = np.zeros(dim) if w_star is None else as_vector(w_star)
     if w1.size != dim or w_star.size != dim:
         raise InvalidInput("w1 / w_star dimension mismatch")
-    delta = w1 - w_star
     try:  # float ** raises where * rounds to inf
         noise2 = label_noise**2
     except OverflowError:
@@ -338,6 +338,7 @@ def make_streaming_least_squares(
     #   sum_i lam_i^2 delta_i^2 + (sum_i lam_i)(sum_i lam_i delta_i^2)
     #   + label_noise^2 sum_i lam_i
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite sum is refused below
+        delta = w1 - w_star
         sig2 = float(
             np.sum(cov_eigs**2 * delta**2)
             + np.sum(cov_eigs) * np.sum(cov_eigs * delta**2)
@@ -368,6 +369,10 @@ PROBLEM_KINDS = {
 # samples behind sigma_hat (split evenly over its points)
 CERT_TOL = 0.05
 CERT_N_SIGMA = 20_000
+
+# certification skips a pair closer than this fraction of the radius: its
+# ratios would be rounding noise
+MIN_SEP = 1e-6
 
 
 def fd_step(point_norm):
@@ -418,8 +423,8 @@ def ball_point(rng: RngStream, center: np.ndarray, radius: float) -> np.ndarray:
 
 def ball_pairs(rng: RngStream, center: np.ndarray, radius: float, n_pairs: int):
     """Yield ``n_pairs`` triples (x, y, ||x - y||) of ball draws, skipping
-    pairs closer than 1e-6 * radius (their ratios are rounding noise)."""
-    min_sep = 1e-6 * radius
+    pairs closer than ``MIN_SEP * radius``."""
+    min_sep = MIN_SEP * radius
     done = 0
     while done < n_pairs:
         x = ball_point(rng, center, radius)
@@ -464,6 +469,24 @@ def certify_constants(problem: StochasticProblem, n_pairs: int = 400, radius: fl
     """
     if n_pairs < 100:
         raise InvalidInput(f"n_pairs must be >= 100, got {n_pairs}")
+    if n_pairs > MAX_SEEDS:
+        raise InvalidInput(f"n_pairs = {n_pairs} is above the limit of {MAX_SEEDS}")
+    # sigma: RMS oracle error, at w1 only when variance is point-dependent
+    n_points = 1 if problem.sigma_at_w1_only else 20
+    per_point = CERT_N_SIGMA // n_points
+    # the largest arrays are the pairs and one point's noise draws
+    cells = max(n_pairs, per_point) * problem.dim
+    if cells > MAX_LOG_CELLS:
+        raise InvalidInput(f"max(n_pairs = {n_pairs}, {per_point} noise draws) times dim = {problem.dim} "
+                           f"is {cells} cells, above the limit of {MAX_LOG_CELLS}")
+    # A pair's separation lies in [MIN_SEP radius, 2 radius]. The floor and
+    # its square must be normal floats, and the floor must exceed the spacing
+    # of floats at w1, or the draws round to one point and every pair is
+    # skipped; the widest separation must square to a finite float.
+    lo = max(math.sqrt(sys.float_info.min), math.ulp(float(np.max(np.abs(problem.w1))))) / MIN_SEP
+    hi = math.sqrt(sys.float_info.max) / 2.0
+    if not lo <= radius <= hi:
+        raise InvalidInput(f"radius must lie in [{lo:.6g}, {hi:.6g}], got {radius}")
     if rng is None:
         rng = RngStream(0, 17)
     slack = fd_slack(problem, radius)
@@ -477,12 +500,7 @@ def certify_constants(problem: StochasticProblem, n_pairs: int = 400, radius: fl
         L_hat = float(np.fmax.reduce(rownorm(problem.exact_grad(X) - problem.exact_grad(Y)) / sep, initial=0.0))
         rho_hat = float(np.fmax.reduce(rownorm(taylor_remainder(problem, X, Y)) / sep2, initial=0.0))
 
-        # sigma: RMS oracle error, at w1 only when variance is point-dependent
-        if problem.sigma_at_w1_only:
-            points = [problem.w1]
-        else:
-            points = [problem.w1] + [ball_point(rng, problem.w1, radius) for _ in range(19)]
-        per_point = max(1, CERT_N_SIGMA // len(points))
+        points = [problem.w1] + [ball_point(rng, problem.w1, radius) for _ in range(n_points - 1)]
         sq_err = []
         for pt in points:
             e = problem.noisy_grad(pt, problem.sample_noise(rng, per_point)) - problem.exact_grad(pt)

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import TrajectoryRecord
-from .errors import NoResults
+from .errors import ConfigError, NoResults
 
 # Wire-format column names; the last column is fixed by the file-format
 # contract even though the in-memory field is called descent_residual.
@@ -80,19 +80,33 @@ def json_dumps(obj) -> str:
 
 
 def write_text_atomic(path, text: str) -> None:
+    """Write ``text`` to ``path`` through a temporary file in its directory.
+    A path that cannot be written is a :class:`ConfigError`."""
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     # a fresh name per call, so neither a concurrent writer nor a leftover
     # file or directory can collide with it ("x" refuses to reuse one)
     tmp = path.with_name(f"{path.name}.{os.getpid()}.{os.urandom(6).hex()}.tmp")
-    fh = open(tmp, "x", encoding="utf-8", newline="\n")
     try:
-        with fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fh = open(tmp, "x", encoding="utf-8", newline="\n")
+        try:
+            with fh:
+                fh.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
+    except OSError as e:
+        raise ConfigError(f"cannot write {path}: {e}") from None
+
+
+def write_report(out_dir, name: str, payload: dict, header: str | None = None, rows=None) -> None:
+    """A command's report: ``<name>.json`` and, given a CSV header, the
+    table ``rows`` as ``<name>.csv``."""
+    out_dir = Path(out_dir)
+    write_text_atomic(out_dir / f"{name}.json", json_dumps(payload))
+    if header is not None:
+        write_text_atomic(out_dir / f"{name}.csv", rows_to_csv(header, rows))
 
 
 def seed_csv_name(seed: int) -> str:

@@ -1,14 +1,18 @@
 import hashlib
 import json
+import math
 import re
+import sys
+import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
 
-from nigt_lab import cli, harness
+from nigt_lab import cli, harness, problems
 from nigt_lab.cli import main
 from nigt_lab.config import MAX_LOG_CELLS, MAX_SEEDS
+from nigt_lab.problems import CERT_N_SIGMA, MIN_SEP
 from nigt_lab.reports import CSV_HEADER
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -303,6 +307,54 @@ def test_merged_checks_keep_their_stderr(tmp_path, capsys, command, keys, rest, 
     assert not out.exists()
 
 
+def problem_lines(keys: dict, **changes) -> str:
+    return "".join(f"problem.{k} = {v}\n" for k, v in {**keys, **changes}.items())
+
+
+def quad_of_dim(dim: int) -> str:
+    return problem_lines(QUAD_KEYS, dim=dim, eigs=",".join(["1.0"] * dim))
+
+
+# the size probes of the other sections: (command, file, what stderr says)
+PER_POINT = CERT_N_SIGMA // 20  # sigma's noise draws at each of its 20 points
+SIZE_PROBES = [
+    ("igt-check", QUAD_KEYS, "igt_check.n_runs = 10000000000000\n",
+     f"error: n_runs = 10000000000000 is above the limit of {MAX_SEEDS}"),
+    ("igt-check", QUAD_KEYS, f"igt_check.n_runs = {MAX_SEEDS + 1}\n",
+     f"error: n_runs = {MAX_SEEDS + 1} is above the limit of {MAX_SEEDS}"),
+    ("igt-check", QUAD_KEYS, "igt_check.n_runs = 1000\nigt_check.checkpoints = 10000000000000\n",
+     f"error: n_runs = 1000 times max(checkpoints) = 10000000000000 is 10000000000000000 cells, "
+     f"above the limit of {MAX_LOG_CELLS}"),
+    ("igt-check", QUAD_KEYS, f"igt_check.n_runs = 1000\nigt_check.checkpoints = 1,{MAX_LOG_CELLS // 1000 + 1}\n",
+     f"error: n_runs = 1000 times max(checkpoints) = {MAX_LOG_CELLS // 1000 + 1} is {MAX_LOG_CELLS + 1000} cells, "
+     f"above the limit of {MAX_LOG_CELLS}"),
+    ("igt-check", None, f"{quad_of_dim(1001)}igt_check.n_runs = {MAX_SEEDS}\n",
+     f"error: n_runs = {MAX_SEEDS} times dim = 1001 is {MAX_SEEDS * 1001} cells, above the limit of {MAX_LOG_CELLS}"),
+    ("certify", QUAD_KEYS, "certify.n_pairs = 10000000000000\n",
+     f"error: n_pairs = 10000000000000 is above the limit of {MAX_SEEDS}"),
+    ("certify", QUAD_KEYS, f"certify.n_pairs = {MAX_SEEDS + 1}\n",
+     f"error: n_pairs = {MAX_SEEDS + 1} is above the limit of {MAX_SEEDS}"),
+    ("certify", None, problem_lines(TRIG_KEYS, dim=1001) + f"certify.n_pairs = {MAX_SEEDS}\n",
+     f"error: max(n_pairs = {MAX_SEEDS}, {PER_POINT} noise draws) times dim = 1001 is {MAX_SEEDS * 1001} cells, "
+     f"above the limit of {MAX_LOG_CELLS}"),
+    ("certify", None, problem_lines(TRIG_KEYS, dim=MAX_LOG_CELLS // PER_POINT + 1) + "certify.n_pairs = 100\n",
+     f"error: max(n_pairs = 100, {PER_POINT} noise draws) times dim = {MAX_LOG_CELLS // PER_POINT + 1} is "
+     f"{MAX_LOG_CELLS + PER_POINT} cells, above the limit of {MAX_LOG_CELLS}"),
+    ("run", None, problem_lines(TRIG_KEYS, dim=1000000) + "optimizer.id = nsgdm\noptimizer.eta = 0.01\n"
+     f"run.T = 1\nrun.n_seeds = {MAX_SEEDS}\n",
+     f"config error: run.n_seeds asks for {MAX_SEEDS} seeds of problem.dim = 1000000, {MAX_SEEDS * 1000000} state "
+     f"cells, above the limit of {MAX_LOG_CELLS}"),
+    ("bounds", None, problem_lines(TRIG_KEYS, dim=MAX_LOG_CELLS // MAX_SEEDS + 1) + "optimizer.id = nsgdm\n"
+     f"run.T_grid = 1\nrun.n_seeds = {MAX_SEEDS}\n",
+     f"config error: run.n_seeds asks for {MAX_SEEDS} seeds of problem.dim = {MAX_LOG_CELLS // MAX_SEEDS + 1}, "
+     f"{MAX_LOG_CELLS + MAX_SEEDS} state cells, above the limit of {MAX_LOG_CELLS}"),
+    ("run", None, problem_lines(TRIG_KEYS, dim=MAX_LOG_CELLS + 1) + RUN_KEYS,
+     f"config error: problem.dim = {MAX_LOG_CELLS + 1} is above the limit of {MAX_LOG_CELLS}"),
+    ("certify", None, problem_lines(QUAD_KEYS, dim=10**9),
+     f"config error: problem.dim = {10**9} is above the limit of {MAX_LOG_CELLS}"),
+]
+
+
 class TestSizeLimits:
     """A run whose seed count or log (steps times seeds) is over its limit
     is refused before the seeds are built; the runner is never reached."""
@@ -314,6 +366,8 @@ class TestSizeLimits:
 
         for module in (cli, harness):
             monkeypatch.setattr(module, "run", reached)
+        monkeypatch.setattr(harness, "RngStream", reached)  # igt_moment_check's first draw
+        monkeypatch.setattr(problems, "ball_pairs", reached)  # certify_constants' first draw
 
     SEEDS = f"seeds, above the limit of {MAX_SEEDS}"
     CELLS = f"log cells, above the limit of {MAX_LOG_CELLS}"
@@ -338,12 +392,118 @@ class TestSizeLimits:
         assert not out.exists()
 
     @pytest.mark.parametrize("rest", [f"run.T = {MAX_LOG_CELLS}\nrun.n_seeds = 1\n",
-                                      f"run.T = 1\nrun.n_seeds = {MAX_SEEDS}\n"], ids=["T", "n_seeds"])
+                                      f"run.T = 1\nrun.n_seeds = {MAX_SEEDS}\n",
+                                      f"run.T = 1\nrun.n_seeds = {MAX_SEEDS}\n"
+                                      f"problem.dim = {MAX_LOG_CELLS // MAX_SEEDS}\n"],
+                             ids=["T", "n_seeds", "n_seeds_times_dim"])
     def test_at_the_limit_runs(self, tmp_path, runner, rest):
-        problem = "".join(f"problem.{k} = {v}\n" for k, v in TRIG_KEYS.items())
+        problem = "".join(f"problem.{k} = {v}\n" for k, v in TRIG_KEYS.items() if f"problem.{k} " not in rest)
         cfg = write(tmp_path / "p.cfg", problem + "optimizer.id = nsgdm\noptimizer.eta = 0.01\n" + rest)
         with pytest.raises(AssertionError, match="the runner was reached"):
             main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
+
+    @pytest.mark.parametrize("command, keys, rest, message", SIZE_PROBES,
+                             ids=["n_runs_huge", "n_runs", "checkpoints_huge", "n_runs_times_checkpoint",
+                                  "n_runs_times_dim", "n_pairs_huge", "n_pairs", "n_pairs_times_dim",
+                                  "draws_times_dim", "run_seeds_times_dim", "bounds_seeds_times_dim",
+                                  "dim", "dim_huge"])
+    def test_section_one_above_the_limit_exits_one(self, tmp_path, capsys, runner, command, keys, rest, message):
+        cfg = write(tmp_path / "p.cfg", ("" if keys is None else problem_lines(keys)) + rest)
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == message + "\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, text", [
+        ("igt-check", problem_lines(QUAD_KEYS) + f"igt_check.n_runs = {MAX_SEEDS}\n"),
+        ("igt-check", problem_lines(QUAD_KEYS) + f"igt_check.n_runs = 1000\n"
+         f"igt_check.checkpoints = {MAX_LOG_CELLS // 1000}\n"),
+        ("igt-check", quad_of_dim(1000) + f"igt_check.n_runs = {MAX_SEEDS}\n"),
+        ("certify", problem_lines(QUAD_KEYS) + f"certify.n_pairs = {MAX_SEEDS}\n"),
+        ("certify", problem_lines(TRIG_KEYS, dim=1000) + f"certify.n_pairs = {MAX_SEEDS}\n"),
+        ("certify", problem_lines(TRIG_KEYS, dim=MAX_LOG_CELLS // PER_POINT) + "certify.n_pairs = 100\n"),
+        ("bounds", problem_lines(TRIG_KEYS, dim=MAX_LOG_CELLS // MAX_SEEDS) + "optimizer.id = nsgdm\n"
+         f"run.T_grid = 1\nrun.n_seeds = {MAX_SEEDS}\n"),
+    ], ids=["n_runs", "n_runs_times_checkpoint", "n_runs_times_dim", "n_pairs", "n_pairs_times_dim",
+            "draws_times_dim", "bounds_seeds_times_dim"])
+    def test_section_at_the_limit_runs(self, tmp_path, runner, command, text):
+        cfg = write(tmp_path / "p.cfg", text)
+        with pytest.raises(AssertionError, match="the runner was reached"):
+            main([command, "--config", str(cfg), "--out", str(tmp_path / "out")])
+
+    def test_dim_at_the_limit_is_built(self, tmp_path, capsys, monkeypatch):
+        def built(dim, a, b, sigma=0.0, w1=None):
+            raise AssertionError(f"built at dim {dim}")
+
+        monkeypatch.setitem(problems.PROBLEM_KINDS, "trig_bowl", built)
+        cfg = write(tmp_path / "p.cfg", problem_lines(TRIG_KEYS, dim=MAX_LOG_CELLS) + RUN_KEYS)
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"config error: invalid problem section: built at dim {MAX_LOG_CELLS}\n"
+
+
+# radii that certify nothing: the pairs coincide, a ratio is NaN, or a
+# separation or its square overflows (w1 = 2.0, so the floor is ulp(2) / 1e-6)
+RADIUS_RANGE = f"[{math.ulp(2.0) / MIN_SEP:.6g}, {math.sqrt(sys.float_info.max) / 2:.6g}]"
+
+
+class TestCertifyRadius:
+    @pytest.mark.parametrize("radius, shown", [("-10", "-10.0"), ("0", "0.0"), ("5e-324", "5e-324"),
+                                               ("nan", "nan"), ("inf", "inf"), ("1e308", "1e+308")])
+    def test_radius_outside_the_range_exits_one(self, tmp_path, capsys, radius, shown):
+        cfg = write(tmp_path / "c.cfg",
+                    problem_lines(TRIG_KEYS) + f"certify.n_pairs = 100\ncertify.radius = {radius}\n")
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["certify", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr() == ("", f"error: radius must lie in {RADIUS_RANGE}, got {shown}\n")
+        assert not out.exists()
+
+    def test_ball_that_rounds_to_w1_exits_one(self, tmp_path, capsys):
+        # every draw of a radius-10 ball around 1e20 rounds to 1e20: the
+        # pairs were skipped forever
+        cfg = write(tmp_path / "c.cfg", problem_lines(TRIG_KEYS, w1="1e20,1e20") + "certify.n_pairs = 100\n")
+        assert main(["certify", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        lo, hi = math.ulp(1e20) / MIN_SEP, math.sqrt(sys.float_info.max) / 2
+        assert capsys.readouterr().err == f"error: radius must lie in [{lo:.6g}, {hi:.6g}], got 10.0\n"
+
+    @pytest.mark.parametrize("radius", ["0.5", "10.0", "1000.0", None])
+    def test_shipped_radii_certify(self, tmp_path, capsys, radius):
+        text = problem_lines(TRIG_KEYS) + "certify.n_pairs = 100\n"
+        cfg = write(tmp_path / "c.cfg", text + ("" if radius is None else f"certify.radius = {radius}\n"))
+        assert main(["certify", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        assert json.loads(capsys.readouterr().out)["radius"] == float(radius or 10.0)
+
+
+class TestUnwritableOutput:
+    """An output directory that cannot be made or written is one config
+    error line, exit 1, not a traceback."""
+
+    def test_run_into_an_existing_file(self, tmp_path, capsys):
+        cfg = write(tmp_path / "run.cfg", BASE_RUN)
+        out = write(tmp_path / "taken", "")
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr() == ("", f"config error: cannot write {out / 'seed_1.csv'}: "
+                                           f"[Errno 17] File exists: '{out}'\n")
+        assert out.read_text() == ""
+
+    @pytest.mark.skipif(not Path("/proc").is_dir(), reason="needs a /proc file system")
+    def test_certify_into_proc(self, tmp_path, capsys):
+        cfg = write(tmp_path / "c.cfg", problem_lines(QUAD_KEYS) + "certify.n_pairs = 100\n")
+        assert main(["certify", "--config", str(cfg), "--out", "/proc/nope"]) == 1
+        out, err = capsys.readouterr()
+        assert json.loads(out)["passed"] is True  # the report is printed before it is written
+        assert err == "config error: cannot write /proc/nope/certify.json: [Errno 2] No such file or directory: " \
+                      "'/proc/nope'\n"
+
+    def test_temp_file_is_removed_when_the_rename_fails(self, tmp_path, capsys):
+        cfg = write(tmp_path / "c.cfg", problem_lines(QUAD_KEYS) + "certify.n_pairs = 100\n")
+        out = tmp_path / "out"
+        (out / "certify.json").mkdir(parents=True)  # a directory where the report goes
+        assert main(["certify", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot write {out / 'certify.json'}: [Errno 21] Is a directory")
+        assert [p.name for p in out.iterdir()] == ["certify.json"]
 
 
 class TestCertifyCommand:

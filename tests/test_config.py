@@ -25,9 +25,7 @@ from nigt_lab.problems import (
 )
 from nigt_lab.tuning import nsgdm_params
 
-# fixed example sequence and no example database: the suite stays
-# deterministic and leaves no files behind
-PROPERTY = settings(deadline=None, derandomize=True, database=None, max_examples=150)
+PROPERTY = settings(max_examples=150)
 
 
 _SCALARS = {

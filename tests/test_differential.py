@@ -1,34 +1,73 @@
 """Differential tests of the transport step, of certification, of the
-runner's oracle noise and of the output layer against frozen copies of
-their earlier forms.
+runner's oracle noise, of the output layer and of the command line against
+frozen copies of their earlier forms.
 
 The step takes the row norms of the momentum once and reads them three
 times (the move, the non-finite-sample check, the logged ``m_norm``);
 certification computes its L and rho ratios for all pairs at once; the
 runner draws each block's noise when the block starts, where a tape once
 drew it ahead on a cadence of its own; the CSV writer formats a constant
-column once and a chart reuses the text of a repeated axis or line. The
-``ref_*`` code below is the code they replaced, kept verbatim as the
-reference: every state byte, every exception (type, row and text), every
-certification report, every noise row a step reads and every output
-string must match it.
+column once and a chart reuses the text of a repeated axis or line; the
+command line loads a file once and passes its sections straight to the
+functions that read them. The ``ref_*`` code below is the code they
+replaced, kept verbatim as the reference: every state byte, every
+exception (type, row and text), every certification report, every noise
+row a step reads, every output string and every command's exit code,
+stdout, stderr and written bytes must match it.
 """
 
+import contextlib
+import functools
+import inspect
+import io
 import json
 import math
+import os
+import shutil
 import sys
+import tempfile
 import warnings
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nigt_lab import harness
-from nigt_lab.cli import main
+from nigt_lab import cli, harness
+from nigt_lab.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, _Parser, _UsageError, main
+from nigt_lab.config import (
+    _METHOD_KEYS,
+    _OVERRIDE_KEYS,
+    _SCHEMA,
+    _format_value,
+    bounds_settings,
+    build_problem,
+    build_run_config,
+    load_experiment,
+    master_seed,
+    output_settings,
+)
 from nigt_lab.core import NORM_FLOOR, InvariantEvent, RngStream, TrajectoryRecord, normalize, rowdot, rownorm
-from nigt_lab.errors import CertificationFailure, InvalidInput, NonFiniteGradient
+from nigt_lab.errors import (
+    CertificationFailure,
+    ConfigError,
+    Diverged,
+    InvalidInput,
+    NigtLabError,
+    NoResults,
+    NonFiniteGradient,
+)
+from nigt_lab.harness import (
+    DEFAULT_ETA_GRID,
+    bound_acceptance,
+    grid_sweep,
+    igt_moment_check,
+    rate_diagnostic,
+    run,
+)
+from nigt_lab.tuning import bound_check
 from nigt_lab.optimizers import (
     _INV_REL_TOL,
     SelfTuning,
@@ -39,7 +78,9 @@ from nigt_lab.optimizers import (
     transport_step,
 )
 from nigt_lab.problems import (
+    PROBLEM_KINDS,
     CertReport,
+    NoisyQuadratic,
     StochasticProblem,
     certify_constants,
     fd_slack,
@@ -65,8 +106,12 @@ from nigt_lab.reports import (
     _ticks_linear,
     _ticks_log,
     json_dumps,
+    plot_results_dir,
     record_to_csv,
+    rows_to_csv,
     svg_line_chart,
+    write_run_outputs,
+    write_text_atomic,
 )
 
 # -- the reference: the per-call forms, verbatim --------------------------------
@@ -428,7 +473,7 @@ def state_bytes(out):
 
 
 class TestTransportStep:
-    @settings(deadline=None, derandomize=True, database=None, max_examples=600)
+    @settings(max_examples=600)
     @given(step_inputs(), st.sampled_from(["normalized", "plain"]))
     def test_step_matches_the_per_call_step(self, inputs, kind):
         s, g, eta, k, beta, alpha = inputs
@@ -479,7 +524,7 @@ class TestTransportStep:
         assert [a.shape for a in normalize(s.m)] == [a.shape for a in ref_normalize(s.m)] == [(0, 3), (0,)]
         assert paired_sq_diff(s.m, s.m).shape == (0,)
 
-    @settings(deadline=None, derandomize=True, database=None, max_examples=300)
+    @settings(max_examples=300)
     @given(st.integers(1, 4).flatmap(lambda S: st.integers(1, 4).flatmap(lambda d: rows(S, d, nonfinite=True))),
            st.sampled_from([0.0, 1e-300, 1e-12]), st.booleans())
     def test_normalize_matches_the_per_call_normalize(self, v, floor, given_norms):
@@ -503,7 +548,7 @@ def paired_samples(draw):
 
 
 class TestSelfTuningFeed:
-    @settings(deadline=None, derandomize=True, database=None, max_examples=300)
+    @settings(max_examples=300)
     @given(paired_samples(), st.sampled_from([1e-3, 1.0, 3.0, 1e3]), st.integers(1, 10**6))
     def test_one_rowdot_feeds_every_seed_as_the_per_row_loop(self, pair, g_bound, t):
         g, g_paired = pair
@@ -710,12 +755,12 @@ class TestOutputLayer:
     """A constant column goes into the CSV row template, and a polyline
     reuses the text of the one before: the bytes must be the old ones."""
 
-    @settings(deadline=None, derandomize=True, database=None, max_examples=500)
+    @settings(max_examples=500)
     @given(records())
     def test_csv_matches_the_per_cell_csv(self, rec):
         assert record_to_csv(rec) == ref_record_to_csv(rec)
 
-    @settings(deadline=None, derandomize=True, database=None, max_examples=400)
+    @settings(max_examples=400)
     @given(chart_series(), st.booleans(), st.booleans())
     def test_chart_matches_the_per_line_chart(self, series, xlog, ylog):
         new, ref = (chart_outcome(chart, series, xlog, ylog) for chart in (svg_line_chart, ref_svg_line_chart))
@@ -725,3 +770,328 @@ class TestOutputLayer:
             assert isinstance(new, str) and new.startswith("<svg")
         else:
             assert new == ref
+
+
+# -- the command line ------------------------------------------------------------------
+# The earlier command functions, parser and main, verbatim but for the
+# ref_ names and igt_moment_check's keyword seed: each loaded the file and
+# read the output settings itself, restated the defaults of the certify,
+# igt_check and sweep sections and joined its output paths.
+
+
+def ref_cmd_run(args) -> int:
+    exp = load_experiment(args.config)
+    out_dir, formats = output_settings(exp, args.out)
+    cfg, bound = build_run_config(exp, args.seeds, args.master_seed)
+    records = run(cfg)
+
+    no_move_count = sum(int(r.no_move.sum()) for r in records)
+    violations = [dict(asdict(e), seed=r.seed) for r in records for e in r.invariant_violations]
+    avg, stderr, within_bound = (bound_check([r.avg_grad_norm() for r in records], bound)
+                                 if cfg.record_exact else (None, None, True))
+    passed = not violations and within_bound
+    summary = {
+        "problem": cfg.problem.problem_id,
+        "optimizer": cfg.optimizer_id,
+        "T": cfg.T,
+        "seeds": list(cfg.seeds),
+        "avg_grad_norm": avg,
+        "stderr": stderr,
+        "bound": bound,
+        "pass": passed,
+        "no_move_count": no_move_count,
+        "invariant_violations": violations,
+    }
+    write_run_outputs(records, out_dir, formats, summary)
+    return EXIT_OK if passed else EXIT_CHECK_FAILED
+
+
+def ref_cmd_certify(args) -> int:
+    exp = load_experiment(args.config)
+    out_dir, _ = output_settings(exp, args.out)
+    problem = build_problem(exp)
+    n_pairs = exp.certify.get("n_pairs", 400)
+    radius = exp.certify.get("radius", 10.0)
+    failed = False
+    try:
+        report = certify_constants(problem, n_pairs=n_pairs, radius=radius,
+                                   rng=RngStream(master_seed(exp, args.master_seed), 17))
+    except CertificationFailure as e:
+        report = e.report
+        failed = True
+    text = json_dumps(asdict(report))
+    sys.stdout.write(text)
+    write_text_atomic(os.path.join(out_dir, "certify.json"), text)
+    return EXIT_CHECK_FAILED if failed else EXIT_OK
+
+
+def ref_cmd_igt_check(args) -> int:
+    exp = load_experiment(args.config)
+    out_dir, _ = output_settings(exp, args.out)
+    problem = build_problem(exp)
+    if not isinstance(problem, NoisyQuadratic):
+        raise ConfigError(f"igt-check needs a {NoisyQuadratic.kind} problem (constant Hessian)")
+    checkpoints = exp.igt_check.get("checkpoints", [1, 10, 100])
+    n_runs = exp.igt_check.get("n_runs", 10_000)
+    report = igt_moment_check(problem, checkpoints, n_runs, seed=master_seed(exp, args.master_seed))
+    write_text_atomic(os.path.join(out_dir, "igt_check.json"), json_dumps(asdict(report)))
+    rows = [[c.k, c.bias_norm, c.variance, c.target_variance, c.bias_limit, c.n_runs, c.passed]
+            for c in report.checkpoints]
+    write_text_atomic(
+        os.path.join(out_dir, "igt_check.csv"),
+        rows_to_csv("k,bias_norm,variance,target_variance,bias_limit,n_runs,passed", rows),
+    )
+    return EXIT_OK if report.passed else EXIT_CHECK_FAILED
+
+
+def ref_cmd_sweep(args) -> int:
+    exp = load_experiment(args.config)
+    out_dir, _ = output_settings(exp, args.out)
+    cfg, _ = build_run_config(exp, args.seeds, args.master_seed, require_eta=False)
+    grid = exp.sweep.get("eta_grid", list(DEFAULT_ETA_GRID))
+    report = grid_sweep(cfg, grid)
+    write_text_atomic(os.path.join(out_dir, "sweep.json"), json_dumps(asdict(report)))
+    rows = [[r.eta0, r.final_grad_norm] for r in report.rows]
+    write_text_atomic(os.path.join(out_dir, "sweep.csv"),
+                      rows_to_csv("eta0,final_grad_norm", rows))
+    return EXIT_OK
+
+
+def ref_cmd_bounds(args) -> int:
+    exp = load_experiment(args.config)
+    out_dir, _ = output_settings(exp, args.out)
+    problem, opt_id, T_grid, seeds = bounds_settings(exp, args.seeds, args.master_seed)
+    try:
+        report = bound_acceptance(problem, opt_id, T_grid, seeds)
+    except CertificationFailure as e:
+        sys.stderr.write(f"containment certification failed: {e}\n")
+        return EXIT_CHECK_FAILED
+    rows = [[r.T, r.mean_avg_grad_norm, r.stderr, r.bound, r.passed] for r in report.rows]
+    payload = asdict(report)
+    try:
+        payload["loglog_slope"] = rate_diagnostic([row[:2] for row in rows])
+    except NigtLabError:
+        payload["loglog_slope"] = None
+    write_text_atomic(os.path.join(out_dir, "bounds.json"), json_dumps(payload))
+    write_text_atomic(os.path.join(out_dir, "bounds.csv"),
+                      rows_to_csv("T,mean_avg_grad_norm,stderr,bound,passed", rows))
+    return EXIT_OK if report.passed else EXIT_CHECK_FAILED
+
+
+def ref_cmd_plot(args) -> int:
+    plot_results_dir(args.results_dir, args.out)
+    return EXIT_OK
+
+
+def ref_build_parser() -> _Parser:
+    p = _Parser(prog="nigt-lab", description=cli.__doc__)
+    sub = p.add_subparsers(dest="command", required=True)
+
+    # certify and igt-check draw from the master seed alone: no seed count
+    for name, func, seed_count, text in (
+        ("run", ref_cmd_run, True, "execute a seeded run and emit CSV/JSON/SVG"),
+        ("certify", ref_cmd_certify, False, "validate declared problem constants"),
+        ("igt-check", ref_cmd_igt_check, False, "gradient-transport moment verification"),
+        ("sweep", ref_cmd_sweep, True, "base-rate grid sweep"),
+        ("bounds", ref_cmd_bounds, True, "one-sided average-gradient bound table"),
+    ):
+        sp = sub.add_parser(name, help=text)
+        sp.add_argument("--config", required=True, help="experiment file path")
+        sp.add_argument("--out", default=None, help="output directory (overrides output.dir)")
+        if seed_count:
+            sp.add_argument("--seeds", type=int, default=None, help="number of seeds (overrides run.n_seeds)")
+        sp.add_argument("--master-seed", type=int, default=None, dest="master_seed",
+                        help="base seed (overrides run.master_seed)")
+        sp.set_defaults(func=func)
+
+    sp = sub.add_parser("plot", help="SVG charts from a results directory")
+    sp.add_argument("results_dir", help="directory containing seed_*.csv files")
+    sp.add_argument("--out", default=None, help="chart output directory (default: results_dir)")
+    sp.set_defaults(func=ref_cmd_plot)
+
+    return p
+
+
+def ref_main(argv=None) -> int:
+    parser = ref_build_parser()
+    try:
+        args = parser.parse_args(argv)
+        return args.func(args)
+    except _UsageError as e:
+        sys.stderr.write(f"usage error: {e}\n")
+        return EXIT_USAGE
+    except (ConfigError, NoResults) as e:
+        sys.stderr.write(f"config error: {e}\n")
+        return EXIT_USAGE
+    except Diverged as e:
+        sys.stderr.write(f"error: {e}\n")
+        return EXIT_CHECK_FAILED
+    except NigtLabError as e:
+        sys.stderr.write(f"error: {e}\n")
+        return EXIT_USAGE
+
+
+# -- the exit-code contract, fuzzed ----------------------------------------------------
+
+EDGE = {"float": [0.0, -1.0, math.nan, math.inf, -math.inf, 1e308, 5e-324], "int": [0, -1], "str": ["bogus"]}
+
+# small values that make a usable file likely: T <= 50, at most 3 seeds,
+# dim <= 8, n_pairs <= 200
+USUAL = {
+    "problem.kind": list(PROBLEM_KINDS), "problem.dim": [1, 2, 3, 8], "problem.eigs": [1.0, 4.0],
+    "problem.sigma": [0.5], "problem.p": [0.25], "problem.a": [1.0], "problem.b": [1.0, 2.0],
+    "problem.cov_eigs": [1.0, 0.5], "problem.label_noise": [0.3], "problem.w1": [1.0, 2.0],
+    "problem.w_star": [0.0], "problem.L": [1.0, 10.0], "problem.rho": [0.0, 1.0], "problem.g_bound": [50.0],
+    "problem.R": [10.0], "problem.M": [100.0],
+    "optimizer.id": list(harness.OPTIMIZER_IDS), "optimizer.eta": [0.01, 0.1], "optimizer.beta": [0.5, 0.9],
+    "optimizer.theorem": ["1", "2"], "optimizer.layers": [0, 1, 2], "optimizer.lr_scale": [1.0, 10.0],
+    "schedule.kind": ["constant", "warmup_poly_decay"], "schedule.warmup_steps": [5], "schedule.power": [1, 2],
+    "run.T": [1, 5, 50], "run.T_grid": [1, 5, 50], "run.seeds": [1, 2, 7], "run.n_seeds": [1, 3],
+    "run.master_seed": [7], "igt_check.checkpoints": [1, 2, 5], "igt_check.n_runs": [1000],
+    "sweep.eta_grid": [0.01, 0.1, 1.0], "certify.n_pairs": [100, 200], "certify.radius": [0.5, 10.0],
+    "output.formats": ["csv", "json", "svg"],
+}
+VECTORS = {"eigs", "cov_eigs", "w1", "w_star"}  # one entry per dimension
+# the keys each command reads besides problem and output, as prefixes; a
+# key it reads is drawn often, one of them in RARE less, any other seldom
+READS = {"run": ("optimizer.", "schedule.", "run."), "certify": ("certify.",), "igt-check": ("igt_check.",),
+         "sweep": ("optimizer.", "schedule.", "run.", "sweep."),
+         "bounds": ("optimizer.id", "run.T_grid", "run.n_seeds", "run.seeds", "run.master_seed")}
+NEEDS = {"run": ("optimizer.id", "optimizer.eta", "run.T"), "sweep": ("optimizer.id", "run.T"),
+         "bounds": ("optimizer.id", "run.T_grid")}
+# keys whose defaults are large, always drawn
+SIZES = {"certify": ("certify.n_pairs",), "igt-check": ("igt_check.checkpoints", "igt_check.n_runs")}
+RARE = {"problem.L", "problem.rho", "problem.g_bound", "problem.R", "problem.M", "optimizer.theorem",
+        "optimizer.layers", "optimizer.lr_scale", "schedule.warmup_steps", "schedule.power",
+        "schedule.weight_norm_scaling", "run.T_grid", "run.seeds", "run.n_seeds", "run.master_seed",
+        "run.record_exact", "output.formats"}
+
+
+@functools.cache
+def chances(k: int, n: int):
+    """True with probability k / n (sampled_from draws evenly)."""
+    return st.sampled_from([True] * k + [False] * (n - k))
+
+
+@functools.cache
+def values(usual: tuple, base: str, edgy: bool):
+    """A key's values: usual ones, and with ``edgy`` one in four an edge value."""
+    if base == "bool":
+        return st.booleans()
+    if not edgy:
+        return st.sampled_from(usual)
+    return chances(3, 4).flatmap(lambda u: st.sampled_from(usual if u else EDGE[base]))
+
+
+@st.composite
+def experiment_files(draw, command):
+    """An experiment file drawn key by key from the schema. Two in three
+    are clean: usual values of the keys the command reads, vectors of the
+    problem's dimension and none of the RARE keys, so most of them run.
+    The others draw every key the command reads, edge values (0, -1, NaN,
+    +-inf, 1e308, subnormal) and now and then a key it does not read."""
+    kinds = USUAL["problem.kind"]
+    # igt-check needs a quadratic, and bounds certifies sigma away from w1
+    # and tunes with rho > 0: the trig bowl
+    kind = draw(st.sampled_from({"igt-check": ["noisy_quadratic"] * 4, "bounds": ["trig_bowl"] * 4}.get(command, [])
+                                + kinds))
+    edgy = draw(chances(1, 3))
+    dim = draw(st.sampled_from(USUAL["problem.dim"] + (EDGE["int"] if edgy else [])))
+    opt_id = draw(st.sampled_from(["nsgdm", "nigt"] if command == "bounds" else USUAL["optimizer.id"]))
+    params = inspect.signature(PROBLEM_KINDS[kind]).parameters
+    lines = [f"problem.kind = {kind}"]
+    for section, keys in _SCHEMA.items():
+        for key, typ in keys.items():
+            name = f"{section}.{key}"
+            if name in ("problem.kind", "output.dir"):  # the output goes to --out
+                continue
+            param = params.get(key) if section == "problem" else None
+            if section == "problem":
+                read = key in _OVERRIDE_KEYS or param is not None
+            else:
+                read = name.startswith(("output.", *READS[command])) and (
+                    section != "optimizer" or key in {"id"} | _METHOD_KEYS.get(opt_id, {"theorem", "eta", "beta"}))
+            if name in SIZES.get(command, ()):
+                chance = 8
+            elif param is not None and param.default is param.empty or name in NEEDS.get(command, ()):
+                chance = 8 - edgy
+            elif read:
+                # a declared L or rho below the problem's fails certify: exit 2
+                chance = (2 if edgy or key in ("L", "rho") else 0) if name in RARE else 5
+            else:
+                chance = edgy
+            n = 8 if read else 64
+            if not (chance == n or chance and draw(chances(chance, n))):
+                continue
+            value = values(tuple([opt_id] if name == "optimizer.id" else USUAL.get(name, ())),
+                           typ.removesuffix("_list"), edgy)
+            if name == "problem.dim":
+                lines.append(f"{name} = {dim}")
+            elif typ.endswith("_list"):
+                size = (dim if key in VECTORS and dim > 0 and (not edgy or draw(chances(7, 8)))
+                        else draw(st.integers(1, 3)))
+                items = draw(st.lists(value, min_size=size, max_size=size))
+                lines.append(f"{name} = {','.join(map(_format_value, items))}")
+            else:
+                lines.append(f"{name} = {_format_value(draw(value))}")
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def invocations(draw):
+    command = draw(st.sampled_from(list(READS)))
+    flags = []
+    if command in ("run", "sweep", "bounds") and draw(chances(1, 4)):
+        flags += ["--seeds", str(draw(st.sampled_from([1, 3, 1, 3, 0, -1])))]
+    if draw(chances(1, 4)):
+        flags += ["--master-seed", str(draw(st.sampled_from([7, 0, 7, 0, -1])))]
+    return command, draw(experiment_files(command)), flags
+
+
+def tree(root: Path) -> dict:
+    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def invoke(main_fn, argvs, outs):
+    """The exit code, stdout and stderr of each command in turn, the files
+    in each output directory after the last, and the warnings raised; the
+    output directories are removed afterwards."""
+    results = []
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for argv in argvs:
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                results.append((main_fn(argv), stdout.getvalue(), stderr.getvalue()))
+    files = [tree(out) if out.exists() else {} for out in outs]
+    for out in outs:
+        shutil.rmtree(out, ignore_errors=True)
+    return results, files, [str(w.message) for w in caught]
+
+
+class TestExitCodeContract:
+    """Every command on any experiment file (and ``plot`` on what ``run``
+    wrote) exits 0, 1 or 2 with no traceback or warning, writes nothing
+    when it exits 1, writes the same bytes when run again, and does all of
+    it as the earlier command functions did."""
+
+    @settings(max_examples=300)
+    @given(invocations())
+    def test_commands_keep_the_contract_and_match_the_reference(self, invocation):
+        command, text, flags = invocation
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg, out, charts = Path(tmp) / "exp.cfg", Path(tmp) / "out", Path(tmp) / "charts"
+            cfg.write_text(text, encoding="utf-8")
+            argvs = [[command, "--config", str(cfg), "--out", str(out), *flags]]
+            if command == "run":
+                argvs.append(["plot", str(out), "--out", str(charts)])
+            outs = [out, charts][:len(argvs)]
+            new = invoke(main, argvs, outs)
+            results, files, caught = new
+            assert not caught
+            for (code, _, stderr), written in zip(results, files):
+                assert code in (0, 1, 2)
+                assert "Traceback" not in stderr and "Warning" not in stderr
+                assert code != 1 or not written
+            assert invoke(main, argvs, outs) == new
+            assert invoke(ref_main, argvs, outs) == new

@@ -87,7 +87,7 @@ class TestNsgdmStep:
         np.testing.assert_array_equal(out.w, [0.5, 0.0])
         assert float(np.linalg.norm(out.w - s.w)) == 0.5
 
-    @settings(deadline=None, derandomize=True, database=None, max_examples=150)
+    @settings(max_examples=150)
     @given(st.integers(1, 8).flatmap(lambda d: st.tuples(
         *(st.lists(st.floats(-b, b), min_size=d, max_size=d).map(np.array) for b in (100.0, 1e3, 1e3)),
         st.floats(1e-6, 10.0), st.floats(0.0, 0.99))))
@@ -100,7 +100,7 @@ class TestNsgdmStep:
         length = float(np.linalg.norm(out.w - w))
         assert length == pytest.approx(eta, rel=1e-12, abs=1e-13 * float(np.linalg.norm(w)))
 
-    @settings(deadline=None, derandomize=True, database=None, max_examples=100)
+    @settings(max_examples=100)
     @given(st.integers(1, 6).flatmap(lambda d: st.lists(st.tuples(
         *(st.lists(st.floats(-b, b), min_size=d, max_size=d) for b in (100.0, 1e3, 1e3)),
         st.sampled_from([0, -160, -200, 160, 200]), st.floats(1e-6, 10.0)), min_size=1, max_size=5)),
@@ -465,7 +465,7 @@ class TestLayerwise:
 
 
 class TestBetaZeroDegeneracy:
-    @settings(deadline=None, derandomize=True, database=None, max_examples=25)
+    @settings(max_examples=25)
     @given(st.sampled_from(["noisy_quadratic", "sign_noise", "trig_bowl", "streaming_least_squares"]),
            st.lists(st.integers(0, 2**32), min_size=1, max_size=3, unique=True),
            st.floats(1e-4, 0.5), st.integers(1, 40))
