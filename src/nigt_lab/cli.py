@@ -1,7 +1,8 @@
 """Batch front door: parse an experiment file, dispatch, emit results.
 
-The certify, igt_check and sweep sections pass straight through to the
-function that reads them: their keys and defaults are its parameters.
+A command refuses every key it does not read (``config.read_keys``). The
+certify, igt_check and sweep sections pass straight through to the function
+that reads them: their keys and defaults are its parameters.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 a check failed
 (bound exceeded, invariant violated, certification contradicted, run
@@ -21,6 +22,7 @@ from .config import (
     load_experiment,
     master_seed,
     output_settings,
+    refuse_unread,
 )
 from .errors import CertificationFailure, ConfigError, Diverged, NigtLabError, NoResults
 from .harness import (
@@ -53,6 +55,8 @@ class _Parser(argparse.ArgumentParser):
 
 def cmd_run(exp, args, out_dir, formats) -> int:
     cfg, bound = build_run_config(exp, args.seeds, args.master_seed)
+    if cfg.eta is None and cfg.optimizer_id != "nigt_adaptive":  # a sweep sets the rate, a run reads it
+        raise ConfigError("manual runs need optimizer.eta")
     records = run(cfg)
 
     no_move_count = sum(int(r.no_move.sum()) for r in records)
@@ -102,7 +106,7 @@ def cmd_igt_check(exp, args, out_dir, formats) -> int:
 
 
 def cmd_sweep(exp, args, out_dir, formats) -> int:
-    cfg, _ = build_run_config(exp, args.seeds, args.master_seed, require_eta=False)
+    cfg, _ = build_run_config(exp, args.seeds, args.master_seed)
     report = grid_sweep(cfg, **exp.sweep)
     write_report(out_dir, "sweep", asdict(report), "eta0,final_grad_norm",
                  [[r.eta0, r.final_grad_norm] for r in report.rows])
@@ -162,6 +166,7 @@ def main(argv=None) -> int:
             plot_results_dir(args.results_dir, args.out)
             return EXIT_OK
         exp = load_experiment(args.config)
+        refuse_unread(exp, args.command)
         return args.func(exp, args, *output_settings(exp, args.out))
     except _UsageError as e:
         sys.stderr.write(f"usage error: {e}\n")

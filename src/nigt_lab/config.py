@@ -9,7 +9,8 @@ Grammar (one statement per line):
               | comma-separated list of the above
 
 Unknown sections or keys are rejected with a line/column diagnostic, and
-at build time so is a key the chosen problem, method or schedule never reads.
+before anything is built so is every key the command never reads
+(:func:`read_keys`).
 Parsing preserves exactly what was written (no defaults are injected), so
 parse -> serialize -> parse is the identity; defaults are applied when an
 :class:`ExperimentFile` is turned into runnable objects.
@@ -22,93 +23,53 @@ output dir "results", formats csv,json.
 from __future__ import annotations
 
 import inspect
-from dataclasses import dataclass, field
+from dataclasses import field, fields, make_dataclass
 
 from .core import MAX_LOG_CELLS, MAX_SEEDS
 from .errors import ConfigError, InvalidInput
-from .harness import OPTIMIZER_IDS, RunConfig
+from .harness import OPTIMIZER_IDS, RunConfig, grid_sweep, igt_moment_check
 from .optimizers import LayerPartition, Schedule
-from .problems import PROBLEM_KINDS, with_constants
+from .problems import PROBLEM_KINDS, StochasticProblem, certify_constants, with_constants
+from .reports import read_text
 from .tuning import THEOREM_METHODS, tuned
 
-# value type codes: int / float / bool / str and list variants
+
+def _keys(params, *skip: str) -> dict[str, str]:
+    """The names and value types of annotated parameters, but ``skip``: ``int``,
+    ``float``, ``bool``, ``str``, or a ``Sequence[...]`` of one (a list), maybe ``| None``."""
+    types = {p.name: p.annotation.removesuffix(" | None") for p in params if p.name not in skip}
+    return {name: f"{t[len('Sequence['):-1]}_list" if t.startswith("Sequence[") else t for name, t in types.items()}
+
+
+_params = lambda fn: inspect.signature(fn).parameters.values()
+
+# every maker's parameters, in PROBLEM_KINDS order; the declared constants no
+# maker takes are overrides of every kind, which `certify` validates
+_MAKER_PARAMS = {p.name: p for make in PROBLEM_KINDS.values() for p in _params(make)}
+_CONSTANTS = {f.name: f.type for f in fields(StochasticProblem) if f.name not in _MAKER_PARAMS}
+
+# each section's keys and value types, in file order: those of the function
+# that reads the section, and by hand for the optimizer, run and output
+# sections, which no single function reads
 _SCHEMA: dict[str, dict[str, str]] = {
-    "problem": {
-        "kind": "str",
-        "dim": "int",
-        "eigs": "float_list",
-        "sigma": "float",
-        "p": "float",
-        "a": "float",
-        "b": "float",
-        "cov_eigs": "float_list",
-        "label_noise": "float",
-        "w1": "float_list",
-        "w_star": "float_list",
-        # declared-constant overrides, validated by `certify`
-        "L": "float",
-        "rho": "float",
-        "g_bound": "float",
-        "R": "float",
-        "M": "float",
-    },
-    "optimizer": {
-        "id": "str",
-        "eta": "float",
-        "beta": "float",
-        "theorem": "str",  # "1" | "2"
-        "layers": "int_list",  # block boundaries, e.g. 0,2,4
-        "lr_scale": "float_list",
-    },
-    "schedule": {
-        "kind": "str",
-        "warmup_steps": "int",
-        "power": "int",
-        "weight_norm_scaling": "bool",
-    },
-    "run": {
-        "T": "int",
-        "T_grid": "int_list",
-        "seeds": "int_list",
-        "n_seeds": "int",
-        "master_seed": "int",
-        "record_exact": "bool",
-    },
-    "igt_check": {
-        "checkpoints": "int_list",
-        "n_runs": "int",
-    },
-    "sweep": {
-        "eta_grid": "float_list",
-    },
-    "certify": {
-        "n_pairs": "int",
-        "radius": "float",
-    },
-    "output": {
-        "dir": "str",
-        "formats": "str_list",
-    },
+    # the parameters that default to None (the start and target points) last
+    "problem": {"kind": "str", **_keys(sorted(_MAKER_PARAMS.values(), key=lambda p: p.default is None)),
+                **_CONSTANTS},
+    # theorem is "1" or "2", and layers are block boundaries, e.g. 0,2,4
+    "optimizer": {"id": "str", "eta": "float", "beta": "float", "theorem": "str", "layers": "int_list",
+                  "lr_scale": "float_list"},
+    "schedule": {f.name: f.type for f in fields(Schedule)},
+    "run": {"T": "int", "T_grid": "int_list", "seeds": "int_list", "n_seeds": "int", "master_seed": "int",
+            "record_exact": "bool"},
+    "igt_check": _keys(_params(igt_moment_check), "problem", "seed"),
+    "sweep": _keys(_params(grid_sweep), "base"),
+    "certify": _keys(_params(certify_constants), "problem", "rng"),
+    "output": {"dir": "str", "formats": "str_list"},
 }
 
-_SECTION_ORDER = tuple(_SCHEMA)
-
-
-@dataclass
-class ExperimentFile:
-    """Typed, raw (default-free) contents of one experiment file."""
-
-    problem: dict = field(default_factory=dict)
-    optimizer: dict = field(default_factory=dict)
-    schedule: dict = field(default_factory=dict)
-    run: dict = field(default_factory=dict)
-    igt_check: dict = field(default_factory=dict)
-    sweep: dict = field(default_factory=dict)
-    certify: dict = field(default_factory=dict)
-    output: dict = field(default_factory=dict)
-
-    def section(self, name: str) -> dict:
-        return getattr(self, name)
+# typed, raw (default-free) contents of one experiment file: a dict per section
+ExperimentFile = make_dataclass("ExperimentFile", [(name, dict, field(default_factory=dict)) for name in _SCHEMA],
+                                namespace={"__module__": __name__, "section": lambda self, name: getattr(self, name)})
 
 
 def _parse_scalar(text: str, typ: str, where: str):
@@ -179,7 +140,7 @@ def _format_value(v) -> str:
 
 def serialize_experiment(exp: ExperimentFile) -> str:
     lines = []
-    for section in _SECTION_ORDER:
+    for section in _SCHEMA:
         store = exp.section(section)
         for key in _SCHEMA[section]:
             if key in store:
@@ -188,11 +149,7 @@ def serialize_experiment(exp: ExperimentFile) -> str:
 
 
 def load_experiment(path) -> ExperimentFile:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return parse_experiment(fh.read())
-    except OSError as e:
-        raise ConfigError(f"cannot read {path}: {e}") from None
+    return parse_experiment(read_text(path))
 
 
 # -- builders ---------------------------------------------------------------
@@ -204,21 +161,54 @@ def _require(store: dict, key: str, section: str):
     return store[key]
 
 
-# declared-constant overrides, valid for every kind; the generative keys of
-# a kind are the parameters of its constructor
-_OVERRIDE_KEYS = {"L", "rho", "g_bound", "R", "M"}
+def read_keys(exp: ExperimentFile, command: str) -> dict[str, set[str]]:
+    """The keys ``command`` reads in each section of ``exp``. A method reads
+    its rate unless a theorem tunes it (``run``) or the grid sets it
+    (``sweep``), and a seed list replaces a seed count and master seed. A
+    kind the file does not name, or names wrongly, reads every problem key:
+    building the problem refuses the kind. So does a method."""
+    op, own = exp.optimizer, command.replace("-", "_")
+    make = PROBLEM_KINDS.get(exp.problem.get("kind"))
+    seeds = {"seeds"} if "seeds" in exp.run else {"n_seeds", "master_seed"}
+    # certify, igt-check and sweep read their own section whole
+    read = {"problem": {"kind", *inspect.signature(make).parameters, *_CONSTANTS} if make else set(_SCHEMA["problem"]),
+            own: set(_SCHEMA.get(own, ())), "output": {"dir", "formats"} if command == "run" else {"dir"}}
+    if command == "bounds":  # each horizon at its theorem's tuning
+        return read | {"optimizer": {"id"}, "run": {"T_grid", *seeds}}
+    if command in ("certify", "igt-check"):  # from the master seed alone
+        return read | {"run": {"master_seed"}}
+    opt_id = op.get("id")
+    # the self-tuning method sets its own rates, a theorem tunes those of the
+    # method it is about (any other pairing is refused when it is built), and
+    # sgd is memoryless: no beta
+    rates = set() if opt_id == "nigt_adaptive" else {"beta"} if command == "sweep" else (
+        {"theorem"} if THEOREM_METHODS.get(op.get("theorem")) == opt_id else {"theorem", "eta", "beta"})
+    if opt_id == "sgd":
+        rates.discard("beta")
+    if opt_id == "nigt_layerwise":
+        rates |= {"layers", "lr_scale"} if "layers" in op else {"layers"}
+    schedule = {"kind"} if opt_id == "nigt_adaptive" else {"kind", "weight_norm_scaling"}
+    if exp.schedule.get("kind", "constant") != "constant":
+        schedule |= {"warmup_steps", "power"}
+    if opt_id not in OPTIMIZER_IDS:  # as a kind: building the configuration refuses the method
+        rates, schedule = set(_SCHEMA["optimizer"]), set(_SCHEMA["schedule"])
+    return read | {"optimizer": {"id", *rates}, "schedule": schedule, "run": {"T", "record_exact", *seeds}}
 
-# the optimizer keys each method reads besides id (theorem, eta and beta
-# when not listed); lr_scale scales the layers, so it is read only with them
-_METHOD_KEYS = {"sgd": {"theorem", "eta"}, "nigt_layerwise": {"theorem", "eta", "beta", "layers", "lr_scale"},
-                "nigt_adaptive": set()}
 
-
-def _refuse_stray(store: dict, read: set, owner: str) -> None:
-    """Refuse the keys of a section that ``owner`` never reads."""
-    stray = set(store) - read
-    if stray:
-        raise ConfigError(f"keys {sorted(stray)} do not apply to {owner}")
+def refuse_unread(exp: ExperimentFile, command: str) -> None:
+    """Refuse every key of ``exp`` that ``command`` never reads (:func:`read_keys`),
+    before anything is built."""
+    read = read_keys(exp, command)
+    opt_id = exp.optimizer.get("id")
+    owners = {"problem": f"problem kind {exp.problem.get('kind')!r}"}
+    if command in ("run", "sweep"):
+        owners["optimizer"] = f"optimizer {opt_id!r}"
+        owners["schedule"] = f"the {exp.schedule.get('kind', 'constant')} schedule of optimizer {opt_id!r}"
+    for section in _SCHEMA:
+        stray = set(exp.section(section)) - read.get(section, set())
+        if stray:
+            owner = owners.get(section, f"{command} (section {section!r})")
+            raise ConfigError(f"keys {sorted(stray)} do not apply to {owner}")
 
 
 def build_problem(exp: ExperimentFile):
@@ -228,13 +218,12 @@ def build_problem(exp: ExperimentFile):
         raise ConfigError(f"unknown problem kind {kind!r}; known: {tuple(PROBLEM_KINDS)}")
     make = PROBLEM_KINDS[kind]
     params = inspect.signature(make).parameters
-    _refuse_stray(pr, {"kind"} | set(params) | _OVERRIDE_KEYS, f"problem kind {kind!r}")
     for name, param in params.items():
         if param.default is param.empty:
             _require(pr, name, "problem")
     if pr.get("dim", 1) > MAX_LOG_CELLS:
         raise ConfigError(f"problem.dim = {pr['dim']} is above the limit of {MAX_LOG_CELLS}")
-    overrides = {k: pr[k] for k in sorted(_OVERRIDE_KEYS) if k in pr}
+    overrides = {k: pr[k] for k in _CONSTANTS if k in pr}
     try:
         problem = make(**{name: pr[name] for name in params if name in pr})
         if overrides:
@@ -304,14 +293,12 @@ def resolve_seeds(exp: ExperimentFile, n_seeds_override: int | None = None,
     return tuple(master + i for i in range(n))
 
 
-def resolve_rate(exp: ExperimentFile, opt_id: str, problem, T: int, require_eta: bool = True):
+def resolve_rate(exp: ExperimentFile, opt_id: str, problem, T: int):
     """(eta, beta, bound) of method ``opt_id`` for one horizon: the theorem's
-    eta, else optimizer.eta; the theorem's beta, else optimizer.beta (0.9);
-    the theorem's ceiling, else None. With ``require_eta`` false the rate may
-    be missing and the tuning goes unused: a sweep sets the rate itself."""
+    eta, beta and ceiling, else optimizer.eta (None when unset: a sweep sets
+    the rate, and the self-tuning method tunes it), optimizer.beta (0.9) and
+    no ceiling."""
     op = exp.optimizer
-    if opt_id == "nigt_adaptive":  # sets its own rates as it runs
-        return None, 0.9, None
     theorem = op.get("theorem")
     paired_id = THEOREM_METHODS.get(theorem)
     if theorem is not None and paired_id is None:
@@ -319,25 +306,20 @@ def resolve_rate(exp: ExperimentFile, opt_id: str, problem, T: int, require_eta:
     # a ceiling is only a guarantee for the method its theorem is about
     if paired_id is not None and opt_id != paired_id:
         raise ConfigError(f"theorem = {theorem} requires optimizer.id = {paired_id}, got {opt_id!r}")
-    params = bound = None
     if paired_id is not None:
         try:
             params, bound = tuned(opt_id, problem, T)
         except (InvalidInput, ArithmeticError) as e:  # constants outside a rule's domain
             raise ConfigError(f"invalid hyperparameters: {e}") from e
-    elif theorem is None and "eta" not in op and require_eta:
-        raise ConfigError("manual runs need optimizer.eta")
-    elif theorem is None and "eta" in op and not (op["eta"] > 0.0 and 0.0 <= op.get("beta", 0.9) < 1.0):
-        raise ConfigError("invalid hyperparameters: need eta > 0 and beta in [0, 1), "
-                          f"got eta = {op['eta']}, beta = {op.get('beta', 0.9)}")
-    if params is None or not require_eta:
-        return op.get("eta"), op.get("beta", 0.9), bound
-    return params.eta, params.beta, bound
+        return params.eta, params.beta, bound
+    eta, beta = op.get("eta"), op.get("beta", 0.9)
+    if eta is not None and not (eta > 0.0 and 0.0 <= beta < 1.0):
+        raise ConfigError(f"invalid hyperparameters: need eta > 0 and beta in [0, 1), got eta = {eta}, beta = {beta}")
+    return eta, beta, None
 
 
 def build_run_config(exp: ExperimentFile, n_seeds_override: int | None = None,
-                     master_seed_override: int | None = None,
-                     require_eta: bool = True) -> tuple[RunConfig, float | None]:
+                     master_seed_override: int | None = None) -> tuple[RunConfig, float | None]:
     """Assemble the runnable configuration (and the bound, when tuned)."""
     problem = build_problem(exp)
     op = exp.optimizer
@@ -347,13 +329,7 @@ def build_run_config(exp: ExperimentFile, n_seeds_override: int | None = None,
     T = _require(exp.run, "T", "run")
     seeds = resolve_seeds(exp, n_seeds_override, master_seed_override, problem.dim)
     schedule = build_schedule(exp)
-    eta, beta, bound = resolve_rate(exp, opt_id, problem, T, require_eta)
-    # a key that the method or its schedule never reads is refused, not ignored
-    read = {"id"} | _METHOD_KEYS.get(opt_id, {"theorem", "eta", "beta"})
-    _refuse_stray(op, read if "layers" in op else read - {"lr_scale"}, f"optimizer {opt_id!r}")
-    read = {"kind"} if opt_id == "nigt_adaptive" else {"kind", "weight_norm_scaling"}
-    _refuse_stray(exp.schedule, read if schedule.kind == "constant" else read | {"warmup_steps", "power"},
-                  f"the {schedule.kind} schedule of optimizer {opt_id!r}")
+    eta, beta, bound = resolve_rate(exp, opt_id, problem, T)
     try:
         cfg = RunConfig(
             problem=problem,
@@ -378,15 +354,11 @@ def build_run_config(exp: ExperimentFile, n_seeds_override: int | None = None,
 
 def bounds_settings(exp: ExperimentFile, n_seeds_override: int | None = None,
                     master_seed_override: int | None = None):
-    """(problem, optimizer id, T grid, seeds) of ``bounds``. It runs the
-    method at its own theorem's tuning for each horizon of the grid, so any
-    other optimizer, schedule or run key is refused, not ignored."""
+    """(problem, optimizer id, T grid, seeds) of ``bounds``, which runs the
+    method at its own theorem's tuning for each horizon of the grid."""
     problem = build_problem(exp)
     if "T_grid" not in exp.run:
         raise ConfigError("bounds needs run.T_grid")
-    for section, read in (("optimizer", {"id"}), ("schedule", set()),
-                          ("run", {"T_grid", "seeds", "n_seeds", "master_seed"})):
-        _refuse_stray(exp.section(section), read, f"bounds (section {section!r})")
     seeds = resolve_seeds(exp, n_seeds_override, master_seed_override, problem.dim)
     return problem, exp.optimizer.get("id"), exp.run["T_grid"], seeds
 

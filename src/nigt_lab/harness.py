@@ -11,6 +11,7 @@ ends. Each seed's record is the one it would get alone.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -261,7 +262,7 @@ class MomentReport:
     passed: bool
 
 
-def igt_moment_check(problem: StochasticProblem, checkpoints=(1, 10, 100), n_runs: int = 10_000, *,
+def igt_moment_check(problem: StochasticProblem, checkpoints: Sequence[int] = (1, 10, 100), n_runs: int = 10_000, *,
                      seed: int) -> MomentReport:
     """Verify that the transported momentum is unbiased with variance sigma^2/k.
 
@@ -465,7 +466,7 @@ class SweepReport:
     best_eta0: float | None  # None when every rate diverged
 
 
-def grid_sweep(base: RunConfig, eta_grid=DEFAULT_ETA_GRID) -> SweepReport:
+def grid_sweep(base: RunConfig, eta_grid: Sequence[float] = DEFAULT_ETA_GRID) -> SweepReport:
     """Run each base rate and rank by the final exact gradient norm,
     averaged over seeds (an over-large rate keeps oscillating and ends far
     from critical). Ties break toward the smaller rate. A rate at which a

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 import sys
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from typing import ClassVar
 
@@ -247,7 +248,8 @@ class StreamingLeastSquares(StochasticProblem):
 # -- constructors ----------------------------------------------------------
 
 
-def make_noisy_quadratic(dim: int, eigs, sigma: float = 0.0, w1=None) -> NoisyQuadratic:
+def make_noisy_quadratic(dim: int, eigs: Sequence[float], sigma: float = 0.0,
+                         w1: Sequence[float] | None = None) -> NoisyQuadratic:
     """Quadratic bowl F(w) = (1/2) sum_i eigs_i w_i^2 with Gaussian oracle noise."""
     eigs = np.asarray(eigs, dtype=np.float64)
     if eigs.ndim != 1 or eigs.size != dim:
@@ -279,7 +281,7 @@ def make_sign_noise(p: float) -> SignNoise:
                      g_bound=max(p, 1.0 - p), R=1.0, M=1.0, p=float(p))
 
 
-def make_trig_bowl(dim: int, a: float, b: float, sigma: float = 0.0, w1=None) -> TrigBowl:
+def make_trig_bowl(dim: int, a: float, b: float, sigma: float = 0.0, w1: Sequence[float] | None = None) -> TrigBowl:
     """Separable non-convex bowl F(w) = sum_i a (1 - cos(b w_i)).
 
     All second and third derivatives are bounded (L = a b^2, rho = a b^3),
@@ -309,7 +311,8 @@ def make_trig_bowl(dim: int, a: float, b: float, sigma: float = 0.0, w1=None) ->
 
 
 def make_streaming_least_squares(
-    dim: int, cov_eigs, label_noise: float = 0.0, w1=None, w_star=None
+    dim: int, cov_eigs: Sequence[float], label_noise: float = 0.0, w1: Sequence[float] | None = None,
+    w_star: Sequence[float] | None = None,
 ) -> StreamingLeastSquares:
     """Linear regression in the streaming oracle model.
 
@@ -328,8 +331,9 @@ def make_streaming_least_squares(
         raise InvalidInput(f"label_noise must be finite and >= 0, got {label_noise}")
     w1 = np.ones(dim) if w1 is None else as_vector(w1)
     w_star = np.zeros(dim) if w_star is None else as_vector(w_star)
-    if w1.size != dim or w_star.size != dim:
-        raise InvalidInput("w1 / w_star dimension mismatch")
+    for name, v in (("w1", w1), ("w_star", w_star)):
+        if v.size != dim or not np.all(np.isfinite(v)):
+            raise InvalidInput(f"{name} must be {dim} finite numbers, got {v.tolist()}")
     try:  # float ** raises where * rounds to inf
         noise2 = label_noise**2
     except OverflowError:

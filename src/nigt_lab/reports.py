@@ -72,7 +72,10 @@ def parse_run_csv(text: str) -> dict[str, np.ndarray]:
             raise NoResults(f"malformed CSV row: {line!r}")
     cells = np.array(rows, dtype=str).reshape(-1, len(names))
     cells[cells == ""] = "nan"
-    return dict(zip(names, cells.T.astype(np.float64)))
+    try:
+        return dict(zip(names, cells.T.astype(np.float64)))
+    except ValueError as e:  # a cell that is not a number
+        raise NoResults(f"malformed CSV cell: {e}") from None
 
 
 def json_dumps(obj) -> str:
@@ -98,6 +101,14 @@ def write_text_atomic(path, text: str) -> None:
             raise
     except OSError as e:
         raise ConfigError(f"cannot write {path}: {e}") from None
+
+
+def read_text(path) -> str:
+    """The UTF-8 text of ``path``; a :class:`ConfigError` names why it cannot be read."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as e:
+        raise ConfigError(f"cannot read {path}: {e}") from None
 
 
 def write_report(out_dir, name: str, payload: dict, header: str | None = None, rows=None) -> None:
@@ -308,5 +319,5 @@ def plot_results_dir(results_dir, out_dir=None) -> list[Path]:
     paths = sorted(results_dir.glob("seed_*.csv"), key=_csv_seed)
     if not paths:
         raise NoResults(f"no seed_*.csv files in {results_dir}")
-    runs = [parse_run_csv(p.read_text(encoding="utf-8")) for p in paths]
+    runs = [parse_run_csv(read_text(p)) for p in paths]
     return write_plots(out_dir if out_dir is not None else results_dir, runs)

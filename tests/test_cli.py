@@ -11,7 +11,7 @@ import pytest
 
 from nigt_lab import cli, harness, problems
 from nigt_lab.cli import main
-from nigt_lab.config import MAX_LOG_CELLS, MAX_SEEDS
+from nigt_lab.config import MAX_LOG_CELLS, MAX_SEEDS, parse_experiment, refuse_unread
 from nigt_lab.problems import CERT_N_SIGMA, MIN_SEP
 from nigt_lab.reports import CSV_HEADER
 
@@ -134,6 +134,8 @@ class TestRunCommand:
     def test_theorem_needs_its_own_optimizer(self, tmp_path, capsys, theorem, opt):
         # a tuned ceiling is only a guarantee for the method it was proved for
         text = BASE_RUN.replace("optimizer.id = nsgdm", f"optimizer.id = {opt}")
+        if opt == "sgd":  # which reads no beta
+            text = text.replace("optimizer.beta = 0.5\n", "")
         cfg = write(tmp_path / "mismatch.cfg", text + f"optimizer.theorem = {theorem}\n")
         out = tmp_path / "out"
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
@@ -227,6 +229,10 @@ NONFINITE_PROBES = [
      "sigma^2 and R at w1 must be finite, got cov_eigs=[1.0, 2.0], label_noise=1e+154"),
     ("run", {**QUAD_KEYS, "w1": "10.0,1.0"}, "eigs", "1e308,1.0",
      "R = sum(eigs w1^2) / 2 must be finite, got eigs=[1e+308, 1.0], w1=[10.0, 1.0]"),
+    ("certify", LS_KEYS, "w1", "1.0,inf", "w1 must be 2 finite numbers, got [1.0, inf]"),
+    ("run", LS_KEYS, "w1", "nan,1.0", "w1 must be 2 finite numbers, got [nan, 1.0]"),
+    ("certify", LS_KEYS, "w_star", "-inf,0.0", "w_star must be 2 finite numbers, got [-inf, 0.0]"),
+    ("run", LS_KEYS, "w_star", "1.0,2.0,3.0", "w_star must be 2 finite numbers, got [1.0, 2.0, 3.0]"),
 ]
 
 
@@ -255,7 +261,9 @@ SEEDED = {
                "problem.sigma = 1.0\ncertify.n_pairs = 100\n",
     "igt-check": "problem.kind = noisy_quadratic\nproblem.dim = 2\nproblem.eigs = 1.0,4.0\n"
                  "problem.sigma = 1.0\nigt_check.checkpoints = 1,4\nigt_check.n_runs = 1000\n",
+    # the grid sets the rate, and only run writes a choice of formats
     "sweep": BASE_RUN.replace("problem.sigma = 0.0", "problem.sigma = 0.5").replace("run.seeds = 1", "run.n_seeds = 2")
+             .replace("optimizer.eta = 0.1\n", "").replace("output.formats = csv,json\n", "")
              + "sweep.eta_grid = 0.01,0.1\n",
     "bounds": "problem.kind = trig_bowl\nproblem.dim = 2\nproblem.a = 1.0\nproblem.b = 1.0\n"
               "problem.sigma = 0.5\noptimizer.id = nsgdm\nrun.T_grid = 20\nrun.n_seeds = 2\n",
@@ -384,7 +392,7 @@ class TestSizeLimits:
     ], ids=["run_T", "run_n_seeds", "seeds_flag", "seed_list", "bounds_T_grid"])
     def test_one_above_the_limit_exits_one(self, tmp_path, capsys, runner, command, rest, flags, message):
         problem = "".join(f"problem.{k} = {v}\n" for k, v in TRIG_KEYS.items())
-        opt = "optimizer.id = nsgdm\n" + ("" if command == "bounds" else "optimizer.eta = 0.01\n")
+        opt = "optimizer.id = nsgdm\n" + ("optimizer.eta = 0.01\n" if command == "run" else "")
         cfg = write(tmp_path / "p.cfg", problem + opt + rest)
         out = tmp_path / "out"
         assert main([command, "--config", str(cfg), "--out", str(out), *flags]) == 1
@@ -756,6 +764,44 @@ class TestPlotCommand:
         assert sorted(p.name for p in out.glob("*.svg")) == ["eta.svg", "f_val.svg", "grad_norm.svg"]
 
 
+GOOD_ROW = "1,1,0.5,0.1,0.5,1,0,0\n"
+# (a damaged results directory: each file name and its bytes, or None for a
+# directory, and what the one stderr line names); a file that cannot be read
+# for its permissions is left out, since the tests may run as root
+DAMAGED = {
+    "csv_is_a_directory": ({"seed_1.csv": None}, "Is a directory"),
+    "not_utf8": ({"seed_1.csv": b"t,f_val\xff\n"}, "can't decode byte 0xff"),
+    "empty_csv": ({"seed_1.csv": b""}, "unexpected CSV header: (empty)"),
+    "wrong_header": ({"seed_1.csv": b"t,f,g\n1,2,3\n"}, "unexpected CSV header: t,f,g"),
+    "short_row": ({"seed_1.csv": (CSV_HEADER + "\n1,1,0.5\n").encode()}, "malformed CSV row: '1,1,0.5'"),
+    "cell_not_a_number": ({"seed_1.csv": (CSV_HEADER + "\n" + GOOD_ROW.replace("0.5", "half", 1)).encode()},
+                          "malformed CSV cell"),
+    "seed_name_not_an_integer": ({"seed_x.csv": (CSV_HEADER + "\n" + GOOD_ROW).encode()},
+                                 "expected seed_<integer>.csv"),
+    "empty_directory": ({}, "no seed_*.csv files"),
+}
+
+
+@pytest.mark.parametrize("case", DAMAGED)
+def test_plot_on_a_damaged_directory_exits_one_and_writes_nothing(tmp_path, capsys, case):
+    files, named = DAMAGED[case]
+    res = tmp_path / "res"
+    res.mkdir()
+    if files:  # a sound seed first
+        (res / "seed_0.csv").write_text(CSV_HEADER + "\n" + GOOD_ROW, encoding="utf-8")
+    for name, data in files.items():
+        if data is None:
+            (res / name).mkdir()
+        else:
+            (res / name).write_bytes(data)
+    before = sorted(p.name for p in res.iterdir())
+    assert main(["plot", str(res), "--out", str(tmp_path / "charts")]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("config error: ") and err.count("\n") == 1 and named in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "charts").exists() and sorted(p.name for p in res.iterdir()) == before
+
+
 class TestGoldenFiles:
     """Byte-exact format pins: header, number formatting, SVG primitives."""
 
@@ -856,3 +902,19 @@ class TestChartBytes:
         written = self._charts(out)
         assert main(["plot", str(out), "--out", str(tmp_path / "p")]) == 0
         assert self._charts(tmp_path / "p") == written
+
+
+README_EXAMPLES = re.findall(r"```\n(# nigt-lab (\S+) .*?)```", (Path(__file__).parent.parent / "README.md").read_text(
+    encoding="utf-8"), re.S)
+
+
+def test_readme_has_an_example_per_command():
+    assert {command for _, command in README_EXAMPLES} == {"run", "certify", "igt-check", "sweep", "bounds"}
+
+
+@pytest.mark.parametrize("text, command", README_EXAMPLES, ids=[f"{c}-{i}" for i, (_, c) in enumerate(README_EXAMPLES)])
+def test_readme_example_is_accepted_by_its_command(tmp_path, capsys, text, command):
+    refuse_unread(parse_experiment(text), command)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(write(tmp_path / "exp.cfg", text)), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == "" and any(out.iterdir())

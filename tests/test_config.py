@@ -12,6 +12,7 @@ from nigt_lab.config import (
     build_run_config,
     build_schedule,
     parse_experiment,
+    refuse_unread,
     resolve_seeds,
     serialize_experiment,
 )
@@ -212,16 +213,17 @@ class TestBuilders:
         with pytest.raises(ConfigError):
             build_problem(parse_experiment("problem.kind = rosenbrock\n"))
 
-    def test_keys_foreign_to_the_kind_are_rejected(self):
+    @pytest.mark.parametrize("command", ["run", "certify", "igt-check", "sweep", "bounds"])
+    def test_keys_foreign_to_the_kind_are_rejected(self, command):
         with pytest.raises(ConfigError) as exc:
-            build_problem(parse_experiment(
+            refuse_unread(parse_experiment(
                 "problem.kind = streaming_least_squares\nproblem.dim = 2\n"
-                "problem.cov_eigs = 1.0,2.0\nproblem.sigma = 0.5\n"))
-        assert "sigma" in str(exc.value)
+                "problem.cov_eigs = 1.0,2.0\nproblem.sigma = 0.5\n"), command)
+        assert str(exc.value) == "keys ['sigma'] do not apply to problem kind 'streaming_least_squares'"
         with pytest.raises(ConfigError):
-            build_problem(parse_experiment(
+            refuse_unread(parse_experiment(
                 "problem.kind = noisy_quadratic\nproblem.dim = 1\n"
-                "problem.eigs = 1.0\nproblem.p = 0.25\n"))
+                "problem.eigs = 1.0\nproblem.p = 0.25\n"), command)
 
     def test_seed_resolution(self):
         exp = parse_experiment(VALID)
@@ -238,11 +240,12 @@ class TestBuilders:
         assert bound is not None and bound > 0
         assert cfg.T == 100 and cfg.seeds == (7, 8, 9)
 
-    def test_manual_run_requires_eta(self):
+    def test_manual_run_requires_eta(self, tmp_path, capsys):
+        # a run reads the rate; the configuration a sweep builds has none
         text = VALID.replace("optimizer.theorem = 1\n", "")
-        with pytest.raises(ConfigError):
-            build_run_config(parse_experiment(text))
-        cfg, bound = build_run_config(parse_experiment(text), require_eta=False)
+        code, err = _exit_code_and_error(tmp_path, capsys, text)
+        assert code == 1 and err == "config error: manual runs need optimizer.eta\n"
+        cfg, bound = build_run_config(parse_experiment(text))
         assert cfg.eta is None and bound is None
 
     def test_adaptive_needs_matching_id(self):
@@ -288,16 +291,22 @@ class TestBaseRate:
 
     @pytest.mark.parametrize("text, eta, beta", [
         (VALID, TUNED.eta, TUNED.beta),
-        (VALID + "optimizer.eta = 0.5\noptimizer.beta = 0.5\n", TUNED.eta, TUNED.beta),
         (MANUAL + "optimizer.eta = 0.5\n", 0.5, 0.9),
-    ], ids=["theorem", "theorem_over_manual", "manual"])
-    def test_precedence(self, text, eta, beta):
+        (MANUAL, None, 0.9),
+    ], ids=["theorem", "manual", "sweep"])
+    def test_rate(self, text, eta, beta):
         cfg, _ = build_run_config(parse_experiment(text))
         assert (cfg.eta, cfg.beta) == (eta, beta)
 
-    def test_sweep_leaves_the_tuning_unused(self):
-        cfg, bound = build_run_config(parse_experiment(VALID + "optimizer.beta = 0.7\n"), require_eta=False)
-        assert (cfg.eta, cfg.beta) == (None, 0.7) and bound is not None
+    def test_theorem_and_manual_rate_exit_one(self, tmp_path, capsys):
+        # the theorem tunes both, so the manual rate would go unused
+        code, err = _exit_code_and_error(tmp_path, capsys, VALID + "optimizer.eta = 0.5\noptimizer.beta = 0.5\n")
+        assert (code, err) == (1, "config error: keys ['beta', 'eta'] do not apply to optimizer 'nsgdm'\n")
+
+    def test_sweep_reads_beta_and_no_rate(self):
+        # a sweep refuses optimizer.eta and optimizer.theorem, and sets the rate itself
+        cfg, bound = build_run_config(parse_experiment(MANUAL + "optimizer.beta = 0.7\n"))
+        assert (cfg.eta, cfg.beta, bound) == (None, 0.7, None)
 
     @pytest.mark.parametrize("extra", ["optimizer.eta = 0\n", "optimizer.eta = 0.1\noptimizer.beta = 1.0\n"],
                              ids=["eta_zero", "beta_one"])

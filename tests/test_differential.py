@@ -38,18 +38,30 @@ from hypothesis import strategies as st
 from nigt_lab import cli, harness
 from nigt_lab.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, _Parser, _UsageError, main
 from nigt_lab.config import (
-    _METHOD_KEYS,
-    _OVERRIDE_KEYS,
     _SCHEMA,
+    ExperimentFile,
     _format_value,
-    bounds_settings,
-    build_problem,
-    build_run_config,
+    _require,
+    build_partition,
+    build_schedule,
     load_experiment,
     master_seed,
     output_settings,
+    parse_experiment,
+    read_keys,
+    resolve_seeds,
+    serialize_experiment,
 )
-from nigt_lab.core import NORM_FLOOR, InvariantEvent, RngStream, TrajectoryRecord, normalize, rowdot, rownorm
+from nigt_lab.core import (
+    MAX_LOG_CELLS,
+    NORM_FLOOR,
+    InvariantEvent,
+    RngStream,
+    TrajectoryRecord,
+    normalize,
+    rowdot,
+    rownorm,
+)
 from nigt_lab.errors import (
     CertificationFailure,
     ConfigError,
@@ -61,15 +73,18 @@ from nigt_lab.errors import (
 )
 from nigt_lab.harness import (
     DEFAULT_ETA_GRID,
+    OPTIMIZER_IDS,
+    RunConfig,
     bound_acceptance,
     grid_sweep,
     igt_moment_check,
     rate_diagnostic,
     run,
 )
-from nigt_lab.tuning import bound_check
+from nigt_lab.tuning import THEOREM_METHODS, bound_check, tuned
 from nigt_lab.optimizers import (
     _INV_REL_TOL,
+    Schedule,
     SelfTuning,
     StepState,
     normalized_move,
@@ -779,10 +794,201 @@ class TestOutputLayer:
 # igt_check and sweep sections and joined its output paths.
 
 
+# the configuration builders as they were before each command read its keys
+# from one read set: each builder refused the unread keys of the sections it
+# read, and the schema was written out by hand
+
+REF_SCHEMA: dict[str, dict[str, str]] = {
+    "problem": {
+        "kind": "str",
+        "dim": "int",
+        "eigs": "float_list",
+        "sigma": "float",
+        "p": "float",
+        "a": "float",
+        "b": "float",
+        "cov_eigs": "float_list",
+        "label_noise": "float",
+        "w1": "float_list",
+        "w_star": "float_list",
+        # declared-constant overrides, validated by `certify`
+        "L": "float",
+        "rho": "float",
+        "g_bound": "float",
+        "R": "float",
+        "M": "float",
+    },
+    "optimizer": {
+        "id": "str",
+        "eta": "float",
+        "beta": "float",
+        "theorem": "str",  # "1" | "2"
+        "layers": "int_list",  # block boundaries, e.g. 0,2,4
+        "lr_scale": "float_list",
+    },
+    "schedule": {
+        "kind": "str",
+        "warmup_steps": "int",
+        "power": "int",
+        "weight_norm_scaling": "bool",
+    },
+    "run": {
+        "T": "int",
+        "T_grid": "int_list",
+        "seeds": "int_list",
+        "n_seeds": "int",
+        "master_seed": "int",
+        "record_exact": "bool",
+    },
+    "igt_check": {
+        "checkpoints": "int_list",
+        "n_runs": "int",
+    },
+    "sweep": {
+        "eta_grid": "float_list",
+    },
+    "certify": {
+        "n_pairs": "int",
+        "radius": "float",
+    },
+    "output": {
+        "dir": "str",
+        "formats": "str_list",
+    },
+}
+
+
+# declared-constant overrides, valid for every kind; the generative keys of
+# a kind are the parameters of its constructor
+REF_OVERRIDE_KEYS = {"L", "rho", "g_bound", "R", "M"}
+
+# the optimizer keys each method reads besides id (theorem, eta and beta
+# when not listed); lr_scale scales the layers, so it is read only with them
+REF_METHOD_KEYS = {"sgd": {"theorem", "eta"}, "nigt_layerwise": {"theorem", "eta", "beta", "layers", "lr_scale"},
+                   "nigt_adaptive": set()}
+
+
+def ref_refuse_stray(store: dict, read: set, owner: str) -> None:
+    """Refuse the keys of a section that ``owner`` never reads."""
+    stray = set(store) - read
+    if stray:
+        raise ConfigError(f"keys {sorted(stray)} do not apply to {owner}")
+
+
+def ref_build_problem(exp: ExperimentFile):
+    pr = exp.problem
+    kind = _require(pr, "kind", "problem")
+    if kind not in PROBLEM_KINDS:
+        raise ConfigError(f"unknown problem kind {kind!r}; known: {tuple(PROBLEM_KINDS)}")
+    make = PROBLEM_KINDS[kind]
+    params = inspect.signature(make).parameters
+    ref_refuse_stray(pr, {"kind"} | set(params) | REF_OVERRIDE_KEYS, f"problem kind {kind!r}")
+    for name, param in params.items():
+        if param.default is param.empty:
+            _require(pr, name, "problem")
+    if pr.get("dim", 1) > MAX_LOG_CELLS:
+        raise ConfigError(f"problem.dim = {pr['dim']} is above the limit of {MAX_LOG_CELLS}")
+    overrides = {k: pr[k] for k in sorted(REF_OVERRIDE_KEYS) if k in pr}
+    try:
+        problem = make(**{name: pr[name] for name in params if name in pr})
+        if overrides:
+            problem = with_constants(problem, **overrides)
+    except Exception as e:  # constructor and constant validation errors become config errors
+        raise ConfigError(f"invalid problem section: {e}") from e
+    return problem
+
+
+def ref_resolve_rate(exp: ExperimentFile, opt_id: str, problem, T: int, require_eta: bool = True):
+    """(eta, beta, bound) of method ``opt_id`` for one horizon: the theorem's
+    eta, else optimizer.eta; the theorem's beta, else optimizer.beta (0.9);
+    the theorem's ceiling, else None. With ``require_eta`` false the rate may
+    be missing and the tuning goes unused: a sweep sets the rate itself."""
+    op = exp.optimizer
+    if opt_id == "nigt_adaptive":  # sets its own rates as it runs
+        return None, 0.9, None
+    theorem = op.get("theorem")
+    paired_id = THEOREM_METHODS.get(theorem)
+    if theorem is not None and paired_id is None:
+        raise ConfigError(f"optimizer.theorem must be 1 or 2, got {theorem!r}")
+    # a ceiling is only a guarantee for the method its theorem is about
+    if paired_id is not None and opt_id != paired_id:
+        raise ConfigError(f"theorem = {theorem} requires optimizer.id = {paired_id}, got {opt_id!r}")
+    params = bound = None
+    if paired_id is not None:
+        try:
+            params, bound = tuned(opt_id, problem, T)
+        except (InvalidInput, ArithmeticError) as e:  # constants outside a rule's domain
+            raise ConfigError(f"invalid hyperparameters: {e}") from e
+    elif theorem is None and "eta" not in op and require_eta:
+        raise ConfigError("manual runs need optimizer.eta")
+    elif theorem is None and "eta" in op and not (op["eta"] > 0.0 and 0.0 <= op.get("beta", 0.9) < 1.0):
+        raise ConfigError("invalid hyperparameters: need eta > 0 and beta in [0, 1), "
+                          f"got eta = {op['eta']}, beta = {op.get('beta', 0.9)}")
+    if params is None or not require_eta:
+        return op.get("eta"), op.get("beta", 0.9), bound
+    return params.eta, params.beta, bound
+
+
+def ref_build_run_config(exp: ExperimentFile, n_seeds_override: int | None = None,
+                         master_seed_override: int | None = None,
+                         require_eta: bool = True) -> tuple[RunConfig, float | None]:
+    """Assemble the runnable configuration (and the bound, when tuned)."""
+    problem = ref_build_problem(exp)
+    op = exp.optimizer
+    opt_id = _require(op, "id", "optimizer")
+    if opt_id not in OPTIMIZER_IDS:
+        raise ConfigError(f"unknown optimizer id {opt_id!r}; known: {OPTIMIZER_IDS}")
+    T = _require(exp.run, "T", "run")
+    seeds = resolve_seeds(exp, n_seeds_override, master_seed_override, problem.dim)
+    schedule = build_schedule(exp)
+    eta, beta, bound = ref_resolve_rate(exp, opt_id, problem, T, require_eta)
+    # a key that the method or its schedule never reads is refused, not ignored
+    read = {"id"} | REF_METHOD_KEYS.get(opt_id, {"theorem", "eta", "beta"})
+    ref_refuse_stray(op, read if "layers" in op else read - {"lr_scale"}, f"optimizer {opt_id!r}")
+    read = {"kind"} if opt_id == "nigt_adaptive" else {"kind", "weight_norm_scaling"}
+    ref_refuse_stray(exp.schedule, read if schedule.kind == "constant" else read | {"warmup_steps", "power"},
+                  f"the {schedule.kind} schedule of optimizer {opt_id!r}")
+    try:
+        cfg = RunConfig(
+            problem=problem,
+            optimizer_id=opt_id,
+            T=T,
+            seeds=seeds,
+            eta=eta,
+            beta=beta,
+            schedule=schedule,
+            record_exact=exp.run.get("record_exact", True),
+            partition=build_partition(exp, problem.dim),
+        )
+    except InvalidInput as e:
+        raise ConfigError(f"invalid run configuration: {e}") from e
+    # a ceiling is checked on exact logs of the run its theorem is about: a
+    # constant rate on unscaled weights
+    if bound is not None and (schedule != Schedule() or not cfg.record_exact):
+        raise ConfigError(f"theorem = {op['theorem']} is checked on exact logs of a constant rate: it requires "
+                          "schedule.kind = constant, schedule.weight_norm_scaling = false, run.record_exact = true")
+    return cfg, bound
+
+
+def ref_bounds_settings(exp: ExperimentFile, n_seeds_override: int | None = None,
+                        master_seed_override: int | None = None):
+    """(problem, optimizer id, T grid, seeds) of ``bounds``. It runs the
+    method at its own theorem's tuning for each horizon of the grid, so any
+    other optimizer, schedule or run key is refused, not ignored."""
+    problem = ref_build_problem(exp)
+    if "T_grid" not in exp.run:
+        raise ConfigError("bounds needs run.T_grid")
+    for section, read in (("optimizer", {"id"}), ("schedule", set()),
+                          ("run", {"T_grid", "seeds", "n_seeds", "master_seed"})):
+        ref_refuse_stray(exp.section(section), read, f"bounds (section {section!r})")
+    seeds = resolve_seeds(exp, n_seeds_override, master_seed_override, problem.dim)
+    return problem, exp.optimizer.get("id"), exp.run["T_grid"], seeds
+
+
 def ref_cmd_run(args) -> int:
     exp = load_experiment(args.config)
     out_dir, formats = output_settings(exp, args.out)
-    cfg, bound = build_run_config(exp, args.seeds, args.master_seed)
+    cfg, bound = ref_build_run_config(exp, args.seeds, args.master_seed)
     records = run(cfg)
 
     no_move_count = sum(int(r.no_move.sum()) for r in records)
@@ -809,7 +1015,7 @@ def ref_cmd_run(args) -> int:
 def ref_cmd_certify(args) -> int:
     exp = load_experiment(args.config)
     out_dir, _ = output_settings(exp, args.out)
-    problem = build_problem(exp)
+    problem = ref_build_problem(exp)
     n_pairs = exp.certify.get("n_pairs", 400)
     radius = exp.certify.get("radius", 10.0)
     failed = False
@@ -828,7 +1034,7 @@ def ref_cmd_certify(args) -> int:
 def ref_cmd_igt_check(args) -> int:
     exp = load_experiment(args.config)
     out_dir, _ = output_settings(exp, args.out)
-    problem = build_problem(exp)
+    problem = ref_build_problem(exp)
     if not isinstance(problem, NoisyQuadratic):
         raise ConfigError(f"igt-check needs a {NoisyQuadratic.kind} problem (constant Hessian)")
     checkpoints = exp.igt_check.get("checkpoints", [1, 10, 100])
@@ -847,7 +1053,7 @@ def ref_cmd_igt_check(args) -> int:
 def ref_cmd_sweep(args) -> int:
     exp = load_experiment(args.config)
     out_dir, _ = output_settings(exp, args.out)
-    cfg, _ = build_run_config(exp, args.seeds, args.master_seed, require_eta=False)
+    cfg, _ = ref_build_run_config(exp, args.seeds, args.master_seed, require_eta=False)
     grid = exp.sweep.get("eta_grid", list(DEFAULT_ETA_GRID))
     report = grid_sweep(cfg, grid)
     write_text_atomic(os.path.join(out_dir, "sweep.json"), json_dumps(asdict(report)))
@@ -860,7 +1066,7 @@ def ref_cmd_sweep(args) -> int:
 def ref_cmd_bounds(args) -> int:
     exp = load_experiment(args.config)
     out_dir, _ = output_settings(exp, args.out)
-    problem, opt_id, T_grid, seeds = bounds_settings(exp, args.seeds, args.master_seed)
+    problem, opt_id, T_grid, seeds = ref_bounds_settings(exp, args.seeds, args.master_seed)
     try:
         report = bound_acceptance(problem, opt_id, T_grid, seeds)
     except CertificationFailure as e:
@@ -952,10 +1158,12 @@ USUAL = {
     "output.formats": ["csv", "json", "svg"],
 }
 VECTORS = {"eigs", "cov_eigs", "w1", "w_star"}  # one entry per dimension
-# the keys each command reads besides problem and output, as prefixes; a
-# key it reads is drawn often, one of them in RARE less, any other seldom
-READS = {"run": ("optimizer.", "schedule.", "run."), "certify": ("certify.",), "igt-check": ("igt_check.",),
-         "sweep": ("optimizer.", "schedule.", "run.", "sweep."),
+# the keys each command reads besides problem and output.dir, as prefixes;
+# a key it reads is drawn often, one of them in RARE less, any other seldom
+READS = {"run": ("optimizer.", "schedule.", "run.", "output."), "certify": ("certify.", "run.master_seed"),
+         "igt-check": ("igt_check.", "run.master_seed"),
+         "sweep": ("optimizer.id", "optimizer.beta", "optimizer.layers", "optimizer.lr_scale", "schedule.", "run.",
+                   "sweep."),
          "bounds": ("optimizer.id", "run.T_grid", "run.n_seeds", "run.seeds", "run.master_seed")}
 NEEDS = {"run": ("optimizer.id", "optimizer.eta", "run.T"), "sweep": ("optimizer.id", "run.T"),
          "bounds": ("optimizer.id", "run.T_grid")}
@@ -985,11 +1193,12 @@ def values(usual: tuple, base: str, edgy: bool):
 
 @st.composite
 def experiment_files(draw, command):
-    """An experiment file drawn key by key from the schema. Two in three
+    """An experiment file drawn key by key from the derived schema. Two in three
     are clean: usual values of the keys the command reads, vectors of the
-    problem's dimension and none of the RARE keys, so most of them run.
-    The others draw every key the command reads, edge values (0, -1, NaN,
-    +-inf, 1e308, subnormal) and now and then a key it does not read."""
+    problem's dimension, none of the RARE keys and seldom a key it does not
+    read, so most of them run. The others draw every key the command reads,
+    edge values (0, -1, NaN, +-inf, 1e308, subnormal) and now and then a
+    key it does not read."""
     kinds = USUAL["problem.kind"]
     # igt-check needs a quadratic, and bounds certifies sigma away from w1
     # and tunes with rho > 0: the trig bowl
@@ -1007,10 +1216,10 @@ def experiment_files(draw, command):
                 continue
             param = params.get(key) if section == "problem" else None
             if section == "problem":
-                read = key in _OVERRIDE_KEYS or param is not None
+                read = key in REF_OVERRIDE_KEYS or param is not None
             else:
-                read = name.startswith(("output.", *READS[command])) and (
-                    section != "optimizer" or key in {"id"} | _METHOD_KEYS.get(opt_id, {"theorem", "eta", "beta"}))
+                read = name.startswith(READS[command]) and (
+                    section != "optimizer" or key in {"id"} | REF_METHOD_KEYS.get(opt_id, {"theorem", "eta", "beta"}))
             if name in SIZES.get(command, ()):
                 chance = 8
             elif param is not None and param.default is param.empty or name in NEEDS.get(command, ()):
@@ -1018,9 +1227,9 @@ def experiment_files(draw, command):
             elif read:
                 # a declared L or rho below the problem's fails certify: exit 2
                 chance = (2 if edgy or key in ("L", "rho") else 0) if name in RARE else 5
-            else:
-                chance = edgy
-            n = 8 if read else 64
+            else:  # a key it does not read, which it refuses
+                chance = 1
+            n = 8 if read else 64 if edgy else 128
             if not (chance == n or chance and draw(chances(chance, n))):
                 continue
             value = values(tuple([opt_id] if name == "optimizer.id" else USUAL.get(name, ())),
@@ -1069,11 +1278,137 @@ def invoke(main_fn, argvs, outs):
     return results, files, [str(w.message) for w in caught]
 
 
+class TestDerivedSchema:
+    """The schema taken from the signatures of the functions that read each
+    section is the one written out by hand before: the same sections, keys,
+    order and value types, so ``serialize_experiment`` writes the same bytes."""
+
+    def test_sections_keys_order_and_types_match_the_written_schema(self):
+        assert [(section, list(keys.items())) for section, keys in _SCHEMA.items()] == \
+            [(section, list(keys.items())) for section, keys in REF_SCHEMA.items()]
+        assert sum(map(len, _SCHEMA.values())) == 39
+
+    @pytest.mark.parametrize("path", sorted((Path(__file__).parent.parent / "perfbench" / "workloads").glob("*.cfg"))
+                             + [Path(__file__).parent / "golden" / "golden_run.cfg"], ids=lambda p: p.name)
+    def test_shipped_files_serialize_as_before(self, path):
+        exp = load_experiment(path)
+        ref = [f"{section}.{key} = {_format_value(exp.section(section)[key])}"
+               for section, keys in REF_SCHEMA.items() for key in keys if key in exp.section(section)]
+        assert serialize_experiment(exp) == "\n".join(ref) + "\n"
+
+
+BOWL = "problem.kind = trig_bowl\nproblem.dim = 2\nproblem.a = 1.0\nproblem.b = 1.0\nproblem.sigma = 0.5\n"
+QUAD = "problem.kind = noisy_quadratic\nproblem.dim = 2\nproblem.eigs = 1.0,4.0\nproblem.sigma = 0.5\n"
+# a file each command reads whole
+READ_WHOLE = {
+    "run": BOWL + "optimizer.id = nsgdm\noptimizer.theorem = 1\nrun.T = 20\nrun.n_seeds = 2\n",
+    "sweep": BOWL + "optimizer.id = nsgdm\nrun.T = 20\nrun.n_seeds = 2\nsweep.eta_grid = 0.01,0.1\n",
+    "bounds": BOWL + "optimizer.id = nsgdm\nrun.T_grid = 20\nrun.n_seeds = 2\n",
+    "certify": BOWL + "certify.n_pairs = 100\n",
+    "igt-check": QUAD + "igt_check.checkpoints = 1,4\nigt_check.n_runs = 1000\n",
+}
+# a file that lists its seeds
+LISTED = {command: text.replace("run.n_seeds = 2\n", "run.seeds = 3,4\n") for command, text in READ_WHOLE.items()}
+
+# (command, the keys added to its file, the refusal), or (command, file, keys, refusal)
+NEWLY_REFUSED = [(case[0], READ_WHOLE[case[0]], *case[1:]) if len(case) == 3 else case for case in [
+    ("run", "optimizer.eta = 0.7\n", "keys ['eta'] do not apply to optimizer 'nsgdm'"),
+    ("run", "optimizer.beta = 0.2\n", "keys ['beta'] do not apply to optimizer 'nsgdm'"),
+    ("sweep", "optimizer.eta = 0.7\n", "keys ['eta'] do not apply to optimizer 'nsgdm'"),
+    ("sweep", "optimizer.theorem = 1\n", "keys ['theorem'] do not apply to optimizer 'nsgdm'"),
+    ("run", "run.T_grid = 5,6\n", "keys ['T_grid'] do not apply to run (section 'run')"),
+    ("sweep", "run.T_grid = 5,6\n", "keys ['T_grid'] do not apply to sweep (section 'run')"),
+    ("run", LISTED["run"], "run.n_seeds = 2\n", "keys ['n_seeds'] do not apply to run (section 'run')"),
+    ("sweep", LISTED["sweep"], "run.master_seed = 5\n", "keys ['master_seed'] do not apply to sweep (section 'run')"),
+    ("bounds", LISTED["bounds"], "run.master_seed = 5\n",
+     "keys ['master_seed'] do not apply to bounds (section 'run')"),
+    ("sweep", "output.formats = csv\n", "keys ['formats'] do not apply to sweep (section 'output')"),
+    ("bounds", "output.formats = csv,json,svg\n", "keys ['formats'] do not apply to bounds (section 'output')"),
+    ("certify", "output.formats = json\n", "keys ['formats'] do not apply to certify (section 'output')"),
+    ("igt-check", "output.formats = svg\n", "keys ['formats'] do not apply to igt-check (section 'output')"),
+    ("run", "certify.n_pairs = 100\n", "keys ['n_pairs'] do not apply to run (section 'certify')"),
+    ("run", "sweep.eta_grid = 9.0\n", "keys ['eta_grid'] do not apply to run (section 'sweep')"),
+    ("bounds", "igt_check.n_runs = 5\n", "keys ['n_runs'] do not apply to bounds (section 'igt_check')"),
+    ("sweep", "certify.radius = 0.001\n", "keys ['radius'] do not apply to sweep (section 'certify')"),
+    ("certify", "optimizer.id = nigt\nrun.T = 10\n", "keys ['id'] do not apply to certify (section 'optimizer')"),
+    ("certify", "run.n_seeds = 3\nrun.T = 5\n", "keys ['T', 'n_seeds'] do not apply to certify (section 'run')"),
+    ("certify", "schedule.power = 2\n", "keys ['power'] do not apply to certify (section 'schedule')"),
+    ("igt-check", "sweep.eta_grid = 1.0\n", "keys ['eta_grid'] do not apply to igt-check (section 'sweep')"),
+    ("igt-check", "certify.n_pairs = 100\n", "keys ['n_pairs'] do not apply to igt-check (section 'certify')"),
+]]
+
+
+class TestNewRefusals:
+    """Each key a command once accepted and ignored is refused (exit 1, one
+    stderr line, nothing written), and the earlier command functions wrote
+    the same with and without it."""
+
+    @pytest.mark.parametrize("command, text, extra, message", NEWLY_REFUSED)
+    def test_refused_and_without_effect_before(self, tmp_path, command, text, extra, message):
+        (tmp_path / "full.cfg").write_text(text + extra, encoding="utf-8")
+        (tmp_path / "base.cfg").write_text(text, encoding="utf-8")
+        out = tmp_path / "out"
+        argv = lambda name: [command, "--config", str(tmp_path / name), "--out", str(out)]
+        results, files, caught = invoke(main, [argv("full.cfg")], [out])
+        assert (results, files, caught) == ([(1, "", f"config error: {message}\n")], [{}], [])
+        ref = invoke(ref_main, [argv("full.cfg")], [out])
+        assert ref[0][0][0] in (0, 2) and ref[1][0]
+        assert invoke(ref_main, [argv("base.cfg")], [out]) == ref
+        assert invoke(main, [argv("base.cfg")], [out]) == ref
+
+    def test_a_seed_flag_once_read_the_keys_next_to_a_seed_list(self, tmp_path):
+        # the flag replaces run.seeds, and the earlier functions then read
+        # run.master_seed from the file; the file is now refused
+        text = READ_WHOLE["run"].replace("run.n_seeds = 2\n", "run.seeds = 3,4\nrun.master_seed = 5\n")
+        (tmp_path / "full.cfg").write_text(text, encoding="utf-8")
+        (tmp_path / "master.cfg").write_text(text.replace("run.seeds = 3,4\n", ""), encoding="utf-8")
+        out = tmp_path / "out"
+        argv = lambda name: ["run", "--config", str(tmp_path / name), "--out", str(out), "--seeds", "2"]
+        assert invoke(main, [argv("full.cfg")], [out])[0] == [
+            (1, "", "config error: keys ['master_seed'] do not apply to run (section 'run')\n")]
+        ref = invoke(ref_main, [argv("full.cfg")], [out])
+        assert json.loads(ref[1][0]["summary.json"])["seeds"] == [5, 6]
+        assert invoke(ref_main, [argv("master.cfg")], [out]) == ref == invoke(main, [argv("master.cfg")], [out])
+
+    def test_a_manual_run_without_a_rate_is_refused_after_its_other_checks(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text(BOWL + "optimizer.id = nsgdm\nrun.T = 0\n", encoding="utf-8")
+        argv = [["run", "--config", str(path), "--out", str(tmp_path / "out")]]
+        new, ref = invoke(main, argv, [tmp_path / "out"]), invoke(ref_main, argv, [tmp_path / "out"])
+        assert new[0] == [(1, "", "config error: invalid run configuration: T must be >= 1, got 0\n")]
+        assert ref[0] == [MANUAL_ETA] and agree(new, ref)
+
+
+MANUAL_ETA = (1, "", "config error: manual runs need optimizer.eta\n")
+SEED_FLAGS = ("--seeds", "--master-seed")
+
+
+def agree(new, ref) -> bool:
+    """The same results, but for one order of refusals: a manual run without
+    optimizer.eta is refused after its other checks, no longer before its
+    repeated seeds, a horizon below 1 or a layer partition that does not fit."""
+    (results, files, caught), (ref_results, ref_files, ref_caught) = new, ref
+    return new == ref or (ref_results[0] == MANUAL_ETA and results[0][:2] == (1, "") and not files[0]
+                          and (results[1:], files[1:], caught) == (ref_results[1:], ref_files[1:], ref_caught))
+
+
+def without(text: str, keys: set) -> str:
+    """``text`` without the lines that set ``keys`` ("section.key")."""
+    return "".join(line + "\n" for line in text.splitlines() if line.split(" = ")[0] not in keys)
+
+
 class TestExitCodeContract:
     """Every command on any experiment file (and ``plot`` on what ``run``
     wrote) exits 0, 1 or 2 with no traceback or warning, writes nothing
     when it exits 1, writes the same bytes when run again, and does all of
-    it as the earlier command functions did."""
+    it as the earlier command functions did. The one new outcome is a
+    refusal of the keys the command never reads: the earlier functions
+    refuse that file too, or they write the same on it as on the file
+    without those keys, and the change matches them there. When a seed
+    flag replaces ``run.seeds``, the earlier functions read ``run.n_seeds``
+    and ``run.master_seed`` next to the list, and now both are refused; and
+    a manual run without ``optimizer.eta`` is refused after its other
+    checks (:func:`agree`)."""
 
     @settings(max_examples=300)
     @given(invocations())
@@ -1094,4 +1429,22 @@ class TestExitCodeContract:
                 assert "Traceback" not in stderr and "Warning" not in stderr
                 assert code != 1 or not written
             assert invoke(main, argvs, outs) == new
-            assert invoke(ref_main, argvs, outs) == new
+            ref = invoke(ref_main, argvs, outs)
+            if agree(new, ref):
+                return
+            assert results[0][:2] == (1, "") and results[0][2].startswith("config error: keys [")
+            read = read_keys(parse_experiment(text), command)
+            names = [line.split(" = ")[0] for line in text.splitlines()]
+            unread = {name for name in names if name.split(".")[1] not in read.get(name.split(".")[0], set())}
+            assert unread
+            stripped = Path(tmp) / "read.cfg"
+            stripped.write_text(without(text, unread), encoding="utf-8")
+            argvs_read = [[*argvs[0][:2], str(stripped), *argvs[0][3:]], *argvs[1:]]
+            ref_read = invoke(ref_main, argvs_read, outs)
+            assert agree(invoke(main, argvs_read, outs), ref_read)
+            if ref[0][0][0] != 1:  # the refused keys did nothing, unless a seed flag replaced the list
+                replaced = {"run.n_seeds", "run.master_seed"}
+                if set(flags) & set(SEED_FLAGS) and "run.seeds" in text and unread & replaced:
+                    stripped.write_text(without(text, unread - replaced | {"run.seeds"}), encoding="utf-8")
+                    ref_read = invoke(ref_main, argvs_read, outs)
+                assert ref_read == ref
