@@ -166,7 +166,7 @@ def main(argv=None) -> int:
             plot_results_dir(args.results_dir, args.out)
             return EXIT_OK
         exp = load_experiment(args.config)
-        refuse_unread(exp, args.command)
+        refuse_unread(exp, args.command, getattr(args, "seeds", None), args.master_seed)
         return args.func(exp, args, *output_settings(exp, args.out))
     except _UsageError as e:
         sys.stderr.write(f"usage error: {e}\n")

@@ -23,7 +23,7 @@ output dir "results", formats csv,json.
 from __future__ import annotations
 
 import inspect
-from dataclasses import field, fields, make_dataclass
+from dataclasses import dataclass, field, fields
 
 from .core import MAX_LOG_CELLS, MAX_SEEDS
 from .errors import ConfigError, InvalidInput
@@ -34,42 +34,75 @@ from .reports import read_text
 from .tuning import THEOREM_METHODS, tuned
 
 
-def _keys(params, *skip: str) -> dict[str, str]:
-    """The names and value types of annotated parameters, but ``skip``: ``int``,
-    ``float``, ``bool``, ``str``, or a ``Sequence[...]`` of one (a list), maybe ``| None``."""
-    types = {p.name: p.annotation.removesuffix(" | None") for p in params if p.name not in skip}
-    return {name: f"{t[len('Sequence['):-1]}_list" if t.startswith("Sequence[") else t for name, t in types.items()}
+def _type(annotation: str) -> str:
+    """The value type of a parameter annotated ``int``, ``float``, ``bool`` or
+    ``str``, or a ``Sequence[...]`` of one (a list), maybe ``| None``."""
+    t = annotation.removesuffix(" | None")
+    return f"{t[len('Sequence['):-1]}_list" if t.startswith("Sequence[") else t
 
 
-_params = lambda fn: inspect.signature(fn).parameters.values()
+def _keys(fn, *skip: str) -> dict[str, str]:
+    """The names and value types of ``fn``'s parameters, but ``skip``."""
+    return {p.name: _type(p.annotation) for p in inspect.signature(fn).parameters.values() if p.name not in skip}
+
 
 # every maker's parameters, in PROBLEM_KINDS order; the declared constants no
 # maker takes are overrides of every kind, which `certify` validates
-_MAKER_PARAMS = {p.name: p for make in PROBLEM_KINDS.values() for p in _params(make)}
+_MAKER_PARAMS = {p.name: p for make in PROBLEM_KINDS.values() for p in inspect.signature(make).parameters.values()}
 _CONSTANTS = {f.name: f.type for f in fields(StochasticProblem) if f.name not in _MAKER_PARAMS}
 
 # each section's keys and value types, in file order: those of the function
 # that reads the section, and by hand for the optimizer, run and output
 # sections, which no single function reads
 _SCHEMA: dict[str, dict[str, str]] = {
-    # the parameters that default to None (the start and target points) last
-    "problem": {"kind": "str", **_keys(sorted(_MAKER_PARAMS.values(), key=lambda p: p.default is None)),
-                **_CONSTANTS},
-    # theorem is "1" or "2", and layers are block boundaries, e.g. 0,2,4
-    "optimizer": {"id": "str", "eta": "float", "beta": "float", "theorem": "str", "layers": "int_list",
-                  "lr_scale": "float_list"},
+    "problem": {
+        "kind": "str",
+        # the parameters that default to None (the start and target points) last
+        **{p.name: _type(p.annotation) for p in sorted(_MAKER_PARAMS.values(), key=lambda p: p.default is None)},
+        **_CONSTANTS,
+    },
+    "optimizer": {
+        "id": "str",
+        "eta": "float",
+        "beta": "float",
+        "theorem": "str",  # "1" | "2"
+        "layers": "int_list",  # block boundaries, e.g. 0,2,4
+        "lr_scale": "float_list",
+    },
     "schedule": {f.name: f.type for f in fields(Schedule)},
-    "run": {"T": "int", "T_grid": "int_list", "seeds": "int_list", "n_seeds": "int", "master_seed": "int",
-            "record_exact": "bool"},
-    "igt_check": _keys(_params(igt_moment_check), "problem", "seed"),
-    "sweep": _keys(_params(grid_sweep), "base"),
-    "certify": _keys(_params(certify_constants), "problem", "rng"),
-    "output": {"dir": "str", "formats": "str_list"},
+    "run": {
+        "T": "int",
+        "T_grid": "int_list",
+        "seeds": "int_list",
+        "n_seeds": "int",
+        "master_seed": "int",
+        "record_exact": "bool",
+    },
+    "igt_check": _keys(igt_moment_check, "problem", "seed"),
+    "sweep": _keys(grid_sweep, "base"),
+    "certify": _keys(certify_constants, "problem", "rng"),
+    "output": {
+        "dir": "str",
+        "formats": "str_list",
+    },
 }
 
-# typed, raw (default-free) contents of one experiment file: a dict per section
-ExperimentFile = make_dataclass("ExperimentFile", [(name, dict, field(default_factory=dict)) for name in _SCHEMA],
-                                namespace={"__module__": __name__, "section": lambda self, name: getattr(self, name)})
+
+@dataclass
+class ExperimentFile:
+    """Typed, raw (default-free) contents of one experiment file."""
+
+    problem: dict = field(default_factory=dict)
+    optimizer: dict = field(default_factory=dict)
+    schedule: dict = field(default_factory=dict)
+    run: dict = field(default_factory=dict)
+    igt_check: dict = field(default_factory=dict)
+    sweep: dict = field(default_factory=dict)
+    certify: dict = field(default_factory=dict)
+    output: dict = field(default_factory=dict)
+
+    def section(self, name: str) -> dict:
+        return getattr(self, name)
 
 
 def _parse_scalar(text: str, typ: str, where: str):
@@ -161,15 +194,18 @@ def _require(store: dict, key: str, section: str):
     return store[key]
 
 
-def read_keys(exp: ExperimentFile, command: str) -> dict[str, set[str]]:
-    """The keys ``command`` reads in each section of ``exp``. A method reads
-    its rate unless a theorem tunes it (``run``) or the grid sets it
-    (``sweep``), and a seed list replaces a seed count and master seed. A
-    kind the file does not name, or names wrongly, reads every problem key:
-    building the problem refuses the kind. So does a method."""
+def read_keys(exp: ExperimentFile, command: str, n_seeds_override: int | None = None,
+              master_seed_override: int | None = None) -> dict[str, set[str]]:
+    """The keys ``command`` reads in each section of ``exp``, given the seed
+    flags. A method reads its rate unless a theorem tunes it (``run``) or the
+    grid sets it (``sweep``). A kind, method or theorem that the file leaves
+    out or names wrongly reads every key of its section: building refuses it."""
     op, own = exp.optimizer, command.replace("-", "_")
     make = PROBLEM_KINDS.get(exp.problem.get("kind"))
-    seeds = {"seeds"} if "seeds" in exp.run else {"n_seeds", "master_seed"}
+    # a seed flag overrides every seed key, as --out does output.dir; without
+    # one, a seed list is read in place of the count and master seed
+    seeds = ({"seeds", "n_seeds", "master_seed"} if n_seeds_override is not None or master_seed_override is not None
+             else {"seeds"} if "seeds" in exp.run else {"n_seeds", "master_seed"})
     # certify, igt-check and sweep read their own section whole
     read = {"problem": {"kind", *inspect.signature(make).parameters, *_CONSTANTS} if make else set(_SCHEMA["problem"]),
             own: set(_SCHEMA.get(own, ())), "output": {"dir", "formats"} if command == "run" else {"dir"}}
@@ -177,12 +213,10 @@ def read_keys(exp: ExperimentFile, command: str) -> dict[str, set[str]]:
         return read | {"optimizer": {"id"}, "run": {"T_grid", *seeds}}
     if command in ("certify", "igt-check"):  # from the master seed alone
         return read | {"run": {"master_seed"}}
-    opt_id = op.get("id")
-    # the self-tuning method sets its own rates, a theorem tunes those of the
-    # method it is about (any other pairing is refused when it is built), and
-    # sgd is memoryless: no beta
+    opt_id, theorem = op.get("id"), op.get("theorem")
+    # the self-tuning method sets its own rates, and sgd is memoryless: no beta
     rates = set() if opt_id == "nigt_adaptive" else {"beta"} if command == "sweep" else (
-        {"theorem"} if THEOREM_METHODS.get(op.get("theorem")) == opt_id else {"theorem", "eta", "beta"})
+        {"theorem"} if theorem is not None else {"eta", "beta"})
     if opt_id == "sgd":
         rates.discard("beta")
     if opt_id == "nigt_layerwise":
@@ -190,15 +224,16 @@ def read_keys(exp: ExperimentFile, command: str) -> dict[str, set[str]]:
     schedule = {"kind"} if opt_id == "nigt_adaptive" else {"kind", "weight_norm_scaling"}
     if exp.schedule.get("kind", "constant") != "constant":
         schedule |= {"warmup_steps", "power"}
-    if opt_id not in OPTIMIZER_IDS:  # as a kind: building the configuration refuses the method
+    if opt_id not in OPTIMIZER_IDS or "theorem" in rates and THEOREM_METHODS.get(theorem) != opt_id:
         rates, schedule = set(_SCHEMA["optimizer"]), set(_SCHEMA["schedule"])
     return read | {"optimizer": {"id", *rates}, "schedule": schedule, "run": {"T", "record_exact", *seeds}}
 
 
-def refuse_unread(exp: ExperimentFile, command: str) -> None:
+def refuse_unread(exp: ExperimentFile, command: str, n_seeds_override: int | None = None,
+                  master_seed_override: int | None = None) -> None:
     """Refuse every key of ``exp`` that ``command`` never reads (:func:`read_keys`),
     before anything is built."""
-    read = read_keys(exp, command)
+    read = read_keys(exp, command, n_seeds_override, master_seed_override)
     opt_id = exp.optimizer.get("id")
     owners = {"problem": f"problem kind {exp.problem.get('kind')!r}"}
     if command in ("run", "sweep"):

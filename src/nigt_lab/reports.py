@@ -74,8 +74,13 @@ def parse_run_csv(text: str) -> dict[str, np.ndarray]:
     cells[cells == ""] = "nan"
     try:
         return dict(zip(names, cells.T.astype(np.float64)))
-    except ValueError as e:  # a cell that is not a number
-        raise NoResults(f"malformed CSV cell: {e}") from None
+    except ValueError:  # a cell that is not a number: name the first such row
+        for line, row in zip(lines[1:], cells):
+            try:
+                row.astype(np.float64)
+            except ValueError:
+                raise NoResults(f"malformed CSV cell in row {line!r}") from None
+        raise
 
 
 def json_dumps(obj) -> str:

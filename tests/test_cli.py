@@ -134,12 +134,28 @@ class TestRunCommand:
     def test_theorem_needs_its_own_optimizer(self, tmp_path, capsys, theorem, opt):
         # a tuned ceiling is only a guarantee for the method it was proved for
         text = BASE_RUN.replace("optimizer.id = nsgdm", f"optimizer.id = {opt}")
-        if opt == "sgd":  # which reads no beta
-            text = text.replace("optimizer.beta = 0.5\n", "")
         cfg = write(tmp_path / "mismatch.cfg", text + f"optimizer.theorem = {theorem}\n")
         out = tmp_path / "out"
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
         assert "theorem" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("theorem, opt, message", [
+        ("2", "sgd", "theorem = 2 requires optimizer.id = nigt, got 'sgd'"),
+        ("1", "nigt_layerwise", "theorem = 1 requires optimizer.id = nsgdm, got 'nigt_layerwise'"),
+        ("3", "sgd", "optimizer.theorem must be 1 or 2, got '3'"),
+        ("adaptive", "nsgdm", "optimizer.theorem must be 1 or 2, got 'adaptive'"),
+    ])
+    def test_a_theorem_not_about_the_method_is_named_before_its_unread_keys(self, tmp_path, capsys, theorem, opt,
+                                                                            message):
+        # optimizer.beta (sgd reads none), optimizer.lr_scale without layers
+        # and schedule.warmup_steps under the constant schedule go unread, but
+        # a theorem that is not about the method is what the file is refused for
+        text = BASE_RUN.replace("optimizer.id = nsgdm", f"optimizer.id = {opt}") + (
+            f"optimizer.theorem = {theorem}\noptimizer.lr_scale = 2.0\nschedule.warmup_steps = 3\n")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(write(tmp_path / "mismatch.cfg", text)), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
         assert not out.exists()
 
     def test_runaway_weight_norm_rate_exits_two_and_names_the_step(self, tmp_path, capsys):
@@ -775,7 +791,7 @@ DAMAGED = {
     "wrong_header": ({"seed_1.csv": b"t,f,g\n1,2,3\n"}, "unexpected CSV header: t,f,g"),
     "short_row": ({"seed_1.csv": (CSV_HEADER + "\n1,1,0.5\n").encode()}, "malformed CSV row: '1,1,0.5'"),
     "cell_not_a_number": ({"seed_1.csv": (CSV_HEADER + "\n" + GOOD_ROW.replace("0.5", "half", 1)).encode()},
-                          "malformed CSV cell"),
+                          "malformed CSV cell in row '1,1,half,0.1,0.5,1,0,0'"),
     "seed_name_not_an_integer": ({"seed_x.csv": (CSV_HEADER + "\n" + GOOD_ROW).encode()},
                                  "expected seed_<integer>.csv"),
     "empty_directory": ({}, "no seed_*.csv files"),

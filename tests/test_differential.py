@@ -1356,19 +1356,29 @@ class TestNewRefusals:
         assert invoke(ref_main, [argv("base.cfg")], [out]) == ref
         assert invoke(main, [argv("base.cfg")], [out]) == ref
 
-    def test_a_seed_flag_once_read_the_keys_next_to_a_seed_list(self, tmp_path):
-        # the flag replaces run.seeds, and the earlier functions then read
-        # run.master_seed from the file; the file is now refused
-        text = READ_WHOLE["run"].replace("run.n_seeds = 2\n", "run.seeds = 3,4\nrun.master_seed = 5\n")
-        (tmp_path / "full.cfg").write_text(text, encoding="utf-8")
-        (tmp_path / "master.cfg").write_text(text.replace("run.seeds = 3,4\n", ""), encoding="utf-8")
+    @pytest.mark.parametrize("command", ["run", "sweep", "bounds"])
+    @pytest.mark.parametrize("flags, extra", [
+        (["--seeds", "2"], "run.master_seed = 5\n"),
+        (["--seeds", "2"], "run.n_seeds = 3\nrun.master_seed = 5\n"),
+        (["--master-seed", "9"], "run.n_seeds = 3\n"),
+        (["--master-seed", "9"], "run.n_seeds = 3\nrun.master_seed = 5\n"),
+        (["--seeds", "2", "--master-seed", "9"], "run.n_seeds = 3\nrun.master_seed = 5\n"),
+    ], ids=["seeds", "seeds_over_count", "master", "master_over_master", "both"])
+    def test_a_seed_flag_overrides_every_seed_key(self, tmp_path, command, flags, extra):
+        # a flag replaces run.seeds and overrides the count and master seed,
+        # and the one it leaves is read: run.master_seed = 5 under --seeds 2
+        # runs seeds 5 and 6, as the earlier functions did; without a flag
+        # the count and master seed next to the list are refused
+        (tmp_path / "exp.cfg").write_text(LISTED[command] + extra, encoding="utf-8")
         out = tmp_path / "out"
-        argv = lambda name: ["run", "--config", str(tmp_path / name), "--out", str(out), "--seeds", "2"]
-        assert invoke(main, [argv("full.cfg")], [out])[0] == [
-            (1, "", "config error: keys ['master_seed'] do not apply to run (section 'run')\n")]
-        ref = invoke(ref_main, [argv("full.cfg")], [out])
-        assert json.loads(ref[1][0]["summary.json"])["seeds"] == [5, 6]
-        assert invoke(ref_main, [argv("master.cfg")], [out]) == ref == invoke(main, [argv("master.cfg")], [out])
+        argv = [[command, "--config", str(tmp_path / "exp.cfg"), "--out", str(out), *flags]]
+        new = invoke(main, argv, [out])
+        assert new[0][0][0] in (0, 2) and new == invoke(ref_main, argv, [out])
+        assert invoke(main, [argv[0][:-len(flags)]], [out])[0] == [
+            (1, "", f"config error: keys {sorted(k for k in ('master_seed', 'n_seeds') if f'run.{k}' in extra)} "
+                    f"do not apply to {command} (section 'run')\n")]
+        if command == "run" and flags == ["--seeds", "2"]:
+            assert json.loads(new[1][0]["summary.json"])["seeds"] == [5, 6]
 
     def test_a_manual_run_without_a_rate_is_refused_after_its_other_checks(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -1404,9 +1414,7 @@ class TestExitCodeContract:
     it as the earlier command functions did. The one new outcome is a
     refusal of the keys the command never reads: the earlier functions
     refuse that file too, or they write the same on it as on the file
-    without those keys, and the change matches them there. When a seed
-    flag replaces ``run.seeds``, the earlier functions read ``run.n_seeds``
-    and ``run.master_seed`` next to the list, and now both are refused; and
+    without those keys, and the change matches them there. Apart from that,
     a manual run without ``optimizer.eta`` is refused after its other
     checks (:func:`agree`)."""
 
@@ -1433,7 +1441,8 @@ class TestExitCodeContract:
             if agree(new, ref):
                 return
             assert results[0][:2] == (1, "") and results[0][2].startswith("config error: keys [")
-            read = read_keys(parse_experiment(text), command)
+            read = read_keys(parse_experiment(text), command, *(
+                int(flags[flags.index(flag) + 1]) if flag in flags else None for flag in SEED_FLAGS))
             names = [line.split(" = ")[0] for line in text.splitlines()]
             unread = {name for name in names if name.split(".")[1] not in read.get(name.split(".")[0], set())}
             assert unread
@@ -1442,9 +1451,5 @@ class TestExitCodeContract:
             argvs_read = [[*argvs[0][:2], str(stripped), *argvs[0][3:]], *argvs[1:]]
             ref_read = invoke(ref_main, argvs_read, outs)
             assert agree(invoke(main, argvs_read, outs), ref_read)
-            if ref[0][0][0] != 1:  # the refused keys did nothing, unless a seed flag replaced the list
-                replaced = {"run.n_seeds", "run.master_seed"}
-                if set(flags) & set(SEED_FLAGS) and "run.seeds" in text and unread & replaced:
-                    stripped.write_text(without(text, unread - replaced | {"run.seeds"}), encoding="utf-8")
-                    ref_read = invoke(ref_main, argvs_read, outs)
+            if ref[0][0][0] != 1:  # the refused keys did nothing
                 assert ref_read == ref
