@@ -1,8 +1,9 @@
 """Batch front door: parse an experiment file, dispatch, emit results.
 
-A command refuses every key it does not read (``config.read_keys``). The
-certify, igt_check and sweep sections pass straight through to the function
-that reads them: their keys and defaults are its parameters.
+Each command is built, refuses every key its build left unread
+(``config.refuse_unread``), and only then runs and writes. The certify,
+igt_check and sweep sections pass straight through to the function that
+reads them: their keys and defaults are its parameters.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 a check failed
 (bound exceeded, invariant violated, certification contradicted, run
@@ -21,7 +22,8 @@ from .config import (
     build_run_config,
     load_experiment,
     master_seed,
-    output_settings,
+    output_dir,
+    output_formats,
     refuse_unread,
 )
 from .errors import CertificationFailure, ConfigError, Diverged, NigtLabError, NoResults
@@ -34,7 +36,7 @@ from .harness import (
 )
 from .problems import NoisyQuadratic, certify_constants
 from .core import RngStream
-from .reports import json_dumps, plot_results_dir, write_report, write_run_outputs
+from .reports import json_dumps, plot_results_dir, refuse_stale_seeds, write_report, write_run_outputs
 from .tuning import bound_check
 
 EXIT_OK = 0
@@ -53,10 +55,13 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def cmd_run(exp, args, out_dir, formats) -> int:
+def cmd_run(exp, args, out_dir) -> int:
+    formats = output_formats(exp)
     cfg, bound = build_run_config(exp, args.seeds, args.master_seed)
     if cfg.eta is None and cfg.optimizer_id != "nigt_adaptive":  # a sweep sets the rate, a run reads it
         raise ConfigError("manual runs need optimizer.eta")
+    refuse_unread(exp, args.command)
+    refuse_stale_seeds(out_dir, cfg.seeds, formats)
     records = run(cfg)
 
     no_move_count = sum(int(r.no_move.sum()) for r in records)
@@ -80,11 +85,11 @@ def cmd_run(exp, args, out_dir, formats) -> int:
     return EXIT_OK if passed else EXIT_CHECK_FAILED
 
 
-def cmd_certify(exp, args, out_dir, formats) -> int:
-    problem = build_problem(exp)
+def cmd_certify(exp, args, out_dir) -> int:
+    problem, seed = build_problem(exp), master_seed(exp, args.master_seed)
+    refuse_unread(exp, args.command)
     try:
-        report, code = certify_constants(problem, rng=RngStream(master_seed(exp, args.master_seed), 17),
-                                         **exp.certify), EXIT_OK
+        report, code = certify_constants(problem, rng=RngStream(seed, 17), **exp.certify), EXIT_OK
     except CertificationFailure as e:
         report, code = e.report, EXIT_CHECK_FAILED
     payload = asdict(report)
@@ -93,11 +98,12 @@ def cmd_certify(exp, args, out_dir, formats) -> int:
     return code
 
 
-def cmd_igt_check(exp, args, out_dir, formats) -> int:
-    problem = build_problem(exp)
+def cmd_igt_check(exp, args, out_dir) -> int:
+    problem, seed = build_problem(exp), master_seed(exp, args.master_seed)
     if not isinstance(problem, NoisyQuadratic):
         raise ConfigError(f"igt-check needs a {NoisyQuadratic.kind} problem (constant Hessian)")
-    report = igt_moment_check(problem, seed=master_seed(exp, args.master_seed), **exp.igt_check)
+    refuse_unread(exp, args.command)
+    report = igt_moment_check(problem, seed=seed, **exp.igt_check)
     rows = [[c.k, c.bias_norm, c.variance, c.target_variance, c.bias_limit, c.n_runs, c.passed]
             for c in report.checkpoints]
     write_report(out_dir, "igt_check", asdict(report),
@@ -105,16 +111,18 @@ def cmd_igt_check(exp, args, out_dir, formats) -> int:
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED
 
 
-def cmd_sweep(exp, args, out_dir, formats) -> int:
-    cfg, _ = build_run_config(exp, args.seeds, args.master_seed)
+def cmd_sweep(exp, args, out_dir) -> int:
+    cfg, _ = build_run_config(exp, args.seeds, args.master_seed, sweep=True)
+    refuse_unread(exp, args.command)
     report = grid_sweep(cfg, **exp.sweep)
     write_report(out_dir, "sweep", asdict(report), "eta0,final_grad_norm",
                  [[r.eta0, r.final_grad_norm] for r in report.rows])
     return EXIT_OK
 
 
-def cmd_bounds(exp, args, out_dir, formats) -> int:
+def cmd_bounds(exp, args, out_dir) -> int:
     problem, opt_id, T_grid, seeds = bounds_settings(exp, args.seeds, args.master_seed)
+    refuse_unread(exp, args.command)
     try:
         report = bound_acceptance(problem, opt_id, T_grid, seeds)
     except CertificationFailure as e:
@@ -159,27 +167,22 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         if args.command == "plot":
             plot_results_dir(args.results_dir, args.out)
             return EXIT_OK
         exp = load_experiment(args.config)
-        refuse_unread(exp, args.command, getattr(args, "seeds", None), args.master_seed)
-        return args.func(exp, args, *output_settings(exp, args.out))
+        return args.func(exp, args, output_dir(exp, args.out))
     except _UsageError as e:
         sys.stderr.write(f"usage error: {e}\n")
         return EXIT_USAGE
     except (ConfigError, NoResults) as e:
         sys.stderr.write(f"config error: {e}\n")
         return EXIT_USAGE
-    except Diverged as e:
+    except NigtLabError as e:  # a run that diverged failed a check
         sys.stderr.write(f"error: {e}\n")
-        return EXIT_CHECK_FAILED
-    except NigtLabError as e:
-        sys.stderr.write(f"error: {e}\n")
-        return EXIT_USAGE
+        return EXIT_CHECK_FAILED if isinstance(e, Diverged) else EXIT_USAGE
 
 
 def main_entry() -> None:

@@ -9,8 +9,8 @@ Grammar (one statement per line):
               | comma-separated list of the above
 
 Unknown sections or keys are rejected with a line/column diagnostic, and
-before anything is built so is every key the command never reads
-(:func:`read_keys`).
+once a command is built, so is every key that its builders below left
+unread (:class:`Section`, :func:`refuse_unread`).
 Parsing preserves exactly what was written (no defaults are injected), so
 parse -> serialize -> parse is the identity; defaults are applied when an
 :class:`ExperimentFile` is turned into runnable objects.
@@ -88,20 +88,34 @@ _SCHEMA: dict[str, dict[str, str]] = {
 }
 
 
+class Section(dict):
+    """The keys and values of one section. :attr:`read` holds each key that
+    ``[]`` or ``get`` asked for; ``in`` asks for none."""
+
+    read: frozenset[str] = frozenset()
+
+    def __getitem__(self, key):
+        self.read |= {key}
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        return self[key] if key in self else default
+
+
 @dataclass
 class ExperimentFile:
     """Typed, raw (default-free) contents of one experiment file."""
 
-    problem: dict = field(default_factory=dict)
-    optimizer: dict = field(default_factory=dict)
-    schedule: dict = field(default_factory=dict)
-    run: dict = field(default_factory=dict)
-    igt_check: dict = field(default_factory=dict)
-    sweep: dict = field(default_factory=dict)
-    certify: dict = field(default_factory=dict)
-    output: dict = field(default_factory=dict)
+    problem: Section = field(default_factory=Section)
+    optimizer: Section = field(default_factory=Section)
+    schedule: Section = field(default_factory=Section)
+    run: Section = field(default_factory=Section)
+    igt_check: Section = field(default_factory=Section)
+    sweep: Section = field(default_factory=Section)
+    certify: Section = field(default_factory=Section)
+    output: Section = field(default_factory=Section)
 
-    def section(self, name: str) -> dict:
+    def section(self, name: str) -> Section:
         return getattr(self, name)
 
 
@@ -194,55 +208,21 @@ def _require(store: dict, key: str, section: str):
     return store[key]
 
 
-def read_keys(exp: ExperimentFile, command: str, n_seeds_override: int | None = None,
-              master_seed_override: int | None = None) -> dict[str, set[str]]:
-    """The keys ``command`` reads in each section of ``exp``, given the seed
-    flags. A method reads its rate unless a theorem tunes it (``run``) or the
-    grid sets it (``sweep``). A kind, method or theorem that the file leaves
-    out or names wrongly reads every key of its section: building refuses it."""
-    op, own = exp.optimizer, command.replace("-", "_")
-    make = PROBLEM_KINDS.get(exp.problem.get("kind"))
-    # a seed flag overrides every seed key, as --out does output.dir; without
-    # one, a seed list is read in place of the count and master seed
-    seeds = ({"seeds", "n_seeds", "master_seed"} if n_seeds_override is not None or master_seed_override is not None
-             else {"seeds"} if "seeds" in exp.run else {"n_seeds", "master_seed"})
-    # certify, igt-check and sweep read their own section whole
-    read = {"problem": {"kind", *inspect.signature(make).parameters, *_CONSTANTS} if make else set(_SCHEMA["problem"]),
-            own: set(_SCHEMA.get(own, ())), "output": {"dir", "formats"} if command == "run" else {"dir"}}
-    if command == "bounds":  # each horizon at its theorem's tuning
-        return read | {"optimizer": {"id"}, "run": {"T_grid", *seeds}}
-    if command in ("certify", "igt-check"):  # from the master seed alone
-        return read | {"run": {"master_seed"}}
-    opt_id, theorem = op.get("id"), op.get("theorem")
-    # the self-tuning method sets its own rates, and sgd is memoryless: no beta
-    rates = set() if opt_id == "nigt_adaptive" else {"beta"} if command == "sweep" else (
-        {"theorem"} if theorem is not None else {"eta", "beta"})
-    if opt_id == "sgd":
-        rates.discard("beta")
-    if opt_id == "nigt_layerwise":
-        rates |= {"layers", "lr_scale"} if "layers" in op else {"layers"}
-    schedule = {"kind"} if opt_id == "nigt_adaptive" else {"kind", "weight_norm_scaling"}
-    if exp.schedule.get("kind", "constant") != "constant":
-        schedule |= {"warmup_steps", "power"}
-    if opt_id not in OPTIMIZER_IDS or "theorem" in rates and THEOREM_METHODS.get(theorem) != opt_id:
-        rates, schedule = set(_SCHEMA["optimizer"]), set(_SCHEMA["schedule"])
-    return read | {"optimizer": {"id", *rates}, "schedule": schedule, "run": {"T", "record_exact", *seeds}}
-
-
-def refuse_unread(exp: ExperimentFile, command: str, n_seeds_override: int | None = None,
-                  master_seed_override: int | None = None) -> None:
-    """Refuse every key of ``exp`` that ``command`` never reads (:func:`read_keys`),
-    before anything is built."""
-    read = read_keys(exp, command, n_seeds_override, master_seed_override)
-    opt_id = exp.optimizer.get("id")
-    owners = {"problem": f"problem kind {exp.problem.get('kind')!r}"}
+def refuse_unread(exp: ExperimentFile, command: str) -> None:
+    """Refuse every key of ``exp`` that building ``command`` left unread,
+    before the command runs or writes anything."""
+    # certify, igt-check and sweep pass their own section whole, which ``**`` does without reading a key
+    whole = {"certify": "certify", "igt-check": "igt_check", "sweep": "sweep"}.get(command)
+    opt_id = dict.get(exp.optimizer, "id")  # naming the owners reads no key
+    owners = {"problem": f"problem kind {dict.get(exp.problem, 'kind')!r}"}
     if command in ("run", "sweep"):
         owners["optimizer"] = f"optimizer {opt_id!r}"
-        owners["schedule"] = f"the {exp.schedule.get('kind', 'constant')} schedule of optimizer {opt_id!r}"
-    for section in _SCHEMA:
-        stray = set(exp.section(section)) - read.get(section, set())
+        owners["schedule"] = f"the {dict.get(exp.schedule, 'kind', 'constant')} schedule of optimizer {opt_id!r}"
+    for name in _SCHEMA:
+        section = exp.section(name)
+        stray = set() if name == whole else set(section) - section.read
         if stray:
-            owner = owners.get(section, f"{command} (section {section!r})")
+            owner = owners.get(name, f"{command} (section {name!r})")
             raise ConfigError(f"keys {sorted(stray)} do not apply to {owner}")
 
 
@@ -256,11 +236,12 @@ def build_problem(exp: ExperimentFile):
     for name, param in params.items():
         if param.default is param.empty:
             _require(pr, name, "problem")
-    if pr.get("dim", 1) > MAX_LOG_CELLS:
-        raise ConfigError(f"problem.dim = {pr['dim']} is above the limit of {MAX_LOG_CELLS}")
+    args = {name: pr[name] for name in params if name in pr}
+    if args.get("dim", 1) > MAX_LOG_CELLS:
+        raise ConfigError(f"problem.dim = {args['dim']} is above the limit of {MAX_LOG_CELLS}")
     overrides = {k: pr[k] for k in _CONSTANTS if k in pr}
     try:
-        problem = make(**{name: pr[name] for name in params if name in pr})
+        problem = make(**args)
         if overrides:
             problem = with_constants(problem, **overrides)
     except Exception as e:  # constructor and constant validation errors become config errors
@@ -268,10 +249,16 @@ def build_problem(exp: ExperimentFile):
     return problem
 
 
-def build_schedule(exp: ExperimentFile) -> Schedule:
-    # the section's keys are the fields of Schedule, with the same defaults
+def build_schedule(exp: ExperimentFile, opt_id: str | None = None) -> Schedule:
+    """The section's keys are the fields of Schedule, with the same defaults.
+    The self-tuning method reads no weight-norm scaling, and only a schedule
+    that is not constant reads its warmup and power."""
+    sc = exp.schedule
+    keys = ["kind"] if opt_id == "nigt_adaptive" else ["kind", "weight_norm_scaling"]
+    if sc.get("kind", Schedule.kind) != Schedule.kind:
+        keys += ["warmup_steps", "power"]
     try:
-        return Schedule(**exp.schedule)
+        return Schedule(**{key: sc[key] for key in keys if key in sc})
     except InvalidInput as e:
         raise ConfigError(f"invalid schedule section: {e}") from e
 
@@ -294,47 +281,46 @@ def build_partition(exp: ExperimentFile, dim: int) -> LayerPartition | None:
 
 
 def master_seed(exp: ExperimentFile, override: int | None = None) -> int:
-    """run.master_seed (0 by default), or the command line's override of it."""
-    return override if override is not None else exp.run.get("master_seed", 0)
+    """run.master_seed (0), or the command line's override, which reads it too."""
+    seed = exp.run.get("master_seed", 0)
+    return seed if override is None else override
 
 
-def resolve_seeds(exp: ExperimentFile, n_seeds_override: int | None = None,
+def resolve_seeds(exp: ExperimentFile, T_key: str, T: int, n_seeds_override: int | None = None,
                   master_seed_override: int | None = None, dim: int = 1) -> tuple[int, ...]:
-    """The seeds of a run, checked before they are built: at most
-    :data:`MAX_SEEDS` of them, and at most :data:`MAX_LOG_CELLS` log cells
-    (steps of its longest run times seeds) and state cells (seeds times the
-    problem's ``dim``)."""
+    """The seeds of a run whose longest run, ``T_key``, takes ``T`` steps,
+    checked before they are built: at most :data:`MAX_SEEDS` of them, and at
+    most :data:`MAX_LOG_CELLS` log cells (steps times seeds) and state cells
+    (seeds times ``dim``). A seed flag reads the seed keys it overrides, all
+    three; without one, a list is read in place of the count and master seed."""
     rn = exp.run
-    listed = "seeds" in rn and n_seeds_override is None and master_seed_override is None
-    if listed:
-        key, n = "run.seeds", len(rn["seeds"])
-    elif n_seeds_override is not None:
-        key, n = "--seeds", n_seeds_override
+    listed = rn.get("seeds")
+    if listed is not None and n_seeds_override is None and master_seed_override is None:
+        key, n = "run.seeds", len(listed)
     else:
-        key, n = "run.n_seeds", rn.get("n_seeds", 1)
+        listed, master, count = None, master_seed(exp, master_seed_override), rn.get("n_seeds", 1)
+        key, n = ("run.n_seeds", count) if n_seeds_override is None else ("--seeds", n_seeds_override)
     if n < 1:
         raise ConfigError(f"n_seeds must be >= 1, got {n}")
     if n > MAX_SEEDS:
         raise ConfigError(f"{key} asks for {n} seeds, above the limit of {MAX_SEEDS}")
-    T_key, T = ("run.T", rn["T"]) if "T" in rn else ("max(run.T_grid)", max(rn.get("T_grid", [0])))
     if T * n > MAX_LOG_CELLS:
         raise ConfigError(f"{T_key} = {T} over {n} seeds is {T * n} log cells, above the limit of {MAX_LOG_CELLS}")
     if n * dim > MAX_LOG_CELLS:
         raise ConfigError(f"{key} asks for {n} seeds of problem.dim = {dim}, {n * dim} state cells, "
                           f"above the limit of {MAX_LOG_CELLS}")
-    if listed:
-        return tuple(rn["seeds"])
-    master = master_seed(exp, master_seed_override)
-    return tuple(master + i for i in range(n))
+    return tuple(listed) if listed is not None else tuple(master + i for i in range(n))
 
 
-def resolve_rate(exp: ExperimentFile, opt_id: str, problem, T: int):
+def resolve_rate(exp: ExperimentFile, opt_id: str, problem, T: int, sweep: bool = False):
     """(eta, beta, bound) of method ``opt_id`` for one horizon: the theorem's
-    eta, beta and ceiling, else optimizer.eta (None when unset: a sweep sets
-    the rate, and the self-tuning method tunes it), optimizer.beta (0.9) and
-    no ceiling."""
+    eta, beta and ceiling, else optimizer.eta (None when unset), optimizer.beta
+    (0.9) and no ceiling. The self-tuning method tunes itself, sgd has no
+    beta, and each grid point of a sweep sets the rate."""
     op = exp.optimizer
-    theorem = op.get("theorem")
+    if opt_id == "nigt_adaptive":
+        return None, 0.9, None
+    theorem = None if sweep else op.get("theorem")
     paired_id = THEOREM_METHODS.get(theorem)
     if theorem is not None and paired_id is None:
         raise ConfigError(f"optimizer.theorem must be 1 or 2, got {theorem!r}")
@@ -347,24 +333,24 @@ def resolve_rate(exp: ExperimentFile, opt_id: str, problem, T: int):
         except (InvalidInput, ArithmeticError) as e:  # constants outside a rule's domain
             raise ConfigError(f"invalid hyperparameters: {e}") from e
         return params.eta, params.beta, bound
-    eta, beta = op.get("eta"), op.get("beta", 0.9)
+    eta, beta = None if sweep else op.get("eta"), 0.9 if opt_id == "sgd" else op.get("beta", 0.9)
     if eta is not None and not (eta > 0.0 and 0.0 <= beta < 1.0):
         raise ConfigError(f"invalid hyperparameters: need eta > 0 and beta in [0, 1), got eta = {eta}, beta = {beta}")
     return eta, beta, None
 
 
 def build_run_config(exp: ExperimentFile, n_seeds_override: int | None = None,
-                     master_seed_override: int | None = None) -> tuple[RunConfig, float | None]:
-    """Assemble the runnable configuration (and the bound, when tuned)."""
+                     master_seed_override: int | None = None, sweep: bool = False) -> tuple[RunConfig, float | None]:
+    """The runnable configuration, and the bound when tuned; a sweep's has no rate."""
     problem = build_problem(exp)
     op = exp.optimizer
     opt_id = _require(op, "id", "optimizer")
     if opt_id not in OPTIMIZER_IDS:
         raise ConfigError(f"unknown optimizer id {opt_id!r}; known: {OPTIMIZER_IDS}")
     T = _require(exp.run, "T", "run")
-    seeds = resolve_seeds(exp, n_seeds_override, master_seed_override, problem.dim)
-    schedule = build_schedule(exp)
-    eta, beta, bound = resolve_rate(exp, opt_id, problem, T)
+    seeds = resolve_seeds(exp, "run.T", T, n_seeds_override, master_seed_override, problem.dim)
+    schedule = build_schedule(exp, opt_id)
+    eta, beta, bound = resolve_rate(exp, opt_id, problem, T, sweep)
     try:
         cfg = RunConfig(
             problem=problem,
@@ -375,7 +361,7 @@ def build_run_config(exp: ExperimentFile, n_seeds_override: int | None = None,
             beta=beta,
             schedule=schedule,
             record_exact=exp.run.get("record_exact", True),
-            partition=build_partition(exp, problem.dim),
+            partition=build_partition(exp, problem.dim) if opt_id == "nigt_layerwise" else None,
         )
     except InvalidInput as e:
         raise ConfigError(f"invalid run configuration: {e}") from e
@@ -394,15 +380,21 @@ def bounds_settings(exp: ExperimentFile, n_seeds_override: int | None = None,
     problem = build_problem(exp)
     if "T_grid" not in exp.run:
         raise ConfigError("bounds needs run.T_grid")
-    seeds = resolve_seeds(exp, n_seeds_override, master_seed_override, problem.dim)
-    return problem, exp.optimizer.get("id"), exp.run["T_grid"], seeds
+    T_grid = exp.run["T_grid"]
+    seeds = resolve_seeds(exp, "max(run.T_grid)", max(T_grid), n_seeds_override, master_seed_override, problem.dim)
+    return problem, exp.optimizer.get("id"), T_grid, seeds
 
 
-def output_settings(exp: ExperimentFile, out_override: str | None = None) -> tuple[str, tuple[str, ...]]:
-    out = exp.output
-    directory = out_override if out_override is not None else out.get("dir", "results")
-    formats = tuple(out.get("formats", ["csv", "json"]))
+def output_dir(exp: ExperimentFile, override: str | None = None) -> str:
+    """output.dir ("results"), or the command line's override, which reads it too."""
+    directory = exp.output.get("dir", "results")
+    return directory if override is None else override
+
+
+def output_formats(exp: ExperimentFile) -> tuple[str, ...]:
+    """output.formats, which only ``run`` reads."""
+    formats = tuple(exp.output.get("formats", ["csv", "json"]))
     bad = [f for f in formats if f not in ("csv", "json", "svg")]
     if bad:
         raise ConfigError(f"unknown output formats {bad}; allowed: csv, json, svg")
-    return directory, formats
+    return formats

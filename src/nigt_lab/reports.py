@@ -129,6 +129,15 @@ def seed_csv_name(seed: int) -> str:
     return f"seed_{seed}.csv"
 
 
+def refuse_stale_seeds(out_dir, seeds, formats) -> None:
+    """One run per results directory: refuse a directory that holds a seed
+    CSV this run will not write, which ``plot`` would chart with its own."""
+    written = {seed_csv_name(seed) for seed in seeds} if "csv" in formats else set()
+    stale = sorted(p.name for p in Path(out_dir).glob("seed_*.csv") if p.name not in written)
+    if stale:
+        raise ConfigError(f"{out_dir} holds {stale[0]}, a seed CSV of another run: give each run its own directory")
+
+
 def write_run_outputs(records, out_dir, formats, summary: dict) -> None:
     out_dir = Path(out_dir)
     if "csv" in formats:
@@ -188,12 +197,12 @@ def svg_line_chart(series, title: str, xlabel: str, ylabel: str,
     """Multi-polyline chart; ``series`` is a list of (xs, ys, style) triples
     of float arrays.
 
-    Points with a NaN or (on log axes) non-positive coordinate are
+    Points with a non-finite or (on log axes) non-positive coordinate are
     dropped. Purely textual output: same input, same bytes.
     """
     cleaned = []
     for xs, ys, style in series:
-        keep = ~(np.isnan(xs) | np.isnan(ys))
+        keep = np.isfinite(xs) & np.isfinite(ys)
         if xlog:
             keep &= xs > 0.0
         if ylog:
@@ -274,10 +283,10 @@ def svg_line_chart(series, title: str, xlabel: str, ylabel: str,
     return "\n".join(out) + "\n"
 
 
-_METRICS = (
-    ("grad_norm", "grad_norm.svg", True, True),
-    ("f_val", "f_val.svg", False, False),
-    ("eta", "eta.svg", False, False),
+_METRICS = (  # column (and chart <column>.svg), title, log x axis, log y axis
+    ("grad_norm", "exact gradient norm", True, True),
+    ("f_val", "objective value", False, False),
+    ("eta", "step size", False, False),
 )
 
 
@@ -291,24 +300,18 @@ def _mean_line(columns, n: int) -> np.ndarray:
     return stack.mean(axis=1)
 
 
-def write_plots(out_dir, runs: list[dict]) -> list[Path]:
+def write_plots(out_dir, runs: list[dict]) -> None:
     """One chart per metric; every run as a gray polyline plus a dark mean
     line. Each run is a dict of columns: ``t`` and the charted metrics."""
     out_dir = Path(out_dir)
     if not runs:
         raise NoResults("no run CSVs to plot")
-    written = []
-    for column, fname, xlog, ylog in _METRICS:
+    for column, title, xlog, ylog in _METRICS:
         series = [(cols["t"], cols[column], _SEED_STYLE) for cols in runs]
         t_common = runs[0]["t"]
         means = _mean_line([cols[column] for cols in runs], len(t_common))
         series.append((t_common, means, _MEAN_STYLE))
-        name = {"grad_norm": "exact gradient norm", "f_val": "objective value",
-                "eta": "step size"}[column]
-        path = out_dir / fname
-        write_text_atomic(path, svg_line_chart(series, name, "t", column, xlog=xlog, ylog=ylog))
-        written.append(path)
-    return written
+        write_text_atomic(out_dir / f"{column}.svg", svg_line_chart(series, title, "t", column, xlog=xlog, ylog=ylog))
 
 
 def _csv_seed(path: Path) -> int:
@@ -318,11 +321,11 @@ def _csv_seed(path: Path) -> int:
         raise NoResults(f"{path}: expected seed_<integer>.csv") from None
 
 
-def plot_results_dir(results_dir, out_dir=None) -> list[Path]:
+def plot_results_dir(results_dir, out_dir=None) -> None:
     """Charts for every seed CSV found in ``results_dir``, in seed order."""
     results_dir = Path(results_dir)
     paths = sorted(results_dir.glob("seed_*.csv"), key=_csv_seed)
     if not paths:
         raise NoResults(f"no seed_*.csv files in {results_dir}")
     runs = [parse_run_csv(read_text(p)) for p in paths]
-    return write_plots(out_dir if out_dir is not None else results_dir, runs)
+    write_plots(out_dir if out_dir is not None else results_dir, runs)

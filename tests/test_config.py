@@ -12,7 +12,6 @@ from nigt_lab.config import (
     build_run_config,
     build_schedule,
     parse_experiment,
-    refuse_unread,
     resolve_seeds,
     serialize_experiment,
 )
@@ -214,24 +213,32 @@ class TestBuilders:
             build_problem(parse_experiment("problem.kind = rosenbrock\n"))
 
     @pytest.mark.parametrize("command", ["run", "certify", "igt-check", "sweep", "bounds"])
-    def test_keys_foreign_to_the_kind_are_rejected(self, command):
-        with pytest.raises(ConfigError) as exc:
-            refuse_unread(parse_experiment(
-                "problem.kind = streaming_least_squares\nproblem.dim = 2\n"
-                "problem.cov_eigs = 1.0,2.0\nproblem.sigma = 0.5\n"), command)
-        assert str(exc.value) == "keys ['sigma'] do not apply to problem kind 'streaming_least_squares'"
-        with pytest.raises(ConfigError):
-            refuse_unread(parse_experiment(
-                "problem.kind = noisy_quadratic\nproblem.dim = 1\n"
-                "problem.eigs = 1.0\nproblem.p = 0.25\n"), command)
+    def test_keys_foreign_to_the_kind_are_rejected(self, tmp_path, capsys, command):
+        # the rest of a file the command builds; igt-check builds no
+        # streaming_least_squares problem, and that is named first
+        rest = {"run": "optimizer.id = nsgdm\noptimizer.eta = 0.1\nrun.T = 5\n",
+                "sweep": "optimizer.id = nsgdm\nrun.T = 5\n", "bounds": "optimizer.id = nsgdm\nrun.T_grid = 5\n"}
+        for text, message in [
+            ("problem.kind = streaming_least_squares\nproblem.dim = 2\n"
+             "problem.cov_eigs = 1.0,2.0\nproblem.sigma = 0.5\n",
+             "igt-check needs a noisy_quadratic problem (constant Hessian)" if command == "igt-check" else
+             "keys ['sigma'] do not apply to problem kind 'streaming_least_squares'"),
+            ("problem.kind = noisy_quadratic\nproblem.dim = 1\nproblem.eigs = 1.0\nproblem.p = 0.25\n",
+             "keys ['p'] do not apply to problem kind 'noisy_quadratic'"),
+        ]:
+            cfg = tmp_path / "exp.cfg"
+            cfg.write_text(text + rest.get(command, ""), encoding="utf-8")
+            assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+            assert capsys.readouterr() == ("", f"config error: {message}\n")
+            assert not (tmp_path / "out").exists()
 
     def test_seed_resolution(self):
         exp = parse_experiment(VALID)
-        assert resolve_seeds(exp) == (7, 8, 9)
-        assert resolve_seeds(exp, n_seeds_override=2) == (7, 8)
-        assert resolve_seeds(exp, master_seed_override=100) == (100, 101, 102)
+        assert resolve_seeds(exp, "run.T", 100) == (7, 8, 9)
+        assert resolve_seeds(exp, "run.T", 100, n_seeds_override=2) == (7, 8)
+        assert resolve_seeds(exp, "run.T", 100, master_seed_override=100) == (100, 101, 102)
         explicit = parse_experiment("run.seeds = 5,6\n")
-        assert resolve_seeds(explicit) == (5, 6)
+        assert resolve_seeds(explicit, "run.T", 100) == (5, 6)
 
     def test_build_run_config_with_tuned_params(self):
         cfg, bound = build_run_config(parse_experiment(VALID))

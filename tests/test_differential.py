@@ -9,7 +9,8 @@ runner draws each block's noise when the block starts, where a tape once
 drew it ahead on a cadence of its own; the CSV writer formats a constant
 column once and a chart reuses the text of a repeated axis or line; the
 command line loads a file once and passes its sections straight to the
-functions that read them. The ``ref_*`` code below is the code they
+functions that read them, and refuses the keys its builders left unread,
+where read sets once stated them. The ``ref_*`` code below is the code they
 replaced, kept verbatim as the reference: every state byte, every
 exception (type, row and text), every certification report, every noise
 row a step reads, every output string and every command's exit code,
@@ -23,12 +24,14 @@ import io
 import json
 import math
 import os
+import re
 import shutil
 import sys
 import tempfile
 import warnings
 from dataclasses import asdict
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -36,24 +39,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nigt_lab import cli, harness
-from nigt_lab.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, _Parser, _UsageError, main
+from nigt_lab.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, _Parser, _UsageError, build_parser, main
 from nigt_lab.config import (
+    _CONSTANTS,
     _SCHEMA,
     ExperimentFile,
     _format_value,
     _require,
-    build_partition,
-    build_schedule,
     load_experiment,
-    master_seed,
-    output_settings,
+    output_dir,
     parse_experiment,
-    read_keys,
-    resolve_seeds,
+    refuse_unread,
     serialize_experiment,
 )
 from nigt_lab.core import (
     MAX_LOG_CELLS,
+    MAX_SEEDS,
     NORM_FLOOR,
     InvariantEvent,
     RngStream,
@@ -84,6 +85,7 @@ from nigt_lab.harness import (
 from nigt_lab.tuning import THEOREM_METHODS, bound_check, tuned
 from nigt_lab.optimizers import (
     _INV_REL_TOL,
+    LayerPartition,
     Schedule,
     SelfTuning,
     StepState,
@@ -734,13 +736,13 @@ def records(draw):
         grad_norm=draw(optional), mhat_err=draw(optional), descent_residual=draw(optional))
 
 
-POINTS = st.one_of(st.floats(-1e6, 1e6), st.sampled_from([0.0, -0.0, math.nan, 1e-300, 5e-324]))
+POINTS = st.one_of(st.floats(-1e6, 1e6), st.sampled_from([0.0, -0.0, math.nan, 1e-300, 5e-324, math.inf, -math.inf]))
 
 
 @st.composite
 def chart_series(draw):
     """Polylines over a shared t axis, each a copy of the line before, the
-    same xs with other ys, xs and ys of its own, or all NaN; NaN and
+    same xs with other ys, xs and ys of its own, or all NaN; non-finite and
     non-positive points leave lines of different lengths once dropped."""
     n = draw(st.integers(1, 8))
     t = np.arange(1.0, n + 1)
@@ -758,6 +760,10 @@ def chart_series(draw):
     return series
 
 
+# an x tick: its line, then its label
+X_TICK = re.compile(r'<line [^\n]*/>\n<text [^\n]* font-size="10" text-anchor="middle">([^<]*)</text>\n')
+
+
 def chart_outcome(chart, series, xlog, ylog):
     """The chart, or the type and text of what drawing it raises."""
     try:
@@ -768,7 +774,8 @@ def chart_outcome(chart, series, xlog, ylog):
 
 class TestOutputLayer:
     """A constant column goes into the CSV row template, and a polyline
-    reuses the text of the one before: the bytes must be the old ones."""
+    reuses the text of the one before: the bytes must be the old ones, where
+    an infinite point is now dropped as a NaN one is."""
 
     @settings(max_examples=500)
     @given(records())
@@ -778,11 +785,19 @@ class TestOutputLayer:
     @settings(max_examples=400)
     @given(chart_series(), st.booleans(), st.booleans())
     def test_chart_matches_the_per_line_chart(self, series, xlog, ylog):
-        new, ref = (chart_outcome(chart, series, xlog, ylog) for chart in (svg_line_chart, ref_svg_line_chart))
+        # an infinite point is dropped as a NaN one is; the old chart drew
+        # it, so it is given NaN in its place
+        nan_for_inf = [(np.where(np.isinf(xs), math.nan, xs), np.where(np.isinf(ys), math.nan, ys), style)
+                       for xs, ys, style in series]
+        new, ref = chart_outcome(svg_line_chart, series, xlog, ylog), chart_outcome(ref_svg_line_chart, nan_for_inf,
+                                                                                    xlog, ylog)
         if xlog and ref == ("ValueError", "math domain error"):
             # below x = 1e-323 the old first log x tick, 10.0**-324, rounded
             # to 0; the x ticks now start at 1e-300, as the y ticks do
             assert isinstance(new, str) and new.startswith("<svg")
+        elif xlog and isinstance(ref, str):
+            # so the old ticks below 1e-300, of an x axis that starts there, are not drawn
+            assert new == X_TICK.sub(lambda m: "" if float(m[1]) < 1e-300 else m[0], ref)
         else:
             assert new == ref
 
@@ -875,6 +890,133 @@ def ref_refuse_stray(store: dict, read: set, owner: str) -> None:
         raise ConfigError(f"keys {sorted(stray)} do not apply to {owner}")
 
 
+# the helpers that the builders and command functions above call, and the
+# one refusal that replaced the builders' own, as they were when a command
+# refused, before anything was built, the keys ref_read_keys does not give
+# (verbatim but for the ref_ names)
+
+def ref_read_keys(exp: ExperimentFile, command: str, n_seeds_override: int | None = None,
+                  master_seed_override: int | None = None) -> dict[str, set[str]]:
+    """The keys ``command`` reads in each section of ``exp``, given the seed
+    flags. A method reads its rate unless a theorem tunes it (``run``) or the
+    grid sets it (``sweep``). A kind, method or theorem that the file leaves
+    out or names wrongly reads every key of its section: building refuses it."""
+    op, own = exp.optimizer, command.replace("-", "_")
+    make = PROBLEM_KINDS.get(exp.problem.get("kind"))
+    # a seed flag overrides every seed key, as --out does output.dir; without
+    # one, a seed list is read in place of the count and master seed
+    seeds = ({"seeds", "n_seeds", "master_seed"} if n_seeds_override is not None or master_seed_override is not None
+             else {"seeds"} if "seeds" in exp.run else {"n_seeds", "master_seed"})
+    # certify, igt-check and sweep read their own section whole
+    read = {"problem": {"kind", *inspect.signature(make).parameters, *_CONSTANTS} if make else set(_SCHEMA["problem"]),
+            own: set(_SCHEMA.get(own, ())), "output": {"dir", "formats"} if command == "run" else {"dir"}}
+    if command == "bounds":  # each horizon at its theorem's tuning
+        return read | {"optimizer": {"id"}, "run": {"T_grid", *seeds}}
+    if command in ("certify", "igt-check"):  # from the master seed alone
+        return read | {"run": {"master_seed"}}
+    opt_id, theorem = op.get("id"), op.get("theorem")
+    # the self-tuning method sets its own rates, and sgd is memoryless: no beta
+    rates = set() if opt_id == "nigt_adaptive" else {"beta"} if command == "sweep" else (
+        {"theorem"} if theorem is not None else {"eta", "beta"})
+    if opt_id == "sgd":
+        rates.discard("beta")
+    if opt_id == "nigt_layerwise":
+        rates |= {"layers", "lr_scale"} if "layers" in op else {"layers"}
+    schedule = {"kind"} if opt_id == "nigt_adaptive" else {"kind", "weight_norm_scaling"}
+    if exp.schedule.get("kind", "constant") != "constant":
+        schedule |= {"warmup_steps", "power"}
+    if opt_id not in OPTIMIZER_IDS or "theorem" in rates and THEOREM_METHODS.get(theorem) != opt_id:
+        rates, schedule = set(_SCHEMA["optimizer"]), set(_SCHEMA["schedule"])
+    return read | {"optimizer": {"id", *rates}, "schedule": schedule, "run": {"T", "record_exact", *seeds}}
+
+
+def ref_refuse_unread(exp: ExperimentFile, command: str, n_seeds_override: int | None = None,
+                      master_seed_override: int | None = None) -> None:
+    """Refuse every key of ``exp`` that ``command`` never reads (:func:`read_keys`),
+    before anything is built."""
+    read = ref_read_keys(exp, command, n_seeds_override, master_seed_override)
+    opt_id = exp.optimizer.get("id")
+    owners = {"problem": f"problem kind {exp.problem.get('kind')!r}"}
+    if command in ("run", "sweep"):
+        owners["optimizer"] = f"optimizer {opt_id!r}"
+        owners["schedule"] = f"the {exp.schedule.get('kind', 'constant')} schedule of optimizer {opt_id!r}"
+    for section in _SCHEMA:
+        stray = set(exp.section(section)) - read.get(section, set())
+        if stray:
+            owner = owners.get(section, f"{command} (section {section!r})")
+            raise ConfigError(f"keys {sorted(stray)} do not apply to {owner}")
+
+
+def ref_build_schedule(exp: ExperimentFile) -> Schedule:
+    # the section's keys are the fields of Schedule, with the same defaults
+    try:
+        return Schedule(**exp.schedule)
+    except InvalidInput as e:
+        raise ConfigError(f"invalid schedule section: {e}") from e
+
+
+def ref_build_partition(exp: ExperimentFile, dim: int) -> LayerPartition | None:
+    op = exp.optimizer
+    if "layers" not in op:
+        return None
+    bounds = op["layers"]
+    if len(bounds) < 2:
+        raise ConfigError("optimizer.layers needs at least two boundaries")
+    ranges = tuple((bounds[i], bounds[i + 1]) for i in range(len(bounds) - 1))
+    scales = tuple(op.get("lr_scale", [1.0] * len(ranges)))
+    try:
+        part = LayerPartition(ranges=ranges, lr_scale=scales)
+        part.validate_cover(dim)
+    except Exception as e:
+        raise ConfigError(f"invalid layer partition: {e}") from e
+    return part
+
+
+def ref_master_seed(exp: ExperimentFile, override: int | None = None) -> int:
+    """run.master_seed (0 by default), or the command line's override of it."""
+    return override if override is not None else exp.run.get("master_seed", 0)
+
+
+def ref_resolve_seeds(exp: ExperimentFile, n_seeds_override: int | None = None,
+                      master_seed_override: int | None = None, dim: int = 1) -> tuple[int, ...]:
+    """The seeds of a run, checked before they are built: at most
+    :data:`MAX_SEEDS` of them, and at most :data:`MAX_LOG_CELLS` log cells
+    (steps of its longest run times seeds) and state cells (seeds times the
+    problem's ``dim``)."""
+    rn = exp.run
+    listed = "seeds" in rn and n_seeds_override is None and master_seed_override is None
+    if listed:
+        key, n = "run.seeds", len(rn["seeds"])
+    elif n_seeds_override is not None:
+        key, n = "--seeds", n_seeds_override
+    else:
+        key, n = "run.n_seeds", rn.get("n_seeds", 1)
+    if n < 1:
+        raise ConfigError(f"n_seeds must be >= 1, got {n}")
+    if n > MAX_SEEDS:
+        raise ConfigError(f"{key} asks for {n} seeds, above the limit of {MAX_SEEDS}")
+    T_key, T = ("run.T", rn["T"]) if "T" in rn else ("max(run.T_grid)", max(rn.get("T_grid", [0])))
+    if T * n > MAX_LOG_CELLS:
+        raise ConfigError(f"{T_key} = {T} over {n} seeds is {T * n} log cells, above the limit of {MAX_LOG_CELLS}")
+    if n * dim > MAX_LOG_CELLS:
+        raise ConfigError(f"{key} asks for {n} seeds of problem.dim = {dim}, {n * dim} state cells, "
+                          f"above the limit of {MAX_LOG_CELLS}")
+    if listed:
+        return tuple(rn["seeds"])
+    master = ref_master_seed(exp, master_seed_override)
+    return tuple(master + i for i in range(n))
+
+
+def ref_output_settings(exp: ExperimentFile, out_override: str | None = None) -> tuple[str, tuple[str, ...]]:
+    out = exp.output
+    directory = out_override if out_override is not None else out.get("dir", "results")
+    formats = tuple(out.get("formats", ["csv", "json"]))
+    bad = [f for f in formats if f not in ("csv", "json", "svg")]
+    if bad:
+        raise ConfigError(f"unknown output formats {bad}; allowed: csv, json, svg")
+    return directory, formats
+
+
 def ref_build_problem(exp: ExperimentFile):
     pr = exp.problem
     kind = _require(pr, "kind", "problem")
@@ -939,8 +1081,8 @@ def ref_build_run_config(exp: ExperimentFile, n_seeds_override: int | None = Non
     if opt_id not in OPTIMIZER_IDS:
         raise ConfigError(f"unknown optimizer id {opt_id!r}; known: {OPTIMIZER_IDS}")
     T = _require(exp.run, "T", "run")
-    seeds = resolve_seeds(exp, n_seeds_override, master_seed_override, problem.dim)
-    schedule = build_schedule(exp)
+    seeds = ref_resolve_seeds(exp, n_seeds_override, master_seed_override, problem.dim)
+    schedule = ref_build_schedule(exp)
     eta, beta, bound = ref_resolve_rate(exp, opt_id, problem, T, require_eta)
     # a key that the method or its schedule never reads is refused, not ignored
     read = {"id"} | REF_METHOD_KEYS.get(opt_id, {"theorem", "eta", "beta"})
@@ -958,7 +1100,7 @@ def ref_build_run_config(exp: ExperimentFile, n_seeds_override: int | None = Non
             beta=beta,
             schedule=schedule,
             record_exact=exp.run.get("record_exact", True),
-            partition=build_partition(exp, problem.dim),
+            partition=ref_build_partition(exp, problem.dim),
         )
     except InvalidInput as e:
         raise ConfigError(f"invalid run configuration: {e}") from e
@@ -981,13 +1123,13 @@ def ref_bounds_settings(exp: ExperimentFile, n_seeds_override: int | None = None
     for section, read in (("optimizer", {"id"}), ("schedule", set()),
                           ("run", {"T_grid", "seeds", "n_seeds", "master_seed"})):
         ref_refuse_stray(exp.section(section), read, f"bounds (section {section!r})")
-    seeds = resolve_seeds(exp, n_seeds_override, master_seed_override, problem.dim)
+    seeds = ref_resolve_seeds(exp, n_seeds_override, master_seed_override, problem.dim)
     return problem, exp.optimizer.get("id"), exp.run["T_grid"], seeds
 
 
 def ref_cmd_run(args) -> int:
     exp = load_experiment(args.config)
-    out_dir, formats = output_settings(exp, args.out)
+    out_dir, formats = ref_output_settings(exp, args.out)
     cfg, bound = ref_build_run_config(exp, args.seeds, args.master_seed)
     records = run(cfg)
 
@@ -1014,14 +1156,14 @@ def ref_cmd_run(args) -> int:
 
 def ref_cmd_certify(args) -> int:
     exp = load_experiment(args.config)
-    out_dir, _ = output_settings(exp, args.out)
+    out_dir, _ = ref_output_settings(exp, args.out)
     problem = ref_build_problem(exp)
     n_pairs = exp.certify.get("n_pairs", 400)
     radius = exp.certify.get("radius", 10.0)
     failed = False
     try:
         report = certify_constants(problem, n_pairs=n_pairs, radius=radius,
-                                   rng=RngStream(master_seed(exp, args.master_seed), 17))
+                                   rng=RngStream(ref_master_seed(exp, args.master_seed), 17))
     except CertificationFailure as e:
         report = e.report
         failed = True
@@ -1033,13 +1175,13 @@ def ref_cmd_certify(args) -> int:
 
 def ref_cmd_igt_check(args) -> int:
     exp = load_experiment(args.config)
-    out_dir, _ = output_settings(exp, args.out)
+    out_dir, _ = ref_output_settings(exp, args.out)
     problem = ref_build_problem(exp)
     if not isinstance(problem, NoisyQuadratic):
         raise ConfigError(f"igt-check needs a {NoisyQuadratic.kind} problem (constant Hessian)")
     checkpoints = exp.igt_check.get("checkpoints", [1, 10, 100])
     n_runs = exp.igt_check.get("n_runs", 10_000)
-    report = igt_moment_check(problem, checkpoints, n_runs, seed=master_seed(exp, args.master_seed))
+    report = igt_moment_check(problem, checkpoints, n_runs, seed=ref_master_seed(exp, args.master_seed))
     write_text_atomic(os.path.join(out_dir, "igt_check.json"), json_dumps(asdict(report)))
     rows = [[c.k, c.bias_norm, c.variance, c.target_variance, c.bias_limit, c.n_runs, c.passed]
             for c in report.checkpoints]
@@ -1052,7 +1194,7 @@ def ref_cmd_igt_check(args) -> int:
 
 def ref_cmd_sweep(args) -> int:
     exp = load_experiment(args.config)
-    out_dir, _ = output_settings(exp, args.out)
+    out_dir, _ = ref_output_settings(exp, args.out)
     cfg, _ = ref_build_run_config(exp, args.seeds, args.master_seed, require_eta=False)
     grid = exp.sweep.get("eta_grid", list(DEFAULT_ETA_GRID))
     report = grid_sweep(cfg, grid)
@@ -1065,7 +1207,7 @@ def ref_cmd_sweep(args) -> int:
 
 def ref_cmd_bounds(args) -> int:
     exp = load_experiment(args.config)
-    out_dir, _ = output_settings(exp, args.out)
+    out_dir, _ = ref_output_settings(exp, args.out)
     problem, opt_id, T_grid, seeds = ref_bounds_settings(exp, args.seeds, args.master_seed)
     try:
         report = bound_acceptance(problem, opt_id, T_grid, seeds)
@@ -1407,6 +1549,16 @@ def without(text: str, keys: set) -> str:
     return "".join(line + "\n" for line in text.splitlines() if line.split(" = ")[0] not in keys)
 
 
+def ref_refusal(text: str, command: str, flags: list[str]):
+    """The message with which the earlier code refused the file's unread keys, or None."""
+    try:
+        ref_refuse_unread(parse_experiment(text), command, *(
+            int(flags[flags.index(flag) + 1]) if flag in flags else None for flag in SEED_FLAGS))
+    except ConfigError as e:
+        return str(e)
+    return None
+
+
 class TestExitCodeContract:
     """Every command on any experiment file (and ``plot`` on what ``run``
     wrote) exits 0, 1 or 2 with no traceback or warning, writes nothing
@@ -1414,9 +1566,10 @@ class TestExitCodeContract:
     it as the earlier command functions did. The one new outcome is a
     refusal of the keys the command never reads: the earlier functions
     refuse that file too, or they write the same on it as on the file
-    without those keys, and the change matches them there. Apart from that,
-    a manual run without ``optimizer.eta`` is refused after its other
-    checks (:func:`agree`)."""
+    without those keys, and the change matches them there. The refusal is
+    the one the read sets gave, but for a file that also fails to build,
+    where that fault is named first. Apart from that, a manual run without
+    ``optimizer.eta`` is refused after its other checks (:func:`agree`)."""
 
     @settings(max_examples=300)
     @given(invocations())
@@ -1440,8 +1593,8 @@ class TestExitCodeContract:
             ref = invoke(ref_main, argvs, outs)
             if agree(new, ref):
                 return
-            assert results[0][:2] == (1, "") and results[0][2].startswith("config error: keys [")
-            read = read_keys(parse_experiment(text), command, *(
+            assert results[0][:2] == (1, "")
+            read = ref_read_keys(parse_experiment(text), command, *(
                 int(flags[flags.index(flag) + 1]) if flag in flags else None for flag in SEED_FLAGS))
             names = [line.split(" = ")[0] for line in text.splitlines()]
             unread = {name for name in names if name.split(".")[1] not in read.get(name.split(".")[0], set())}
@@ -1449,7 +1602,105 @@ class TestExitCodeContract:
             stripped = Path(tmp) / "read.cfg"
             stripped.write_text(without(text, unread), encoding="utf-8")
             argvs_read = [[*argvs[0][:2], str(stripped), *argvs[0][3:]], *argvs[1:]]
-            ref_read = invoke(ref_main, argvs_read, outs)
-            assert agree(invoke(main, argvs_read, outs), ref_read)
+            new_read, ref_read = invoke(main, argvs_read, outs), invoke(ref_main, argvs_read, outs)
+            assert agree(new_read, ref_read)
+            # refused as the read sets had it, or, when it does not build, for
+            # the fault that the file without those keys fails on as well
+            assert results[0][2] in (f"config error: {ref_refusal(text, command, flags)}\n", new_read[0][0][2])
             if ref[0][0][0] != 1:  # the refused keys did nothing
                 assert ref_read == ref
+
+
+# -- what the builders read, against the read sets they replaced ------------------------
+# Each command once refused, before anything was built, the keys that
+# ref_read_keys did not give; now each builder notes the keys it reads, and
+# the command refuses the rest once it is built.
+
+RATE = "optimizer.eta = 0.1\n"
+# a file that each command builds: run and sweep for each method and schedule
+# kind, bounds for each method
+BUILT = [("run", BOWL + f"optimizer.id = {m}\n{'' if m == 'nigt_adaptive' else RATE}schedule.kind = {kind}\n"
+          "run.T = 20\nrun.n_seeds = 2\n") for m in OPTIMIZER_IDS for kind in ("constant", "warmup_poly_decay")]
+BUILT += [("sweep", text.replace(RATE, "")) for _, text in BUILT]
+BUILT += [("bounds", BOWL + f"optimizer.id = {m}\nrun.T_grid = 20\nrun.n_seeds = 2\n") for m in OPTIMIZER_IDS]
+BUILT += [("certify", READ_WHOLE["certify"]), ("igt-check", READ_WHOLE["igt-check"])]
+
+
+def with_each_key(text: str) -> list[str]:
+    """``text``, and ``text`` with each key of the schema it does not set
+    added at a usual value (a vector at the problem's dimension, 2)."""
+    texts = [text]
+    for section, keys in _SCHEMA.items():
+        for key, typ in keys.items():
+            name = f"{section}.{key}"
+            if f"\n{name} = " in "\n" + text:
+                continue
+            usual = USUAL.get(name, {"str": ["out"], "bool": [True]}.get(typ))
+            value = (usual * 2)[:2] if key in VECTORS else usual if typ.endswith("_list") else usual[0]
+            texts.append(text + f"{name} = {_format_value(value)}\n")
+    return texts
+
+
+class _Built(Exception):
+    """The command was built and refused none of the keys."""
+
+
+class _Refused(Exception):
+    """The command was built and refused the keys it left unread."""
+
+
+@functools.cache
+def parsed(argv: tuple[str, ...]):
+    return build_parser().parse_args(argv)
+
+
+def build_outcome(argv: list[str], text: str):
+    """None when ``cli.main`` would build the command and refuse nothing,
+    ("refused", message) when it would refuse unread keys, and ("fault",
+    message) when building it fails; the command never runs."""
+    args = parsed(tuple(argv))
+    exp = parse_experiment(text)
+
+    def refuse(exp, command):
+        try:
+            refuse_unread(exp, command)
+        except ConfigError as e:
+            raise _Refused(str(e)) from None
+        raise _Built
+
+    with mock.patch.object(cli, "refuse_unread", refuse):
+        try:
+            args.func(exp, args, output_dir(exp, args.out))  # as cli.main does with the loaded file
+        except _Built:
+            return None
+        except _Refused as e:
+            return "refused", str(e)
+        except NigtLabError as e:
+            return "fault", str(e)
+    pytest.fail("the command ran")
+
+
+class TestReadsMatchTheReadSets:
+    """Every command on a file it builds and refuses nothing of, and on that
+    file with each other key of the schema added in turn, under each set of
+    seed flags: a file that builds refuses exactly the keys the read sets
+    left out, with the same message, and a file that does not build exits
+    1, as it did before (refused there, or failing in the earlier command
+    functions)."""
+
+    @pytest.mark.parametrize("command, text", BUILT, ids=[f"{c}-{i}" for i, (c, _) in enumerate(BUILT)])
+    def test_refusals_match_the_read_sets(self, tmp_path, command, text):
+        flag_sets = [[], ["--master-seed", "3"]] + ([["--seeds", "2"], ["--seeds", "2", "--master-seed", "3"]]
+                                                   if command in ("run", "sweep", "bounds") else [])
+        assert build_outcome([command, "--config", "exp.cfg", "--out", str(tmp_path / "out")], text) is None
+        for extended in with_each_key(text):
+            for flags in flag_sets:
+                argv = [command, "--config", str(tmp_path / "exp.cfg"), "--out", str(tmp_path / "out"), *flags]
+                got, ref = build_outcome(argv, extended), ref_refusal(extended, command, flags)
+                if got is None or got[0] == "refused":
+                    assert got == (ref and ("refused", ref)), extended
+                elif ref is None:
+                    (tmp_path / "exp.cfg").write_text(extended, encoding="utf-8")
+                    with contextlib.redirect_stderr(io.StringIO()):
+                        assert ref_main(argv) == EXIT_USAGE, extended
+                assert not (tmp_path / "out").exists()
