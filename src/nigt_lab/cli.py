@@ -26,7 +26,7 @@ from .config import (
     output_formats,
     refuse_unread,
 )
-from .errors import CertificationFailure, ConfigError, Diverged, NigtLabError, NoResults
+from .errors import CertificationFailure, ConfigError, Diverged, NigtLabError
 from .harness import (
     bound_acceptance,
     grid_sweep,
@@ -34,7 +34,7 @@ from .harness import (
     rate_diagnostic,
     run,
 )
-from .problems import NoisyQuadratic, certify_constants
+from .problems import certify_constants
 from .core import RngStream
 from .reports import json_dumps, plot_results_dir, refuse_stale_seeds, write_report, write_run_outputs
 from .tuning import bound_check
@@ -100,8 +100,6 @@ def cmd_certify(exp, args, out_dir) -> int:
 
 def cmd_igt_check(exp, args, out_dir) -> int:
     problem, seed = build_problem(exp), master_seed(exp, args.master_seed)
-    if not isinstance(problem, NoisyQuadratic):
-        raise ConfigError(f"igt-check needs a {NoisyQuadratic.kind} problem (constant Hessian)")
     refuse_unread(exp, args.command)
     report = igt_moment_check(problem, seed=seed, **exp.igt_check)
     rows = [[c.k, c.bias_norm, c.variance, c.target_variance, c.bias_limit, c.n_runs, c.passed]
@@ -177,7 +175,7 @@ def main(argv=None) -> int:
     except _UsageError as e:
         sys.stderr.write(f"usage error: {e}\n")
         return EXIT_USAGE
-    except (ConfigError, NoResults) as e:
+    except ConfigError as e:
         sys.stderr.write(f"config error: {e}\n")
         return EXIT_USAGE
     except NigtLabError as e:  # a run that diverged failed a check

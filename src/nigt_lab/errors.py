@@ -40,8 +40,4 @@ class CertificationFailure(NigtLabError):
 
 
 class ConfigError(NigtLabError):
-    """Experiment file could not be parsed or validated."""
-
-
-class NoResults(NigtLabError):
-    """Results directory contains no readable run output."""
+    """An experiment file, path or results directory that cannot be used."""

@@ -66,6 +66,8 @@ class RunConfig:
             raise InvalidInput(f"unknown optimizer {self.optimizer_id!r}; known: {OPTIMIZER_IDS}")
         if self.T < 1:
             raise InvalidInput(f"T must be >= 1, got {self.T}")
+        if self.schedule.kind != "constant" and self.schedule.warmup_steps >= self.T:
+            raise InvalidInput(f"warmup_steps {self.schedule.warmup_steps} must be < T {self.T}")
         seeds = tuple(int(s) for s in self.seeds)
         if not seeds:
             raise InvalidInput("seeds must be non-empty")
@@ -83,15 +85,15 @@ def _make_log(pb, log, i, ws, xs, ms, max_disp, f_w):
     _fold_distance(max_disp, W, pb.w1)
     if xs:
         _fold_distance(max_disp, _stack(xs), pb.w1)
-    if "f_val" in log:  # exact values
+    if "f_val" in log:  # exact values, by step: rows of the (T, S) views of the log
         g = pb.exact_grad(_stack(ws[:-1]))
         f_next = pb.exact_value(W)
-        log["f_val"][rows] = np.concatenate((f_w[None], f_next[:-1]))
-        log["grad_norm"][rows] = rownorm(g)
-        log["mhat_err"][rows] = rownorm(_stack(ms) - g)
+        log["f_val"].T[rows] = np.concatenate((f_w[None], f_next[:-1]))
+        log["grad_norm"].T[rows] = rownorm(g)
+        log["mhat_err"].T[rows] = rownorm(_stack(ms) - g)
         if "descent_residual" in log:
-            rhs = _descent_bound(log["eta"][rows], log["grad_norm"][rows], log["mhat_err"][rows], pb.L)
-            log["descent_residual"][rows] = rhs - (f_next - log["f_val"][rows])
+            rhs = _descent_bound(log["eta"].T[rows], log["grad_norm"].T[rows], log["mhat_err"].T[rows], pb.L)
+            log["descent_residual"].T[rows] = rhs - (f_next - log["f_val"].T[rows])
         return f_next[-1]
 
 
@@ -156,8 +158,9 @@ def run(cfg: RunConfig) -> list[TrajectoryRecord]:
     names = ["eta", "alpha", "m_norm"]
     if cfg.record_exact:
         names += ["f_val", "grad_norm", "mhat_err"] + (["descent_residual"] if move is normalized_move else [])
-    log = {name: np.empty((T, S)) for name in names}
-    no_move = np.zeros((T, S), dtype=bool)
+    # one row per seed: each record's columns are rows of these
+    log = {name: np.empty((S, T)) for name in names}
+    no_move = np.zeros((S, T), dtype=bool)
     W = np.tile(pb.w1, (S, 1))
     s = StepState(w=W, w_prev=W, m=np.zeros((S, pb.dim)))
     max_disp = np.zeros(S)
@@ -210,10 +213,10 @@ def run(cfg: RunConfig) -> list[TrajectoryRecord]:
                 if tuners:
                     for tuner, sq in zip(tuners, sq_diff.tolist()):
                         tuner.accumulate(t, sq)
-                log["eta"][t - 1, :, None] = eta_t  # a scalar or an (S, 1) column
-                log["alpha"][t - 1, :, None] = alpha_log
-                log["m_norm"][t - 1] = s_next.m_norm
-                no_move[t - 1] = s_next.no_move
+                log["eta"][:, t - 1:t] = eta_t  # a scalar or an (S, 1) column
+                log["alpha"][:, t - 1:t] = alpha_log
+                log["m_norm"][:, t - 1] = s_next.m_norm
+                no_move[:, t - 1] = s_next.no_move
                 ws.append(s_next.w)
                 ms.append(s_next.m)
                 if x is not s.w:
@@ -221,14 +224,10 @@ def run(cfg: RunConfig) -> list[TrajectoryRecord]:
                 s = s_next
             f_w = _make_log(pb, log, t0, ws, xs, ms, max_disp, f_w)
 
-    # one contiguous column per seed, so per-seed reductions see the same
-    # memory layout as a run of that seed alone
-    cols = {name: np.ascontiguousarray(a.T) for name, a in log.items()}
-    no_move = np.ascontiguousarray(no_move.T)
     return [
         TrajectoryRecord(
             problem_id=pb.problem_id, optimizer_id=opt, seed=seed,
-            no_move=no_move[i], **{name: c[i] for name, c in cols.items()},
+            no_move=no_move[i], **{name: a[i] for name, a in log.items()},
             invariant_violations=tuners[i].events if tuners else [],
             max_displacement=float(max_disp[i]), final_w=s.w[i],
         )
@@ -270,16 +269,19 @@ def igt_moment_check(problem: StochasticProblem, checkpoints: Sequence[int] = (1
     by sample count: step k queries the extrapolated point with k_t = k-1,
     weighs the fresh sample by alpha_t = 1/k (beta_t = (k-1)/k) and takes
     the normalized move of length :data:`IGT_CHECK_ETA`. The samples come
-    from the problem's own oracle. On a constant-Hessian problem the
-    estimator after k samples is exactly unbiased for the gradient at the
-    current iterate with total variance sigma^2 / k; each checkpoint asserts
-    both moments against the declared sigma, so a sigma that misstates the
-    oracle's noise fails the check.
+    from the problem's own oracle. With a constant Hessian and noise that
+    does not depend on the point (refused otherwise) the estimator after k
+    samples is unbiased for the gradient at the current iterate with total
+    variance sigma^2 / k; each checkpoint asserts both moments against the
+    declared sigma, so a sigma that misstates the oracle's noise fails it.
     """
     if problem.rho != 0.0:
         raise InvalidInput(
             f"moment identity requires a constant Hessian; {problem.problem_id} declares rho={problem.rho}"
         )
+    if problem.sigma_at_w1_only:
+        raise InvalidInput(f"moment identity requires noise that does not depend on the point; "
+                           f"{problem.problem_id} certifies sigma at the start point only")
     if n_runs < 1000:
         raise InvalidInput(f"n_runs must be >= 1000 for a meaningful check, got {n_runs}")
     if n_runs > MAX_SEEDS:
@@ -399,13 +401,6 @@ def bound_acceptance(
     constants are re-certified on a ball wide enough to cover every iterate
     and query point actually visited.
     """
-    if optimizer_id not in ("nsgdm", "nigt"):
-        raise InvalidInput(f"bound acceptance covers nsgdm and nigt, got {optimizer_id!r}")
-    if problem.sigma_at_w1_only:
-        raise InvalidInput(
-            "oracle variance is only certified at the start point for "
-            f"{problem.problem_id}; bound acceptance excluded"
-        )
     seeds = tuple(int(s) for s in seeds)
     rows = []
     max_disp = 0.0

@@ -243,19 +243,16 @@ class SelfTuning:
 
 # -- learning-rate schedules ----------------------------------------------------
 
-SCHEDULE_CONSTANT = "constant"
-SCHEDULE_WARMUP_POLY = "warmup_poly_decay"
-
 
 @dataclass(frozen=True)
 class Schedule:
-    kind: str = SCHEDULE_CONSTANT
+    kind: str = "constant"
     warmup_steps: int = 0
     power: int = 1
     weight_norm_scaling: bool = False
 
     def __post_init__(self):
-        if self.kind not in (SCHEDULE_CONSTANT, SCHEDULE_WARMUP_POLY):
+        if self.kind not in ("constant", "warmup_poly_decay"):
             raise InvalidInput(f"unknown schedule kind {self.kind!r}")
         if self.power not in (1, 2):
             raise InvalidInput(f"decay power must be 1 or 2, got {self.power}")
@@ -266,8 +263,9 @@ class Schedule:
 def apply_schedule(sch: Schedule, t: int, T: int, base_eta: float, w_layer_norm=None):
     """Learning rate for step t of T.
 
-    Linear ramp over the warmup steps, then polynomial decay measured from
-    the warmup boundary so the two phases agree there:
+    Linear ramp over the warmup steps (fewer than T: ``RunConfig`` checks),
+    then polynomial decay measured from the warmup boundary so the two
+    phases agree there:
 
         t <= warmup:  base * t / warmup
         t >  warmup:  base * ((T - t) / (T - warmup))^power
@@ -277,11 +275,9 @@ def apply_schedule(sch: Schedule, t: int, T: int, base_eta: float, w_layer_norm=
     """
     if not (1 <= t <= T):
         raise InvalidInput(f"step {t} outside [1, {T}]")
-    if sch.kind == SCHEDULE_CONSTANT:
+    if sch.kind == "constant":
         eta = base_eta
     else:
-        if sch.warmup_steps >= T:
-            raise InvalidInput(f"warmup_steps {sch.warmup_steps} must be < T {T}")
         if sch.warmup_steps > 0 and t <= sch.warmup_steps:
             eta = base_eta * t / sch.warmup_steps
         else:

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import TrajectoryRecord
-from .errors import ConfigError, NoResults
+from .errors import ConfigError
 
 # Wire-format column names; the last column is fixed by the file-format
 # contract even though the in-memory field is called descent_residual.
@@ -64,12 +64,12 @@ def parse_run_csv(text: str) -> dict[str, np.ndarray]:
     """Columns of one run CSV as float64 arrays; an empty cell is NaN."""
     lines = text.strip("\n").split("\n")
     if lines[0] != CSV_HEADER:
-        raise NoResults(f"unexpected CSV header: {lines[0] or '(empty)'}")
+        raise ConfigError(f"unexpected CSV header: {lines[0] or '(empty)'}")
     names = CSV_HEADER.split(",")
     rows = [line.split(",") for line in lines[1:]]
     for line, cells in zip(lines[1:], rows):
         if len(cells) != len(names):
-            raise NoResults(f"malformed CSV row: {line!r}")
+            raise ConfigError(f"malformed CSV row: {line!r}")
     cells = np.array(rows, dtype=str).reshape(-1, len(names))
     cells[cells == ""] = "nan"
     try:
@@ -79,12 +79,22 @@ def parse_run_csv(text: str) -> dict[str, np.ndarray]:
             try:
                 row.astype(np.float64)
             except ValueError:
-                raise NoResults(f"malformed CSV cell in row {line!r}") from None
+                raise ConfigError(f"malformed CSV cell in row {line!r}") from None
         raise
 
 
+def _finite(obj):
+    """``obj`` with None in place of each non-finite float."""
+    if isinstance(obj, dict):
+        return {k: _finite(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite(v) for v in obj]
+    return None if isinstance(obj, float) and not math.isfinite(obj) else obj
+
+
 def json_dumps(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """Strict JSON: a non-finite float (an overflowed average) is null."""
+    return json.dumps(_finite(obj), indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def write_text_atomic(path, text: str) -> None:
@@ -305,7 +315,7 @@ def write_plots(out_dir, runs: list[dict]) -> None:
     line. Each run is a dict of columns: ``t`` and the charted metrics."""
     out_dir = Path(out_dir)
     if not runs:
-        raise NoResults("no run CSVs to plot")
+        raise ConfigError("no run CSVs to plot")
     for column, title, xlog, ylog in _METRICS:
         series = [(cols["t"], cols[column], _SEED_STYLE) for cols in runs]
         t_common = runs[0]["t"]
@@ -318,7 +328,7 @@ def _csv_seed(path: Path) -> int:
     try:
         return int(path.stem[len("seed_"):])
     except ValueError:
-        raise NoResults(f"{path}: expected seed_<integer>.csv") from None
+        raise ConfigError(f"{path}: expected seed_<integer>.csv") from None
 
 
 def plot_results_dir(results_dir, out_dir=None) -> None:
@@ -326,6 +336,6 @@ def plot_results_dir(results_dir, out_dir=None) -> None:
     results_dir = Path(results_dir)
     paths = sorted(results_dir.glob("seed_*.csv"), key=_csv_seed)
     if not paths:
-        raise NoResults(f"no seed_*.csv files in {results_dir}")
+        raise ConfigError(f"no seed_*.csv files in {results_dir}")
     runs = [parse_run_csv(read_text(p)) for p in paths]
     write_plots(out_dir if out_dir is not None else results_dir, runs)

@@ -118,13 +118,17 @@ def nigt_bound(R: float, L: float, rho: float, sigma: float, T: int) -> float:
 
 
 def tuned(optimizer_id: str, problem, T: int) -> tuple[TunedParams, float]:
-    """The tuning of ``optimizer_id`` on ``problem`` for horizon T, and its ceiling."""
+    """The tuning of ``optimizer_id`` on ``problem`` for horizon T, and its
+    ceiling; both theorems need the noise bounded by sigma at every point."""
+    if optimizer_id not in THEOREM_METHODS.values():
+        raise InvalidInput(f"no closed-form tuning for {optimizer_id!r}")
+    if problem.sigma_at_w1_only:
+        raise InvalidInput(f"oracle variance is only certified at the start point for {problem.problem_id}; "
+                           "the tuned ceilings need it at every point")
     R, L, rho, sigma = problem.R, problem.L, problem.rho, problem.sigma
     if optimizer_id == "nsgdm":
         return nsgdm_params(R, L, sigma, T), nsgdm_bound(R, L, sigma, T)
-    if optimizer_id == "nigt":
-        return nigt_params(R, L, rho, sigma, T), nigt_bound(R, L, rho, sigma, T)
-    raise InvalidInput(f"no closed-form tuning for {optimizer_id!r}")
+    return nigt_params(R, L, rho, sigma, T), nigt_bound(R, L, rho, sigma, T)
 
 
 def bound_check(avgs, bound: float | None) -> tuple[float, float, bool]:

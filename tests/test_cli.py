@@ -197,6 +197,19 @@ class TestRunCommand:
             assert "nan" not in chart.read_text() and ET.parse(chart).getroot().find(
                 "{http://www.w3.org/2000/svg}polyline") is not None
 
+    def test_an_overflowing_average_is_null_in_strict_json(self, tmp_path, capsys):
+        # the same run: its average gradient norm overflows to inf
+        text = ("problem.kind = noisy_quadratic\nproblem.dim = 1\nproblem.eigs = 1.0\noptimizer.id = sgd\n"
+                "optimizer.eta = 3.0\nrun.T = 600\noutput.formats = json\n")
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(write(tmp_path / "run.cfg", text)), "--out", str(out)]) == 0
+
+        def refuse(name):
+            raise ValueError(f"{name} is not JSON")
+
+        summary = json.loads((out / "summary.json").read_text(), parse_constant=refuse)
+        assert (summary["avg_grad_norm"], summary["stderr"], summary["pass"]) == (None, 0.0, True)
+
     def test_leftover_temp_directory_does_not_break_outputs(self, tmp_path):
         cfg = write(tmp_path / "run.cfg", BASE_RUN)
         ref, out = tmp_path / "ref", tmp_path / "out"
@@ -783,6 +796,83 @@ class TestBoundsKeys:
         out = tmp_path / "o"
         assert main(["bounds", "--config", str(BOUNDS_GATE), "--out", str(out)]) == 0
         assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()} == pinned
+
+
+# streaming least squares certifies its sigma at w1 only, where the theorems
+# and the moment identity need the noise bounded at every point
+STREAMING = ("problem.kind = streaming_least_squares\nproblem.dim = 2\nproblem.cov_eigs = 1.0,2.0\n"
+             "problem.label_noise = 0.5\n")
+STREAMING_ID = "streaming_least_squares(d=2,cov_eigs=[1.0;2.0],label_noise=0.5)"
+SIGMA_AT_W1 = (f"oracle variance is only certified at the start point for {STREAMING_ID}; "
+               "the tuned ceilings need it at every point")
+TRIG_4 = "problem.kind = trig_bowl\nproblem.dim = 4\nproblem.a = 1.0\nproblem.b = 1.0\nproblem.sigma = 0.5\n"
+
+
+class TestPremises:
+    """Each guarantee refuses what its premises do not cover: ``tuned`` a
+    method no theorem is about and a sigma certified at w1 only, for ``run``
+    and ``bounds`` alike; the moment check a curved Hessian and a sigma
+    certified at w1 only, whatever the problem's kind."""
+
+    def _main(self, tmp_path, command, text):
+        out = tmp_path / "out"
+        return main([command, "--config", str(write(tmp_path / "exp.cfg", text)), "--out", str(out)]), out
+
+    @pytest.mark.parametrize("theorem, opt", [("1", "nsgdm"), ("2", "nigt")])
+    def test_run_with_a_theorem_on_sigma_at_w1_only_exits_one(self, tmp_path, capsys, theorem, opt):
+        text = STREAMING + f"optimizer.id = {opt}\noptimizer.theorem = {theorem}\nrun.T = 200\nrun.n_seeds = 3\n"
+        code, out = self._main(tmp_path, "run", text)
+        assert (code, capsys.readouterr()) == (1, ("", f"config error: invalid hyperparameters: {SIGMA_AT_W1}\n"))
+        assert not out.exists()
+
+    @pytest.mark.parametrize("problem, opt, message", [
+        (TRIG_4, "sgd", "no closed-form tuning for 'sgd'"),
+        (TRIG_4, "nigt_adaptive", "no closed-form tuning for 'nigt_adaptive'"),
+        (STREAMING, "sgd", "no closed-form tuning for 'sgd'"),
+        (STREAMING, "nsgdm", SIGMA_AT_W1),
+    ], ids=["sgd", "adaptive", "sgd_on_streaming", "streaming"])
+    def test_bounds_outside_the_theorems_exits_one(self, tmp_path, capsys, problem, opt, message):
+        code, out = self._main(tmp_path, "bounds", problem + f"optimizer.id = {opt}\nrun.T_grid = 10,100\n")
+        assert (code, capsys.readouterr()) == (1, ("", f"error: {message}\n"))
+        assert not out.exists()
+
+    def test_igt_check_on_sigma_at_w1_only_exits_one(self, tmp_path, capsys):
+        code, out = self._main(tmp_path, "igt-check", STREAMING + "igt_check.n_runs = 1000\n")
+        assert (code, capsys.readouterr()) == (1, ("", "error: moment identity requires noise that does not depend "
+                                                       f"on the point; {STREAMING_ID} certifies sigma at the start "
+                                                       "point only\n"))
+        assert not out.exists()
+
+    def test_igt_check_reads_unread_keys_before_the_premises(self, tmp_path, capsys):
+        code, out = self._main(tmp_path, "igt-check", STREAMING + "run.T = 5\n")
+        assert (code, capsys.readouterr()) == (1, ("", "config error: keys ['T'] do not apply to igt-check "
+                                                       "(section 'run')\n"))
+        assert not out.exists()
+
+    def test_igt_check_on_sign_noise_passes(self, tmp_path, capsys):
+        # a zero Hessian and noise that does not depend on the point
+        code, out = self._main(tmp_path, "igt-check", "problem.kind = sign_noise\nproblem.p = 0.25\n")
+        assert (code, capsys.readouterr()) == (0, ("", ""))
+        report = json.loads((out / "igt_check.json").read_text())
+        assert report["passed"] is True and [c["k"] for c in report["checkpoints"]] == [1, 10, 100]
+
+    def test_igt_check_on_a_falsely_declared_constant_hessian_fails(self, tmp_path, capsys):
+        # the trig bowl is curved: declaring rho = 0 runs the check, and the
+        # transported momentum is biased, as a misdeclared sigma is caught
+        code, out = self._main(tmp_path, "igt-check", TRIG_4 + "problem.rho = 0.0\n")
+        assert (code, capsys.readouterr()) == (2, ("", ""))
+        report = json.loads((out / "igt_check.json").read_text())
+        last = report["checkpoints"][-1]
+        assert report["passed"] is False and last["k"] == 100 and last["bias_norm"] > 10 * last["bias_limit"]
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_warmup_not_below_the_horizon_is_refused_when_built(self, tmp_path, capsys, command):
+        text = (TRIG_4 + "optimizer.id = nsgdm\n" + ("optimizer.eta = 0.1\n" if command == "run" else "")
+                + "schedule.kind = warmup_poly_decay\nschedule.warmup_steps = 20\nrun.T = 20\n")
+        code, out = self._main(tmp_path, command, text)
+        assert (code, capsys.readouterr()) == (
+            1, ("", "config error: invalid run configuration: warmup_steps 20 must be < T 20\n"))
+        assert not out.exists()
 
 
 class TestPlotCommand:

@@ -214,14 +214,12 @@ class TestBuilders:
 
     @pytest.mark.parametrize("command", ["run", "certify", "igt-check", "sweep", "bounds"])
     def test_keys_foreign_to_the_kind_are_rejected(self, tmp_path, capsys, command):
-        # the rest of a file the command builds; igt-check builds no
-        # streaming_least_squares problem, and that is named first
+        # the rest of a file the command builds
         rest = {"run": "optimizer.id = nsgdm\noptimizer.eta = 0.1\nrun.T = 5\n",
                 "sweep": "optimizer.id = nsgdm\nrun.T = 5\n", "bounds": "optimizer.id = nsgdm\nrun.T_grid = 5\n"}
         for text, message in [
             ("problem.kind = streaming_least_squares\nproblem.dim = 2\n"
              "problem.cov_eigs = 1.0,2.0\nproblem.sigma = 0.5\n",
-             "igt-check needs a noisy_quadratic problem (constant Hessian)" if command == "igt-check" else
              "keys ['sigma'] do not apply to problem kind 'streaming_least_squares'"),
             ("problem.kind = noisy_quadratic\nproblem.dim = 1\nproblem.eigs = 1.0\nproblem.p = 0.25\n",
              "keys ['p'] do not apply to problem kind 'noisy_quadratic'"),

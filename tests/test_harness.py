@@ -64,6 +64,14 @@ class TestRunDeterminism:
         with pytest.raises(InvalidInput):
             run(RunConfig(problem=TRIG, optimizer_id="nigt", T=10, seeds=(1,)))
 
+    @pytest.mark.parametrize("warmup", [10, 11])
+    def test_a_warmup_not_below_the_horizon_is_refused_when_built(self, warmup):
+        with pytest.raises(InvalidInput, match=f"^warmup_steps {warmup} must be < T 10$"):
+            RunConfig(problem=TRIG, optimizer_id="nigt", T=10, seeds=(1,), eta=0.1,
+                      schedule=Schedule(kind="warmup_poly_decay", warmup_steps=warmup))
+        # the constant schedule reads no warmup
+        RunConfig(problem=TRIG, optimizer_id="nigt", T=10, seeds=(1,), eta=0.1, schedule=Schedule(warmup_steps=warmup))
+
     def test_adaptive_rejects_decay_schedule(self):
         cfg = RunConfig(
             problem=TRIG,
@@ -163,6 +171,13 @@ class TestMomentCheck:
         with pytest.raises(InvalidInput, match=re.escape("moment identity requires a constant Hessian; "
                                                          "trig_bowl(d=4,a=1.0,b=1.0,sigma=0.5) declares rho=1.0")):
             igt_moment_check(TRIG, [1], n_runs=1000, seed=0)
+
+    def test_rejects_sigma_certified_at_w1_only(self):
+        pb = make_streaming_least_squares(2, [1.0, 2.0], 0.5)
+        with pytest.raises(InvalidInput, match=re.escape(
+                "moment identity requires noise that does not depend on the point; streaming_least_squares"
+                "(d=2,cov_eigs=[1.0;2.0],label_noise=0.5) certifies sigma at the start point only")):
+            igt_moment_check(pb, [1, 100], n_runs=1000, seed=0)
 
     def test_rejects_small_run_counts(self):
         with pytest.raises(InvalidInput):
@@ -491,8 +506,8 @@ class TestLogBlocks:
         finally:
             tracemalloc.stop()
         n_cols = sum(getattr(recs[0], name) is not None for name in RECORD_COLUMNS)
-        log_bytes = n_cols * T * S * 8  # held twice: by step, then one column per seed
-        assert (peak - 2 * log_bytes - T * S) / BLOCK_BYTES < 8  # T * S: the no_move flags
+        log_bytes = n_cols * T * S * 8  # held once: each record's columns are rows of it
+        assert (peak - log_bytes - T * S) / BLOCK_BYTES < 8  # T * S: the no_move flags
 
 
 class TestBoundAcceptanceSmoke:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from nigt_lab.errors import InvalidInput
-from nigt_lab.problems import make_noisy_quadratic, make_trig_bowl
+from nigt_lab.problems import make_noisy_quadratic, make_streaming_least_squares, make_trig_bowl
 from nigt_lab.tuning import (
     bound_check,
     nigt_bound,
@@ -152,6 +152,18 @@ class TestTheoremTable:
     def test_no_tuning_for_other_methods(self):
         with pytest.raises(InvalidInput):
             tuned("nigt_adaptive", make_noisy_quadratic(2, [1.0, 2.0], 0.5), 100)
+
+    @pytest.mark.parametrize("opt", ["nsgdm", "nigt"])
+    def test_no_tuning_where_sigma_is_certified_at_w1_only(self, opt):
+        # both ceilings bound the noise by sigma at every point; a method no
+        # theorem is about is named first
+        pb = make_streaming_least_squares(2, [1.0, 2.0], 0.5)
+        with pytest.raises(InvalidInput, match=r"^oracle variance is only certified at the start point for "
+                                               r"streaming_least_squares\(.*\); the tuned ceilings need it "
+                                               r"at every point$"):
+            tuned(opt, pb, 100)
+        with pytest.raises(InvalidInput, match="^no closed-form tuning for 'sgd'$"):
+            tuned("sgd", pb, 100)
 
 
 class TestBoundCheck:
