@@ -2,6 +2,14 @@
 self-tuning step sizes, plus synthetic problems with certified constants and
 a seeded harness that verifies every guarantee at desk scale."""
 
+import os
+
+# One BLAS thread unless the caller set a count, before numpy first loads:
+# OpenBLAS otherwise starts a worker per CPU that spins while idle, and from
+# 10,001 entries on it splits a row dot product across its threads, so the
+# rounding, and every output byte, would depend on the core count.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .core import (
     NORM_FLOOR,
     InvariantEvent,

@@ -46,6 +46,9 @@ def rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     same ``dot`` that ``a @ b`` and ``np.linalg.norm`` use on one vector,
     so every row rounds exactly as it would alone (``einsum`` and
     ``norm(axis=-1)`` sum in other orders and differ in the last ulp).
+    That holds on one BLAS thread, which importing the package sets unless
+    the caller set a count: OpenBLAS splits a row of more than 10,000
+    entries across its threads, and the rounding then follows their number.
     """
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 

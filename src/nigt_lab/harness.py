@@ -73,6 +73,8 @@ class RunConfig:
             raise InvalidInput("seeds must be non-empty")
         if len(set(seeds)) != len(seeds):
             raise InvalidInput("seeds must be distinct")
+        if self.optimizer_id == "nigt_adaptive" and self.schedule.kind != "constant":
+            raise InvalidInput("the self-tuning method sets its own step sizes; use a constant schedule")
         object.__setattr__(self, "seeds", seeds)
 
 
@@ -130,8 +132,6 @@ def run(cfg: RunConfig) -> list[TrajectoryRecord]:
     T = cfg.T
     tuners = []
     if opt == "nigt_adaptive":
-        if sch.kind != "constant":
-            raise InvalidInput("the self-tuning method sets its own step sizes; use a constant schedule")
         tuners = [SelfTuning(pb.g_bound) for _ in seeds]
     else:
         base_eta = cfg.eta

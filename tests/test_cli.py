@@ -874,6 +874,15 @@ class TestPremises:
             1, ("", "config error: invalid run configuration: warmup_steps 20 must be < T 20\n"))
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_self_tuning_under_a_warmup_is_refused_when_built(self, tmp_path, capsys, command):
+        text = TRIG_4 + "optimizer.id = nigt_adaptive\nschedule.kind = warmup_poly_decay\nrun.T = 20\n"
+        code, out = self._main(tmp_path, command, text)
+        assert (code, capsys.readouterr()) == (
+            1, ("", "config error: invalid run configuration: the self-tuning method sets its own step sizes; "
+                    "use a constant schedule\n"))
+        assert not out.exists()
+
 
 class TestPlotCommand:
     def _make_results(self, tmp_path, n_seeds):

@@ -808,7 +808,34 @@ class TestOutputLayer:
 # The earlier command functions, parser and main, verbatim but for the
 # ref_ names and igt_moment_check's keyword seed: each loaded the file and
 # read the output settings itself, restated the defaults of the certify,
-# igt_check and sweep sections and joined its output paths.
+# igt_check and sweep sections and joined its output paths. Their run
+# configurations are checked as before, and run checks the self-tuning
+# method's schedule premise when it starts.
+
+
+class RefRunConfig(RunConfig):
+    """RunConfig's checks before the self-tuning method's schedule premise
+    moved into them from the start of :func:`harness.run` (:func:`ref_run`)."""
+
+    def __post_init__(self):
+        if self.optimizer_id not in OPTIMIZER_IDS:
+            raise InvalidInput(f"unknown optimizer {self.optimizer_id!r}; known: {OPTIMIZER_IDS}")
+        if self.T < 1:
+            raise InvalidInput(f"T must be >= 1, got {self.T}")
+        if self.schedule.kind != "constant" and self.schedule.warmup_steps >= self.T:
+            raise InvalidInput(f"warmup_steps {self.schedule.warmup_steps} must be < T {self.T}")
+        seeds = tuple(int(s) for s in self.seeds)
+        if not seeds:
+            raise InvalidInput("seeds must be non-empty")
+        if len(set(seeds)) != len(seeds):
+            raise InvalidInput("seeds must be distinct")
+        object.__setattr__(self, "seeds", seeds)
+
+
+def ref_run(cfg: RunConfig):
+    if cfg.optimizer_id == "nigt_adaptive" and cfg.schedule.kind != "constant":
+        raise InvalidInput("the self-tuning method sets its own step sizes; use a constant schedule")
+    return run(cfg)
 
 
 # the configuration builders as they were before each command read its keys
@@ -1093,7 +1120,7 @@ def ref_build_run_config(exp: ExperimentFile, n_seeds_override: int | None = Non
     ref_refuse_stray(exp.schedule, read if schedule.kind == "constant" else read | {"warmup_steps", "power"},
                   f"the {schedule.kind} schedule of optimizer {opt_id!r}")
     try:
-        cfg = RunConfig(
+        cfg = RefRunConfig(
             problem=problem,
             optimizer_id=opt_id,
             T=T,
@@ -1133,7 +1160,7 @@ def ref_cmd_run(args) -> int:
     exp = load_experiment(args.config)
     out_dir, formats = ref_output_settings(exp, args.out)
     cfg, bound = ref_build_run_config(exp, args.seeds, args.master_seed)
-    records = run(cfg)
+    records = ref_run(cfg)
 
     no_move_count = sum(int(r.no_move.sum()) for r in records)
     violations = [dict(asdict(e), seed=r.seed) for r in records for e in r.invariant_violations]
@@ -1534,15 +1561,27 @@ class TestNewRefusals:
 
 
 MANUAL_ETA = (1, "", "config error: manual runs need optimizer.eta\n")
+SELF_TUNING_PREMISE = "the self-tuning method sets its own step sizes; use a constant schedule"
+# the self-tuning method under a schedule that is not constant, once run or
+# sweep had started it
+SELF_TUNING_STARTED = {(1, "", f"error: {SELF_TUNING_PREMISE}\n"),
+                       (1, "", "error: the self-tuning method has no base rate to sweep\n")}
 SEED_FLAGS = ("--seeds", "--master-seed")
 
 
 def agree(new, ref) -> bool:
-    """The same results, but for one order of refusals: a manual run without
-    optimizer.eta is refused after its other checks, no longer before its
-    repeated seeds, a horizon below 1 or a layer partition that does not fit."""
+    """The same results, but for two refusals of the first command. A manual
+    run without optimizer.eta is refused after its other checks, no longer
+    before its repeated seeds, a horizon below 1 or a layer partition that
+    does not fit. The self-tuning method under a schedule that is not
+    constant is refused when its run is built, with the message of the other
+    run configuration faults, where run refused it once started and sweep
+    for having no base rate."""
     (results, files, caught), (ref_results, ref_files, ref_caught) = new, ref
-    return new == ref or (ref_results[0] == MANUAL_ETA and results[0][:2] == (1, "") and not files[0]
+    moved = (ref_results[0] == MANUAL_ETA and results[0][:2] == (1, "")
+             or ref_results[0] in SELF_TUNING_STARTED
+             and results[0] == (1, "", f"config error: invalid run configuration: {SELF_TUNING_PREMISE}\n"))
+    return new == ref or (moved and not files[0]
                           and (results[1:], files[1:], caught) == (ref_results[1:], ref_files[1:], ref_caught))
 
 
@@ -1586,9 +1625,11 @@ class TestExitCodeContract:
     without those keys, and the change matches them there. The refusal is
     the one the read sets gave, but for a file that also fails to build,
     where that fault is named first. Apart from that, a manual run without
-    ``optimizer.eta`` is refused after its other checks (:func:`agree`),
-    and igt-check no longer refuses a problem for its kind
-    (:func:`reference`)."""
+    ``optimizer.eta`` is refused after its other checks, the self-tuning
+    method under a schedule that is not constant is refused when its run is
+    built, as ``config error: invalid run configuration: ...`` where run and
+    sweep said ``error: ...`` (:func:`agree`), and igt-check no longer
+    refuses a problem for its kind (:func:`reference`)."""
 
     @settings(max_examples=300)
     @given(invocations())
@@ -1637,9 +1678,10 @@ class TestExitCodeContract:
 
 RATE = "optimizer.eta = 0.1\n"
 # a file that each command builds: run and sweep for each method and schedule
-# kind, bounds for each method
+# kind (the self-tuning method under a constant one only), bounds for each method
 BUILT = [("run", BOWL + f"optimizer.id = {m}\n{'' if m == 'nigt_adaptive' else RATE}schedule.kind = {kind}\n"
-          "run.T = 20\nrun.n_seeds = 2\n") for m in OPTIMIZER_IDS for kind in ("constant", "warmup_poly_decay")]
+          "run.T = 20\nrun.n_seeds = 2\n") for m in OPTIMIZER_IDS for kind in ("constant", "warmup_poly_decay")
+         if m != "nigt_adaptive" or kind == "constant"]
 BUILT += [("sweep", text.replace(RATE, "")) for _, text in BUILT]
 BUILT += [("bounds", BOWL + f"optimizer.id = {m}\nrun.T_grid = 20\nrun.n_seeds = 2\n") for m in OPTIMIZER_IDS]
 BUILT += [("certify", READ_WHOLE["certify"]), ("igt-check", READ_WHOLE["igt-check"])]

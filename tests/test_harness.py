@@ -73,15 +73,10 @@ class TestRunDeterminism:
         RunConfig(problem=TRIG, optimizer_id="nigt", T=10, seeds=(1,), eta=0.1, schedule=Schedule(warmup_steps=warmup))
 
     def test_adaptive_rejects_decay_schedule(self):
-        cfg = RunConfig(
-            problem=TRIG,
-            optimizer_id="nigt_adaptive",
-            T=10,
-            seeds=(1,),
-            schedule=Schedule(kind="warmup_poly_decay", power=1),
-        )
-        with pytest.raises(InvalidInput):
-            run(cfg)
+        # refused when built, as the other run premises are
+        with pytest.raises(InvalidInput, match="^the self-tuning method sets its own step sizes"):
+            RunConfig(problem=TRIG, optimizer_id="nigt_adaptive", T=10, seeds=(1,),
+                      schedule=Schedule(kind="warmup_poly_decay", power=1))
 
 
 class TestRunSemantics:
