@@ -25,7 +25,7 @@ from __future__ import annotations
 import inspect
 from dataclasses import dataclass, field, fields
 
-from .core import MAX_LOG_CELLS, MAX_SEEDS
+from .core import MAX_LOG_CELLS, MAX_SEEDS, MAX_STATE_CELLS
 from .errors import ConfigError, InvalidInput
 from .harness import OPTIMIZER_IDS, RunConfig, grid_sweep, igt_moment_check
 from .optimizers import LayerPartition, Schedule
@@ -237,8 +237,8 @@ def build_problem(exp: ExperimentFile):
         if param.default is param.empty:
             _require(pr, name, "problem")
     args = {name: pr[name] for name in params if name in pr}
-    if args.get("dim", 1) > MAX_LOG_CELLS:
-        raise ConfigError(f"problem.dim = {args['dim']} is above the limit of {MAX_LOG_CELLS}")
+    if args.get("dim", 1) > MAX_STATE_CELLS:
+        raise ConfigError(f"problem.dim = {args['dim']} is above the limit of {MAX_STATE_CELLS}")
     overrides = {k: pr[k] for k in _CONSTANTS if k in pr}
     try:
         problem = make(**args)
@@ -289,10 +289,11 @@ def master_seed(exp: ExperimentFile, override: int | None = None) -> int:
 def resolve_seeds(exp: ExperimentFile, T_key: str, T: int, n_seeds_override: int | None = None,
                   master_seed_override: int | None = None, dim: int = 1) -> tuple[int, ...]:
     """The seeds of a run whose longest run, ``T_key``, takes ``T`` steps,
-    checked before they are built: at most :data:`MAX_SEEDS` of them, and at
-    most :data:`MAX_LOG_CELLS` log cells (steps times seeds) and state cells
-    (seeds times ``dim``). A seed flag reads the seed keys it overrides, all
-    three; without one, a list is read in place of the count and master seed."""
+    checked before they are built: at most :data:`MAX_SEEDS` of them,
+    :data:`MAX_LOG_CELLS` log cells (steps times seeds) and
+    :data:`MAX_STATE_CELLS` state cells (seeds times ``dim``). A seed flag
+    reads the seed keys it overrides, all three; without one, a list is read
+    in place of the count and master seed."""
     rn = exp.run
     listed = rn.get("seeds")
     if listed is not None and n_seeds_override is None and master_seed_override is None:
@@ -306,9 +307,9 @@ def resolve_seeds(exp: ExperimentFile, T_key: str, T: int, n_seeds_override: int
         raise ConfigError(f"{key} asks for {n} seeds, above the limit of {MAX_SEEDS}")
     if T * n > MAX_LOG_CELLS:
         raise ConfigError(f"{T_key} = {T} over {n} seeds is {T * n} log cells, above the limit of {MAX_LOG_CELLS}")
-    if n * dim > MAX_LOG_CELLS:
+    if n * dim > MAX_STATE_CELLS:
         raise ConfigError(f"{key} asks for {n} seeds of problem.dim = {dim}, {n * dim} state cells, "
-                          f"above the limit of {MAX_LOG_CELLS}")
+                          f"above the limit of {MAX_STATE_CELLS}")
     return tuple(listed) if listed is not None else tuple(master + i for i in range(n))
 
 
@@ -316,9 +317,12 @@ def resolve_rate(exp: ExperimentFile, opt_id: str, problem, T: int, sweep: bool 
     """(eta, beta, bound) of method ``opt_id`` for one horizon: the theorem's
     eta, beta and ceiling, else optimizer.eta (None when unset), optimizer.beta
     (0.9) and no ceiling. The self-tuning method tunes itself, sgd has no
-    beta, and each grid point of a sweep sets the rate."""
+    beta, and each grid point of a sweep sets the rate, so a sweep of the
+    self-tuning method is refused."""
     op = exp.optimizer
     if opt_id == "nigt_adaptive":
+        if sweep:
+            raise ConfigError("the self-tuning method has no base rate to sweep")
         return None, 0.9, None
     theorem = None if sweep else op.get("theorem")
     paired_id = THEOREM_METHODS.get(theorem)

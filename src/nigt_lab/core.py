@@ -24,9 +24,21 @@ NORM_FLOOR = 1e-300
 
 # Size limits on what an input may ask for, checked before anything is
 # allocated or drawn: a count (of seeds, runs or pairs), and the cells (a
-# count times a length: steps, dimension or sample count) it sizes.
+# count times a length: steps, dimension or sample count) it sizes. Each
+# cell limit is one memory budget over the bytes a cell of its kind costs:
+# the tracemalloc peak per cell at small sizes (2 seeds of d up to 200,000,
+# or T up to 20,000 over 1 to 20 seeds), rounded up.
 MAX_SEEDS = 10**5
-MAX_LOG_CELLS = 10**8
+MEMORY_BUDGET = 2 * 10**9  # bytes
+# a step of one seed, logged and written as csv, json and svg: 57-92 B
+MAX_LOG_CELLS = MEMORY_BUDGET // 100
+# a dimension of one seed's state in the runner: 80 B (sgd) to 128 B (the
+# self-tuning method); a problem's dimension is one seed's
+MAX_STATE_CELLS = MEMORY_BUDGET // 128
+# a dimension of one run of igt-check: 96 B
+MAX_IGT_CELLS = MEMORY_BUDGET // 96
+# a dimension of one pair or noise draw of certify: 26 B (noise) to 64 B (pairs)
+MAX_CERT_CELLS = MEMORY_BUDGET // 64
 
 
 def as_vector(x) -> np.ndarray:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import MAX_LOG_CELLS, MAX_SEEDS, RngStream, TrajectoryRecord, rownorm
+from .core import MAX_IGT_CELLS, MAX_SEEDS, RngStream, TrajectoryRecord, rownorm
 from .errors import Diverged, InvalidInput, NonFiniteGradient
 from .optimizers import (
     LayerPartition,
@@ -289,11 +289,12 @@ def igt_moment_check(problem: StochasticProblem, checkpoints: Sequence[int] = (1
     ks = sorted(set(int(k) for k in checkpoints))
     if not ks or ks[0] < 1:
         raise InvalidInput(f"checkpoints must be positive sample counts, got {checkpoints}")
-    # the state is n_runs rows of dim cells, and the samples n_runs per step
+    # the state is n_runs rows of dim cells; the samples, n_runs per step,
+    # are held to the same count
     for name, size in (("dim", problem.dim), ("max(checkpoints)", ks[-1])):
-        if n_runs * size > MAX_LOG_CELLS:
+        if n_runs * size > MAX_IGT_CELLS:
             raise InvalidInput(f"n_runs = {n_runs} times {name} = {size} is {n_runs * size} cells, "
-                               f"above the limit of {MAX_LOG_CELLS}")
+                               f"above the limit of {MAX_IGT_CELLS}")
 
     sigma = problem.sigma
     rng = RngStream(seed, 0)
@@ -467,10 +468,9 @@ def grid_sweep(base: RunConfig, eta_grid: Sequence[float] = DEFAULT_ETA_GRID) ->
     from critical). Ties break toward the smaller rate. A rate at which a
     seed diverges is recorded with the step where the first such seed (in
     seed order) did, and ranked last. Seeds are shared across grid points
-    so comparisons see identical noise realizations.
+    so comparisons see identical noise realizations. ``base`` is a method
+    with a base rate: the configuration refuses to sweep the self-tuning one.
     """
-    if base.optimizer_id == "nigt_adaptive":
-        raise InvalidInput("the self-tuning method has no base rate to sweep")
     if not base.record_exact:
         raise InvalidInput("grid sweep ranks by exact gradient norms; set record_exact")
     grid = tuple(float(e) for e in eta_grid)

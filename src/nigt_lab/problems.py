@@ -36,7 +36,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .core import MAX_LOG_CELLS, MAX_SEEDS, RngStream, as_vector, gaussian_noise, rowdot, rownorm
+from .core import MAX_CERT_CELLS, MAX_SEEDS, RngStream, as_vector, gaussian_noise, rowdot, rownorm
 from .errors import CertificationFailure, InvalidInput
 
 
@@ -480,9 +480,9 @@ def certify_constants(problem: StochasticProblem, n_pairs: int = 400, radius: fl
     per_point = CERT_N_SIGMA // n_points
     # the largest arrays are the pairs and one point's noise draws
     cells = max(n_pairs, per_point) * problem.dim
-    if cells > MAX_LOG_CELLS:
+    if cells > MAX_CERT_CELLS:
         raise InvalidInput(f"max(n_pairs = {n_pairs}, {per_point} noise draws) times dim = {problem.dim} "
-                           f"is {cells} cells, above the limit of {MAX_LOG_CELLS}")
+                           f"is {cells} cells, above the limit of {MAX_CERT_CELLS}")
     # A pair's separation lies in [MIN_SEP radius, 2 radius]. The floor and
     # its square must be normal floats, and the floor must exceed the spacing
     # of floats at w1, or the draws round to one point and every pair is

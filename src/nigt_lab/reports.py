@@ -2,12 +2,16 @@
 
 CSV numbers carry 17 significant digits (exact float64 round-trip), JSON uses
 shortest round-trip decimals, and SVG charts are hand-emitted primitives so
-identical inputs produce identical bytes on every platform. Files are written
-atomically (temp file in the target directory, then rename).
+identical inputs produce identical bytes on every platform. Every file is
+written atomically through one handle (:func:`open_atomic`: a temporary file
+in the target directory, then a rename), and seed CSVs and charts are written
+as they are formatted, a chunk of rows or one polyline at a time, so the text
+of a whole file is never held in memory.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -25,13 +29,20 @@ CSV_HEADER = "t,f_val,grad_norm,eta,alpha,m_norm,mhat_err,lemma1_residual"
 _CSV_FIELDS = ("f_val", "grad_norm", "eta", "alpha", "m_norm", "mhat_err", "descent_residual")
 
 
-def record_to_csv(record: TrajectoryRecord) -> str:
-    """One row per step; a column the run did not record is empty cells.
+# Rows of a seed CSV formatted per write, whatever the horizon: at most
+# about 36 KB of text (a row of every column takes 100-140 B), and about
+# 140 KB while it is formatted; larger chunks write no faster.
+CSV_CHUNK_ROWS = 2**8
+
+
+def record_to_csv(record: TrajectoryRecord, fh) -> None:
+    """One row per step, written to the text handle ``fh`` in chunks of
+    :data:`CSV_CHUNK_ROWS` rows; a column the run did not record is empty cells.
 
     A column of one bit pattern (the rate of a constant-rate run) is
     formatted once, into the row template: no formatted float holds a "%".
     """
-    cells, data = ["%d"], [range(1, len(record.eta) + 1)]
+    cells, cols = ["%d"], []
     for c in (getattr(record, f) for f in _CSV_FIELDS):
         if c is None:
             cells.append("")
@@ -39,9 +50,13 @@ def record_to_csv(record: TrajectoryRecord) -> str:
             cells.append("%.17g" % c[0])
         else:
             cells.append("%.17g")
-            data.append(c.tolist())
+            cols.append(c)
     row = ",".join(cells) + "\n"
-    return CSV_HEADER + "\n" + "".join(map(row.__mod__, zip(*data)))
+    fh.write(CSV_HEADER + "\n")
+    for lo in range(0, len(record.eta), CSV_CHUNK_ROWS):
+        hi = min(lo + CSV_CHUNK_ROWS, len(record.eta))
+        data = [range(lo + 1, hi + 1)] + [c[lo:hi].tolist() for c in cols]
+        fh.write("".join(map(row.__mod__, zip(*data))))
 
 
 def _cell(v) -> str:
@@ -97,8 +112,10 @@ def json_dumps(obj) -> str:
     return json.dumps(_finite(obj), indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
-def write_text_atomic(path, text: str) -> None:
-    """Write ``text`` to ``path`` through a temporary file in its directory.
+@contextlib.contextmanager
+def open_atomic(path):
+    """A text handle on a fresh temporary file in ``path``'s directory,
+    renamed to ``path`` when the block ends and deleted if the block raises.
     A path that cannot be written is a :class:`ConfigError`."""
     path = Path(path)
     # a fresh name per call, so neither a concurrent writer nor a leftover
@@ -109,13 +126,19 @@ def write_text_atomic(path, text: str) -> None:
         fh = open(tmp, "x", encoding="utf-8", newline="\n")
         try:
             with fh:
-                fh.write(text)
+                yield fh
             os.replace(tmp, path)
         except BaseException:
             tmp.unlink(missing_ok=True)
             raise
     except OSError as e:
         raise ConfigError(f"cannot write {path}: {e}") from None
+
+
+def write_text_atomic(path, text: str) -> None:
+    """Write ``text`` to ``path`` through :func:`open_atomic`."""
+    with open_atomic(path) as fh:
+        fh.write(text)
 
 
 def read_text(path) -> str:
@@ -152,7 +175,8 @@ def write_run_outputs(records, out_dir, formats, summary: dict) -> None:
     out_dir = Path(out_dir)
     if "csv" in formats:
         for rec in records:
-            write_text_atomic(out_dir / seed_csv_name(rec.seed), record_to_csv(rec))
+            with open_atomic(out_dir / seed_csv_name(rec.seed)) as fh:
+                record_to_csv(rec, fh)
     if "json" in formats:
         write_text_atomic(out_dir / "summary.json", json_dumps(summary))
     if "svg" in formats:  # in seed order, as plot reads the CSVs back
@@ -202,10 +226,16 @@ def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
     return a.shape == b.shape and bool((a.view(np.int64) == b.view(np.int64)).all())
 
 
-def svg_line_chart(series, title: str, xlabel: str, ylabel: str,
-                   xlog: bool = False, ylog: bool = False) -> str:
-    """Multi-polyline chart; ``series`` is a list of (xs, ys, style) triples
-    of float arrays.
+def _range(arrays) -> tuple[float, float]:
+    """The least and greatest entry over ``arrays``, without joining them."""
+    return min(float(a.min()) for a in arrays), max(float(a.max()) for a in arrays)
+
+
+def svg_line_chart(fh, series, title: str, xlabel: str, ylabel: str,
+                   xlog: bool = False, ylog: bool = False) -> None:
+    """Multi-polyline chart, written to the text handle ``fh``: the frame,
+    then each polyline as soon as it is formatted. ``series`` is a list of
+    (xs, ys, style) triples of float arrays.
 
     Points with a non-finite or (on log axes) non-positive coordinate are
     dropped. Purely textual output: same input, same bytes.
@@ -221,10 +251,8 @@ def svg_line_chart(series, title: str, xlabel: str, ylabel: str,
             cleaned.append((xs[keep], ys[keep], style))
 
     # with nothing to draw: x over [1, 10], y over one decade or over [0, 1]
-    all_x = np.concatenate([xs for xs, _, _ in cleaned] or [[1.0, 10.0]])
-    all_y = np.concatenate([ys for _, ys, _ in cleaned] or [[1.0, 10.0] if ylog else [0.0, 1.0]])
-    x_lo, x_hi = float(all_x.min()), float(all_x.max())
-    y_lo, y_hi = float(all_y.min()), float(all_y.max())
+    x_lo, x_hi = _range([xs for xs, _, _ in cleaned] or [np.array([1.0, 10.0])])
+    y_lo, y_hi = _range([ys for _, ys, _ in cleaned] or [np.array([1.0, 10.0] if ylog else [0.0, 1.0])])
     tx = math.log10 if xlog else float
     ty = math.log10 if ylog else float
     ax_lo, ax_hi = tx(x_lo), tx(x_hi)
@@ -276,6 +304,7 @@ def svg_line_chart(series, title: str, xlabel: str, ylabel: str,
                    f'y2="{_fmt(Y)}" stroke="#444444" stroke-width="1"/>')
         out.append(f'<text x="{_fmt(_ML - 8)}" y="{_fmt(Y + 3)}" font-family="monospace" '
                    f'font-size="10" text-anchor="end">{v:.4g}</text>')
+    fh.write("\n".join(out) + "\n")
 
     # a polyline whose xs (and ys) are those of the one before reuses its
     # x text (and its points); "%.2f" formats a float exactly as _fmt does
@@ -287,10 +316,10 @@ def svg_line_chart(series, title: str, xlabel: str, ylabel: str,
                 line = " ".join(["%.2f,%%.2f"] * len(xs)) % tuple(px(_log10(xs) if xlog else xs).tolist())
             coords = line % tuple(py(_log10(ys) if ylog else ys).tolist())
         last_xs, last_ys = xs, ys
-        out.append(f'<polyline {style} points="{coords}"/>')
-
-    out.append("</svg>")
-    return "\n".join(out) + "\n"
+        fh.write(f'<polyline {style} points="')
+        fh.write(coords)  # the largest string of a chart, written without a copy
+        fh.write('"/>\n')
+    fh.write("</svg>\n")
 
 
 _METRICS = (  # column (and chart <column>.svg), title, log x axis, log y axis
@@ -321,7 +350,8 @@ def write_plots(out_dir, runs: list[dict]) -> None:
         t_common = runs[0]["t"]
         means = _mean_line([cols[column] for cols in runs], len(t_common))
         series.append((t_common, means, _MEAN_STYLE))
-        write_text_atomic(out_dir / f"{column}.svg", svg_line_chart(series, title, "t", column, xlog=xlog, ylog=ylog))
+        with open_atomic(out_dir / f"{column}.svg") as fh:
+            svg_line_chart(fh, series, title, "t", column, xlog=xlog, ylog=ylog)
 
 
 def _csv_seed(path: Path) -> int:

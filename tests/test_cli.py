@@ -1,19 +1,23 @@
+import errno
 import hashlib
 import json
 import math
+import os
 import re
 import sys
+import tracemalloc
 import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from nigt_lab import cli, harness, problems
+from nigt_lab import cli, harness, problems, reports
 from nigt_lab.cli import main
-from nigt_lab.config import MAX_LOG_CELLS, MAX_SEEDS
+from nigt_lab.core import MAX_CERT_CELLS, MAX_IGT_CELLS, MAX_LOG_CELLS, MAX_SEEDS, MAX_STATE_CELLS, TrajectoryRecord
 from nigt_lab.problems import CERT_N_SIGMA, MIN_SEP
-from nigt_lab.reports import CSV_HEADER
+from nigt_lab.reports import CSV_HEADER, open_atomic, record_to_csv, write_run_outputs
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -378,34 +382,36 @@ SIZE_PROBES = [
      f"error: n_runs = {MAX_SEEDS + 1} is above the limit of {MAX_SEEDS}"),
     ("igt-check", QUAD_KEYS, "igt_check.n_runs = 1000\nigt_check.checkpoints = 10000000000000\n",
      f"error: n_runs = 1000 times max(checkpoints) = 10000000000000 is 10000000000000000 cells, "
-     f"above the limit of {MAX_LOG_CELLS}"),
-    ("igt-check", QUAD_KEYS, f"igt_check.n_runs = 1000\nigt_check.checkpoints = 1,{MAX_LOG_CELLS // 1000 + 1}\n",
-     f"error: n_runs = 1000 times max(checkpoints) = {MAX_LOG_CELLS // 1000 + 1} is {MAX_LOG_CELLS + 1000} cells, "
-     f"above the limit of {MAX_LOG_CELLS}"),
-    ("igt-check", None, f"{quad_of_dim(1001)}igt_check.n_runs = {MAX_SEEDS}\n",
-     f"error: n_runs = {MAX_SEEDS} times dim = 1001 is {MAX_SEEDS * 1001} cells, above the limit of {MAX_LOG_CELLS}"),
+     f"above the limit of {MAX_IGT_CELLS}"),
+    ("igt-check", QUAD_KEYS, f"igt_check.n_runs = 1000\nigt_check.checkpoints = 1,{MAX_IGT_CELLS // 1000 + 1}\n",
+     f"error: n_runs = 1000 times max(checkpoints) = {MAX_IGT_CELLS // 1000 + 1} is "
+     f"{(MAX_IGT_CELLS // 1000 + 1) * 1000} cells, above the limit of {MAX_IGT_CELLS}"),
+    ("igt-check", None, f"{quad_of_dim(MAX_IGT_CELLS // MAX_SEEDS + 1)}igt_check.n_runs = {MAX_SEEDS}\n",
+     f"error: n_runs = {MAX_SEEDS} times dim = {MAX_IGT_CELLS // MAX_SEEDS + 1} is "
+     f"{MAX_SEEDS * (MAX_IGT_CELLS // MAX_SEEDS + 1)} cells, above the limit of {MAX_IGT_CELLS}"),
     ("certify", QUAD_KEYS, "certify.n_pairs = 10000000000000\n",
      f"error: n_pairs = 10000000000000 is above the limit of {MAX_SEEDS}"),
     ("certify", QUAD_KEYS, f"certify.n_pairs = {MAX_SEEDS + 1}\n",
      f"error: n_pairs = {MAX_SEEDS + 1} is above the limit of {MAX_SEEDS}"),
-    ("certify", None, problem_lines(TRIG_KEYS, dim=1001) + f"certify.n_pairs = {MAX_SEEDS}\n",
-     f"error: max(n_pairs = {MAX_SEEDS}, {PER_POINT} noise draws) times dim = 1001 is {MAX_SEEDS * 1001} cells, "
-     f"above the limit of {MAX_LOG_CELLS}"),
-    ("certify", None, problem_lines(TRIG_KEYS, dim=MAX_LOG_CELLS // PER_POINT + 1) + "certify.n_pairs = 100\n",
-     f"error: max(n_pairs = 100, {PER_POINT} noise draws) times dim = {MAX_LOG_CELLS // PER_POINT + 1} is "
-     f"{MAX_LOG_CELLS + PER_POINT} cells, above the limit of {MAX_LOG_CELLS}"),
+    ("certify", None,
+     problem_lines(TRIG_KEYS, dim=MAX_CERT_CELLS // MAX_SEEDS + 1) + f"certify.n_pairs = {MAX_SEEDS}\n",
+     f"error: max(n_pairs = {MAX_SEEDS}, {PER_POINT} noise draws) times dim = {MAX_CERT_CELLS // MAX_SEEDS + 1} is "
+     f"{MAX_SEEDS * (MAX_CERT_CELLS // MAX_SEEDS + 1)} cells, above the limit of {MAX_CERT_CELLS}"),
+    ("certify", None, problem_lines(TRIG_KEYS, dim=MAX_CERT_CELLS // PER_POINT + 1) + "certify.n_pairs = 100\n",
+     f"error: max(n_pairs = 100, {PER_POINT} noise draws) times dim = {MAX_CERT_CELLS // PER_POINT + 1} is "
+     f"{PER_POINT * (MAX_CERT_CELLS // PER_POINT + 1)} cells, above the limit of {MAX_CERT_CELLS}"),
     ("run", None, problem_lines(TRIG_KEYS, dim=1000000) + "optimizer.id = nsgdm\noptimizer.eta = 0.01\n"
      f"run.T = 1\nrun.n_seeds = {MAX_SEEDS}\n",
      f"config error: run.n_seeds asks for {MAX_SEEDS} seeds of problem.dim = 1000000, {MAX_SEEDS * 1000000} state "
-     f"cells, above the limit of {MAX_LOG_CELLS}"),
-    ("bounds", None, problem_lines(TRIG_KEYS, dim=MAX_LOG_CELLS // MAX_SEEDS + 1) + "optimizer.id = nsgdm\n"
+     f"cells, above the limit of {MAX_STATE_CELLS}"),
+    ("bounds", None, problem_lines(TRIG_KEYS, dim=MAX_STATE_CELLS // MAX_SEEDS + 1) + "optimizer.id = nsgdm\n"
      f"run.T_grid = 1\nrun.n_seeds = {MAX_SEEDS}\n",
-     f"config error: run.n_seeds asks for {MAX_SEEDS} seeds of problem.dim = {MAX_LOG_CELLS // MAX_SEEDS + 1}, "
-     f"{MAX_LOG_CELLS + MAX_SEEDS} state cells, above the limit of {MAX_LOG_CELLS}"),
-    ("run", None, problem_lines(TRIG_KEYS, dim=MAX_LOG_CELLS + 1) + RUN_KEYS,
-     f"config error: problem.dim = {MAX_LOG_CELLS + 1} is above the limit of {MAX_LOG_CELLS}"),
+     f"config error: run.n_seeds asks for {MAX_SEEDS} seeds of problem.dim = {MAX_STATE_CELLS // MAX_SEEDS + 1}, "
+     f"{MAX_SEEDS * (MAX_STATE_CELLS // MAX_SEEDS + 1)} state cells, above the limit of {MAX_STATE_CELLS}"),
+    ("run", None, problem_lines(TRIG_KEYS, dim=MAX_STATE_CELLS + 1) + RUN_KEYS,
+     f"config error: problem.dim = {MAX_STATE_CELLS + 1} is above the limit of {MAX_STATE_CELLS}"),
     ("certify", None, problem_lines(QUAD_KEYS, dim=10**9),
-     f"config error: problem.dim = {10**9} is above the limit of {MAX_LOG_CELLS}"),
+     f"config error: problem.dim = {10**9} is above the limit of {MAX_STATE_CELLS}"),
 ]
 
 
@@ -434,7 +440,7 @@ class TestSizeLimits:
         ("sweep", f"run.T = {MAX_LOG_CELLS // 2}\nrun.seeds = 1,2,3\n", [],
          f"run.T = {MAX_LOG_CELLS // 2} over 3 seeds is {MAX_LOG_CELLS // 2 * 3} {CELLS}"),
         ("bounds", f"run.T_grid = 10,{MAX_LOG_CELLS // 2 + 1}\nrun.n_seeds = 2\n", [],
-         f"max(run.T_grid) = {MAX_LOG_CELLS // 2 + 1} over 2 seeds is {MAX_LOG_CELLS + 2} {CELLS}"),
+         f"max(run.T_grid) = {MAX_LOG_CELLS // 2 + 1} over 2 seeds is {(MAX_LOG_CELLS // 2 + 1) * 2} {CELLS}"),
     ], ids=["run_T", "run_n_seeds", "seeds_flag", "seed_list", "bounds_T_grid"])
     def test_one_above_the_limit_exits_one(self, tmp_path, capsys, runner, command, rest, flags, message):
         problem = "".join(f"problem.{k} = {v}\n" for k, v in TRIG_KEYS.items())
@@ -448,7 +454,7 @@ class TestSizeLimits:
     @pytest.mark.parametrize("rest", [f"run.T = {MAX_LOG_CELLS}\nrun.n_seeds = 1\n",
                                       f"run.T = 1\nrun.n_seeds = {MAX_SEEDS}\n",
                                       f"run.T = 1\nrun.n_seeds = {MAX_SEEDS}\n"
-                                      f"problem.dim = {MAX_LOG_CELLS // MAX_SEEDS}\n"],
+                                      f"problem.dim = {MAX_STATE_CELLS // MAX_SEEDS}\n"],
                              ids=["T", "n_seeds", "n_seeds_times_dim"])
     def test_at_the_limit_runs(self, tmp_path, runner, rest):
         problem = "".join(f"problem.{k} = {v}\n" for k, v in TRIG_KEYS.items() if f"problem.{k} " not in rest)
@@ -471,12 +477,12 @@ class TestSizeLimits:
     @pytest.mark.parametrize("command, text", [
         ("igt-check", problem_lines(QUAD_KEYS) + f"igt_check.n_runs = {MAX_SEEDS}\n"),
         ("igt-check", problem_lines(QUAD_KEYS) + f"igt_check.n_runs = 1000\n"
-         f"igt_check.checkpoints = {MAX_LOG_CELLS // 1000}\n"),
-        ("igt-check", quad_of_dim(1000) + f"igt_check.n_runs = {MAX_SEEDS}\n"),
+         f"igt_check.checkpoints = {MAX_IGT_CELLS // 1000}\n"),
+        ("igt-check", quad_of_dim(MAX_IGT_CELLS // MAX_SEEDS) + f"igt_check.n_runs = {MAX_SEEDS}\n"),
         ("certify", problem_lines(QUAD_KEYS) + f"certify.n_pairs = {MAX_SEEDS}\n"),
-        ("certify", problem_lines(TRIG_KEYS, dim=1000) + f"certify.n_pairs = {MAX_SEEDS}\n"),
-        ("certify", problem_lines(TRIG_KEYS, dim=MAX_LOG_CELLS // PER_POINT) + "certify.n_pairs = 100\n"),
-        ("bounds", problem_lines(TRIG_KEYS, dim=MAX_LOG_CELLS // MAX_SEEDS) + "optimizer.id = nsgdm\n"
+        ("certify", problem_lines(TRIG_KEYS, dim=MAX_CERT_CELLS // MAX_SEEDS) + f"certify.n_pairs = {MAX_SEEDS}\n"),
+        ("certify", problem_lines(TRIG_KEYS, dim=MAX_CERT_CELLS // PER_POINT) + "certify.n_pairs = 100\n"),
+        ("bounds", problem_lines(TRIG_KEYS, dim=MAX_STATE_CELLS // MAX_SEEDS) + "optimizer.id = nsgdm\n"
          f"run.T_grid = 1\nrun.n_seeds = {MAX_SEEDS}\n"),
     ], ids=["n_runs", "n_runs_times_checkpoint", "n_runs_times_dim", "n_pairs", "n_pairs_times_dim",
             "draws_times_dim", "bounds_seeds_times_dim"])
@@ -490,9 +496,9 @@ class TestSizeLimits:
             raise AssertionError(f"built at dim {dim}")
 
         monkeypatch.setitem(problems.PROBLEM_KINDS, "trig_bowl", built)
-        cfg = write(tmp_path / "p.cfg", problem_lines(TRIG_KEYS, dim=MAX_LOG_CELLS) + RUN_KEYS)
+        cfg = write(tmp_path / "p.cfg", problem_lines(TRIG_KEYS, dim=MAX_STATE_CELLS) + RUN_KEYS)
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
-        assert capsys.readouterr().err == f"config error: invalid problem section: built at dim {MAX_LOG_CELLS}\n"
+        assert capsys.readouterr().err == f"config error: invalid problem section: built at dim {MAX_STATE_CELLS}\n"
 
 
 # radii that certify nothing: the pairs coincide, a ratio is NaN, or a
@@ -590,6 +596,106 @@ class TestUnwritableOutput:
         err = capsys.readouterr().err
         assert err.startswith(f"config error: cannot write {out / 'certify.json'}: [Errno 21] Is a directory")
         assert [p.name for p in out.iterdir()] == ["certify.json"]
+
+    @pytest.mark.skipif(not Path("/proc").is_dir(), reason="needs a /proc file system")
+    @pytest.mark.parametrize("command, first", [("run", "seed_1.csv"), ("plot", "grad_norm.svg")])
+    def test_streamed_files_into_proc(self, tmp_path, capsys, command, first):
+        cfg = write(tmp_path / "run.cfg", BASE_RUN.replace("csv,json", "csv,json,svg"))
+        argv = ["run", "--config", str(cfg), "--out", "/proc/nope"]
+        if command == "plot":
+            assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "res")]) == 0
+            argv = ["plot", str(tmp_path / "res"), "--out", "/proc/nope"]
+        capsys.readouterr()
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", f"config error: cannot write /proc/nope/{first}: [Errno 2] No such file "
+                                           "or directory: '/proc/nope'\n")
+
+    def test_seed_csv_temp_file_is_removed_when_the_rename_fails(self, tmp_path, capsys):
+        cfg = write(tmp_path / "run.cfg", BASE_RUN)
+        out = tmp_path / "out"
+        (out / "seed_1.csv").mkdir(parents=True)  # a directory where the seed CSV goes
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"config error: cannot write {out / 'seed_1.csv'}: [Errno 21] "
+                                                  "Is a directory")
+        assert [p.name for p in out.iterdir()] == ["seed_1.csv"]
+
+    def test_a_full_disk_mid_stream_is_one_cannot_write_line(self, tmp_path, capsys, monkeypatch):
+        full = OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        streamed = reports.record_to_csv
+        monkeypatch.setattr(reports, "record_to_csv", lambda rec, fh: streamed(rec, FailAfter(fh, 1, full)))
+        cfg = write(tmp_path / "run.cfg", BASE_RUN)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr() == ("", f"config error: cannot write {out / 'seed_1.csv'}: [Errno 28] "
+                                           "No space left on device\n")
+        assert list(out.iterdir()) == []
+
+
+class FailAfter:
+    """A text handle that passes ``n`` writes on to ``fh``, then raises ``error``."""
+
+    def __init__(self, fh, n: int, error: BaseException):
+        self.fh, self.n, self.error = fh, n, error
+
+    def write(self, text: str) -> int:
+        if self.n == 0:
+            raise self.error
+        self.n -= 1
+        return self.fh.write(text)
+
+
+def logged_record(seed: int, T: int) -> TrajectoryRecord:
+    """T steps with every column logged: a constant rate, the rest uniform draws."""
+    rng = np.random.default_rng(seed)
+    columns = {name: rng.random(T) for name in ("alpha", "m_norm", "f_val", "grad_norm", "mhat_err",
+                                                 "descent_residual")}
+    return TrajectoryRecord(problem_id="p", optimizer_id="o", seed=seed, eta=np.full(T, 0.01),
+                            no_move=np.zeros(T, dtype=bool), **columns)
+
+
+def traced_peak(write) -> int:
+    """The tracemalloc peak of ``write()``, above what was held before it."""
+    tracemalloc.start()
+    try:
+        write()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestStreamedOutput:
+    """Seed CSVs and charts are written through one atomic handle as they are
+    formatted: a chunk of rows, or one polyline, at a time."""
+
+    def test_the_csv_peak_does_not_grow_with_the_horizon(self, tmp_path):
+        peaks = []
+        for T in (2_000, 20_000):
+            rec = logged_record(1, T)
+
+            def write_csv():
+                with open_atomic(tmp_path / f"seed_{T}.csv") as fh:
+                    record_to_csv(rec, fh)
+
+            peaks.append(traced_peak(write_csv))
+        # ten times the rows, formatted a chunk at a time
+        assert peaks[1] <= 1.1 * peaks[0]
+
+    @pytest.mark.parametrize("T", [1_000, 4_000])
+    def test_the_charts_hold_a_fixed_number_of_bytes_per_point(self, tmp_path, T):
+        recs = [logged_record(seed, T) for seed in (1, 2)]
+        peak = traced_peak(lambda: write_run_outputs(recs, tmp_path, ("svg",), {}))
+        # a chart at a time, of the seeds' polylines and the mean line: about
+        # 50 B a point, where a chart's whole text once took about 90 B
+        assert peak <= 32 * 1024 + 56 * T * (len(recs) + 1)
+
+    @pytest.mark.parametrize("error", [RuntimeError("mid-stream"), KeyboardInterrupt()], ids=["error", "interrupt"])
+    def test_an_error_mid_stream_leaves_no_file(self, tmp_path, monkeypatch, error):
+        monkeypatch.setattr(reports, "CSV_CHUNK_ROWS", 10)
+        target = tmp_path / "out" / "seed_1.csv"
+        with pytest.raises(type(error)):
+            with open_atomic(target) as fh:
+                record_to_csv(logged_record(1, 100), FailAfter(fh, 3, error))  # the header and two chunks
+        assert list(target.parent.iterdir()) == []
 
 
 class TestCertifyCommand:
@@ -806,6 +912,7 @@ STREAMING_ID = "streaming_least_squares(d=2,cov_eigs=[1.0;2.0],label_noise=0.5)"
 SIGMA_AT_W1 = (f"oracle variance is only certified at the start point for {STREAMING_ID}; "
                "the tuned ceilings need it at every point")
 TRIG_4 = "problem.kind = trig_bowl\nproblem.dim = 4\nproblem.a = 1.0\nproblem.b = 1.0\nproblem.sigma = 0.5\n"
+NO_RATE_TO_SWEEP = "the self-tuning method has no base rate to sweep"
 
 
 class TestPremises:
@@ -878,9 +985,16 @@ class TestPremises:
     def test_self_tuning_under_a_warmup_is_refused_when_built(self, tmp_path, capsys, command):
         text = TRIG_4 + "optimizer.id = nigt_adaptive\nschedule.kind = warmup_poly_decay\nrun.T = 20\n"
         code, out = self._main(tmp_path, command, text)
-        assert (code, capsys.readouterr()) == (
-            1, ("", "config error: invalid run configuration: the self-tuning method sets its own step sizes; "
-                    "use a constant schedule\n"))
+        message = (NO_RATE_TO_SWEEP if command == "sweep" else "invalid run configuration: the self-tuning method "
+                   "sets its own step sizes; use a constant schedule")
+        assert (code, capsys.readouterr()) == (1, ("", f"config error: {message}\n"))
+        assert not out.exists()
+
+    @pytest.mark.parametrize("extra", ["", "schedule.kind = warmup_poly_decay\n", "optimizer.eta = 0.1\n"],
+                             ids=["constant", "warmup", "unread_eta"])
+    def test_a_sweep_of_the_self_tuning_method_is_refused_once_when_built(self, tmp_path, capsys, extra):
+        code, out = self._main(tmp_path, "sweep", TRIG_4 + "optimizer.id = nigt_adaptive\nrun.T = 20\n" + extra)
+        assert (code, capsys.readouterr()) == (1, ("", f"config error: {NO_RATE_TO_SWEEP}\n"))
         assert not out.exists()
 
 

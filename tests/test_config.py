@@ -313,6 +313,13 @@ class TestBaseRate:
         cfg, bound = build_run_config(parse_experiment(MANUAL + "optimizer.beta = 0.7\n"))
         assert (cfg.eta, cfg.beta, bound) == (None, 0.7, None)
 
+    @pytest.mark.parametrize("kind", ["constant", "warmup_poly_decay"])
+    def test_sweep_rejects_adaptive(self, kind):
+        # the self-tuning method has no base rate to sweep, under any schedule
+        text = MANUAL.replace("id = nsgdm", "id = nigt_adaptive").replace("kind = constant", f"kind = {kind}")
+        with pytest.raises(ConfigError, match="^the self-tuning method has no base rate to sweep$"):
+            build_run_config(parse_experiment(text), sweep=True)
+
     @pytest.mark.parametrize("extra", ["optimizer.eta = 0\n", "optimizer.eta = 0.1\noptimizer.beta = 1.0\n"],
                              ids=["eta_zero", "beta_one"])
     def test_manual_domain(self, extra):

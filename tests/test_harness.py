@@ -334,11 +334,6 @@ class TestGridSweep:
         # nearly identical rates on identical noise rank deterministically
         assert r1.rows[0].eta0 == 0.01 or r1.rows[0].eta0 == 0.01000000001
 
-    def test_rejects_adaptive(self):
-        cfg = RunConfig(problem=TRIG, optimizer_id="nigt_adaptive", T=5, seeds=(1,))
-        with pytest.raises(InvalidInput):
-            grid_sweep(cfg, [0.1])
-
     def test_all_rates_diverged_leaves_no_best_rate(self):
         # plain steps of 1 and 2 on eigenvalue 4 grow like 3^t and 7^t
         pb = make_noisy_quadratic(2, [1.0, 4.0], 0.0)

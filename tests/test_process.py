@@ -1,5 +1,6 @@
 """The package in a fresh interpreter, started as a user starts it: one BLAS
-thread unless the caller set a count, and the same bytes on any core count."""
+thread unless the caller set a count, and the same bytes on any core count;
+and the test process itself, which keeps one BLAS thread too."""
 
 import os
 import subprocess
@@ -69,3 +70,11 @@ def test_wide_rows_write_the_same_bytes_whatever_the_thread_count(tmp_path):
     written = tree(tmp_path / "unset")
     assert sorted(written) == ["seed_0.csv", "seed_1.csv", "summary.json"]
     assert written == tree(tmp_path / "one")
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+def test_the_test_process_starts_no_blas_worker():
+    # the conftest sets the variable before a test module imports numpy
+    if os.environ["OPENBLAS_NUM_THREADS"] != "1":
+        pytest.skip("the caller set a BLAS thread count")
+    assert len(os.listdir("/proc/self/task")) == 1
