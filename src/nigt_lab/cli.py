@@ -13,6 +13,7 @@ diverged).
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 from dataclasses import asdict
 
@@ -184,6 +185,11 @@ def main(argv=None) -> int:
 
 
 def main_entry() -> None:
+    # What is alive now (modules, numpy's state, the classes) lives until
+    # exit: frozen, the command's collections skip it and the interpreter
+    # does not tear it down at exit. What the command makes is collected
+    # and finalized as usual. In-process callers of main keep their GC.
+    gc.freeze()
     sys.exit(main())
 
 

@@ -26,19 +26,25 @@ NORM_FLOOR = 1e-300
 # allocated or drawn: a count (of seeds, runs or pairs), and the cells (a
 # count times a length: steps, dimension or sample count) it sizes. Each
 # cell limit is one memory budget over the bytes a cell of its kind costs:
-# the tracemalloc peak per cell at small sizes (2 seeds of d up to 200,000,
-# or T up to 20,000 over 1 to 20 seeds), rounded up.
+# the growth of the command's tracemalloc peak per cell between two sizes,
+# rounded up to whole float64s with room to spare. The tests pin each
+# constant (tests/test_cli.py, TestBytesPerCell).
 MAX_SEEDS = 10**5
 MEMORY_BUDGET = 2 * 10**9  # bytes
-# a step of one seed, logged and written as csv, json and svg: 57-92 B
-MAX_LOG_CELLS = MEMORY_BUDGET // 100
-# a dimension of one seed's state in the runner: 80 B (sgd) to 128 B (the
-# self-tuning method); a problem's dimension is one seed's
-MAX_STATE_CELLS = MEMORY_BUDGET // 128
-# a dimension of one run of igt-check: 96 B
-MAX_IGT_CELLS = MEMORY_BUDGET // 96
-# a dimension of one pair or noise draw of certify: 26 B (noise) to 64 B (pairs)
-MAX_CERT_CELLS = MEMORY_BUDGET // 64
+# a step of one seed, logged and written as csv, json and svg: 57 B (csv and
+# json) to about 165 B (one seed with its charts)
+LOG_CELL_BYTES = 176
+# a dimension of one seed's state in the runner: 88 B (sgd) to 136 B (the
+# self-tuning method), one seed's problem included; a problem's dimension is
+# one seed's
+STATE_CELL_BYTES = 144
+IGT_CELL_BYTES = 112  # a dimension of one run of igt-check: 104 B
+# a dimension of one pair or noise draw of certify: 24 B (noise) to 64 B (pairs)
+CERT_CELL_BYTES = 72
+MAX_LOG_CELLS = MEMORY_BUDGET // LOG_CELL_BYTES
+MAX_STATE_CELLS = MEMORY_BUDGET // STATE_CELL_BYTES
+MAX_IGT_CELLS = MEMORY_BUDGET // IGT_CELL_BYTES
+MAX_CERT_CELLS = MEMORY_BUDGET // CERT_CELL_BYTES
 
 
 def as_vector(x) -> np.ndarray:

@@ -55,7 +55,7 @@ class RunConfig:
     optimizer_id: str
     T: int
     seeds: tuple[int, ...]
-    eta: float | None = None  # base rate, before the schedule
+    eta: float | None = None  # base rate, before the schedule; the self-tuning method takes none
     beta: float = 0.9
     schedule: Schedule = field(default_factory=Schedule)
     record_exact: bool = True
@@ -75,6 +75,8 @@ class RunConfig:
             raise InvalidInput("seeds must be distinct")
         if self.optimizer_id == "nigt_adaptive" and self.schedule.kind != "constant":
             raise InvalidInput("the self-tuning method sets its own step sizes; use a constant schedule")
+        if self.optimizer_id == "nigt_adaptive" and self.eta is not None:
+            raise InvalidInput(f"the self-tuning method sets its own step sizes; it takes no eta, got {self.eta}")
         object.__setattr__(self, "seeds", seeds)
 
 
@@ -469,7 +471,8 @@ def grid_sweep(base: RunConfig, eta_grid: Sequence[float] = DEFAULT_ETA_GRID) ->
     seed diverges is recorded with the step where the first such seed (in
     seed order) did, and ranked last. Seeds are shared across grid points
     so comparisons see identical noise realizations. ``base`` is a method
-    with a base rate: the configuration refuses to sweep the self-tuning one.
+    with a base rate: a self-tuning base raises :class:`InvalidInput` at the
+    first rate, which its run configuration refuses.
     """
     if not base.record_exact:
         raise InvalidInput("grid sweep ranks by exact gradient norms; set record_exact")

@@ -15,7 +15,18 @@ import pytest
 
 from nigt_lab import cli, harness, problems, reports
 from nigt_lab.cli import main
-from nigt_lab.core import MAX_CERT_CELLS, MAX_IGT_CELLS, MAX_LOG_CELLS, MAX_SEEDS, MAX_STATE_CELLS, TrajectoryRecord
+from nigt_lab.core import (
+    CERT_CELL_BYTES,
+    IGT_CELL_BYTES,
+    LOG_CELL_BYTES,
+    MAX_CERT_CELLS,
+    MAX_IGT_CELLS,
+    MAX_LOG_CELLS,
+    MAX_SEEDS,
+    MAX_STATE_CELLS,
+    STATE_CELL_BYTES,
+    TrajectoryRecord,
+)
 from nigt_lab.problems import CERT_N_SIGMA, MIN_SEP
 from nigt_lab.reports import CSV_HEADER, open_atomic, record_to_csv, write_run_outputs
 
@@ -696,6 +707,63 @@ class TestStreamedOutput:
             with open_atomic(target) as fh:
                 record_to_csv(logged_record(1, 100), FailAfter(fh, 3, error))  # the header and two chunks
         assert list(target.parent.iterdir()) == []
+
+
+class TestBytesPerCell:
+    """Each cell limit is the memory budget over a constant in ``core``: no
+    command's tracemalloc peak grows by more than that many bytes per cell
+    between two small sizes. An untraced run first makes the one-time
+    allocations (lazy imports, caches), which no cell costs."""
+
+    @staticmethod
+    def growth_per_cell(tmp_path, command: str, files) -> float:
+        """The peak's growth per cell from the first (cells, file) pair of
+        ``files`` to the second."""
+        def peak(text, traced=True):
+            cfg = write(tmp_path / "exp.cfg", text)
+            argv = [command, "--config", str(cfg), "--out", str(tmp_path / f"out_{len(codes)}")]
+            call = lambda: codes.append(main(argv))
+            return traced_peak(call) if traced else call()
+
+        codes = []
+        (small_cells, small), (large_cells, large) = files
+        peak(small, traced=False)
+        growth = (peak(large) - peak(small)) / (large_cells - small_cells)
+        assert codes == [0, 0, 0]
+        return growth
+
+    def test_run_per_log_cell(self, tmp_path, monkeypatch):
+        # one seed, whose charts cost the most per step; blocks of 42 steps,
+        # where the default block at d = 4 holds thousands of tiny arrays
+        monkeypatch.setattr(harness, "BLOCK_BYTES", 4096)
+        files = [(T, TRIG_4 + f"optimizer.id = nigt\noptimizer.eta = 0.01\nrun.T = {T}\nrun.seeds = 1\n"
+                          "output.formats = csv,json,svg\n") for T in (1_000, 3_000)]
+        assert self.growth_per_cell(tmp_path, "run", files) <= LOG_CELL_BYTES
+
+    @pytest.mark.parametrize("opt", harness.OPTIMIZER_IDS)
+    def test_run_per_state_cell(self, tmp_path, opt):
+        rate = "" if opt == "nigt_adaptive" else "optimizer.eta = 0.01\n"
+        files = [(d, problem_lines(TRIG_KEYS, dim=d, g_bound=10.0) + f"optimizer.id = {opt}\n{rate}run.T = 3\n"
+                     "run.seeds = 1\noutput.formats = json\n") for d in (10_000, 100_000)]
+        assert self.growth_per_cell(tmp_path, "run", files) <= STATE_CELL_BYTES
+
+    def test_bounds_per_log_cell(self, tmp_path, monkeypatch):
+        # its horizons run one after another, so the longest one's log counts;
+        # per state cell, its containment certification's noise draws
+        # (1,000 per dimension) would count instead
+        monkeypatch.setattr(harness, "BLOCK_BYTES", 4096)
+        files = [(20 * T, TRIG_4 + f"optimizer.id = nsgdm\nrun.T_grid = {T}\nrun.n_seeds = 20\n") for T in (500, 1_000)]
+        assert self.growth_per_cell(tmp_path, "bounds", files) <= LOG_CELL_BYTES
+
+    def test_igt_check_per_cell(self, tmp_path):
+        files = [(1_000 * d, quad_of_dim(d) + "igt_check.n_runs = 1000\nigt_check.checkpoints = 1,3\n")
+                 for d in (10, 100)]
+        assert self.growth_per_cell(tmp_path, "igt-check", files) <= IGT_CELL_BYTES
+
+    def test_certify_per_cell(self, tmp_path):
+        # more pairs than noise draws at a point: the pairs are the dearer cells
+        files = [(3_000 * d, problem_lines(TRIG_KEYS, dim=d) + "certify.n_pairs = 3000\n") for d in (10, 100)]
+        assert self.growth_per_cell(tmp_path, "certify", files) <= CERT_CELL_BYTES
 
 
 class TestCertifyCommand:

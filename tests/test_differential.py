@@ -713,7 +713,8 @@ class TestBlockNoise:
             return noisy_grad(self, w, noise)
 
         monkeypatch.setattr(type(pb), "noisy_grad", spy)
-        harness.run(harness.RunConfig(problem=pb, optimizer_id=opt, T=T, seeds=seeds, eta=0.05))
+        eta = None if opt == "nigt_adaptive" else 0.05  # which sets its own rates
+        harness.run(harness.RunConfig(problem=pb, optimizer_id=opt, T=T, seeds=seeds, eta=eta))
         tape = ref_NoiseTape(pb, seeds, stream_ids, T)
         assert len(read) == T
         for z in read:

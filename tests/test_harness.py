@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from nigt_lab import harness
 from nigt_lab.core import RngStream, gaussian_noise
 from nigt_lab.errors import Diverged, InvalidInput
 from nigt_lab.harness import (
@@ -34,6 +35,11 @@ from test_trajectory_digests import RECORD_COLUMNS
 TRIG = make_trig_bowl(4, 1.0, 1.0, 0.5)
 
 
+def _rate(opt, eta):
+    """``eta``, or None for the self-tuning method, which sets its own rates."""
+    return None if opt == "nigt_adaptive" else eta
+
+
 def _records_equal(a, b):
     for name in RECORD_COLUMNS + ("no_move",):
         ca, cb = getattr(a, name), getattr(b, name)
@@ -48,7 +54,7 @@ def _records_equal(a, b):
 class TestRunDeterminism:
     @pytest.mark.parametrize("opt", ["sgd", "heavy_ball", "nsgdm", "nigt", "nigt_adaptive", "nigt_layerwise"])
     def test_bit_identical_rerun(self, opt):
-        cfg = RunConfig(problem=TRIG, optimizer_id=opt, T=40, seeds=(3, 9), eta=0.05, beta=0.9)
+        cfg = RunConfig(problem=TRIG, optimizer_id=opt, T=40, seeds=(3, 9), eta=_rate(opt, 0.05), beta=0.9)
         first = run(cfg)
         second = run(cfg)
         for a, b in zip(first, second):
@@ -77,6 +83,12 @@ class TestRunDeterminism:
         with pytest.raises(InvalidInput, match="^the self-tuning method sets its own step sizes"):
             RunConfig(problem=TRIG, optimizer_id="nigt_adaptive", T=10, seeds=(1,),
                       schedule=Schedule(kind="warmup_poly_decay", power=1))
+
+    @pytest.mark.parametrize("eta", [0.05, 0.0])
+    def test_adaptive_takes_no_rate(self, eta):
+        with pytest.raises(InvalidInput, match=rf"^the self-tuning method sets its own step sizes; "
+                                               rf"it takes no eta, got {eta}$"):
+            RunConfig(problem=TRIG, optimizer_id="nigt_adaptive", T=10, seeds=(1,), eta=eta)
 
 
 class TestRunSemantics:
@@ -334,6 +346,16 @@ class TestGridSweep:
         # nearly identical rates on identical noise rank deterministically
         assert r1.rows[0].eta0 == 0.01 or r1.rows[0].eta0 == 0.01000000001
 
+    def test_a_self_tuning_base_is_refused_at_its_first_rate(self, monkeypatch):
+        # it would run one identical row per rate: it sets its own rates
+        runs = []
+        monkeypatch.setattr(harness, "run", runs.append)
+        cfg = RunConfig(problem=TRIG, optimizer_id="nigt_adaptive", T=5, seeds=(1,))
+        with pytest.raises(InvalidInput, match="^the self-tuning method sets its own step sizes; "
+                                               "it takes no eta, got 0.001$"):
+            grid_sweep(cfg, [1e-3, 1.0])
+        assert runs == []
+
     def test_all_rates_diverged_leaves_no_best_rate(self):
         # plain steps of 1 and 2 on eigenvalue 4 grow like 3^t and 7^t
         pb = make_noisy_quadratic(2, [1.0, 4.0], 0.0)
@@ -441,7 +463,7 @@ class TestLogBlocks:
 
     @classmethod
     def _check_block_sizes(cls, monkeypatch, pb, steps, opt, record_exact):
-        cfg = RunConfig(problem=pb, optimizer_id=opt, T=20, seeds=(1, 2, 3), eta=0.05, beta=0.9,
+        cfg = RunConfig(problem=pb, optimizer_id=opt, T=20, seeds=(1, 2, 3), eta=_rate(opt, 0.05), beta=0.9,
                         record_exact=record_exact)
         default = run(cfg)
         cls._block_of(monkeypatch, cfg, steps)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from nigt_lab.core import NORM_FLOOR, RngStream
+from nigt_lab.core import NORM_FLOOR, InvariantEvent, RngStream
 from nigt_lab.errors import InvalidInput, NonFiniteGradient
 from nigt_lab.harness import RunConfig, run
 from nigt_lab.optimizers import (
@@ -329,6 +329,27 @@ class TestAdaptive:
         kinds = {e.kind for e in tuner.events}
         assert "alpha_above_one" in kinds
         assert tuner.events[0].t == 1
+
+    def test_negative_increment_trips_the_other_four_invariants(self):
+        # a corrupted, negative squared difference that cancels G_1: G falls
+        # to the drift alone, below the t^{1/4} floor, and the next rate grows
+        tuner = SelfTuning(1.0)
+        eta_1, _ = tuner.rates(1)
+        G_1 = tuner.G
+        assert not tuner.events
+        tuner.accumulate(1, -G_1)
+        drift = 2.0**0.25 - 1.0  # g^2 ((t+1)^{1/4} - t^{1/4}) at g = 1, t = 1
+        delta = -G_1 + drift
+        G_2 = G_1 + delta
+        assert (tuner.G_prev, tuner.G, tuner.delta) == (G_1, G_2, delta)
+        eta_2, _ = tuner.rates(2)
+        assert eta_2 == pytest.approx(tuner.C / (G_2 * G_2 * 27.0) ** (1.0 / 7.0), rel=1e-12)
+        assert tuner.events == [
+            InvariantEvent("g_decreased", 1, G_2, G_1),
+            InvariantEvent("g_increment_below_drift", 1, delta, drift),
+            InvariantEvent("eta_increased", 2, eta_2, eta_1),
+            InvariantEvent("g_below_floor", 2, G_2, 2.0**0.25),
+        ]
 
     def test_understated_g_bound_trips_increment_cap(self):
         # declared bound far below the true gradient scale: the paired-sample

@@ -1,13 +1,21 @@
 """The package in a fresh interpreter, started as a user starts it: one BLAS
 thread unless the caller set a count, and the same bytes on any core count;
-and the test process itself, which keeps one BLAS thread too."""
+one entry point, which freezes the import-time heap and does what the
+in-process ``cli.main`` does; and the test process itself, which keeps one
+BLAS thread too."""
 
+import ast
+import gc
+import importlib
+import inspect
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from nigt_lab import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -78,3 +86,82 @@ def test_the_test_process_starts_no_blas_worker():
     if os.environ["OPENBLAS_NUM_THREADS"] != "1":
         pytest.skip("the caller set a BLAS thread count")
     assert len(os.listdir("/proc/self/task")) == 1
+
+
+def test_the_console_script_is_the_module_entry_point():
+    tomllib = pytest.importorskip("tomllib")
+    scripts = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]["scripts"]
+    assert scripts == {"nigt-lab": "nigt_lab.cli:main_entry"}
+    module, name = scripts["nigt-lab"].split(":")
+    assert getattr(importlib.import_module(module), name) is cli.main_entry
+    # `python -m nigt_lab.cli` runs the module as __main__, whose guard calls it
+    guards = [node for node in ast.parse(inspect.getsource(cli)).body
+              if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'"]
+    assert [[ast.unparse(line) for line in guard.body] for guard in guards] == [["main_entry()"]]
+
+
+TRIG_2 = """\
+problem.kind = trig_bowl
+problem.dim = 2
+problem.a = 1.0
+problem.b = 1.0
+problem.sigma = 0.5
+"""
+
+# a passing bound table, a key the command does not read, and plain steps of
+# 1 on eigenvalue 4, which grow like 3^t
+ENTRY_CASES = {
+    "bounds": ("bounds", TRIG_2 + "optimizer.id = nsgdm\nrun.T_grid = 10,100,1000\nrun.n_seeds = 3\n", 0),
+    "refused_key": ("run", TRIG_2 + "optimizer.id = nsgdm\noptimizer.eta = 0.01\nrun.T = 10\n"
+                           "igt_check.n_runs = 1000\n", 1),
+    "diverging": ("run", "problem.kind = noisy_quadratic\nproblem.dim = 2\nproblem.eigs = 1.0,4.0\n"
+                         "optimizer.id = sgd\noptimizer.eta = 1.0\nrun.T = 1000\nrun.seeds = 1\n", 2),
+}
+
+
+@pytest.mark.parametrize("case", ENTRY_CASES)
+def test_the_entry_point_does_what_main_does(tmp_path, capsys, case):
+    command, text, code = ENTRY_CASES[case]
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(text, encoding="utf-8")
+    proc = start("-m", "nigt_lab.cli", command, "--config", str(cfg), "--out", str(tmp_path / "child"))
+    frozen = gc.get_freeze_count()
+    assert cli.main([command, "--config", str(cfg), "--out", str(tmp_path / "in_process")]) == code
+    assert gc.get_freeze_count() == frozen  # in-process callers keep their collector as it is
+    stdout, stderr = proc.communicate(timeout=60)
+    assert (proc.returncode, stdout, stderr) == (code, *capsys.readouterr())
+    assert bool(stderr) == (code != 0)
+    written = [tree(out) if out.exists() else None for out in (tmp_path / "child", tmp_path / "in_process")]
+    assert written[0] == written[1]
+    assert (written[0] is not None) == (code == 0)  # a refused or diverging run writes nothing
+
+
+# a command that leaves a file open in a reference cycle as it returns
+LEAKY = """\
+import sys
+from nigt_lab import cli
+
+out, cfg = sys.argv[1:]
+inner = cli.main
+
+def leaky(argv=None):
+    code = inner(argv)
+    cycle = [open(cfg, encoding="utf-8")]
+    cycle.append(cycle)
+    return code
+
+cli.main = leaky
+sys.argv = ["nigt-lab", "certify", "--config", cfg, "--out", out]
+cli.main_entry()
+"""
+
+
+def test_the_freeze_leaves_what_the_command_made_collectable(tmp_path):
+    # frozen before the command, not after it: the cycle is still collected
+    # at exit, and dev mode warns about the file
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(TRIG_2 + "certify.n_pairs = 100\n", encoding="utf-8")
+    proc = start("-c", LEAKY, str(tmp_path / "out"), str(cfg))
+    _, stderr = proc.communicate(timeout=60)
+    assert proc.returncode == 0, stderr
+    assert "ResourceWarning: unclosed file" in stderr

@@ -81,7 +81,8 @@ def _config(kind: str, opt: str, sch: str) -> RunConfig:
             extra["partition"] = LayerPartition(ranges=((0, half), (half, pb.dim)), lr_scale=(1.0, 0.5))
         else:
             extra["partition"] = LayerPartition(ranges=((0, pb.dim),), lr_scale=(1.0,))
-    return RunConfig(problem=pb, optimizer_id=opt, T=T, seeds=SEEDS, eta=ETA, beta=BETA,
+    eta = None if opt == "nigt_adaptive" else ETA  # the self-tuning method takes no rate
+    return RunConfig(problem=pb, optimizer_id=opt, T=T, seeds=SEEDS, eta=eta, beta=BETA,
                      schedule=SCHEDULES[sch], **extra)
 
 
