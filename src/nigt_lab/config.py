@@ -27,9 +27,9 @@ from dataclasses import dataclass, field, fields
 
 from .core import MAX_LOG_CELLS, MAX_SEEDS, MAX_STATE_CELLS
 from .errors import ConfigError, InvalidInput
-from .harness import OPTIMIZER_IDS, RunConfig, grid_sweep, igt_moment_check
+from .harness import CONTAINMENT_PAIRS, OPTIMIZER_IDS, RunConfig, grid_sweep, igt_moment_check
 from .optimizers import LayerPartition, Schedule
-from .problems import PROBLEM_KINDS, StochasticProblem, certify_constants, with_constants
+from .problems import PROBLEM_KINDS, StochasticProblem, cert_points, certify_constants, with_constants
 from .reports import read_text
 from .tuning import THEOREM_METHODS, tuned
 
@@ -380,12 +380,15 @@ def build_run_config(exp: ExperimentFile, n_seeds_override: int | None = None,
 def bounds_settings(exp: ExperimentFile, n_seeds_override: int | None = None,
                     master_seed_override: int | None = None):
     """(problem, optimizer id, T grid, seeds) of ``bounds``, which runs the
-    method at its own theorem's tuning for each horizon of the grid."""
+    method at its own theorem's tuning for each horizon of the grid and
+    then certifies the problem's constants, whose size is checked here,
+    before any horizon runs."""
     problem = build_problem(exp)
     if "T_grid" not in exp.run:
         raise ConfigError("bounds needs run.T_grid")
     T_grid = exp.run["T_grid"]
     seeds = resolve_seeds(exp, "max(run.T_grid)", max(T_grid), n_seeds_override, master_seed_override, problem.dim)
+    cert_points(problem, CONTAINMENT_PAIRS)
     return problem, exp.optimizer.get("id"), T_grid, seeds
 
 

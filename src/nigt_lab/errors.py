@@ -2,7 +2,12 @@
 
 
 class NigtLabError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors. The message is the first
+    argument and a subclass's fields follow it, so that an error pickles
+    whole (a split run sends its child's error back)."""
+
+    def __str__(self):
+        return str(self.args[0]) if self.args else ""
 
 
 class InvalidInput(NigtLabError):
@@ -16,7 +21,7 @@ class NonFiniteGradient(NigtLabError):
     ``row`` is the first such row."""
 
     def __init__(self, message, row=0):
-        super().__init__(message)
+        super().__init__(message, row)
         self.row = row
 
 
@@ -24,7 +29,7 @@ class Diverged(NigtLabError):
     """A run's gradient samples or step sizes went non-finite at ``step``."""
 
     def __init__(self, message, step):
-        super().__init__(message)
+        super().__init__(message, step)
         self.step = step
 
 
@@ -35,7 +40,7 @@ class CertificationFailure(NigtLabError):
     """
 
     def __init__(self, message, report=None):
-        super().__init__(message)
+        super().__init__(message, report)
         self.report = report
 
 

@@ -3,21 +3,26 @@
 Everything here is deterministic given the configuration: each seed drives a
 counter-based stream (stream 0 for the oracle, stream 1 for the paired
 samples of the self-tuning method), so reruns are bit-identical. The seeds
-of a run step in lockstep as ``(S, d)`` arrays in one process, in blocks of
-steps: each block draws its noise when it starts and is logged when it
-ends. Each seed's record is the one it would get alone.
+of a run step in lockstep as ``(S, d)`` arrays, in blocks of steps: each
+block draws its noise when it starts and is logged when it ends. A wide
+batch splits its seeds between two processes (:func:`run`). Each seed's
+record is the one it would get alone.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import pickle
+import sys
+import threading
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .core import MAX_IGT_CELLS, MAX_SEEDS, RngStream, TrajectoryRecord, rownorm
-from .errors import Diverged, InvalidInput, NonFiniteGradient
+from .errors import Diverged, InvalidInput, NigtLabError, NonFiniteGradient
 from .optimizers import (
     LayerPartition,
     Schedule,
@@ -42,11 +47,19 @@ DESCENT_TOL = 1e-9
 
 DEFAULT_ETA_GRID = (1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0)
 DEFAULT_CERT_RADIUS = 10.0
+CONTAINMENT_PAIRS = 300  # pairs of bound_acceptance's containment certification
 
 # Runs step in blocks whose w, x and m arrays, kept by reference until the
 # block is logged, fit in this many bytes. Each block's oracle noise, drawn
 # when the block starts, is at most 4/3 as large.
 BLOCK_BYTES = 256 * 1024
+
+# A run of at least this many seed cells (seeds times dim) steps its later
+# seeds in a forked process (see run). On 2 CPUs at T = 1000, split over
+# serial time read 0.59-0.87 at 4096 cells and 0.91-1.07 at 2048, where the
+# per-step Python work, paid in both processes, outweighs the halved
+# arithmetic. A short run loses at most the fork's few milliseconds.
+SPLIT_CELLS = 4096
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,8 +121,9 @@ def _fold_distance(max_disp, P, w1):
 
 
 def _stack(arrays):
-    """The arrays as one block along a new first axis; one array as a view."""
-    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
+    """The arrays as one block along a new first axis; one array as a view.
+    ``np.array`` copies the same bytes as ``np.stack`` in about half the time."""
+    return arrays[0][None] if len(arrays) == 1 else np.array(arrays)
 
 
 def _descent_bound(eta, grad_norm, mhat_err, L):
@@ -126,7 +140,81 @@ def run(cfg: RunConfig) -> list[TrajectoryRecord]:
     seed order, that diverged, and its step, as running the seeds one
     after another would: the seeds before a failing one are run again on
     their own, and the first of them to diverge later is named instead.
+
+    A wide batch, of at least :data:`SPLIT_CELLS` seed cells, steps its
+    later half of the seeds in a forked child process while this one steps
+    the earlier half, on Linux with a second CPU and no other thread. The
+    records and the error raised are the same.
     """
+    return _split(cfg) if _split_pays(cfg) else _lockstep(cfg, run)
+
+
+def _split_pays(cfg: RunConfig) -> bool:
+    """Whether ``cfg``'s seeds split between two processes: two or more
+    seeds, :data:`SPLIT_CELLS` seed cells, a second CPU to step them and
+    os.fork on Linux (Windows has none, and on macOS a fork after
+    Accelerate has loaded is unsafe), in a process with one thread, as a
+    fork copies only the calling thread."""
+    S = len(cfg.seeds)
+    return (S >= 2 and S * cfg.problem.dim >= SPLIT_CELLS and sys.platform == "linux" and hasattr(os, "fork")
+            and len(os.sched_getaffinity(0)) >= 2 and threading.active_count() == 1)
+
+
+def _split(cfg: RunConfig) -> list[TrajectoryRecord]:
+    """The earlier half of the seeds stepped here and the later half in a
+    forked child, which pipes back its records or its error. The earlier
+    seeds' error wins: the child is then killed. The child is reaped
+    before this returns or raises. Where fork fails, every seed steps
+    here."""
+    h = len(cfg.seeds) // 2
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:  # no process to spare: every seed steps here
+        os.close(r)
+        os.close(w)
+        return _lockstep(cfg, run)
+    if pid == 0:  # the child: never returns, and its re-runs never fork
+        code = 1
+        try:
+            os.close(r)
+            try:
+                out = _lockstep(replace(cfg, seeds=cfg.seeds[h:]), _in_process)
+            except BaseException as e:  # sent to the parent, which raises it
+                out = e
+            with open(w, "wb") as fh:
+                pickle.dump(out, fh, pickle.HIGHEST_PROTOCOL)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(w)
+    with open(r, "rb") as fh:
+        try:
+            first = _lockstep(replace(cfg, seeds=cfg.seeds[:h]), run)
+            payload = fh.read()
+        except BaseException:
+            os.kill(pid, 9)  # SIGKILL (Linux), without importing the signal module
+            raise
+        finally:
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if status:
+        how = f"was killed by signal {-status}" if status < 0 else f"exited with status {status}"
+        raise NigtLabError(f"the forked process that stepped the last {len(cfg.seeds) - h} seeds {how} "
+                           "before it sent its records")
+    later = pickle.loads(payload)  # bytes of this program's own child
+    if isinstance(later, BaseException):
+        raise later
+    return first + later
+
+
+def _in_process(cfg: RunConfig) -> list[TrajectoryRecord]:
+    """:func:`run` without a fork: a forked child's re-runs."""
+    return _lockstep(cfg, _in_process)
+
+
+def _lockstep(cfg: RunConfig, rerun) -> list[TrajectoryRecord]:
+    """The records of :func:`run`, stepped in this process; ``rerun``
+    runs the seeds before one that fails."""
     pb = cfg.problem
     seeds = cfg.seeds
     opt = cfg.optimizer_id
@@ -193,7 +281,9 @@ def run(cfg: RunConfig) -> list[TrajectoryRecord]:
                                 rates[row] = tuner.rates(t)
                             except OverflowError as e:  # the accumulator outgrew the floats
                                 raise NonFiniteGradient(str(e), row) from None
-                        eta_t, alpha_t = rates[:, :1], rates[:, 1:]
+                        # one seed's rates are numpy scalars: the step checks them as
+                        # scalars and scales by them, not by (1, 1) columns
+                        eta_t, alpha_t = rates[0] if S == 1 else (rates[:, :1], rates[:, 1:])
                         # no domain check: a corrupted accumulator that pushes alpha_t
                         # above one keeps running and is recorded as an invariant event
                         beta_t = 1.0 - alpha_t
@@ -210,7 +300,7 @@ def run(cfg: RunConfig) -> list[TrajectoryRecord]:
                         sq_diff = paired_sq_diff(g, samples[1])
                 except NonFiniteGradient as e:
                     if e.row:  # raises the error of an earlier seed that diverges later
-                        run(replace(cfg, seeds=seeds[:e.row]))
+                        rerun(replace(cfg, seeds=seeds[:e.row]))
                     raise Diverged(f"seed {seeds[e.row]} diverged at step {t}: {e}", t) from None
                 if tuners:
                     for tuner, sq in zip(tuners, sq_diff.tolist()):
@@ -418,7 +508,7 @@ def bound_acceptance(
         rows.append(BoundRow(T=T, mean_avg_grad_norm=mean, stderr=stderr, bound=bound, passed=passed))
 
     cert_radius = max(DEFAULT_CERT_RADIUS, 1.05 * max_disp)
-    certify_constants(problem, n_pairs=300, radius=cert_radius, rng=RngStream(seeds[0], 101))
+    certify_constants(problem, n_pairs=CONTAINMENT_PAIRS, radius=cert_radius, rng=RngStream(seeds[0], 101))
     return BoundReport(
         problem_id=problem.problem_id,
         optimizer_id=optimizer_id,

@@ -459,18 +459,10 @@ class CertReport:
     failures: tuple[str, ...]
 
 
-def certify_constants(problem: StochasticProblem, n_pairs: int = 400, radius: float = 10.0,
-                      rng: RngStream | None = None) -> CertReport:
-    """Empirically validate the declared constants L, rho, and sigma.
-
-    L_hat is the largest gradient-difference ratio over sampled pairs,
-    rho_hat the largest Taylor-remainder ratio (finite-difference curvature),
-    and sigma_hat the root mean squared oracle error. The check is one-sided
-    for L and rho (declared values must not be exceeded) and two-sided for
-    sigma, each within the relative :data:`CERT_TOL`. Raises
-    :class:`CertificationFailure` with the report attached if any declared
-    constant is contradicted.
-    """
+def cert_points(problem: StochasticProblem, n_pairs: int) -> tuple[int, int]:
+    """(points, noise draws per point) of the sigma estimate of
+    :func:`certify_constants` with ``n_pairs`` pairs, which it takes only
+    within :data:`MAX_SEEDS` pairs and :data:`MAX_CERT_CELLS` cells."""
     if n_pairs < 100:
         raise InvalidInput(f"n_pairs must be >= 100, got {n_pairs}")
     if n_pairs > MAX_SEEDS:
@@ -483,6 +475,22 @@ def certify_constants(problem: StochasticProblem, n_pairs: int = 400, radius: fl
     if cells > MAX_CERT_CELLS:
         raise InvalidInput(f"max(n_pairs = {n_pairs}, {per_point} noise draws) times dim = {problem.dim} "
                            f"is {cells} cells, above the limit of {MAX_CERT_CELLS}")
+    return n_points, per_point
+
+
+def certify_constants(problem: StochasticProblem, n_pairs: int = 400, radius: float = 10.0,
+                      rng: RngStream | None = None) -> CertReport:
+    """Empirically validate the declared constants L, rho, and sigma.
+
+    L_hat is the largest gradient-difference ratio over sampled pairs,
+    rho_hat the largest Taylor-remainder ratio (finite-difference curvature),
+    and sigma_hat the root mean squared oracle error. The check is one-sided
+    for L and rho (declared values must not be exceeded) and two-sided for
+    sigma, each within the relative :data:`CERT_TOL`. Raises
+    :class:`CertificationFailure` with the report attached if any declared
+    constant is contradicted.
+    """
+    n_points, per_point = cert_points(problem, n_pairs)
     # A pair's separation lies in [MIN_SEP radius, 2 radius]. The floor and
     # its square must be normal floats, and the floor must exceed the spacing
     # of floats at w1, or the draws round to one point and every pair is

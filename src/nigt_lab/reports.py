@@ -180,15 +180,16 @@ def write_run_outputs(records, out_dir, formats, summary: dict) -> None:
     if "json" in formats:
         write_text_atomic(out_dir / "summary.json", json_dumps(summary))
     if "svg" in formats:  # in seed order, as plot reads the CSVs back
-        write_plots(out_dir, [_chart_columns(rec) for rec in sorted(records, key=lambda r: r.seed)])
+        t = np.arange(1.0, len(records[0].eta) + 1)  # the records of a run share their steps
+        write_plots(out_dir, [_chart_columns(rec, t) for rec in sorted(records, key=lambda r: r.seed)])
 
 
-def _chart_columns(record: TrajectoryRecord) -> dict:
-    """The charted columns as :func:`parse_run_csv` reads them back."""
-    n = len(record.eta)
-    cols = {name: np.full(n, np.nan) if getattr(record, name) is None else getattr(record, name)
+def _chart_columns(record: TrajectoryRecord, t: np.ndarray) -> dict:
+    """The charted columns as :func:`parse_run_csv` reads them back, with
+    the steps ``t``."""
+    cols = {name: np.full(len(t), np.nan) if getattr(record, name) is None else getattr(record, name)
             for name, _, _, _ in _METRICS}
-    cols["t"] = np.arange(1.0, n + 1)
+    cols["t"] = t
     return cols
 
 
@@ -247,7 +248,9 @@ def svg_line_chart(fh, series, title: str, xlabel: str, ylabel: str,
             keep &= xs > 0.0
         if ylog:
             keep &= ys > 0.0
-        if keep.any():
+        if keep.all():  # a copy only of a series that loses points
+            cleaned.append((xs, ys, style))
+        elif keep.any():
             cleaned.append((xs[keep], ys[keep], style))
 
     # with nothing to draw: x over [1, 10], y over one decade or over [0, 1]

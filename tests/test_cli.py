@@ -411,6 +411,10 @@ SIZE_PROBES = [
     ("certify", None, problem_lines(TRIG_KEYS, dim=MAX_CERT_CELLS // PER_POINT + 1) + "certify.n_pairs = 100\n",
      f"error: max(n_pairs = 100, {PER_POINT} noise draws) times dim = {MAX_CERT_CELLS // PER_POINT + 1} is "
      f"{PER_POINT * (MAX_CERT_CELLS // PER_POINT + 1)} cells, above the limit of {MAX_CERT_CELLS}"),
+    ("bounds", None, problem_lines(TRIG_KEYS, dim=MAX_CERT_CELLS // PER_POINT + 1) + "optimizer.id = nsgdm\n"
+     "run.T_grid = 1,2,3\nrun.n_seeds = 2\n",
+     f"error: max(n_pairs = 300, {PER_POINT} noise draws) times dim = {MAX_CERT_CELLS // PER_POINT + 1} is "
+     f"{PER_POINT * (MAX_CERT_CELLS // PER_POINT + 1)} cells, above the limit of {MAX_CERT_CELLS}"),
     ("run", None, problem_lines(TRIG_KEYS, dim=1000000) + "optimizer.id = nsgdm\noptimizer.eta = 0.01\n"
      f"run.T = 1\nrun.n_seeds = {MAX_SEEDS}\n",
      f"config error: run.n_seeds asks for {MAX_SEEDS} seeds of problem.dim = 1000000, {MAX_SEEDS * 1000000} state "
@@ -476,7 +480,8 @@ class TestSizeLimits:
     @pytest.mark.parametrize("command, keys, rest, message", SIZE_PROBES,
                              ids=["n_runs_huge", "n_runs", "checkpoints_huge", "n_runs_times_checkpoint",
                                   "n_runs_times_dim", "n_pairs_huge", "n_pairs", "n_pairs_times_dim",
-                                  "draws_times_dim", "run_seeds_times_dim", "bounds_seeds_times_dim",
+                                  "draws_times_dim", "bounds_draws_times_dim", "run_seeds_times_dim",
+                                  "bounds_seeds_times_dim",
                                   "dim", "dim_huge"])
     def test_section_one_above_the_limit_exits_one(self, tmp_path, capsys, runner, command, keys, rest, message):
         cfg = write(tmp_path / "p.cfg", ("" if keys is None else problem_lines(keys)) + rest)
@@ -495,8 +500,10 @@ class TestSizeLimits:
         ("certify", problem_lines(TRIG_KEYS, dim=MAX_CERT_CELLS // PER_POINT) + "certify.n_pairs = 100\n"),
         ("bounds", problem_lines(TRIG_KEYS, dim=MAX_STATE_CELLS // MAX_SEEDS) + "optimizer.id = nsgdm\n"
          f"run.T_grid = 1\nrun.n_seeds = {MAX_SEEDS}\n"),
+        ("bounds", problem_lines(TRIG_KEYS, dim=MAX_CERT_CELLS // PER_POINT) + "optimizer.id = nsgdm\n"
+         "run.T_grid = 1,2,3\nrun.n_seeds = 2\n"),
     ], ids=["n_runs", "n_runs_times_checkpoint", "n_runs_times_dim", "n_pairs", "n_pairs_times_dim",
-            "draws_times_dim", "bounds_seeds_times_dim"])
+            "draws_times_dim", "bounds_seeds_times_dim", "bounds_draws_times_dim"])
     def test_section_at_the_limit_runs(self, tmp_path, runner, command, text):
         cfg = write(tmp_path / "p.cfg", text)
         with pytest.raises(AssertionError, match="the runner was reached"):
@@ -970,6 +977,31 @@ class TestBoundsKeys:
         out = tmp_path / "o"
         assert main(["bounds", "--config", str(BOUNDS_GATE), "--out", str(out)]) == 0
         assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()} == pinned
+
+
+@pytest.mark.parametrize("command, workload, forks", [
+    ("run", "run_ref", 0), ("bounds", "bounds_gate", 0), ("run", "adaptive_wide", 1)])
+def test_only_the_wide_benchmark_workload_forks(tmp_path, monkeypatch, command, workload, forks):
+    # 20 seeds of dim 4 step in one process; 2 of dim 4096 split, on two CPUs
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    fork, calls = os.fork, []
+    monkeypatch.setattr(os, "fork", lambda: calls.append(1) or fork())
+    out = tmp_path / "o"
+    assert main([command, "--config", str(BOUNDS_GATE.parent / f"{workload}.cfg"), "--out", str(out)]) == 0
+    assert len(calls) == forks
+    pinned = json.loads((BOUNDS_GATE.parent.parent / "digests.json").read_text())[workload]  # no charts
+    assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in pinned} == pinned
+
+
+def test_a_split_run_whose_child_dies_exits_one(tmp_path, capsys, monkeypatch, split):
+    lockstep, parent = harness._lockstep, os.getpid()
+    monkeypatch.setattr(harness, "_lockstep", lambda cfg, rerun: lockstep(cfg, rerun) if os.getpid() == parent
+                        else os._exit(3))
+    cfg, out = write(tmp_path / "run.cfg", BASE_RUN.replace("run.seeds = 1", "run.seeds = 1,2,3")), tmp_path / "o"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == ("error: the forked process that stepped the last 2 seeds exited with "
+                                       "status 3 before it sent its records\n")
+    assert len(split) == 1 and not out.exists()
 
 
 # streaming least squares certifies its sigma at w1 only, where the theorems

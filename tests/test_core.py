@@ -1,8 +1,10 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
 
+from nigt_lab import errors
 from nigt_lab.core import (
     RngStream,
     gaussian_noise,
@@ -10,6 +12,7 @@ from nigt_lab.core import (
     pow_sevenths,
 )
 from nigt_lab.errors import InvalidInput
+from nigt_lab.problems import certify_constants, make_trig_bowl, with_constants
 
 
 class TestNormalize:
@@ -135,3 +138,36 @@ class TestPowSevenths:
     def test_rejects_nonpositive(self):
         with pytest.raises(InvalidInput):
             pow_sevenths(0.0, 2)
+
+
+def _report():
+    try:
+        certify_constants(with_constants(make_trig_bowl(2, 1.0, 1.0, 0.3), L=0.2))
+    except errors.CertificationFailure as e:
+        return e.report
+
+
+ERRORS = [
+    errors.NigtLabError("message"), errors.InvalidInput("message"), errors.ConfigError("message"),
+    errors.NonFiniteGradient("message", 2), errors.NonFiniteGradient("message"), errors.Diverged("message", 5),
+    errors.CertificationFailure("message", _report()), errors.CertificationFailure("message"),
+]
+
+
+def _subclasses(cls):
+    yield cls
+    for sub in cls.__subclasses__():
+        yield from _subclasses(sub)
+
+
+def test_every_error_class_is_covered():
+    assert {type(e) for e in ERRORS} == set(_subclasses(errors.NigtLabError))
+
+
+@pytest.mark.parametrize("error", ERRORS, ids=lambda e: type(e).__name__)
+def test_an_error_survives_pickling(error):
+    # a split run sends its forked child's error back pickled
+    back = pickle.loads(pickle.dumps(error))
+    assert type(back) is type(error)
+    assert str(back) == str(error) == "message"
+    assert back.__dict__ == error.__dict__

@@ -1,5 +1,10 @@
+import errno
 import math
+import os
 import re
+import signal
+import sys
+import time
 import tracemalloc
 from dataclasses import replace
 
@@ -8,7 +13,7 @@ import pytest
 
 from nigt_lab import harness
 from nigt_lab.core import RngStream, gaussian_noise
-from nigt_lab.errors import Diverged, InvalidInput
+from nigt_lab.errors import Diverged, InvalidInput, NigtLabError
 from nigt_lab.harness import (
     BLOCK_BYTES,
     DEFAULT_ETA_GRID,
@@ -451,6 +456,100 @@ class TestDivergenceOrder:
         for eta in (-1.0, math.inf, math.nan):
             with pytest.raises(InvalidInput, match="eta must be finite and >= 0"):
                 run(RunConfig(problem=TRIG, optimizer_id="nsgdm", T=5, seeds=(1,), eta=eta))
+
+
+class TestSplitRun:
+    """A wide batch steps its later seeds in a forked child: the records and
+    the error raised are those of the batch in one process."""
+
+    WIDE = RunConfig(problem=make_trig_bowl(2048, 1.0, 1.0, 0.5), optimizer_id="nsgdm", T=5, seeds=(1, 2), eta=0.01)
+    RUNAWAY = TestDivergenceOrder.RUNAWAY  # alone, seeds 1 to 4 diverge at steps 587, 597, 577 and 638
+
+    def test_a_wide_batch_splits_where_the_fork_pays_and_is_safe(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        assert harness._split_pays(self.WIDE)  # 2 seeds of 2,048 cells: SPLIT_CELLS
+        assert not harness._split_pays(replace(self.WIDE, seeds=(1,)))
+        assert not harness._split_pays(replace(self.WIDE, problem=make_trig_bowl(2047, 1.0, 1.0, 0.5)))
+        for name, value in [("platform", "darwin"), ("platform", "win32")]:
+            with monkeypatch.context() as m:
+                m.setattr(sys, name, value)
+                assert not harness._split_pays(self.WIDE)
+        for target, value in [("os.sched_getaffinity", lambda pid: {0}), ("threading.active_count", lambda: 2)]:
+            with monkeypatch.context() as m:
+                m.setattr(target, value)
+                assert not harness._split_pays(self.WIDE)
+        with monkeypatch.context() as m:
+            m.delattr(os, "fork")
+            assert not harness._split_pays(self.WIDE)
+
+    def test_the_earlier_half_s_divergence_wins(self, split):
+        # seed 3, in the child, diverges first; seed 1, here, is named
+        with pytest.raises(Diverged) as exc:
+            run(self.RUNAWAY)
+        assert exc.value.step == 587
+        assert str(exc.value) == "seed 1 diverged at step 587: eta must be finite and >= 0, got inf"
+        assert len(split) == 1
+
+    def test_a_divergence_in_the_later_half_only_is_raised_as_alone(self, split):
+        # by step 600 seeds 4, 6 and 8 have not diverged and 1, 2 and 5 have;
+        # the child steps (1, 2, 5), and seed 5 fails first, so the child runs
+        # (1, 2) again, without a fork, and names seed 1
+        with pytest.raises(Diverged) as alone:
+            run(replace(self.RUNAWAY, seeds=(1,)))
+        with pytest.raises(Diverged) as exc:
+            run(replace(self.RUNAWAY, T=600, seeds=(4, 6, 8, 1, 2, 5)))
+        assert (exc.value.step, str(exc.value)) == (alone.value.step, str(alone.value))
+        assert exc.value.step == 587 and len(split) == 1
+
+    @staticmethod
+    def _child_does(monkeypatch, act):
+        """Patch the stepping so that, in a forked child, it calls ``act(cfg)`` first."""
+        lockstep, parent = harness._lockstep, os.getpid()
+
+        def patched(cfg, rerun):
+            if os.getpid() != parent:
+                act(cfg)
+            return lockstep(cfg, rerun)
+
+        monkeypatch.setattr(harness, "_lockstep", patched)
+
+    def test_a_foreign_error_in_the_child_is_raised(self, split, monkeypatch):
+        def fail(cfg):
+            raise ValueError(f"no seeds {cfg.seeds}")
+
+        self._child_does(monkeypatch, fail)
+        with pytest.raises(ValueError, match=r"^no seeds \(3, 4\)$"):
+            run(replace(self.RUNAWAY, T=5))
+
+    def test_the_child_is_killed_when_the_earlier_half_fails(self, split, monkeypatch):
+        self._child_does(monkeypatch, lambda cfg: time.sleep(20))
+        t0 = time.monotonic()
+        with pytest.raises(Diverged, match="^seed 1 diverged at step 587"):
+            run(self.RUNAWAY)
+        assert time.monotonic() - t0 < 10
+
+    def test_a_failed_fork_steps_every_seed_here(self, split, monkeypatch):
+        def no_fork():
+            raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+        cfg = replace(self.WIDE, seeds=(1, 2, 3), record_exact=True)
+        monkeypatch.setattr(os, "fork", no_fork)
+        fds = len(os.listdir("/proc/self/fd"))
+        recs = run(cfg)
+        assert len(os.listdir("/proc/self/fd")) == fds  # the pipe is closed
+        monkeypatch.setattr(harness, "SPLIT_CELLS", 10**18)
+        for a, b in zip(recs, run(cfg), strict=True):
+            assert a.seed == b.seed and _records_equal(a, b) and np.array_equal(a.final_w, b.final_w)
+
+    @pytest.mark.parametrize("death, how", [
+        (lambda: os._exit(3), "exited with status 3"),
+        (lambda: os.kill(os.getpid(), signal.SIGKILL), "was killed by signal 9"),
+    ], ids=["exit", "signal"])
+    def test_a_child_that_dies_is_named(self, split, monkeypatch, death, how):
+        self._child_does(monkeypatch, lambda cfg: death())
+        with pytest.raises(NigtLabError) as exc:
+            run(replace(self.RUNAWAY, T=5))
+        assert str(exc.value) == f"the forked process that stepped the last 2 seeds {how} before it sent its records"
 
 
 class TestLogBlocks:

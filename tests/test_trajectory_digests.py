@@ -7,8 +7,9 @@ invariant events and the maximal displacement). The digests in
 ``golden/trajectory_digests.json`` pin the stochastic dynamics bit for bit,
 so a refactor of the step rules or the runner that changes any rounding
 fails here. The JSON file is never regenerated to make this test pass.
-The digests hash the three seeds run together; a second test checks that
-each seed of that batch equals the seed run alone.
+The digests hash the three seeds run together, in one process and split
+between two; a further test checks that each seed of that batch equals the
+seed run alone.
 
 To print the digests of the current code (for inspection only):
 
@@ -134,6 +135,13 @@ def test_golden_covers_every_case(golden):
 @pytest.mark.parametrize("kind,opt,sch", CASES, ids=[case_key(*c) for c in CASES])
 def test_trajectory_digest(golden, kind, opt, sch):
     assert case_digests(kind, opt, sch) == golden[case_key(kind, opt, sch)]
+
+
+@pytest.mark.parametrize("kind,opt,sch", CASES, ids=[case_key(*c) for c in CASES])
+def test_trajectory_digest_of_a_split_run(golden, split, kind, opt, sch):
+    # seed 1 here, seeds 2 and 3 in a forked child: the same digests
+    assert case_digests(kind, opt, sch) == golden[case_key(kind, opt, sch)]
+    assert len(split) == 1
 
 
 def records_identical(a, b) -> bool:
