@@ -55,10 +55,11 @@ CONTAINMENT_PAIRS = 300  # pairs of bound_acceptance's containment certification
 BLOCK_BYTES = 256 * 1024
 
 # A run of at least this many seed cells (seeds times dim) steps its later
-# seeds in a forked process (see run). On 2 CPUs at T = 1000, split over
-# serial time read 0.59-0.87 at 4096 cells and 0.91-1.07 at 2048, where the
-# per-step Python work, paid in both processes, outweighs the halved
-# arithmetic. A short run loses at most the fork's few milliseconds.
+# seeds in a forked process (see run). On 2 CPUs at T = 1000, the split took
+# 0.67-0.70 of the serial wall time for 1.25-1.34 times its CPU time at 4096
+# and 8192 cells, and 0.75-0.85 for 1.44-1.64 times at 2048, where the
+# per-step Python work, paid in both processes, weighs more. A short run
+# loses at most the fork's few milliseconds.
 SPLIT_CELLS = 4096
 
 
@@ -121,9 +122,8 @@ def _fold_distance(max_disp, P, w1):
 
 
 def _stack(arrays):
-    """The arrays as one block along a new first axis; one array as a view.
-    ``np.array`` copies the same bytes as ``np.stack`` in about half the time."""
-    return arrays[0][None] if len(arrays) == 1 else np.array(arrays)
+    """The arrays as one block along a new first axis; one array as a view."""
+    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
 
 
 def _descent_bound(eta, grad_norm, mhat_err, L):
@@ -146,17 +146,17 @@ def run(cfg: RunConfig) -> list[TrajectoryRecord]:
     the earlier half, on Linux with a second CPU and no other thread. The
     records and the error raised are the same.
     """
-    return _split(cfg) if _split_pays(cfg) else _lockstep(cfg, run)
+    return _split(cfg) if _split_pays(cfg) else _lockstep(cfg)
 
 
 def _split_pays(cfg: RunConfig) -> bool:
     """Whether ``cfg``'s seeds split between two processes: two or more
     seeds, :data:`SPLIT_CELLS` seed cells, a second CPU to step them and
-    os.fork on Linux (Windows has none, and on macOS a fork after
-    Accelerate has loaded is unsafe), in a process with one thread, as a
-    fork copies only the calling thread."""
+    Linux (Windows has no fork, and on macOS a fork after Accelerate has
+    loaded is unsafe), in a process with one thread, as a fork copies only
+    the calling thread."""
     S = len(cfg.seeds)
-    return (S >= 2 and S * cfg.problem.dim >= SPLIT_CELLS and sys.platform == "linux" and hasattr(os, "fork")
+    return (S >= 2 and S * cfg.problem.dim >= SPLIT_CELLS and sys.platform == "linux"
             and len(os.sched_getaffinity(0)) >= 2 and threading.active_count() == 1)
 
 
@@ -173,13 +173,13 @@ def _split(cfg: RunConfig) -> list[TrajectoryRecord]:
     except OSError:  # no process to spare: every seed steps here
         os.close(r)
         os.close(w)
-        return _lockstep(cfg, run)
-    if pid == 0:  # the child: never returns, and its re-runs never fork
+        return _lockstep(cfg)
+    if pid == 0:  # the child: never returns, and never forks (its re-runs stay in process)
         code = 1
         try:
             os.close(r)
             try:
-                out = _lockstep(replace(cfg, seeds=cfg.seeds[h:]), _in_process)
+                out = _lockstep(replace(cfg, seeds=cfg.seeds[h:]))
             except BaseException as e:  # sent to the parent, which raises it
                 out = e
             with open(w, "wb") as fh:
@@ -188,10 +188,14 @@ def _split(cfg: RunConfig) -> list[TrajectoryRecord]:
         finally:
             os._exit(code)
     os.close(w)
+    later = None
     with open(r, "rb") as fh:
         try:
-            first = _lockstep(replace(cfg, seeds=cfg.seeds[:h]), run)
-            payload = fh.read()
+            first = _lockstep(replace(cfg, seeds=cfg.seeds[:h]))
+            try:  # the records or the error of this program's own child, read as they arrive
+                later = pickle.load(fh)
+            except (EOFError, pickle.UnpicklingError):  # the child died before it sent them whole
+                pass
         except BaseException:
             os.kill(pid, 9)  # SIGKILL (Linux), without importing the signal module
             raise
@@ -201,20 +205,13 @@ def _split(cfg: RunConfig) -> list[TrajectoryRecord]:
         how = f"was killed by signal {-status}" if status < 0 else f"exited with status {status}"
         raise NigtLabError(f"the forked process that stepped the last {len(cfg.seeds) - h} seeds {how} "
                            "before it sent its records")
-    later = pickle.loads(payload)  # bytes of this program's own child
     if isinstance(later, BaseException):
         raise later
     return first + later
 
 
-def _in_process(cfg: RunConfig) -> list[TrajectoryRecord]:
-    """:func:`run` without a fork: a forked child's re-runs."""
-    return _lockstep(cfg, _in_process)
-
-
-def _lockstep(cfg: RunConfig, rerun) -> list[TrajectoryRecord]:
-    """The records of :func:`run`, stepped in this process; ``rerun``
-    runs the seeds before one that fails."""
+def _lockstep(cfg: RunConfig) -> list[TrajectoryRecord]:
+    """The records of :func:`run`, every seed stepped in this process."""
     pb = cfg.problem
     seeds = cfg.seeds
     opt = cfg.optimizer_id
@@ -281,9 +278,7 @@ def _lockstep(cfg: RunConfig, rerun) -> list[TrajectoryRecord]:
                                 rates[row] = tuner.rates(t)
                             except OverflowError as e:  # the accumulator outgrew the floats
                                 raise NonFiniteGradient(str(e), row) from None
-                        # one seed's rates are numpy scalars: the step checks them as
-                        # scalars and scales by them, not by (1, 1) columns
-                        eta_t, alpha_t = rates[0] if S == 1 else (rates[:, :1], rates[:, 1:])
+                        eta_t, alpha_t = rates[:, :1], rates[:, 1:]
                         # no domain check: a corrupted accumulator that pushes alpha_t
                         # above one keeps running and is recorded as an invariant event
                         beta_t = 1.0 - alpha_t
@@ -300,7 +295,7 @@ def _lockstep(cfg: RunConfig, rerun) -> list[TrajectoryRecord]:
                         sq_diff = paired_sq_diff(g, samples[1])
                 except NonFiniteGradient as e:
                     if e.row:  # raises the error of an earlier seed that diverges later
-                        rerun(replace(cfg, seeds=seeds[:e.row]))
+                        _lockstep(replace(cfg, seeds=seeds[:e.row]))
                     raise Diverged(f"seed {seeds[e.row]} diverged at step {t}: {e}", t) from None
                 if tuners:
                     for tuner, sq in zip(tuners, sq_diff.tolist()):

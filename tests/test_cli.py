@@ -995,8 +995,7 @@ def test_only_the_wide_benchmark_workload_forks(tmp_path, monkeypatch, command, 
 
 def test_a_split_run_whose_child_dies_exits_one(tmp_path, capsys, monkeypatch, split):
     lockstep, parent = harness._lockstep, os.getpid()
-    monkeypatch.setattr(harness, "_lockstep", lambda cfg, rerun: lockstep(cfg, rerun) if os.getpid() == parent
-                        else os._exit(3))
+    monkeypatch.setattr(harness, "_lockstep", lambda cfg: lockstep(cfg) if os.getpid() == parent else os._exit(3))
     cfg, out = write(tmp_path / "run.cfg", BASE_RUN.replace("run.seeds = 1", "run.seeds = 1,2,3")), tmp_path / "o"
     assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
     assert capsys.readouterr().err == ("error: the forked process that stepped the last 2 seeds exited with "

@@ -429,15 +429,15 @@ class TestDivergenceOrder:
     ], ids=lambda runs: "-".join(map(str, runs[0])))
     def test_every_listed_order_names_its_first_seed(self, monkeypatch, alone, runs):
         assert {seed: step for seed, (step, _) in alone.items()} == {1: 587, 2: 597, 3: 577, 4: 638}
-        seen = []
+        seen, lockstep = [], harness._lockstep
 
-        def counted(cfg):
+        def counted(cfg):  # the re-runs step through _lockstep too
             seen.append(cfg.seeds)
-            return run(cfg)
+            return lockstep(cfg)
 
-        monkeypatch.setattr("nigt_lab.harness.run", counted)
+        monkeypatch.setattr(harness, "_lockstep", counted)
         with pytest.raises(Diverged) as exc:
-            counted(replace(self.RUNAWAY, seeds=runs[0]))
+            run(replace(self.RUNAWAY, seeds=runs[0]))
         assert (exc.value.step, str(exc.value)) == alone[runs[0][0]]
         assert seen == runs
 
@@ -478,9 +478,6 @@ class TestSplitRun:
             with monkeypatch.context() as m:
                 m.setattr(target, value)
                 assert not harness._split_pays(self.WIDE)
-        with monkeypatch.context() as m:
-            m.delattr(os, "fork")
-            assert not harness._split_pays(self.WIDE)
 
     def test_the_earlier_half_s_divergence_wins(self, split):
         # seed 3, in the child, diverges first; seed 1, here, is named
@@ -506,10 +503,10 @@ class TestSplitRun:
         """Patch the stepping so that, in a forked child, it calls ``act(cfg)`` first."""
         lockstep, parent = harness._lockstep, os.getpid()
 
-        def patched(cfg, rerun):
+        def patched(cfg):
             if os.getpid() != parent:
                 act(cfg)
-            return lockstep(cfg, rerun)
+            return lockstep(cfg)
 
         monkeypatch.setattr(harness, "_lockstep", patched)
 
