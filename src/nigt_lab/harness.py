@@ -55,11 +55,11 @@ CONTAINMENT_PAIRS = 300  # pairs of bound_acceptance's containment certification
 BLOCK_BYTES = 256 * 1024
 
 # A run of at least this many seed cells (seeds times dim) steps its later
-# seeds in a forked process (see run). On 2 CPUs at T = 1000, the split took
-# 0.67-0.70 of the serial wall time for 1.25-1.34 times its CPU time at 4096
-# and 8192 cells, and 0.75-0.85 for 1.44-1.64 times at 2048, where the
-# per-step Python work, paid in both processes, weighs more. A short run
-# loses at most the fork's few milliseconds.
+# seeds in a forked process (see run). On 2 CPUs at T = 1000, in two sets of
+# runs, the split took 0.55-0.76 of the serial wall time for 0.91-1.34 times
+# its CPU time at 4096 and 8192 cells, and 0.67-0.85 for 1.21-1.64 times at
+# 2048, where the per-step Python work, paid in both processes, weighs more.
+# A short run loses at most the fork's few milliseconds.
 SPLIT_CELLS = 4096
 
 
@@ -99,10 +99,9 @@ def _make_log(pb, log, i, ws, xs, ms, max_disp, f_w):
     iterates ``ws`` (each step's start, then the last one's end) and the
     query points ``xs`` that were not the iterate. Returns F(ws[-1]) or None."""
     rows = slice(i, i + len(ms))
-    W = _stack(ws[1:])
-    _fold_distance(max_disp, W, pb.w1)
-    if xs:
-        _fold_distance(max_disp, _stack(xs), pb.w1)
+    P = _stack(ws[1:] + xs)  # the new iterates, then the query points that were not one
+    _fold_distance(max_disp, P, pb.w1)
+    W = P[:len(ms)]
     if "f_val" in log:  # exact values, by step: rows of the (T, S) views of the log
         g = pb.exact_grad(_stack(ws[:-1]))
         f_next = pb.exact_value(W)
@@ -278,7 +277,9 @@ def _lockstep(cfg: RunConfig) -> list[TrajectoryRecord]:
                                 rates[row] = tuner.rates(t)
                             except OverflowError as e:  # the accumulator outgrew the floats
                                 raise NonFiniteGradient(str(e), row) from None
-                        eta_t, alpha_t = rates[:, :1], rates[:, 1:]
+                        # one seed's rates are numpy scalars: the step checks them as
+                        # scalars and scales by them, not by (1, 1) columns
+                        eta_t, alpha_t = rates[0] if S == 1 else (rates[:, :1], rates[:, 1:])
                         # no domain check: a corrupted accumulator that pushes alpha_t
                         # above one keeps running and is recorded as an invariant event
                         beta_t = 1.0 - alpha_t
