@@ -248,10 +248,8 @@ def svg_line_chart(fh, series, title: str, xlabel: str, ylabel: str,
             keep &= xs > 0.0
         if ylog:
             keep &= ys > 0.0
-        if keep.all():  # a copy only of a series that loses points
-            cleaned.append((xs, ys, style))
-        elif keep.any():
-            cleaned.append((xs[keep], ys[keep], style))
+        if keep.any():  # a copy only of a series that loses points
+            cleaned.append((xs, ys, style) if keep.all() else (xs[keep], ys[keep], style))
 
     # with nothing to draw: x over [1, 10], y over one decade or over [0, 1]
     x_lo, x_hi = _range([xs for xs, _, _ in cleaned] or [np.array([1.0, 10.0])])

@@ -1272,6 +1272,20 @@ class TestChartBytes:
         got = {name: hashlib.sha256(b).hexdigest() for name, b in self._charts(tmp_path / "o").items()}
         assert got == digests
 
+    def test_plot_of_seed_csvs_without_rows_draws_empty_charts(self, tmp_path):
+        # every series is empty, so none is drawn: the frame alone, as at a
+        # series that keeps no point
+        cfg = write(tmp_path / "run.cfg", TRIG_RUN + NOT_EXACT)
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        for csv in out.glob("seed_*.csv"):
+            csv.write_text(csv.read_text().splitlines()[0] + "\n")
+        assert main(["plot", str(out), "--out", str(tmp_path / "p")]) == 0
+        got = {name: hashlib.sha256(b).hexdigest() for name, b in self._charts(tmp_path / "p").items()}
+        assert got == {"grad_norm.svg": EMPTY_LOG_CHART,
+                       "f_val.svg": "3160d0e18d3516f4b4fe7de9e00287e9a6373ee76064623dbb024f681d58c11d",
+                       "eta.svg": "699ec4f7fcb50c4a1bbe8bd5cac78b4736a4efeb4efd4c6ae1c0d24d9b8629fe"}
+
     # twelve seeds (0..11): seed_10.csv sorts before seed_2.csv by name, and
     # the mean line is summed in seed order, so plot must read them by number;
     # seeds listed as 3,1,2 are drawn by number too
