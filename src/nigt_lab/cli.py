@@ -37,7 +37,7 @@ from .harness import (
 )
 from .problems import certify_constants
 from .core import RngStream
-from .reports import json_dumps, plot_results_dir, refuse_stale_seeds, write_report, write_run_outputs
+from .reports import json_dumps, refuse_stale_seeds, write_report, write_run_outputs
 from .tuning import bound_check
 
 EXIT_OK = 0
@@ -157,20 +157,12 @@ def build_parser() -> _Parser:
         sp.add_argument("--master-seed", type=int, default=None, dest="master_seed",
                         help="base seed (overrides run.master_seed)")
         sp.set_defaults(func=func)
-
-    sp = sub.add_parser("plot", help="SVG charts from a results directory")
-    sp.add_argument("results_dir", help="directory containing seed_*.csv files")
-    sp.add_argument("--out", default=None, help="chart output directory (default: results_dir)")
-
     return p
 
 
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        if args.command == "plot":
-            plot_results_dir(args.results_dir, args.out)
-            return EXIT_OK
         exp = load_experiment(args.config)
         return args.func(exp, args, output_dir(exp, args.out))
     except _UsageError as e:

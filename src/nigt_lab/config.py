@@ -24,13 +24,13 @@ from __future__ import annotations
 
 import inspect
 from dataclasses import dataclass, field, fields
+from pathlib import Path
 
 from .core import MAX_LOG_CELLS, MAX_SEEDS, MAX_STATE_CELLS
 from .errors import ConfigError, InvalidInput
 from .harness import CONTAINMENT_PAIRS, OPTIMIZER_IDS, RunConfig, grid_sweep, igt_moment_check
 from .optimizers import LayerPartition, Schedule
 from .problems import PROBLEM_KINDS, StochasticProblem, cert_points, certify_constants, with_constants
-from .reports import read_text
 from .tuning import THEOREM_METHODS, tuned
 
 
@@ -196,7 +196,12 @@ def serialize_experiment(exp: ExperimentFile) -> str:
 
 
 def load_experiment(path) -> ExperimentFile:
-    return parse_experiment(read_text(path))
+    """The experiment file at ``path``; a :class:`ConfigError` names why it cannot be read."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as e:
+        raise ConfigError(f"cannot read {path}: {e}") from None
+    return parse_experiment(text)
 
 
 # -- builders ---------------------------------------------------------------
@@ -389,7 +394,7 @@ def bounds_settings(exp: ExperimentFile, n_seeds_override: int | None = None,
     T_grid = exp.run["T_grid"]
     seeds = resolve_seeds(exp, "max(run.T_grid)", max(T_grid), n_seeds_override, master_seed_override, problem.dim)
     cert_points(problem, CONTAINMENT_PAIRS)
-    return problem, exp.optimizer.get("id"), T_grid, seeds
+    return problem, _require(exp.optimizer, "id", "optimizer"), T_grid, seeds
 
 
 def output_dir(exp: ExperimentFile, override: str | None = None) -> str:

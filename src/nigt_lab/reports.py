@@ -75,29 +75,6 @@ def rows_to_csv(header: str, rows) -> str:
     return header + "\n" + "".join(",".join(map(_cell, row)) + "\n" for row in rows)
 
 
-def parse_run_csv(text: str) -> dict[str, np.ndarray]:
-    """Columns of one run CSV as float64 arrays; an empty cell is NaN."""
-    lines = text.strip("\n").split("\n")
-    if lines[0] != CSV_HEADER:
-        raise ConfigError(f"unexpected CSV header: {lines[0] or '(empty)'}")
-    names = CSV_HEADER.split(",")
-    rows = [line.split(",") for line in lines[1:]]
-    for line, cells in zip(lines[1:], rows):
-        if len(cells) != len(names):
-            raise ConfigError(f"malformed CSV row: {line!r}")
-    cells = np.array(rows, dtype=str).reshape(-1, len(names))
-    cells[cells == ""] = "nan"
-    try:
-        return dict(zip(names, cells.T.astype(np.float64)))
-    except ValueError:  # a cell that is not a number: name the first such row
-        for line, row in zip(lines[1:], cells):
-            try:
-                row.astype(np.float64)
-            except ValueError:
-                raise ConfigError(f"malformed CSV cell in row {line!r}") from None
-        raise
-
-
 def _finite(obj):
     """``obj`` with None in place of each non-finite float."""
     if isinstance(obj, dict):
@@ -141,14 +118,6 @@ def write_text_atomic(path, text: str) -> None:
         fh.write(text)
 
 
-def read_text(path) -> str:
-    """The UTF-8 text of ``path``; a :class:`ConfigError` names why it cannot be read."""
-    try:
-        return Path(path).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as e:
-        raise ConfigError(f"cannot read {path}: {e}") from None
-
-
 def write_report(out_dir, name: str, payload: dict, header: str | None = None, rows=None) -> None:
     """A command's report: ``<name>.json`` and, given a CSV header, the
     table ``rows`` as ``<name>.csv``."""
@@ -163,8 +132,8 @@ def seed_csv_name(seed: int) -> str:
 
 
 def refuse_stale_seeds(out_dir, seeds, formats) -> None:
-    """One run per results directory: refuse a directory that holds a seed
-    CSV this run will not write, which ``plot`` would chart with its own."""
+    """One run per results directory, whatever reads it: refuse a directory
+    that holds a seed CSV this run will not write."""
     written = {seed_csv_name(seed) for seed in seeds} if "csv" in formats else set()
     stale = sorted(p.name for p in Path(out_dir).glob("seed_*.csv") if p.name not in written)
     if stale:
@@ -179,18 +148,8 @@ def write_run_outputs(records, out_dir, formats, summary: dict) -> None:
                 record_to_csv(rec, fh)
     if "json" in formats:
         write_text_atomic(out_dir / "summary.json", json_dumps(summary))
-    if "svg" in formats:  # in seed order, as plot reads the CSVs back
-        t = np.arange(1.0, len(records[0].eta) + 1)  # the records of a run share their steps
-        write_plots(out_dir, [_chart_columns(rec, t) for rec in sorted(records, key=lambda r: r.seed)])
-
-
-def _chart_columns(record: TrajectoryRecord, t: np.ndarray) -> dict:
-    """The charted columns as :func:`parse_run_csv` reads them back, with
-    the steps ``t``."""
-    cols = {name: np.full(len(t), np.nan) if getattr(record, name) is None else getattr(record, name)
-            for name, _, _, _ in _METRICS}
-    cols["t"] = t
-    return cols
+    if "svg" in formats:
+        write_plots(out_dir, records)
 
 
 # -- SVG charts ---------------------------------------------------------------
@@ -330,43 +289,17 @@ _METRICS = (  # column (and chart <column>.svg), title, log x axis, log y axis
 )
 
 
-def _mean_line(columns, n: int) -> np.ndarray:
-    """Mean over runs at each of the first n steps, NaN unless every run
-    has a value there. Each step's values are one contiguous row, reduced
-    exactly as ``np.mean`` of that list of values."""
-    stack = np.full((n, len(columns)), np.nan)
-    for j, col in enumerate(columns):
-        stack[:len(col[:n]), j] = col[:n]
-    return stack.mean(axis=1)
-
-
-def write_plots(out_dir, runs: list[dict]) -> None:
-    """One chart per metric; every run as a gray polyline plus a dark mean
-    line. Each run is a dict of columns: ``t`` and the charted metrics."""
-    out_dir = Path(out_dir)
-    if not runs:
-        raise ConfigError("no run CSVs to plot")
+def write_plots(out_dir, records) -> None:
+    """One chart per metric: each record, in seed order, as a gray polyline,
+    and their mean at each step as a dark line. A column the run did not
+    record is charted as NaN: its chart keeps no line."""
+    records = sorted(records, key=lambda r: r.seed)
+    t = np.arange(1.0, len(records[0].eta) + 1)  # the records of a run share their steps
+    missing = np.full(len(t), np.nan)
     for column, title, xlog, ylog in _METRICS:
-        series = [(cols["t"], cols[column], _SEED_STYLE) for cols in runs]
-        t_common = runs[0]["t"]
-        means = _mean_line([cols[column] for cols in runs], len(t_common))
-        series.append((t_common, means, _MEAN_STYLE))
+        cols = [missing if getattr(rec, column) is None else getattr(rec, column) for rec in records]
+        series = [(t, col, _SEED_STYLE) for col in cols]
+        # each step's mean sums one contiguous row of a (T, S) stack, in seed order
+        series.append((t, np.stack(cols, axis=1).mean(axis=1), _MEAN_STYLE))
         with open_atomic(out_dir / f"{column}.svg") as fh:
             svg_line_chart(fh, series, title, "t", column, xlog=xlog, ylog=ylog)
-
-
-def _csv_seed(path: Path) -> int:
-    try:
-        return int(path.stem[len("seed_"):])
-    except ValueError:
-        raise ConfigError(f"{path}: expected seed_<integer>.csv") from None
-
-
-def plot_results_dir(results_dir, out_dir=None) -> None:
-    """Charts for every seed CSV found in ``results_dir``, in seed order."""
-    results_dir = Path(results_dir)
-    paths = sorted(results_dir.glob("seed_*.csv"), key=_csv_seed)
-    if not paths:
-        raise ConfigError(f"no seed_*.csv files in {results_dir}")
-    runs = [parse_run_csv(read_text(p)) for p in paths]
-    write_plots(out_dir if out_dir is not None else results_dir, runs)

@@ -1,5 +1,6 @@
 import errno
 import hashlib
+import io
 import json
 import math
 import os
@@ -256,6 +257,13 @@ class TestOverridesAndJobs:
         assert main([command, "--config", str(cfg), "--out", str(out), flag, "2"]) == 1
         assert capsys.readouterr().err == f"usage error: unrecognized arguments: {flag} 2\n"
         assert not out.exists()
+
+    def test_the_deleted_plot_command_exits_one(self, tmp_path, capsys):
+        # run writes the charts: rerun with svg in output.formats
+        assert main(["plot", str(tmp_path), "--out", str(tmp_path / "charts")]) == 1
+        assert capsys.readouterr() == ("", "usage error: argument command: invalid choice: 'plot' (choose from "
+                                           "'run', 'certify', 'igt-check', 'sweep', 'bounds')\n")
+        assert not (tmp_path / "charts").exists()
 
 
 # problem sections of three kinds; each probe sets one key to a NaN or inf,
@@ -554,8 +562,8 @@ class TestCertifyRadius:
 
 
 class TestOneRunPerDirectory:
-    """A run refuses a directory holding a seed CSV it will not write, which
-    plot would chart with the run's own; it deletes nothing."""
+    """A run refuses a directory holding a seed CSV it will not write, so a
+    results directory holds one run; it deletes nothing."""
 
     @staticmethod
     def _run(tmp_path, n_seeds, eta, out, formats="csv,json,svg"):
@@ -573,8 +581,6 @@ class TestOneRunPerDirectory:
         assert capsys.readouterr() == ("", f"config error: {mix} holds {first}, a seed CSV of another run: "
                                            "give each run its own directory\n")
         assert {p.name: p.read_bytes() for p in mix.iterdir()} == before
-        assert main(["plot", str(mix)]) == 0
-        assert (mix / "eta.svg").read_text().count("<polyline") == 5  # four seeds and their mean
 
     def test_a_rerun_of_the_same_seeds_is_allowed(self, tmp_path):
         out = tmp_path / "out"
@@ -616,14 +622,11 @@ class TestUnwritableOutput:
         assert [p.name for p in out.iterdir()] == ["certify.json"]
 
     @pytest.mark.skipif(not Path("/proc").is_dir(), reason="needs a /proc file system")
-    @pytest.mark.parametrize("command, first", [("run", "seed_1.csv"), ("plot", "grad_norm.svg")])
-    def test_streamed_files_into_proc(self, tmp_path, capsys, command, first):
-        cfg = write(tmp_path / "run.cfg", BASE_RUN.replace("csv,json", "csv,json,svg"))
+    @pytest.mark.parametrize("formats, first", [("csv,json,svg", "seed_1.csv"), ("svg", "grad_norm.svg")],
+                             ids=["csv", "svg"])
+    def test_streamed_files_into_proc(self, tmp_path, capsys, formats, first):
+        cfg = write(tmp_path / "run.cfg", BASE_RUN.replace("csv,json", formats))
         argv = ["run", "--config", str(cfg), "--out", "/proc/nope"]
-        if command == "plot":
-            assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "res")]) == 0
-            argv = ["plot", str(tmp_path / "res"), "--out", "/proc/nope"]
-        capsys.readouterr()
         assert main(argv) == 1
         assert capsys.readouterr() == ("", f"config error: cannot write /proc/nope/{first}: [Errno 2] No such file "
                                            "or directory: '/proc/nope'\n")
@@ -1097,95 +1100,54 @@ class TestPremises:
         assert not out.exists()
 
 
-class TestPlotCommand:
-    def _make_results(self, tmp_path, n_seeds):
+class TestRunCharts:
+    @pytest.mark.parametrize("n_seeds", [1, 3])
+    def test_a_chart_draws_each_seed_and_their_mean(self, tmp_path, n_seeds):
         text = BASE_RUN.replace("run.seeds = 1", "run.n_seeds = %d\nrun.master_seed = 1" % n_seeds)
-        cfg = write(tmp_path / "run.cfg", text)
+        cfg = write(tmp_path / "run.cfg", text.replace("csv,json", "csv,json,svg"))
         out = tmp_path / "res"
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
-        return out
-
-    def test_single_seed_gives_two_polylines(self, tmp_path):
-        out = self._make_results(tmp_path, 1)
-        assert main(["plot", str(out)]) == 0
-        svg = (out / "grad_norm.svg").read_text()
-        assert svg.count("<polyline") == 2  # one seed + the mean line
-
-    def test_three_seeds_give_four_polylines(self, tmp_path):
-        out = self._make_results(tmp_path, 3)
-        assert main(["plot", str(out), "--out", str(tmp_path / "charts")]) == 0
-        svg = (tmp_path / "charts" / "f_val.svg").read_text()
-        assert svg.count("<polyline") == 4
         for name in ("grad_norm.svg", "f_val.svg", "eta.svg"):
-            assert (tmp_path / "charts" / name).exists()
+            assert (out / name).read_text().count("<polyline") == n_seeds + 1
 
-    def test_empty_dir_exits_one(self, tmp_path):
-        empty = tmp_path / "none"
-        empty.mkdir()
-        assert main(["plot", str(empty)]) == 1
+    # an infinite t once reached the log axis's ticks and overflowed
+    @pytest.mark.parametrize("xlog, ylog", [(True, True), (False, False)], ids=["log", "linear"])
+    def test_an_infinite_step_is_left_out(self, xlog, ylog):
+        fh = io.StringIO()
+        t, ys = np.array([math.inf, 1.0]), np.array([1.0, 0.5])
+        reports.svg_line_chart(fh, [(t, ys, "s"), (t, ys, "m")], "title", "t", "y", xlog=xlog, ylog=ylog)
+        assert "nan" not in fh.getvalue() and "inf" not in fh.getvalue()
+        assert fh.getvalue().count("<polyline") == 2
 
-    def test_seed_csv_without_an_integer_seed_exits_one(self, tmp_path, capsys):
-        out = self._make_results(tmp_path, 2)
-        (out / "seed_1.csv").rename(out / "seed_one.csv")
-        assert main(["plot", str(out)]) == 1
-        assert "seed_one.csv" in capsys.readouterr().err
-
-    def test_infinite_step_is_left_out(self, tmp_path, capsys):
-        # an infinite t once reached the log axis's ticks and overflowed
-        out = tmp_path / "res"
-        out.mkdir()
-        write(out / "seed_1.csv", CSV_HEADER + "\ninf,1,1,1,1,1,1,1\n1,1,0.5,0.1,0.5,1,0,0\n")
-        assert main(["plot", str(out)]) == 0
-        assert capsys.readouterr().err == ""
-        assert all("nan" not in p.read_text() and "inf" not in p.read_text() for p in out.glob("*.svg"))
-
-    def test_subnormal_step_axis_draws(self, tmp_path, capsys):
+    def test_a_subnormal_step_axis_draws(self):
         # the log x axis once took 10.0**-324 = 0 as its first tick and
         # crashed in math.log10
-        out = tmp_path / "res"
-        out.mkdir()
-        write(out / "seed_1.csv", CSV_HEADER + "\n5e-324,1,1,0.1,0.5,1,0,0\n1,1,0.5,0.1,0.5,1,0,0\n")
-        assert main(["plot", str(out)]) == 0
-        assert capsys.readouterr().err == ""
-        assert sorted(p.name for p in out.glob("*.svg")) == ["eta.svg", "f_val.svg", "grad_norm.svg"]
+        fh = io.StringIO()
+        t = np.array([5e-324, 1.0])
+        reports.svg_line_chart(fh, [(t, np.array([1.0, 0.5]), "s")], "title", "t", "y", xlog=True, ylog=True)
+        assert fh.getvalue().count("<polyline") == 1 and fh.getvalue().endswith("</svg>\n")
 
 
-GOOD_ROW = "1,1,0.5,0.1,0.5,1,0,0\n"
-# (a damaged results directory: each file name and its bytes, or None for a
-# directory, and what the one stderr line names); a file that cannot be read
-# for its permissions is left out, since the tests may run as root
-DAMAGED = {
-    "csv_is_a_directory": ({"seed_1.csv": None}, "Is a directory"),
-    "not_utf8": ({"seed_1.csv": b"t,f_val\xff\n"}, "can't decode byte 0xff"),
-    "empty_csv": ({"seed_1.csv": b""}, "unexpected CSV header: (empty)"),
-    "wrong_header": ({"seed_1.csv": b"t,f,g\n1,2,3\n"}, "unexpected CSV header: t,f,g"),
-    "short_row": ({"seed_1.csv": (CSV_HEADER + "\n1,1,0.5\n").encode()}, "malformed CSV row: '1,1,0.5'"),
-    "cell_not_a_number": ({"seed_1.csv": (CSV_HEADER + "\n" + GOOD_ROW.replace("0.5", "half", 1)).encode()},
-                          "malformed CSV cell in row '1,1,half,0.1,0.5,1,0,0'"),
-    "seed_name_not_an_integer": ({"seed_x.csv": (CSV_HEADER + "\n" + GOOD_ROW).encode()},
-                                 "expected seed_<integer>.csv"),
-    "empty_directory": ({}, "no seed_*.csv files"),
-}
+class TestExperimentFileReadErrors:
+    """An experiment file that cannot be read is one config error line,
+    exit 1, nothing written, whichever command reads it."""
 
-
-@pytest.mark.parametrize("case", DAMAGED)
-def test_plot_on_a_damaged_directory_exits_one_and_writes_nothing(tmp_path, capsys, case):
-    files, named = DAMAGED[case]
-    res = tmp_path / "res"
-    res.mkdir()
-    if files:  # a sound seed first
-        (res / "seed_0.csv").write_text(CSV_HEADER + "\n" + GOOD_ROW, encoding="utf-8")
-    for name, data in files.items():
-        if data is None:
-            (res / name).mkdir()
-        else:
-            (res / name).write_bytes(data)
-    before = sorted(p.name for p in res.iterdir())
-    assert main(["plot", str(res), "--out", str(tmp_path / "charts")]) == 1
-    out, err = capsys.readouterr()
-    assert out == "" and err.startswith("config error: ") and err.count("\n") == 1 and named in err
-    assert "Traceback" not in err
-    assert not (tmp_path / "charts").exists() and sorted(p.name for p in res.iterdir()) == before
+    @pytest.mark.parametrize("command", ["run", "certify", "igt-check", "sweep", "bounds"])
+    @pytest.mark.parametrize("case, reason", [
+        ("missing", "[Errno 2] No such file or directory: '{path}'"),
+        ("directory", "[Errno 21] Is a directory: '{path}'"),
+        ("not_utf8", "'utf-8' codec can't decode byte 0xff in position 15: invalid start byte"),
+    ])
+    def test_unreadable_config_exits_one(self, tmp_path, capsys, case, reason, command):
+        path = tmp_path / "exp.cfg"
+        if case == "directory":
+            path.mkdir()
+        elif case == "not_utf8":
+            path.write_bytes(b"problem.kind = \xff\n")
+        out = tmp_path / "out"
+        assert main([command, "--config", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr() == ("", f"config error: cannot read {path}: {reason.format(path=path)}\n")
+        assert not out.exists()
 
 
 class TestGoldenFiles:
@@ -1235,17 +1197,30 @@ SIGN_RUN = (
     "output.formats = csv,json,svg\n"
 )
 EMPTY_LOG_CHART = "1f01eee988b2011c5f92ed094714aac4ef8b144679adf4e59252ec8e7cdc3c56"
+TRIG_CHARTS = {
+    "grad_norm.svg": "0f469adf7a5decbec29aeab171b8df51e6b524c7eca8e3b0a7772220bfca27f3",
+    "f_val.svg": "15e977a6fe0b2d4658b64ad5a36ea7bb3577184edd230e99a31cc8496775007d",
+    "eta.svg": "aff03f7011854600947d985f99e6bd0489e67a2b8cfad70c39b9a14ac56bb1aa",
+}
 
 
 class TestChartBytes:
-    """SHA-256 pins of whole charts, taken from the point-by-point emitter
-    that the array emitter replaced: every byte must stay."""
+    """SHA-256 pins of whole charts: every byte must stay. The pins were
+    taken from the point-by-point emitter that the array emitter replaced,
+    and those of twelve seeds from the charts that the retired ``plot``
+    redrew byte for byte from the seed CSVs."""
 
     CASES = {
-        "trig_bowl": (TRIG_RUN + EXACT, {
-            "grad_norm.svg": "0f469adf7a5decbec29aeab171b8df51e6b524c7eca8e3b0a7772220bfca27f3",
-            "f_val.svg": "15e977a6fe0b2d4658b64ad5a36ea7bb3577184edd230e99a31cc8496775007d",
-            "eta.svg": "aff03f7011854600947d985f99e6bd0489e67a2b8cfad70c39b9a14ac56bb1aa",
+        "trig_bowl": (TRIG_RUN + EXACT, TRIG_CHARTS),
+        # the seeds are drawn, and the mean line summed, in order of their
+        # number: seeds listed as 3,1,2 give the charts of 1,2,3, and of
+        # seeds 0..11, seed 10 comes after seed 2, where seed_10.csv sorts
+        # before seed_2.csv by name
+        "unsorted_seeds": (TRIG_RUN.replace("run.seeds = 1,2,3", "run.seeds = 3,1,2") + EXACT, TRIG_CHARTS),
+        "twelve_seeds": (TRIG_RUN.replace("run.seeds = 1,2,3", "run.n_seeds = 12") + EXACT, {
+            "grad_norm.svg": "458ab768038925c03ed5ea8ca1ac6835d7a3448ee04164641a778e1eef036a87",
+            "f_val.svg": "1df66baff52c07ba3b9a375ca7ed354bbe6fee8176fe15e654f529ffd91327c4",
+            "eta.svg": "5f5080f6b39be29bc69529de6849f27c127f868fcbfe8684586790116fd1f6f1",
         }),
         "trig_bowl_no_exact_log": (TRIG_RUN + NOT_EXACT, {
             "grad_norm.svg": EMPTY_LOG_CHART,
@@ -1271,37 +1246,6 @@ class TestChartBytes:
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
         got = {name: hashlib.sha256(b).hexdigest() for name, b in self._charts(tmp_path / "o").items()}
         assert got == digests
-
-    def test_plot_of_seed_csvs_without_rows_draws_empty_charts(self, tmp_path):
-        # every series is empty, so none is drawn: the frame alone, as at a
-        # series that keeps no point
-        cfg = write(tmp_path / "run.cfg", TRIG_RUN + NOT_EXACT)
-        out = tmp_path / "o"
-        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
-        for csv in out.glob("seed_*.csv"):
-            csv.write_text(csv.read_text().splitlines()[0] + "\n")
-        assert main(["plot", str(out), "--out", str(tmp_path / "p")]) == 0
-        got = {name: hashlib.sha256(b).hexdigest() for name, b in self._charts(tmp_path / "p").items()}
-        assert got == {"grad_norm.svg": EMPTY_LOG_CHART,
-                       "f_val.svg": "3160d0e18d3516f4b4fe7de9e00287e9a6373ee76064623dbb024f681d58c11d",
-                       "eta.svg": "699ec4f7fcb50c4a1bbe8bd5cac78b4736a4efeb4efd4c6ae1c0d24d9b8629fe"}
-
-    # twelve seeds (0..11): seed_10.csv sorts before seed_2.csv by name, and
-    # the mean line is summed in seed order, so plot must read them by number;
-    # seeds listed as 3,1,2 are drawn by number too
-    @pytest.mark.parametrize("text, args", [
-        (TRIG_RUN + EXACT, []),
-        (TRIG_RUN + NOT_EXACT, []),
-        (TRIG_RUN + EXACT, ["--seeds", "12"]),
-        (TRIG_RUN.replace("run.seeds = 1,2,3", "run.seeds = 3,1,2") + EXACT, []),
-    ], ids=["exact", "not_exact", "twelve_seeds", "unsorted_seeds"])
-    def test_plot_rewrites_the_charts_of_a_run(self, tmp_path, text, args):
-        cfg = write(tmp_path / "run.cfg", text)
-        out = tmp_path / "o"
-        assert main(["run", "--config", str(cfg), "--out", str(out), *args]) == 0
-        written = self._charts(out)
-        assert main(["plot", str(out), "--out", str(tmp_path / "p")]) == 0
-        assert self._charts(tmp_path / "p") == written
 
 
 README_EXAMPLES = re.findall(r"```\n(# nigt-lab (\S+) .*?)```", (Path(__file__).parent.parent / "README.md").read_text(

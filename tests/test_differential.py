@@ -123,7 +123,6 @@ from nigt_lab.reports import (
     _ticks_linear,
     _ticks_log,
     json_dumps,
-    plot_results_dir,
     record_to_csv,
     rows_to_csv,
     svg_line_chart,
@@ -1289,11 +1288,6 @@ def ref_cmd_bounds(args) -> int:
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED
 
 
-def ref_cmd_plot(args) -> int:
-    plot_results_dir(args.results_dir, args.out)
-    return EXIT_OK
-
-
 def ref_build_parser() -> _Parser:
     p = _Parser(prog="nigt-lab", description=cli.__doc__)
     sub = p.add_subparsers(dest="command", required=True)
@@ -1314,11 +1308,6 @@ def ref_build_parser() -> _Parser:
         sp.add_argument("--master-seed", type=int, default=None, dest="master_seed",
                         help="base seed (overrides run.master_seed)")
         sp.set_defaults(func=func)
-
-    sp = sub.add_parser("plot", help="SVG charts from a results directory")
-    sp.add_argument("results_dir", help="directory containing seed_*.csv files")
-    sp.add_argument("--out", default=None, help="chart output directory (default: results_dir)")
-    sp.set_defaults(func=ref_cmd_plot)
 
     return p
 
@@ -1594,12 +1583,22 @@ class TestNewRefusals:
         assert new[0] == [(1, "", "config error: invalid run configuration: T must be >= 1, got 0\n")]
         assert ref[0] == [MANUAL_ETA] and agree(new, ref)
 
+    def test_bounds_without_an_id_is_refused_when_its_settings_are_read(self, tmp_path):
+        path = tmp_path / "bounds.cfg"
+        path.write_text(without(READ_WHOLE["bounds"], {"optimizer.id"}), encoding="utf-8")
+        argv = [["bounds", "--config", str(path), "--out", str(tmp_path / "out")]]
+        new, ref = invoke(main, argv, [tmp_path / "out"]), invoke(ref_main, argv, [tmp_path / "out"])
+        assert (new[0], ref[0]) == ([BOUNDS_WITHOUT_ID], [NO_TUNING_FOR_NONE]) and agree(new, ref)
+
 
 MANUAL_ETA = (1, "", "config error: manual runs need optimizer.eta\n")
 SELF_TUNING_PREMISE = "the self-tuning method sets its own step sizes; use a constant schedule"
 # the self-tuning method under a schedule that is not constant, once run had started it
 SELF_TUNING_STARTED = (1, "", f"error: {SELF_TUNING_PREMISE}\n")
 NO_RATE_TO_SWEEP = (1, "", "config error: the self-tuning method has no base rate to sweep\n")
+# bounds without optimizer.id, once tuning was asked for the method None, and now
+NO_TUNING_FOR_NONE = (1, "", "error: no closed-form tuning for None\n")
+BOUNDS_WITHOUT_ID = (1, "", "config error: section 'optimizer' requires key 'id'\n")
 SEED_FLAGS = ("--seeds", "--master-seed")
 
 
@@ -1613,12 +1612,15 @@ def agree(new, ref) -> bool:
     sweep of the self-tuning method is refused for having no base rate when
     its rate is resolved, under any schedule and before the run
     configuration's own checks, where sweep refused it once started (or
-    for another fault, or for its unread keys)."""
+    for another fault, or for its unread keys). Bounds without
+    optimizer.id is refused for it when its settings are read, where tuning
+    once refused the method None."""
     (results, files, caught), (ref_results, ref_files, ref_caught) = new, ref
     moved = (ref_results[0] == MANUAL_ETA and results[0][:2] == (1, "")
              or ref_results[0] == SELF_TUNING_STARTED
              and results[0] == (1, "", f"config error: invalid run configuration: {SELF_TUNING_PREMISE}\n")
-             or results[0] == NO_RATE_TO_SWEEP and ref_results[0][:2] == (1, ""))
+             or results[0] == NO_RATE_TO_SWEEP and ref_results[0][:2] == (1, "")
+             or ref_results[0] == NO_TUNING_FOR_NONE and results[0] == BOUNDS_WITHOUT_ID)
     return new == ref or (moved and not files[0]
                           and (results[1:], files[1:], caught) == (ref_results[1:], ref_files[1:], ref_caught))
 
@@ -1654,15 +1656,15 @@ def ref_refusal(text: str, command: str, flags: list[str]):
 
 
 class TestExitCodeContract:
-    """Every command on any experiment file (and ``plot`` on what ``run``
-    wrote) exits 0, 1 or 2 with no traceback or warning, writes nothing
-    when it exits 1, writes the same bytes when run again, and does all of
-    it as the earlier command functions did. The one new outcome is a
-    refusal of the keys the command never reads: the earlier functions
-    refuse that file too, or they write the same on it as on the file
-    without those keys, and the change matches them there. The refusal is
-    the one the read sets gave, but for a file that also fails to build,
-    where that fault is named first. Apart from that, a manual run without
+    """Every command on any experiment file exits 0, 1 or 2 with no
+    traceback or warning, writes nothing when it exits 1, writes the same
+    bytes when run again, and does all of it as the earlier command
+    functions did. The one new outcome is a refusal of the keys the
+    command never reads: the earlier functions refuse that file too, or
+    they write the same on it as on the file without those keys, and the
+    change matches them there. The refusal is the one the read sets gave,
+    but for a file that also fails to build, where that fault is named
+    first. Apart from that, a manual run without
     ``optimizer.eta`` is refused after its other checks, the self-tuning
     method is refused when its run is built: under a schedule that is not
     constant as ``config error: invalid run configuration: ...`` where run
@@ -1670,7 +1672,10 @@ class TestExitCodeContract:
     run configuration, as ``config error: the self-tuning method has no
     base rate to sweep`` where sweep said ``error: ...`` (:func:`agree`),
     and igt-check no longer refuses a problem for its kind
-    (:func:`reference`). At least one drawn igt-check file reaches the
+    (:func:`reference`), and bounds without ``optimizer.id`` is refused as
+    ``config error: section 'optimizer' requires key 'id'``, after the other
+    faults of its settings, where it said ``error: no closed-form tuning
+    for None`` (:func:`agree`). At least one drawn igt-check file reaches the
     moment check's refusal of a curved Hessian."""
 
     def test_commands_keep_the_contract_and_match_the_reference(self):
@@ -1688,12 +1693,10 @@ class TestExitCodeContract:
     def keeps_the_contract(command, text, flags) -> str:
         """Check one invocation; the stderr of its first command."""
         with tempfile.TemporaryDirectory() as tmp:
-            cfg, out, charts = Path(tmp) / "exp.cfg", Path(tmp) / "out", Path(tmp) / "charts"
+            cfg, out = Path(tmp) / "exp.cfg", Path(tmp) / "out"
             cfg.write_text(text, encoding="utf-8")
             argvs = [[command, "--config", str(cfg), "--out", str(out), *flags]]
-            if command == "run":
-                argvs.append(["plot", str(out), "--out", str(charts)])
-            outs = [out, charts][:len(argvs)]
+            outs = [out]
             new = invoke(main, argvs, outs)
             results, files, caught = new
             assert not caught
