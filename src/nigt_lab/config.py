@@ -29,7 +29,7 @@ from pathlib import Path
 from .core import MAX_LOG_CELLS, MAX_SEEDS, MAX_STATE_CELLS
 from .errors import ConfigError, InvalidInput
 from .harness import CONTAINMENT_PAIRS, OPTIMIZER_IDS, RunConfig, grid_sweep, igt_moment_check
-from .optimizers import LayerPartition, Schedule
+from .optimizers import METHODS, LayerPartition, Schedule, blockwise_move
 from .problems import PROBLEM_KINDS, StochasticProblem, cert_points, certify_constants, with_constants
 from .tuning import THEOREM_METHODS, tuned
 
@@ -259,7 +259,7 @@ def build_schedule(exp: ExperimentFile, opt_id: str | None = None) -> Schedule:
     The self-tuning method reads no weight-norm scaling, and only a schedule
     that is not constant reads its warmup and power."""
     sc = exp.schedule
-    keys = ["kind"] if opt_id == "nigt_adaptive" else ["kind", "weight_norm_scaling"]
+    keys = ["kind"] if opt_id is not None and METHODS[opt_id].self_tuning else ["kind", "weight_norm_scaling"]
     if sc.get("kind", Schedule.kind) != Schedule.kind:
         keys += ["warmup_steps", "power"]
     try:
@@ -324,8 +324,8 @@ def resolve_rate(exp: ExperimentFile, opt_id: str, problem, T: int, sweep: bool 
     (0.9) and no ceiling. The self-tuning method tunes itself, sgd has no
     beta, and each grid point of a sweep sets the rate, so a sweep of the
     self-tuning method is refused."""
-    op = exp.optimizer
-    if opt_id == "nigt_adaptive":
+    op, method = exp.optimizer, METHODS[opt_id]
+    if method.self_tuning:
         if sweep:
             raise ConfigError("the self-tuning method has no base rate to sweep")
         return None, 0.9, None
@@ -333,16 +333,16 @@ def resolve_rate(exp: ExperimentFile, opt_id: str, problem, T: int, sweep: bool 
     paired_id = THEOREM_METHODS.get(theorem)
     if theorem is not None and paired_id is None:
         raise ConfigError(f"optimizer.theorem must be 1 or 2, got {theorem!r}")
-    # a ceiling is only a guarantee for the method its theorem is about
-    if paired_id is not None and opt_id != paired_id:
-        raise ConfigError(f"theorem = {theorem} requires optimizer.id = {paired_id}, got {opt_id!r}")
     if paired_id is not None:
+        # a ceiling is only a guarantee for the method its theorem is about
+        if opt_id != paired_id:
+            raise ConfigError(f"theorem = {theorem} requires optimizer.id = {paired_id}, got {opt_id!r}")
         try:
             params, bound = tuned(opt_id, problem, T)
         except (InvalidInput, ArithmeticError) as e:  # constants outside a rule's domain
             raise ConfigError(f"invalid hyperparameters: {e}") from e
         return params.eta, params.beta, bound
-    eta, beta = None if sweep else op.get("eta"), 0.9 if opt_id == "sgd" else op.get("beta", 0.9)
+    eta, beta = None if sweep else op.get("eta"), op.get("beta", 0.9) if method.momentum else 0.9
     if eta is not None and not (eta > 0.0 and 0.0 <= beta < 1.0):
         raise ConfigError(f"invalid hyperparameters: need eta > 0 and beta in [0, 1), got eta = {eta}, beta = {beta}")
     return eta, beta, None
@@ -370,7 +370,7 @@ def build_run_config(exp: ExperimentFile, n_seeds_override: int | None = None,
             beta=beta,
             schedule=schedule,
             record_exact=exp.run.get("record_exact", True),
-            partition=build_partition(exp, problem.dim) if opt_id == "nigt_layerwise" else None,
+            partition=build_partition(exp, problem.dim) if METHODS[opt_id].move is blockwise_move else None,
         )
     except InvalidInput as e:
         raise ConfigError(f"invalid run configuration: {e}") from e

@@ -24,6 +24,7 @@ import numpy as np
 from .core import MAX_IGT_CELLS, MAX_SEEDS, RngStream, TrajectoryRecord, rownorm
 from .errors import Diverged, InvalidInput, NigtLabError, NonFiniteGradient
 from .optimizers import (
+    METHODS,
     LayerPartition,
     Schedule,
     SelfTuning,
@@ -33,13 +34,12 @@ from .optimizers import (
     full_partition,
     normalized_move,
     paired_sq_diff,
-    plain_move,
     transport_step,
 )
 from .problems import StochasticProblem, certify_constants
 from .tuning import bound_check, tuned
 
-OPTIMIZER_IDS = ("sgd", "heavy_ball", "nsgdm", "nigt", "nigt_adaptive", "nigt_layerwise")
+OPTIMIZER_IDS = tuple(METHODS)
 
 # Tolerance for the per-step descent inequality: residuals may only dip this
 # far below zero, relative to the magnitude of the objective decrease.
@@ -78,6 +78,7 @@ class RunConfig:
     def __post_init__(self):
         if self.optimizer_id not in OPTIMIZER_IDS:
             raise InvalidInput(f"unknown optimizer {self.optimizer_id!r}; known: {OPTIMIZER_IDS}")
+        method = METHODS[self.optimizer_id]
         if self.T < 1:
             raise InvalidInput(f"T must be >= 1, got {self.T}")
         if self.schedule.kind != "constant" and self.schedule.warmup_steps >= self.T:
@@ -87,10 +88,14 @@ class RunConfig:
             raise InvalidInput("seeds must be non-empty")
         if len(set(seeds)) != len(seeds):
             raise InvalidInput("seeds must be distinct")
-        if self.optimizer_id == "nigt_adaptive" and self.schedule.kind != "constant":
+        if method.self_tuning and self.schedule.kind != "constant":
             raise InvalidInput("the self-tuning method sets its own step sizes; use a constant schedule")
-        if self.optimizer_id == "nigt_adaptive" and self.eta is not None:
+        if method.self_tuning and self.eta is not None:
             raise InvalidInput(f"the self-tuning method sets its own step sizes; it takes no eta, got {self.eta}")
+        if self.partition is not None:
+            if method.move is not blockwise_move:
+                raise InvalidInput(f"{self.optimizer_id} moves every coordinate as one; it takes no layer partition")
+            self.partition.validate_cover(self.problem.dim)
         object.__setattr__(self, "seeds", seeds)
 
 
@@ -213,30 +218,21 @@ def _lockstep(cfg: RunConfig) -> list[TrajectoryRecord]:
     """The records of :func:`run`, every seed stepped in this process."""
     pb = cfg.problem
     seeds = cfg.seeds
-    opt = cfg.optimizer_id
+    method = METHODS[cfg.optimizer_id]
     sch = cfg.schedule
     T = cfg.T
-    tuners = []
-    if opt == "nigt_adaptive":
-        tuners = [SelfTuning(pb.g_bound) for _ in seeds]
-    else:
+    tuners = [SelfTuning(pb.g_bound) for _ in seeds] if method.self_tuning else []
+    if not method.self_tuning:
         base_eta = cfg.eta
         if base_eta is None or not (0.0 <= base_eta < math.inf):
-            raise InvalidInput(f"{opt} needs a base rate: eta must be finite and >= 0, got {base_eta}")
-        beta = 0.0 if opt == "sgd" else cfg.beta  # sgd is memoryless: the momentum is the latest sample
+            raise InvalidInput(f"{cfg.optimizer_id} needs a base rate: eta must be finite and >= 0, got {base_eta}")
+        beta = cfg.beta if method.momentum else 0.0  # sgd is memoryless: the momentum is the latest sample
         if not (0.0 <= beta < 1.0):
             raise InvalidInput(f"beta must lie in [0, 1), got {beta}")
-    transport = opt in ("nigt", "nigt_layerwise")
-    # per-layer norm scaling happens inside the blockwise move
-    scale_by_norm = sch.weight_norm_scaling and opt != "nigt_layerwise"
-    if opt in ("sgd", "heavy_ball"):
-        move = plain_move
-    elif opt == "nigt_layerwise":
-        partition = cfg.partition if cfg.partition is not None else full_partition(pb.dim)
-        partition.validate_cover(pb.dim)
-        move = blockwise_move(partition, sch.weight_norm_scaling)
-    else:
-        move = normalized_move
+    scale_by_norm = sch.weight_norm_scaling and method.move is not blockwise_move  # that one scales per layer
+    move = method.move
+    if move is blockwise_move:
+        move = blockwise_move(cfg.partition or full_partition(pb.dim), sch.weight_norm_scaling)
 
     S = len(seeds)
     # stream 0 feeds the momentum; stream 1 the paired samples of the self-tuning method
@@ -283,24 +279,21 @@ def _lockstep(cfg: RunConfig) -> list[TrajectoryRecord]:
                         # no domain check: a corrupted accumulator that pushes alpha_t
                         # above one keeps running and is recorded as an invariant event
                         beta_t = 1.0 - alpha_t
-                        k = (1.0 - alpha_t) / alpha_t
                         alpha_log = alpha_t
                     else:
                         eta_t = apply_schedule(sch, t, T, base_eta, rownorm(s.w)[:, None] if scale_by_norm else None)
                         beta_t = 0.0 if t == 1 else beta  # first momentum is the first sample
                         alpha_t = 1.0 - beta_t
-                        k = beta_t / (1.0 - beta_t) if transport else 0.0
                         alpha_log = 1.0 - beta
+                    k = beta_t / alpha_t if method.transport else 0.0
                     s_next, x, g = transport_step(s, sample, eta_t, k, beta_t, alpha_t, move)
                     if tuners:
-                        sq_diff = paired_sq_diff(g, samples[1])
+                        for tuner, sq in zip(tuners, paired_sq_diff(g, samples[1]).tolist()):
+                            tuner.accumulate(t, sq)
                 except NonFiniteGradient as e:
                     if e.row:  # raises the error of an earlier seed that diverges later
                         _lockstep(replace(cfg, seeds=seeds[:e.row]))
                     raise Diverged(f"seed {seeds[e.row]} diverged at step {t}: {e}", t) from None
-                if tuners:
-                    for tuner, sq in zip(tuners, sq_diff.tolist()):
-                        tuner.accumulate(t, sq)
                 log["eta"][:, t - 1:t] = eta_t  # a scalar or an (S, 1) column
                 log["alpha"][:, t - 1:t] = alpha_log
                 log["m_norm"][:, t - 1] = s_next.m_norm
@@ -314,7 +307,7 @@ def _lockstep(cfg: RunConfig) -> list[TrajectoryRecord]:
 
     return [
         TrajectoryRecord(
-            problem_id=pb.problem_id, optimizer_id=opt, seed=seed,
+            problem_id=pb.problem_id, optimizer_id=cfg.optimizer_id, seed=seed,
             no_move=no_move[i], **{name: a[i] for name, a in log.items()},
             invariant_violations=tuners[i].events if tuners else [],
             max_displacement=float(max_disp[i]), final_w=s.w[i],

@@ -7,19 +7,10 @@ Every method in the package is one recurrence,
     m_t     = beta_t m_{t-1} + alpha_t g(x_t)     (momentum)
     w_{t+1} = w_t - eta_t * move(m_t),
 
-and the methods differ only in the coefficients and the move:
-
-    id              k_t            beta_t     alpha_t    move
-    sgd             0              0          1          plain
-    heavy_ball      0              beta       1 - beta   plain
-    nsgdm           0              beta       1 - beta   normalized
-    nigt            beta/(1-beta)  beta       1 - beta   normalized
-    nigt_layerwise  beta/(1-beta)  beta       1 - beta   blockwise
-    nigt_adaptive   (1-a_t)/a_t    1 - a_t    a_t        normalized
-
-with beta_1 = 0 for the fixed-beta methods, so the first momentum is the
-first sample, and (eta_t, a_t) read from :class:`SelfTuning` for the
-adaptive one.
+and the methods differ only in the coefficients and the move, which the rows
+of :data:`METHODS` name. The fixed-beta methods set alpha_t = 1 - beta_t and
+beta_1 = 0, so the first momentum is the first sample; the self-tuning one
+reads (eta_t, alpha_t) from :class:`SelfTuning`, with beta_t = 1 - alpha_t.
 
 The transport point k = beta / (1 - beta) (implicit gradient transport)
 keeps the momentum average an unbiased estimate of the current gradient
@@ -39,6 +30,7 @@ from __future__ import annotations
 
 import math
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -162,6 +154,24 @@ def blockwise_move(partition: LayerPartition, weight_norm_scaling: bool = False)
         return w_new, moved_all
 
     return move
+
+
+@dataclass(frozen=True)
+class Method:
+    move: Callable  # plain_move, normalized_move, or blockwise_move over the run's partition
+    transport: bool  # queries x_t at k_t = beta_t / alpha_t, else at w_t (k_t = 0)
+    momentum: bool  # keeps its momentum past step 1, else beta_t = 0 throughout (sgd)
+    self_tuning: bool = False  # its (eta_t, alpha_t) come from SelfTuning
+
+
+METHODS = {
+    "sgd": Method(plain_move, transport=False, momentum=False),
+    "heavy_ball": Method(plain_move, transport=False, momentum=True),
+    "nsgdm": Method(normalized_move, transport=False, momentum=True),
+    "nigt": Method(normalized_move, transport=True, momentum=True),
+    "nigt_adaptive": Method(normalized_move, transport=True, momentum=True, self_tuning=True),
+    "nigt_layerwise": Method(blockwise_move, transport=True, momentum=True),
+}
 
 
 # -- self-tuning rates ----------------------------------------------------------

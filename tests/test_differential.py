@@ -1390,9 +1390,10 @@ def experiment_files(draw, command):
     """An experiment file drawn key by key from the derived schema. Two in three
     are clean: usual values of the keys the command reads, vectors of the
     problem's dimension, none of the RARE keys and seldom a key it does not
-    read, so most of them run. The others draw every key the command reads,
-    edge values (0, -1, NaN, +-inf, 1e308, subnormal) and now and then a
-    key it does not read."""
+    read, so most of them run. Now and then a clean file lacks one key its
+    command needs, so the refusal of that key is reached past every other
+    check. The others draw every key the command reads, edge values (0, -1,
+    NaN, +-inf, 1e308, subnormal) and now and then a key it does not read."""
     kinds = USUAL["problem.kind"]
     # igt-check needs a quadratic and refuses a curved Hessian (the trig
     # bowl's rho > 0), and bounds certifies sigma away from w1 and tunes with
@@ -1400,6 +1401,7 @@ def experiment_files(draw, command):
     kind = draw(st.sampled_from({"igt-check": ["noisy_quadratic"] * 4 + ["trig_bowl"] * 2,
                                  "bounds": ["trig_bowl"] * 4}.get(command, []) + kinds))
     edgy = draw(chances(1, 3))
+    dropped = None if edgy else draw(st.sampled_from([None] * 6 + list(NEEDS.get(command, ()))))
     dim = draw(st.sampled_from(USUAL["problem.dim"] + (EDGE["int"] if edgy else [])))
     opt_id = draw(st.sampled_from(["nsgdm", "nigt"] if command == "bounds" else USUAL["optimizer.id"]))
     params = inspect.signature(PROBLEM_KINDS[kind]).parameters
@@ -1418,7 +1420,7 @@ def experiment_files(draw, command):
             if name in SIZES.get(command, ()):
                 chance = 8
             elif param is not None and param.default is param.empty or name in NEEDS.get(command, ()):
-                chance = 8 - edgy
+                chance = 0 if name == dropped else 8 - edgy
             elif read:
                 # a declared L or rho below the problem's fails certify: exit 2
                 chance = (2 if edgy or key in ("L", "rho") else 0) if name in RARE else 5

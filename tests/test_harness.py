@@ -25,7 +25,7 @@ from nigt_lab.harness import (
     rate_diagnostic,
     run,
 )
-from nigt_lab.optimizers import Schedule, StepState, normalized_move, transport_step
+from nigt_lab.optimizers import LayerPartition, Schedule, StepState, normalized_move, transport_step
 from nigt_lab.problems import (
     certify_constants,
     make_noisy_quadratic,
@@ -94,6 +94,20 @@ class TestRunDeterminism:
         with pytest.raises(InvalidInput, match=rf"^the self-tuning method sets its own step sizes; "
                                                rf"it takes no eta, got {eta}$"):
             RunConfig(problem=TRIG, optimizer_id="nigt_adaptive", T=10, seeds=(1,), eta=eta)
+
+    @pytest.mark.parametrize("opt", ["sgd", "heavy_ball", "nsgdm", "nigt", "nigt_adaptive"])
+    def test_a_method_that_moves_as_one_refuses_a_layer_partition(self, opt):
+        # it would not cover the dimension either: the method is refused first
+        part = LayerPartition(ranges=((0, 3),), lr_scale=(1.0,))
+        with pytest.raises(InvalidInput, match=f"^{opt} moves every coordinate as one; it takes no layer partition$"):
+            RunConfig(problem=TRIG, optimizer_id=opt, T=10, seeds=(1,), eta=_rate(opt, 0.1), partition=part)
+
+    def test_a_layer_partition_that_misses_the_dimension_is_refused_when_built(self):
+        part = LayerPartition(ranges=((0, 3),), lr_scale=(1.0,))
+        with pytest.raises(InvalidInput, match=r"^ranges cover \[0, 3\) but dim is 4$"):
+            RunConfig(problem=TRIG, optimizer_id="nigt_layerwise", T=10, seeds=(1,), eta=0.1, partition=part)
+        # without one, the layerwise method runs the whole vector as one layer
+        RunConfig(problem=TRIG, optimizer_id="nigt_layerwise", T=10, seeds=(1,), eta=0.1)
 
 
 class TestRunSemantics:

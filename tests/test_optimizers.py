@@ -1,6 +1,8 @@
+import ast
 import dataclasses
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,8 +11,10 @@ from hypothesis import strategies as st
 
 from nigt_lab.core import NORM_FLOOR, InvariantEvent, RngStream
 from nigt_lab.errors import InvalidInput, NonFiniteGradient
-from nigt_lab.harness import RunConfig, run
+import nigt_lab
+from nigt_lab.harness import OPTIMIZER_IDS, RunConfig, run
 from nigt_lab.optimizers import (
+    METHODS,
     LayerPartition,
     Schedule,
     SelfTuning,
@@ -483,6 +487,24 @@ class TestLayerwise:
                 eta_layer = 0.02 * scale
                 got = float(np.linalg.norm(s.w[lo:hi] - prev[lo:hi]))
                 assert abs(got - eta_layer) <= step_length_tol(prev[lo:hi], eta_layer)
+
+
+class TestMethods:
+    def test_the_ids_keep_their_order(self):
+        # every message that lists the known optimizers prints this tuple
+        assert OPTIMIZER_IDS == tuple(METHODS) == (
+            "sgd", "heavy_ball", "nsgdm", "nigt", "nigt_adaptive", "nigt_layerwise")
+
+    def test_only_the_tables_name_a_method(self):
+        # what a method does is its row of METHODS, and which theorem tunes
+        # it is tuning's: an optimizer id written anywhere else in the
+        # package would be a second place that decides it
+        named = [f"{path.name}:{node.lineno}: {node.value!r}"
+                 for path in sorted(Path(nigt_lab.__file__).parent.glob("*.py"))
+                 if path.name not in ("optimizers.py", "tuning.py")
+                 for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                 if isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value in METHODS]
+        assert named == []
 
 
 class TestBetaZeroDegeneracy:
