@@ -1248,6 +1248,34 @@ class TestChartBytes:
         assert got == digests
 
 
+# nsgdm on the noiseless trig bowl, its rate decaying to zero: f_val and
+# grad_norm fall below 1e-4, so their cells cross from fixed to scientific
+# notation, and the rate ends in zeros
+LONG_RUN = """\
+problem.kind = trig_bowl
+problem.dim = 4
+problem.a = 1.0
+problem.b = 1.0
+problem.sigma = 0.0
+optimizer.id = nsgdm
+optimizer.eta = 0.1
+optimizer.beta = 0.5
+schedule.kind = warmup_poly_decay
+schedule.power = 2
+run.T = 3000
+run.seeds = 1
+output.formats = csv
+"""
+
+
+def test_a_long_seed_csv_keeps_its_bytes(tmp_path):
+    # a SHA-256 pin taken from the row-template writer, which printed each
+    # float with Python's "%.17g"
+    assert main(["run", "--config", str(write(tmp_path / "run.cfg", LONG_RUN)), "--out", str(tmp_path / "o")]) == 0
+    digest = hashlib.sha256((tmp_path / "o" / "seed_1.csv").read_bytes()).hexdigest()
+    assert digest == "c1a1b78e91ccceee589cf7f58f00e9aaf1f18c209efc82f8c64acfc6f68dd894"
+
+
 README_EXAMPLES = re.findall(r"```\n(# nigt-lab (\S+) .*?)```", (Path(__file__).parent.parent / "README.md").read_text(
     encoding="utf-8"), re.S)
 

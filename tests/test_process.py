@@ -88,6 +88,13 @@ def test_the_test_process_starts_no_blas_worker():
     assert len(os.listdir("/proc/self/task")) == 1
 
 
+def test_the_entry_module_imports_no_exact_arithmetic():
+    # the CSV printer builds its tables from ints: importing fractions or
+    # decimal would lengthen every invocation's start-up
+    probe = "import sys, nigt_lab.cli; print(sorted({'fractions', 'decimal'} & set(sys.modules)))"
+    assert finish(start("-c", probe)) == "[]\n"
+
+
 def test_the_console_script_is_the_module_entry_point():
     tomllib = pytest.importorskip("tomllib")
     scripts = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]["scripts"]
