@@ -273,9 +273,10 @@ def record_to_csv(record: TrajectoryRecord, fh) -> None:
         for i, c in enumerate(cols, 1):
             values[:n, i] = c[lo:lo + n]
         flat = values[:n].reshape(-1)
+        words = slots[:, :len(flat)].reshape(4, n, len(at))
         bad = _g17_words(flat, slots[:, :len(flat)])
-        buf[:n, at] = slots[:, :len(flat)].reshape(4, n, len(at)).transpose(1, 2, 0)
-        buf[:n, at, 3] |= _CSV_SEPARATORS[at]
+        words[3] |= _CSV_SEPARATORS[at]
+        buf[:n, at] = words.transpose(1, 2, 0)
         cell_at = (bad // len(at) * len(_CSV_SEPARATORS) + at[bad % len(at)]) * 32
         fh.write(_text(buf[:n], cell_at.tolist(), [_G17 % v for v in flat[bad].tolist()]))
 
