@@ -285,8 +285,7 @@ def _lockstep(cfg: RunConfig) -> list[TrajectoryRecord]:
                         beta_t = 0.0 if t == 1 else beta  # first momentum is the first sample
                         alpha_t = 1.0 - beta_t
                         alpha_log = 1.0 - beta
-                    k = beta_t / alpha_t if method.transport else 0.0
-                    s_next, x, g = transport_step(s, sample, eta_t, k, beta_t, alpha_t, move)
+                    s_next, x, g = transport_step(s, sample, eta_t, beta_t, alpha_t, move, method.transport)
                     if tuners:
                         for tuner, sq in zip(tuners, paired_sq_diff(g, samples[1]).tolist()):
                             tuner.accumulate(t, sq)
@@ -347,8 +346,9 @@ def igt_moment_check(problem: StochasticProblem, checkpoints: Sequence[int] = (1
     """Verify that the transported momentum is unbiased with variance sigma^2/k.
 
     Runs ``n_runs`` independent trajectories of the transport step indexed
-    by sample count: step k queries the extrapolated point with k_t = k-1,
-    weighs the fresh sample by alpha_t = 1/k (beta_t = (k-1)/k) and takes
+    by sample count: step k weighs the fresh sample by alpha_t = 1/k
+    (beta_t = (k-1)/k), queries the point the transport rule gives for these
+    weights (k_t = beta_t / alpha_t, which is k-1 up to rounding) and takes
     the normalized move of length :data:`IGT_CHECK_ETA`. The samples come
     from the problem's own oracle. With a constant Hessian and noise that
     does not depend on the point (refused otherwise) the estimator after k
@@ -385,7 +385,7 @@ def igt_moment_check(problem: StochasticProblem, checkpoints: Sequence[int] = (1
     for k in range(1, ks[-1] + 1):
         noise = problem.sample_noise(rng, n_runs)
         s_next, _, _ = transport_step(s, lambda x: problem.noisy_grad(x, noise), IGT_CHECK_ETA,
-                                      k - 1.0, (k - 1.0) / k, 1.0 / k, normalized_move)
+                                      (k - 1.0) / k, 1.0 / k, normalized_move, True)
         if k in ks:
             E = s_next.m - problem.exact_grad(s.w)
             mean_err = E.mean(axis=0)

@@ -12,13 +12,14 @@ of :data:`METHODS` name. The fixed-beta methods set alpha_t = 1 - beta_t and
 beta_1 = 0, so the first momentum is the first sample; the self-tuning one
 reads (eta_t, alpha_t) from :class:`SelfTuning`, with beta_t = 1 - alpha_t.
 
-The transport point k = beta / (1 - beta) (implicit gradient transport)
-keeps the momentum average an unbiased estimate of the current gradient
-whenever the Hessian is constant, and nearly unbiased when it drifts
-slowly. The normalized moves travel exactly eta per step; when ``||m||``
-falls at or below the norm floor the step is a recorded no-move (the
-direction is undefined there; substituting a random one would break replay
-determinism).
+A transporting method queries at k_t = beta_t / alpha_t, which only
+:func:`transport_weight` computes; the others query at k_t = 0. This
+implicit gradient transport keeps the momentum average an unbiased estimate
+of the current gradient whenever the Hessian is constant, and nearly
+unbiased when it drifts slowly. The normalized moves travel exactly eta per
+step; when ``||m||`` falls at or below the norm floor the step is a
+recorded no-move (the direction is undefined there; substituting a random
+one would break replay determinism).
 
 The step and the moves act on the last axis: a state holds one vector per
 row, so the runner steps every seed of a run at once as ``(S, d)`` arrays,
@@ -78,10 +79,11 @@ class StepState:
     m_norm: np.ndarray | None = None  # per row: ||m||, from the step that produced this state
 
 
-def transport_step(s: StepState, sample, eta, k, beta, alpha, move):
+def transport_step(s: StepState, sample, eta, beta, alpha, move, transport):
     """One step of the shared recurrence; returns (new state, x, g).
 
-    Samples g = sample(x) at x = w + k (w - w_prev), sets
+    Samples g = sample(x) at x = w + k (w - w_prev), where k is
+    :func:`transport_weight` when ``transport`` is set and 0 otherwise, sets
     m = beta m + alpha g and moves w by eta along m. Rows with k == 0 query
     w itself (when every row does, the returned x *is* ``s.w``). The two
     momentum weights are passed separately because in float64
@@ -103,6 +105,7 @@ def transport_step(s: StepState, sample, eta, k, beta, alpha, move):
         if bad.any():
             row = int(np.flatnonzero(bad)[0])
             raise NonFiniteGradient(f"eta must be finite and >= 0, got {float(np.ravel(eta)[row])}", row)
+    k = transport_weight(beta, alpha) if transport else 0.0
     if isinstance(k, (int, float)):
         x = s.w if k == 0.0 else s.w + k * (s.w - s.w_prev)
     else:
@@ -159,9 +162,14 @@ def blockwise_move(partition: LayerPartition, weight_norm_scaling: bool = False)
 @dataclass(frozen=True)
 class Method:
     move: Callable  # plain_move, normalized_move, or blockwise_move over the run's partition
-    transport: bool  # queries x_t at k_t = beta_t / alpha_t, else at w_t (k_t = 0)
+    transport: bool  # queries x_t at k_t = transport_weight(beta_t, alpha_t), else at w_t (k_t = 0)
     momentum: bool  # keeps its momentum past step 1, else beta_t = 0 throughout (sgd)
     self_tuning: bool = False  # its (eta_t, alpha_t) come from SelfTuning
+
+
+def transport_weight(beta, alpha):
+    """The transport rule k_t = beta_t / alpha_t: beta / (1 - beta) for a fixed beta."""
+    return beta / alpha
 
 
 METHODS = {

@@ -8,8 +8,7 @@ gradient, a sampling gradient oracle, and declared constants:
     rho      Hessian Lipschitz constant,
     sigma    oracle noise level (sqrt of the expected squared error),
     g_bound  almost-sure bound on sampled gradient norms (may be +inf),
-    R        upper bound on F at the start point (we declare F(w1) exactly),
-    M        upper bound on F everywhere (may be +inf).
+    R        upper bound on F at the start point (we declare F(w1) exactly).
 
 Every oracle sample is a deterministic function of the query point and a
 row of randomness, so the randomness of many samples can be drawn from a
@@ -60,7 +59,6 @@ class StochasticProblem:
     sigma: float
     g_bound: float
     R: float
-    M: float
 
     def __post_init__(self):
         # one domain rule per declared constant, each false for NaN
@@ -70,7 +68,6 @@ class StochasticProblem:
             ("sigma", 0.0 <= self.sigma < math.inf, "finite and >= 0"),
             ("g_bound", 0.0 < self.g_bound <= math.inf, "in (0, +inf]"),
             ("R", -math.inf < self.R < math.inf, "finite"),
-            ("M", 0.0 < self.M <= math.inf, "in (0, +inf]"),
         ):
             if not ok:
                 raise InvalidInput(f"{name} must be {rule}, got {getattr(self, name)}")
@@ -265,7 +262,7 @@ def make_noisy_quadratic(dim: int, eigs: Sequence[float], sigma: float = 0.0,
         raise InvalidInput(f"R = sum(eigs w1^2) / 2 must be finite, got eigs={eigs.tolist()}, "
                            f"w1={w1.tolist()}")
     return NoisyQuadratic(dim=dim, w1=w1, L=float(np.max(eigs)), rho=0.0, sigma=float(sigma),
-                          g_bound=math.inf, R=R, M=math.inf, eigs=eigs, noise_scale=float(sigma))
+                          g_bound=math.inf, R=R, eigs=eigs, noise_scale=float(sigma))
 
 
 def make_sign_noise(p: float) -> SignNoise:
@@ -273,22 +270,21 @@ def make_sign_noise(p: float) -> SignNoise:
 
     The population gradient is identically zero, yet the normalized sample
     has mean 1 - 2p > 0, so memoryless normalized descent drifts away from
-    the critical point. F is set to the constant 1 so that R = M = 1.
+    the critical point. F is set to the constant 1 so that R = 1.
     """
     if not (0.0 < p < 0.5):
         raise InvalidInput(f"p must lie in (0, 1/2), got {p}")
     return SignNoise(dim=1, w1=np.zeros(1), L=0.0, rho=0.0, sigma=math.sqrt(p * (1.0 - p)),
-                     g_bound=max(p, 1.0 - p), R=1.0, M=1.0, p=float(p))
+                     g_bound=max(p, 1.0 - p), R=1.0, p=float(p))
 
 
 def make_trig_bowl(dim: int, a: float, b: float, sigma: float = 0.0, w1: Sequence[float] | None = None) -> TrigBowl:
     """Separable non-convex bowl F(w) = sum_i a (1 - cos(b w_i)).
 
     All second and third derivatives are bounded (L = a b^2, rho = a b^3),
-    F is bounded above by M = 2 a d, and the oracle noise is bounded uniform
-    so the almost-sure gradient bound g_bound = a b sqrt(d) + sqrt(3) sigma
-    is finite. This is the workhorse for step-size rules that need every
-    constant finite.
+    and the oracle noise is bounded uniform so the almost-sure gradient
+    bound g_bound = a b sqrt(d) + sqrt(3) sigma is finite. This is the
+    workhorse for step-size rules that need every constant finite.
     """
     if not (0.0 < a < math.inf and 0.0 < b < math.inf):
         raise InvalidInput(f"a and b must be positive and finite, got a={a}, b={b}")
@@ -306,8 +302,8 @@ def make_trig_bowl(dim: int, a: float, b: float, sigma: float = 0.0, w1: Sequenc
     if not (L < math.inf and rho < math.inf and R < math.inf):
         raise InvalidInput(f"a b^2, a b^3 and a sum(1 - cos(b w1)) must be finite, got a={a}, b={b}")
     return TrigBowl(dim=dim, w1=w1, L=L, rho=rho, sigma=float(sigma),
-                    g_bound=a * b * math.sqrt(dim) + math.sqrt(3.0) * sigma, R=R, M=2.0 * a * dim,
-                    a=float(a), b=float(b), noise_scale=float(sigma))
+                    g_bound=a * b * math.sqrt(dim) + math.sqrt(3.0) * sigma, R=R, a=float(a), b=float(b),
+                    noise_scale=float(sigma))
 
 
 def make_streaming_least_squares(
@@ -353,7 +349,7 @@ def make_streaming_least_squares(
         raise InvalidInput(f"sigma^2 and R at w1 must be finite, got cov_eigs={cov_eigs.tolist()}, "
                            f"label_noise={label_noise}")
     return StreamingLeastSquares(dim=dim, w1=w1, L=float(np.max(cov_eigs)), rho=0.0,
-                                 sigma=math.sqrt(sig2), g_bound=math.inf, R=R, M=math.inf,
+                                 sigma=math.sqrt(sig2), g_bound=math.inf, R=R,
                                  cov_eigs=cov_eigs, label_noise=float(label_noise), w_star=w_star)
 
 
@@ -558,7 +554,7 @@ def with_constants(problem: StochasticProblem, **overrides) -> StochasticProblem
     Used to assert externally supplied constants (which certification then
     validates) and by fault-injection fixtures.
     """
-    allowed = {"L", "rho", "sigma", "g_bound", "R", "M"}
+    allowed = {"L", "rho", "sigma", "g_bound", "R"}
     bad = set(overrides) - allowed
     if bad:
         raise InvalidInput(f"cannot override {sorted(bad)}; allowed: {sorted(allowed)}")

@@ -166,7 +166,7 @@ class TestCriterion6AdaptiveInvariants:
         for t in range(1, 10_001):
             eta, alpha = tuner.rates(t)
             s, x, g = transport_step(s, lambda x: pb.noisy_grad(x, pb.sample_noise(rng, 1)[0]), eta,
-                                     (1.0 - alpha) / alpha, 1.0 - alpha, alpha, normalized_move)
+                                     1.0 - alpha, alpha, normalized_move, True)
             diff = g - pb.noisy_grad(x, pb.sample_noise(rng2, 1)[0])
             tuner.accumulate(t, float(diff @ diff))
             assert not tuner.events
@@ -235,8 +235,8 @@ class TestCriterion8MechanicalInvariants:
         for t in range(1, 501):
             prev = s.w
             beta = 0.0 if t == 1 else 0.9
-            s, _, _ = transport_step(s, lambda x: bowl.noisy_grad(x, bowl.sample_noise(rng, 1)[0]), eta, 0.0,
-                                     beta, 1.0 - beta, normalized_move)
+            s, _, _ = transport_step(s, lambda x: bowl.noisy_grad(x, bowl.sample_noise(rng, 1)[0]), eta,
+                                     beta, 1.0 - beta, normalized_move, False)
             if not s.no_move:
                 err = abs(float(np.linalg.norm(s.w - prev)) - eta)
                 assert err <= self._len_tol(prev, eta)
@@ -246,7 +246,7 @@ class TestCriterion8MechanicalInvariants:
         rng = RngStream(9, 0)
         st = StepState(w=bowl.w1, w_prev=bowl.w1, m=np.zeros(4))
         sample = lambda x: bowl.noisy_grad(x, bowl.sample_noise(rng, 1)[0])
-        st, _, _ = transport_step(st, sample, eta, 0.0, 0.0, 1.0, normalized_move)
+        st, _, _ = transport_step(st, sample, eta, 0.0, 1.0, normalized_move, True)
         prev = bowl.w1
         for _ in range(500):
             if not st.no_move:
@@ -255,7 +255,7 @@ class TestCriterion8MechanicalInvariants:
                 worst = max(worst, err)
                 checked += 1
             prev = st.w
-            st, _, _ = transport_step(st, sample, eta, 0.9 / (1.0 - 0.9), 0.9, 1.0 - 0.9, normalized_move)
+            st, _, _ = transport_step(st, sample, eta, 0.9, 1.0 - 0.9, normalized_move, True)
         # self-tuning method: step length equals its own eta_t
         tuner = SelfTuning(bowl.g_bound)
         sa = StepState(w=bowl.w1, w_prev=bowl.w1, m=np.zeros(4))
@@ -264,7 +264,7 @@ class TestCriterion8MechanicalInvariants:
             prev = sa.w
             eta_t, alpha = tuner.rates(t)
             sa, x, g = transport_step(sa, lambda x: bowl.noisy_grad(x, bowl.sample_noise(rng, 1)[0]), eta_t,
-                                      (1.0 - alpha) / alpha, 1.0 - alpha, alpha, normalized_move)
+                                      1.0 - alpha, alpha, normalized_move, True)
             diff = g - bowl.noisy_grad(x, bowl.sample_noise(rng2, 1)[0])
             tuner.accumulate(t, float(diff @ diff))
             if not sa.no_move:

@@ -283,7 +283,6 @@ NONFINITE_PROBES = [
     ("certify", TRIG_KEYS, "R", "nan", "R must be finite, got nan"),
     ("certify", TRIG_KEYS, "rho", "inf", "rho must be finite and >= 0, got inf"),
     ("run", TRIG_KEYS, "g_bound", "nan", "g_bound must be in (0, +inf], got nan"),
-    ("run", TRIG_KEYS, "M", "nan", "M must be in (0, +inf], got nan"),
     ("run", LS_KEYS, "label_noise", "nan", "label_noise must be finite and >= 0, got nan"),
     ("run", TRIG_KEYS, "a", "inf", "a and b must be positive and finite, got a=inf, b=1.0"),
     ("run", TRIG_KEYS, "a", "nan", "a and b must be positive and finite, got a=nan, b=1.0"),

@@ -195,7 +195,7 @@ class TestBuilders:
         direct = make(**keys)
         assert type(built) is type(direct) and built.kind == kind
         assert built.problem_id == direct.problem_id
-        for name in ("dim", "L", "rho", "sigma", "g_bound", "R", "M"):
+        for name in ("dim", "L", "rho", "sigma", "g_bound", "R"):
             assert getattr(built, name) == getattr(direct, name), name
         np.testing.assert_array_equal(built.w1, direct.w1)
 
@@ -326,12 +326,14 @@ class TestBaseRate:
         with pytest.raises(ConfigError):
             build_run_config(parse_experiment(MANUAL + extra))
 
-    # each repeated a key that sets the same value: the base rate, and the
-    # self-tuning method's bound (problem.g_bound)
+    # two repeated a key that sets the same value: the base rate, and the
+    # self-tuning method's bound (problem.g_bound); problem.M declared an
+    # upper bound on F that no code read
     @pytest.mark.parametrize("extra, message", [
         ("schedule.eta0 = 0.03\n", "unknown key 'eta0' in section 'schedule'"),
         ("optimizer.g_bound = 3.0\n", "unknown key 'g_bound' in section 'optimizer'"),
-    ], ids=["eta0", "optimizer_g_bound"])
+        ("problem.M = 100.0\n", "unknown key 'M' in section 'problem'"),
+    ], ids=["eta0", "optimizer_g_bound", "problem_M"])
     def test_deleted_keys_exit_one(self, tmp_path, capsys, extra, message):
         code, err = _exit_code_and_error(tmp_path, capsys, MANUAL + "optimizer.eta = 0.5\n" + extra)
         assert code == 1 and message in err

@@ -3,19 +3,20 @@ runner's oracle noise, of the output layer and of the command line against
 frozen copies of their earlier forms.
 
 The step takes the row norms of the momentum once and reads them three
-times (the move, the non-finite-sample check, the logged ``m_norm``);
-certification computes its L and rho ratios for all pairs at once; the
-runner draws each block's noise when the block starts, where a tape once
-drew it ahead on a cadence of its own; the CSV writer writes its rows a
-chunk at a time and a chart its polylines one at a time, where each once
-returned the text of its whole file; the command line loads a file once
-and passes its sections straight to the functions that read them, and
-refuses the keys its builders left unread, where read sets once stated
-them. The ``ref_*`` code below is the code they replaced, kept verbatim as
-the reference: every state byte, every exception (type, row and text),
-every certification report, every noise row a step reads, every output
-string and every command's exit code, stdout, stderr and written bytes
-must match it.
+times (the move, the non-finite-sample check, the logged ``m_norm``), and
+takes the transport weight from its momentum weights, where its callers
+once passed it in; certification computes its L and rho ratios for all
+pairs at once; the runner draws each block's noise when the block starts,
+where a tape once drew it ahead on a cadence of its own; the CSV writer
+writes its rows a chunk at a time and a chart its polylines one at a time,
+where each once returned the text of its whole file; the command line loads
+a file once and passes its sections straight to the functions that read
+them, and refuses the keys its builders left unread, where read sets once
+stated them. The ``ref_*`` code below is the code they replaced, kept
+verbatim as the reference: every state byte, every exception (type, row and
+text), every certification report, every noise row a step reads, every
+output string and every command's exit code, stdout, stderr and written
+bytes must match it.
 """
 
 import contextlib
@@ -471,7 +472,22 @@ def coefficient(values, S):
 
 
 ETAS = st.one_of(st.floats(0.0, 10.0), st.sampled_from([0.0, -0.0, -1.0, -1e-300, math.nan, math.inf]))
-KS = st.one_of(st.just(0.0), st.floats(-10.0, 10.0))
+# the self-tuning method's alpha_t: 1 at step 1, below it later, above it
+# when a corrupted accumulator pushes it there
+ALPHAS = st.one_of(st.just(1.0), st.floats(1e-6, 2.0))
+
+
+@st.composite
+def weights(draw, S):
+    """(beta, alpha) as the runner passes them: scalars for a fixed beta, or
+    the self-tuning method's ``(S, 1)`` columns with beta = 1 - alpha, whose
+    rows at alpha = 1 transport by k = 0 next to rows that do not."""
+    if draw(st.booleans()):
+        beta = draw(st.one_of(st.sampled_from([0.0, 0.5, 0.9]), st.floats(0.0, 1.0)))
+        # alpha above one (a corrupted self-tuning weight) lets a finite g overflow m
+        return beta, draw(st.sampled_from([1.0 - beta, 1.0, 2.0]))
+    alpha = np.array(draw(st.lists(ALPHAS, min_size=S, max_size=S)))[:, None]
+    return 1.0 - alpha, alpha
 
 
 @st.composite
@@ -480,21 +496,27 @@ def step_inputs(draw):
     w = np.array(draw(st.lists(st.floats(-1e3, 1e3), min_size=S * d, max_size=S * d))).reshape(S, d)
     w_prev = np.array(draw(st.lists(st.floats(-1e3, 1e3), min_size=S * d, max_size=S * d))).reshape(S, d)
     m, g = draw(rows(S, d)), draw(rows(S, d, nonfinite=True))
-    eta, k = draw(coefficient(ETAS, S)), draw(coefficient(KS, S))
-    beta = draw(st.one_of(st.sampled_from([0.0, 0.5, 0.9]), st.floats(0.0, 1.0)))
-    # alpha above one (a corrupted self-tuning weight) lets a finite g overflow m
-    alpha = draw(st.sampled_from([1.0 - beta, 1.0, 2.0]))
-    if S == 1 and draw(st.booleans()):  # one vector, not a batch
+    eta, (beta, alpha) = draw(coefficient(ETAS, S)), draw(weights(S))
+    vector = S == 1 and draw(st.booleans())  # one vector, not a batch
+    if S == 1 and isinstance(alpha, np.ndarray) and (vector or draw(st.booleans())):
+        beta, alpha = beta[0, 0], alpha[0, 0]  # numpy scalars, as the runner passes one seed's rates
+    if vector:
         w, w_prev, m, g = w[0], w_prev[0], m[0], g[0]
-        eta, k = (float(np.ravel(c)[0]) for c in (eta, k))
-    return StepState(w=w, w_prev=w_prev, m=m), g, eta, k, beta, alpha
+        eta = float(np.ravel(eta)[0])
+    return StepState(w=w, w_prev=w_prev, m=m), g, eta, beta, alpha, draw(st.booleans())
+
+
+def ref_step(s, sample, eta, beta, alpha, move, transport):
+    """The step the runner asks for, in the reference's terms: it transports
+    by k = beta / alpha, or queries w itself (k = 0)."""
+    return ref_transport_step(s, sample, eta, beta / alpha if transport else 0.0, beta, alpha, move)
 
 
 def outcome(step, args):
     """What ``step(*args)`` returns, or the type, text and row of what it raises."""
     try:
         return step(*args)
-    except (NonFiniteGradient, InvalidInput) as e:
+    except (NonFiniteGradient, InvalidInput, ZeroDivisionError) as e:  # beta / alpha at alpha = 0.0
         return "raised", type(e).__name__, str(e), getattr(e, "row", None)
 
 
@@ -511,23 +533,23 @@ class TestTransportStep:
     @settings(max_examples=600)
     @given(step_inputs(), st.sampled_from(["normalized", "plain"]))
     def test_step_matches_the_per_call_step(self, inputs, kind):
-        s, g, eta, k, beta, alpha = inputs
+        s, g, eta, beta, alpha, transport = inputs
         move, ref_move = {"normalized": (normalized_move, ref_normalized_move),
                           "plain": (plain_move, ref_plain_move)}[kind]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            ref = outcome(ref_transport_step, (s, lambda x: g, eta, k, beta, alpha, ref_move))
+            ref = outcome(ref_step, (s, lambda x: g, eta, beta, alpha, ref_move, transport))
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             try:
-                new = outcome(transport_step, (s, lambda x: g, eta, k, beta, alpha, move))
+                new = outcome(transport_step, (s, lambda x: g, eta, beta, alpha, move, transport))
             except RuntimeWarning as w:
                 # only the plain move can overflow (eta m) or meet 0 * inf, as it always could
                 assert kind == "plain", w
                 with warnings.catch_warnings():
                     warnings.simplefilter("error", RuntimeWarning)
                     with pytest.raises(RuntimeWarning, match=str(w)):
-                        ref_transport_step(s, lambda x: g, eta, k, beta, alpha, ref_move)
+                        ref_step(s, lambda x: g, eta, beta, alpha, ref_move, transport)
                 return
         if raised(ref):
             assert new == ref
@@ -546,16 +568,18 @@ class TestTransportStep:
             warnings.simplefilter("error", RuntimeWarning)
             for alpha in (0.0, 1.0):  # 0 * inf and inf - inf are invalid operations
                 with pytest.raises(NonFiniteGradient) as e:
-                    transport_step(s, lambda x: g, 0.1, 0.0, 1.0, alpha, normalized_move)
+                    transport_step(s, lambda x: g, 0.1, 1.0, alpha, normalized_move, False)
                 assert (e.value.row, str(e.value)) == (1, "gradient sample contains NaN or Inf")
 
     @pytest.mark.parametrize("kind", ["normalized", "plain"])
-    def test_an_empty_batch_steps_as_before(self, kind):
+    @pytest.mark.parametrize("transport", [False, True])
+    @pytest.mark.parametrize("alpha", [0.1, np.empty((0, 1))], ids=["scalar", "column"])
+    def test_an_empty_batch_steps_as_before(self, kind, transport, alpha):
         move, ref_move = {"normalized": (normalized_move, ref_normalized_move),
                           "plain": (plain_move, ref_plain_move)}[kind]
         s = StepState(w=np.empty((0, 3)), w_prev=np.empty((0, 3)), m=np.empty((0, 3)))
-        args = (s, lambda x: x, 0.1, 0.0, 0.9, 0.1)
-        assert state_bytes(transport_step(*args, move)) == state_bytes(ref_transport_step(*args, ref_move))
+        args = (s, lambda x: x, 0.1, 1.0 - alpha, alpha)
+        assert state_bytes(transport_step(*args, move, transport)) == state_bytes(ref_step(*args, ref_move, transport))
         assert [a.shape for a in normalize(s.m)] == [a.shape for a in ref_normalize(s.m)] == [(0, 3), (0,)]
         assert paired_sq_diff(s.m, s.m).shape == (0,)
 
@@ -1342,7 +1366,7 @@ USUAL = {
     "problem.sigma": [0.5], "problem.p": [0.25], "problem.a": [1.0], "problem.b": [1.0, 2.0],
     "problem.cov_eigs": [1.0, 0.5], "problem.label_noise": [0.3], "problem.w1": [1.0, 2.0],
     "problem.w_star": [0.0], "problem.L": [1.0, 10.0], "problem.rho": [0.0, 1.0], "problem.g_bound": [50.0],
-    "problem.R": [10.0], "problem.M": [100.0],
+    "problem.R": [10.0],
     "optimizer.id": list(harness.OPTIMIZER_IDS), "optimizer.eta": [0.01, 0.1], "optimizer.beta": [0.5, 0.9],
     "optimizer.theorem": ["1", "2"], "optimizer.layers": [0, 1, 2], "optimizer.lr_scale": [1.0, 10.0],
     "schedule.kind": ["constant", "warmup_poly_decay"], "schedule.warmup_steps": [5], "schedule.power": [1, 2],
@@ -1363,7 +1387,7 @@ NEEDS = {"run": ("optimizer.id", "optimizer.eta", "run.T"), "sweep": ("optimizer
          "bounds": ("optimizer.id", "run.T_grid")}
 # keys whose defaults are large, always drawn
 SIZES = {"certify": ("certify.n_pairs",), "igt-check": ("igt_check.checkpoints", "igt_check.n_runs")}
-RARE = {"problem.L", "problem.rho", "problem.g_bound", "problem.R", "problem.M", "optimizer.theorem",
+RARE = {"problem.L", "problem.rho", "problem.g_bound", "problem.R", "optimizer.theorem",
         "optimizer.layers", "optimizer.lr_scale", "schedule.warmup_steps", "schedule.power",
         "schedule.weight_norm_scaling", "run.T_grid", "run.seeds", "run.n_seeds", "run.master_seed",
         "run.record_exact", "output.formats"}
@@ -1475,15 +1499,22 @@ def invoke(main_fn, argvs, outs):
     return results, files, [str(w.message) for w in caught]
 
 
+# the keys of the written schema that are gone: problem.M, an upper bound on
+# F that the problems declared and no code read
+DELETED_KEYS = {"problem.M"}
+
+
 class TestDerivedSchema:
     """The schema taken from the signatures of the functions that read each
-    section is the one written out by hand before: the same sections, keys,
-    order and value types, so ``serialize_experiment`` writes the same bytes."""
+    section is the one written out by hand before, less its deleted keys:
+    the same sections, keys, order and value types, so
+    ``serialize_experiment`` writes the same bytes."""
 
     def test_sections_keys_order_and_types_match_the_written_schema(self):
         assert [(section, list(keys.items())) for section, keys in _SCHEMA.items()] == \
-            [(section, list(keys.items())) for section, keys in REF_SCHEMA.items()]
-        assert sum(map(len, _SCHEMA.values())) == 39
+            [(section, [(key, typ) for key, typ in keys.items() if f"{section}.{key}" not in DELETED_KEYS])
+             for section, keys in REF_SCHEMA.items()]
+        assert sum(map(len, _SCHEMA.values())) == 38
 
     @pytest.mark.parametrize("path", sorted((Path(__file__).parent.parent / "perfbench" / "workloads").glob("*.cfg"))
                              + [Path(__file__).parent / "golden" / "golden_run.cfg"], ids=lambda p: p.name)

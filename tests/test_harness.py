@@ -132,14 +132,25 @@ class TestRunSemantics:
 
         rng = RngStream(seed, 0)
         s = StepState(w=pb.w1, w_prev=pb.w1, m=np.zeros(pb.dim))
-        sample = lambda x: pb.noisy_grad(x, pb.sample_noise(rng, 1)[0])
-        s, _, _ = transport_step(s, sample, eta, 0.0, 0.0, 1.0, normalized_move)
+        xs = []  # the query points, in step order
+
+        def sample(x):
+            xs.append(x)
+            return pb.noisy_grad(x, pb.sample_noise(rng, 1)[0])
+
+        s, _, _ = transport_step(s, sample, eta, 0.0, 1.0, normalized_move, True)
         w_seq = [pb.w1, s.w]
         m_seq = [s.m]
         for _ in range(T - 1):
-            s, _, _ = transport_step(s, sample, eta, beta / (1.0 - beta), beta, 1.0 - beta, normalized_move)
+            s, _, _ = transport_step(s, sample, eta, beta, 1.0 - beta, normalized_move, True)
             w_seq.append(s.w)
             m_seq.append(s.m)
+        # the step's query points are the transport rule written out by hand,
+        # so a fault in the rule the step and the runner share fails here
+        assert xs[0].tobytes() == pb.w1.tobytes()
+        for t in range(1, T):
+            w, w_prev = w_seq[t], w_seq[t - 1]
+            assert xs[t].tobytes() == (w + beta / (1 - beta) * (w - w_prev)).tobytes()
         assert len(rec.eta) == T
         for i in range(T):
             g_exact = pb.exact_grad(w_seq[i])

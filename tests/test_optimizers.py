@@ -56,16 +56,16 @@ def start(w1, m=None) -> StepState:
 
 
 def transport(s, pb, rng, eta, beta, move=normalized_move) -> StepState:
-    """The nigt coefficients: k = beta/(1-beta), alpha = 1 - beta; the
-    first step passes beta = 0, which makes m the first sample."""
-    return transport_step(s, oracle(pb, rng), eta, beta / (1.0 - beta), beta, 1.0 - beta, move)[0]
+    """The nigt coefficients: alpha = 1 - beta, transported; the first
+    step passes beta = 0, which makes m the first sample."""
+    return transport_step(s, oracle(pb, rng), eta, beta, 1.0 - beta, move, True)[0]
 
 
 def self_tuning_step(s, tuner, t, pb, rng, rng_paired):
     """Step t of the self-tuning method, composed as the runner does;
     returns the new state and the step's alpha."""
     eta, alpha = tuner.rates(t)
-    out, x, g = transport_step(s, oracle(pb, rng), eta, (1.0 - alpha) / alpha, 1.0 - alpha, alpha, normalized_move)
+    out, x, g = transport_step(s, oracle(pb, rng), eta, 1.0 - alpha, alpha, normalized_move, True)
     diff = g - pb.noisy_grad(x, pb.sample_noise(rng_paired, 1)[0])
     tuner.accumulate(t, float(diff @ diff))
     return out, alpha
@@ -81,13 +81,13 @@ def step_length_tol(w, eta):
 class TestNsgdmStep:
     def test_no_momentum_reduces_to_normalized_sgd(self):
         s = StepState(w=np.zeros(2), w_prev=np.zeros(2), m=np.array([9.0, -9.0]))
-        out, _, _ = transport_step(s, fixed([3.0, 4.0]), 0.1, 0.0, 0.0, 1.0, normalized_move)
+        out, _, _ = transport_step(s, fixed([3.0, 4.0]), 0.1, 0.0, 1.0, normalized_move, False)
         np.testing.assert_allclose(out.w, [-0.06, -0.08], rtol=0, atol=1e-16)
         np.testing.assert_array_equal(out.m, [3.0, 4.0])  # beta=0 keeps the sample exactly
 
     def test_collinear_step_length_exact(self):
         s = StepState(w=np.array([1.0, 0.0]), w_prev=np.array([1.0, 0.0]), m=np.array([1.0, 0.0]))
-        out, _, _ = transport_step(s, fixed([1.0, 0.0]), 0.5, 0.0, 0.7, 1.0 - 0.7, normalized_move)
+        out, _, _ = transport_step(s, fixed([1.0, 0.0]), 0.5, 0.7, 1.0 - 0.7, normalized_move, False)
         np.testing.assert_array_equal(out.w, [0.5, 0.0])
         assert float(np.linalg.norm(out.w - s.w)) == 0.5
 
@@ -97,8 +97,7 @@ class TestNsgdmStep:
         st.floats(1e-6, 10.0), st.floats(0.0, 0.99))))
     def test_every_normalized_step_has_length_eta(self, case):
         w, m, g, eta, beta = case
-        out, _, _ = transport_step(StepState(w, w, m), fixed(g),
-                                   eta, 0.0, beta, 1.0 - beta, normalized_move)
+        out, _, _ = transport_step(StepState(w, w, m), fixed(g), eta, beta, 1.0 - beta, normalized_move, False)
         assume(np.linalg.norm(out.m) > NORM_FLOOR)  # else a recorded no-move
         assert not out.no_move
         length = float(np.linalg.norm(out.w - w))
@@ -115,10 +114,10 @@ class TestNsgdmStep:
         scale = np.array([[10.0 ** r[3]] for r in rows])
         m, g = m * scale, g * scale
         eta = np.array([[r[4]] for r in rows])
-        out, _, _ = transport_step(StepState(w, w, m), fixed(g), eta, 0.0, beta, 1.0 - beta, normalized_move)
+        out, _, _ = transport_step(StepState(w, w, m), fixed(g), eta, beta, 1.0 - beta, normalized_move, False)
         for i in range(len(rows)):
-            alone, _, _ = transport_step(StepState(w[i], w[i], m[i]), fixed(g[i]), eta[i, 0], 0.0, beta, 1.0 - beta,
-                                         normalized_move)
+            alone, _, _ = transport_step(StepState(w[i], w[i], m[i]), fixed(g[i]), eta[i, 0], beta, 1.0 - beta,
+                                         normalized_move, False)
             assert out.w[i].tobytes() == alone.w.tobytes() and bool(out.no_move[i]) == bool(alone.no_move)
             if not out.no_move[i]:
                 length = float(np.linalg.norm(out.w[i] - w[i]))
@@ -126,14 +125,14 @@ class TestNsgdmStep:
 
     def test_singular_momentum_is_no_move(self):
         s = start([1.0, 2.0])
-        out, _, _ = transport_step(s, fixed([0.0, 0.0]), 0.1, 0.0, 0.5, 0.5, normalized_move)
+        out, _, _ = transport_step(s, fixed([0.0, 0.0]), 0.1, 0.5, 0.5, normalized_move, False)
         assert out.no_move
         np.testing.assert_array_equal(out.w, s.w)
 
     def test_rejects_nonfinite_gradient(self):
         s = start(np.zeros(2))
         with pytest.raises(NonFiniteGradient):
-            transport_step(s, fixed([np.nan, 0.0]), 0.1, 0.0, 0.0, 1.0, normalized_move)
+            transport_step(s, fixed([np.nan, 0.0]), 0.1, 0.0, 1.0, normalized_move, False)
 
     def test_rejects_bad_beta(self):
         cfg = RunConfig(problem=make_sign_noise(0.25), optimizer_id="nsgdm", T=1, seeds=(1,), eta=0.1, beta=1.0)
@@ -146,8 +145,7 @@ class TestIgtExtrapolate:
     def query_point(w, w_prev, beta):
         s = StepState(w=np.asarray(w, dtype=np.float64), w_prev=np.asarray(w_prev, dtype=np.float64),
                       m=np.zeros(len(w)))
-        return transport_step(s, fixed(np.ones(len(w))), 0.0, beta / (1.0 - beta),
-                              beta, 1.0 - beta, plain_move)[1]
+        return transport_step(s, fixed(np.ones(len(w))), 0.0, beta, 1.0 - beta, plain_move, True)[1]
 
     def test_beta_09(self):
         assert self.query_point([1.0], [0.0], 0.9)[0] == pytest.approx(10.0, rel=1e-12)
@@ -206,7 +204,7 @@ class TestNigt:
         s = transport(start(pb.w1), pb, rng, eta, 0.0)
         err = s.m - pb.exact_grad(s.w_prev)  # m_1 - gradF(w_1)
         for _ in range(100):
-            nxt, x_next, g = transport_step(s, oracle(pb, rng), eta, beta / (1.0 - beta), beta, alpha, normalized_move)
+            nxt, x_next, g = transport_step(s, oracle(pb, rng), eta, beta, alpha, normalized_move, True)
             eps_next = g - pb.exact_grad(x_next)
             predicted = (1.0 - alpha) * err + alpha * eps_next
             actual = nxt.m - pb.exact_grad(s.w)  # anchored at the pre-move iterate
@@ -225,7 +223,7 @@ class TestNigt:
         s = transport(start(pb.w1), pb, rng, eta, 0.0)
         err = s.m - pb.exact_grad(s.w_prev)  # anchored at the pre-move iterate
         for _ in range(60):
-            nxt, x_t, g = transport_step(s, oracle(pb, rng), eta, beta / (1.0 - beta), beta, alpha, normalized_move)
+            nxt, x_t, g = transport_step(s, oracle(pb, rng), eta, beta, alpha, normalized_move, True)
             eps_t = g - pb.exact_grad(x_t)
             z_step = taylor_remainder(pb, s.w_prev, s.w)
             z_extrap = taylor_remainder(pb, x_t, s.w)
@@ -372,19 +370,19 @@ class TestAdaptive:
 class TestBaselines:
     def test_sgd_step(self):
         s = start(np.zeros(2))
-        out, _, _ = transport_step(s, fixed([1.0, 0.0]), 0.1, 0.0, 0.0, 1.0, plain_move)
+        out, _, _ = transport_step(s, fixed([1.0, 0.0]), 0.1, 0.0, 1.0, plain_move, False)
         np.testing.assert_allclose(out.w, [-0.1, 0.0], atol=1e-16)
 
     def test_heavy_ball_beta_zero_equals_sgd(self):
         s = StepState(w=np.array([1.0, 1.0]), w_prev=np.array([1.0, 1.0]), m=np.array([5.0, 5.0]))
         g = np.array([0.5, -0.25])
         np.testing.assert_array_equal(
-            transport_step(s, fixed(g), 0.2, 0.0, 0.0, 1.0, plain_move)[0].w, s.w - 0.2 * g
+            transport_step(s, fixed(g), 0.2, 0.0, 1.0, plain_move, False)[0].w, s.w - 0.2 * g
         )
 
     def test_heavy_ball_pure_momentum(self):
         s = StepState(w=np.zeros(2), w_prev=np.zeros(2), m=np.array([1.0, 0.0]))
-        out, _, _ = transport_step(s, fixed([0.0, 0.0]), 1.0, 0.0, 0.5, 0.5, plain_move)
+        out, _, _ = transport_step(s, fixed([0.0, 0.0]), 1.0, 0.5, 0.5, plain_move, False)
         np.testing.assert_allclose(out.w, [-0.5, 0.0], atol=1e-16)
 
 
@@ -395,7 +393,7 @@ class TestMomentumHull:
         m = pb.noisy_grad(pb.w1, pb.sample_noise(rng, 1)[0])
         s = StepState(w=pb.w1, w_prev=pb.w1, m=m)
         for _ in range(2000):
-            s, _, _ = transport_step(s, oracle(pb, rng), 0.01, 0.0, 0.9, 1.0 - 0.9, normalized_move)
+            s, _, _ = transport_step(s, oracle(pb, rng), 0.01, 0.9, 1.0 - 0.9, normalized_move, False)
             assert -0.75 <= s.m[0] <= 0.25
 
 
@@ -547,7 +545,7 @@ class TestBetaZeroDegeneracy:
         s = start(pb.w1)
         w_nsgdm = [pb.w1]
         for _ in range(T):
-            s, _, _ = transport_step(s, oracle(pb, rng), eta, 0.0, 0.0, 1.0, normalized_move)
+            s, _, _ = transport_step(s, oracle(pb, rng), eta, 0.0, 1.0, normalized_move, False)
             w_nsgdm.append(s.w)
 
         # transport method with beta = 0 (extrapolation collapses to w)

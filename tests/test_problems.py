@@ -111,7 +111,7 @@ class TestSignNoise:
         pb = make_sign_noise(0.25)
         # variance of the two-point law: (1-p) p^2 + p (1-p)^2
         assert pb.sigma**2 == pytest.approx(0.1875, abs=1e-15)
-        assert pb.g_bound == 0.75 and pb.R == 1.0 and pb.M == 1.0 and pb.L == 0.0
+        assert pb.g_bound == 0.75 and pb.R == 1.0 and pb.L == 0.0
         np.testing.assert_array_equal(pb.exact_grad(pb.w1), [0.0])
         assert pb.exact_value(pb.w1) == 1.0
 
@@ -138,12 +138,11 @@ class TestTrigBowl:
         assert pb.exact_value([math.pi]) == pytest.approx(2.0, rel=1e-15)
         assert pb.exact_grad([math.pi])[0] == pytest.approx(0.0, abs=1e-15)
         assert pb.exact_grad([math.pi / 2])[0] == pytest.approx(1.0, rel=1e-15)
-        assert pb.M == 2.0
 
     def test_declared_constants_match_fd_oracle(self):
-        # d=2, a=1, b=2: L = a b^2 = 4, rho = a b^3 = 8, M = 2 a d = 4
+        # d=2, a=1, b=2: L = a b^2 = 4, rho = a b^3 = 8
         pb = make_trig_bowl(2, 1.0, 2.0, 0.0)
-        assert pb.L == 4.0 and pb.rho == 8.0 and pb.M == 4.0
+        assert pb.L == 4.0 and pb.rho == 8.0
         rng = np.random.default_rng(3)
         max_op = 0.0
         max_third = 0.0
@@ -157,13 +156,6 @@ class TestTrigBowl:
         assert max_op == pytest.approx(4.0, rel=0.01)
         assert max_third <= pb.rho * 1.001
         assert max_third == pytest.approx(8.0, rel=0.05)
-
-    def test_value_bounded_by_m(self):
-        pb = make_trig_bowl(3, 0.5, 2.0, 0.0)
-        rng = np.random.default_rng(8)
-        vals = [pb.exact_value(rng.uniform(-20, 20, size=3)) for _ in range(2000)]
-        assert max(vals) <= pb.M
-        assert max(vals) >= 0.95 * pb.M  # the bound is tight
 
     def test_noise_is_bounded_and_scaled(self):
         pb = make_trig_bowl(4, 1.0, 1.0, 0.5)
@@ -282,16 +274,14 @@ class TestSharedInvariants:
         ("L", math.nan), ("L", math.inf), ("L", -1.0), ("rho", math.nan), ("rho", math.inf),
         ("sigma", math.nan), ("sigma", -0.5), ("g_bound", math.nan), ("g_bound", 0.0),
         ("g_bound", -math.inf), ("R", math.nan), ("R", math.inf), ("R", -math.inf),
-        ("M", math.nan), ("M", 0.0),
     ])
     def test_each_constant_refuses_a_value_outside_its_domain(self, name, value):
         with pytest.raises(InvalidInput, match=f"^{name} must be "):
             with_constants(make_trig_bowl(2, 1.0, 1.0, 0.5), **{name: value})
 
     def test_domain_edges_are_accepted(self):
-        pb = with_constants(make_trig_bowl(2, 1.0, 1.0, 0.5), L=0.0, rho=0.0, g_bound=math.inf,
-                            R=-1.0, M=math.inf)
-        assert (pb.L, pb.g_bound, pb.R, pb.M) == (0.0, math.inf, -1.0, math.inf)
+        pb = with_constants(make_trig_bowl(2, 1.0, 1.0, 0.5), L=0.0, rho=0.0, g_bound=math.inf, R=-1.0)
+        assert (pb.L, pb.g_bound, pb.R) == (0.0, math.inf, -1.0)
 
     def test_taylor_remainder_zero_at_equal_points(self):
         pb = make_trig_bowl(2, 1.0, 1.0, 0.0)
