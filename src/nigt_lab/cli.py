@@ -35,7 +35,6 @@ from .harness import (
     rate_diagnostic,
     run,
 )
-from .optimizers import METHODS
 from .problems import certify_constants
 from .core import RngStream
 from .reports import json_dumps, refuse_stale_seeds, write_report, write_run_outputs
@@ -60,8 +59,6 @@ class _Parser(argparse.ArgumentParser):
 def cmd_run(exp, args, out_dir) -> int:
     formats = output_formats(exp)
     cfg, bound = build_run_config(exp, args.seeds, args.master_seed)
-    if cfg.eta is None and not METHODS[cfg.optimizer_id].self_tuning:  # a sweep sets the rate, a run reads it
-        raise ConfigError("manual runs need optimizer.eta")
     refuse_unread(exp, args.command)
     refuse_stale_seeds(out_dir, cfg.seeds, formats)
     records = run(cfg)

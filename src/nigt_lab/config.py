@@ -268,7 +268,8 @@ def build_schedule(exp: ExperimentFile, opt_id: str | None = None) -> Schedule:
         raise ConfigError(f"invalid schedule section: {e}") from e
 
 
-def build_partition(exp: ExperimentFile, dim: int) -> LayerPartition | None:
+def build_partition(exp: ExperimentFile) -> LayerPartition | None:
+    """The layers and their rate scales, or None; RunConfig checks the cover."""
     op = exp.optimizer
     if "layers" not in op:
         return None
@@ -278,11 +279,9 @@ def build_partition(exp: ExperimentFile, dim: int) -> LayerPartition | None:
     ranges = tuple((bounds[i], bounds[i + 1]) for i in range(len(bounds) - 1))
     scales = tuple(op.get("lr_scale", [1.0] * len(ranges)))
     try:
-        part = LayerPartition(ranges=ranges, lr_scale=scales)
-        part.validate_cover(dim)
+        return LayerPartition(ranges=ranges, lr_scale=scales)
     except Exception as e:
         raise ConfigError(f"invalid layer partition: {e}") from e
-    return part
 
 
 def master_seed(exp: ExperimentFile, override: int | None = None) -> int:
@@ -320,10 +319,10 @@ def resolve_seeds(exp: ExperimentFile, T_key: str, T: int, n_seeds_override: int
 
 def resolve_rate(exp: ExperimentFile, opt_id: str, problem, T: int, sweep: bool = False):
     """(eta, beta, bound) of method ``opt_id`` for one horizon: the theorem's
-    eta, beta and ceiling, else optimizer.eta (None when unset), optimizer.beta
-    (0.9) and no ceiling. The self-tuning method tunes itself, sgd has no
-    beta, and each grid point of a sweep sets the rate, so a sweep of the
-    self-tuning method is refused."""
+    eta, beta and ceiling, else optimizer.eta (required), optimizer.beta (0.9)
+    and no ceiling, whose domains RunConfig checks. The self-tuning method
+    tunes itself, sgd has no beta, and a sweep's grid sets the rate (None
+    here), so a sweep of the self-tuning method is refused."""
     op, method = exp.optimizer, METHODS[opt_id]
     if method.self_tuning:
         if sweep:
@@ -342,10 +341,8 @@ def resolve_rate(exp: ExperimentFile, opt_id: str, problem, T: int, sweep: bool 
         except (InvalidInput, ArithmeticError) as e:  # constants outside a rule's domain
             raise ConfigError(f"invalid hyperparameters: {e}") from e
         return params.eta, params.beta, bound
-    eta, beta = None if sweep else op.get("eta"), op.get("beta", 0.9) if method.momentum else 0.9
-    if eta is not None and not (eta > 0.0 and 0.0 <= beta < 1.0):
-        raise ConfigError(f"invalid hyperparameters: need eta > 0 and beta in [0, 1), got eta = {eta}, beta = {beta}")
-    return eta, beta, None
+    eta = None if sweep else _require(op, "eta", "optimizer")
+    return eta, op.get("beta", 0.9) if method.momentum else 0.9, None
 
 
 def build_run_config(exp: ExperimentFile, n_seeds_override: int | None = None,
@@ -370,7 +367,7 @@ def build_run_config(exp: ExperimentFile, n_seeds_override: int | None = None,
             beta=beta,
             schedule=schedule,
             record_exact=exp.run.get("record_exact", True),
-            partition=build_partition(exp, problem.dim) if METHODS[opt_id].move is blockwise_move else None,
+            partition=build_partition(exp) if METHODS[opt_id].move is blockwise_move else None,
         )
     except InvalidInput as e:
         raise ConfigError(f"invalid run configuration: {e}") from e
@@ -389,9 +386,7 @@ def bounds_settings(exp: ExperimentFile, n_seeds_override: int | None = None,
     then certifies the problem's constants, whose size is checked here,
     before any horizon runs."""
     problem = build_problem(exp)
-    if "T_grid" not in exp.run:
-        raise ConfigError("bounds needs run.T_grid")
-    T_grid = exp.run["T_grid"]
+    T_grid = _require(exp.run, "T_grid", "run")
     seeds = resolve_seeds(exp, "max(run.T_grid)", max(T_grid), n_seeds_override, master_seed_override, problem.dim)
     cert_points(problem, CONTAINMENT_PAIRS)
     return problem, _require(exp.optimizer, "id", "optimizer"), T_grid, seeds

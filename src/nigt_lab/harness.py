@@ -65,12 +65,14 @@ SPLIT_CELLS = 4096
 
 @dataclass(frozen=True, eq=False)
 class RunConfig:
+    """A run of one method; its checks are the one statement of a run's rates."""
+
     problem: StochasticProblem
     optimizer_id: str
     T: int
     seeds: tuple[int, ...]
-    eta: float | None = None  # base rate, before the schedule; the self-tuning method takes none
-    beta: float = 0.9
+    eta: float | None = None  # base rate, before the schedule: finite and > 0, or None (sweep base, self-tuning method)
+    beta: float = 0.9  # in [0, 1) for a momentum method with a base rate (sgd and self-tuning read none)
     schedule: Schedule = field(default_factory=Schedule)
     record_exact: bool = True
     partition: LayerPartition | None = None
@@ -79,6 +81,16 @@ class RunConfig:
         if self.optimizer_id not in OPTIMIZER_IDS:
             raise InvalidInput(f"unknown optimizer {self.optimizer_id!r}; known: {OPTIMIZER_IDS}")
         method = METHODS[self.optimizer_id]
+        if method.self_tuning and self.eta is not None:
+            raise InvalidInput(f"the self-tuning method sets its own step sizes; it takes no eta, got {self.eta}")
+        if not method.self_tuning and self.eta is not None and not 0.0 < self.eta < math.inf:
+            raise InvalidInput(f"{self.optimizer_id} needs a base rate: eta must be finite and > 0, got {self.eta}")
+        if method.momentum and not method.self_tuning and not 0.0 <= self.beta < 1.0:
+            raise InvalidInput(f"beta must lie in [0, 1), got {self.beta}")
+        if self.partition is not None:
+            if method.move is not blockwise_move:
+                raise InvalidInput(f"{self.optimizer_id} moves every coordinate as one; it takes no layer partition")
+            self.partition.validate_cover(self.problem.dim)
         if self.T < 1:
             raise InvalidInput(f"T must be >= 1, got {self.T}")
         if self.schedule.kind != "constant" and self.schedule.warmup_steps >= self.T:
@@ -90,12 +102,6 @@ class RunConfig:
             raise InvalidInput("seeds must be distinct")
         if method.self_tuning and self.schedule.kind != "constant":
             raise InvalidInput("the self-tuning method sets its own step sizes; use a constant schedule")
-        if method.self_tuning and self.eta is not None:
-            raise InvalidInput(f"the self-tuning method sets its own step sizes; it takes no eta, got {self.eta}")
-        if self.partition is not None:
-            if method.move is not blockwise_move:
-                raise InvalidInput(f"{self.optimizer_id} moves every coordinate as one; it takes no layer partition")
-            self.partition.validate_cover(self.problem.dim)
         object.__setattr__(self, "seeds", seeds)
 
 
@@ -224,11 +230,9 @@ def _lockstep(cfg: RunConfig) -> list[TrajectoryRecord]:
     tuners = [SelfTuning(pb.g_bound) for _ in seeds] if method.self_tuning else []
     if not method.self_tuning:
         base_eta = cfg.eta
-        if base_eta is None or not (0.0 <= base_eta < math.inf):
-            raise InvalidInput(f"{cfg.optimizer_id} needs a base rate: eta must be finite and >= 0, got {base_eta}")
+        if base_eta is None:  # a sweep's base; RunConfig checks a rate that is set
+            raise InvalidInput(f"{cfg.optimizer_id} needs a base rate, got eta = None")
         beta = cfg.beta if method.momentum else 0.0  # sgd is memoryless: the momentum is the latest sample
-        if not (0.0 <= beta < 1.0):
-            raise InvalidInput(f"beta must lie in [0, 1), got {beta}")
     scale_by_norm = sch.weight_norm_scaling and method.move is not blockwise_move  # that one scales per layer
     move = method.move
     if move is blockwise_move:
@@ -484,9 +488,12 @@ def bound_acceptance(
     and query point actually visited.
     """
     seeds = tuple(int(s) for s in seeds)
+    T_grid = sorted(int(t) for t in T_grid)
+    if len(set(T_grid)) != len(T_grid):
+        raise InvalidInput(f"T_grid must be distinct, got {T_grid}")
     rows = []
     max_disp = 0.0
-    for T in sorted(int(t) for t in T_grid):
+    for T in T_grid:
         params, bound = tuned(optimizer_id, problem, T)
         recs = run(RunConfig(problem=problem, optimizer_id=optimizer_id, T=T, seeds=seeds,
                              eta=params.eta, beta=params.beta))
@@ -550,23 +557,23 @@ def grid_sweep(base: RunConfig, eta_grid: Sequence[float] = DEFAULT_ETA_GRID) ->
     seed diverges is recorded with the step where the first such seed (in
     seed order) did, and ranked last. Seeds are shared across grid points
     so comparisons see identical noise realizations. ``base`` is a method
-    with a base rate: a self-tuning base raises :class:`InvalidInput` at the
-    first rate, which its run configuration refuses.
+    with a base rate. Every point's run configuration is built before any
+    point runs, so a refused rate or a self-tuning base runs nothing.
     """
     if not base.record_exact:
         raise InvalidInput("grid sweep ranks by exact gradient norms; set record_exact")
-    grid = tuple(float(e) for e in eta_grid)
-    if not grid:
+    points = [replace(base, eta=float(e)) for e in eta_grid]
+    if not points:
         raise InvalidInput("eta_grid must be non-empty")
     rows = []
-    for eta0 in grid:
+    for cfg in points:
         try:
-            recs = run(replace(base, eta=eta0))
+            recs = run(cfg)
         except Diverged as e:
-            rows.append(SweepRow(eta0=eta0, final_grad_norm=None, diverged_at=e.step))
+            rows.append(SweepRow(eta0=cfg.eta, final_grad_norm=None, diverged_at=e.step))
             continue
         metric = float(np.mean([r.grad_norm[-1] for r in recs]))
-        rows.append(SweepRow(eta0=eta0, final_grad_norm=metric))
+        rows.append(SweepRow(eta0=cfg.eta, final_grad_norm=metric))
     # diverged rates have no norm: they go last, in rate order
     rows.sort(key=lambda r: (r.diverged_at is not None, r.final_grad_norm or 0.0, r.eta0))
     best = rows[0]

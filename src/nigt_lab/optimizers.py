@@ -88,7 +88,7 @@ def transport_step(s: StepState, sample, eta, beta, alpha, move, transport):
     w itself (when every row does, the returned x *is* ``s.w``). The two
     momentum weights are passed separately because in float64
     ``1 - (1 - alpha)`` is not always ``alpha``; their domain is the
-    caller's to check (once per run for a fixed beta). A negative or
+    caller's to check (``RunConfig``, for a fixed beta). A negative or
     non-finite eta, like a non-finite sample, raises
     :class:`NonFiniteGradient` naming the first such row.
 

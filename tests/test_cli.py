@@ -354,7 +354,8 @@ def test_master_seed_flag_takes_effect(tmp_path, capsys, command):
 
 # one refusal per merged error type, each with the stderr and exit code it
 # had when every check raised its own exception class (the self-tuning
-# bound is pinned in TestRunCommand.test_self_tuning_bound_out_of_range)
+# bound is pinned in TestRunCommand.test_self_tuning_bound_out_of_range),
+# but for a cover gap, which RunConfig now refuses as the run is built
 MERGED_CHECKS = [
     ("run", {**QUAD_KEYS, "eigs": "1.0,2.0,3.0"}, RUN_KEYS,
      "config error: invalid problem section: expected 2 eigenvalues, got shape (3,)\n"),
@@ -363,7 +364,7 @@ MERGED_CHECKS = [
     ("run", {"kind": "sign_noise", "p": "0.7"}, RUN_KEYS,
      "config error: invalid problem section: p must lie in (0, 1/2), got 0.7\n"),
     ("run", {**TRIG_KEYS, "dim": "4"}, RUN_KEYS.replace("nigt", "nigt_layerwise") + "optimizer.layers = 0,2,3\n",
-     "config error: invalid layer partition: ranges cover [0, 3) but dim is 4\n"),
+     "config error: invalid run configuration: ranges cover [0, 3) but dim is 4\n"),
     ("run", TRIG_KEYS, RUN_KEYS.replace("nigt", "nigt_layerwise") + "optimizer.layers = 0,1,2\n"
      "optimizer.lr_scale = 1.0,-1.0\n", "config error: invalid layer partition: lr scale must be positive, got -1.0\n"),
     ("igt-check", {**QUAD_KEYS, "rho": "1.0"}, "igt_check.n_runs = 1000\n",
@@ -928,13 +929,26 @@ class TestBoundsCommand:
         assert capsys.readouterr().err == ""
         assert json.loads((out / "bounds.json").read_text())["loglog_slope"] is None
 
-    def test_needs_t_grid(self, tmp_path):
+    def test_needs_t_grid(self, tmp_path, capsys):
         text = (
             "problem.kind = trig_bowl\nproblem.dim = 2\nproblem.a = 1.0\nproblem.b = 1.0\n"
             "optimizer.id = nsgdm\nrun.T = 10\n"
         )
         cfg = write(tmp_path / "b.cfg", text)
-        assert main(["bounds", "--config", str(cfg)]) == 1
+        assert main(["bounds", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == "config error: section 'run' requires key 'T_grid'\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_a_repeated_horizon_exits_one_and_writes_nothing(self, tmp_path, capsys):
+        # run twice, T = 100 would be written twice and fitted twice
+        text = (
+            "problem.kind = trig_bowl\nproblem.dim = 4\nproblem.a = 1.0\nproblem.b = 1.0\n"
+            "problem.sigma = 0.5\noptimizer.id = nsgdm\nrun.T_grid = 100,100,1000\nrun.n_seeds = 3\n"
+        )
+        cfg = write(tmp_path / "b.cfg", text)
+        assert main(["bounds", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == "error: T_grid must be distinct, got [100, 100, 1000]\n"
+        assert not (tmp_path / "o").exists()
 
     def test_underdeclared_smoothness_fails_containment(self, tmp_path, capsys):
         # the post-run certification inside the bound table must catch a

@@ -249,8 +249,10 @@ class TestBuilders:
         # a run reads the rate; the configuration a sweep builds has none
         text = VALID.replace("optimizer.theorem = 1\n", "")
         code, err = _exit_code_and_error(tmp_path, capsys, text)
-        assert code == 1 and err == "config error: manual runs need optimizer.eta\n"
-        cfg, bound = build_run_config(parse_experiment(text))
+        assert code == 1 and err == "config error: section 'optimizer' requires key 'eta'\n"
+        with pytest.raises(ConfigError, match="^section 'optimizer' requires key 'eta'$"):
+            build_run_config(parse_experiment(text))
+        cfg, bound = build_run_config(parse_experiment(text), sweep=True)
         assert cfg.eta is None and bound is None
 
     def test_adaptive_needs_matching_id(self):
@@ -294,13 +296,13 @@ class TestBaseRate:
     """The theorem's eta, else optimizer.eta; beta is the theorem's, else
     optimizer.beta (0.9 by default)."""
 
-    @pytest.mark.parametrize("text, eta, beta", [
-        (VALID, TUNED.eta, TUNED.beta),
-        (MANUAL + "optimizer.eta = 0.5\n", 0.5, 0.9),
-        (MANUAL, None, 0.9),
+    @pytest.mark.parametrize("text, sweep, eta, beta", [
+        (VALID, False, TUNED.eta, TUNED.beta),
+        (MANUAL + "optimizer.eta = 0.5\n", False, 0.5, 0.9),
+        (MANUAL, True, None, 0.9),
     ], ids=["theorem", "manual", "sweep"])
-    def test_rate(self, text, eta, beta):
-        cfg, _ = build_run_config(parse_experiment(text))
+    def test_rate(self, text, sweep, eta, beta):
+        cfg, _ = build_run_config(parse_experiment(text), sweep=sweep)
         assert (cfg.eta, cfg.beta) == (eta, beta)
 
     def test_theorem_and_manual_rate_exit_one(self, tmp_path, capsys):
@@ -310,7 +312,7 @@ class TestBaseRate:
 
     def test_sweep_reads_beta_and_no_rate(self):
         # a sweep refuses optimizer.eta and optimizer.theorem, and sets the rate itself
-        cfg, bound = build_run_config(parse_experiment(MANUAL + "optimizer.beta = 0.7\n"))
+        cfg, bound = build_run_config(parse_experiment(MANUAL + "optimizer.beta = 0.7\n"), sweep=True)
         assert (cfg.eta, cfg.beta, bound) == (None, 0.7, None)
 
     @pytest.mark.parametrize("kind", ["constant", "warmup_poly_decay"])
@@ -323,7 +325,7 @@ class TestBaseRate:
     @pytest.mark.parametrize("extra", ["optimizer.eta = 0\n", "optimizer.eta = 0.1\noptimizer.beta = 1.0\n"],
                              ids=["eta_zero", "beta_one"])
     def test_manual_domain(self, extra):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="^invalid run configuration: "):
             build_run_config(parse_experiment(MANUAL + extra))
 
     # two repeated a key that sets the same value: the base rate, and the

@@ -12,7 +12,9 @@ writes its rows a chunk at a time and a chart its polylines one at a time,
 where each once returned the text of its whole file; the command line loads
 a file once and passes its sections straight to the functions that read
 them, and refuses the keys its builders left unread, where read sets once
-stated them. The ``ref_*`` code below is the code they replaced, kept
+stated them; a run's rates are checked once, when its configuration is
+built, where the rate resolver and the runner once checked them with two
+domains. The ``ref_*`` code below is the code they replaced, kept
 verbatim as the reference: every state byte, every exception (type, row and
 text), every certification report, every noise row a step reads, every
 output string and every command's exit code, stdout, stderr and written
@@ -26,11 +28,12 @@ import io
 import json
 import math
 import os
+import re
 import shutil
 import sys
 import tempfile
 import warnings
-from dataclasses import asdict
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from unittest import mock
 
@@ -42,9 +45,7 @@ from hypothesis import strategies as st
 from nigt_lab import cli, harness, reports
 from nigt_lab.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, _Parser, _UsageError, build_parser, main
 from nigt_lab.config import (
-    _CONSTANTS,
     _SCHEMA,
-    ExperimentFile,
     _format_value,
     _require,
     load_experiment,
@@ -73,11 +74,15 @@ from nigt_lab.errors import (
     NonFiniteGradient,
 )
 from nigt_lab.harness import (
+    CONTAINMENT_PAIRS,
+    DEFAULT_CERT_RADIUS,
     DEFAULT_ETA_GRID,
     OPTIMIZER_IDS,
+    BoundReport,
+    BoundRow,
     RunConfig,
-    bound_acceptance,
-    grid_sweep,
+    SweepReport,
+    SweepRow,
     igt_moment_check,
     rate_diagnostic,
     run,
@@ -859,9 +864,10 @@ class TestOutputLayer:
 # ref_ names and igt_moment_check's keyword seed: each loaded the file and
 # read the output settings itself, restated the defaults of the certify,
 # igt_check and sweep sections and joined its output paths. Their run
-# configurations are checked as before, run checks the self-tuning method's
-# schedule premise when it starts, and the sweep refuses that method when
-# it starts.
+# configurations are checked as before; run checks the self-tuning method's
+# schedule premise, the base rate and beta when it starts, the sweep
+# refuses that method when it starts and builds each grid point as it
+# reaches it, and bounds runs each horizon of its grid, repeated or not.
 
 
 class RefRunConfig(RunConfig):
@@ -886,13 +892,61 @@ class RefRunConfig(RunConfig):
 def ref_run(cfg: RunConfig):
     if cfg.optimizer_id == "nigt_adaptive" and cfg.schedule.kind != "constant":
         raise InvalidInput("the self-tuning method sets its own step sizes; use a constant schedule")
+    if cfg.optimizer_id != "nigt_adaptive":  # the rate checks that started the runner
+        base_eta = cfg.eta
+        if base_eta is None or not (0.0 <= base_eta < math.inf):
+            raise InvalidInput(f"{cfg.optimizer_id} needs a base rate: eta must be finite and >= 0, got {base_eta}")
+        beta = cfg.beta if cfg.optimizer_id != "sgd" else 0.0  # sgd is memoryless: the momentum is the latest sample
+        if not (0.0 <= beta < 1.0):
+            raise InvalidInput(f"beta must lie in [0, 1), got {beta}")
     return run(cfg)
 
 
 def ref_grid_sweep(base: RunConfig, eta_grid=DEFAULT_ETA_GRID):
     if base.optimizer_id == "nigt_adaptive":
         raise InvalidInput("the self-tuning method has no base rate to sweep")
-    return grid_sweep(base, eta_grid)
+    if not base.record_exact:
+        raise InvalidInput("grid sweep ranks by exact gradient norms; set record_exact")
+    grid = tuple(float(e) for e in eta_grid)
+    if not grid:
+        raise InvalidInput("eta_grid must be non-empty")
+    rows = []
+    for eta0 in grid:
+        try:
+            recs = ref_run(replace(base, eta=eta0))
+        except Diverged as e:
+            rows.append(SweepRow(eta0=eta0, final_grad_norm=None, diverged_at=e.step))
+            continue
+        metric = float(np.mean([r.grad_norm[-1] for r in recs]))
+        rows.append(SweepRow(eta0=eta0, final_grad_norm=metric))
+    # diverged rates have no norm: they go last, in rate order
+    rows.sort(key=lambda r: (r.diverged_at is not None, r.final_grad_norm or 0.0, r.eta0))
+    best = rows[0]
+    return SweepReport(rows=tuple(rows), best_eta0=None if best.diverged_at is not None else best.eta0)
+
+
+def ref_bound_acceptance(problem: StochasticProblem, optimizer_id: str, T_grid, seeds) -> BoundReport:
+    seeds = tuple(int(s) for s in seeds)
+    rows = []
+    max_disp = 0.0
+    for T in sorted(int(t) for t in T_grid):
+        params, bound = tuned(optimizer_id, problem, T)
+        recs = ref_run(RefRunConfig(problem=problem, optimizer_id=optimizer_id, T=T, seeds=seeds,
+                                    eta=params.eta, beta=params.beta))
+        max_disp = max(max_disp, max(r.max_displacement for r in recs))
+        mean, stderr, passed = bound_check([r.avg_grad_norm() for r in recs], bound)
+        rows.append(BoundRow(T=T, mean_avg_grad_norm=mean, stderr=stderr, bound=bound, passed=passed))
+
+    cert_radius = max(DEFAULT_CERT_RADIUS, 1.05 * max_disp)
+    certify_constants(problem, n_pairs=CONTAINMENT_PAIRS, radius=cert_radius, rng=RngStream(seeds[0], 101))
+    return BoundReport(
+        problem_id=problem.problem_id,
+        optimizer_id=optimizer_id,
+        rows=tuple(rows),
+        max_displacement=max_disp,
+        cert_radius=cert_radius,
+        passed=all(r.passed for r in rows),
+    )
 
 
 # the configuration builders as they were before each command read its keys
@@ -969,6 +1023,96 @@ REF_METHOD_KEYS = {"sgd": {"theorem", "eta"}, "nigt_layerwise": {"theorem", "eta
                    "nigt_adaptive": set()}
 
 
+# the schema that the earlier command functions parsed files with, and the
+# fuzz below draws them from: the written one without problem.M, deleted
+# before they were frozen; and the declared-constant overrides that every
+# kind reads
+REF_FILE_SCHEMA = {section: {key: typ for key, typ in keys.items() if f"{section}.{key}" != "problem.M"}
+                   for section, keys in REF_SCHEMA.items()}
+REF_CONSTANTS = ("L", "rho", "g_bound", "R")
+
+
+@dataclass
+class RefExperimentFile:
+    """Typed, raw (default-free) contents of one experiment file."""
+
+    problem: dict = field(default_factory=dict)
+    optimizer: dict = field(default_factory=dict)
+    schedule: dict = field(default_factory=dict)
+    run: dict = field(default_factory=dict)
+    igt_check: dict = field(default_factory=dict)
+    sweep: dict = field(default_factory=dict)
+    certify: dict = field(default_factory=dict)
+    output: dict = field(default_factory=dict)
+
+    def section(self, name: str) -> dict:
+        return getattr(self, name)
+
+
+def ref_parse_scalar(text: str, typ: str, where: str):
+    text = text.strip()
+    if typ == "int":
+        try:
+            return int(text)
+        except ValueError:
+            raise ConfigError(f"{where}: expected an integer, got {text!r}") from None
+    if typ == "float":
+        try:
+            return float(text)
+        except ValueError:
+            raise ConfigError(f"{where}: expected a number, got {text!r}") from None
+    if typ == "bool":
+        if text == "true":
+            return True
+        if text == "false":
+            return False
+        raise ConfigError(f"{where}: expected true or false, got {text!r}")
+    return text  # bare string
+
+
+def ref_parse_value(text: str, typ: str, where: str):
+    if typ.endswith("_list"):
+        base = typ[: -len("_list")]
+        items = [p for p in (piece.strip() for piece in text.split(",")) if p != ""]
+        if not items:
+            raise ConfigError(f"{where}: expected a comma-separated list, got {text!r}")
+        return [ref_parse_scalar(p, base, where) for p in items]
+    return ref_parse_scalar(text, typ, where)
+
+
+def ref_parse_experiment(text: str) -> RefExperimentFile:
+    exp = RefExperimentFile()
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ConfigError(f"line {lineno}: expected 'section.key = value', got {raw!r}")
+        lhs, rhs = line.split("=", 1)
+        dotted = lhs.strip()
+        col = raw.index(dotted) + 1 if dotted in raw else 1
+        if "." not in dotted:
+            raise ConfigError(f"line {lineno}, col {col}: key {dotted!r} lacks a section prefix")
+        section, key = dotted.split(".", 1)
+        if section not in REF_FILE_SCHEMA:
+            raise ConfigError(f"line {lineno}, col {col}: unknown section {section!r}")
+        if key not in REF_FILE_SCHEMA[section]:
+            raise ConfigError(f"line {lineno}, col {col}: unknown key {key!r} in section {section!r}")
+        store = exp.section(section)
+        if key in store:
+            raise ConfigError(f"line {lineno}, col {col}: duplicate key {dotted!r}")
+        store[key] = ref_parse_value(rhs, REF_FILE_SCHEMA[section][key], f"line {lineno}")
+    return exp
+
+
+def ref_load_experiment(path) -> RefExperimentFile:
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as e:
+        raise ConfigError(f"cannot read {path}: {e}") from None
+    return ref_parse_experiment(text)
+
+
 def ref_refuse_stray(store: dict, read: set, owner: str) -> None:
     """Refuse the keys of a section that ``owner`` never reads."""
     stray = set(store) - read
@@ -981,7 +1125,7 @@ def ref_refuse_stray(store: dict, read: set, owner: str) -> None:
 # refused, before anything was built, the keys ref_read_keys does not give
 # (verbatim but for the ref_ names)
 
-def ref_read_keys(exp: ExperimentFile, command: str, n_seeds_override: int | None = None,
+def ref_read_keys(exp: RefExperimentFile, command: str, n_seeds_override: int | None = None,
                   master_seed_override: int | None = None) -> dict[str, set[str]]:
     """The keys ``command`` reads in each section of ``exp``, given the seed
     flags. A method reads its rate unless a theorem tunes it (``run``) or the
@@ -994,8 +1138,9 @@ def ref_read_keys(exp: ExperimentFile, command: str, n_seeds_override: int | Non
     seeds = ({"seeds", "n_seeds", "master_seed"} if n_seeds_override is not None or master_seed_override is not None
              else {"seeds"} if "seeds" in exp.run else {"n_seeds", "master_seed"})
     # certify, igt-check and sweep read their own section whole
-    read = {"problem": {"kind", *inspect.signature(make).parameters, *_CONSTANTS} if make else set(_SCHEMA["problem"]),
-            own: set(_SCHEMA.get(own, ())), "output": {"dir", "formats"} if command == "run" else {"dir"}}
+    read = {"problem": ({"kind", *inspect.signature(make).parameters, *REF_CONSTANTS} if make
+                        else set(REF_FILE_SCHEMA["problem"])),
+            own: set(REF_FILE_SCHEMA.get(own, ())), "output": {"dir", "formats"} if command == "run" else {"dir"}}
     if command == "bounds":  # each horizon at its theorem's tuning
         return read | {"optimizer": {"id"}, "run": {"T_grid", *seeds}}
     if command in ("certify", "igt-check"):  # from the master seed alone
@@ -1012,11 +1157,11 @@ def ref_read_keys(exp: ExperimentFile, command: str, n_seeds_override: int | Non
     if exp.schedule.get("kind", "constant") != "constant":
         schedule |= {"warmup_steps", "power"}
     if opt_id not in OPTIMIZER_IDS or "theorem" in rates and THEOREM_METHODS.get(theorem) != opt_id:
-        rates, schedule = set(_SCHEMA["optimizer"]), set(_SCHEMA["schedule"])
+        rates, schedule = set(REF_FILE_SCHEMA["optimizer"]), set(REF_FILE_SCHEMA["schedule"])
     return read | {"optimizer": {"id", *rates}, "schedule": schedule, "run": {"T", "record_exact", *seeds}}
 
 
-def ref_refuse_unread(exp: ExperimentFile, command: str, n_seeds_override: int | None = None,
+def ref_refuse_unread(exp: RefExperimentFile, command: str, n_seeds_override: int | None = None,
                       master_seed_override: int | None = None) -> None:
     """Refuse every key of ``exp`` that ``command`` never reads (:func:`read_keys`),
     before anything is built."""
@@ -1026,14 +1171,14 @@ def ref_refuse_unread(exp: ExperimentFile, command: str, n_seeds_override: int |
     if command in ("run", "sweep"):
         owners["optimizer"] = f"optimizer {opt_id!r}"
         owners["schedule"] = f"the {exp.schedule.get('kind', 'constant')} schedule of optimizer {opt_id!r}"
-    for section in _SCHEMA:
+    for section in REF_FILE_SCHEMA:
         stray = set(exp.section(section)) - read.get(section, set())
         if stray:
             owner = owners.get(section, f"{command} (section {section!r})")
             raise ConfigError(f"keys {sorted(stray)} do not apply to {owner}")
 
 
-def ref_build_schedule(exp: ExperimentFile) -> Schedule:
+def ref_build_schedule(exp: RefExperimentFile) -> Schedule:
     # the section's keys are the fields of Schedule, with the same defaults
     try:
         return Schedule(**exp.schedule)
@@ -1041,7 +1186,7 @@ def ref_build_schedule(exp: ExperimentFile) -> Schedule:
         raise ConfigError(f"invalid schedule section: {e}") from e
 
 
-def ref_build_partition(exp: ExperimentFile, dim: int) -> LayerPartition | None:
+def ref_build_partition(exp: RefExperimentFile, dim: int) -> LayerPartition | None:
     op = exp.optimizer
     if "layers" not in op:
         return None
@@ -1058,12 +1203,12 @@ def ref_build_partition(exp: ExperimentFile, dim: int) -> LayerPartition | None:
     return part
 
 
-def ref_master_seed(exp: ExperimentFile, override: int | None = None) -> int:
+def ref_master_seed(exp: RefExperimentFile, override: int | None = None) -> int:
     """run.master_seed (0 by default), or the command line's override of it."""
     return override if override is not None else exp.run.get("master_seed", 0)
 
 
-def ref_resolve_seeds(exp: ExperimentFile, n_seeds_override: int | None = None,
+def ref_resolve_seeds(exp: RefExperimentFile, n_seeds_override: int | None = None,
                       master_seed_override: int | None = None, dim: int = 1) -> tuple[int, ...]:
     """The seeds of a run, checked before they are built: at most
     :data:`MAX_SEEDS` of them, and at most :data:`MAX_LOG_CELLS` log cells
@@ -1093,7 +1238,7 @@ def ref_resolve_seeds(exp: ExperimentFile, n_seeds_override: int | None = None,
     return tuple(master + i for i in range(n))
 
 
-def ref_output_settings(exp: ExperimentFile, out_override: str | None = None) -> tuple[str, tuple[str, ...]]:
+def ref_output_settings(exp: RefExperimentFile, out_override: str | None = None) -> tuple[str, tuple[str, ...]]:
     out = exp.output
     directory = out_override if out_override is not None else out.get("dir", "results")
     formats = tuple(out.get("formats", ["csv", "json"]))
@@ -1103,7 +1248,7 @@ def ref_output_settings(exp: ExperimentFile, out_override: str | None = None) ->
     return directory, formats
 
 
-def ref_build_problem(exp: ExperimentFile):
+def ref_build_problem(exp: RefExperimentFile):
     pr = exp.problem
     kind = _require(pr, "kind", "problem")
     if kind not in PROBLEM_KINDS:
@@ -1126,7 +1271,7 @@ def ref_build_problem(exp: ExperimentFile):
     return problem
 
 
-def ref_resolve_rate(exp: ExperimentFile, opt_id: str, problem, T: int, require_eta: bool = True):
+def ref_resolve_rate(exp: RefExperimentFile, opt_id: str, problem, T: int, require_eta: bool = True):
     """(eta, beta, bound) of method ``opt_id`` for one horizon: the theorem's
     eta, else optimizer.eta; the theorem's beta, else optimizer.beta (0.9);
     the theorem's ceiling, else None. With ``require_eta`` false the rate may
@@ -1157,7 +1302,7 @@ def ref_resolve_rate(exp: ExperimentFile, opt_id: str, problem, T: int, require_
     return params.eta, params.beta, bound
 
 
-def ref_build_run_config(exp: ExperimentFile, n_seeds_override: int | None = None,
+def ref_build_run_config(exp: RefExperimentFile, n_seeds_override: int | None = None,
                          master_seed_override: int | None = None,
                          require_eta: bool = True) -> tuple[RunConfig, float | None]:
     """Assemble the runnable configuration (and the bound, when tuned)."""
@@ -1198,7 +1343,7 @@ def ref_build_run_config(exp: ExperimentFile, n_seeds_override: int | None = Non
     return cfg, bound
 
 
-def ref_bounds_settings(exp: ExperimentFile, n_seeds_override: int | None = None,
+def ref_bounds_settings(exp: RefExperimentFile, n_seeds_override: int | None = None,
                         master_seed_override: int | None = None):
     """(problem, optimizer id, T grid, seeds) of ``bounds``. It runs the
     method at its own theorem's tuning for each horizon of the grid, so any
@@ -1214,7 +1359,7 @@ def ref_bounds_settings(exp: ExperimentFile, n_seeds_override: int | None = None
 
 
 def ref_cmd_run(args) -> int:
-    exp = load_experiment(args.config)
+    exp = ref_load_experiment(args.config)
     out_dir, formats = ref_output_settings(exp, args.out)
     cfg, bound = ref_build_run_config(exp, args.seeds, args.master_seed)
     records = ref_run(cfg)
@@ -1241,7 +1386,7 @@ def ref_cmd_run(args) -> int:
 
 
 def ref_cmd_certify(args) -> int:
-    exp = load_experiment(args.config)
+    exp = ref_load_experiment(args.config)
     out_dir, _ = ref_output_settings(exp, args.out)
     problem = ref_build_problem(exp)
     n_pairs = exp.certify.get("n_pairs", 400)
@@ -1260,7 +1405,7 @@ def ref_cmd_certify(args) -> int:
 
 
 def ref_cmd_igt_check(args) -> int:
-    exp = load_experiment(args.config)
+    exp = ref_load_experiment(args.config)
     out_dir, _ = ref_output_settings(exp, args.out)
     problem = ref_build_problem(exp)
     if not isinstance(problem, NoisyQuadratic):
@@ -1279,7 +1424,7 @@ def ref_cmd_igt_check(args) -> int:
 
 
 def ref_cmd_sweep(args) -> int:
-    exp = load_experiment(args.config)
+    exp = ref_load_experiment(args.config)
     out_dir, _ = ref_output_settings(exp, args.out)
     cfg, _ = ref_build_run_config(exp, args.seeds, args.master_seed, require_eta=False)
     grid = exp.sweep.get("eta_grid", list(DEFAULT_ETA_GRID))
@@ -1292,11 +1437,11 @@ def ref_cmd_sweep(args) -> int:
 
 
 def ref_cmd_bounds(args) -> int:
-    exp = load_experiment(args.config)
+    exp = ref_load_experiment(args.config)
     out_dir, _ = ref_output_settings(exp, args.out)
     problem, opt_id, T_grid, seeds = ref_bounds_settings(exp, args.seeds, args.master_seed)
     try:
-        report = bound_acceptance(problem, opt_id, T_grid, seeds)
+        report = ref_bound_acceptance(problem, opt_id, T_grid, seeds)
     except CertificationFailure as e:
         sys.stderr.write(f"containment certification failed: {e}\n")
         return EXIT_CHECK_FAILED
@@ -1430,7 +1575,7 @@ def experiment_files(draw, command):
     opt_id = draw(st.sampled_from(["nsgdm", "nigt"] if command == "bounds" else USUAL["optimizer.id"]))
     params = inspect.signature(PROBLEM_KINDS[kind]).parameters
     lines = [f"problem.kind = {kind}"]
-    for section, keys in _SCHEMA.items():
+    for section, keys in REF_FILE_SCHEMA.items():
         for key, typ in keys.items():
             name = f"{section}.{key}"
             if name in ("problem.kind", "output.dir"):  # the output goes to --out
@@ -1608,13 +1753,12 @@ class TestNewRefusals:
         if command == "run" and flags == ["--seeds", "2"]:
             assert json.loads(new[1][0]["summary.json"])["seeds"] == [5, 6]
 
-    def test_a_manual_run_without_a_rate_is_refused_after_its_other_checks(self, tmp_path):
+    def test_a_manual_run_without_a_rate_is_refused_before_its_other_checks(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text(BOWL + "optimizer.id = nsgdm\nrun.T = 0\n", encoding="utf-8")
         argv = [["run", "--config", str(path), "--out", str(tmp_path / "out")]]
         new, ref = invoke(main, argv, [tmp_path / "out"]), invoke(ref_main, argv, [tmp_path / "out"])
-        assert new[0] == [(1, "", "config error: invalid run configuration: T must be >= 1, got 0\n")]
-        assert ref[0] == [MANUAL_ETA] and agree(new, ref)
+        assert (new[0], ref[0]) == ([NO_ETA], [MANUAL_ETA]) and agree(new, ref)
 
     def test_bounds_without_an_id_is_refused_when_its_settings_are_read(self, tmp_path):
         path = tmp_path / "bounds.cfg"
@@ -1625,6 +1769,7 @@ class TestNewRefusals:
 
 
 MANUAL_ETA = (1, "", "config error: manual runs need optimizer.eta\n")
+NO_ETA = (1, "", "config error: section 'optimizer' requires key 'eta'\n")
 SELF_TUNING_PREMISE = "the self-tuning method sets its own step sizes; use a constant schedule"
 # the self-tuning method under a schedule that is not constant, once run had started it
 SELF_TUNING_STARTED = (1, "", f"error: {SELF_TUNING_PREMISE}\n")
@@ -1632,28 +1777,62 @@ NO_RATE_TO_SWEEP = (1, "", "config error: the self-tuning method has no base rat
 # bounds without optimizer.id, once tuning was asked for the method None, and now
 NO_TUNING_FOR_NONE = (1, "", "error: no closed-form tuning for None\n")
 BOUNDS_WITHOUT_ID = (1, "", "config error: section 'optimizer' requires key 'id'\n")
+# bounds without run.T_grid, once and now
+BOUNDS_NEEDS_GRID = (1, "", "config error: bounds needs run.T_grid\n")
+NO_T_GRID = (1, "", "config error: section 'run' requires key 'T_grid'\n")
+# a manual run's rate outside its domain, once refused as it was resolved
+OLD_RATE_DOMAIN = re.compile(r"config error: invalid hyperparameters: need eta > 0 and beta in \[0, 1\), "
+                             r"got eta = .*\n")
+# a rate that RunConfig refuses: built by the command (config error) or by the
+# library (a sweep's grid point, a tuned horizon of bounds); the value last
+RATE_RULE = re.compile(r"(?:config error: invalid run configuration: |error: )"
+                       r"(?:\S+ needs a base rate: eta must be finite and > 0|beta must lie in \[0, 1\)), got (.*)\n")
+OLD_COVER = "config error: invalid layer partition: ranges "
+NEW_COVER = "config error: invalid run configuration: ranges "
+REPEATED_HORIZON = re.compile(r"error: T_grid must be distinct, got \[.*\]\n")
 SEED_FLAGS = ("--seeds", "--master-seed")
 
 
 def agree(new, ref) -> bool:
-    """The same results, but for two refusals of the first command. A manual
-    run without optimizer.eta is refused after its other checks, no longer
-    before its repeated seeds, a horizon below 1 or a layer partition that
-    does not fit. The self-tuning method under a schedule that is not
-    constant is refused when its run is built, with the message of the
-    other run configuration faults, where run refused it once started. A
-    sweep of the self-tuning method is refused for having no base rate when
-    its rate is resolved, under any schedule and before the run
-    configuration's own checks, where sweep refused it once started (or
-    for another fault, or for its unread keys). Bounds without
-    optimizer.id is refused for it when its settings are read, where tuning
-    once refused the method None."""
+    """The same results, but for these refusals of the first command, each
+    exit 1 with nothing written:
+
+    - a manual run without optimizer.eta, as ``section 'optimizer' requires
+      key 'eta'``;
+    - the self-tuning method under a schedule that is not constant, when
+      its run is built, with the message of the other run configuration
+      faults, where run refused it once started;
+    - a sweep of the self-tuning method, for having no base rate, when its
+      rate is resolved, under any schedule and before the run
+      configuration's own checks, where sweep refused it once started (or
+      for another fault, or for its unread keys);
+    - bounds without optimizer.id, when its settings are read, where tuning
+      once refused the method None;
+    - a base rate or beta outside its domain, with the text RunConfig raises
+      when the run (or each grid point of a sweep) is built, before the run
+      configuration's other checks. The earlier code refused it too, as its
+      rate was resolved, when run started or at its grid point, but for a
+      rate of 0, which it ran. A layer partition of the wrong shape is now
+      refused before a manual rate outside its domain;
+    - a layer partition that does not cover the dimension, as an invalid
+      run configuration, where it was an invalid layer partition;
+    - bounds without run.T_grid, as ``section 'run' requires key
+      'T_grid'``;
+    - bounds on a grid that repeats a horizon, which it ran twice."""
     (results, files, caught), (ref_results, ref_files, ref_caught) = new, ref
-    moved = (ref_results[0] == MANUAL_ETA and results[0][:2] == (1, "")
-             or ref_results[0] == SELF_TUNING_STARTED
-             and results[0] == (1, "", f"config error: invalid run configuration: {SELF_TUNING_PREMISE}\n")
-             or results[0] == NO_RATE_TO_SWEEP and ref_results[0][:2] == (1, "")
-             or ref_results[0] == NO_TUNING_FOR_NONE and results[0] == BOUNDS_WITHOUT_ID)
+    first, ref_first = results[0], ref_results[0]
+    rate = RATE_RULE.fullmatch(first[2])
+    moved = (ref_first == MANUAL_ETA and first == NO_ETA
+             or ref_first == SELF_TUNING_STARTED
+             and first == (1, "", f"config error: invalid run configuration: {SELF_TUNING_PREMISE}\n")
+             or first == NO_RATE_TO_SWEEP and ref_first[:2] == (1, "")
+             or ref_first == NO_TUNING_FOR_NONE and first == BOUNDS_WITHOUT_ID
+             or first[:2] == (1, "") and rate and (ref_first[0] == 1 or float(rate[1]) == 0.0)
+             or first[:2] == (1, "") and OLD_RATE_DOMAIN.fullmatch(ref_first[2])
+             and first[2].startswith(("config error: invalid layer partition: ", "config error: optimizer.layers "))
+             or ref_first[2].startswith(OLD_COVER) and first == (1, "", NEW_COVER + ref_first[2][len(OLD_COVER):])
+             or ref_first == BOUNDS_NEEDS_GRID and first == NO_T_GRID
+             or first[:2] == (1, "") and REPEATED_HORIZON.fullmatch(first[2]))
     return new == ref or (moved and not files[0]
                           and (results[1:], files[1:], caught) == (ref_results[1:], ref_files[1:], ref_caught))
 
@@ -1681,11 +1860,44 @@ def without(text: str, keys: set) -> str:
 def ref_refusal(text: str, command: str, flags: list[str]):
     """The message with which the earlier code refused the file's unread keys, or None."""
     try:
-        ref_refuse_unread(parse_experiment(text), command, *(
+        ref_refuse_unread(ref_parse_experiment(text), command, *(
             int(flags[flags.index(flag) + 1]) if flag in flags else None for flag in SEED_FLAGS))
     except ConfigError as e:
         return str(e)
     return None
+
+
+RUN_BOWL = BOWL + "optimizer.id = nsgdm\nrun.T = 20\nrun.n_seeds = 2\n"
+LAYERWISE = BOWL + "optimizer.id = nigt_layerwise\noptimizer.layers = 0,1\nrun.T = 20\nrun.n_seeds = 2\n"
+INVALID_RUN = "config error: invalid run configuration: "
+BAD_RATE = "nsgdm needs a base rate: eta must be finite and > 0, got {}"
+OLD_BAD_RATE = "error: nsgdm needs a base rate: eta must be finite and >= 0, got {}"
+BAD_BETA = "beta must lie in [0, 1), got {}"
+OLD_DOMAIN = "config error: invalid hyperparameters: need eta > 0 and beta in [0, 1), got eta = {}, beta = {}"
+GAP = "ranges cover [0, 1) but dim is 2"
+
+# (command, file, its stderr now, its stderr before, or None where the earlier
+# code ran it and wrote its results): each refusal that the rate rules of
+# RunConfig moved or reworded, and the repeated horizon that bounds refuses
+CHANGED_REFUSALS = [
+    *[("run", RUN_BOWL + f"optimizer.eta = {eta}\n", INVALID_RUN + BAD_RATE.format(eta), OLD_DOMAIN.format(eta, 0.9))
+      for eta in ("0.0", "-0.0", "-1.0", "nan")],
+    ("run", RUN_BOWL + "optimizer.eta = inf\n", INVALID_RUN + BAD_RATE.format("inf"), OLD_BAD_RATE.format("inf")),
+    *[("run", RUN_BOWL + f"optimizer.eta = 0.1\noptimizer.beta = {beta}\n", INVALID_RUN + BAD_BETA.format(beta),
+       OLD_DOMAIN.format(0.1, beta)) for beta in ("-0.5", "1.0", "nan")],
+    ("run", RUN_BOWL, NO_ETA[2][:-1], MANUAL_ETA[2][:-1]),
+    *[("sweep", RUN_BOWL + f"optimizer.beta = {beta}\nsweep.eta_grid = 0.01\n", INVALID_RUN + BAD_BETA.format(beta),
+       "error: " + BAD_BETA.format(beta)) for beta in ("-0.5", "1.0", "nan")],
+    *[("sweep", RUN_BOWL + f"sweep.eta_grid = 0.01,{eta}\n", "error: " + BAD_RATE.format(eta),
+       None if float(eta) == 0.0 else OLD_BAD_RATE.format(eta)) for eta in ("0.0", "-0.0", "-0.1")],
+    ("run", LAYERWISE + "optimizer.eta = 0.1\n", INVALID_RUN + GAP, "config error: invalid layer partition: " + GAP),
+    ("sweep", LAYERWISE, INVALID_RUN + GAP, "config error: invalid layer partition: " + GAP),
+    ("run", LAYERWISE.replace("layers = 0,1", "layers = 0") + "optimizer.eta = -1.0\n",
+     "config error: optimizer.layers needs at least two boundaries", OLD_DOMAIN.format(-1.0, 0.9)),
+    ("bounds", BOWL + "optimizer.id = nsgdm\nrun.n_seeds = 2\n", NO_T_GRID[2][:-1], BOUNDS_NEEDS_GRID[2][:-1]),
+    ("bounds", BOWL + "optimizer.id = nsgdm\nrun.T_grid = 5,5,20\nrun.n_seeds = 2\n",
+     "error: T_grid must be distinct, got [5, 5, 20]", None),
+]
 
 
 class TestExitCodeContract:
@@ -1697,19 +1909,12 @@ class TestExitCodeContract:
     they write the same on it as on the file without those keys, and the
     change matches them there. The refusal is the one the read sets gave,
     but for a file that also fails to build, where that fault is named
-    first. Apart from that, a manual run without
-    ``optimizer.eta`` is refused after its other checks, the self-tuning
-    method is refused when its run is built: under a schedule that is not
-    constant as ``config error: invalid run configuration: ...`` where run
-    said ``error: ...``, and in any sweep, before the other faults of its
-    run configuration, as ``config error: the self-tuning method has no
-    base rate to sweep`` where sweep said ``error: ...`` (:func:`agree`),
+    first. Apart from that, the refusals that :func:`agree` lists changed,
     and igt-check no longer refuses a problem for its kind
-    (:func:`reference`), and bounds without ``optimizer.id`` is refused as
-    ``config error: section 'optimizer' requires key 'id'``, after the other
-    faults of its settings, where it said ``error: no closed-form tuning
-    for None`` (:func:`agree`). At least one drawn igt-check file reaches the
-    moment check's refusal of a curved Hessian."""
+    (:func:`reference`). At least one drawn igt-check file reaches the
+    moment check's refusal of a curved Hessian. Each refusal that the rate
+    rules of RunConfig moved or reworded also has a file of its own
+    (:data:`CHANGED_REFUSALS`), compared the same way."""
 
     def test_commands_keep_the_contract_and_match_the_reference(self):
         stderrs = []
@@ -1721,6 +1926,20 @@ class TestExitCodeContract:
 
         check()
         assert any(err.startswith("error: moment identity requires a constant Hessian;") for err in stderrs)
+
+    @pytest.mark.parametrize("command, text, message, earlier", CHANGED_REFUSALS,
+                             ids=[f"{i}-{case[0]}" for i, case in enumerate(CHANGED_REFUSALS)])
+    def test_each_changed_refusal(self, tmp_path, command, text, message, earlier):
+        path, out = tmp_path / "exp.cfg", tmp_path / "out"
+        path.write_text(text, encoding="utf-8")
+        argvs = [[command, "--config", str(path), "--out", str(out)]]
+        ref = invoke(ref_main, argvs, [out])
+        assert invoke(main, argvs, [out]) == ([(1, "", f"{message}\n")], [{}], [])
+        if earlier is None:
+            assert ref[0][0][0] in (0, 2) and ref[1][0]
+        else:
+            assert ref == ([(1, "", f"{earlier}\n")], [{}], [])
+        assert self.keeps_the_contract(command, text, []) == f"{message}\n"
 
     @staticmethod
     def keeps_the_contract(command, text, flags) -> str:
@@ -1742,7 +1961,7 @@ class TestExitCodeContract:
             if agree(new, ref):
                 return results[0][2]
             assert results[0][:2] == (1, "")
-            read = ref_read_keys(parse_experiment(text), command, *(
+            read = ref_read_keys(ref_parse_experiment(text), command, *(
                 int(flags[flags.index(flag) + 1]) if flag in flags else None for flag in SEED_FLAGS))
             names = [line.split(" = ")[0] for line in text.splitlines()]
             unread = {name for name in names if name.split(".")[1] not in read.get(name.split(".")[0], set())}

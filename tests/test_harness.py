@@ -1,4 +1,5 @@
 import errno
+import functools
 import math
 import os
 import re
@@ -17,6 +18,7 @@ from nigt_lab.errors import Diverged, InvalidInput, NigtLabError
 from nigt_lab.harness import (
     BLOCK_BYTES,
     DEFAULT_ETA_GRID,
+    OPTIMIZER_IDS,
     RunConfig,
     bound_acceptance,
     descent_check,
@@ -25,7 +27,7 @@ from nigt_lab.harness import (
     rate_diagnostic,
     run,
 )
-from nigt_lab.optimizers import LayerPartition, Schedule, StepState, normalized_move, transport_step
+from nigt_lab.optimizers import METHODS, LayerPartition, Schedule, StepState, normalized_move, transport_step
 from nigt_lab.problems import (
     certify_constants,
     make_noisy_quadratic,
@@ -349,6 +351,40 @@ class TestRateDiagnostic:
             rate_diagnostic([(100, 1.0), (200, 0.8), (400, 0.6)])  # only one decade
 
 
+class TestRunConfigRates:
+    """RunConfig is the one check of a run's rates, for every method: a
+    base rate is finite and > 0, or None (a sweep's base, which run
+    refuses), and a fixed momentum lies in [0, 1). sgd and the self-tuning
+    method read no beta, and the self-tuning method takes no eta."""
+
+    @pytest.mark.parametrize("opt", OPTIMIZER_IDS)
+    def test_each_method_s_rates(self, opt):
+        method = METHODS[opt]
+        config = functools.partial(RunConfig, problem=TRIG, optimizer_id=opt, T=5, seeds=(1, 2))
+        for eta in (0.0, -0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(InvalidInput) as exc:
+                config(eta=eta)
+            assert str(exc.value) == (f"the self-tuning method sets its own step sizes; it takes no eta, got {eta}"
+                                      if method.self_tuning else
+                                      f"{opt} needs a base rate: eta must be finite and > 0, got {eta}")
+        eta = _rate(opt, 0.1)
+        config(eta=_rate(opt, 5e-324), beta=0.0)  # the least rate and beta there are
+        for beta in (-0.5, 1.0, math.nan):
+            if method.momentum and not method.self_tuning:
+                with pytest.raises(InvalidInput) as exc:
+                    config(eta=eta, beta=beta)
+                assert str(exc.value) == f"beta must lie in [0, 1), got {beta}"
+            else:  # unread: the run is the one at the default beta
+                assert all(map(_records_equal, run(config(eta=eta, beta=beta)), run(config(eta=eta))))
+        base = config()  # a sweep's base
+        if method.self_tuning:
+            assert len(run(base)) == 2
+        else:
+            with pytest.raises(InvalidInput) as exc:
+                run(base)
+            assert str(exc.value) == f"{opt} needs a base rate, got eta = None"
+
+
 class TestGridSweep:
     def test_single_point_grid_returns_it(self):
         cfg = RunConfig(problem=TRIG, optimizer_id="nsgdm", T=20, seeds=(1,), eta=0.05)
@@ -384,6 +420,15 @@ class TestGridSweep:
         with pytest.raises(InvalidInput, match="^the self-tuning method sets its own step sizes; "
                                                "it takes no eta, got 0.001$"):
             grid_sweep(cfg, [1e-3, 1.0])
+        assert runs == []
+
+    @pytest.mark.parametrize("bad", [-1.0, 0.0, math.nan, math.inf])
+    def test_a_refused_rate_anywhere_in_the_grid_runs_nothing(self, monkeypatch, bad):
+        runs = []
+        monkeypatch.setattr(harness, "run", runs.append)
+        cfg = RunConfig(problem=TRIG, optimizer_id="nsgdm", T=5, seeds=(1,))
+        with pytest.raises(InvalidInput, match=f"^nsgdm needs a base rate: eta must be finite and > 0, got {bad}$"):
+            grid_sweep(cfg, [0.01, 0.1, bad])
         assert runs == []
 
     def test_all_rates_diverged_leaves_no_best_rate(self):
@@ -478,9 +523,10 @@ class TestDivergenceOrder:
         assert str(batch.value) == str(alone.value) == "seed 1 diverged at step 587: eta must be finite and >= 0, got inf"
 
     def test_bad_base_rate_is_a_usage_error(self):
+        # refused when the run is built, before it can start
         for eta in (-1.0, math.inf, math.nan):
-            with pytest.raises(InvalidInput, match="eta must be finite and >= 0"):
-                run(RunConfig(problem=TRIG, optimizer_id="nsgdm", T=5, seeds=(1,), eta=eta))
+            with pytest.raises(InvalidInput, match=f"^nsgdm needs a base rate: eta must be finite and > 0, got {eta}$"):
+                RunConfig(problem=TRIG, optimizer_id="nsgdm", T=5, seeds=(1,), eta=eta)
 
 
 class TestSplitRun:
@@ -665,6 +711,14 @@ class TestBoundAcceptanceSmoke:
         for rec in run(cfg):
             assert all(len(getattr(rec, c)) == 30 for c in RECORD_COLUMNS if c != "descent_residual")
             assert np.all(rec.eta >= 0.0) and np.all(rec.grad_norm >= 0.0)
+
+    def test_a_repeated_horizon_is_refused_before_any_run(self, monkeypatch):
+        # it would run T = 10 twice, report it twice and fit the slope to it twice
+        runs = []
+        monkeypatch.setattr(harness, "run", runs.append)
+        with pytest.raises(InvalidInput, match=r"^T_grid must be distinct, got \[10, 10, 100\]$"):
+            bound_acceptance(TRIG, "nsgdm", [10, 100, 10], seeds=(1, 2))
+        assert runs == []
 
     def test_rejects_point_certified_sigma(self):
         from nigt_lab.problems import make_streaming_least_squares

@@ -135,9 +135,8 @@ class TestNsgdmStep:
             transport_step(s, fixed([np.nan, 0.0]), 0.1, 0.0, 1.0, normalized_move, False)
 
     def test_rejects_bad_beta(self):
-        cfg = RunConfig(problem=make_sign_noise(0.25), optimizer_id="nsgdm", T=1, seeds=(1,), eta=0.1, beta=1.0)
-        with pytest.raises(InvalidInput):
-            run(cfg)
+        with pytest.raises(InvalidInput, match=r"^beta must lie in \[0, 1\), got 1.0$"):
+            RunConfig(problem=make_sign_noise(0.25), optimizer_id="nsgdm", T=1, seeds=(1,), eta=0.1, beta=1.0)
 
 
 class TestIgtExtrapolate:
