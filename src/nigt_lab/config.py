@@ -28,9 +28,9 @@ from pathlib import Path
 
 from .core import MAX_LOG_CELLS, MAX_SEEDS, MAX_STATE_CELLS
 from .errors import ConfigError, InvalidInput
-from .harness import CONTAINMENT_PAIRS, OPTIMIZER_IDS, RunConfig, grid_sweep, igt_moment_check
+from .harness import OPTIMIZER_IDS, RunConfig, grid_sweep, igt_moment_check
 from .optimizers import METHODS, LayerPartition, Schedule, blockwise_move
-from .problems import PROBLEM_KINDS, StochasticProblem, cert_points, certify_constants, with_constants
+from .problems import PROBLEM_KINDS, StochasticProblem, certify_constants, with_constants
 from .tuning import THEOREM_METHODS, tuned
 
 
@@ -383,12 +383,10 @@ def bounds_settings(exp: ExperimentFile, n_seeds_override: int | None = None,
                     master_seed_override: int | None = None):
     """(problem, optimizer id, T grid, seeds) of ``bounds``, which runs the
     method at its own theorem's tuning for each horizon of the grid and
-    then certifies the problem's constants, whose size is checked here,
-    before any horizon runs."""
+    then certifies the problem's constants."""
     problem = build_problem(exp)
     T_grid = _require(exp.run, "T_grid", "run")
     seeds = resolve_seeds(exp, "max(run.T_grid)", max(T_grid), n_seeds_override, master_seed_override, problem.dim)
-    cert_points(problem, CONTAINMENT_PAIRS)
     return problem, _require(exp.optimizer, "id", "optimizer"), T_grid, seeds
 
 

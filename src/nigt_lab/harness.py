@@ -11,6 +11,7 @@ record is the one it would get alone.
 
 from __future__ import annotations
 
+import inspect
 import math
 import os
 import pickle
@@ -36,7 +37,7 @@ from .optimizers import (
     paired_sq_diff,
     transport_step,
 )
-from .problems import StochasticProblem, certify_constants
+from .problems import StochasticProblem, cert_points, certify_constants
 from .tuning import bound_check, tuned
 
 OPTIMIZER_IDS = tuple(METHODS)
@@ -46,7 +47,6 @@ OPTIMIZER_IDS = tuple(METHODS)
 DESCENT_TOL = 1e-9
 
 DEFAULT_ETA_GRID = (1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0)
-DEFAULT_CERT_RADIUS = 10.0
 CONTAINMENT_PAIRS = 300  # pairs of bound_acceptance's containment certification
 
 # Runs step in blocks whose w, x and m arrays, kept by reference until the
@@ -485,25 +485,28 @@ def bound_acceptance(
 
     Also asserts trajectory containment: after all runs, the declared
     constants are re-certified on a ball wide enough to cover every iterate
-    and query point actually visited.
+    and query point actually visited, at least certify_constants' default.
+    Each horizon is tuned and built, and the certification sized, first.
     """
     seeds = tuple(int(s) for s in seeds)
     T_grid = sorted(int(t) for t in T_grid)
     if len(set(T_grid)) != len(T_grid):
         raise InvalidInput(f"T_grid must be distinct, got {T_grid}")
+    tunings = [tuned(optimizer_id, problem, T) for T in T_grid]  # (params, ceiling) per horizon
+    configs = [RunConfig(problem=problem, optimizer_id=optimizer_id, T=T, seeds=seeds, eta=params.eta,
+                         beta=params.beta) for T, (params, _) in zip(T_grid, tunings)]
+    cert_points(problem, CONTAINMENT_PAIRS)
     rows = []
     max_disp = 0.0
-    for T in T_grid:
-        params, bound = tuned(optimizer_id, problem, T)
-        recs = run(RunConfig(problem=problem, optimizer_id=optimizer_id, T=T, seeds=seeds,
-                             eta=params.eta, beta=params.beta))
+    for cfg, (_, bound) in zip(configs, tunings):
+        recs = run(cfg)
         if records_out is not None:
             records_out.extend(recs)
         max_disp = max(max_disp, max(r.max_displacement for r in recs))
         mean, stderr, passed = bound_check([r.avg_grad_norm() for r in recs], bound)
-        rows.append(BoundRow(T=T, mean_avg_grad_norm=mean, stderr=stderr, bound=bound, passed=passed))
+        rows.append(BoundRow(T=cfg.T, mean_avg_grad_norm=mean, stderr=stderr, bound=bound, passed=passed))
 
-    cert_radius = max(DEFAULT_CERT_RADIUS, 1.05 * max_disp)
+    cert_radius = max(inspect.signature(certify_constants).parameters["radius"].default, 1.05 * max_disp)
     certify_constants(problem, n_pairs=CONTAINMENT_PAIRS, radius=cert_radius, rng=RngStream(seeds[0], 101))
     return BoundReport(
         problem_id=problem.problem_id,

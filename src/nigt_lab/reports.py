@@ -450,32 +450,30 @@ def _range(arrays) -> tuple[float, float]:
     return min(float(a.min()) for a in arrays), max(float(a.max()) for a in arrays)
 
 
-def svg_line_chart(fh, series, title: str, xlabel: str, ylabel: str,
-                   xlog: bool = False, ylog: bool = False) -> None:
-    """Multi-polyline chart, written to the text handle ``fh``: the frame,
-    then each polyline as soon as it is formatted. ``series`` is a list of
-    (xs, ys, style) triples of float arrays.
+def svg_line_chart(fh, columns, title: str, ylabel: str, log: bool = False) -> None:
+    """A chart of a run's float columns over its steps t = 1..T, written to
+    the text handle ``fh``: the frame, then each column as a gray polyline
+    and their mean at each step as a dark one, each as soon as it is
+    formatted. ``log`` makes both axes logarithmic.
 
-    Points with a non-finite or (on log axes) non-positive coordinate are
-    dropped. Purely textual output: same input, same bytes.
+    A step whose value is not finite (or, on the log chart, not positive)
+    is dropped from its line. Purely textual output: same input, same bytes.
     """
-    cleaned = []
-    for xs, ys, style in series:
-        keep = np.isfinite(xs) & np.isfinite(ys)
-        if xlog:
-            keep &= xs > 0.0
-        if ylog:
-            keep &= ys > 0.0
-        if keep.any():  # a copy only of a series that loses points
-            cleaned.append((xs, ys, style) if keep.all() else (xs[keep], ys[keep], style))
+    t = np.arange(1.0, len(columns[0]) + 1)
+    # each step's mean sums one contiguous row of a (T, S) stack, in seed order
+    lines = [(ys, _SEED_STYLE) for ys in columns] + [(np.stack(columns, axis=1).mean(axis=1), _MEAN_STYLE)]
+    cleaned = []  # (the kept steps, their values, style)
+    for ys, style in lines:
+        keep = np.isfinite(ys) & (ys > 0.0) if log else np.isfinite(ys)
+        if keep.any():  # a copy only of a line that loses steps
+            cleaned.append((t, ys, style) if keep.all() else (t[keep], ys[keep], style))
 
-    # with nothing to draw: x over [1, 10], y over one decade or over [0, 1]
+    # with nothing to draw: t over [1, 10], y over one decade or over [0, 1]
     x_lo, x_hi = _range([xs for xs, _, _ in cleaned] or [np.array([1.0, 10.0])])
-    y_lo, y_hi = _range([ys for _, ys, _ in cleaned] or [np.array([1.0, 10.0] if ylog else [0.0, 1.0])])
-    tx = math.log10 if xlog else float
-    ty = math.log10 if ylog else float
-    ax_lo, ax_hi = tx(x_lo), tx(x_hi)
-    ay_lo, ay_hi = ty(y_lo), ty(y_hi)
+    y_lo, y_hi = _range([ys for _, ys, _ in cleaned] or [np.array([1.0, 10.0] if log else [0.0, 1.0])])
+    tr = math.log10 if log else float
+    ax_lo, ax_hi = tr(x_lo), tr(x_hi)
+    ay_lo, ay_hi = tr(y_lo), tr(y_hi)
     if ax_hi == ax_lo:
         ax_hi = ax_lo + 1.0
     if ay_hi == ay_lo:
@@ -497,52 +495,47 @@ def svg_line_chart(fh, series, title: str, xlabel: str, ylabel: str,
         f'<text x="{_fmt(_W / 2)}" y="22" font-family="monospace" font-size="14" '
         f'text-anchor="middle">{title}</text>',
         f'<text x="{_fmt(_W / 2)}" y="{_fmt(_H - 10)}" font-family="monospace" font-size="12" '
-        f'text-anchor="middle">{xlabel}</text>',
+        'text-anchor="middle">t</text>',
         f'<text x="16" y="{_fmt(_H / 2)}" font-family="monospace" font-size="12" '
         f'text-anchor="middle" transform="rotate(-90 16 {_fmt(_H / 2)})">{ylabel}</text>',
     ]
 
-    # log ticks start at 1e-300 at the lowest: 10.0**-324 would round to 0
-    x_ticks = _ticks_log(max(x_lo, 1e-300), x_hi) if xlog else _ticks_linear(x_lo, x_hi)
-    for v in x_ticks:
-        if tx(v) < ax_lo - 1e-12 or tx(v) > ax_hi + 1e-12:
+    for v in _ticks_log(x_lo, x_hi) if log else _ticks_linear(x_lo, x_hi):
+        if tr(v) < ax_lo - 1e-12 or tr(v) > ax_hi + 1e-12:
             continue
-        X = px(tx(v))
+        X = px(tr(v))
         out.append(f'<line x1="{_fmt(X)}" y1="{_fmt(_H - _MB)}" x2="{_fmt(X)}" '
                    f'y2="{_fmt(_H - _MB + 5)}" stroke="#444444" stroke-width="1"/>')
         out.append(f'<text x="{_fmt(X)}" y="{_fmt(_H - _MB + 18)}" font-family="monospace" '
                    f'font-size="10" text-anchor="middle">{v:.4g}</text>')
-    y_lo_t = 10.0 ** ay_lo if ylog else ay_lo
-    y_hi_t = 10.0 ** ay_hi if ylog else ay_hi
-    y_ticks = _ticks_log(max(y_lo_t, 1e-300), y_hi_t) if ylog else _ticks_linear(y_lo_t, y_hi_t)
+    y_lo_t, y_hi_t = (10.0 ** ay_lo, 10.0 ** ay_hi) if log else (ay_lo, ay_hi)
+    # log ticks start at 1e-300 at the lowest: 10.0**-324 would round to 0
+    y_ticks = _ticks_log(max(y_lo_t, 1e-300), y_hi_t) if log else _ticks_linear(y_lo_t, y_hi_t)
     for v in y_ticks:
-        if ty(v) < ay_lo - 1e-12 or ty(v) > ay_hi + 1e-12:
+        if tr(v) < ay_lo - 1e-12 or tr(v) > ay_hi + 1e-12:
             continue
-        Y = py(ty(v))
+        Y = py(tr(v))
         out.append(f'<line x1="{_fmt(_ML - 5)}" y1="{_fmt(Y)}" x2="{_fmt(_ML)}" '
                    f'y2="{_fmt(Y)}" stroke="#444444" stroke-width="1"/>')
         out.append(f'<text x="{_fmt(_ML - 8)}" y="{_fmt(Y + 3)}" font-family="monospace" '
                    f'font-size="10" text-anchor="end">{v:.4g}</text>')
     fh.write("\n".join(out) + "\n")
 
-    # a polyline whose xs (and ys) are those of the one before reuses its
-    # x text (and its points); a point is two words, "x," and "y "
-    last_xs = last_ys = None
+    # a point is two words, "x," and "y ". Each step's x text is printed
+    # once (a kept step's pixel lies in [_ML, _W - _MR], which _f2_words
+    # always prints) into the points of the lines that keep every step. A
+    # line whose steps and ys are those of the one before reuses its text
+    every_step = np.empty((len(t), 2), np.uint64)
+    every_step[:, 0] = _f2_words(px(_log10(t) if log else t))[0] | np.uint64(ord(",") << 56)
+    last_xs = last_ys = np.empty(0)  # matches no line
     for xs, ys, style in cleaned:
-        same_x = last_xs is not None and _same_bits(xs, last_xs)
-        if not (same_x and _same_bits(ys, last_ys)):
-            if not same_x:
-                x = px(_log10(xs) if xlog else xs)
-                words, bad = _f2_words(x)
-                points = np.empty((len(xs), 2), np.uint64)
-                points[:, 0] = words | np.uint64(ord(",") << 56)
-                x_cells = [(16 * i, _fmt(x[i])) for i in bad.tolist()]
-            y = py(_log10(ys) if ylog else ys)
+        if not (_same_bits(xs, last_xs) and _same_bits(ys, last_ys)):
+            points = every_step if xs is t else every_step[xs.astype(np.intp) - 1]  # a copy: its own y words
+            y = py(_log10(ys) if log else ys)
             words, bad = _f2_words(y)
             points[:, 1] = words | np.uint64(ord(" ") << 56)
             points[-1, 1] = words[-1]
-            cells = sorted(x_cells + [(16 * i + 8, _fmt(y[i])) for i in bad.tolist()])
-            coords = _text(points, *zip(*cells))
+            coords = _text(points, (16 * bad + 8).tolist(), [_fmt(v) for v in y[bad].tolist()])
         last_xs, last_ys = xs, ys
         fh.write(f'<polyline {style} points="')
         fh.write(coords)  # the largest string of a chart, written without a copy
@@ -550,24 +543,20 @@ def svg_line_chart(fh, series, title: str, xlabel: str, ylabel: str,
     fh.write("</svg>\n")
 
 
-_METRICS = (  # column (and chart <column>.svg), title, log x axis, log y axis
-    ("grad_norm", "exact gradient norm", True, True),
-    ("f_val", "objective value", False, False),
-    ("eta", "step size", False, False),
+_METRICS = (  # column (and chart <column>.svg), title, log axes
+    ("grad_norm", "exact gradient norm", True),
+    ("f_val", "objective value", False),
+    ("eta", "step size", False),
 )
 
 
 def write_plots(out_dir, records) -> None:
-    """One chart per metric: each record, in seed order, as a gray polyline,
-    and their mean at each step as a dark line. A column the run did not
-    record is charted as NaN: its chart keeps no line."""
+    """One chart per metric of the records, in seed order (see
+    :func:`svg_line_chart`). A column the run did not record is charted as
+    NaN: its chart keeps no line."""
     records = sorted(records, key=lambda r: r.seed)
-    t = np.arange(1.0, len(records[0].eta) + 1)  # the records of a run share their steps
-    missing = np.full(len(t), np.nan)
-    for column, title, xlog, ylog in _METRICS:
+    missing = np.full(len(records[0].eta), np.nan)  # the records of a run share their steps
+    for column, title, log in _METRICS:
         cols = [missing if getattr(rec, column) is None else getattr(rec, column) for rec in records]
-        series = [(t, col, _SEED_STYLE) for col in cols]
-        # each step's mean sums one contiguous row of a (T, S) stack, in seed order
-        series.append((t, np.stack(cols, axis=1).mean(axis=1), _MEAN_STYLE))
         with open_atomic(out_dir / f"{column}.svg") as fh:
-            svg_line_chart(fh, series, title, "t", column, xlog=xlog, ylog=ylog)
+            svg_line_chart(fh, cols, title, column, log)

@@ -119,7 +119,8 @@ def nigt_bound(R: float, L: float, rho: float, sigma: float, T: int) -> float:
 
 def tuned(optimizer_id: str, problem, T: int) -> tuple[TunedParams, float]:
     """The tuning of ``optimizer_id`` on ``problem`` for horizon T, and its
-    ceiling; both theorems need the noise bounded by sigma at every point."""
+    ceiling; both theorems need the noise bounded by sigma at every point.
+    A tuning whose eta rounds to 0 or beta = 1 - alpha to 1 is refused."""
     if optimizer_id not in THEOREM_METHODS.values():
         raise InvalidInput(f"no closed-form tuning for {optimizer_id!r}")
     if problem.sigma_at_w1_only:
@@ -127,8 +128,13 @@ def tuned(optimizer_id: str, problem, T: int) -> tuple[TunedParams, float]:
                            "the tuned ceilings need it at every point")
     R, L, rho, sigma = problem.R, problem.L, problem.rho, problem.sigma
     if optimizer_id == "nsgdm":
-        return nsgdm_params(R, L, sigma, T), nsgdm_bound(R, L, sigma, T)
-    return nigt_params(R, L, rho, sigma, T), nigt_bound(R, L, rho, sigma, T)
+        params, bound = nsgdm_params(R, L, sigma, T), nsgdm_bound(R, L, sigma, T)
+    else:
+        params, bound = nigt_params(R, L, rho, sigma, T), nigt_bound(R, L, rho, sigma, T)
+    if not (params.eta > 0.0 and params.beta < 1.0):
+        raise InvalidInput(f"the {optimizer_id} tuning at R = {R}, L = {L}, rho = {rho}, sigma = {sigma}, T = {T} "
+                           f"rounds out of its domain: eta = {params.eta}, beta = {params.beta}")
+    return params, bound
 
 
 def bound_check(avgs, bound: float | None) -> tuple[float, float, bool]:

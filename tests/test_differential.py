@@ -9,12 +9,15 @@ once passed it in; certification computes its L and rho ratios for all
 pairs at once; the runner draws each block's noise when the block starts,
 where a tape once drew it ahead on a cadence of its own; the CSV writer
 writes its rows a chunk at a time and a chart its polylines one at a time,
-where each once returned the text of its whole file; the command line loads
+where each once returned the text of its whole file, and a chart draws a
+run's columns over its steps, where it once took any x axis for each line
+and a log flag for each axis; the command line loads
 a file once and passes its sections straight to the functions that read
 them, and refuses the keys its builders left unread, where read sets once
 stated them; a run's rates are checked once, when its configuration is
 built, where the rate resolver and the runner once checked them with two
-domains. The ``ref_*`` code below is the code they replaced, kept
+domains, and a theorem's tuning refuses rates that round out of their
+domain, where the run once did. The ``ref_*`` code below is the code they replaced, kept
 verbatim as the reference: every state byte, every exception (type, row and
 text), every certification report, every noise row a step reads, every
 output string and every command's exit code, stdout, stderr and written
@@ -55,6 +58,7 @@ from nigt_lab.config import (
     serialize_experiment,
 )
 from nigt_lab.core import (
+    MAX_CERT_CELLS,
     MAX_LOG_CELLS,
     MAX_SEEDS,
     NORM_FLOOR,
@@ -75,7 +79,6 @@ from nigt_lab.errors import (
 )
 from nigt_lab.harness import (
     CONTAINMENT_PAIRS,
-    DEFAULT_CERT_RADIUS,
     DEFAULT_ETA_GRID,
     OPTIMIZER_IDS,
     BoundReport,
@@ -87,7 +90,7 @@ from nigt_lab.harness import (
     rate_diagnostic,
     run,
 )
-from nigt_lab.tuning import THEOREM_METHODS, bound_check, tuned
+from nigt_lab.tuning import THEOREM_METHODS, bound_check, nigt_bound, nigt_params, nsgdm_bound, nsgdm_params
 from nigt_lab.optimizers import (
     _INV_REL_TOL,
     LayerPartition,
@@ -100,6 +103,7 @@ from nigt_lab.optimizers import (
     transport_step,
 )
 from nigt_lab.problems import (
+    CERT_N_SIGMA,
     PROBLEM_KINDS,
     CertReport,
     NoisyQuadratic,
@@ -116,6 +120,8 @@ from nigt_lab.problems import (
 )
 from nigt_lab.reports import (
     _CSV_FIELDS,
+    _MEAN_STYLE,
+    _SEED_STYLE,
     _H,
     _MB,
     _ML,
@@ -132,6 +138,7 @@ from nigt_lab.reports import (
     record_to_csv,
     rows_to_csv,
     svg_line_chart,
+    write_plots,
     write_run_outputs,
     write_text_atomic,
 )
@@ -142,6 +149,7 @@ NoResults = ConfigError
 # -- the reference: the per-call forms, verbatim --------------------------------
 
 BLOCK_BYTES = 256 * 1024  # read by ref_NoiseTape; the tests set it with the runner's
+DEFAULT_CERT_RADIUS = 10.0  # the containment radius's floor, read by ref_bound_acceptance
 
 
 class ref_NoiseTape:
@@ -788,24 +796,27 @@ POINTS = st.one_of(st.floats(-1e6, 1e6), st.sampled_from([0.0, -0.0, math.nan, 1
 
 
 @st.composite
-def chart_series(draw):
-    """Polylines over a shared t axis, each a copy of the line before, the
-    same xs with other ys, xs and ys of its own, or all NaN; non-finite and
-    non-positive points leave lines of different lengths once dropped."""
+def chart_columns(draw):
+    """A run's columns over its steps, each the column before (the same
+    array, a copy, or its finite cells moved to the first steps), all NaN,
+    or cells of its own; non-finite, signed zero, negative and subnormal
+    cells leave lines of different steps once dropped."""
     n = draw(st.integers(1, 8))
-    t = np.arange(1.0, n + 1)
-    series = []
+    columns = []
     for _ in range(draw(st.integers(1, 5))):
-        kind = draw(st.sampled_from(["copy", "same_x", "own", "nan"] if series else ["same_x", "own", "nan"]))
-        if kind == "copy":
-            xs, ys = series[-1][0].copy(), series[-1][1].copy()
+        kind = draw(st.sampled_from(["same", "copy", "moved", "own", "nan"] if columns else ["own", "nan"]))
+        if kind == "same":
+            columns.append(columns[-1])
+        elif kind == "copy":
+            columns.append(columns[-1].copy())
+        elif kind == "moved":  # the same values at other steps, where the column before has a gap
+            finite = columns[-1][np.isfinite(columns[-1])]
+            columns.append(np.concatenate([finite, np.full(n - len(finite), math.nan)]))
         elif kind == "nan":
-            xs, ys = t.copy(), np.full(n, math.nan)
+            columns.append(np.full(n, math.nan))
         else:
-            xs = t.copy() if kind == "same_x" else np.array(draw(st.lists(POINTS, min_size=n, max_size=n)))
-            ys = np.array(draw(st.lists(POINTS, min_size=n, max_size=n)))
-        series.append((xs, ys, draw(st.sampled_from(['stroke="a"', 'stroke="b"']))))
-    return series
+            columns.append(np.array(draw(st.lists(POINTS, min_size=n, max_size=n))))
+    return columns
 
 
 def streamed(write) -> str:
@@ -815,24 +826,44 @@ def streamed(write) -> str:
     return fh.getvalue()
 
 
-def streamed_chart(series, *args, **kwargs) -> str:
-    """:func:`svg_line_chart` of ``series``, as one string."""
-    return streamed(lambda fh: svg_line_chart(fh, series, *args, **kwargs))
+def streamed_chart(columns, title, ylabel, log) -> str:
+    """:func:`svg_line_chart` of ``columns``, as one string."""
+    return streamed(lambda fh: svg_line_chart(fh, columns, title, ylabel, log))
 
 
-def chart_outcome(chart, series, xlog, ylog):
-    """The chart, or the type and text of what drawing it raises."""
+# the charts of the earlier write_plots: column, title, log x axis, log y axis
+REF_METRICS = (
+    ("grad_norm", "exact gradient norm", True, True),
+    ("f_val", "objective value", False, False),
+    ("eta", "step size", False, False),
+)
+
+
+def ref_chart(columns, title, ylabel, xlog, ylog=None) -> str:
+    """The chart of a run's columns as the earlier write_plots drew it: each
+    column over the steps, then their mean, under the x label t."""
+    t = np.arange(1.0, len(columns[0]) + 1)
+    series = [(t, col, _SEED_STYLE) for col in columns]
+    series.append((t, np.stack(columns, axis=1).mean(axis=1), _MEAN_STYLE))
+    return ref_svg_line_chart(series, title, "t", ylabel, xlog=xlog, ylog=xlog if ylog is None else ylog)
+
+
+def chart_outcome(chart, columns, log):
+    """The chart, or the type and text of what drawing it raises; infinities
+    of both signs at a step give a NaN mean, quietly."""
     try:
-        return chart(series, "title", "t", "y", xlog=xlog, ylog=ylog)
+        with np.errstate(invalid="ignore"):
+            return chart(columns, "title", "y", log)
     except (ValueError, OverflowError) as e:
         return type(e).__name__, str(e)
 
 
 class TestOutputLayer:
     """The CSV writer writes its rows a chunk at a time, and a chart writes
-    each polyline as soon as it is formatted and takes its axis range from
-    each line's least and greatest point: the bytes must be those of the
-    whole-file text."""
+    each polyline as soon as it is formatted, takes its axis range from
+    each line's least and greatest point, and draws a run's columns and
+    their mean over its steps, printing each step's x text once: the bytes
+    must be those of the whole-file text of each line's own x axis."""
 
     @settings(max_examples=500)
     @given(records(), st.integers(1, 13))
@@ -841,22 +872,40 @@ class TestOutputLayer:
             assert streamed(functools.partial(record_to_csv, rec)) == ref_record_to_csv(rec)
 
     @settings(max_examples=400)
-    @given(chart_series(), st.booleans(), st.booleans())
-    def test_chart_matches_the_whole_file_chart(self, series, xlog, ylog):
-        new = chart_outcome(streamed_chart, series, xlog, ylog)
-        assert new == chart_outcome(ref_svg_line_chart, series, xlog, ylog)
+    @given(chart_columns(), st.booleans())
+    def test_chart_matches_the_whole_file_chart(self, columns, log):
+        assert chart_outcome(streamed_chart, columns, log) == chart_outcome(ref_chart, columns, log)
 
     @pytest.mark.parametrize("ys", [((0.0, 1.0), (-0.0, 2.0)), ((-0.0, 1.0), (0.0, 2.0)),
                                     ((-1.0, 0.0), (-2.0, -0.0)), ((-1.0, -0.0), (-2.0, 0.0)),
                                     ((0.0, -0.0), (-0.0, 0.0)), ((-0.0, -0.0), (0.0, 0.0))])
-    @pytest.mark.parametrize("xs", [((0.0, 1.0), (-0.0, 1.0)), ((-0.0, 1.0), (0.0, 1.0))])
-    def test_extremes_of_either_sign_of_zero_draw_the_same(self, xs, ys):
+    def test_extremes_of_either_sign_of_zero_draw_the_same(self, ys):
         # the least (greatest) point of a line is a zero of one sign, of the
         # next line a zero of the other: the extreme over the lines and over
         # their joined points may differ in the sign of that zero only
-        series = [(np.array(x), np.array(y), 'stroke="a"') for x, y in zip(xs, ys)]
-        new = chart_outcome(streamed_chart, series, False, False)
-        assert new == chart_outcome(ref_svg_line_chart, series, False, False)
+        columns = [np.array(y) for y in ys]
+        assert chart_outcome(streamed_chart, columns, False) == chart_outcome(ref_chart, columns, False)
+
+    @pytest.mark.parametrize("dropped", ["one_seed", "every_seed"])
+    def test_a_dropped_step_draws_as_the_earlier_charts(self, tmp_path, dropped):
+        # a zero gradient norm is left off the log chart: at one step of one
+        # seed, or at the first step of every seed and so of their mean,
+        # which moves the start of the t axis to 2
+        rng = np.random.default_rng(5)
+        T = 40
+        cols = {name: rng.random((3, T)) + 0.1 for name in ("f_val", "grad_norm")}
+        if dropped == "one_seed":
+            cols["grad_norm"][1, 17] = 0.0
+        else:
+            cols["grad_norm"][:, 0] = 0.0
+        records = [TrajectoryRecord(problem_id="p", optimizer_id="o", seed=seed, eta=np.full(T, 0.01),
+                                    alpha=np.full(T, 0.1), m_norm=np.ones(T), no_move=np.zeros(T, dtype=bool),
+                                    f_val=cols["f_val"][i], grad_norm=cols["grad_norm"][i])
+                   for i, seed in enumerate([1, 2, 3])]
+        write_plots(tmp_path, records[::-1])
+        for column, title, xlog, ylog in REF_METRICS:
+            expected = ref_chart([getattr(r, column) for r in records], title, column, xlog, ylog)
+            assert (tmp_path / f"{column}.svg").read_bytes().decode("utf-8") == expected
 
 
 # -- the command line ------------------------------------------------------------------
@@ -867,7 +916,9 @@ class TestOutputLayer:
 # configurations are checked as before; run checks the self-tuning method's
 # schedule premise, the base rate and beta when it starts, the sweep
 # refuses that method when it starts and builds each grid point as it
-# reaches it, and bounds runs each horizon of its grid, repeated or not.
+# reaches it, and bounds tunes and runs each horizon of its grid as it
+# reaches it, repeated or not. The tuning (ref_tuned) gives any rates its
+# closed forms round to.
 
 
 class RefRunConfig(RunConfig):
@@ -925,12 +976,26 @@ def ref_grid_sweep(base: RunConfig, eta_grid=DEFAULT_ETA_GRID):
     return SweepReport(rows=tuple(rows), best_eta0=None if best.diverged_at is not None else best.eta0)
 
 
+def ref_tuned(optimizer_id: str, problem, T: int):
+    """The tuning of ``optimizer_id`` on ``problem`` for horizon T, and its
+    ceiling; both theorems need the noise bounded by sigma at every point."""
+    if optimizer_id not in THEOREM_METHODS.values():
+        raise InvalidInput(f"no closed-form tuning for {optimizer_id!r}")
+    if problem.sigma_at_w1_only:
+        raise InvalidInput(f"oracle variance is only certified at the start point for {problem.problem_id}; "
+                           "the tuned ceilings need it at every point")
+    R, L, rho, sigma = problem.R, problem.L, problem.rho, problem.sigma
+    if optimizer_id == "nsgdm":
+        return nsgdm_params(R, L, sigma, T), nsgdm_bound(R, L, sigma, T)
+    return nigt_params(R, L, rho, sigma, T), nigt_bound(R, L, rho, sigma, T)
+
+
 def ref_bound_acceptance(problem: StochasticProblem, optimizer_id: str, T_grid, seeds) -> BoundReport:
     seeds = tuple(int(s) for s in seeds)
     rows = []
     max_disp = 0.0
     for T in sorted(int(t) for t in T_grid):
-        params, bound = tuned(optimizer_id, problem, T)
+        params, bound = ref_tuned(optimizer_id, problem, T)
         recs = ref_run(RefRunConfig(problem=problem, optimizer_id=optimizer_id, T=T, seeds=seeds,
                                     eta=params.eta, beta=params.beta))
         max_disp = max(max_disp, max(r.max_displacement for r in recs))
@@ -1289,7 +1354,7 @@ def ref_resolve_rate(exp: RefExperimentFile, opt_id: str, problem, T: int, requi
     params = bound = None
     if paired_id is not None:
         try:
-            params, bound = tuned(opt_id, problem, T)
+            params, bound = ref_tuned(opt_id, problem, T)
         except (InvalidInput, ArithmeticError) as e:  # constants outside a rule's domain
             raise ConfigError(f"invalid hyperparameters: {e}") from e
     elif theorem is None and "eta" not in op and require_eta:
@@ -1503,6 +1568,9 @@ def ref_main(argv=None) -> int:
 # -- the exit-code contract, fuzzed ----------------------------------------------------
 
 EDGE = {"float": [0.0, -1.0, math.nan, math.inf, -math.inf, 1e308, 5e-324], "int": [0, -1], "str": ["bogus"]}
+# the text of a value the file parser refuses, by type: a bare word for a
+# number, yes for a bool, and for a list one empty item
+UNPARSED = {"float": "ten", "int": "ten", "bool": "yes", "list": ""}
 
 # small values that make a usable file likely: T <= 50, at most 3 seeds,
 # dim <= 8, n_pairs <= 200
@@ -1562,7 +1630,8 @@ def experiment_files(draw, command):
     read, so most of them run. Now and then a clean file lacks one key its
     command needs, so the refusal of that key is reached past every other
     check. The others draw every key the command reads, edge values (0, -1,
-    NaN, +-inf, 1e308, subnormal) and now and then a key it does not read."""
+    NaN, +-inf, 1e308, subnormal) and now and then a key it does not read,
+    and one in four of them a value the file parser refuses (UNPARSED)."""
     kinds = USUAL["problem.kind"]
     # igt-check needs a quadratic and refuses a curved Hessian (the trig
     # bowl's rho > 0), and bounds certifies sigma away from w1 and tunes with
@@ -1575,6 +1644,7 @@ def experiment_files(draw, command):
     opt_id = draw(st.sampled_from(["nsgdm", "nigt"] if command == "bounds" else USUAL["optimizer.id"]))
     params = inspect.signature(PROBLEM_KINDS[kind]).parameters
     lines = [f"problem.kind = {kind}"]
+    typed = []  # (line, value type) of each number, bool and list drawn
     for section, keys in REF_FILE_SCHEMA.items():
         for key, typ in keys.items():
             name = f"{section}.{key}"
@@ -1609,6 +1679,12 @@ def experiment_files(draw, command):
                 lines.append(f"{name} = {','.join(map(_format_value, items))}")
             else:
                 lines.append(f"{name} = {_format_value(draw(value))}")
+            if typ != "str":
+                typed.append((len(lines) - 1, "list" if typ.endswith("_list") else typ))
+    if edgy and typed and draw(chances(1, 4)):  # one value the parser refuses, of a type drawn first
+        typ = draw(st.sampled_from(sorted({typ for _, typ in typed})))
+        i = draw(st.sampled_from([i for i, t in typed if t == typ]))
+        lines[i] = f"{lines[i].split(' = ')[0]} = {UNPARSED[typ]}"
     return "\n".join(lines) + "\n"
 
 
@@ -1790,6 +1866,10 @@ RATE_RULE = re.compile(r"(?:config error: invalid run configuration: |error: )"
 OLD_COVER = "config error: invalid layer partition: ranges "
 NEW_COVER = "config error: invalid run configuration: ranges "
 REPEATED_HORIZON = re.compile(r"error: T_grid must be distinct, got \[.*\]\n")
+# a theorem's tuning that rounds out of its domain: refused when a run is
+# built (config error) or by bound_acceptance before any horizon runs; its eta
+TUNED_OUT = re.compile(r"(?:config error: invalid hyperparameters: |error: )the \S+ tuning at R = .*, T = \d+ "
+                       r"rounds out of its domain: eta = (.*), beta = .*\n")
 SEED_FLAGS = ("--seeds", "--master-seed")
 
 
@@ -1818,10 +1898,15 @@ def agree(new, ref) -> bool:
       run configuration, where it was an invalid layer partition;
     - bounds without run.T_grid, as ``section 'run' requires key
       'T_grid'``;
-    - bounds on a grid that repeats a horizon, which it ran twice."""
+    - bounds on a grid that repeats a horizon, which it ran twice;
+    - a theorem's tuning whose eta rounds to 0 or whose beta rounds to 1,
+      by the tuning, naming its constants and T, when the run is built or
+      before any horizon of bounds runs. The earlier code refused its beta
+      of 1 when the run (or that horizon) started, but ran an eta of 0."""
     (results, files, caught), (ref_results, ref_files, ref_caught) = new, ref
     first, ref_first = results[0], ref_results[0]
     rate = RATE_RULE.fullmatch(first[2])
+    tuning = TUNED_OUT.fullmatch(first[2])
     moved = (ref_first == MANUAL_ETA and first == NO_ETA
              or ref_first == SELF_TUNING_STARTED
              and first == (1, "", f"config error: invalid run configuration: {SELF_TUNING_PREMISE}\n")
@@ -1832,7 +1917,8 @@ def agree(new, ref) -> bool:
              and first[2].startswith(("config error: invalid layer partition: ", "config error: optimizer.layers "))
              or ref_first[2].startswith(OLD_COVER) and first == (1, "", NEW_COVER + ref_first[2][len(OLD_COVER):])
              or ref_first == BOUNDS_NEEDS_GRID and first == NO_T_GRID
-             or first[:2] == (1, "") and REPEATED_HORIZON.fullmatch(first[2]))
+             or first[:2] == (1, "") and REPEATED_HORIZON.fullmatch(first[2])
+             or first[:2] == (1, "") and tuning and (ref_first[0] == 1 or float(tuning[1]) == 0.0))
     return new == ref or (moved and not files[0]
                           and (results[1:], files[1:], caught) == (ref_results[1:], ref_files[1:], ref_caught))
 
@@ -1875,10 +1961,16 @@ OLD_BAD_RATE = "error: nsgdm needs a base rate: eta must be finite and >= 0, got
 BAD_BETA = "beta must lie in [0, 1), got {}"
 OLD_DOMAIN = "config error: invalid hyperparameters: need eta > 0 and beta in [0, 1), got eta = {}, beta = {}"
 GAP = "ranges cover [0, 1) but dim is 2"
+THEOREM_1 = BOWL + "optimizer.id = nsgdm\noptimizer.theorem = 1\n{}\nrun.n_seeds = 2\n"
+TUNED_OUT_OF_DOMAIN = ("the nsgdm tuning at R = {}, L = {}, rho = 1.0, sigma = 0.5, T = {} rounds out of its domain: "
+                       "eta = {}, beta = {}")
+BOWL_R = make_trig_bowl(2, 1.0, 1.0, 0.5).R  # F(w1) - inf F
+UNCERTIFIABLE_DIM = MAX_CERT_CELLS // (CERT_N_SIGMA // 20) + 1  # one above what certification takes
 
 # (command, file, its stderr now, its stderr before, or None where the earlier
 # code ran it and wrote its results): each refusal that the rate rules of
-# RunConfig moved or reworded, and the repeated horizon that bounds refuses
+# RunConfig or the tuning moved or reworded, the repeated horizon that bounds
+# refuses, and where bounds checks the size of its certification
 CHANGED_REFUSALS = [
     *[("run", RUN_BOWL + f"optimizer.eta = {eta}\n", INVALID_RUN + BAD_RATE.format(eta), OLD_DOMAIN.format(eta, 0.9))
       for eta in ("0.0", "-0.0", "-1.0", "nan")],
@@ -1897,6 +1989,23 @@ CHANGED_REFUSALS = [
     ("bounds", BOWL + "optimizer.id = nsgdm\nrun.n_seeds = 2\n", NO_T_GRID[2][:-1], BOUNDS_NEEDS_GRID[2][:-1]),
     ("bounds", BOWL + "optimizer.id = nsgdm\nrun.T_grid = 5,5,20\nrun.n_seeds = 2\n",
      "error: T_grid must be distinct, got [5, 5, 20]", None),
+    ("run", THEOREM_1.format("problem.R = 1e-30\nrun.T = 10000"),
+     "config error: invalid hyperparameters: " + TUNED_OUT_OF_DOMAIN.format(1e-30, 1.0, 10000, 4.4721359549995796e-26, 1.0),
+     "error: " + BAD_BETA.format(1.0)),
+    ("run", THEOREM_1.format("problem.R = 1e-300\nrun.T = 20"),
+     "config error: invalid hyperparameters: " + TUNED_OUT_OF_DOMAIN.format(1e-300, 1.0, 20, 0.0, 1.0),
+     "error: " + BAD_BETA.format(1.0)),
+    ("run", THEOREM_1.format("problem.L = 1e308\nrun.T = 20"),
+     "config error: invalid hyperparameters: " + TUNED_OUT_OF_DOMAIN.format(BOWL_R, 1e308, 20, 0.0, 0.0), None),
+    ("bounds", BOWL + "optimizer.id = nsgdm\nproblem.R = 1e-30\nrun.T_grid = 10,100,1000,10000\nrun.n_seeds = 2\n",
+     "error: " + TUNED_OUT_OF_DOMAIN.format(1e-30, 1.0, 10000, 4.4721359549995796e-26, 1.0),
+     "error: " + BAD_BETA.format(1.0)),
+    # the size of bounds' certification is checked when the horizons are
+    # built, after the unread keys are refused; from the time it was first
+    # checked before any horizon ran until then, it was checked before them
+    ("bounds", BOWL.replace("dim = 2", f"dim = {UNCERTIFIABLE_DIM}") + "optimizer.id = nsgdm\nrun.T = 5\n"
+     "run.T_grid = 5\nrun.n_seeds = 2\n", "config error: keys ['T'] do not apply to bounds (section 'run')",
+     "config error: keys ['T'] do not apply to bounds (section 'run')"),
 ]
 
 
@@ -1912,9 +2021,11 @@ class TestExitCodeContract:
     first. Apart from that, the refusals that :func:`agree` lists changed,
     and igt-check no longer refuses a problem for its kind
     (:func:`reference`). At least one drawn igt-check file reaches the
-    moment check's refusal of a curved Hessian. Each refusal that the rate
-    rules of RunConfig moved or reworded also has a file of its own
-    (:data:`CHANGED_REFUSALS`), compared the same way."""
+    moment check's refusal of a curved Hessian, and drawn files reach the
+    file parser's refusal of a number, a bool and a list. Each refusal that
+    the rate rules of RunConfig or the tuning moved or reworded, and the
+    place of bounds' size check after its unread keys, also has a file of
+    its own (:data:`CHANGED_REFUSALS`), compared the same way."""
 
     def test_commands_keep_the_contract_and_match_the_reference(self):
         stderrs = []
@@ -1926,6 +2037,8 @@ class TestExitCodeContract:
 
         check()
         assert any(err.startswith("error: moment identity requires a constant Hessian;") for err in stderrs)
+        parser = {m[1] for err in stderrs if (m := re.match(r"config error: line \d+: expected (.*?), got ", err))}
+        assert parser == {"a number", "an integer", "true or false", "a comma-separated list"}
 
     @pytest.mark.parametrize("command, text, message, earlier", CHANGED_REFUSALS,
                              ids=[f"{i}-{case[0]}" for i, case in enumerate(CHANGED_REFUSALS)])

@@ -1,10 +1,11 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from nigt_lab.errors import InvalidInput
-from nigt_lab.problems import make_noisy_quadratic, make_streaming_least_squares, make_trig_bowl
+from nigt_lab.problems import make_noisy_quadratic, make_streaming_least_squares, make_trig_bowl, with_constants
 from nigt_lab.tuning import (
     bound_check,
     nigt_bound,
@@ -165,6 +166,25 @@ class TestTheoremTable:
         with pytest.raises(InvalidInput, match="^no closed-form tuning for 'sgd'$"):
             tuned("sgd", pb, 100)
 
+
+    @pytest.mark.parametrize("opt, constants, T, rates", [
+        ("nsgdm", {"R": 1e-30}, 10_000, "eta = 4.4721359549995796e-26, beta = 1.0"),  # 1 - alpha rounds to 1
+        ("nsgdm", {"R": 1e-300}, 100, "eta = 0.0, beta = 1.0"),  # R alpha underflows
+        ("nsgdm", {"L": 1e308}, 10_000, "eta = 0.0, beta = 0.0"),  # T L overflows
+        ("nigt", {"R": 1e-300}, 100, "eta = 2.869005799170234e-216, beta = 1.0"),
+        ("nigt", {"L": 1e308}, 100, "eta = 0.0, beta = 0.6488032883945224"),
+    ])
+    def test_a_tuning_that_rounds_out_of_its_domain_is_refused(self, opt, constants, T, rates):
+        pb = with_constants(make_trig_bowl(4, 1.0, 1.0, 0.5), **constants)
+        named = f"R = {pb.R}, L = {pb.L}, rho = 1.0, sigma = 0.5, T = {T}"
+        with pytest.raises(InvalidInput, match=f"^the {opt} tuning at {re.escape(named)} rounds out of its domain: "
+                                               f"{re.escape(rates)}$"):
+            tuned(opt, pb, T)
+
+    def test_a_tuning_just_inside_its_domain_is_kept(self):
+        # alpha = 2e-16 leaves beta = 1 - 2**-52, below 1
+        params, _ = tuned("nsgdm", with_constants(make_trig_bowl(4, 1.0, 1.0, 0.5), R=1e-30), 100)
+        assert params.eta > 0.0 and params.beta == 1.0 - 2.0**-52
 
 class TestBoundCheck:
     def test_mean_plus_three_standard_errors(self):
