@@ -45,7 +45,6 @@ from .optimizers import (
     StepState,
     apply_schedule,
     blockwise_move,
-    full_partition,
     normalized_move,
     plain_move,
     transport_step,

@@ -6,7 +6,7 @@ igt_check and sweep sections pass straight through to the function that
 reads them: their keys and defaults are its parameters.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 a check failed
-(bound exceeded, invariant violated, certification contradicted, run
+(bound exceeded, invariant violated, declared constant contradicted, run
 diverged).
 """
 
@@ -27,9 +27,10 @@ from .config import (
     output_formats,
     refuse_unread,
 )
-from .errors import CertificationFailure, ConfigError, Diverged, NigtLabError
+from .errors import CertificationFailure, ConfigError, ConstantRefuted, Diverged, NigtLabError
 from .harness import (
     bound_acceptance,
+    check_declared_R,
     grid_sweep,
     igt_moment_check,
     rate_diagnostic,
@@ -62,6 +63,8 @@ def cmd_run(exp, args, out_dir) -> int:
     refuse_unread(exp, args.command)
     refuse_stale_seeds(out_dir, cfg.seeds, formats)
     records = run(cfg)
+    if bound is not None:  # the ceiling reads R
+        check_declared_R(cfg.problem, records)
 
     no_move_count = sum(int(r.no_move.sum()) for r in records)
     violations = [dict(asdict(e), seed=r.seed) for r in records for e in r.invariant_violations]
@@ -169,9 +172,9 @@ def main(argv=None) -> int:
     except ConfigError as e:
         sys.stderr.write(f"config error: {e}\n")
         return EXIT_USAGE
-    except NigtLabError as e:  # a run that diverged failed a check
+    except NigtLabError as e:  # a run that diverged or refuted a declared constant failed a check
         sys.stderr.write(f"error: {e}\n")
-        return EXIT_CHECK_FAILED if isinstance(e, Diverged) else EXIT_USAGE
+        return EXIT_CHECK_FAILED if isinstance(e, (Diverged, ConstantRefuted)) else EXIT_USAGE
 
 
 def main_entry() -> None:

@@ -269,18 +269,14 @@ def build_schedule(exp: ExperimentFile, opt_id: str | None = None) -> Schedule:
 
 
 def build_partition(exp: ExperimentFile) -> LayerPartition | None:
-    """The layers and their rate scales, or None; RunConfig checks the cover."""
+    """The layers' boundaries and rate scales, or None; RunConfig checks the cover."""
     op = exp.optimizer
     if "layers" not in op:
         return None
     bounds = op["layers"]
-    if len(bounds) < 2:
-        raise ConfigError("optimizer.layers needs at least two boundaries")
-    ranges = tuple((bounds[i], bounds[i + 1]) for i in range(len(bounds) - 1))
-    scales = tuple(op.get("lr_scale", [1.0] * len(ranges)))
     try:
-        return LayerPartition(ranges=ranges, lr_scale=scales)
-    except Exception as e:
+        return LayerPartition(tuple(bounds), tuple(op.get("lr_scale", [1.0] * (len(bounds) - 1))))
+    except InvalidInput as e:
         raise ConfigError(f"invalid layer partition: {e}") from e
 
 

@@ -44,5 +44,9 @@ class CertificationFailure(NigtLabError):
         self.report = report
 
 
+class ConstantRefuted(NigtLabError):
+    """A declared problem constant that a run's own exact logs contradict."""
+
+
 class ConfigError(NigtLabError):
     """An experiment file, path or results directory that cannot be used."""

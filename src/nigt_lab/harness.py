@@ -11,7 +11,6 @@ record is the one it would get alone.
 
 from __future__ import annotations
 
-import inspect
 import math
 import os
 import pickle
@@ -23,7 +22,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .core import MAX_IGT_CELLS, MAX_SEEDS, RngStream, TrajectoryRecord, rownorm
-from .errors import Diverged, InvalidInput, NigtLabError, NonFiniteGradient
+from .errors import ConstantRefuted, Diverged, InvalidInput, NigtLabError, NonFiniteGradient
 from .optimizers import (
     METHODS,
     LayerPartition,
@@ -32,12 +31,11 @@ from .optimizers import (
     StepState,
     apply_schedule,
     blockwise_move,
-    full_partition,
     normalized_move,
     paired_sq_diff,
     transport_step,
 )
-from .problems import StochasticProblem, cert_points, certify_constants
+from .problems import CERT_RADIUS, CERT_TOL, StochasticProblem, cert_points, certify_constants
 from .tuning import bound_check, tuned
 
 OPTIMIZER_IDS = tuple(METHODS)
@@ -90,7 +88,8 @@ class RunConfig:
         if self.partition is not None:
             if method.move is not blockwise_move:
                 raise InvalidInput(f"{self.optimizer_id} moves every coordinate as one; it takes no layer partition")
-            self.partition.validate_cover(self.problem.dim)
+            if self.partition.boundaries[-1] != self.problem.dim:
+                raise InvalidInput(f"ranges cover [0, {self.partition.boundaries[-1]}) but dim is {self.problem.dim}")
         if self.T < 1:
             raise InvalidInput(f"T must be >= 1, got {self.T}")
         if self.schedule.kind != "constant" and self.schedule.warmup_steps >= self.T:
@@ -236,7 +235,7 @@ def _lockstep(cfg: RunConfig) -> list[TrajectoryRecord]:
     scale_by_norm = sch.weight_norm_scaling and method.move is not blockwise_move  # that one scales per layer
     move = method.move
     if move is blockwise_move:
-        move = blockwise_move(cfg.partition or full_partition(pb.dim), sch.weight_norm_scaling)
+        move = blockwise_move(cfg.partition or LayerPartition((0, pb.dim), (1.0,)), sch.weight_norm_scaling)
 
     S = len(seeds)
     # stream 0 feeds the momentum; stream 1 the paired samples of the self-tuning method
@@ -483,9 +482,9 @@ def bound_acceptance(
     average gradient norm (plus a 3-standard-error seed allowance) against
     the method's guaranteed ceiling. One-sided: means must sit at or below.
 
-    Also asserts trajectory containment: after all runs, the declared
-    constants are re-certified on a ball wide enough to cover every iterate
-    and query point actually visited, at least certify_constants' default.
+    Each horizon's logs must not refute R (:func:`check_declared_R`); after
+    all runs, the declared constants are re-certified on a ball covering
+    every iterate and query point visited, of radius at least CERT_RADIUS.
     Each horizon is tuned and built, and the certification sized, first.
     """
     seeds = tuple(int(s) for s in seeds)
@@ -503,10 +502,11 @@ def bound_acceptance(
         if records_out is not None:
             records_out.extend(recs)
         max_disp = max(max_disp, max(r.max_displacement for r in recs))
+        check_declared_R(problem, recs)
         mean, stderr, passed = bound_check([r.avg_grad_norm() for r in recs], bound)
         rows.append(BoundRow(T=cfg.T, mean_avg_grad_norm=mean, stderr=stderr, bound=bound, passed=passed))
 
-    cert_radius = max(inspect.signature(certify_constants).parameters["radius"].default, 1.05 * max_disp)
+    cert_radius = max(CERT_RADIUS, 1.05 * max_disp)
     certify_constants(problem, n_pairs=CONTAINMENT_PAIRS, radius=cert_radius, rng=RngStream(seeds[0], 101))
     return BoundReport(
         problem_id=problem.problem_id,
@@ -516,6 +516,14 @@ def bound_acceptance(
         cert_radius=cert_radius,
         passed=all(r.passed for r in rows),
     )
+
+
+def check_declared_R(problem: StochasticProblem, records) -> None:
+    """Raise :class:`ConstantRefuted` where exact logs refute R, at no oracle call: R
+    bounds F(w1) - inf F, so no logged F(w) lies more than R (1 + CERT_TOL) below F(w1)."""
+    gap = float(records[0].f_val[0] - min(r.f_val.min() for r in records))
+    if gap > problem.R * (1.0 + CERT_TOL):
+        raise ConstantRefuted(f"F(w1) - min logged F = {gap:.6g} exceeds declared R {problem.R:.6g} * (1+tol)")
 
 
 def rate_diagnostic(points) -> float:

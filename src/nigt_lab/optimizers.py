@@ -140,15 +140,15 @@ def normalized_move(w: np.ndarray, m: np.ndarray, eta, n=None):
 
 
 def blockwise_move(partition: LayerPartition, weight_norm_scaling: bool = False):
-    """Normalized move per index range: each range travels its own scaled
-    rate (times its weight norm, when enabled) and no-moves on its own; the
-    step counts as a no-move when any range does. On a single unscaled
-    range this is :func:`normalized_move`."""
+    """Normalized move per layer: each travels its own scaled rate (times its
+    weight norm, when enabled) and no-moves on its own; the step counts as a
+    no-move when any layer does. On one unscaled layer this is
+    :func:`normalized_move`. ``RunConfig`` checks that the layers cover w."""
 
     def move(w: np.ndarray, m: np.ndarray, eta, n):
         w_new = w.copy()
         moved_all = np.ones(w.shape[:-1], dtype=bool)
-        for (lo, hi), scale in zip(partition.ranges, partition.lr_scale):
+        for lo, hi, scale in zip(partition.boundaries, partition.boundaries[1:], partition.lr_scale):
             eta_layer = eta * scale
             if weight_norm_scaling:
                 eta_layer = eta_layer * np.maximum(rownorm(w[..., lo:hi]), WEIGHT_NORM_FLOOR)[..., None]
@@ -310,33 +310,18 @@ def apply_schedule(sch: Schedule, t: int, T: int, base_eta: float, w_layer_norm=
 
 @dataclass(frozen=True)
 class LayerPartition:
-    """Disjoint index intervals covering [0, d), with a rate scale per layer."""
+    """Layers by their boundaries, layer i being [boundaries[i], boundaries[i+1]),
+    with a rate scale per layer."""
 
-    ranges: tuple[tuple[int, int], ...]
+    boundaries: tuple[int, ...]
     lr_scale: tuple[float, ...]
 
     def __post_init__(self):
-        if len(self.ranges) != len(self.lr_scale):
-            raise InvalidInput(f"{len(self.ranges)} ranges but {len(self.lr_scale)} scale factors")
-        if not self.ranges:
-            raise InvalidInput("partition must contain at least one range")
-        for lo, hi in self.ranges:
-            if not (0 <= lo < hi):
-                raise InvalidInput(f"bad range ({lo}, {hi})")
+        b = self.boundaries
+        if len(b) < 2 or b[0] != 0 or any(lo >= hi for lo, hi in zip(b, b[1:])):
+            raise InvalidInput(f"layer boundaries must rise strictly from 0, at least two of them, got {list(b)}")
+        if len(b) - 1 != len(self.lr_scale):
+            raise InvalidInput(f"{len(b) - 1} ranges but {len(self.lr_scale)} scale factors")
         for sc in self.lr_scale:
-            if sc <= 0.0:
-                raise InvalidInput(f"lr scale must be positive, got {sc}")
-
-    def validate_cover(self, dim: int) -> None:
-        covered = sorted(self.ranges)
-        pos = 0
-        for lo, hi in covered:
-            if lo != pos:
-                raise InvalidInput(f"ranges leave a gap or overlap at index {pos}")
-            pos = hi
-        if pos != dim:
-            raise InvalidInput(f"ranges cover [0, {pos}) but dim is {dim}")
-
-
-def full_partition(dim: int) -> LayerPartition:
-    return LayerPartition(ranges=((0, dim),), lr_scale=(1.0,))
+            if not 0.0 < sc < math.inf:
+                raise InvalidInput(f"lr scale must be finite and > 0, got {sc}")

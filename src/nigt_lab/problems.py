@@ -368,6 +368,7 @@ PROBLEM_KINDS = {
 # relative tolerance on each declared constant, and the number of oracle
 # samples behind sigma_hat (split evenly over its points)
 CERT_TOL = 0.05
+CERT_RADIUS = 10.0  # the certification ball's default radius, and the floor of bounds' containment ball
 CERT_N_SIGMA = 20_000
 
 # certification skips a pair closer than this fraction of the radius: its
@@ -474,7 +475,7 @@ def cert_points(problem: StochasticProblem, n_pairs: int) -> tuple[int, int]:
     return n_points, per_point
 
 
-def certify_constants(problem: StochasticProblem, n_pairs: int = 400, radius: float = 10.0,
+def certify_constants(problem: StochasticProblem, n_pairs: int = 400, radius: float = CERT_RADIUS,
                       rng: RngStream | None = None) -> CertReport:
     """Empirically validate the declared constants L, rho, and sigma.
 

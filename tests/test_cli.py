@@ -354,7 +354,8 @@ def test_master_seed_flag_takes_effect(tmp_path, capsys, command):
 # one refusal per merged error type, each with the stderr and exit code it
 # had when every check raised its own exception class (the self-tuning
 # bound is pinned in TestRunCommand.test_self_tuning_bound_out_of_range),
-# but for a cover gap, which RunConfig now refuses as the run is built
+# but for a cover gap, which RunConfig now refuses as the run is built, and
+# a scale that is not > 0, now refused with the other non-finite ones
 MERGED_CHECKS = [
     ("run", {**QUAD_KEYS, "eigs": "1.0,2.0,3.0"}, RUN_KEYS,
      "config error: invalid problem section: expected 2 eigenvalues, got shape (3,)\n"),
@@ -365,7 +366,7 @@ MERGED_CHECKS = [
     ("run", {**TRIG_KEYS, "dim": "4"}, RUN_KEYS.replace("nigt", "nigt_layerwise") + "optimizer.layers = 0,2,3\n",
      "config error: invalid run configuration: ranges cover [0, 3) but dim is 4\n"),
     ("run", TRIG_KEYS, RUN_KEYS.replace("nigt", "nigt_layerwise") + "optimizer.layers = 0,1,2\n"
-     "optimizer.lr_scale = 1.0,-1.0\n", "config error: invalid layer partition: lr scale must be positive, got -1.0\n"),
+     "optimizer.lr_scale = 1.0,-1.0\n", "config error: invalid layer partition: lr scale must be finite and > 0, got -1.0\n"),
     ("igt-check", {**QUAD_KEYS, "rho": "1.0"}, "igt_check.n_runs = 1000\n",
      "error: moment identity requires a constant Hessian; noisy_quadratic(d=2,eigs=[1.0;2.0],sigma=0.5) "
      "declares rho=1.0\n"),

@@ -267,7 +267,7 @@ class TestBuilders:
             "optimizer.layers = 0,2,4\noptimizer.lr_scale = 1.0,2.0\nrun.T = 5\n"
         )
         cfg, _ = build_run_config(parse_experiment(text))
-        assert cfg.partition.ranges == ((0, 2), (2, 4))
+        assert cfg.partition.boundaries == (0, 2, 4)
         assert cfg.partition.lr_scale == (1.0, 2.0)
 
     def test_schedule_validation(self):

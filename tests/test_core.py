@@ -151,6 +151,7 @@ ERRORS = [
     errors.NigtLabError("message"), errors.InvalidInput("message"), errors.ConfigError("message"),
     errors.NonFiniteGradient("message", 2), errors.NonFiniteGradient("message"), errors.Diverged("message", 5),
     errors.CertificationFailure("message", _report()), errors.CertificationFailure("message"),
+    errors.ConstantRefuted("message"),
 ]
 
 

@@ -1,6 +1,6 @@
-"""Differential tests of the transport step, of certification, of the
-runner's oracle noise, of the output layer and of the command line against
-frozen copies of their earlier forms.
+"""Differential tests of the transport step, of the layerwise move, of
+certification, of the runner's oracle noise, of the output layer and of the
+command line against frozen copies of their earlier forms.
 
 The step takes the row norms of the momentum once and reads them three
 times (the move, the non-finite-sample check, the logged ``m_norm``), and
@@ -17,7 +17,9 @@ them, and refuses the keys its builders left unread, where read sets once
 stated them; a run's rates are checked once, when its configuration is
 built, where the rate resolver and the runner once checked them with two
 domains, and a theorem's tuning refuses rates that round out of their
-domain, where the run once did. The ``ref_*`` code below is the code they replaced, kept
+domain, where the run once did; and a layer partition holds its
+boundaries, where it once held index ranges that a cover check had to
+order. The ``ref_*`` code below is the code they replaced, kept
 verbatim as the reference: every state byte, every exception (type, row and
 text), every certification report, every noise row a step reads, every
 output string and every command's exit code, stdout, stderr and written
@@ -93,10 +95,13 @@ from nigt_lab.harness import (
 from nigt_lab.tuning import THEOREM_METHODS, bound_check, nigt_bound, nigt_params, nsgdm_bound, nsgdm_params
 from nigt_lab.optimizers import (
     _INV_REL_TOL,
+    METHODS,
+    WEIGHT_NORM_FLOOR,
     LayerPartition,
     Schedule,
     SelfTuning,
     StepState,
+    blockwise_move,
     normalized_move,
     paired_sq_diff,
     plain_move,
@@ -641,6 +646,93 @@ class TestSelfTuningFeed:
         assert [state(u) for u in new_tuners] == [state(u) for u in ref_tuners]
 
 
+# -- layer partitions ----------------------------------------------------------------
+# A partition once held (lo, hi) index ranges, which could leave gaps, overlap
+# or come out of order until a cover check refused them; now it holds the
+# boundaries that the experiment file gives.
+
+
+@dataclass(frozen=True)
+class RefLayerPartition:
+    """Disjoint index intervals covering [0, d), with a rate scale per layer."""
+
+    ranges: tuple[tuple[int, int], ...]
+    lr_scale: tuple[float, ...]
+
+    def __post_init__(self):
+        if len(self.ranges) != len(self.lr_scale):
+            raise InvalidInput(f"{len(self.ranges)} ranges but {len(self.lr_scale)} scale factors")
+        if not self.ranges:
+            raise InvalidInput("partition must contain at least one range")
+        for lo, hi in self.ranges:
+            if not (0 <= lo < hi):
+                raise InvalidInput(f"bad range ({lo}, {hi})")
+        for sc in self.lr_scale:
+            if sc <= 0.0:
+                raise InvalidInput(f"lr scale must be positive, got {sc}")
+
+    def validate_cover(self, dim: int) -> None:
+        covered = sorted(self.ranges)
+        pos = 0
+        for lo, hi in covered:
+            if lo != pos:
+                raise InvalidInput(f"ranges leave a gap or overlap at index {pos}")
+            pos = hi
+        if pos != dim:
+            raise InvalidInput(f"ranges cover [0, {pos}) but dim is {dim}")
+
+
+def ref_blockwise_move(partition: RefLayerPartition, weight_norm_scaling: bool = False):
+    def move(w: np.ndarray, m: np.ndarray, eta, n):
+        w_new = w.copy()
+        moved_all = np.ones(w.shape[:-1], dtype=bool)
+        for (lo, hi), scale in zip(partition.ranges, partition.lr_scale):
+            eta_layer = eta * scale
+            if weight_norm_scaling:
+                eta_layer = eta_layer * np.maximum(rownorm(w[..., lo:hi]), WEIGHT_NORM_FLOOR)[..., None]
+            w_new[..., lo:hi], moved = normalized_move(w[..., lo:hi], m[..., lo:hi], eta_layer)
+            moved_all &= moved
+        return w_new, moved_all
+
+    return move
+
+
+# every finite scale > 0: the positive floats, subnormals and the largest among them
+LAYER_SCALES = st.one_of(st.floats(0.0, exclude_min=True, allow_infinity=False),
+                         st.sampled_from([1.0, 0.5, 3.0, 5e-324, 1e-300, 1e300, sys.float_info.max]))
+
+
+@st.composite
+def layered_moves(draw):
+    """Boundaries rising from 0 to d, a scale per layer, and a move's (w, m,
+    eta): ``(S, d)`` rows of any scale, or one vector, with a step size the
+    step lets through (finite, >= 0) as a scalar or an ``(S, 1)`` column."""
+    S, d = draw(st.integers(1, 4)), draw(st.integers(1, 8))
+    cuts = draw(st.sets(st.integers(1, d - 1), max_size=d - 1)) if d > 1 else set()
+    boundaries = (0, *sorted(cuts), d)
+    scales = tuple(draw(st.lists(LAYER_SCALES, min_size=len(boundaries) - 1, max_size=len(boundaries) - 1)))
+    w, m = draw(rows(S, d)), draw(rows(S, d))
+    eta = draw(coefficient(st.one_of(st.floats(0.0, 10.0), st.sampled_from([0.0, 1e-300, 1e300])), S))
+    if S == 1 and draw(st.booleans()):  # one vector, not a batch
+        w, m, eta = w[0], m[0], float(np.ravel(eta)[0])
+    return boundaries, scales, draw(st.booleans()), w, m, eta
+
+
+class TestLayerPartition:
+    @settings(max_examples=300)
+    @given(layered_moves())
+    def test_the_boundaries_move_as_the_ranges_moved(self, inputs):
+        boundaries, scales, weight_norm_scaling, w, m, eta = inputs
+        ranges = tuple(zip(boundaries, boundaries[1:]))
+        new_move = blockwise_move(LayerPartition(boundaries, scales), weight_norm_scaling)
+        ref_move = ref_blockwise_move(RefLayerPartition(ranges, scales), weight_norm_scaling)
+        kept = w.copy()
+        with np.errstate(over="ignore", invalid="ignore"):  # a scale near the largest float overflows eta
+            new, ref = new_move(w, m, eta, rownorm(m)), ref_move(w, m, eta, rownorm(m))
+        assert [(a.shape, a.dtype, a.tobytes()) for a in new] == [(a.shape, a.dtype, a.tobytes()) for a in ref]
+        assert w.tobytes() == kept.tobytes()  # the move leaves its input as it was
+
+
 # -- certification -------------------------------------------------------------------
 
 PROBLEMS = {
@@ -950,6 +1042,11 @@ def ref_run(cfg: RunConfig):
         beta = cfg.beta if cfg.optimizer_id != "sgd" else 0.0  # sgd is memoryless: the momentum is the latest sample
         if not (0.0 <= beta < 1.0):
             raise InvalidInput(f"beta must lie in [0, 1), got {beta}")
+    if isinstance(cfg.partition, RefLayerPartition):  # the runner moves by the frozen move over its ranges
+        layerwise = replace(METHODS["nigt_layerwise"], move=ref_blockwise_move)
+        with mock.patch.dict(METHODS, nigt_layerwise=layerwise), \
+                mock.patch.object(harness, "blockwise_move", ref_blockwise_move):
+            return run(cfg)
     return run(cfg)
 
 
@@ -1251,7 +1348,7 @@ def ref_build_schedule(exp: RefExperimentFile) -> Schedule:
         raise ConfigError(f"invalid schedule section: {e}") from e
 
 
-def ref_build_partition(exp: RefExperimentFile, dim: int) -> LayerPartition | None:
+def ref_build_partition(exp: RefExperimentFile, dim: int) -> RefLayerPartition | None:
     op = exp.optimizer
     if "layers" not in op:
         return None
@@ -1261,7 +1358,7 @@ def ref_build_partition(exp: RefExperimentFile, dim: int) -> LayerPartition | No
     ranges = tuple((bounds[i], bounds[i + 1]) for i in range(len(bounds) - 1))
     scales = tuple(op.get("lr_scale", [1.0] * len(ranges)))
     try:
-        part = LayerPartition(ranges=ranges, lr_scale=scales)
+        part = RefLayerPartition(ranges=ranges, lr_scale=scales)
         part.validate_cover(dim)
     except Exception as e:
         raise ConfigError(f"invalid layer partition: {e}") from e
@@ -1865,6 +1962,12 @@ RATE_RULE = re.compile(r"(?:config error: invalid run configuration: |error: )"
                        r"(?:\S+ needs a base rate: eta must be finite and > 0|beta must lie in \[0, 1\)), got (.*)\n")
 OLD_COVER = "config error: invalid layer partition: ranges "
 NEW_COVER = "config error: invalid run configuration: ranges "
+# a layer partition refused for its own shape or scales, before and now
+OLD_PARTITION = ("config error: invalid layer partition: ", "config error: optimizer.layers needs at least two boundaries")
+NEW_PARTITION = "config error: invalid layer partition: "
+NONFINITE_SCALE = re.compile(r"config error: invalid layer partition: lr scale must be finite and > 0, got (?:nan|inf)\n")
+# a run's exact logs that refute the declared R
+R_REFUTED = re.compile(r"error: F\(w1\) - min logged F = \S+ exceeds declared R \S+ \* \(1\+tol\)\n")
 REPEATED_HORIZON = re.compile(r"error: T_grid must be distinct, got \[.*\]\n")
 # a theorem's tuning that rounds out of its domain: refused when a run is
 # built (config error) or by bound_acceptance before any horizon runs; its eta
@@ -1902,7 +2005,16 @@ def agree(new, ref) -> bool:
     - a theorem's tuning whose eta rounds to 0 or whose beta rounds to 1,
       by the tuning, naming its constants and T, when the run is built or
       before any horizon of bounds runs. The earlier code refused its beta
-      of 1 when the run (or that horizon) started, but ran an eta of 0."""
+      of 1 when the run (or that horizon) started, but ran an eta of 0;
+    - a layer partition refused for its boundaries, its scale count or a
+      scale, as an invalid layer partition with the texts of the
+      boundaries: the earlier code refused it as a partition too, with the
+      texts of its ranges, or, for a NaN or infinite scale, ran it;
+
+    and for these check failures, exit 2 with nothing written:
+
+    - a theorem run or bounds whose exact logs refute the declared R (the
+      F(w1) - min logged F line), which the earlier code ran and wrote."""
     (results, files, caught), (ref_results, ref_files, ref_caught) = new, ref
     first, ref_first = results[0], ref_results[0]
     rate = RATE_RULE.fullmatch(first[2])
@@ -1918,7 +2030,10 @@ def agree(new, ref) -> bool:
              or ref_first[2].startswith(OLD_COVER) and first == (1, "", NEW_COVER + ref_first[2][len(OLD_COVER):])
              or ref_first == BOUNDS_NEEDS_GRID and first == NO_T_GRID
              or first[:2] == (1, "") and REPEATED_HORIZON.fullmatch(first[2])
-             or first[:2] == (1, "") and tuning and (ref_first[0] == 1 or float(tuning[1]) == 0.0))
+             or first[:2] == (1, "") and tuning and (ref_first[0] == 1 or float(tuning[1]) == 0.0)
+             or first[:2] == (1, "") and first[2].startswith(NEW_PARTITION)
+             and (ref_first[2].startswith(OLD_PARTITION) or NONFINITE_SCALE.fullmatch(first[2]))
+             or first[:2] == (2, "") and R_REFUTED.fullmatch(first[2]) and ref_first[0] != 1)
     return new == ref or (moved and not files[0]
                           and (results[1:], files[1:], caught) == (ref_results[1:], ref_files[1:], ref_caught))
 
@@ -1961,16 +2076,20 @@ OLD_BAD_RATE = "error: nsgdm needs a base rate: eta must be finite and >= 0, got
 BAD_BETA = "beta must lie in [0, 1), got {}"
 OLD_DOMAIN = "config error: invalid hyperparameters: need eta > 0 and beta in [0, 1), got eta = {}, beta = {}"
 GAP = "ranges cover [0, 1) but dim is 2"
+INVALID_PARTITION = "config error: invalid layer partition: "
+BOUNDARIES = "layer boundaries must rise strictly from 0, at least two of them, got [{}]"
 THEOREM_1 = BOWL + "optimizer.id = nsgdm\noptimizer.theorem = 1\n{}\nrun.n_seeds = 2\n"
 TUNED_OUT_OF_DOMAIN = ("the nsgdm tuning at R = {}, L = {}, rho = 1.0, sigma = 0.5, T = {} rounds out of its domain: "
                        "eta = {}, beta = {}")
 BOWL_R = make_trig_bowl(2, 1.0, 1.0, 0.5).R  # F(w1) - inf F
 UNCERTIFIABLE_DIM = MAX_CERT_CELLS // (CERT_N_SIGMA // 20) + 1  # one above what certification takes
 
-# (command, file, its stderr now, its stderr before, or None where the earlier
-# code ran it and wrote its results): each refusal that the rate rules of
-# RunConfig or the tuning moved or reworded, the repeated horizon that bounds
-# refuses, and where bounds checks the size of its certification
+# (command, file, its stderr now, its stderr before (exit 1, or an (exit code,
+# stderr) pair for a run that failed without writing), or None where the
+# earlier code ran it and wrote its results): each refusal that the rate rules
+# of RunConfig, the tuning or the layer boundaries moved or reworded, the
+# repeated horizon that bounds refuses, and where bounds checks the size of its
+# certification
 CHANGED_REFUSALS = [
     *[("run", RUN_BOWL + f"optimizer.eta = {eta}\n", INVALID_RUN + BAD_RATE.format(eta), OLD_DOMAIN.format(eta, 0.9))
       for eta in ("0.0", "-0.0", "-1.0", "nan")],
@@ -1985,7 +2104,25 @@ CHANGED_REFUSALS = [
     ("run", LAYERWISE + "optimizer.eta = 0.1\n", INVALID_RUN + GAP, "config error: invalid layer partition: " + GAP),
     ("sweep", LAYERWISE, INVALID_RUN + GAP, "config error: invalid layer partition: " + GAP),
     ("run", LAYERWISE.replace("layers = 0,1", "layers = 0") + "optimizer.eta = -1.0\n",
-     "config error: optimizer.layers needs at least two boundaries", OLD_DOMAIN.format(-1.0, 0.9)),
+     INVALID_PARTITION + BOUNDARIES.format("0"), OLD_DOMAIN.format(-1.0, 0.9)),
+    # the partition's own refusals, now of its boundaries and of a scale
+    # that is not finite and > 0, where they were of its ranges
+    ("run", LAYERWISE.replace("layers = 0,1", "layers = 0") + "optimizer.eta = 0.1\n",
+     INVALID_PARTITION + BOUNDARIES.format("0"), "config error: optimizer.layers needs at least two boundaries"),
+    *[("run", LAYERWISE.replace("layers = 0,1", f"layers = {layers}") + "optimizer.eta = 0.1\n",
+       INVALID_PARTITION + BOUNDARIES.format(layers.replace(",", ", ")), INVALID_PARTITION + earlier)
+      for layers, earlier in (("0,2,2", "bad range (2, 2)"), ("0,2,1", "bad range (2, 1)"),
+                              ("1,2", "ranges leave a gap or overlap at index 0"))],
+    ("run", LAYERWISE.replace("layers = 0,1", "layers = 0,1,2") + "optimizer.eta = 0.1\n"
+     "optimizer.lr_scale = 1.0,-1.0\n",
+     INVALID_PARTITION + "lr scale must be finite and > 0, got -1.0",
+     INVALID_PARTITION + "lr scale must be positive, got -1.0"),
+    # a NaN or infinite scale, which the earlier code ran until the step
+    # after it moved every coordinate of its layer to inf or NaN
+    *[("run", BOWL.replace("dim = 2", "dim = 4") + "optimizer.id = nigt_layerwise\noptimizer.eta = 0.01\n"
+       f"optimizer.layers = 0,2,4\noptimizer.lr_scale = 1.0,{scale}\nrun.T = 20\nrun.n_seeds = 2\n",
+       INVALID_PARTITION + f"lr scale must be finite and > 0, got {scale}",
+       (2, "error: seed 0 diverged at step 2: gradient sample contains NaN or Inf")) for scale in ("nan", "inf")],
     ("bounds", BOWL + "optimizer.id = nsgdm\nrun.n_seeds = 2\n", NO_T_GRID[2][:-1], BOUNDS_NEEDS_GRID[2][:-1]),
     ("bounds", BOWL + "optimizer.id = nsgdm\nrun.T_grid = 5,5,20\nrun.n_seeds = 2\n",
      "error: T_grid must be distinct, got [5, 5, 20]", None),
@@ -2009,6 +2146,18 @@ CHANGED_REFUSALS = [
 ]
 
 
+# (command, file, its stderr now): a declared R of 0.5 on the trig bowl at
+# d=4, whose F(w1) - inf F is 5.6646, refuted by the exact logs of bounds'
+# first horizon and of a theorem-2 run
+BOWL_4 = BOWL.replace("dim = 2", "dim = 4") + "problem.R = 0.5\n"
+REFUTED_R = [
+    ("bounds", BOWL_4 + "optimizer.id = nsgdm\nrun.T_grid = 100,1000,10000\nrun.n_seeds = 20\n",
+     "error: F(w1) - min logged F = 4.75822 exceeds declared R 0.5 * (1+tol)"),
+    ("run", BOWL_4 + "optimizer.id = nigt\noptimizer.theorem = 2\nrun.T = 1000\nrun.n_seeds = 5\n",
+     "error: F(w1) - min logged F = 5.66457 exceeds declared R 0.5 * (1+tol)"),
+]
+
+
 class TestExitCodeContract:
     """Every command on any experiment file exits 0, 1 or 2 with no
     traceback or warning, writes nothing when it exits 1, writes the same
@@ -2023,9 +2172,11 @@ class TestExitCodeContract:
     (:func:`reference`). At least one drawn igt-check file reaches the
     moment check's refusal of a curved Hessian, and drawn files reach the
     file parser's refusal of a number, a bool and a list. Each refusal that
-    the rate rules of RunConfig or the tuning moved or reworded, and the
-    place of bounds' size check after its unread keys, also has a file of
-    its own (:data:`CHANGED_REFUSALS`), compared the same way."""
+    the rate rules of RunConfig, the tuning or the layer boundaries moved or
+    reworded, and the place of bounds' size check after its unread keys,
+    also has a file of its own (:data:`CHANGED_REFUSALS`), compared the same
+    way, and so does each run that now fails for logs that refute R
+    (:data:`REFUTED_R`)."""
 
     def test_commands_keep_the_contract_and_match_the_reference(self):
         stderrs = []
@@ -2051,7 +2202,20 @@ class TestExitCodeContract:
         if earlier is None:
             assert ref[0][0][0] in (0, 2) and ref[1][0]
         else:
-            assert ref == ([(1, "", f"{earlier}\n")], [{}], [])
+            code, earlier = earlier if isinstance(earlier, tuple) else (1, earlier)
+            assert ref == ([(code, "", f"{earlier}\n")], [{}], [])
+        assert self.keeps_the_contract(command, text, []) == f"{message}\n"
+
+    @pytest.mark.parametrize("command, text, message", REFUTED_R, ids=[case[0] for case in REFUTED_R])
+    def test_each_refuted_R(self, tmp_path, command, text, message):
+        path, out = tmp_path / "exp.cfg", tmp_path / "out"
+        path.write_text(text, encoding="utf-8")
+        argvs = [[command, "--config", str(path), "--out", str(out)]]
+        ref = invoke(ref_main, argvs, [out])
+        assert invoke(main, argvs, [out]) == ([(2, "", f"{message}\n")], [{}], [])
+        assert ref[0] == [(0, "", "")] and ref[1][0]  # the earlier code passed it and wrote its results
+        if command == "run":
+            assert json.loads(ref[1][0]["summary.json"])["pass"] is True
         assert self.keeps_the_contract(command, text, []) == f"{message}\n"
 
     @staticmethod

@@ -14,13 +14,14 @@ import pytest
 
 from nigt_lab import harness
 from nigt_lab.core import RngStream, gaussian_noise
-from nigt_lab.errors import Diverged, InvalidInput, NigtLabError
+from nigt_lab.errors import ConstantRefuted, Diverged, InvalidInput, NigtLabError
 from nigt_lab.harness import (
     BLOCK_BYTES,
     DEFAULT_ETA_GRID,
     OPTIMIZER_IDS,
     RunConfig,
     bound_acceptance,
+    check_declared_R,
     descent_check,
     grid_sweep,
     igt_moment_check,
@@ -100,12 +101,12 @@ class TestRunDeterminism:
     @pytest.mark.parametrize("opt", ["sgd", "heavy_ball", "nsgdm", "nigt", "nigt_adaptive"])
     def test_a_method_that_moves_as_one_refuses_a_layer_partition(self, opt):
         # it would not cover the dimension either: the method is refused first
-        part = LayerPartition(ranges=((0, 3),), lr_scale=(1.0,))
+        part = LayerPartition((0, 3), (1.0,))
         with pytest.raises(InvalidInput, match=f"^{opt} moves every coordinate as one; it takes no layer partition$"):
             RunConfig(problem=TRIG, optimizer_id=opt, T=10, seeds=(1,), eta=_rate(opt, 0.1), partition=part)
 
     def test_a_layer_partition_that_misses_the_dimension_is_refused_when_built(self):
-        part = LayerPartition(ranges=((0, 3),), lr_scale=(1.0,))
+        part = LayerPartition((0, 3), (1.0,))
         with pytest.raises(InvalidInput, match=r"^ranges cover \[0, 3\) but dim is 4$"):
             RunConfig(problem=TRIG, optimizer_id="nigt_layerwise", T=10, seeds=(1,), eta=0.1, partition=part)
         # without one, the layerwise method runs the whole vector as one layer
@@ -730,3 +731,24 @@ class TestBoundAcceptanceSmoke:
     def test_rejects_unsupported_optimizer(self):
         with pytest.raises(InvalidInput):
             bound_acceptance(TRIG, "sgd", [10], seeds=(1,))
+
+    def test_an_understated_R_is_refuted_at_the_first_horizon_that_shows_it(self, monkeypatch):
+        # the trig bowl declares R = F(w1) - inf F exactly; at a tenth of
+        # it, the first horizon's logs already fall further below F(w1)
+        runs = []
+        monkeypatch.setattr(harness, "run", lambda cfg: runs.append(cfg.T) or run(cfg))
+        with pytest.raises(ConstantRefuted, match=r"^F\(w1\) - min logged F = \S+ exceeds declared R "
+                                                  rf"{TRIG.R / 10:.6g} \* \(1\+tol\)$"):
+            bound_acceptance(with_constants(TRIG, R=TRIG.R / 10), "nsgdm", [100, 1000], seeds=(1, 2))
+        assert runs == [100]
+
+
+class TestDeclaredR:
+    def test_the_logs_bound_R_from_below(self):
+        recs = run(RunConfig(problem=TRIG, optimizer_id="nsgdm", T=200, seeds=(1, 2), eta=0.05))
+        gap = float(recs[0].f_val[0] - min(r.f_val.min() for r in recs))
+        assert 0.0 < gap <= TRIG.R
+        check_declared_R(TRIG, recs)  # the true R
+        check_declared_R(with_constants(TRIG, R=gap), recs)  # no further than the logs reach
+        with pytest.raises(ConstantRefuted, match=rf"^F\(w1\) - min logged F = {gap:.6g} exceeds declared R "):
+            check_declared_R(with_constants(TRIG, R=gap / 1.1), recs)  # beyond the 5 % tolerance

@@ -21,7 +21,6 @@ from nigt_lab.optimizers import (
     StepState,
     apply_schedule,
     blockwise_move,
-    full_partition,
     normalized_move,
     plain_move,
     transport_step,
@@ -440,18 +439,26 @@ class TestSchedules:
 
 
 class TestLayerwise:
+    @pytest.mark.parametrize("boundaries", [(), (0,), (1, 2), (0, 2, 2), (0, 3, 2), (-1, 2)])
+    def test_boundaries_rise_strictly_from_zero(self, boundaries):
+        with pytest.raises(InvalidInput, match=rf"^layer boundaries must rise strictly from 0, at least two of "
+                                               rf"them, got \[{', '.join(map(str, boundaries))}\]$"):
+            LayerPartition(boundaries, (1.0,) * max(len(boundaries) - 1, 0))
+
+    @pytest.mark.parametrize("scale", [0.0, -0.0, -1.0, math.nan, math.inf, -math.inf])
+    def test_a_scale_is_finite_and_positive(self, scale):
+        with pytest.raises(InvalidInput, match=rf"^lr scale must be finite and > 0, got {scale}$"):
+            LayerPartition((0, 2, 4), (1.0, scale))
+
     def test_partition_validation(self):
-        with pytest.raises(InvalidInput, match=r"^ranges leave a gap or overlap at index 2$"):
-            LayerPartition(ranges=((0, 2), (3, 4)), lr_scale=(1.0, 1.0)).validate_cover(4)
-        with pytest.raises(InvalidInput, match=r"^ranges cover \[0, 2\) but dim is 4$"):
-            LayerPartition(ranges=((0, 2),), lr_scale=(1.0,)).validate_cover(4)
         with pytest.raises(InvalidInput, match=r"^2 ranges but 1 scale factors$"):
-            LayerPartition(ranges=((0, 2), (2, 4)), lr_scale=(1.0,))
-        LayerPartition(ranges=((0, 2), (2, 4)), lr_scale=(1.0, 2.0)).validate_cover(4)
+            LayerPartition((0, 2, 4), (1.0,))
+        part = LayerPartition((0, 2, 4), (1.0, 2.0))
+        assert (part.boundaries, part.lr_scale) == ((0, 2, 4), (1.0, 2.0))
 
     def test_single_layer_matches_global_step(self):
         pb = make_trig_bowl(4, 1.0, 1.0, 0.5)
-        blocks = blockwise_move(full_partition(4))
+        blocks = blockwise_move(LayerPartition((0, 4), (1.0,)))
         a = transport(start(pb.w1), pb, RngStream(40), 0.05, 0.0)
         b = transport(start(pb.w1), pb, RngStream(40), 0.05, 0.0, blocks)
         np.testing.assert_array_equal(a.w, b.w)
@@ -464,7 +471,7 @@ class TestLayerwise:
     def test_momentum_confined_to_one_layer(self):
         # gradient lives in block 1 only: block 2 no-moves, block 1 moves eta
         pb = make_noisy_quadratic(4, [1.0, 1.0, 1.0, 1.0], 0.0, w1=[1.0, 0.5, 0.0, 0.0])
-        part = LayerPartition(ranges=((0, 2), (2, 4)), lr_scale=(1.0, 1.0))
+        part = LayerPartition((0, 2, 4), (1.0, 1.0))
         s = transport(start(pb.w1), pb, RngStream(42), 0.05, 0.0, blockwise_move(part))
         assert s.no_move  # block 2 had zero gradient
         np.testing.assert_array_equal(s.w[2:], [0.0, 0.0])
@@ -472,7 +479,7 @@ class TestLayerwise:
 
     def test_per_layer_step_lengths_and_scales(self):
         pb = make_trig_bowl(4, 1.0, 1.0, 0.3)
-        part = LayerPartition(ranges=((0, 2), (2, 4)), lr_scale=(1.0, 3.0))
+        part = LayerPartition((0, 2, 4), (1.0, 3.0))
         blocks = blockwise_move(part)
         s = transport(start(pb.w1), pb, RngStream(43), 0.02, 0.0, blocks)
         for t in range(2, 32):  # the step the state is about to take
@@ -480,7 +487,7 @@ class TestLayerwise:
             s = transport(s, pb, RngStream(44, t), 0.02, 0.9, blocks)
             if s.no_move:
                 continue
-            for (lo, hi), scale in zip(part.ranges, part.lr_scale):
+            for lo, hi, scale in zip(part.boundaries, part.boundaries[1:], part.lr_scale):
                 eta_layer = 0.02 * scale
                 got = float(np.linalg.norm(s.w[lo:hi] - prev[lo:hi]))
                 assert abs(got - eta_layer) <= step_length_tol(prev[lo:hi], eta_layer)

@@ -79,9 +79,9 @@ def _config(kind: str, opt: str, sch: str) -> RunConfig:
     if opt == "nigt_layerwise":
         if pb.dim >= 2:
             half = pb.dim // 2
-            extra["partition"] = LayerPartition(ranges=((0, half), (half, pb.dim)), lr_scale=(1.0, 0.5))
+            extra["partition"] = LayerPartition((0, half, pb.dim), (1.0, 0.5))
         else:
-            extra["partition"] = LayerPartition(ranges=((0, pb.dim),), lr_scale=(1.0,))
+            extra["partition"] = LayerPartition((0, pb.dim), (1.0,))
     eta = None if opt == "nigt_adaptive" else ETA  # the self-tuning method takes no rate
     return RunConfig(problem=pb, optimizer_id=opt, T=T, seeds=SEEDS, eta=eta, beta=BETA,
                      schedule=SCHEDULES[sch], **extra)
