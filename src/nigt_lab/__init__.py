@@ -29,11 +29,8 @@ from .harness import (
     MomentCheckpoint,
     MomentReport,
     RunConfig,
-    SweepReport,
-    SweepRow,
     bound_acceptance,
     descent_check,
-    grid_sweep,
     igt_moment_check,
     rate_diagnostic,
     run,

@@ -1,9 +1,9 @@
 """Batch front door: parse an experiment file, dispatch, emit results.
 
 Each command is built, refuses every key its build left unread
-(``config.refuse_unread``), and only then runs and writes. The certify,
-igt_check and sweep sections pass straight through to the function that
-reads them: their keys and defaults are its parameters.
+(``config.refuse_unread``), and only then runs and writes. The certify
+and igt_check sections pass straight through to the function that reads
+them: their keys and defaults are its parameters.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 a check failed
 (bound exceeded, invariant violated, declared constant contradicted, run
@@ -31,7 +31,6 @@ from .errors import CertificationFailure, ConfigError, ConstantRefuted, Diverged
 from .harness import (
     bound_acceptance,
     check_declared_R,
-    grid_sweep,
     igt_moment_check,
     rate_diagnostic,
     run,
@@ -111,15 +110,6 @@ def cmd_igt_check(exp, args, out_dir) -> int:
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED
 
 
-def cmd_sweep(exp, args, out_dir) -> int:
-    cfg, _ = build_run_config(exp, args.seeds, args.master_seed, sweep=True)
-    refuse_unread(exp, args.command)
-    report = grid_sweep(cfg, **exp.sweep)
-    write_report(out_dir, "sweep", asdict(report), "eta0,final_grad_norm",
-                 [[r.eta0, r.final_grad_norm] for r in report.rows])
-    return EXIT_OK
-
-
 def cmd_bounds(exp, args, out_dir) -> int:
     problem, opt_id, T_grid, seeds = bounds_settings(exp, args.seeds, args.master_seed)
     refuse_unread(exp, args.command)
@@ -147,7 +137,6 @@ def build_parser() -> _Parser:
         ("run", cmd_run, True, "execute a seeded run and emit CSV/JSON/SVG"),
         ("certify", cmd_certify, False, "validate declared problem constants"),
         ("igt-check", cmd_igt_check, False, "gradient-transport moment verification"),
-        ("sweep", cmd_sweep, True, "base-rate grid sweep"),
         ("bounds", cmd_bounds, True, "one-sided average-gradient bound table"),
     ):
         sp = sub.add_parser(name, help=text)

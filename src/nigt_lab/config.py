@@ -17,7 +17,8 @@ parse -> serialize -> parse is the identity; defaults are applied when an
 
 Defaults applied at build time: beta = 0.9, record_exact = true,
 schedule constant, n_seeds = 1, master_seed = 0 (seed i = master_seed + i),
-output dir "results", formats csv,json.
+output dir "results", formats csv,json. The rate has none: a run of a
+method with a base rate reads optimizer.eta, or optimizer.theorem's tuning.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from pathlib import Path
 
 from .core import MAX_LOG_CELLS, MAX_SEEDS, MAX_STATE_CELLS
 from .errors import ConfigError, InvalidInput
-from .harness import OPTIMIZER_IDS, RunConfig, grid_sweep, igt_moment_check
+from .harness import OPTIMIZER_IDS, RunConfig, igt_moment_check
 from .optimizers import METHODS, LayerPartition, Schedule, blockwise_move
 from .problems import PROBLEM_KINDS, StochasticProblem, certify_constants, with_constants
 from .tuning import THEOREM_METHODS, tuned
@@ -79,7 +80,6 @@ _SCHEMA: dict[str, dict[str, str]] = {
         "record_exact": "bool",
     },
     "igt_check": _keys(igt_moment_check, "problem", "seed"),
-    "sweep": _keys(grid_sweep, "base"),
     "certify": _keys(certify_constants, "problem", "rng"),
     "output": {
         "dir": "str",
@@ -111,7 +111,6 @@ class ExperimentFile:
     schedule: Section = field(default_factory=Section)
     run: Section = field(default_factory=Section)
     igt_check: Section = field(default_factory=Section)
-    sweep: Section = field(default_factory=Section)
     certify: Section = field(default_factory=Section)
     output: Section = field(default_factory=Section)
 
@@ -216,11 +215,11 @@ def _require(store: dict, key: str, section: str):
 def refuse_unread(exp: ExperimentFile, command: str) -> None:
     """Refuse every key of ``exp`` that building ``command`` left unread,
     before the command runs or writes anything."""
-    # certify, igt-check and sweep pass their own section whole, which ``**`` does without reading a key
-    whole = {"certify": "certify", "igt-check": "igt_check", "sweep": "sweep"}.get(command)
+    # certify and igt-check pass their own section whole, which ``**`` does without reading a key
+    whole = {"certify": "certify", "igt-check": "igt_check"}.get(command)
     opt_id = dict.get(exp.optimizer, "id")  # naming the owners reads no key
     owners = {"problem": f"problem kind {dict.get(exp.problem, 'kind')!r}"}
-    if command in ("run", "sweep"):
+    if command == "run":
         owners["optimizer"] = f"optimizer {opt_id!r}"
         owners["schedule"] = f"the {dict.get(exp.schedule, 'kind', 'constant')} schedule of optimizer {opt_id!r}"
     for name in _SCHEMA:
@@ -313,18 +312,15 @@ def resolve_seeds(exp: ExperimentFile, T_key: str, T: int, n_seeds_override: int
     return tuple(listed) if listed is not None else tuple(master + i for i in range(n))
 
 
-def resolve_rate(exp: ExperimentFile, opt_id: str, problem, T: int, sweep: bool = False):
+def resolve_rate(exp: ExperimentFile, opt_id: str, problem, T: int):
     """(eta, beta, bound) of method ``opt_id`` for one horizon: the theorem's
     eta, beta and ceiling, else optimizer.eta (required), optimizer.beta (0.9)
     and no ceiling, whose domains RunConfig checks. The self-tuning method
-    tunes itself, sgd has no beta, and a sweep's grid sets the rate (None
-    here), so a sweep of the self-tuning method is refused."""
+    tunes itself, and sgd has no beta."""
     op, method = exp.optimizer, METHODS[opt_id]
     if method.self_tuning:
-        if sweep:
-            raise ConfigError("the self-tuning method has no base rate to sweep")
         return None, 0.9, None
-    theorem = None if sweep else op.get("theorem")
+    theorem = op.get("theorem")
     paired_id = THEOREM_METHODS.get(theorem)
     if theorem is not None and paired_id is None:
         raise ConfigError(f"optimizer.theorem must be 1 or 2, got {theorem!r}")
@@ -337,13 +333,12 @@ def resolve_rate(exp: ExperimentFile, opt_id: str, problem, T: int, sweep: bool 
         except (InvalidInput, ArithmeticError) as e:  # constants outside a rule's domain
             raise ConfigError(f"invalid hyperparameters: {e}") from e
         return params.eta, params.beta, bound
-    eta = None if sweep else _require(op, "eta", "optimizer")
-    return eta, op.get("beta", 0.9) if method.momentum else 0.9, None
+    return _require(op, "eta", "optimizer"), op.get("beta", 0.9) if method.momentum else 0.9, None
 
 
 def build_run_config(exp: ExperimentFile, n_seeds_override: int | None = None,
-                     master_seed_override: int | None = None, sweep: bool = False) -> tuple[RunConfig, float | None]:
-    """The runnable configuration, and the bound when tuned; a sweep's has no rate."""
+                     master_seed_override: int | None = None) -> tuple[RunConfig, float | None]:
+    """The runnable configuration, and the bound when tuned."""
     problem = build_problem(exp)
     op = exp.optimizer
     opt_id = _require(op, "id", "optimizer")
@@ -352,7 +347,7 @@ def build_run_config(exp: ExperimentFile, n_seeds_override: int | None = None,
     T = _require(exp.run, "T", "run")
     seeds = resolve_seeds(exp, "run.T", T, n_seeds_override, master_seed_override, problem.dim)
     schedule = build_schedule(exp, opt_id)
-    eta, beta, bound = resolve_rate(exp, opt_id, problem, T, sweep)
+    eta, beta, bound = resolve_rate(exp, opt_id, problem, T)
     try:
         cfg = RunConfig(
             problem=problem,

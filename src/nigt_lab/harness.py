@@ -44,7 +44,6 @@ OPTIMIZER_IDS = tuple(METHODS)
 # far below zero, relative to the magnitude of the objective decrease.
 DESCENT_TOL = 1e-9
 
-DEFAULT_ETA_GRID = (1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0)
 CONTAINMENT_PAIRS = 300  # pairs of bound_acceptance's containment certification
 
 # Runs step in blocks whose w, x and m arrays, kept by reference until the
@@ -69,7 +68,7 @@ class RunConfig:
     optimizer_id: str
     T: int
     seeds: tuple[int, ...]
-    eta: float | None = None  # base rate, before the schedule: finite and > 0, or None (sweep base, self-tuning method)
+    eta: float | None = None  # base rate, before the schedule: finite and > 0; None for the self-tuning method
     beta: float = 0.9  # in [0, 1) for a momentum method with a base rate (sgd and self-tuning read none)
     schedule: Schedule = field(default_factory=Schedule)
     record_exact: bool = True
@@ -81,7 +80,7 @@ class RunConfig:
         method = METHODS[self.optimizer_id]
         if method.self_tuning and self.eta is not None:
             raise InvalidInput(f"the self-tuning method sets its own step sizes; it takes no eta, got {self.eta}")
-        if not method.self_tuning and self.eta is not None and not 0.0 < self.eta < math.inf:
+        if not method.self_tuning and (self.eta is None or not 0.0 < self.eta < math.inf):
             raise InvalidInput(f"{self.optimizer_id} needs a base rate: eta must be finite and > 0, got {self.eta}")
         if method.momentum and not method.self_tuning and not 0.0 <= self.beta < 1.0:
             raise InvalidInput(f"beta must lie in [0, 1), got {self.beta}")
@@ -228,9 +227,6 @@ def _lockstep(cfg: RunConfig) -> list[TrajectoryRecord]:
     T = cfg.T
     tuners = [SelfTuning(pb.g_bound) for _ in seeds] if method.self_tuning else []
     if not method.self_tuning:
-        base_eta = cfg.eta
-        if base_eta is None:  # a sweep's base; RunConfig checks a rate that is set
-            raise InvalidInput(f"{cfg.optimizer_id} needs a base rate, got eta = None")
         beta = cfg.beta if method.momentum else 0.0  # sgd is memoryless: the momentum is the latest sample
     scale_by_norm = sch.weight_norm_scaling and method.move is not blockwise_move  # that one scales per layer
     move = method.move
@@ -284,7 +280,7 @@ def _lockstep(cfg: RunConfig) -> list[TrajectoryRecord]:
                         beta_t = 1.0 - alpha_t
                         alpha_log = alpha_t
                     else:
-                        eta_t = apply_schedule(sch, t, T, base_eta, rownorm(s.w)[:, None] if scale_by_norm else None)
+                        eta_t = apply_schedule(sch, t, T, cfg.eta, rownorm(s.w)[:, None] if scale_by_norm else None)
                         beta_t = 0.0 if t == 1 else beta  # first momentum is the first sample
                         alpha_t = 1.0 - beta_t
                         alpha_log = 1.0 - beta
@@ -489,6 +485,8 @@ def bound_acceptance(
     """
     seeds = tuple(int(s) for s in seeds)
     T_grid = sorted(int(t) for t in T_grid)
+    if not T_grid:
+        raise InvalidInput("T_grid must be non-empty")
     if len(set(T_grid)) != len(T_grid):
         raise InvalidInput(f"T_grid must be distinct, got {T_grid}")
     tunings = [tuned(optimizer_id, problem, T) for T in T_grid]  # (params, ceiling) per horizon
@@ -543,49 +541,3 @@ def rate_diagnostic(points) -> float:
         raise InvalidInput("gradient-norm averages must be positive for a log-log fit")
     slope = np.polyfit(np.log(Ts), np.log(vals), 1)[0]
     return float(slope)
-
-
-# -- base-rate grid sweep ----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SweepRow:
-    eta0: float
-    final_grad_norm: float | None  # ||gradF(w_T)||, averaged over seeds
-    diverged_at: int | None = None  # step of the first diverging seed
-
-
-@dataclass(frozen=True)
-class SweepReport:
-    rows: tuple[SweepRow, ...]  # ranked, best first
-    best_eta0: float | None  # None when every rate diverged
-
-
-def grid_sweep(base: RunConfig, eta_grid: Sequence[float] = DEFAULT_ETA_GRID) -> SweepReport:
-    """Run each base rate and rank by the final exact gradient norm,
-    averaged over seeds (an over-large rate keeps oscillating and ends far
-    from critical). Ties break toward the smaller rate. A rate at which a
-    seed diverges is recorded with the step where the first such seed (in
-    seed order) did, and ranked last. Seeds are shared across grid points
-    so comparisons see identical noise realizations. ``base`` is a method
-    with a base rate. Every point's run configuration is built before any
-    point runs, so a refused rate or a self-tuning base runs nothing.
-    """
-    if not base.record_exact:
-        raise InvalidInput("grid sweep ranks by exact gradient norms; set record_exact")
-    points = [replace(base, eta=float(e)) for e in eta_grid]
-    if not points:
-        raise InvalidInput("eta_grid must be non-empty")
-    rows = []
-    for cfg in points:
-        try:
-            recs = run(cfg)
-        except Diverged as e:
-            rows.append(SweepRow(eta0=cfg.eta, final_grad_norm=None, diverged_at=e.step))
-            continue
-        metric = float(np.mean([r.grad_norm[-1] for r in recs]))
-        rows.append(SweepRow(eta0=cfg.eta, final_grad_norm=metric))
-    # diverged rates have no norm: they go last, in rate order
-    rows.sort(key=lambda r: (r.diverged_at is not None, r.final_grad_norm or 0.0, r.eta0))
-    best = rows[0]
-    return SweepReport(rows=tuple(rows), best_eta0=None if best.diverged_at is not None else best.eta0)

@@ -282,8 +282,6 @@ def record_to_csv(record: TrajectoryRecord, fh) -> None:
 
 
 def _cell(v) -> str:
-    if v is None:
-        return ""
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, (int, np.integer)):
@@ -293,7 +291,7 @@ def _cell(v) -> str:
 
 def rows_to_csv(header: str, rows) -> str:
     """A table under ``header``: booleans as true/false, integers as they
-    are, None as an empty cell and other numbers as in :func:`record_to_csv`."""
+    are and other numbers as in :func:`record_to_csv`."""
     return header + "\n" + "".join(",".join(map(_cell, row)) + "\n" for row in rows)
 
 

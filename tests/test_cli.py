@@ -1,3 +1,4 @@
+import argparse
 import errno
 import hashlib
 import json
@@ -89,6 +90,19 @@ class TestRunCommand:
         assert main(["run", "--config", str(cfg)]) == 1
         err = capsys.readouterr().err
         assert "momentun" in err
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("run.T = 10\n", "run.T = 0\n", "invalid run configuration: T must be >= 1, got 0"),
+        ("run.T = 10\n", "run.T = 10\nschedule.kind = warmup_poly_decay\nschedule.warmup_steps = -1\n",
+         "invalid schedule section: warmup_steps must be >= 0, got -1"),
+        ("csv,json", "csv,png", "unknown output formats ['png']; allowed: csv, json, svg"),
+        ("csv,json\n", "csv,json\nT = 5\n", "line 12, col 1: key 'T' lacks a section prefix"),
+    ], ids=["T_zero", "negative_warmup", "unknown_format", "no_section"])
+    def test_a_refused_value_exits_one_and_writes_nothing(self, tmp_path, capsys, old, new, message):
+        cfg = write(tmp_path / "run.cfg", BASE_RUN.replace(old, new))
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr() == ("", f"config error: {message}\n")
+        assert not (tmp_path / "out").exists()
 
     def test_diverging_run_exits_two_and_names_the_step(self, tmp_path, capsys):
         cfg = write(tmp_path / "run.cfg", DIVERGING_SGD + "optimizer.eta = 1.0\n")
@@ -261,8 +275,49 @@ class TestOverridesAndJobs:
         # run writes the charts: rerun with svg in output.formats
         assert main(["plot", str(tmp_path), "--out", str(tmp_path / "charts")]) == 1
         assert capsys.readouterr() == ("", "usage error: argument command: invalid choice: 'plot' (choose from "
-                                           "'run', 'certify', 'igt-check', 'sweep', 'bounds')\n")
+                                           "'run', 'certify', 'igt-check', 'bounds')\n")
         assert not (tmp_path / "charts").exists()
+
+    def test_the_deleted_sweep_command_exits_one(self, tmp_path, capsys):
+        # compare rates with one run per optimizer.eta
+        cfg = write(tmp_path / "run.cfg", BASE_RUN)
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr() == ("", "usage error: argument command: invalid choice: 'sweep' (choose from "
+                                           "'run', 'certify', 'igt-check', 'bounds')\n")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["run", "certify", "igt-check", "bounds"])
+    def test_a_sweep_key_is_an_unknown_section(self, tmp_path, capsys, command):
+        cfg = write(tmp_path / "exp.cfg", SEEDED[command] + "sweep.eta_grid = 0.01,0.1\n")
+        line = SEEDED[command].count("\n") + 1
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr() == ("", f"config error: line {line}, col 1: unknown section 'sweep'\n")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, text, message", [
+        ("run", BASE_RUN, "config error: unknown optimizer id 'adam'; known: ('sgd', 'heavy_ball', 'nsgdm', 'nigt', "
+                          "'nigt_adaptive', 'nigt_layerwise')"),
+        ("bounds", "problem.kind = trig_bowl\nproblem.dim = 2\nproblem.a = 1.0\nproblem.b = 1.0\n"
+                   "problem.sigma = 0.5\noptimizer.id = nsgdm\nrun.T_grid = 20\nrun.n_seeds = 2\n",
+         "error: no closed-form tuning for 'adam'"),
+    ])
+    def test_an_unknown_optimizer_id_exits_one(self, tmp_path, capsys, command, text, message):
+        cfg = write(tmp_path / "exp.cfg", text.replace("optimizer.id = nsgdm", "optimizer.id = adam"))
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr() == ("", message + "\n")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, options", [
+        ("run", ["--config", "--out", "--seeds", "--master-seed"]),
+        ("certify", ["--config", "--out", "--master-seed"]),
+        ("igt-check", ["--config", "--out", "--master-seed"]),
+        ("bounds", ["--config", "--out", "--seeds", "--master-seed"]),
+    ])
+    def test_each_command_s_options(self, command, options):
+        # fourteen in all: certify and igt-check draw from the master seed alone
+        sub, = (a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        assert [s for a in sub.choices[command]._actions for s in a.option_strings if s.startswith("--")] == \
+            ["--help", *options]
 
 
 # problem sections of three kinds; each probe sets one key to a NaN or inf,
@@ -328,10 +383,6 @@ SEEDED = {
                "problem.sigma = 1.0\ncertify.n_pairs = 100\n",
     "igt-check": "problem.kind = noisy_quadratic\nproblem.dim = 2\nproblem.eigs = 1.0,4.0\n"
                  "problem.sigma = 1.0\nigt_check.checkpoints = 1,4\nigt_check.n_runs = 1000\n",
-    # the grid sets the rate, and only run writes a choice of formats
-    "sweep": BASE_RUN.replace("problem.sigma = 0.0", "problem.sigma = 0.5").replace("run.seeds = 1", "run.n_seeds = 2")
-             .replace("optimizer.eta = 0.1\n", "").replace("output.formats = csv,json\n", "")
-             + "sweep.eta_grid = 0.01,0.1\n",
     "bounds": "problem.kind = trig_bowl\nproblem.dim = 2\nproblem.a = 1.0\nproblem.b = 1.0\n"
               "problem.sigma = 0.5\noptimizer.id = nsgdm\nrun.T_grid = 20\nrun.n_seeds = 2\n",
 }
@@ -459,8 +510,8 @@ class TestSizeLimits:
         ("run", f"run.T = {MAX_LOG_CELLS + 1}\nrun.n_seeds = 1\n", [],
          f"run.T = {MAX_LOG_CELLS + 1} over 1 seeds is {MAX_LOG_CELLS + 1} {CELLS}"),
         ("run", f"run.T = 1\nrun.n_seeds = {MAX_SEEDS + 1}\n", [], f"run.n_seeds asks for {MAX_SEEDS + 1} {SEEDS}"),
-        ("sweep", "run.T = 1\n", ["--seeds", str(MAX_SEEDS + 1)], f"--seeds asks for {MAX_SEEDS + 1} {SEEDS}"),
-        ("sweep", f"run.T = {MAX_LOG_CELLS // 2}\nrun.seeds = 1,2,3\n", [],
+        ("run", "run.T = 1\n", ["--seeds", str(MAX_SEEDS + 1)], f"--seeds asks for {MAX_SEEDS + 1} {SEEDS}"),
+        ("run", f"run.T = {MAX_LOG_CELLS // 2}\nrun.seeds = 1,2,3\n", [],
          f"run.T = {MAX_LOG_CELLS // 2} over 3 seeds is {MAX_LOG_CELLS // 2 * 3} {CELLS}"),
         ("bounds", f"run.T_grid = 10,{MAX_LOG_CELLS // 2 + 1}\nrun.n_seeds = 2\n", [],
          f"max(run.T_grid) = {MAX_LOG_CELLS // 2 + 1} over 2 seeds is {(MAX_LOG_CELLS // 2 + 1) * 2} {CELLS}"),
@@ -858,59 +909,6 @@ run.seeds = 1
 """
 
 
-class TestSweepCommand:
-    def test_diverging_rate_is_recorded_and_ranked_last(self, tmp_path):
-        # at eta0 = 1 the iterate grows like 3^t on the eigenvalue-4 axis
-        cfg = write(tmp_path / "s.cfg", DIVERGING_SGD)
-        out = tmp_path / "o"
-        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
-        rows = (out / "sweep.csv").read_text().strip().split("\n")
-        assert rows[0] == "eta0,final_grad_norm"
-        assert len(rows) == 7 and rows[-1] == "1,"
-        payload = json.loads((out / "sweep.json").read_text())
-        last = payload["rows"][-1]
-        assert last["eta0"] == 1.0 and last["final_grad_norm"] is None
-        assert 1 < last["diverged_at"] <= 1000
-        assert all(r["diverged_at"] is None for r in payload["rows"][:-1])
-        assert payload["best_eta0"] == payload["rows"][0]["eta0"] != 1.0
-
-    def test_runaway_weight_norm_rate_is_recorded(self, tmp_path):
-        cfg = write(tmp_path / "s.cfg", RUNAWAY_RATE + "sweep.eta_grid = 0.01,1\n")
-        out = tmp_path / "o"
-        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
-        payload = json.loads((out / "sweep.json").read_text())
-        assert [(r["eta0"], r["diverged_at"]) for r in payload["rows"]] == [(0.01, None), (1.0, 587)]
-        assert payload["best_eta0"] == 0.01
-        assert (out / "sweep.csv").read_text().endswith("\n1,\n")
-
-    def test_paper_default_grid_emits_six_rows(self, tmp_path):
-        text = (
-            "problem.kind = noisy_quadratic\nproblem.dim = 2\nproblem.eigs = 1.0,1.0\n"
-            "problem.sigma = 0.0\nproblem.w1 = 2.0,1.0\noptimizer.id = nsgdm\n"
-            "optimizer.beta = 0.0\nrun.T = 50\nrun.seeds = 1\n"
-        )
-        cfg = write(tmp_path / "s.cfg", text)
-        out = tmp_path / "o"
-        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
-        rows = (out / "sweep.csv").read_text().strip().split("\n")
-        assert rows[0] == "eta0,final_grad_norm"
-        assert len(rows) == 7
-        payload = json.loads((out / "sweep.json").read_text())
-        assert sorted(r["eta0"] for r in payload["rows"]) == [1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0]
-
-    def test_explicit_grid(self, tmp_path):
-        text = (
-            "problem.kind = noisy_quadratic\nproblem.dim = 2\nproblem.eigs = 1.0,1.0\n"
-            "problem.sigma = 0.0\nproblem.w1 = 2.0,1.0\noptimizer.id = nsgdm\n"
-            "optimizer.beta = 0.0\nrun.T = 400\nrun.seeds = 1\nsweep.eta_grid = 0.01,1.0\n"
-        )
-        cfg = write(tmp_path / "s.cfg", text)
-        out = tmp_path / "o"
-        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
-        payload = json.loads((out / "sweep.json").read_text())
-        assert payload["best_eta0"] == 0.01
-
-
 class TestBoundsCommand:
     def test_two_row_table_passes(self, tmp_path, capsys):
         text = (
@@ -1027,7 +1025,6 @@ STREAMING_ID = "streaming_least_squares(d=2,cov_eigs=[1.0;2.0],label_noise=0.5)"
 SIGMA_AT_W1 = (f"oracle variance is only certified at the start point for {STREAMING_ID}; "
                "the tuned ceilings need it at every point")
 TRIG_4 = "problem.kind = trig_bowl\nproblem.dim = 4\nproblem.a = 1.0\nproblem.b = 1.0\nproblem.sigma = 0.5\n"
-NO_RATE_TO_SWEEP = "the self-tuning method has no base rate to sweep"
 
 
 class TestPremises:
@@ -1087,29 +1084,19 @@ class TestPremises:
         last = report["checkpoints"][-1]
         assert report["passed"] is False and last["k"] == 100 and last["bias_norm"] > 10 * last["bias_limit"]
 
-    @pytest.mark.parametrize("command", ["run", "sweep"])
-    def test_warmup_not_below_the_horizon_is_refused_when_built(self, tmp_path, capsys, command):
-        text = (TRIG_4 + "optimizer.id = nsgdm\n" + ("optimizer.eta = 0.1\n" if command == "run" else "")
+    def test_warmup_not_below_the_horizon_is_refused_when_built(self, tmp_path, capsys):
+        text = (TRIG_4 + "optimizer.id = nsgdm\noptimizer.eta = 0.1\n"
                 + "schedule.kind = warmup_poly_decay\nschedule.warmup_steps = 20\nrun.T = 20\n")
-        code, out = self._main(tmp_path, command, text)
+        code, out = self._main(tmp_path, "run", text)
         assert (code, capsys.readouterr()) == (
             1, ("", "config error: invalid run configuration: warmup_steps 20 must be < T 20\n"))
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["run", "sweep"])
-    def test_self_tuning_under_a_warmup_is_refused_when_built(self, tmp_path, capsys, command):
+    def test_self_tuning_under_a_warmup_is_refused_when_built(self, tmp_path, capsys):
         text = TRIG_4 + "optimizer.id = nigt_adaptive\nschedule.kind = warmup_poly_decay\nrun.T = 20\n"
-        code, out = self._main(tmp_path, command, text)
-        message = (NO_RATE_TO_SWEEP if command == "sweep" else "invalid run configuration: the self-tuning method "
-                   "sets its own step sizes; use a constant schedule")
-        assert (code, capsys.readouterr()) == (1, ("", f"config error: {message}\n"))
-        assert not out.exists()
-
-    @pytest.mark.parametrize("extra", ["", "schedule.kind = warmup_poly_decay\n", "optimizer.eta = 0.1\n"],
-                             ids=["constant", "warmup", "unread_eta"])
-    def test_a_sweep_of_the_self_tuning_method_is_refused_once_when_built(self, tmp_path, capsys, extra):
-        code, out = self._main(tmp_path, "sweep", TRIG_4 + "optimizer.id = nigt_adaptive\nrun.T = 20\n" + extra)
-        assert (code, capsys.readouterr()) == (1, ("", f"config error: {NO_RATE_TO_SWEEP}\n"))
+        code, out = self._main(tmp_path, "run", text)
+        assert (code, capsys.readouterr()) == (1, ("", "config error: invalid run configuration: the self-tuning "
+                                                       "method sets its own step sizes; use a constant schedule\n"))
         assert not out.exists()
 
 
@@ -1128,7 +1115,7 @@ class TestExperimentFileReadErrors:
     """An experiment file that cannot be read is one config error line,
     exit 1, nothing written, whichever command reads it."""
 
-    @pytest.mark.parametrize("command", ["run", "certify", "igt-check", "sweep", "bounds"])
+    @pytest.mark.parametrize("command", ["run", "certify", "igt-check", "bounds"])
     @pytest.mark.parametrize("case, reason", [
         ("missing", "[Errno 2] No such file or directory: '{path}'"),
         ("directory", "[Errno 21] Is a directory: '{path}'"),
@@ -1277,7 +1264,9 @@ README_EXAMPLES = re.findall(r"```\n(# nigt-lab (\S+) .*?)```", (Path(__file__).
 
 
 def test_readme_has_an_example_per_command():
-    assert {command for _, command in README_EXAMPLES} == {"run", "certify", "igt-check", "sweep", "bounds"}
+    # the parser's own subcommands, so the README and the command line cannot drift apart
+    commands, = (a.choices for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert {command for _, command in README_EXAMPLES} == set(commands)
 
 
 @pytest.mark.parametrize("text, command", README_EXAMPLES, ids=[f"{c}-{i}" for i, (_, c) in enumerate(README_EXAMPLES)])

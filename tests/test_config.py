@@ -212,11 +212,11 @@ class TestBuilders:
         with pytest.raises(ConfigError):
             build_problem(parse_experiment("problem.kind = rosenbrock\n"))
 
-    @pytest.mark.parametrize("command", ["run", "certify", "igt-check", "sweep", "bounds"])
+    @pytest.mark.parametrize("command", ["run", "certify", "igt-check", "bounds"])
     def test_keys_foreign_to_the_kind_are_rejected(self, tmp_path, capsys, command):
         # the rest of a file the command builds
         rest = {"run": "optimizer.id = nsgdm\noptimizer.eta = 0.1\nrun.T = 5\n",
-                "sweep": "optimizer.id = nsgdm\nrun.T = 5\n", "bounds": "optimizer.id = nsgdm\nrun.T_grid = 5\n"}
+                "bounds": "optimizer.id = nsgdm\nrun.T_grid = 5\n"}
         for text, message in [
             ("problem.kind = streaming_least_squares\nproblem.dim = 2\n"
              "problem.cov_eigs = 1.0,2.0\nproblem.sigma = 0.5\n",
@@ -246,14 +246,11 @@ class TestBuilders:
         assert cfg.T == 100 and cfg.seeds == (7, 8, 9)
 
     def test_manual_run_requires_eta(self, tmp_path, capsys):
-        # a run reads the rate; the configuration a sweep builds has none
         text = VALID.replace("optimizer.theorem = 1\n", "")
         code, err = _exit_code_and_error(tmp_path, capsys, text)
         assert code == 1 and err == "config error: section 'optimizer' requires key 'eta'\n"
         with pytest.raises(ConfigError, match="^section 'optimizer' requires key 'eta'$"):
             build_run_config(parse_experiment(text))
-        cfg, bound = build_run_config(parse_experiment(text), sweep=True)
-        assert cfg.eta is None and bound is None
 
     def test_adaptive_needs_matching_id(self):
         text = VALID.replace("optimizer.theorem = 1", "optimizer.theorem = adaptive")
@@ -296,31 +293,18 @@ class TestBaseRate:
     """The theorem's eta, else optimizer.eta; beta is the theorem's, else
     optimizer.beta (0.9 by default)."""
 
-    @pytest.mark.parametrize("text, sweep, eta, beta", [
-        (VALID, False, TUNED.eta, TUNED.beta),
-        (MANUAL + "optimizer.eta = 0.5\n", False, 0.5, 0.9),
-        (MANUAL, True, None, 0.9),
-    ], ids=["theorem", "manual", "sweep"])
-    def test_rate(self, text, sweep, eta, beta):
-        cfg, _ = build_run_config(parse_experiment(text), sweep=sweep)
+    @pytest.mark.parametrize("text, eta, beta", [
+        (VALID, TUNED.eta, TUNED.beta),
+        (MANUAL + "optimizer.eta = 0.5\n", 0.5, 0.9),
+    ], ids=["theorem", "manual"])
+    def test_rate(self, text, eta, beta):
+        cfg, _ = build_run_config(parse_experiment(text))
         assert (cfg.eta, cfg.beta) == (eta, beta)
 
     def test_theorem_and_manual_rate_exit_one(self, tmp_path, capsys):
         # the theorem tunes both, so the manual rate would go unused
         code, err = _exit_code_and_error(tmp_path, capsys, VALID + "optimizer.eta = 0.5\noptimizer.beta = 0.5\n")
         assert (code, err) == (1, "config error: keys ['beta', 'eta'] do not apply to optimizer 'nsgdm'\n")
-
-    def test_sweep_reads_beta_and_no_rate(self):
-        # a sweep refuses optimizer.eta and optimizer.theorem, and sets the rate itself
-        cfg, bound = build_run_config(parse_experiment(MANUAL + "optimizer.beta = 0.7\n"), sweep=True)
-        assert (cfg.eta, cfg.beta, bound) == (None, 0.7, None)
-
-    @pytest.mark.parametrize("kind", ["constant", "warmup_poly_decay"])
-    def test_sweep_rejects_adaptive(self, kind):
-        # the self-tuning method has no base rate to sweep, under any schedule
-        text = MANUAL.replace("id = nsgdm", "id = nigt_adaptive").replace("kind = constant", f"kind = {kind}")
-        with pytest.raises(ConfigError, match="^the self-tuning method has no base rate to sweep$"):
-            build_run_config(parse_experiment(text), sweep=True)
 
     @pytest.mark.parametrize("extra", ["optimizer.eta = 0\n", "optimizer.eta = 0.1\noptimizer.beta = 1.0\n"],
                              ids=["eta_zero", "beta_one"])

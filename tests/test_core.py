@@ -1,5 +1,6 @@
 import math
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -7,6 +8,8 @@ import pytest
 from nigt_lab import errors
 from nigt_lab.core import (
     RngStream,
+    TrajectoryRecord,
+    as_vector,
     gaussian_noise,
     normalize,
     pow_sevenths,
@@ -127,6 +130,38 @@ class TestRngStream:
             RngStream(-1)
         with pytest.raises(InvalidInput):
             RngStream(2**64)
+
+    @pytest.mark.parametrize("stream_id", [-1, 2**64])
+    def test_stream_id_range_validation(self, stream_id):
+        with pytest.raises(InvalidInput, match=f"^stream_id must fit in 64 bits, got {stream_id}$"):
+            RngStream(1, stream_id)
+
+    def test_the_widest_key_is_accepted_and_named(self):
+        top = 2**64 - 1
+        assert repr(RngStream(top, top)) == f"RngStream(seed={top}, stream_id={top})"
+
+
+class TestAsVector:
+    def test_a_scalar_is_a_one_entry_vector(self):
+        v = as_vector(2)
+        assert (v.shape, v.dtype, v[0]) == ((1,), np.float64, 2.0)
+
+    @pytest.mark.parametrize("x", [[[1.0, 2.0], [3.0, 4.0]], np.zeros((1, 3)), np.zeros((2, 0)), np.zeros((1, 1, 1))],
+                             ids=["2x2", "1x3", "2x0", "1x1x1"])
+    def test_any_other_shape_is_refused(self, x):
+        message = f"expected a 1-D vector, got shape {np.shape(x)}"
+        with pytest.raises(InvalidInput, match=f"^{re.escape(message)}$"):
+            as_vector(x)
+
+
+def test_the_average_gradient_norm_needs_exact_logs():
+    ones = np.ones(2)
+    rec = TrajectoryRecord(problem_id="p", optimizer_id="o", seed=1, eta=ones, alpha=ones, m_norm=ones,
+                           no_move=np.zeros(2, bool))
+    with pytest.raises(InvalidInput, match="^run was recorded without exact gradient norms$"):
+        rec.avg_grad_norm()
+    rec.grad_norm = np.array([1.0, 2.0])
+    assert rec.avg_grad_norm() == 1.5
 
 
 class TestPowSevenths:

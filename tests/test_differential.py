@@ -19,11 +19,12 @@ built, where the rate resolver and the runner once checked them with two
 domains, and a theorem's tuning refuses rates that round out of their
 domain, where the run once did; and a layer partition holds its
 boundaries, where it once held index ranges that a cover check had to
-order. The ``ref_*`` code below is the code they replaced, kept
-verbatim as the reference: every state byte, every exception (type, row and
-text), every certification report, every noise row a step reads, every
-output string and every command's exit code, stdout, stderr and written
-bytes must match it.
+order. The sweep command is gone, and so is its section: a sweep key is
+now an unknown section. The ``ref_*`` code below is the code they
+replaced, kept verbatim as the reference: every state byte, every
+exception (type, row and text), every certification report, every noise
+row a step reads, every output string and every command's exit code,
+stdout, stderr and written bytes must match it.
 """
 
 import contextlib
@@ -81,13 +82,10 @@ from nigt_lab.errors import (
 )
 from nigt_lab.harness import (
     CONTAINMENT_PAIRS,
-    DEFAULT_ETA_GRID,
     OPTIMIZER_IDS,
     BoundReport,
     BoundRow,
     RunConfig,
-    SweepReport,
-    SweepRow,
     igt_moment_check,
     rate_diagnostic,
     run,
@@ -1002,15 +1000,15 @@ class TestOutputLayer:
 
 # -- the command line ------------------------------------------------------------------
 # The earlier command functions, parser and main, verbatim but for the
-# ref_ names and igt_moment_check's keyword seed: each loaded the file and
-# read the output settings itself, restated the defaults of the certify,
-# igt_check and sweep sections and joined its output paths. Their run
-# configurations are checked as before; run checks the self-tuning method's
-# schedule premise, the base rate and beta when it starts, the sweep
-# refuses that method when it starts and builds each grid point as it
-# reaches it, and bounds tunes and runs each horizon of its grid as it
-# reaches it, repeated or not. The tuning (ref_tuned) gives any rates its
-# closed forms round to.
+# ref_ names, igt_moment_check's keyword seed and the sweep command, which
+# went with its reference: each loaded the file and read the output
+# settings itself, restated the defaults of the certify and igt_check
+# sections and joined its output paths. Their run configurations are
+# checked as before; run checks the self-tuning method's schedule premise,
+# the base rate and beta when it starts, and bounds tunes and runs each
+# horizon of its grid as it reaches it, repeated or not. The tuning
+# (ref_tuned) gives any rates its closed forms round to. The frozen file
+# parser still reads the sweep section, which only sweep read.
 
 
 class RefRunConfig(RunConfig):
@@ -1048,29 +1046,6 @@ def ref_run(cfg: RunConfig):
                 mock.patch.object(harness, "blockwise_move", ref_blockwise_move):
             return run(cfg)
     return run(cfg)
-
-
-def ref_grid_sweep(base: RunConfig, eta_grid=DEFAULT_ETA_GRID):
-    if base.optimizer_id == "nigt_adaptive":
-        raise InvalidInput("the self-tuning method has no base rate to sweep")
-    if not base.record_exact:
-        raise InvalidInput("grid sweep ranks by exact gradient norms; set record_exact")
-    grid = tuple(float(e) for e in eta_grid)
-    if not grid:
-        raise InvalidInput("eta_grid must be non-empty")
-    rows = []
-    for eta0 in grid:
-        try:
-            recs = ref_run(replace(base, eta=eta0))
-        except Diverged as e:
-            rows.append(SweepRow(eta0=eta0, final_grad_norm=None, diverged_at=e.step))
-            continue
-        metric = float(np.mean([r.grad_norm[-1] for r in recs]))
-        rows.append(SweepRow(eta0=eta0, final_grad_norm=metric))
-    # diverged rates have no norm: they go last, in rate order
-    rows.sort(key=lambda r: (r.diverged_at is not None, r.final_grad_norm or 0.0, r.eta0))
-    best = rows[0]
-    return SweepReport(rows=tuple(rows), best_eta0=None if best.diverged_at is not None else best.eta0)
 
 
 def ref_tuned(optimizer_id: str, problem, T: int):
@@ -1585,19 +1560,6 @@ def ref_cmd_igt_check(args) -> int:
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED
 
 
-def ref_cmd_sweep(args) -> int:
-    exp = ref_load_experiment(args.config)
-    out_dir, _ = ref_output_settings(exp, args.out)
-    cfg, _ = ref_build_run_config(exp, args.seeds, args.master_seed, require_eta=False)
-    grid = exp.sweep.get("eta_grid", list(DEFAULT_ETA_GRID))
-    report = ref_grid_sweep(cfg, grid)
-    write_text_atomic(os.path.join(out_dir, "sweep.json"), json_dumps(asdict(report)))
-    rows = [[r.eta0, r.final_grad_norm] for r in report.rows]
-    write_text_atomic(os.path.join(out_dir, "sweep.csv"),
-                      rows_to_csv("eta0,final_grad_norm", rows))
-    return EXIT_OK
-
-
 def ref_cmd_bounds(args) -> int:
     exp = ref_load_experiment(args.config)
     out_dir, _ = ref_output_settings(exp, args.out)
@@ -1628,7 +1590,6 @@ def ref_build_parser() -> _Parser:
         ("run", ref_cmd_run, True, "execute a seeded run and emit CSV/JSON/SVG"),
         ("certify", ref_cmd_certify, False, "validate declared problem constants"),
         ("igt-check", ref_cmd_igt_check, False, "gradient-transport moment verification"),
-        ("sweep", ref_cmd_sweep, True, "base-rate grid sweep"),
         ("bounds", ref_cmd_bounds, True, "one-sided average-gradient bound table"),
     ):
         sp = sub.add_parser(name, help=text)
@@ -1690,11 +1651,8 @@ VECTORS = {"eigs", "cov_eigs", "w1", "w_star"}  # one entry per dimension
 # a key it reads is drawn often, one of them in RARE less, any other seldom
 READS = {"run": ("optimizer.", "schedule.", "run.", "output."), "certify": ("certify.", "run.master_seed"),
          "igt-check": ("igt_check.", "run.master_seed"),
-         "sweep": ("optimizer.id", "optimizer.beta", "optimizer.layers", "optimizer.lr_scale", "schedule.", "run.",
-                   "sweep."),
          "bounds": ("optimizer.id", "run.T_grid", "run.n_seeds", "run.seeds", "run.master_seed")}
-NEEDS = {"run": ("optimizer.id", "optimizer.eta", "run.T"), "sweep": ("optimizer.id", "run.T"),
-         "bounds": ("optimizer.id", "run.T_grid")}
+NEEDS = {"run": ("optimizer.id", "optimizer.eta", "run.T"), "bounds": ("optimizer.id", "run.T_grid")}
 # keys whose defaults are large, always drawn
 SIZES = {"certify": ("certify.n_pairs",), "igt-check": ("igt_check.checkpoints", "igt_check.n_runs")}
 RARE = {"problem.L", "problem.rho", "problem.g_bound", "problem.R", "optimizer.theorem",
@@ -1721,14 +1679,15 @@ def values(usual: tuple, base: str, edgy: bool):
 
 @st.composite
 def experiment_files(draw, command):
-    """An experiment file drawn key by key from the derived schema. Two in three
+    """An experiment file drawn key by key from the frozen schema. Two in three
     are clean: usual values of the keys the command reads, vectors of the
-    problem's dimension, none of the RARE keys and seldom a key it does not
-    read, so most of them run. Now and then a clean file lacks one key its
-    command needs, so the refusal of that key is reached past every other
-    check. The others draw every key the command reads, edge values (0, -1,
-    NaN, +-inf, 1e308, subnormal) and now and then a key it does not read,
-    and one in four of them a value the file parser refuses (UNPARSED)."""
+    problem's dimension, of the RARE keys only a declared L or rho and a
+    layer partition, and seldom a key it does not read, so most of them
+    run. Now and then a clean file lacks one key its command needs, so the
+    refusal of that key is reached past every other check. The others draw
+    every key the command reads, edge values (0, -1, NaN, +-inf, 1e308,
+    subnormal) and now and then a key it does not read, and one in four of
+    them a value the file parser refuses (UNPARSED)."""
     kinds = USUAL["problem.kind"]
     # igt-check needs a quadratic and refuses a curved Hessian (the trig
     # bowl's rho > 0), and bounds certifies sigma away from w1 and tunes with
@@ -1758,10 +1717,12 @@ def experiment_files(draw, command):
             elif param is not None and param.default is param.empty or name in NEEDS.get(command, ()):
                 chance = 0 if name == dropped else 8 - edgy
             elif read:
-                # a declared L or rho below the problem's fails certify: exit 2
-                chance = (2 if edgy or key in ("L", "rho") else 0) if name in RARE else 5
-            else:  # a key it does not read, which it refuses
-                chance = 1
+                # a declared L or rho below the problem's fails certify: exit 2;
+                # a drawn layer partition is most often refused
+                clean = {"L": 2, "rho": 2, "layers": 4, "lr_scale": 2}.get(key, 0)
+                chance = 5 if name not in RARE else 2 if edgy else clean
+            else:  # a key it does not read, which it refuses; a sweep key, which no command reads now, more often
+                chance = 4 if section == "sweep" else 1
             n = 8 if read else 64 if edgy else 128
             if not (chance == n or chance and draw(chances(chance, n))):
                 continue
@@ -1789,7 +1750,7 @@ def experiment_files(draw, command):
 def invocations(draw):
     command = draw(st.sampled_from(list(READS)))
     flags = []
-    if command in ("run", "sweep", "bounds") and draw(chances(1, 4)):
+    if command in ("run", "bounds") and draw(chances(1, 4)):
         flags += ["--seeds", str(draw(st.sampled_from([1, 3, 1, 3, 0, -1])))]
     if draw(chances(1, 4)):
         flags += ["--master-seed", str(draw(st.sampled_from([7, 0, 7, 0, -1])))]
@@ -1818,28 +1779,29 @@ def invoke(main_fn, argvs, outs):
 
 
 # the keys of the written schema that are gone: problem.M, an upper bound on
-# F that the problems declared and no code read
-DELETED_KEYS = {"problem.M"}
+# F that the problems declared and no code read, and sweep.eta_grid, the
+# rates of the deleted sweep command
+DELETED_KEYS = {"problem.M", "sweep.eta_grid"}
 
 
 class TestDerivedSchema:
     """The schema taken from the signatures of the functions that read each
-    section is the one written out by hand before, less its deleted keys:
-    the same sections, keys, order and value types, so
-    ``serialize_experiment`` writes the same bytes."""
+    section is the one written out by hand before, less its deleted keys
+    and the sections they emptied: the same sections, keys, order and value
+    types, so ``serialize_experiment`` writes the same bytes."""
 
     def test_sections_keys_order_and_types_match_the_written_schema(self):
-        assert [(section, list(keys.items())) for section, keys in _SCHEMA.items()] == \
-            [(section, [(key, typ) for key, typ in keys.items() if f"{section}.{key}" not in DELETED_KEYS])
-             for section, keys in REF_SCHEMA.items()]
-        assert sum(map(len, _SCHEMA.values())) == 38
+        kept = [(section, [(key, typ) for key, typ in keys.items() if f"{section}.{key}" not in DELETED_KEYS])
+                for section, keys in REF_SCHEMA.items()]
+        assert [(section, list(keys.items())) for section, keys in _SCHEMA.items()] == [p for p in kept if p[1]]
+        assert (len(_SCHEMA), sum(map(len, _SCHEMA.values()))) == (7, 37)
 
     @pytest.mark.parametrize("path", sorted((Path(__file__).parent.parent / "perfbench" / "workloads").glob("*.cfg"))
                              + [Path(__file__).parent / "golden" / "golden_run.cfg"], ids=lambda p: p.name)
     def test_shipped_files_serialize_as_before(self, path):
         exp = load_experiment(path)
-        ref = [f"{section}.{key} = {_format_value(exp.section(section)[key])}"
-               for section, keys in REF_SCHEMA.items() for key in keys if key in exp.section(section)]
+        ref = [f"{section}.{key} = {_format_value(exp.section(section)[key])}" for section, keys in REF_SCHEMA.items()
+               if section in _SCHEMA for key in keys if key in exp.section(section)]
         assert serialize_experiment(exp) == "\n".join(ref) + "\n"
 
 
@@ -1848,7 +1810,6 @@ QUAD = "problem.kind = noisy_quadratic\nproblem.dim = 2\nproblem.eigs = 1.0,4.0\
 # a file each command reads whole
 READ_WHOLE = {
     "run": BOWL + "optimizer.id = nsgdm\noptimizer.theorem = 1\nrun.T = 20\nrun.n_seeds = 2\n",
-    "sweep": BOWL + "optimizer.id = nsgdm\nrun.T = 20\nrun.n_seeds = 2\nsweep.eta_grid = 0.01,0.1\n",
     "bounds": BOWL + "optimizer.id = nsgdm\nrun.T_grid = 20\nrun.n_seeds = 2\n",
     "certify": BOWL + "certify.n_pairs = 100\n",
     "igt-check": QUAD + "igt_check.checkpoints = 1,4\nigt_check.n_runs = 1000\n",
@@ -1860,27 +1821,28 @@ LISTED = {command: text.replace("run.n_seeds = 2\n", "run.seeds = 3,4\n") for co
 NEWLY_REFUSED = [(case[0], READ_WHOLE[case[0]], *case[1:]) if len(case) == 3 else case for case in [
     ("run", "optimizer.eta = 0.7\n", "keys ['eta'] do not apply to optimizer 'nsgdm'"),
     ("run", "optimizer.beta = 0.2\n", "keys ['beta'] do not apply to optimizer 'nsgdm'"),
-    ("sweep", "optimizer.eta = 0.7\n", "keys ['eta'] do not apply to optimizer 'nsgdm'"),
-    ("sweep", "optimizer.theorem = 1\n", "keys ['theorem'] do not apply to optimizer 'nsgdm'"),
     ("run", "run.T_grid = 5,6\n", "keys ['T_grid'] do not apply to run (section 'run')"),
-    ("sweep", "run.T_grid = 5,6\n", "keys ['T_grid'] do not apply to sweep (section 'run')"),
     ("run", LISTED["run"], "run.n_seeds = 2\n", "keys ['n_seeds'] do not apply to run (section 'run')"),
-    ("sweep", LISTED["sweep"], "run.master_seed = 5\n", "keys ['master_seed'] do not apply to sweep (section 'run')"),
     ("bounds", LISTED["bounds"], "run.master_seed = 5\n",
      "keys ['master_seed'] do not apply to bounds (section 'run')"),
-    ("sweep", "output.formats = csv\n", "keys ['formats'] do not apply to sweep (section 'output')"),
     ("bounds", "output.formats = csv,json,svg\n", "keys ['formats'] do not apply to bounds (section 'output')"),
     ("certify", "output.formats = json\n", "keys ['formats'] do not apply to certify (section 'output')"),
     ("igt-check", "output.formats = svg\n", "keys ['formats'] do not apply to igt-check (section 'output')"),
     ("run", "certify.n_pairs = 100\n", "keys ['n_pairs'] do not apply to run (section 'certify')"),
-    ("run", "sweep.eta_grid = 9.0\n", "keys ['eta_grid'] do not apply to run (section 'sweep')"),
+    ("run", "sweep.eta_grid = 9.0\n", "line 10, col 1: unknown section 'sweep'"),
     ("bounds", "igt_check.n_runs = 5\n", "keys ['n_runs'] do not apply to bounds (section 'igt_check')"),
-    ("sweep", "certify.radius = 0.001\n", "keys ['radius'] do not apply to sweep (section 'certify')"),
     ("certify", "optimizer.id = nigt\nrun.T = 10\n", "keys ['id'] do not apply to certify (section 'optimizer')"),
     ("certify", "run.n_seeds = 3\nrun.T = 5\n", "keys ['T', 'n_seeds'] do not apply to certify (section 'run')"),
     ("certify", "schedule.power = 2\n", "keys ['power'] do not apply to certify (section 'schedule')"),
-    ("igt-check", "sweep.eta_grid = 1.0\n", "keys ['eta_grid'] do not apply to igt-check (section 'sweep')"),
+    ("igt-check", "sweep.eta_grid = 1.0\n", "line 7, col 1: unknown section 'sweep'"),
     ("igt-check", "certify.n_pairs = 100\n", "keys ['n_pairs'] do not apply to igt-check (section 'certify')"),
+    ("bounds", "sweep.eta_grid = 0.01,0.1\n", "line 9, col 1: unknown section 'sweep'"),
+    ("certify", "sweep.eta_grid = 0.01\n", "line 7, col 1: unknown section 'sweep'"),
+    ("certify", "run.T_grid = 5,6\n", "keys ['T_grid'] do not apply to certify (section 'run')"),
+    ("igt-check", "run.T_grid = 5,6\n", "keys ['T_grid'] do not apply to igt-check (section 'run')"),
+    ("igt-check", "optimizer.eta = 0.1\n", "keys ['eta'] do not apply to igt-check (section 'optimizer')"),
+    ("bounds", "certify.radius = 0.001\n", "keys ['radius'] do not apply to bounds (section 'certify')"),
+    ("certify", "igt_check.n_runs = 1000\n", "keys ['n_runs'] do not apply to certify (section 'igt_check')"),
 ]]
 
 
@@ -1902,7 +1864,7 @@ class TestNewRefusals:
         assert invoke(ref_main, [argv("base.cfg")], [out]) == ref
         assert invoke(main, [argv("base.cfg")], [out]) == ref
 
-    @pytest.mark.parametrize("command", ["run", "sweep", "bounds"])
+    @pytest.mark.parametrize("command", ["run", "bounds"])
     @pytest.mark.parametrize("flags, extra", [
         (["--seeds", "2"], "run.master_seed = 5\n"),
         (["--seeds", "2"], "run.n_seeds = 3\nrun.master_seed = 5\n"),
@@ -1946,7 +1908,6 @@ NO_ETA = (1, "", "config error: section 'optimizer' requires key 'eta'\n")
 SELF_TUNING_PREMISE = "the self-tuning method sets its own step sizes; use a constant schedule"
 # the self-tuning method under a schedule that is not constant, once run had started it
 SELF_TUNING_STARTED = (1, "", f"error: {SELF_TUNING_PREMISE}\n")
-NO_RATE_TO_SWEEP = (1, "", "config error: the self-tuning method has no base rate to sweep\n")
 # bounds without optimizer.id, once tuning was asked for the method None, and now
 NO_TUNING_FOR_NONE = (1, "", "error: no closed-form tuning for None\n")
 BOUNDS_WITHOUT_ID = (1, "", "config error: section 'optimizer' requires key 'id'\n")
@@ -1957,7 +1918,7 @@ NO_T_GRID = (1, "", "config error: section 'run' requires key 'T_grid'\n")
 OLD_RATE_DOMAIN = re.compile(r"config error: invalid hyperparameters: need eta > 0 and beta in \[0, 1\), "
                              r"got eta = .*\n")
 # a rate that RunConfig refuses: built by the command (config error) or by the
-# library (a sweep's grid point, a tuned horizon of bounds); the value last
+# library (a tuned horizon of bounds); the value last
 RATE_RULE = re.compile(r"(?:config error: invalid run configuration: |error: )"
                        r"(?:\S+ needs a base rate: eta must be finite and > 0|beta must lie in \[0, 1\)), got (.*)\n")
 OLD_COVER = "config error: invalid layer partition: ranges "
@@ -1969,6 +1930,7 @@ NONFINITE_SCALE = re.compile(r"config error: invalid layer partition: lr scale m
 # a run's exact logs that refute the declared R
 R_REFUTED = re.compile(r"error: F\(w1\) - min logged F = \S+ exceeds declared R \S+ \* \(1\+tol\)\n")
 REPEATED_HORIZON = re.compile(r"error: T_grid must be distinct, got \[.*\]\n")
+UNKNOWN_SWEEP = re.compile(r"config error: line \d+, col 1: unknown section 'sweep'\n")
 # a theorem's tuning that rounds out of its domain: refused when a run is
 # built (config error) or by bound_acceptance before any horizon runs; its eta
 TUNED_OUT = re.compile(r"(?:config error: invalid hyperparameters: |error: )the \S+ tuning at R = .*, T = \d+ "
@@ -1976,66 +1938,85 @@ TUNED_OUT = re.compile(r"(?:config error: invalid hyperparameters: |error: )the 
 SEED_FLAGS = ("--seeds", "--master-seed")
 
 
-def agree(new, ref) -> bool:
-    """The same results, but for these refusals of the first command, each
-    exit 1 with nothing written:
+def moved(first, ref_first) -> str | None:
+    """The name of the refusal below by which the first command's result
+    ``first`` (exit code, stdout, stderr) differs from the earlier code's
+    ``ref_first``, or None. Each is exit 1:
 
-    - a manual run without optimizer.eta, as ``section 'optimizer' requires
-      key 'eta'``;
-    - the self-tuning method under a schedule that is not constant, when
-      its run is built, with the message of the other run configuration
-      faults, where run refused it once started;
-    - a sweep of the self-tuning method, for having no base rate, when its
-      rate is resolved, under any schedule and before the run
-      configuration's own checks, where sweep refused it once started (or
-      for another fault, or for its unread keys);
-    - bounds without optimizer.id, when its settings are read, where tuning
-      once refused the method None;
-    - a base rate or beta outside its domain, with the text RunConfig raises
-      when the run (or each grid point of a sweep) is built, before the run
+    - "no eta": a manual run without optimizer.eta, as ``section
+      'optimizer' requires key 'eta'``;
+    - "self-tuning premise": the self-tuning method under a schedule that
+      is not constant, when its run is built, with the message of the other
+      run configuration faults, where run refused it once started;
+    - "bounds without id": bounds without optimizer.id, when its settings
+      are read, where tuning once refused the method None;
+    - "rate rule": a base rate or beta outside its domain, with the text
+      RunConfig raises when the run is built, before the run
       configuration's other checks. The earlier code refused it too, as its
-      rate was resolved, when run started or at its grid point, but for a
-      rate of 0, which it ran. A layer partition of the wrong shape is now
+      rate was resolved or when run started, but for a rate of 0, which it
+      ran;
+    - "partition before rate": a layer partition of the wrong shape, now
       refused before a manual rate outside its domain;
-    - a layer partition that does not cover the dimension, as an invalid
-      run configuration, where it was an invalid layer partition;
-    - bounds without run.T_grid, as ``section 'run' requires key
-      'T_grid'``;
-    - bounds on a grid that repeats a horizon, which it ran twice;
-    - a theorem's tuning whose eta rounds to 0 or whose beta rounds to 1,
-      by the tuning, naming its constants and T, when the run is built or
-      before any horizon of bounds runs. The earlier code refused its beta
-      of 1 when the run (or that horizon) started, but ran an eta of 0;
-    - a layer partition refused for its boundaries, its scale count or a
-      scale, as an invalid layer partition with the texts of the
+    - "cover": a layer partition that does not cover the dimension, as an
+      invalid run configuration, where it was an invalid layer partition;
+    - "bounds without grid": bounds without run.T_grid, as ``section 'run'
+      requires key 'T_grid'``;
+    - "repeated horizon": bounds on a grid that repeats a horizon, which it
+      ran twice;
+    - "tuned out": a theorem's tuning whose eta rounds to 0 or whose beta
+      rounds to 1, by the tuning, naming its constants and T, when the run
+      is built or before any horizon of bounds runs. The earlier code
+      refused its beta of 1 when the run (or that horizon) started, but ran
+      an eta of 0;
+    - "partition": a layer partition refused for its boundaries, its scale
+      count or a scale, as an invalid layer partition with the texts of the
       boundaries: the earlier code refused it as a partition too, with the
       texts of its ranges, or, for a NaN or infinite scale, ran it;
+    - "sweep section": a file that sets a sweep key, as an unknown section
+      when it is parsed, since no command reads the section now, where the
+      earlier code exited 1 too: it refused the key as one the command does
+      not read (:meth:`TestExitCodeContract.keeps_the_contract`), or it
+      failed first for another fault;
 
-    and for these check failures, exit 2 with nothing written:
+    and one is exit 2:
 
-    - a theorem run or bounds whose exact logs refute the declared R (the
-      F(w1) - min logged F line), which the earlier code ran and wrote."""
-    (results, files, caught), (ref_results, ref_files, ref_caught) = new, ref
-    first, ref_first = results[0], ref_results[0]
+    - "R refuted": a theorem run or bounds whose exact logs refute the
+      declared R (the F(w1) - min logged F line), which the earlier code
+      ran and wrote."""
+    refused = first[:2] == (1, "")
     rate = RATE_RULE.fullmatch(first[2])
     tuning = TUNED_OUT.fullmatch(first[2])
-    moved = (ref_first == MANUAL_ETA and first == NO_ETA
-             or ref_first == SELF_TUNING_STARTED
-             and first == (1, "", f"config error: invalid run configuration: {SELF_TUNING_PREMISE}\n")
-             or first == NO_RATE_TO_SWEEP and ref_first[:2] == (1, "")
-             or ref_first == NO_TUNING_FOR_NONE and first == BOUNDS_WITHOUT_ID
-             or first[:2] == (1, "") and rate and (ref_first[0] == 1 or float(rate[1]) == 0.0)
-             or first[:2] == (1, "") and OLD_RATE_DOMAIN.fullmatch(ref_first[2])
-             and first[2].startswith(("config error: invalid layer partition: ", "config error: optimizer.layers "))
-             or ref_first[2].startswith(OLD_COVER) and first == (1, "", NEW_COVER + ref_first[2][len(OLD_COVER):])
-             or ref_first == BOUNDS_NEEDS_GRID and first == NO_T_GRID
-             or first[:2] == (1, "") and REPEATED_HORIZON.fullmatch(first[2])
-             or first[:2] == (1, "") and tuning and (ref_first[0] == 1 or float(tuning[1]) == 0.0)
-             or first[:2] == (1, "") and first[2].startswith(NEW_PARTITION)
-             and (ref_first[2].startswith(OLD_PARTITION) or NONFINITE_SCALE.fullmatch(first[2]))
-             or first[:2] == (2, "") and R_REFUTED.fullmatch(first[2]) and ref_first[0] != 1)
-    return new == ref or (moved and not files[0]
-                          and (results[1:], files[1:], caught) == (ref_results[1:], ref_files[1:], ref_caught))
+    clauses = {
+        "no eta": ref_first == MANUAL_ETA and first == NO_ETA,
+        "self-tuning premise": ref_first == SELF_TUNING_STARTED
+        and first == (1, "", f"config error: invalid run configuration: {SELF_TUNING_PREMISE}\n"),
+        "bounds without id": ref_first == NO_TUNING_FOR_NONE and first == BOUNDS_WITHOUT_ID,
+        "rate rule": refused and rate and (ref_first[0] == 1 or float(rate[1]) == 0.0),
+        "partition before rate": refused and OLD_RATE_DOMAIN.fullmatch(ref_first[2])
+        and first[2].startswith(("config error: invalid layer partition: ", "config error: optimizer.layers ")),
+        "cover": ref_first[2].startswith(OLD_COVER) and first == (1, "", NEW_COVER + ref_first[2][len(OLD_COVER):]),
+        "bounds without grid": ref_first == BOUNDS_NEEDS_GRID and first == NO_T_GRID,
+        "repeated horizon": refused and REPEATED_HORIZON.fullmatch(first[2]),
+        "tuned out": refused and tuning and (ref_first[0] == 1 or float(tuning[1]) == 0.0),
+        "partition": refused and first[2].startswith(NEW_PARTITION)
+        and (ref_first[2].startswith(OLD_PARTITION) or NONFINITE_SCALE.fullmatch(first[2])),
+        "sweep section": refused and UNKNOWN_SWEEP.fullmatch(first[2]) and ref_first[0] == 1,
+        "R refuted": first[:2] == (2, "") and R_REFUTED.fullmatch(first[2]) and ref_first[0] != 1,
+    }
+    return next((name for name, hit in clauses.items() if hit), None)
+
+
+def agree(new, ref) -> str | None:
+    """"same" for the same results; the refusal (:func:`moved`) by which the
+    first command's result differs, where it wrote nothing and the rest is
+    the same; else None."""
+    (results, files, caught), (ref_results, ref_files, ref_caught) = new, ref
+    if new == ref:
+        return "same"
+    clause = moved(results[0], ref_results[0])
+    if clause and not files[0] and (results[1:], files[1:], caught) == (ref_results[1:], ref_files[1:], ref_caught):
+        return clause
+    return None
 
 
 KIND_REFUSAL = (1, "", "config error: igt-check needs a noisy_quadratic problem (constant Hessian)\n")
@@ -2097,12 +2078,7 @@ CHANGED_REFUSALS = [
     *[("run", RUN_BOWL + f"optimizer.eta = 0.1\noptimizer.beta = {beta}\n", INVALID_RUN + BAD_BETA.format(beta),
        OLD_DOMAIN.format(0.1, beta)) for beta in ("-0.5", "1.0", "nan")],
     ("run", RUN_BOWL, NO_ETA[2][:-1], MANUAL_ETA[2][:-1]),
-    *[("sweep", RUN_BOWL + f"optimizer.beta = {beta}\nsweep.eta_grid = 0.01\n", INVALID_RUN + BAD_BETA.format(beta),
-       "error: " + BAD_BETA.format(beta)) for beta in ("-0.5", "1.0", "nan")],
-    *[("sweep", RUN_BOWL + f"sweep.eta_grid = 0.01,{eta}\n", "error: " + BAD_RATE.format(eta),
-       None if float(eta) == 0.0 else OLD_BAD_RATE.format(eta)) for eta in ("0.0", "-0.0", "-0.1")],
     ("run", LAYERWISE + "optimizer.eta = 0.1\n", INVALID_RUN + GAP, "config error: invalid layer partition: " + GAP),
-    ("sweep", LAYERWISE, INVALID_RUN + GAP, "config error: invalid layer partition: " + GAP),
     ("run", LAYERWISE.replace("layers = 0,1", "layers = 0") + "optimizer.eta = -1.0\n",
      INVALID_PARTITION + BOUNDARIES.format("0"), OLD_DOMAIN.format(-1.0, 0.9)),
     # the partition's own refusals, now of its boundaries and of a scale
@@ -2167,11 +2143,13 @@ class TestExitCodeContract:
     they write the same on it as on the file without those keys, and the
     change matches them there. The refusal is the one the read sets gave,
     but for a file that also fails to build, where that fault is named
-    first. Apart from that, the refusals that :func:`agree` lists changed,
-    and igt-check no longer refuses a problem for its kind
-    (:func:`reference`). At least one drawn igt-check file reaches the
-    moment check's refusal of a curved Hessian, and drawn files reach the
-    file parser's refusal of a number, a bool and a list. Each refusal that
+    first, and for a sweep key, which fails to parse. Apart from that, the
+    refusals that :func:`moved` lists changed, and igt-check no longer
+    refuses a problem for its kind (:func:`reference`). At least one drawn
+    igt-check file reaches the moment check's refusal of a curved Hessian,
+    drawn files reach the file parser's refusal of a number, a bool and a
+    list, and they reach the changed refusals of a layer partition and of
+    a sweep key. Each refusal that
     the rate rules of RunConfig, the tuning or the layer boundaries moved or
     reworded, and the place of bounds' size check after its unread keys,
     also has a file of its own (:data:`CHANGED_REFUSALS`), compared the same
@@ -2179,17 +2157,19 @@ class TestExitCodeContract:
     (:data:`REFUTED_R`)."""
 
     def test_commands_keep_the_contract_and_match_the_reference(self):
-        stderrs = []
+        outcomes = []
 
         @settings(max_examples=300)
         @given(invocations())
         def check(invocation):
-            stderrs.append(self.keeps_the_contract(*invocation))
+            outcomes.append(self.keeps_the_contract(*invocation))
 
         check()
+        stderrs = [err for err, _ in outcomes]
         assert any(err.startswith("error: moment identity requires a constant Hessian;") for err in stderrs)
         parser = {m[1] for err in stderrs if (m := re.match(r"config error: line \d+: expected (.*?), got ", err))}
         assert parser == {"a number", "an integer", "true or false", "a comma-separated list"}
+        assert {"partition", "sweep section"} <= {clause for _, clause in outcomes}
 
     @pytest.mark.parametrize("command, text, message, earlier", CHANGED_REFUSALS,
                              ids=[f"{i}-{case[0]}" for i, case in enumerate(CHANGED_REFUSALS)])
@@ -2204,7 +2184,7 @@ class TestExitCodeContract:
         else:
             code, earlier = earlier if isinstance(earlier, tuple) else (1, earlier)
             assert ref == ([(code, "", f"{earlier}\n")], [{}], [])
-        assert self.keeps_the_contract(command, text, []) == f"{message}\n"
+        assert self.keeps_the_contract(command, text, [])[0] == f"{message}\n"
 
     @pytest.mark.parametrize("command, text, message", REFUTED_R, ids=[case[0] for case in REFUTED_R])
     def test_each_refuted_R(self, tmp_path, command, text, message):
@@ -2216,11 +2196,13 @@ class TestExitCodeContract:
         assert ref[0] == [(0, "", "")] and ref[1][0]  # the earlier code passed it and wrote its results
         if command == "run":
             assert json.loads(ref[1][0]["summary.json"])["pass"] is True
-        assert self.keeps_the_contract(command, text, []) == f"{message}\n"
+        assert self.keeps_the_contract(command, text, []) == (f"{message}\n", "R refuted")
 
     @staticmethod
-    def keeps_the_contract(command, text, flags) -> str:
-        """Check one invocation; the stderr of its first command."""
+    def keeps_the_contract(command, text, flags) -> tuple[str, str]:
+        """Check one invocation; the stderr of its first command, and how it
+        matched the reference: the name :func:`agree` gives, or "unread"
+        where it refused keys that the command does not read."""
         with tempfile.TemporaryDirectory() as tmp:
             cfg, out = Path(tmp) / "exp.cfg", Path(tmp) / "out"
             cfg.write_text(text, encoding="utf-8")
@@ -2235,8 +2217,8 @@ class TestExitCodeContract:
                 assert code != 1 or not written
             assert invoke(main, argvs, outs) == new
             ref = reference(argvs, outs)
-            if agree(new, ref):
-                return results[0][2]
+            if clause := agree(new, ref):
+                return results[0][2], clause
             assert results[0][:2] == (1, "")
             read = ref_read_keys(ref_parse_experiment(text), command, *(
                 int(flags[flags.index(flag) + 1]) if flag in flags else None for flag in SEED_FLAGS))
@@ -2249,11 +2231,14 @@ class TestExitCodeContract:
             new_read, ref_read = invoke(main, argvs_read, outs), reference(argvs_read, outs)
             assert agree(new_read, ref_read)
             # refused as the read sets had it, or, when it does not build, for
-            # the fault that the file without those keys fails on as well
-            assert results[0][2] in (f"config error: {ref_refusal(text, command, flags)}\n", new_read[0][0][2])
+            # the fault that the file without those keys fails on as well; a
+            # sweep key, refused as unread there, now fails to parse
+            read_sets = (1, "", f"config error: {ref_refusal(text, command, flags)}\n")
+            clause = "unread" if results[0][2] in (read_sets[2], new_read[0][0][2]) else moved(results[0], read_sets)
+            assert clause in ("unread", "sweep section")
             if ref[0][0][0] != 1:  # the refused keys did nothing
                 assert ref_read == ref
-            return results[0][2]
+            return results[0][2], clause
 
 
 # -- what the builders read, against the read sets they replaced ------------------------
@@ -2262,15 +2247,17 @@ class TestExitCodeContract:
 # the command refuses the rest once it is built.
 
 RATE = "optimizer.eta = 0.1\n"
-# a file that each command builds: run and sweep for each method and schedule
-# kind (run the self-tuning method under a constant one only, sweep it not
-# at all), bounds for each method
+# a file that each command builds: run for each method and schedule kind
+# (the self-tuning method under a constant one only), bounds for each method,
+# then run under each theorem's tuning and a layer partition of its own
 BUILT = [("run", BOWL + f"optimizer.id = {m}\n{'' if m == 'nigt_adaptive' else RATE}schedule.kind = {kind}\n"
           "run.T = 20\nrun.n_seeds = 2\n") for m in OPTIMIZER_IDS for kind in ("constant", "warmup_poly_decay")
          if m != "nigt_adaptive" or kind == "constant"]
-BUILT += [("sweep", text.replace(RATE, "")) for _, text in BUILT if "nigt_adaptive" not in text]
 BUILT += [("bounds", BOWL + f"optimizer.id = {m}\nrun.T_grid = 20\nrun.n_seeds = 2\n") for m in OPTIMIZER_IDS]
 BUILT += [("certify", READ_WHOLE["certify"]), ("igt-check", READ_WHOLE["igt-check"])]
+BUILT += [("run", BOWL + f"optimizer.id = {m}\noptimizer.theorem = {theorem}\nrun.T = 20\nrun.n_seeds = 2\n")
+          for m, theorem in (("nsgdm", 1), ("nigt", 2))]
+BUILT += [("run", LAYERWISE.replace("layers = 0,1", "layers = 0,1,2") + RATE + "optimizer.lr_scale = 1.0,0.5\n")]
 
 
 def with_each_key(text: str) -> list[str]:
@@ -2338,7 +2325,7 @@ class TestReadsMatchTheReadSets:
     @pytest.mark.parametrize("command, text", BUILT, ids=[f"{c}-{i}" for i, (c, _) in enumerate(BUILT)])
     def test_refusals_match_the_read_sets(self, tmp_path, command, text):
         flag_sets = [[], ["--master-seed", "3"]] + ([["--seeds", "2"], ["--seeds", "2", "--master-seed", "3"]]
-                                                   if command in ("run", "sweep", "bounds") else [])
+                                                   if command in ("run", "bounds") else [])
         assert build_outcome([command, "--config", "exp.cfg", "--out", str(tmp_path / "out")], text) is None
         for extended in with_each_key(text):
             for flags in flag_sets:

@@ -17,13 +17,11 @@ from nigt_lab.core import RngStream, gaussian_noise
 from nigt_lab.errors import ConstantRefuted, Diverged, InvalidInput, NigtLabError
 from nigt_lab.harness import (
     BLOCK_BYTES,
-    DEFAULT_ETA_GRID,
     OPTIMIZER_IDS,
     RunConfig,
     bound_acceptance,
     check_declared_R,
     descent_check,
-    grid_sweep,
     igt_moment_check,
     rate_diagnostic,
     run,
@@ -219,6 +217,12 @@ class TestMomentCheck:
                 "(d=2,cov_eigs=[1.0;2.0],label_noise=0.5) certifies sigma at the start point only")):
             igt_moment_check(pb, [1, 100], n_runs=1000, seed=0)
 
+    @pytest.mark.parametrize("checkpoints", [(), (0,), (-1, 4), (0, 1, 10)])
+    def test_rejects_checkpoints_that_are_not_sample_counts(self, checkpoints):
+        message = f"checkpoints must be positive sample counts, got {checkpoints}"
+        with pytest.raises(InvalidInput, match=f"^{re.escape(message)}$"):
+            igt_moment_check(make_noisy_quadratic(2, [1.0, 4.0], 1.0), checkpoints, n_runs=1000, seed=0)
+
     def test_rejects_small_run_counts(self):
         with pytest.raises(InvalidInput):
             igt_moment_check(make_noisy_quadratic(2, [1.0, 1.0], 0.1), [1], n_runs=10, seed=0)
@@ -316,6 +320,15 @@ class TestDescentCheck:
             descent_check(TRIG, run(cfg)[0])
 
 
+    def test_a_log_off_its_objective_chain_is_refused(self):
+        pb = make_noisy_quadratic(2, [1.0, 4.0], 0.0, w1=[2.0, 1.0])
+        rec = run(RunConfig(problem=pb, optimizer_id="nsgdm", T=20, seeds=(0,), eta=0.02, beta=0.5))[0]
+        assert descent_check(pb, rec).passed
+        rec.f_val[5] += 1e-6
+        with pytest.raises(InvalidInput, match="^logged residuals disagree with the logged objective chain$"):
+            descent_check(pb, rec)
+
+
 class TestTaylorRemainderCheck:
     # the curvature part of certification: the largest remainder ratio
     # against the declared rho, widened by the tolerance and the
@@ -351,12 +364,17 @@ class TestRateDiagnostic:
         with pytest.raises(InvalidInput, match=r"^horizon grid must span at least two decades$"):
             rate_diagnostic([(100, 1.0), (200, 0.8), (400, 0.6)])  # only one decade
 
+    @pytest.mark.parametrize("bad", [0.0, -1.0, -math.inf])
+    def test_averages_that_are_not_positive(self, bad):
+        with pytest.raises(InvalidInput, match="^gradient-norm averages must be positive for a log-log fit$"):
+            rate_diagnostic([(100, 1.0), (1000, bad), (10_000, 0.5)])
+
 
 class TestRunConfigRates:
     """RunConfig is the one check of a run's rates, for every method: a
-    base rate is finite and > 0, or None (a sweep's base, which run
-    refuses), and a fixed momentum lies in [0, 1). sgd and the self-tuning
-    method read no beta, and the self-tuning method takes no eta."""
+    base rate is finite and > 0, and a fixed momentum lies in [0, 1). sgd
+    and the self-tuning method read no beta, and the self-tuning method
+    takes no eta: it is the one method whose eta is None."""
 
     @pytest.mark.parametrize("opt", OPTIMIZER_IDS)
     def test_each_method_s_rates(self, opt):
@@ -377,74 +395,12 @@ class TestRunConfigRates:
                 assert str(exc.value) == f"beta must lie in [0, 1), got {beta}"
             else:  # unread: the run is the one at the default beta
                 assert all(map(_records_equal, run(config(eta=eta, beta=beta)), run(config(eta=eta))))
-        base = config()  # a sweep's base
         if method.self_tuning:
-            assert len(run(base)) == 2
+            assert len(run(config())) == 2
         else:
             with pytest.raises(InvalidInput) as exc:
-                run(base)
-            assert str(exc.value) == f"{opt} needs a base rate, got eta = None"
-
-
-class TestGridSweep:
-    def test_single_point_grid_returns_it(self):
-        cfg = RunConfig(problem=TRIG, optimizer_id="nsgdm", T=20, seeds=(1,), eta=0.05)
-        rep = grid_sweep(cfg, [0.03])
-        assert rep.best_eta0 == 0.03
-        assert len(rep.rows) == 1
-
-    def test_overlarge_rate_loses_on_noise_free_quadratic(self):
-        pb = make_noisy_quadratic(2, [1.0, 1.0], 0.0, w1=[2.0, 1.0])
-        cfg = RunConfig(problem=pb, optimizer_id="nsgdm", T=400, seeds=(0,), beta=0.0)
-        rep = grid_sweep(cfg, [1e-2, 1.0])
-        assert rep.best_eta0 == 1e-2
-        by_eta = {r.eta0: r.final_grad_norm for r in rep.rows}
-        assert by_eta[1.0] > by_eta[1e-2]  # the big rate keeps oscillating
-
-    def test_default_grid_is_six_decades(self):
-        assert DEFAULT_ETA_GRID == (1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0)
-        cfg = RunConfig(problem=TRIG, optimizer_id="nsgdm", T=5, seeds=(1,))
-        rep = grid_sweep(cfg)
-        assert sorted(r.eta0 for r in rep.rows) == sorted(DEFAULT_ETA_GRID)
-
-    def test_shared_noise_across_grid_points(self):
-        cfg = RunConfig(problem=TRIG, optimizer_id="nsgdm", T=10, seeds=(7,))
-        r1 = grid_sweep(cfg, [0.01, 0.01000000001])
-        # nearly identical rates on identical noise rank deterministically
-        assert r1.rows[0].eta0 == 0.01 or r1.rows[0].eta0 == 0.01000000001
-
-    def test_a_self_tuning_base_is_refused_at_its_first_rate(self, monkeypatch):
-        # it would run one identical row per rate: it sets its own rates
-        runs = []
-        monkeypatch.setattr(harness, "run", runs.append)
-        cfg = RunConfig(problem=TRIG, optimizer_id="nigt_adaptive", T=5, seeds=(1,))
-        with pytest.raises(InvalidInput, match="^the self-tuning method sets its own step sizes; "
-                                               "it takes no eta, got 0.001$"):
-            grid_sweep(cfg, [1e-3, 1.0])
-        assert runs == []
-
-    @pytest.mark.parametrize("bad", [-1.0, 0.0, math.nan, math.inf])
-    def test_a_refused_rate_anywhere_in_the_grid_runs_nothing(self, monkeypatch, bad):
-        runs = []
-        monkeypatch.setattr(harness, "run", runs.append)
-        cfg = RunConfig(problem=TRIG, optimizer_id="nsgdm", T=5, seeds=(1,))
-        with pytest.raises(InvalidInput, match=f"^nsgdm needs a base rate: eta must be finite and > 0, got {bad}$"):
-            grid_sweep(cfg, [0.01, 0.1, bad])
-        assert runs == []
-
-    def test_all_rates_diverged_leaves_no_best_rate(self):
-        # plain steps of 1 and 2 on eigenvalue 4 grow like 3^t and 7^t
-        pb = make_noisy_quadratic(2, [1.0, 4.0], 0.0)
-        cfg = RunConfig(problem=pb, optimizer_id="sgd", T=1000, seeds=(1, 2))
-        rep = grid_sweep(cfg, [2.0, 1.0])
-        assert rep.best_eta0 is None
-        assert [r.eta0 for r in rep.rows] == [1.0, 2.0]
-        steps = {r.eta0: r.diverged_at for r in rep.rows}
-        assert steps[2.0] < steps[1.0]
-        with pytest.raises(Diverged) as exc:
-            run(replace(cfg, eta=1.0, seeds=(1,)))
-        assert exc.value.step == steps[1.0]
-        assert f"diverged at step {steps[1.0]}:" in str(exc.value)
+                config()
+            assert str(exc.value) == f"{opt} needs a base rate: eta must be finite and > 0, got None"
 
 
 class TestDivergenceOrder:
@@ -720,6 +676,15 @@ class TestBoundAcceptanceSmoke:
         with pytest.raises(InvalidInput, match=r"^T_grid must be distinct, got \[10, 10, 100\]$"):
             bound_acceptance(TRIG, "nsgdm", [10, 100, 10], seeds=(1, 2))
         assert runs == []
+
+    def test_an_empty_grid_is_refused_before_anything_is_tuned_or_drawn(self, monkeypatch):
+        # it would pass with no rows, after a certification that checks nothing
+        calls = []
+        for name in ("tuned", "cert_points", "run", "certify_constants"):
+            monkeypatch.setattr(harness, name, lambda *a, name=name, **k: calls.append(name))
+        with pytest.raises(InvalidInput, match=r"^T_grid must be non-empty$"):
+            bound_acceptance(make_trig_bowl(4, 1.0, 1.0, 0.5), "nsgdm", [], seeds=(0, 1))
+        assert calls == []
 
     def test_rejects_point_certified_sigma(self):
         from nigt_lab.problems import make_streaming_least_squares

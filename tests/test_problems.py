@@ -7,6 +7,9 @@ import pytest
 from nigt_lab.core import RngStream
 from nigt_lab.errors import CertificationFailure, InvalidInput
 from nigt_lab.problems import (
+    MIN_SEP,
+    ball_pairs,
+    ball_point,
     certify_constants,
     fd_slack,
     make_noisy_quadratic,
@@ -279,6 +282,24 @@ class TestSharedInvariants:
         with pytest.raises(InvalidInput, match=f"^{name} must be "):
             with_constants(make_trig_bowl(2, 1.0, 1.0, 0.5), **{name: value})
 
+    @pytest.mark.parametrize("overrides, names", [
+        ({"dim": 3}, "['dim']"), ({"w1": [0.0, 0.0]}, "['w1']"), ({"sigma": 1.0, "dim": 3, "a": 2.0}, "['a', 'dim']"),
+    ], ids=["dim", "w1", "two_of_three"])
+    def test_only_declared_constants_are_overridden(self, overrides, names):
+        message = f"cannot override {names}; allowed: ['L', 'R', 'g_bound', 'rho', 'sigma']"
+        with pytest.raises(InvalidInput, match=f"^{re.escape(message)}$"):
+            with_constants(make_trig_bowl(2, 1.0, 1.0, 0.5), **overrides)
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: make_noisy_quadratic(2, [1.0, 4.0], w1=[1.0]), "w1 has dim 1, expected 2"),
+        (lambda: make_noisy_quadratic(2, [1.0, 4.0], w1=[1.0, 2.0, 3.0]), "w1 has dim 3, expected 2"),
+        (lambda: make_trig_bowl(0, 1.0, 1.0), "dimension must be >= 1, got 0"),
+        (lambda: make_trig_bowl(2, 1.0, 1.0, w1=[1.0, 2.0, 3.0]), "w1 has dim 3, expected 2"),
+    ], ids=["quad_w1_short", "quad_w1_long", "trig_dim_zero", "trig_w1_long"])
+    def test_a_start_point_off_the_dimension_is_refused(self, make, message):
+        with pytest.raises(InvalidInput, match=f"^{message}$"):
+            make()
+
     def test_domain_edges_are_accepted(self):
         pb = with_constants(make_trig_bowl(2, 1.0, 1.0, 0.5), L=0.0, rho=0.0, g_bound=math.inf, R=-1.0)
         assert (pb.L, pb.g_bound, pb.R) == (0.0, math.inf, -1.0)
@@ -294,3 +315,34 @@ class TestSharedInvariants:
     def test_certify_rejects_tiny_pair_budget(self):
         with pytest.raises(InvalidInput):
             certify_constants(make_sign_noise(0.25), n_pairs=10)
+
+
+class _ZerosFirst:
+    """A generator whose first ``n`` normal draws are all zero, the rest
+    those of a seeded one."""
+
+    def __init__(self, n):
+        self.n, self.rest, self.normals = n, np.random.default_rng(0), 0
+
+    def normal(self, size):
+        self.normals += 1
+        return np.zeros(size) if self.normals <= self.n else self.rest.normal(size=size)
+
+    def random(self):
+        return self.rest.random()
+
+
+class TestBallDraws:
+    def test_a_zero_direction_draws_the_center(self):
+        rng = RngStream(0)
+        rng.generator = _ZerosFirst(1)
+        center = np.array([1.0, -2.0])
+        point = ball_point(rng, center, 0.5)
+        assert point is not center and point.tolist() == [1.0, -2.0]
+        assert rng.generator.rest.random() == np.random.default_rng(0).random()  # it drew no radius
+
+    def test_a_pair_too_close_is_skipped(self):
+        rng = RngStream(0)
+        rng.generator = _ZerosFirst(2)  # the first pair is the center twice
+        (x, y, sep), = ball_pairs(rng, np.zeros(3), 1.0, 1)
+        assert rng.generator.normals == 4 and sep == pytest.approx(np.linalg.norm(x - y)) and sep >= MIN_SEP

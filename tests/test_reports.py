@@ -172,3 +172,14 @@ class TestCellsLeftToPython:
         monkeypatch.setattr(reports, "_f2_words", y_words)
         reports.svg_line_chart(left, list(ys), "title", "y", log)
         assert left.getvalue() == whole.getvalue() and len(calls) == 5
+
+
+@pytest.mark.parametrize("value, text", [
+    (True, "true"), (False, "false"), (3, "3"), (np.int64(-4), "-4"), (0.1, "0.10000000000000001"),
+    (np.float64(-0.0), "-0"), (math.inf, "inf"), (math.nan, "nan"),
+], ids=["true", "false", "int", "np_int", "float", "negative_zero", "inf", "nan"])
+def test_a_table_cell(value, text):
+    # the report tables: booleans as true/false, integers as they are,
+    # other numbers as the seed CSVs print them
+    assert reports.rows_to_csv("a,b", [[value, 1], [2, value]]) == f"a,b\n{text},1\n2,{text}\n"
+

@@ -52,6 +52,8 @@ class TestNsgdmParams:
             nsgdm_params(1.0, -1.0, 1.0, 10)
         with pytest.raises(InvalidInput):
             nsgdm_params(1.0, 1.0, 1.0, 0)
+        with pytest.raises(InvalidInput, match=r"^sigma must be >= 0, got -1\.0$"):
+            nsgdm_params(1.0, 1.0, -1.0, 10)
 
 
 class TestNsgdmBound:
@@ -110,6 +112,10 @@ class TestNigtParams:
     def test_rho_zero_with_noise_rejected(self):
         with pytest.raises(InvalidInput):
             nigt_params(1.0, 1.0, 0.0, 1.0, 100)
+
+    def test_negative_rho_rejected(self):
+        with pytest.raises(InvalidInput, match=r"^rho must be >= 0, got -1\.0$"):
+            nigt_params(1.0, 1.0, -1.0, 0.5, 10)
 
 
 class TestNigtBound:
